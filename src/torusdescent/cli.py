@@ -26,6 +26,7 @@ from .descent import (
 from .points import local_solubility, solve_global, verify_integral_point
 from .selmer import dual_selmer_group, selmer_group, torus_data
 from .surface import (
+    DegenerateFiberError,
     SpecValidationError,
     compute_s_bad,
     fiber,
@@ -310,7 +311,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecValidationError, DescentError, OSError, ValueError) as exc:
+    except (
+        SpecValidationError, DegenerateFiberError, DescentError, OSError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -22,7 +22,7 @@ from .arith import (
     valuation,
 )
 
-MAX_FACTORS = 16  # 2^|J| subset enumeration cap
+MAX_FACTORS = 16  # cap on |J|; G_D can hold up to 2^(|J|+1) elements
 
 
 class SpecValidationError(Exception):

@@ -100,6 +100,20 @@ def test_solve_command(spec_file, capsys):
     assert main(["solve", spec_file, "--t", "-3", "--height", "5"]) == 3
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["selmer"], ["local", "--place", "7"], ["solve", "--height", "5"]],
+    ids=["selmer", "local", "solve"],
+)
+@pytest.mark.parametrize("t", ["0", "-1"])
+def test_fiber_at_root_of_p_j_is_input_error(spec_file, capsys, extra, t):
+    assert main(["--json", extra[0], spec_file, "--t", t, *extra[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "p_J" in captured.err
+    assert captured.out == ""
+
+
 def test_descend_command(tmp_path, capsys):
     spec, point, _ = family_point(0)
     spec_path = tmp_path / "family.spec"

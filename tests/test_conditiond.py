@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torusdescent.arith import square_class
 from torusdescent.conditiond import (
@@ -17,7 +19,7 @@ from torusdescent.conditiond import (
     in_g_i_dual,
     span_of,
 )
-from torusdescent.surface import make_spec
+from torusdescent.surface import REAL, Place, make_spec, spec_violations
 
 from oracles import g_d_bruteforce
 
@@ -126,6 +128,49 @@ def test_intersection_matches_bruteforce(s0, a, b, factors, part_a):
     spec = make_spec(s0, a, b, factors, part_a)
     assert set(compute_g_d(spec)) == g_d_bruteforce(spec, dual=False)
     assert set(compute_g_d_dual(spec)) == g_d_bruteforce(spec, dual=True)
+
+
+@st.composite
+def small_specs(draw):
+    """Raw specs with |J| <= 3 and coefficients small enough for the oracle."""
+    s0 = draw(st.sampled_from([(), (2,), (2, 3)]))
+    a, b = (draw(st.sampled_from([x for x in range(-6, 7) if x])) for _ in range(2))
+    n = draw(st.integers(1, 3))
+    factors = {i: (draw(st.integers(1, 3)), draw(st.integers(-5, 5))) for i in range(1, n + 1)}
+    part_a = [i for i in factors if draw(st.booleans())]
+    return s0, a, b, factors, part_a
+
+
+@given(small_specs())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_intersection_matches_bruteforce_random(raw):
+    s0, a, b, factors, part_a = raw
+    places = [REAL] + [Place.finite(p) for p in s0]
+    assume(not spec_violations(places, a, b, factors, part_a))
+    test_intersection_matches_bruteforce(*raw)
+
+
+def _g_d_too_large_spec(n):
+    """p_1 = t, p_j = t - (j-1)^2, A = {1}, b = a*(-1)^|B| with a = 3.
+
+    Every target class [a*D_i^A] is [3], so ([3], {}) lies in G_D outside
+    its target <([a], A), ([d], J)>: Condition (D) fails.
+    """
+    factors = {1: (1, 0), **{j: (1, -((j - 1) ** 2)) for j in range(2, n + 1)}}
+    return make_spec([2], 3, 3 * (-1) ** (n - 1), factors, [1])
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_wide_j_known_failure(n):
+    spec = _g_d_too_large_spec(n)
+    report = check_condition_d(spec)
+    assert not report.holds
+    x = GElement.make(3, ())
+    assert x in report.g_d and x in report.witnesses
+    assert set(span_of(expected_g_d_generators(spec))) <= set(report.g_d)
+    assert set(span_of(expected_g_d_dual_generators(spec))) <= set(report.g_d_dual)
+    assert all(in_g_i(spec, g, i) for g in report.g_d for i in spec.indices)
+    assert all(in_g_i_dual(spec, g, i) for g in report.g_d_dual for i in spec.indices)
 
 
 @pytest.mark.parametrize("s0,a,b,factors,part_a", SPECS)
