@@ -20,7 +20,7 @@ from .arith import (  # noqa: F401
 from .conditiond import GElement, check_condition_d  # noqa: F401
 from .descent import Certificate, DescentBounds, descend  # noqa: F401
 from .points import local_solubility, solve_global, verify_integral_point  # noqa: F401
-from .selmer import dual_selmer_group, selmer_group, torus_data  # noqa: F401
+from .selmer import selmer_groups, torus_data  # noqa: F401
 from .surface import (  # noqa: F401
     PartialAdelicPoint,
     SurfaceSpec,

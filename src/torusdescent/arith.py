@@ -1,8 +1,9 @@
 """Exact local and global arithmetic over Q.
 
-Valuations, square classes, Legendre/Jacobi symbols, Hilbert symbols at
-every place, Hensel lifting and deterministic prime streams.  Everything
-is computed with exact integer/Fraction arithmetic; nothing here touches
+Valuations, square classes, local square classes as F2 bitmasks, the
+Hilbert symbol at every place as a bilinear form on those masks, Legendre
+symbols, Hensel lifting and deterministic prime streams.  Everything is
+computed with exact integer/Fraction arithmetic; nothing here touches
 floating point.
 """
 
@@ -13,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+from .gf2 import dot
 
 Rational = Fraction | int
 
@@ -102,6 +105,10 @@ def factorize(n: int) -> Dict[int, int]:
     n = abs(n)
     factors: Dict[int, int] = {}
     for p in _SMALL_PRIMES:
+        if p * p > n:  # n has no prime factor below p, so it is 1 or a prime
+            if n > 1:
+                factors[n] = 1
+            return factors
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
@@ -224,11 +231,6 @@ def valuation(x: Rational, p: int | Place) -> int:
     return v
 
 
-def unit_part(x: Rational, p: int) -> Fraction:
-    """x / p^val(x), a p-adic unit."""
-    return Fraction(x) / Fraction(p) ** valuation(x, p)
-
-
 def mod_prime_power(x: Rational, p: int, k: int) -> int:
     """Residue of a p-integral rational mod p^k."""
     x = Fraction(x)
@@ -306,66 +308,58 @@ def legendre(a: int | Rational, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd positive n, by quadratic-reciprocity recursion."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("n must be odd and positive")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 # ---------------------------------------------------------------------------
 # Local square classes
 # ---------------------------------------------------------------------------
 
 
+def local_dim(v: Place) -> int:
+    """Dimension of Q_v*/(Q_v*)^2 over F2: 1 at the real place, 2 at odd p, 3 at 2."""
+    return 1 if v.p is None else 3 if v.p == 2 else 2
+
+
+# local_mask bits 0 (-1) and 1 (5) of an odd unit, indexed by its residue mod 8
+_UNIT_MASK_MOD_8 = (0, 0, 0, 0b11, 0, 0b10, 0, 0b01)
+
+
+def local_mask(x: Rational, v: Place) -> int:
+    """Coordinates of a nonzero rational in Q_v*/(Q_v*)^2 as an F2 bitmask.
+
+    Bit i is the exponent of the i-th local generator: -1 at the real place;
+    a non-residue unit (bit 0) and p (bit 1) at odd p; -1, 5 and 2 (bits 0,
+    1, 2) at 2.  Computed on the numerator and denominator as integers; the
+    primality of v.p was proved when the Place was built.
+    """
+    num, den = x.numerator, x.denominator
+    if num == 0:
+        raise ValueError("0 has no square class")
+    p = v.p
+    if p is None:
+        return 1 if num < 0 else 0
+    odd = 0
+    while num % p == 0:
+        num //= p
+        odd ^= 1
+    while den % p == 0:
+        den //= p
+        odd ^= 1
+    # num/den and num*den differ by the square den^2
+    if p == 2:
+        return _UNIT_MASK_MOD_8[num * den % 8] | odd << 2
+    return (pow(num * den, (p - 1) // 2, p) != 1) | odd << 1
+
+
 def is_local_square(x: Rational, v: Place) -> bool:
     """True iff x is a square in the completion at v."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("0 is not in the multiplicative group")
-    if v.is_real:
-        return x > 0
-    p = v.p
-    val = valuation(x, p)
-    if val % 2:
-        return False
-    u = unit_part(x, p)
-    if p == 2:
-        return mod_prime_power(u, 2, 3) == 1
-    return legendre(u, p) == 1
-
-
-def local_basis(v: Place) -> Tuple[int, ...]:
-    """Generators of Q_v*/(Q_v*)^2 matching local_square_class coordinates."""
-    if v.is_real:
-        return (-1,)
-    p = v.p
-    if p == 2:
-        return (-1, 5, 2)
-    for u in range(2, p):
-        if legendre(u, p) == -1:
-            return (u, p)
-    raise AssertionError("no quadratic non-residue found")
+    return local_mask(x, v) == 0
 
 
 @dataclass(frozen=True)
 class LocalSquareClass:
     """Coordinates of a nonzero rational in Q_v*/(Q_v*)^2 over F2.
 
-    Coordinates are taken against local_basis(v): 1 bit at the real place
-    (sign), 2 bits at odd p (non-residue unit, uniformizer), 3 bits at 2
-    (-1, 5, 2).
+    The coordinates are the bits of local_mask: 1 at the real place (sign),
+    2 at odd p (non-residue unit, uniformizer), 3 at 2 (-1, 5, 2).
     """
 
     place: Place
@@ -392,30 +386,8 @@ class LocalSquareClass:
 
 
 def local_square_class(x: Rational, v: Place) -> LocalSquareClass:
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("0 has no square class")
-    if v.is_real:
-        return LocalSquareClass(v, (0 if x > 0 else 1,))
-    p = v.p
-    val = valuation(x, p) & 1
-    u = unit_part(x, p)
-    if p == 2:
-        u8 = mod_prime_power(u, 2, 3)
-        e_minus = 1 if u8 in (3, 7) else 0  # coefficient of -1
-        e_five = 1 if u8 in (3, 5) else 0  # coefficient of 5
-        return LocalSquareClass(v, (e_minus, e_five, val))
-    qr = 0 if legendre(u, p) == 1 else 1
-    return LocalSquareClass(v, (qr, val))
-
-
-def local_class_from_mask(mask: int, v: Place) -> Fraction:
-    """Rational representative of a local class given by a basis bitmask."""
-    value = Fraction(1)
-    for i, g in enumerate(local_basis(v)):
-        if (mask >> i) & 1:
-            value *= g
-    return value
+    mask = local_mask(x, v)
+    return LocalSquareClass(v, tuple(mask >> i & 1 for i in range(local_dim(v))))
 
 
 # ---------------------------------------------------------------------------
@@ -423,40 +395,35 @@ def local_class_from_mask(mask: int, v: Place) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def hilbert_row(mask: int, v: Place) -> int:
+    """H_v * mask, for the Gram matrix H_v of the Hilbert pairing on local_mask
+    coordinates: <x, y>_v = dot(local_mask(x, v), hilbert_row(local_mask(y, v), v)).
+
+    H_v (Serre, A Course in Arithmetic, Ch. III) is [1] at the real place
+    (<-1,-1> = 1); at odd p it is [[0, 1], [1, (p-1)/2]] on (unit, p), since
+    <u,u> = 0, <u,p> = 1 and <p,p> = <-1,p>; at 2 it is [[1,0,0], [0,0,1],
+    [0,1,0]] on (-1, 5, 2), since <-1,-1> = <5,2> = 1 and the other pairings
+    of the generators vanish.
+    """
+    p = v.p
+    if p is None:
+        return mask
+    if p == 2:
+        minus, five, two = mask & 1, mask >> 1 & 1, mask >> 2
+        return minus | two << 1 | five << 2
+    unit, uniformizer = mask & 1, mask >> 1
+    return uniformizer | (unit ^ uniformizer & p >> 1 & 1) << 1
+
+
 def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
     """Additive Hilbert symbol <a,b>_v in F2.
 
     0 iff z^2 = a x^2 + b y^2 has a nontrivial solution over the completion
-    at v.  Closed-form local formulas; the mod-p^k solubility oracle in the
-    test suite is the arbiter.
+    at v.  Evaluated as the bilinear form local_mask(a)^T H_v local_mask(b)
+    of hilbert_row; the test suite checks it against the closed-form local
+    formulas and a mod-p^k solubility oracle.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("Hilbert symbol needs nonzero arguments")
-    if v.is_real:
-        return 1 if (a < 0 and b < 0) else 0
-    p = v.p
-    alpha, beta = valuation(a, p), valuation(b, p)
-    u, w = unit_part(a, p), unit_part(b, p)
-    if p == 2:
-        eps_u = (mod_prime_power(u, 2, 2) - 1) // 2 & 1  # (u-1)/2 mod 2
-        eps_w = (mod_prime_power(w, 2, 2) - 1) // 2 & 1
-        omega_u = (mod_prime_power(u, 2, 3) ** 2 - 1) // 8 & 1  # (u^2-1)/8 mod 2
-        omega_w = (mod_prime_power(w, 2, 3) ** 2 - 1) // 8 & 1
-        return (eps_u * eps_w + alpha * omega_w + beta * omega_u) & 1
-    eps_p = ((p - 1) // 2) & 1
-    chi_u = 0 if legendre(u, p) == 1 else 1
-    chi_w = 0 if legendre(w, p) == 1 else 1
-    return (alpha * beta * eps_p + beta * chi_u + alpha * chi_w) & 1
-
-
-def hilbert_relevant_places(a: Rational, b: Rational) -> List[Place]:
-    """Places where <a,b>_v can be nonzero: real plus primes dividing 2ab."""
-    primes = {2}
-    for x in (Fraction(a), Fraction(b)):
-        primes.update(factorize(x.numerator))
-        primes.update(factorize(x.denominator))
-    return [REAL] + [Place.finite(p) for p in sorted(primes)]
+    return dot(local_mask(a, v), hilbert_row(local_mask(b, v), v))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .descent import (
     descend,
 )
 from .points import local_solubility, solve_global, verify_integral_point
-from .selmer import dual_selmer_group, selmer_group, torus_data
+from .selmer import selmer_groups, torus_data
 from .surface import (
     DegenerateFiberError,
     SpecValidationError,
@@ -100,8 +100,7 @@ def cmd_selmer(args) -> int:
     support |= set(cls.support)
     places = [Place.real()] + [Place.finite(p) for p in sorted(support)]
     torus = torus_data(fib.torus_d, places)
-    sel = selmer_group(torus)
-    dual = dual_selmer_group(torus)
+    sel, dual = selmer_groups(torus)
     payload = _report_base(spec)
     payload.update(
         {
@@ -306,10 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# search bounds: a negative value would silently mean an empty search
+BOUND_OPTIONS = ("height", "admissible_bound", "prime_bound", "max_steps")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in BOUND_OPTIONS:
+            if getattr(args, name, 0) < 0:
+                raise ValueError(f"--{name.replace('_', '-')} must be nonnegative")
         return args.func(args)
     except (
         SpecValidationError, DegenerateFiberError, DescentError, OSError, ValueError

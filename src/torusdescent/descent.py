@@ -23,12 +23,13 @@ from .arith import (
     Rational,
     crt,
     hensel_solve,
+    hilbert_row,
     hilbert_symbol,
     is_local_square,
     is_prime,
     legendre,
-    local_class_from_mask,
-    local_square_class,
+    local_dim,
+    local_mask,
     prime_stream,
     square_class,
     valuation,
@@ -55,7 +56,7 @@ from .selmer import (
     SelmerSubspace,
     dimension_identity,
     fiber_torus,
-    relative_dual_selmer,
+    relative_fiber,
     relative_selmer,
 )
 from .surface import (
@@ -325,21 +326,6 @@ def _real_chamber(
     return lo, hi
 
 
-def _strip_leftover(
-    value: Fraction, primes: Sequence[int]
-) -> Tuple[Dict[int, int], int]:
-    """Valuations at the given primes and the signed leftover integer."""
-    vals = {}
-    residual = value
-    for q in primes:
-        e = valuation(value, q)
-        vals[q] = e
-        residual /= Fraction(q) ** e
-    if residual.denominator != 1:
-        raise DescentAnomaly(f"denominator of {value} escapes the working primes")
-    return vals, residual.numerator
-
-
 @dataclass
 class AdmissibleSearch:
     point: AdmissiblePoint
@@ -363,7 +349,8 @@ def find_admissible(
     """
     if REAL not in p_t.entries:
         raise DescentAnomaly("partial adelic point lacks a real component")
-    reject = set(Fraction(t) for t in reject)
+    # a root of p_J is rejected like a value from an earlier state
+    reject = {Fraction(t) for t in reject} | {spec.root(i) for i in spec.indices}
     tau0, modulus, denominator = _approximation_data(spec, p_t)
     lo, hi = _real_chamber(spec, p_t.entries[REAL].t)
     t_primes = [v.p for v in p_t.places if v.is_finite]
@@ -403,25 +390,34 @@ def _try_admissible(
     t_primes: Sequence[int],
     reject: Set[Fraction],
 ) -> Optional[Tuple[AdmissiblePoint, Dict[int, int]]]:
-    if t0 in reject or spec.product_value(spec.indices, t0) == 0:
+    if t0 in reject:
         return None
-    witnesses = []
+    values: Dict[int, Fraction] = {}
+    witnesses: List[Tuple[int, Place]] = []
     for i in spec.indices:
-        value = spec.factor_value(i, t0)
-        _, leftover = _strip_leftover(value, t_primes)
-        leftover = abs(leftover)
-        if leftover == 1 or leftover >= _MR_LIMIT or not is_prime(leftover):
+        value = values[i] = spec.factor_value(i, t0)
+        # the leftover of p_i(t0) once the primes of T are stripped
+        num, den = abs(value.numerator), value.denominator
+        for q in t_primes:
+            while num % q == 0:
+                num //= q
+            while den % q == 0:
+                den //= q
+        if den != 1:
+            raise DescentAnomaly(f"denominator of {value} escapes the working primes")
+        if (
+            num == 1
+            or num >= _MR_LIMIT
+            or any(u.p == num for _, u in witnesses)
+            or not is_prime(num)
+        ):
             return None
-        witnesses.append((i, Place.finite(leftover)))
-    u_places = [u for _, u in witnesses]
-    if len(set(u_places)) != len(u_places):
-        return None
+        witnesses.append((i, Place.finite(num)))
     # square-class approximation check (guaranteed by the modulus; exact)
     for v in p_t.places:
         for i in spec.indices:
-            new = local_square_class(spec.factor_value(i, t0), v)
-            old = local_square_class(spec.factor_value(i, p_t.entries[v].t), v)
-            if new != old:
+            old = spec.factor_value(i, p_t.entries[v].t)
+            if local_mask(values[i], v) != local_mask(old, v):
                 raise DescentAnomaly(f"approximation lost [p_{i}(t)]_{v}")
     # local solubility of the fiber everywhere
     fib = fiber(spec, t0)
@@ -437,10 +433,10 @@ def _try_admissible(
     sums: Dict[int, int] = {}
     for i, u in witnesses:
         left = generator_left(spec, i)
-        direct = hilbert_symbol(left, spec.factor_value(i, t0), u)
+        direct = hilbert_symbol(left, values[i], u)
         indirect = 0
         for v in p_t.places:
-            indirect ^= hilbert_symbol(left, spec.factor_value(i, t0), v)
+            indirect ^= hilbert_symbol(left, values[i], v)
         if direct != indirect:
             raise DescentAnomaly(f"reciprocity certificate mismatch at u_{i} = {u}")
         if direct != 0:
@@ -487,16 +483,15 @@ def _make_state(
 ) -> DescentState:
     search = find_admissible(spec, p_t, bounds, reject)
     adm = search.point
-    sel = relative_selmer(spec, p_t, adm)
-    dual = relative_dual_selmer(spec, p_t, adm)
+    fib = relative_fiber(spec, p_t, adm)
+    sel, dual = relative_selmer(fib)
     neg_gen = GElement.make(-spec.d, spec.indices)
     if not dual.contains(neg_gen):
         raise DescentAnomaly("[-d][p_J] escaped the relative dual Selmer group")
     for gen in (GElement.make(spec.a, spec.part_a), GElement.make(spec.d, spec.indices)):
         if not sel.contains(gen):
             raise DescentAnomaly(f"{gen} escaped the relative Selmer group")
-    torus = fiber_torus(spec, p_t, adm)
-    dim_sel, dim_dual, n_split = dimension_identity(torus, spec.s0)
+    _, _, n_split = dimension_identity(fiber_torus(fib), spec.s0)
     if sel.dim - dual.dim != n_split:
         raise DescentAnomaly(
             f"relative dimension gap {sel.dim}-{dual.dim} != split count {n_split}"
@@ -719,9 +714,8 @@ def _chebotarev_step(
         for mask in space.basis:
             g = lattice.decode(mask)
             value = Fraction(g.c.value()) * spec.product_value(sorted(g.poly), t1)
-            images.append(local_square_class(value, place).mask())
-        dim = len(local_square_class(1, place).coordinates)
-        return gf2.Subspace(dim, images)
+            images.append(local_mask(value, place))
+        return gf2.Subspace(local_dim(place), images)
 
     p_lower_0 = loc_image(sel0_old, old_lattice)
     p_upper_0 = loc_image(dual0_old, old_lattice)
@@ -732,9 +726,7 @@ def _chebotarev_step(
         raise DescentAnomaly("image of the reduced dual group at w is nonzero")
     for m1 in p_lower_0.basis:
         for m2 in p_upper_1.basis:
-            v1 = local_class_from_mask(m1, place)
-            v2 = local_class_from_mask(m2, place)
-            if hilbert_symbol(v1, v2, place) != 0:
+            if gf2.dot(m1, hilbert_row(m2, place)):
                 raise DescentAnomaly("orthogonality of localization images failed")
 
     # comparison checks between the two admissible points

@@ -72,7 +72,7 @@ def kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
 
 
 def parity(mask: int) -> int:
-    return bin(mask).count("1") & 1
+    return mask.bit_count() & 1
 
 
 def dot(a: int, b: int) -> int:

@@ -3,8 +3,12 @@ and the relative (dual) Selmer groups of admissible fibers.
 
 Everything is F2 linear algebra over explicit square-class lattices: the
 ambient group is generated by -1, the finite primes of S (and the formal
-factor symbols in the relative case), and the local conditions at each
-place become Hilbert-pairing rows.
+factor symbols in the relative case).  Both groups are cut out by local
+subspaces L_v of Q_v*/(Q_v*)^2, in the local_mask coordinates of `arith`:
+L_v = <[d]_v>^perp for the Selmer group and L_v = <[d]_v> for the dual
+Selmer group.  Each generator's local mask is computed once per place, and
+each linear form on those masks whose kernel is L_v (H_v [d]_v, or a basis
+of the annihilator of [d]_v) becomes one row of the F2 system.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from .arith import (
     Place,
     Rational,
     SquareClass,
-    hilbert_symbol,
+    hilbert_row,
     is_local_square,
-    local_basis,
-    local_class_from_mask,
+    local_dim,
+    local_mask,
     square_class,
     valuation,
 )
@@ -83,9 +87,6 @@ class SquareClassLattice:
     def ncols(self) -> int:
         return len(self.generators)
 
-    def generator_value(self, k: int) -> Fraction:
-        return Fraction(self.generators[k])
-
     def encode(self, cls: SquareClass) -> int:
         mask = 0 if cls.sign > 0 else 1
         for p in cls.support:
@@ -116,13 +117,10 @@ class GLattice:
     def ncols(self) -> int:
         return self.unit_part.ncols + len(self.factor_indices)
 
-    def generator_value(self, k: int, t0: Rational) -> Fraction:
-        """Evaluation of the k-th generator at the base value t0."""
-        n_units = self.unit_part.ncols
-        if k < n_units:
-            return self.unit_part.generator_value(k)
-        i = self.factor_indices[k - n_units]
-        return self.spec.factor_value(i, t0)
+    def generator_values(self, t0: Rational) -> List[Rational]:
+        """The generators evaluated at the base value t0."""
+        factors = [self.spec.factor_value(i, t0) for i in self.factor_indices]
+        return self.unit_part.generators + factors
 
     def factor_bit(self, i: int) -> int:
         return self.unit_part.ncols + self.factor_indices.index(i)
@@ -185,45 +183,55 @@ class SelmerSubspace:
 
 
 # ---------------------------------------------------------------------------
-# Local condition rows
+# Local conditions
 # ---------------------------------------------------------------------------
 
 
-def _ramified_complement_reps(gen: Rational, v: Place) -> List[Fraction]:
-    """Representatives of a basis of the orthogonal complement of <[gen]_v>."""
-    basis = local_basis(v)
-    pair_row = 0
-    for j, g in enumerate(basis):
-        pair_row |= hilbert_symbol(g, gen, v) << j
-    masks = gf2.kernel_basis([pair_row], len(basis))
-    return [local_class_from_mask(m, v) for m in masks]
+def _cut_out(
+    lattice: Lattice,
+    values: Sequence[Rational],
+    d: Rational,
+    places: Iterable[Place],
+    unit_places: Iterable[Place] = (),
+) -> Tuple[SelmerSubspace, SelmerSubspace]:
+    """The Selmer and dual Selmer groups of d inside the lattice.
+
+    values[k] is the k-th lattice generator as a rational.  At each place of
+    `places` a class must lie in <[d]_v>^perp (Selmer) or in <[d]_v> (dual);
+    at each place of `unit_places` it must be a local unit class (both).
+    """
+    sel_rows: List[int] = []
+    dual_rows: List[int] = []
+    for v in places:
+        masks = [local_mask(g, v) for g in values]
+        d_v = local_mask(d, v)
+        sel_rows += _form_rows(masks, [hilbert_row(d_v, v)])
+        dual_rows += _form_rows(masks, gf2.kernel_basis([d_v], local_dim(v)))
+    for v in unit_places:
+        masks = [local_mask(g, v) for g in values]
+        # the top coordinate is the valuation parity
+        unit_rows = _form_rows(masks, [1 << local_dim(v) - 1])
+        sel_rows += unit_rows
+        dual_rows += unit_rows
+
+    def group(rows: List[int]) -> SelmerSubspace:
+        kernel = gf2.kernel_basis(rows, lattice.ncols)
+        return SelmerSubspace(lattice, gf2.Subspace(lattice.ncols, kernel))
+
+    return group(sel_rows), group(dual_rows)
 
 
-def selmer_group(torus: TorusData) -> SelmerSubspace:
-    """Classes of I_S pairing trivially with d at every place of S."""
+def _form_rows(masks: Sequence[int], forms: Iterable[int]) -> List[int]:
+    """One row per linear form f: bit k is f evaluated on the k-th local mask."""
+    return [sum(gf2.dot(m, f) << k for k, m in enumerate(masks)) for f in forms]
+
+
+def selmer_groups(torus: TorusData) -> Tuple[SelmerSubspace, SelmerSubspace]:
+    """The Selmer group (classes of I_S pairing trivially with d at every place
+    of S) and the dual Selmer group (classes of I_S locally in <[d]_v> at
+    every place of S) of the torus."""
     lattice = SquareClassLattice(torus.places)
-    rows = []
-    for v in torus.places:
-        row = 0
-        for k in range(lattice.ncols):
-            row |= hilbert_symbol(lattice.generator_value(k), torus.d, v) << k
-        rows.append(row)
-    kernel = gf2.kernel_basis(rows, lattice.ncols)
-    return SelmerSubspace(lattice, gf2.Subspace(lattice.ncols, kernel))
-
-
-def dual_selmer_group(torus: TorusData) -> SelmerSubspace:
-    """Classes of I_S locally lying in <[d]_v> at every place of S."""
-    lattice = SquareClassLattice(torus.places)
-    rows = []
-    for v in torus.places:
-        for w in _ramified_complement_reps(torus.d, v):
-            row = 0
-            for k in range(lattice.ncols):
-                row |= hilbert_symbol(lattice.generator_value(k), w, v) << k
-            rows.append(row)
-    kernel = gf2.kernel_basis(rows, lattice.ncols)
-    return SelmerSubspace(lattice, gf2.Subspace(lattice.ncols, kernel))
+    return _cut_out(lattice, lattice.generators, torus.d, torus.places)
 
 
 def split_places(torus: TorusData, base: Sequence[Place]) -> List[Place]:
@@ -248,8 +256,8 @@ def dimension_identity(
                 f"place {v} outside the base set is split; identity not applicable"
             )
     n_split = len(split_places(torus, sorted(base)))
-    dim_sel = selmer_group(torus).dim
-    dim_dual = dual_selmer_group(torus).dim
+    sel, dual = selmer_groups(torus)
+    dim_sel, dim_dual = sel.dim, dual.dim
     if dim_sel - dim_dual != n_split:
         raise AssertionError(
             f"dimension identity failed: {dim_sel} - {dim_dual} != {n_split}"
@@ -295,6 +303,7 @@ class RelativeFiber:
 
     spec: SurfaceSpec
     t0: Fraction
+    places: Tuple[Place, ...]  # T, the support of the relative lattice
     torus_value: Fraction  # -d * p_J(t0)
     ramified: Tuple[Place, ...]  # T0 together with the witness places u_i
     unit_kind: Tuple[Place, ...]  # T minus T0: unit-class local conditions
@@ -316,6 +325,7 @@ def relative_fiber(
     return RelativeFiber(
         spec=spec,
         t0=Fraction(adm.t0),
+        places=tuple(adm.places),
         torus_value=torus_value,
         ramified=tuple(sorted(set(t0_places) | set(u_places))),
         unit_kind=tuple(sorted(rest)),
@@ -323,66 +333,22 @@ def relative_fiber(
     )
 
 
-def _relative_rows(fiber: RelativeFiber, lattice: GLattice, dual: bool) -> List[int]:
-    rows: List[int] = []
-    t0 = fiber.t0
-    for v in fiber.ramified:
-        if dual:
-            # membership in <[-d p_J(t0)]_v>: pair against its complement
-            for w in _ramified_complement_reps(fiber.torus_value, v):
-                row = 0
-                for k in range(lattice.ncols):
-                    row |= hilbert_symbol(lattice.generator_value(k, t0), w, v) << k
-                rows.append(row)
-        else:
-            # membership in the complement: pair against the generator itself
-            row = 0
-            for k in range(lattice.ncols):
-                row |= (
-                    hilbert_symbol(lattice.generator_value(k, t0), fiber.torus_value, v)
-                    << k
-                )
-            rows.append(row)
-    for v in fiber.unit_kind:
-        row = 0
-        for k in range(lattice.ncols):
-            row |= (valuation(lattice.generator_value(k, t0), v.p) & 1) << k
-        rows.append(row)
-    return rows
+def relative_selmer(fiber: RelativeFiber) -> Tuple[SelmerSubspace, SelmerSubspace]:
+    """Pullbacks of the fiber torus Selmer and dual Selmer groups under
+    evaluation at t0: the local conditions of -d*p_J(t0) at the ramified
+    places, and unit classes at the rest of T."""
+    lattice = GLattice(fiber.spec, fiber.places)
+    values = lattice.generator_values(fiber.t0)
+    return _cut_out(lattice, values, fiber.torus_value, fiber.ramified, fiber.unit_kind)
 
 
-def relative_selmer(
-    spec: SurfaceSpec, p_t: PartialAdelicPoint, adm: AdmissiblePoint
-) -> SelmerSubspace:
-    """Pullback of the fiber torus Selmer group under evaluation at t0."""
-    fiber = relative_fiber(spec, p_t, adm)
-    lattice = GLattice(spec, adm.places)
-    rows = _relative_rows(fiber, lattice, dual=False)
-    kernel = gf2.kernel_basis(rows, lattice.ncols)
-    return SelmerSubspace(lattice, gf2.Subspace(lattice.ncols, kernel))
-
-
-def relative_dual_selmer(
-    spec: SurfaceSpec, p_t: PartialAdelicPoint, adm: AdmissiblePoint
-) -> SelmerSubspace:
-    """Pullback of the fiber torus dual Selmer group under evaluation at t0."""
-    fiber = relative_fiber(spec, p_t, adm)
-    lattice = GLattice(spec, adm.places)
-    rows = _relative_rows(fiber, lattice, dual=True)
-    kernel = gf2.kernel_basis(rows, lattice.ncols)
-    return SelmerSubspace(lattice, gf2.Subspace(lattice.ncols, kernel))
-
-
-def fiber_torus(
-    spec: SurfaceSpec, p_t: PartialAdelicPoint, adm: AdmissiblePoint
-) -> TorusData:
+def fiber_torus(fiber: RelativeFiber) -> TorusData:
     """The norm-one torus of the fiber at the admissible point, over T0(t0).
 
     The square-free part of -d*p_J(t0) is read off from valuations at the
     working places (T and the witness places); the leftover cofactor must be
     a perfect square, so no large number is ever factored.
     """
-    fiber = relative_fiber(spec, p_t, adm)
     sign = 1 if fiber.torus_value > 0 else -1
     support = []
     residual = abs(fiber.torus_value)

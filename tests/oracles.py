@@ -13,12 +13,90 @@ from fractions import Fraction
 import numpy as np
 
 from torusdescent.arith import (
+    REAL,
     Place,
     SquareClass,
+    factorize,
+    legendre,
+    mod_prime_power,
     square_class,
     valuation,
 )
 from torusdescent.conditiond import GElement, in_g_i, in_g_i_dual
+
+
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd positive n, by quadratic-reciprocity recursion."""
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("n must be odd and positive")
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def local_basis(v: Place):
+    """Generators of Q_v*/(Q_v*)^2 in the order of the local_mask bits."""
+    if v.is_real:
+        return (-1,)
+    p = v.p
+    if p == 2:
+        return (-1, 5, 2)
+    return (next(u for u in range(2, p) if legendre(u, p) == -1), p)
+
+
+def hilbert_symbol_closed_form(a, b, v: Place) -> int:
+    """Additive Hilbert symbol <a,b>_v from Serre's closed-form local formulas."""
+    a, b = Fraction(a), Fraction(b)
+    if a == 0 or b == 0:
+        raise ValueError("Hilbert symbol needs nonzero arguments")
+    if v.is_real:
+        return 1 if (a < 0 and b < 0) else 0
+    p = v.p
+    alpha, beta = valuation(a, p), valuation(b, p)
+    u, w = a / Fraction(p) ** alpha, b / Fraction(p) ** beta
+    if p == 2:
+        eps_u = (mod_prime_power(u, 2, 2) - 1) // 2 & 1  # (u-1)/2 mod 2
+        eps_w = (mod_prime_power(w, 2, 2) - 1) // 2 & 1
+        omega_u = (mod_prime_power(u, 2, 3) ** 2 - 1) // 8 & 1  # (u^2-1)/8 mod 2
+        omega_w = (mod_prime_power(w, 2, 3) ** 2 - 1) // 8 & 1
+        return (eps_u * eps_w + alpha * omega_w + beta * omega_u) & 1
+    eps_p = ((p - 1) // 2) & 1
+    chi_u = 0 if legendre(u, p) == 1 else 1
+    chi_w = 0 if legendre(w, p) == 1 else 1
+    return (alpha * beta * eps_p + beta * chi_u + alpha * chi_w) & 1
+
+
+def is_local_square_closed_form(x, v: Place) -> bool:
+    """x a square in Q_v, from its valuation and the residue of its unit part."""
+    x = Fraction(x)
+    if v.is_real:
+        return x > 0
+    p = v.p
+    val = valuation(x, p)
+    if val % 2:
+        return False
+    u = x / Fraction(p) ** val
+    if p == 2:
+        return mod_prime_power(u, 2, 3) == 1
+    return legendre(u, p) == 1
+
+
+def hilbert_relevant_places(a, b):
+    """Places where <a,b>_v can be nonzero: real plus primes dividing 2ab."""
+    primes = {2}
+    for x in (Fraction(a), Fraction(b)):
+        primes.update(factorize(x.numerator))
+        primes.update(factorize(x.denominator))
+    return [REAL] + [Place.finite(p) for p in sorted(primes)]
 
 
 def conic_soluble_bruteforce(a, b, p: int) -> bool:
@@ -69,8 +147,6 @@ def is_square_mod_enumeration(x, v: Place) -> bool:
 
 def selmer_by_enumeration(d, places) -> set:
     """All S-unit classes pairing trivially with d at every place of S."""
-    from torusdescent.arith import hilbert_symbol
-
     gens = [-1] + [v.p for v in places if v.is_finite]
     members = set()
     for mask in range(1 << len(gens)):
@@ -78,7 +154,7 @@ def selmer_by_enumeration(d, places) -> set:
         for j, g in enumerate(gens):
             if (mask >> j) & 1:
                 value *= g
-        if all(hilbert_symbol(value, d, v) == 0 for v in places):
+        if all(hilbert_symbol_closed_form(value, d, v) == 0 for v in places):
             members.add(square_class(value))
     return members
 
@@ -86,11 +162,10 @@ def selmer_by_enumeration(d, places) -> set:
 def dual_selmer_by_enumeration(d, places) -> set:
     """All S-unit classes locally equal to 1 or [d] at every place of S.
 
-    Membership is tested on local coordinates, not Hilbert pairings, so the
-    oracle is independent of the kernel computation under test.
+    Membership is tested by local squareness of x or x*d, not by Hilbert
+    pairings, so the oracle is independent of the kernel computation under
+    test.
     """
-    from torusdescent.arith import local_square_class
-
     gens = [-1] + [v.p for v in places if v.is_finite]
     members = set()
     for mask in range(1 << len(gens)):
@@ -98,15 +173,12 @@ def dual_selmer_by_enumeration(d, places) -> set:
         for j, g in enumerate(gens):
             if (mask >> j) & 1:
                 value *= g
-        ok = True
-        for v in places:
-            cls = local_square_class(value, v)
-            if any(cls.coordinates) and cls != local_square_class(d, v):
-                ok = False
-                break
-        if not ok:
-            continue
-        members.add(square_class(value))
+        if all(
+            is_local_square_closed_form(value, v)
+            or is_local_square_closed_form(value * d, v)
+            for v in places
+        ):
+            members.add(square_class(value))
     return members
 
 
@@ -117,8 +189,6 @@ def g_d_bruteforce(spec, dual: bool) -> set:
     the primes dividing 2, a, b, every c_i, d_i, and every cross-resultant;
     membership is tested factor by factor with the direct definition.
     """
-    from torusdescent.arith import factorize
-
     primes = {2}
     values = [spec.a, spec.b]
     items = list(spec.factors)

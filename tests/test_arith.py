@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,19 +14,24 @@ from torusdescent.arith import (
     factorize,
     hensel_solve,
     hilbert_symbol,
-    hilbert_relevant_places,
     is_local_square,
     is_prime,
-    jacobi,
     legendre,
-    local_basis,
+    local_mask,
     local_square_class,
     prime_stream,
     square_class,
     valuation,
 )
 
-from oracles import conic_soluble_bruteforce, is_square_mod_enumeration
+from oracles import (
+    conic_soluble_bruteforce,
+    hilbert_relevant_places,
+    hilbert_symbol_closed_form,
+    is_square_mod_enumeration,
+    jacobi,
+    local_basis,
+)
 
 # desk-scale values: products of three test rationals stay far below the
 # deterministic Miller-Rabin certification limit
@@ -59,6 +65,12 @@ def test_factorize():
     assert factorize(1) == {}
     n = 1000003 * 999983
     assert factorize(n) == {999983: 1, 1000003: 1}
+
+
+@given(st.integers(min_value=-10**12, max_value=10**12).filter(bool))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_factorize_matches_sympy(n):
+    assert factorize(n) == sympy.factorint(abs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +188,39 @@ def test_local_square_class_homomorphism(x, y):
 def test_local_class_depends_on_square_class_only(x, y):
     for v in (REAL, Place.finite(2), Place.finite(7)):
         assert local_square_class(x * y * y, v) == local_square_class(x, v)
+
+
+# the real place, 2, and odd primes on both sides of 4
+MASK_PLACES = [REAL] + [Place.finite(p) for p in (2, 3, 5, 7, 13, 10007)]
+
+
+@st.composite
+def local_arguments(draw):
+    """(a, b, v) with powers of the place's prime in numerators and denominators."""
+    v = draw(st.sampled_from(MASK_PLACES))
+    p = v.p or 3
+
+    def rational():
+        num = draw(st.integers(-10**6, 10**6).filter(bool)) * p ** draw(st.integers(0, 5))
+        den = draw(st.integers(1, 10**6)) * p ** draw(st.integers(0, 5))
+        return Fraction(num, den)
+
+    return rational(), rational(), v
+
+
+@given(local_arguments())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_mask_form_matches_closed_form(args):
+    a, b, v = args
+    assert hilbert_symbol(a, b, v) == hilbert_symbol_closed_form(a, b, v)
+    assert local_mask(a, v) == local_square_class(a, v).mask()
+    # the mask is the exponent vector of a over the local generators
+    value = a
+    for bit, gen in enumerate(local_basis(v)):
+        if local_mask(a, v) >> bit & 1:
+            value /= gen
+    if v.is_real or v.p < 100:
+        assert is_square_mod_enumeration(value, v)
 
 
 def test_local_basis_spans():

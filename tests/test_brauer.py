@@ -7,7 +7,6 @@ from torusdescent.arith import (
     REAL,
     Place,
     SquareClass,
-    hilbert_relevant_places,
     hilbert_symbol,
     square_class,
 )
@@ -23,6 +22,8 @@ from torusdescent.brauer import (
 from torusdescent.conditiond import d_constant
 from torusdescent.points import good_place_solubility
 from torusdescent.surface import LocalPoint, PartialAdelicPoint, fiber, make_spec
+
+from oracles import hilbert_relevant_places
 
 
 @pytest.fixture

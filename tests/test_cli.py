@@ -165,3 +165,27 @@ def test_descend_hypothesis_exit_code(tmp_path, capsys):
     points = tmp_path / "fail.points"
     points.write_text("real 1 1 1 10\n2 1 1 1 10\n")
     assert main(["descend", str(path), "--point-file", str(points)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{spec}", "--t", "1/2", "--height", "-5"],
+        ["descend", "{spec}", "--point-file", "{points}", "--height", "-1"],
+        ["descend", "{spec}", "--point-file", "{points}", "--admissible-bound", "-1"],
+        ["descend", "{spec}", "--point-file", "{points}", "--prime-bound", "-1"],
+        ["descend", "{spec}", "--point-file", "{points}", "--max-steps", "-1"],
+    ],
+    ids=["solve-height", "height", "admissible-bound", "prime-bound", "max-steps"],
+)
+def test_negative_search_bound_is_input_error(tmp_path, capsys, argv):
+    spec, point, _ = family_point(0)
+    spec_path = tmp_path / "family.spec"
+    spec_path.write_text(serialize_spec(spec))
+    point_path = tmp_path / "family.points"
+    point_path.write_text(serialize_point(point))
+    argv = [arg.format(spec=spec_path, points=point_path) for arg in argv]
+    assert main(["--json", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --") and "nonnegative" in captured.err
+    assert captured.out == ""

@@ -19,7 +19,7 @@ from torusdescent.descent import (
     suitability_violations,
 )
 from torusdescent.points import verify_integral_point
-from torusdescent.selmer import relative_dual_selmer, relative_selmer
+from torusdescent.selmer import relative_fiber, relative_selmer
 from torusdescent.surface import (
     LocalPoint,
     PartialAdelicPoint,
@@ -27,6 +27,7 @@ from torusdescent.surface import (
 )
 
 from fixtures import REDUCTION_MEMBERS, SOLUBLE_FAMILY, family_point, family_spec
+from oracles import hilbert_symbol_closed_form, is_local_square_closed_form
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +147,21 @@ def test_relative_groups_independent_of_admissible_point():
     first = find_admissible(spec, p_t, bounds).point
     second = find_admissible(spec, p_t, bounds, reject=[first.t0]).point
     assert first.t0 != second.t0
-    dual_a = relative_dual_selmer(spec, p_t, first)
-    dual_b = relative_dual_selmer(spec, p_t, second)
+    sel_a, dual_a = relative_selmer(relative_fiber(spec, p_t, first))
+    sel_b, dual_b = relative_selmer(relative_fiber(spec, p_t, second))
     assert dual_a == dual_b
-    sel_a = relative_selmer(spec, p_t, first)
-    sel_b = relative_selmer(spec, p_t, second)
     assert sel_a == sel_b
 
 
 def _dual_selmer_by_lemma_conditions(spec, p_t, adm):
     """Independent enumeration of the relative dual Selmer group.
 
-    Conditions at the places of T are tested by direct local square-class
-    membership in the span of the torus parameter; conditions at the witness
-    places use the branch form: the pairing of p_i(t0) against the evaluated
-    element, twisted by [-d][p_J] when i lies in the subset.
+    Conditions at the places of T are tested by direct local squareness of
+    the evaluated element or its product with the torus parameter;
+    conditions at the witness places use the branch form: the closed-form
+    pairing of p_i(t0) against the evaluated element, twisted by [-d][p_J]
+    when i lies in the subset.
     """
-    from torusdescent.arith import local_square_class
     from torusdescent.selmer import GLattice, t0_place_split
 
     lattice = GLattice(spec, adm.places)
@@ -175,8 +174,10 @@ def _dual_selmer_by_lemma_conditions(spec, p_t, adm):
         value = Fraction(x.c.value()) * spec.product_value(sorted(x.poly), t0)
         ok = True
         for v in t0_places:
-            cls = local_square_class(value, v)
-            if any(cls.coordinates) and cls != local_square_class(torus_value, v):
+            if not (
+                is_local_square_closed_form(value, v)
+                or is_local_square_closed_form(value * torus_value, v)
+            ):
                 ok = False
                 break
         if ok:
@@ -190,9 +191,9 @@ def _dual_selmer_by_lemma_conditions(spec, p_t, adm):
             for i, u in adm.witnesses:
                 p_val = spec.factor_value(i, t0)
                 if i not in x.poly:
-                    cond = hilbert_symbol(p_val, value, u)
+                    cond = hilbert_symbol_closed_form(p_val, value, u)
                 else:
-                    cond = hilbert_symbol(p_val, value * torus_value, u)
+                    cond = hilbert_symbol_closed_form(p_val, value * torus_value, u)
                 if cond:
                     ok = False
                     break
@@ -207,7 +208,8 @@ def test_relative_dual_selmer_matches_lemma_conditions(index):
     p_t = build_suitable(spec, point)
     bounds = DescentBounds(admissible_candidates=100_000)
     adm = find_admissible(spec, p_t, bounds).point
-    computed = set(relative_dual_selmer(spec, p_t, adm).elements())
+    _, dual = relative_selmer(relative_fiber(spec, p_t, adm))
+    computed = set(dual.elements())
     assert computed == _dual_selmer_by_lemma_conditions(spec, p_t, adm)
 
 

@@ -13,9 +13,8 @@ from torusdescent.conditiond import GElement
 from torusdescent.selmer import (
     SquareClassLattice,
     dimension_identity,
-    dual_selmer_group,
     ev,
-    selmer_group,
+    selmer_groups,
     split_places,
     torus_data,
 )
@@ -41,16 +40,16 @@ def test_torus_data_validation():
 
 def test_selmer_minus_one():
     torus = torus_data(-1, places_of(2))
-    sel = selmer_group(torus)
-    dual = dual_selmer_group(torus)
+    sel, dual = selmer_groups(torus)
     assert sel.dim == 1 and sel.contains(square_class(2))
     assert dual.dim == 1 and dual.contains(square_class(-1))
 
 
 def test_selmer_square_discriminant():
     torus = torus_data(1, places_of(2, 5))
-    assert selmer_group(torus).dim == 3  # everything
-    assert dual_selmer_group(torus).dim == 0  # only the trivial class
+    sel, dual = selmer_groups(torus)
+    assert sel.dim == 3  # everything
+    assert dual.dim == 0  # only the trivial class
 
 
 def test_dimension_identity_examples():
@@ -95,9 +94,8 @@ def test_selmer_matches_enumeration_random():
         torus = _random_torus(rng)
         if torus is None:
             continue
-        sel = selmer_group(torus)
+        sel, dual = selmer_groups(torus)
         assert set(sel.elements()) == selmer_by_enumeration(torus.d, torus.places)
-        dual = dual_selmer_group(torus)
         assert set(dual.elements()) == dual_selmer_by_enumeration(
             torus.d, torus.places
         )
