@@ -354,42 +354,6 @@ def is_local_square(x: Rational, v: Place) -> bool:
     return local_mask(x, v) == 0
 
 
-@dataclass(frozen=True)
-class LocalSquareClass:
-    """Coordinates of a nonzero rational in Q_v*/(Q_v*)^2 over F2.
-
-    The coordinates are the bits of local_mask: 1 at the real place (sign),
-    2 at odd p (non-residue unit, uniformizer), 3 at 2 (-1, 5, 2).
-    """
-
-    place: Place
-    coordinates: Tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.coordinates)
-
-    def is_trivial(self) -> bool:
-        return not any(self.coordinates)
-
-    def __mul__(self, other: "LocalSquareClass") -> "LocalSquareClass":
-        if self.place != other.place:
-            raise ValueError("mismatched places")
-        coords = tuple(a ^ b for a, b in zip(self.coordinates, other.coordinates))
-        return LocalSquareClass(self.place, coords)
-
-    def mask(self) -> int:
-        m = 0
-        for i, c in enumerate(self.coordinates):
-            m |= c << i
-        return m
-
-
-def local_square_class(x: Rational, v: Place) -> LocalSquareClass:
-    mask = local_mask(x, v)
-    return LocalSquareClass(v, tuple(mask >> i & 1 for i in range(local_dim(v))))
-
-
 # ---------------------------------------------------------------------------
 # Hilbert symbol
 # ---------------------------------------------------------------------------
@@ -475,11 +439,13 @@ class HenselResult:
     detail: str = ""
 
 
-def _poly_eval_mod(poly: Poly, point: Sequence[int], p: int, k: int) -> int:
+def _poly_eval_mod(
+    residues: Mapping[Tuple[int, ...], int], point: Sequence[int], p: int, k: int
+) -> int:
+    """The polynomial mod p^k, from its coefficients' residues mod p^j, j >= k."""
     m = p**k
     total = 0
-    for exps, coeff in poly.items():
-        c = mod_prime_power(coeff, p, k)
+    for exps, c in residues.items():
         for x, e in zip(point, exps):
             c = c * pow(x % m, e, m) % m
         total = (total + c) % m
@@ -507,6 +473,10 @@ def hensel_solve(
             "inconclusive", p, precision, detail="residue space exceeds node budget"
         )
     derivs = [poly_derivative(poly, j) for j in range(nvars)]
+    # every level k <= precision reads these residues mod p^k
+    residues = {
+        exps: mod_prime_power(coeff, p, max(precision, 1)) for exps, coeff in poly.items()
+    }
 
     def certificate_var(point: Sequence[int]) -> Optional[int]:
         """Strong Hensel condition val(f) > 2*val(df/dx_j) at the exact point."""
@@ -535,7 +505,7 @@ def hensel_solve(
     frontier = [
         pt
         for pt in itertools.product(range(p), repeat=nvars)
-        if _poly_eval_mod(poly, pt, p, 1) == 0
+        if _poly_eval_mod(residues, pt, p, 1) == 0
     ]
     level = 1
     nodes = len(frontier)
@@ -562,7 +532,7 @@ def hensel_solve(
         for pt in frontier:
             for delta in itertools.product(range(p), repeat=nvars):
                 cand = tuple(x + step * t for x, t in zip(pt, delta))
-                if _poly_eval_mod(poly, cand, p, level + 1) == 0:
+                if _poly_eval_mod(residues, cand, p, level + 1) == 0:
                     new_frontier.append(cand)
             nodes += p**nvars
             if nodes > node_limit:

@@ -1,13 +1,13 @@
 """Vertical Brauer classes of the fibration: quaternion generators with a
-constant left entry, residues along fibers via the tame symbol, and local
-invariant sums against adelic points.
+constant left entry and a linear right entry, their residues at the roots
+of the factors, and local invariant sums against adelic points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Tuple
 
 from .arith import Place, Rational, SquareClass, hilbert_symbol, square_class
 from .surface import PartialAdelicPoint, SurfaceSpec
@@ -15,53 +15,29 @@ from .surface import PartialAdelicPoint, SurfaceSpec
 
 @dataclass(frozen=True)
 class QuaternionClass:
-    """Quaternion symbol (left, right(t)) with constant left entry.
+    """Quaternion symbol (left, d + c*t) with constant left entry and c != 0.
 
-    right is a polynomial in t given by its coefficient tuple
-    (constant term first).  Covers the fibration generators, whose right
-    entries are the linear factors, and products of them.
+    right is the coefficient pair (d, c), constant term first: the right
+    entries of the fibration generators are the linear factors.
     """
 
     left: Fraction
-    right: Tuple[Fraction, ...]
+    right: Tuple[Fraction, Fraction]
 
     def __post_init__(self):
         if self.left == 0:
             raise ValueError("left entry must be nonzero")
-        if not any(self.right):
-            raise ValueError("right entry must not be identically zero")
-
-    def right_degree(self) -> int:
-        deg = 0
-        for k, coeff in enumerate(self.right):
-            if coeff:
-                deg = k
-        return deg
-
-    def right_value(self, t: Rational) -> Fraction:
-        total = Fraction(0)
-        power = Fraction(1)
-        for coeff in self.right:
-            total += coeff * power
-            power *= Fraction(t)
-        return total
-
-
-def poly_from_factors(spec: SurfaceSpec, subset: Iterable[int]) -> Tuple[Fraction, ...]:
-    """Coefficients of prod_{i in subset} p_i(t)."""
-    coeffs = [Fraction(1)]
-    for i in sorted(subset):
-        c, d = spec.coeffs(i)
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for k, a in enumerate(coeffs):
-            new[k] += a * d
-            new[k + 1] += a * c
-        coeffs = new
-    return tuple(coeffs)
+        if len(self.right) != 2 or self.right[1] == 0:
+            raise ValueError("right entry must be linear in t")
 
 
 def generator_left(spec: SurfaceSpec, i: int) -> Fraction:
-    """a*p_A(-d_i/c_i) for i outside A, else b*p_B(-d_i/c_i)."""
+    """The residue constant of factor i: a*p_A(-d_i/c_i) for i outside A,
+    else b*p_B(-d_i/c_i).
+
+    Both are a*D_i^A up to squares (for i in A, a*D_i^A is a^2 times this
+    value), and every use of the constant goes through this function.
+    """
     root = spec.root(i)
     if i not in spec.part_a:
         return spec.a * spec.product_value(sorted(spec.part_a), root)
@@ -74,58 +50,17 @@ def brauer_generator(spec: SurfaceSpec, i: int) -> QuaternionClass:
     return QuaternionClass(left=generator_left(spec, i), right=(d, c))
 
 
-def residue_at(q: QuaternionClass, point) -> SquareClass:
-    """Tame-symbol residue of q at a rational closed point of the t-line.
+def residue_at(q: QuaternionClass, m: Rational) -> SquareClass:
+    """Tame-symbol residue of q at the rational point t = m.
 
-    point is a rational number m (the root t = m) or a pair of coefficients
-    of a monic polynomial; only degree-1 points are supported, higher-degree
-    closed points are rejected.
+    The left entry is a unit there and the linear right entry vanishes to
+    order 1 at its root and to order 0 elsewhere, so the residue is [left]
+    at the root and trivial at every other point.
     """
-    m = _rational_point(point)
-    v_f = 0  # left entry is a nonzero constant
-    v_g, _cofactor = _root_multiplicity(q.right, m)
-    # tame symbol (-1)^{v_f v_g} f^{v_g} / g^{v_f} evaluated at the point
-    if v_g % 2 == 0:
+    d, c = q.right
+    if c * Fraction(m) + d != 0:
         return SquareClass.identity()
     return square_class(q.left)
-
-
-def _rational_point(point) -> Fraction:
-    if isinstance(point, (int, Fraction)):
-        return Fraction(point)
-    coeffs = [Fraction(c) for c in point]
-    if len(coeffs) == 2:
-        if coeffs[1] != 1:
-            raise ValueError("closed point polynomial must be monic")
-        return -coeffs[0]
-    raise ValueError("only rational (degree-1) closed points are supported")
-
-
-def _root_multiplicity(
-    coeffs: Sequence[Fraction], m: Fraction
-) -> Tuple[int, Fraction]:
-    """Multiplicity of the root m in the polynomial, plus cofactor value."""
-    work = list(coeffs)
-    mult = 0
-    while True:
-        value = Fraction(0)
-        power = Fraction(1)
-        for c in work:
-            value += c * power
-            power *= m
-        if value != 0:
-            return mult, value
-        # synthetic division by (t - m), Horner from the top coefficient
-        quotient: List[Fraction] = []
-        acc = Fraction(0)
-        for c in reversed(work[1:]):
-            acc = acc * m + c
-            quotient.append(acc)
-        quotient.reverse()
-        work = quotient
-        mult += 1
-        if not work:
-            raise ValueError("right entry vanished identically during division")
 
 
 def invariant(spec: SurfaceSpec, i: int, t_v: Rational, v: Place) -> int:
@@ -136,26 +71,13 @@ def invariant(spec: SurfaceSpec, i: int, t_v: Rational, v: Place) -> int:
     return hilbert_symbol(generator_left(spec, i), value, v)
 
 
-def obstruction_sum(
-    spec: SurfaceSpec,
-    point: PartialAdelicPoint,
-    i: int,
-    required: Optional[Sequence[Place]] = None,
-) -> int:
+def obstruction_sum(spec: SurfaceSpec, point: PartialAdelicPoint, i: int) -> int:
     """Sum of invariants of the i-th generator over the point's places.
 
     Places outside the point's support must be good (outside S0 and S_bad);
     there the invariant vanishes on any v-integral point, so the finite sum
-    is the full adelic sum.  `required` lists places that must be covered;
-    a missing one raises.
+    is the full adelic sum.
     """
-    if required is not None:
-        missing = [v for v in required if v not in point.entries]
-        if missing:
-            raise ValueError(
-                "indeterminate obstruction sum; missing places "
-                + ", ".join(str(v) for v in missing)
-            )
     total = 0
     for v in point.places:
         total ^= invariant(spec, i, point.entries[v].t, v)

@@ -15,6 +15,7 @@ from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from . import gf2
 from .arith import SquareClass, square_class
+from .brauer import generator_left
 from .surface import SurfaceSpec
 
 
@@ -71,21 +72,16 @@ def d_constant_dual(spec: SurfaceSpec, i: int, subset: Iterable[int]) -> Fractio
     return -d_constant(spec, i, subset)
 
 
-def _target_class(spec: SurfaceSpec, i: int) -> SquareClass:
-    """[a * D_i^A]; equals [b*p_B(-d_i/c_i)] when i is in A."""
-    return square_class(spec.a * d_constant(spec, i, spec.part_a))
-
-
 def in_g_i(spec: SurfaceSpec, x: GElement, i: int) -> bool:
     """Membership in G_i: [c*D_i^{J'}] lies in <[a*D_i^A]>."""
     cls = x.c * square_class(d_constant(spec, i, x.poly))
-    return cls.is_identity() or cls == _target_class(spec, i)
+    return cls.is_identity() or cls == square_class(generator_left(spec, i))
 
 
 def in_g_i_dual(spec: SurfaceSpec, x: GElement, i: int) -> bool:
     """Membership in G^i: [c*Dhat_i^{J'}] lies in <[a*D_i^A]>."""
     cls = x.c * square_class(d_constant_dual(spec, i, x.poly))
-    return cls.is_identity() or cls == _target_class(spec, i)
+    return cls.is_identity() or cls == square_class(generator_left(spec, i))
 
 
 def _compute_intersection(spec: SurfaceSpec, dual: bool) -> List[GElement]:
@@ -98,7 +94,7 @@ def _compute_intersection(spec: SurfaceSpec, dual: bool) -> List[GElement]:
     constant = d_constant_dual if dual else d_constant
     n = len(spec.indices)
     r = [[square_class(constant(spec, i, {j})) for j in spec.indices] for i in spec.indices]
-    t = [_target_class(spec, i) for i in spec.indices]
+    t = [square_class(generator_left(spec, i)) for i in spec.indices]
     primes = sorted({p for cls in t + sum(r, []) for p in cls.support})
     width = 1 + len(primes)
 
@@ -142,6 +138,7 @@ def span_of(generators: Sequence[GElement]) -> List[GElement]:
 
 
 def expected_g_d_generators(spec: SurfaceSpec) -> List[GElement]:
+    """[a][p_A] and [d][p_J], the generators of the target subgroup of G_D."""
     return [
         GElement.make(spec.a, spec.part_a),
         GElement.make(spec.d, spec.indices),
@@ -149,6 +146,7 @@ def expected_g_d_generators(spec: SurfaceSpec) -> List[GElement]:
 
 
 def expected_g_d_dual_generators(spec: SurfaceSpec) -> List[GElement]:
+    """[-d][p_J], the generator of the target subgroup of G^D."""
     return [GElement.make(-spec.d, spec.indices)]
 
 

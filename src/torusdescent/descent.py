@@ -11,13 +11,13 @@ conditions normally supplied by Chebotarev are found by scanning primes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
 from .arith import (
-    _MR_LIMIT,
     REAL,
     Place,
     Rational,
@@ -26,7 +26,6 @@ from .arith import (
     hilbert_row,
     hilbert_symbol,
     is_local_square,
-    is_prime,
     legendre,
     local_dim,
     local_mask,
@@ -34,13 +33,15 @@ from .arith import (
     square_class,
     valuation,
 )
-from .brauer import generator_left, invariant, obstruction_sum
+from .brauer import generator_left, obstruction_sum
 from .conditiond import (
     ConditionDReport,
     GElement,
     check_condition_d,
     d_constant,
     d_constant_dual,
+    expected_g_d_dual_generators,
+    expected_g_d_generators,
     in_g_i,
     in_g_i_dual,
     span_of,
@@ -145,9 +146,57 @@ class HypothesisReport:
         }
 
 
-def required_places(spec: SurfaceSpec) -> Tuple[Place, ...]:
-    """Places an input adelic point must supply: S0 and the bad places."""
-    return tuple(sorted(set(spec.s0) | set(compute_s_bad(spec))))
+def _working_places(spec: SurfaceSpec, s_d: Sequence[Place]) -> Set[Place]:
+    """T = S0 + S_bad + S_D: the places a suitable point supplies."""
+    return set(spec.s0) | set(compute_s_bad(spec)) | set(s_d)
+
+
+def suitability(
+    spec: SurfaceSpec, point: PartialAdelicPoint, s_d: Sequence[Place] = ()
+) -> Tuple[List[Tuple[str, str]], Optional[Place]]:
+    """The hypotheses of the descent theorem that the point violates, as
+    (name, detail) pairs in a fixed order, and the split place.
+
+    Name "input" marks malformed point data or a missing place of
+    T = S0 + S_bad + S_D; nothing else is checked then.  The other names
+    are "valuation_bound" and "valuation_at_2" (per place outside S0),
+    "split_place" (-d*p_J(t_v) is a nonzero square at no place of S0; the
+    first place of S0 where it is one is the split place) and
+    "brauer_sum_i" (the invariants of generator i sum to 1).
+    """
+    violations = [("input", problem) for problem in point.validate()]
+    missing = sorted(_working_places(spec, s_d) - set(point.entries))
+    if missing:
+        violations.append(
+            ("input", "point lacks required places: " + ", ".join(str(v) for v in missing))
+        )
+    if violations:
+        return violations, None
+
+    def d_p_j(v: Place) -> Fraction:
+        return spec.d * spec.product_value(spec.indices, point.entries[v].t)
+
+    for v in point.places:
+        if v.is_real or v in spec.s0:
+            continue
+        val = valuation(d_p_j(v), v.p)
+        if val > 1:
+            violations.append(("valuation_bound", f"val_{v}(d*p_J(t_v)) = {val} > 1"))
+        if v.p == 2 and val != 1:
+            violations.append(
+                ("valuation_at_2", f"val_2(d*p_J(t_2)) = {val} != 1 with 2 outside S0")
+            )
+    split_place = next(
+        (v for v in spec.s0 if v in point.entries and is_local_square(-d_p_j(v), v)), None
+    )
+    if split_place is None:
+        violations.append(
+            ("split_place", "-d*p_J(t_v) is a nonzero square at no supplied place of S0")
+        )
+    for i in spec.indices:
+        if obstruction_sum(spec, point, i):
+            violations.append((f"brauer_sum_{i}", f"sum of invariants of generator {i} is 1"))
+    return violations, split_place
 
 
 def check_hypotheses(spec: SurfaceSpec, point: PartialAdelicPoint) -> HypothesisReport:
@@ -158,61 +207,18 @@ def check_hypotheses(spec: SurfaceSpec, point: PartialAdelicPoint) -> Hypothesis
     is a smooth conic with unit coefficients, giving an integral point whose
     Brauer invariants vanish.  The supplied places are checked directly.
     """
-    failures: List[str] = []
-    details: List[str] = []
-    input_problems = list(point.validate())
-    missing = [v for v in required_places(spec) if v not in point.entries]
-    if missing:
-        input_problems.append(
-            "point lacks required places: " + ", ".join(str(v) for v in missing)
-        )
+    violations, split_place = suitability(spec, point)
     cond_d = check_condition_d(spec)
-    if not cond_d.holds:
-        failures.append("condition_D")
-        details.append(str(cond_d))
+    failures = [] if cond_d.holds else ["condition_D"]
+    details = [] if cond_d.holds else [str(cond_d)]
+    input_problems = [detail for name, detail in violations if name == "input"]
     if input_problems:
         return HypothesisReport(cond_d, failures, input_problems, None, {}, details)
-
-    # (2) valuation bounds at the supplied places outside S0
-    for v in point.places:
-        if v.is_real or v in spec.s0:
-            continue
-        value = spec.d * spec.product_value(spec.indices, point.entries[v].t)
-        val = valuation(value, v.p)
-        if val > 1:
-            failures.append("valuation_bound")
-            details.append(f"val_{v}(d*p_J(t_v)) = {val} > 1")
-        if v.p == 2 and val != 1:
-            failures.append("valuation_at_2")
-            details.append(f"val_2(d*p_J(t_2)) = {val} != 1 with 2 outside S0")
-
-    # (3) a split place in S0
-    split_place = None
-    for v in spec.s0:
-        if v in point.entries:
-            value = -spec.d * spec.product_value(spec.indices, point.entries[v].t)
-            if value != 0 and is_local_square(value, v):
-                split_place = v
-                break
-    if split_place is None:
-        failures.append("split_place")
-        details.append("-d*p_J(t_v) is a nonzero square at no supplied place of S0")
-
-    # (4) vertical Brauer sums over the supplied places
-    brauer_sums: Dict[int, int] = {}
-    for i in spec.indices:
-        try:
-            total = obstruction_sum(spec, point, i, required=required_places(spec))
-        except ValueError as exc:
-            input_problems.append(str(exc))
-            continue
-        brauer_sums[i] = total
-        if total:
-            failures.append(f"brauer_sum_{i}")
-            details.append(f"sum of invariants of generator {i} is 1")
-
+    failures += [name for name, _ in violations]
+    details += [detail for _, detail in violations]
+    brauer_sums = {i: int(f"brauer_sum_{i}" in failures) for i in spec.indices}
     return HypothesisReport(
-        cond_d, sorted(set(failures)), input_problems, split_place, brauer_sums, details
+        cond_d, sorted(set(failures)), [], split_place, brauer_sums, details
     )
 
 
@@ -221,55 +227,26 @@ def check_hypotheses(spec: SurfaceSpec, point: PartialAdelicPoint) -> Hypothesis
 # ---------------------------------------------------------------------------
 
 
-def suitability_violations(
-    spec: SurfaceSpec, p_t: PartialAdelicPoint, s_d: Sequence[Place]
-) -> List[str]:
-    problems = list(p_t.validate())
-    for v in p_t.places:
-        t_v = p_t.entries[v].t
-        value = spec.d * spec.product_value(spec.indices, t_v)
-        if value == 0:
-            problems.append(f"(1) d*p_J(t_v) = 0 at {v}")
-            continue
-        if v.is_real or v in spec.s0:
-            continue
-        val = valuation(value, v.p)
-        if val > 1:
-            problems.append(f"(2) val_{v}(d*p_J(t_v)) = {val} > 1")
-        if v.p == 2 and val != 1:
-            problems.append(f"(3) val_2(d*p_J(t_2)) = {val} != 1")
-    if problems:
-        return problems
-    if not any(
-        v in p_t.entries
-        and is_local_square(
-            -spec.d * spec.product_value(spec.indices, p_t.entries[v].t), v
+def _require_suitable(
+    spec: SurfaceSpec, p_t: PartialAdelicPoint, s_d: Sequence[Place], context: str
+) -> None:
+    """Raise DescentAnomaly if a point built by the descent is not suitable."""
+    violations, _ = suitability(spec, p_t, s_d)
+    if violations:
+        raise DescentAnomaly(
+            f"{context}: " + "; ".join(f"{name}: {detail}" for name, detail in violations)
         )
-        for v in spec.s0
-    ):
-        problems.append("(4) no place of S0 with -d*p_J(t_v) a nonzero square")
-    for i in spec.indices:
-        total = 0
-        for v in p_t.places:
-            total ^= invariant(spec, i, p_t.entries[v].t, v)
-        if total:
-            problems.append(f"(5) invariant sum of generator {i} is 1")
-    for v in s_d:
-        if v not in p_t.entries:
-            problems.append(f"(6) missing local point at the witness place {v}")
-    return problems
 
 
 def build_suitable(
     spec: SurfaceSpec, point: PartialAdelicPoint
 ) -> PartialAdelicPoint:
     """Restrict the input point to T = S0 + S_bad and verify suitability."""
-    t_places = set(spec.s0) | set(compute_s_bad(spec))
-    entries = {v: pt for v, pt in point.entries.items() if v in t_places}
-    p_t = PartialAdelicPoint(spec, entries)
-    problems = suitability_violations(spec, p_t, ())
-    if problems:
-        raise DescentAnomaly("suitability failed: " + "; ".join(problems))
+    t_places = _working_places(spec, ())
+    p_t = PartialAdelicPoint(
+        spec, {v: pt for v, pt in point.entries.items() if v in t_places}
+    )
+    _require_suitable(spec, p_t, (), "suitability failed")
     return p_t
 
 
@@ -356,16 +333,17 @@ def find_admissible(
     t_primes = [v.p for v in p_t.places if v.is_finite]
     step = Fraction(modulus, denominator)
     base = Fraction(tau0, denominator)
-    n_lo = None if lo is None else (lo - base) / step
-    n_hi = None if hi is None else (hi - base) / step
+    # base + n*step lies in the open chamber exactly when n_min <= n <= n_max
+    n_min = None if lo is None else math.floor((lo - base) / step) + 1
+    n_max = None if hi is None else math.ceil((hi - base) / step) - 1
     checked = 0
     for k in itertools.count():
         candidates = [k] if k == 0 else [k, -k]
         alive = False
         for n in candidates:
-            if n_lo is not None and Fraction(n) <= n_lo:
+            if n_min is not None and n < n_min:
                 continue
-            if n_hi is not None and Fraction(n) >= n_hi:
+            if n_max is not None and n > n_max:
                 continue
             alive = True
             checked += 1
@@ -405,14 +383,12 @@ def _try_admissible(
                 den //= q
         if den != 1:
             raise DescentAnomaly(f"denominator of {value} escapes the working primes")
-        if (
-            num == 1
-            or num >= _MR_LIMIT
-            or any(u.p == num for _, u in witnesses)
-            or not is_prime(num)
-        ):
+        if any(u.p == num for _, u in witnesses):
             return None
-        witnesses.append((i, Place.finite(num)))
+        try:  # building the place proves num prime
+            witnesses.append((i, Place.finite(num)))
+        except ValueError:  # 1, composite, or past the proven primality range
+            return None
     # square-class approximation check (guaranteed by the modulus; exact)
     for v in p_t.places:
         for i in spec.indices:
@@ -467,7 +443,8 @@ class DescentState:
 
     @property
     def neg_gen(self) -> GElement:
-        return GElement.make(-self.spec.d, self.spec.indices)
+        """[-d][p_J]."""
+        return expected_g_d_dual_generators(self.spec)[0]
 
     def terminal(self) -> bool:
         return self.dual.dim == 1 and self.dual.contains(self.neg_gen)
@@ -485,10 +462,10 @@ def _make_state(
     adm = search.point
     fib = relative_fiber(spec, p_t, adm)
     sel, dual = relative_selmer(fib)
-    neg_gen = GElement.make(-spec.d, spec.indices)
-    if not dual.contains(neg_gen):
-        raise DescentAnomaly("[-d][p_J] escaped the relative dual Selmer group")
-    for gen in (GElement.make(spec.a, spec.part_a), GElement.make(spec.d, spec.indices)):
+    for gen in expected_g_d_dual_generators(spec):
+        if not dual.contains(gen):
+            raise DescentAnomaly(f"{gen} escaped the relative dual Selmer group")
+    for gen in expected_g_d_generators(spec):
         if not sel.contains(gen):
             raise DescentAnomaly(f"{gen} escaped the relative Selmer group")
     _, _, n_split = dimension_identity(fiber_torus(fib), spec.s0)
@@ -588,9 +565,7 @@ def _pick_elements(state: DescentState) -> Tuple[GElement, GElement]:
         if not g.is_identity() and g != neg_gen:
             x0 = g
             break
-    span = span_of(
-        [GElement.make(spec.a, spec.part_a), GElement.make(spec.d, spec.indices)]
-    )
+    span = span_of(expected_g_d_generators(spec))
     x1 = None
     for g in sorted(state.sel.elements(), key=GElement.sort_key):
         if g not in span:
@@ -603,11 +578,10 @@ def _pick_elements(state: DescentState) -> Tuple[GElement, GElement]:
 
 def _normalize(state: DescentState, x0: GElement, x1: GElement, i: int):
     """Multiply by the always-present generators so that i avoids both subsets."""
-    spec = state.spec
     if i in x0.poly:
-        x0 = x0 * GElement.make(-spec.d, spec.indices)
+        x0 = x0 * state.neg_gen
     if i in x1.poly:
-        x1 = x1 * GElement.make(spec.d, spec.indices)
+        x1 = x1 * expected_g_d_generators(state.spec)[1]
     return x0, x1
 
 
@@ -635,7 +609,7 @@ def _add_sd_witness(
             "verification should have caught this"
         )
     char_value = Fraction(x.c.value()) * constant(spec, i_prime, x.poly)
-    target = spec.a * d_constant(spec, i_prime, spec.part_a)
+    target = generator_left(spec, i_prime)
     avoid = {v.p for v in state.p_t.places if v.is_finite}
     avoid.update(u.p for _, u in state.adm.witnesses)
     w = _scan_prime(
@@ -645,9 +619,7 @@ def _add_sd_witness(
     t_w = _uniformizer_t(spec, i_prime, w)
     point = _local_point_above(spec, place, t_w, i_prime)
     new_pt = state.p_t.with_entry(place, point)
-    problems = suitability_violations(spec, new_pt, state.s_d + (place,))
-    if problems:
-        raise DescentAnomaly("witness insertion broke suitability: " + "; ".join(problems))
+    _require_suitable(spec, new_pt, state.s_d + (place,), "witness insertion broke suitability")
     state.trace.append(
         {
             "step": "sd_witness",
@@ -677,7 +649,7 @@ def _chebotarev_step(
     spec = state.spec
     if i_x in x0.poly or i_x in x1.poly:
         raise DescentAnomaly("elements must be normalized away from the index")
-    a_val = spec.a * d_constant(spec, i_x, spec.part_a)
+    a_val = generator_left(spec, i_x)
     c0_val = Fraction(x0.c.value()) * d_constant(spec, i_x, x0.poly)
     c1_val = Fraction(x1.c.value()) * d_constant(spec, i_x, x1.poly)
     avoid = {v.p for v in state.p_t.places if v.is_finite}
@@ -692,9 +664,7 @@ def _chebotarev_step(
     t_w = _uniformizer_t(spec, i_x, w)
     point = _local_point_above(spec, place, t_w, i_x)
     new_pt = state.p_t.with_entry(place, point)
-    problems = suitability_violations(spec, new_pt, state.s_d)
-    if problems:
-        raise DescentAnomaly("extension broke suitability: " + "; ".join(problems))
+    _require_suitable(spec, new_pt, state.s_d, "extension broke suitability")
 
     old_adm, old_sel, old_dual = state.adm, state.sel, state.dual
     old_lattice: GLattice = old_sel.lattice  # type: ignore[assignment]

@@ -24,10 +24,6 @@ def echelon(rows: Sequence[int]) -> List[int]:
     return basis
 
 
-def rank(rows: Sequence[int]) -> int:
-    return len(echelon(rows))
-
-
 def reduce_vector(vec: int, basis: Sequence[int]) -> int:
     """Reduce vec against an echelonized basis; 0 iff vec is in the span."""
     for b in basis:

@@ -19,8 +19,8 @@ from .arith import (
     is_local_square,
     valuation,
 )
-from .conditiond import d_constant
-from .surface import SurfaceSpec, evaluate_point
+from .brauer import generator_left
+from .surface import SurfaceSpec, _is_s0_integral, evaluate_point
 
 
 @dataclass(frozen=True)
@@ -157,11 +157,12 @@ def good_place_solubility(
     """Integral solubility of the fiber at an odd good place, by criterion only.
 
     At v outside S0 and S_bad with val_v(p_i(t_v)) > 0 for (necessarily
-    unique) i, the fiber has Z_v-points iff the constant a*p_A(-d_i/c_i)
-    (resp. b*p_B(-d_i/c_i) for i in A) is a square at v.  When no factor
-    degenerates the special fiber is a smooth affine conic over F_v, which
-    always has a smooth rational point, so the fiber is soluble.  No Hensel
-    search is run; the test suite checks agreement with direct enumeration.
+    unique) i, the fiber has Z_v-points iff the residue constant
+    generator_left(i), a*D_i^A up to squares, is a square at v.  When no
+    factor degenerates the special fiber is a smooth affine conic over F_v,
+    which always has a smooth rational point, so the fiber is soluble.  No
+    Hensel search is run; the test suite checks agreement with direct
+    enumeration.
     """
     if v.is_real or v.p == 2:
         raise ValueError("good-place criterion applies to odd finite places")
@@ -178,12 +179,8 @@ def good_place_solubility(
             "soluble", v, certificate="smooth special fiber (unit coefficients)"
         )
     i = degenerate[0]
-    if i not in spec.part_a:
-        unit = spec.a * d_constant(spec, i, spec.part_a)
-        label = f"a*D_{i}^A"
-    else:
-        unit = spec.b * d_constant(spec, i, spec.part_b)
-        label = f"b*D_{i}^B"
+    unit = generator_left(spec, i)
+    label = f"a*D_{i}^A"  # unit and a*D_i^A differ by a^2, a v-unit square
     if valuation(unit, p) != 0:
         raise ValueError(f"{v} divides the constant {label}; not a good place")
     if is_local_square(unit, v):
@@ -240,7 +237,7 @@ def solve_global(
         raise ValueError("degenerate conic")
     for lead, axis in ((aA, 0), (bB, 1)):
         root = _rational_sqrt(1 / lead)
-        if root is not None and _s0_supported(root.denominator, s0_primes):
+        if root is not None and _is_s0_integral(root, s0_primes):
             if root.numerator <= height_bound and root.denominator <= height_bound:
                 return (root, Fraction(0)) if axis == 0 else (Fraction(0), root)
     lcm_den = math.lcm(aA.denominator, bB.denominator)
@@ -264,13 +261,6 @@ def solve_global(
                 if aA * x * x + bB * y * y == 1:
                     return (x, y)
     return None
-
-
-def _s0_supported(n: int, s0_primes: Sequence[int]) -> bool:
-    for p in s0_primes:
-        while n % p == 0:
-            n //= p
-    return n == 1
 
 
 def verify_integral_point(

@@ -52,10 +52,6 @@ class TorusData:
     d: int
     places: Tuple[Place, ...]
 
-    @property
-    def finite_primes(self) -> Tuple[int, ...]:
-        return tuple(v.p for v in self.places if v.is_finite)
-
 
 def torus_data(d: Union[Rational, SquareClass], places: Iterable[Place]) -> TorusData:
     cls = d if isinstance(d, SquareClass) else square_class(d)
@@ -270,14 +266,6 @@ def dimension_identity(
 # ---------------------------------------------------------------------------
 
 
-def ev(spec: SurfaceSpec, t0: Rational, x: GElement) -> SquareClass:
-    """[c][p_{J'}] evaluated at t0: the square class of c * p_{J'}(t0)."""
-    value = Fraction(x.c.value()) * spec.product_value(sorted(x.poly), t0)
-    if value == 0:
-        raise ValueError(f"evaluation at {t0} hit a root of the factors")
-    return square_class(value)
-
-
 def t0_place_split(
     spec: SurfaceSpec, p_t: PartialAdelicPoint
 ) -> Tuple[List[Place], List[Place]]:
@@ -307,7 +295,6 @@ class RelativeFiber:
     torus_value: Fraction  # -d * p_J(t0)
     ramified: Tuple[Place, ...]  # T0 together with the witness places u_i
     unit_kind: Tuple[Place, ...]  # T minus T0: unit-class local conditions
-    witnesses: Tuple[Tuple[int, Place], ...]
 
 
 def relative_fiber(
@@ -329,7 +316,6 @@ def relative_fiber(
         torus_value=torus_value,
         ramified=tuple(sorted(set(t0_places) | set(u_places))),
         unit_kind=tuple(sorted(rest)),
-        witnesses=tuple(adm.witnesses),
     )
 
 

@@ -230,12 +230,6 @@ def _vanishes_mod(spec: SurfaceSpec, i: int, t: int, p: int) -> bool:
     return value == 0 or valuation(value, p) > 0
 
 
-def compute_s(spec: SurfaceSpec, s_d: Sequence[Place] = ()) -> Tuple[Place, ...]:
-    """S = S0 union S_bad union S_D, canonically ordered."""
-    all_places = set(spec.s0) | set(compute_s_bad(spec)) | set(s_d)
-    return tuple(sorted(all_places))
-
-
 # ---------------------------------------------------------------------------
 # Fibers and points
 # ---------------------------------------------------------------------------
@@ -249,10 +243,6 @@ class FiberSpec:
     aA: Fraction
     bB: Fraction
     torus_d: Fraction  # -d * p_J(t); the fiber is a torsor under x^2 - torus_d*y^2 = 1
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.torus_d != 0
 
 
 def fiber(spec: SurfaceSpec, t: Rational) -> FiberSpec:

@@ -7,7 +7,6 @@ of the pipeline (verified at curation time and re-verified by the tests).
 
 from fractions import Fraction
 
-from torusdescent.descent import required_places
 from torusdescent.points import solve_global
 from torusdescent.surface import (
     LocalPoint,
@@ -15,6 +14,8 @@ from torusdescent.surface import (
     fiber,
     make_spec,
 )
+
+from oracles import compute_s
 
 # (s0_primes, a, b, factors, part_a, t_star)
 SOLUBLE_FAMILY = [
@@ -76,6 +77,6 @@ def family_point(index, height=400):
     assert sol is not None, f"family member {index} lost its point"
     x, y = sol
     entries = {
-        v: LocalPoint.make(x, y, t_star, 12) for v in required_places(spec)
+        v: LocalPoint.make(x, y, t_star, 12) for v in compute_s(spec)
     }
     return spec, PartialAdelicPoint(spec, entries), (x, y, Fraction(t_star))

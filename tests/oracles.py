@@ -8,7 +8,9 @@ the implementations under test.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from torusdescent.arith import (
     valuation,
 )
 from torusdescent.conditiond import GElement, in_g_i, in_g_i_dual
+from torusdescent.surface import compute_s_bad
 
 
 def jacobi(a: int, n: int) -> int:
@@ -259,3 +262,138 @@ def surface_points_bruteforce(spec, t_values, height: int):
         if point is not None:
             return point
     return None
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers: place sets, evaluation maps, ranks, local classes
+# ---------------------------------------------------------------------------
+
+
+def compute_s(spec, s_d=()):
+    """S = S0 union S_bad union S_D, canonically ordered."""
+    return tuple(sorted(set(spec.s0) | set(compute_s_bad(spec)) | set(s_d)))
+
+
+def ev(spec, t0, x: GElement) -> SquareClass:
+    """[c][p_{J'}] evaluated at t0: the square class of c * p_{J'}(t0)."""
+    value = Fraction(x.c.value()) * spec.product_value(sorted(x.poly), t0)
+    if value == 0:
+        raise ValueError(f"evaluation at {t0} hit a root of the factors")
+    return square_class(value)
+
+
+def gf2_rank(rows) -> int:
+    """Rank over F2 of int bitset rows, by plain elimination on lowest bits."""
+    rows = [r for r in rows if r]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        low = pivot & -pivot
+        rows = [r ^ pivot if r & low else r for r in rows]
+        rows = [r for r in rows if r]
+        rank += 1
+    return rank
+
+
+@dataclass(frozen=True)
+class LocalSquareClass:
+    """Coordinates of a nonzero rational in Q_v*/(Q_v*)^2 over local_basis(v)."""
+
+    place: Place
+    coordinates: Tuple[int, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.coordinates)
+
+    def __mul__(self, other: "LocalSquareClass") -> "LocalSquareClass":
+        if self.place != other.place:
+            raise ValueError("mismatched places")
+        coords = tuple(a ^ b for a, b in zip(self.coordinates, other.coordinates))
+        return LocalSquareClass(self.place, coords)
+
+    def mask(self) -> int:
+        return sum(c << i for i, c in enumerate(self.coordinates))
+
+
+def local_square_class(x, v: Place) -> LocalSquareClass:
+    """Local class from the sign, the valuation parity and the unit's residue
+    (Jacobi symbol at odd p, the unit mod 8 at 2)."""
+    x = Fraction(x)
+    if v.is_real:
+        return LocalSquareClass(v, (int(x < 0),))
+    p = v.p
+    val = valuation(x, p)
+    unit = x / Fraction(p) ** val
+    u = unit.numerator * unit.denominator  # same class as the unit
+    if p == 2:
+        # u = (-1)^e * 5^f mod 8: 1 -> (0,0), 3 = -5 -> (1,1), 5 -> (0,1), 7 = -1 -> (1,0)
+        e = int(u % 4 == 3)
+        f = int(u % 8 in (3, 5))
+        return LocalSquareClass(v, (e, f, val % 2))
+    return LocalSquareClass(v, (int(jacobi(u, p) == -1), val % 2))
+
+
+# ---------------------------------------------------------------------------
+# The general tame-symbol oracle: polynomial right entries
+# ---------------------------------------------------------------------------
+
+
+def poly_from_factors(spec, subset) -> Tuple[Fraction, ...]:
+    """Coefficients of prod_{i in subset} p_i(t), constant term first."""
+    coeffs = [Fraction(1)]
+    for i in sorted(subset):
+        c, d = spec.coeffs(i)
+        new = [Fraction(0)] * (len(coeffs) + 1)
+        for k, a in enumerate(coeffs):
+            new[k] += a * d
+            new[k + 1] += a * c
+        coeffs = new
+    return tuple(coeffs)
+
+
+def _rational_point(point) -> Fraction:
+    """A rational number m, or the coefficient pair of the monic t - m."""
+    if isinstance(point, (int, Fraction)):
+        return Fraction(point)
+    coeffs = [Fraction(c) for c in point]
+    if len(coeffs) == 2:
+        if coeffs[1] != 1:
+            raise ValueError("closed point polynomial must be monic")
+        return -coeffs[0]
+    raise ValueError("only rational (degree-1) closed points are supported")
+
+
+def _root_multiplicity(coeffs: Sequence[Fraction], m: Fraction) -> Tuple[int, Fraction]:
+    """Multiplicity of the root m in the polynomial, plus cofactor value."""
+    work = list(coeffs)
+    mult = 0
+    while True:
+        value = Fraction(0)
+        power = Fraction(1)
+        for c in work:
+            value += c * power
+            power *= m
+        if value != 0:
+            return mult, value
+        # synthetic division by (t - m), Horner from the top coefficient
+        quotient: List[Fraction] = []
+        acc = Fraction(0)
+        for c in reversed(work[1:]):
+            acc = acc * m + c
+            quotient.append(acc)
+        quotient.reverse()
+        work = quotient
+        mult += 1
+        if not work:
+            raise ValueError("right entry vanished identically during division")
+
+
+def tame_residue(left, right: Sequence[Fraction], point) -> SquareClass:
+    """Residue of the quaternion symbol (left, right(t)) at a rational closed
+    point, for a nonzero constant left and any nonzero polynomial right:
+    the tame symbol (-1)^{v_f v_g} f^{v_g} / g^{v_f} with v_f = 0."""
+    if Fraction(left) == 0 or not any(right):
+        raise ValueError("both entries must be nonzero")
+    v_g, _cofactor = _root_multiplicity(right, _rational_point(point))
+    return SquareClass.identity() if v_g % 2 == 0 else square_class(left)

@@ -18,7 +18,6 @@ from torusdescent.arith import (
     is_prime,
     legendre,
     local_mask,
-    local_square_class,
     prime_stream,
     square_class,
     valuation,
@@ -31,6 +30,7 @@ from oracles import (
     is_square_mod_enumeration,
     jacobi,
     local_basis,
+    local_square_class,
 )
 
 # desk-scale values: products of three test rationals stay far below the

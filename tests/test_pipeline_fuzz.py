@@ -19,7 +19,6 @@ from torusdescent.descent import (
     DescentError,
     check_hypotheses,
     descend,
-    required_places,
 )
 from torusdescent.points import solve_global
 from torusdescent.surface import (
@@ -29,6 +28,8 @@ from torusdescent.surface import (
     fiber,
     make_spec,
 )
+
+from oracles import compute_s
 
 
 def _random_spec(rng):
@@ -62,7 +63,7 @@ def _candidate_point(spec, rng):
         if sol is None:
             continue
         entries = {
-            v: LocalPoint.make(sol[0], sol[1], t, 12) for v in required_places(spec)
+            v: LocalPoint.make(sol[0], sol[1], t, 12) for v in compute_s(spec)
         }
         return PartialAdelicPoint(spec, entries)
     return None

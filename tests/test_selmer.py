@@ -13,14 +13,13 @@ from torusdescent.conditiond import GElement
 from torusdescent.selmer import (
     SquareClassLattice,
     dimension_identity,
-    ev,
     selmer_groups,
     split_places,
     torus_data,
 )
 from torusdescent.surface import make_spec
 
-from oracles import dual_selmer_by_enumeration, selmer_by_enumeration
+from oracles import dual_selmer_by_enumeration, ev, selmer_by_enumeration
 
 
 def places_of(*primes):
