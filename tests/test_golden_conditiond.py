@@ -61,8 +61,8 @@ CASES = (
 )
 
 
-def run_case(name, s0, a, b, factors, part_a, command="condition-d"):
-    """(exit code, stdout) of `--json <command>` on the case's spec file."""
+def run_case(name, s0, a, b, factors, part_a, command="condition-d", options=()):
+    """(exit code, stdout) of `--json <command> <spec file> <options>`."""
     text = serialize_spec(make_spec(s0, a, b, factors, part_a))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, f"{name}.spec")
@@ -70,7 +70,7 @@ def run_case(name, s0, a, b, factors, part_a, command="condition-d"):
             fh.write(text)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["--json", command, path])
+            code = main(["--json", command, path, *options])
     return code, out.getvalue()
 
 
