@@ -20,7 +20,7 @@ from .gf2 import dot
 Rational = Fraction | int
 
 
-class FactorizationError(Exception):
+class FactorizationError(ValueError):
     """Raised when an integer resists the desk-scale factoring stack."""
 
 
@@ -206,6 +206,14 @@ def parse_place(token: str) -> Place:
     return Place.finite(int(token))
 
 
+def parse_rational(token: str) -> Fraction:
+    """A rational written as an integer, p/q or a decimal; ValueError if malformed."""
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"{token}: zero denominator") from None
+
+
 # ---------------------------------------------------------------------------
 # Valuations and square classes
 # ---------------------------------------------------------------------------
@@ -274,8 +282,38 @@ class SquareClass:
         return str(self.value())
 
 
+def class_mask(x: Rational, primes: Sequence[int]) -> int:
+    """Coordinates of [x] in Q*/(Q*)^2 over -1 (bit 0) and primes (bit k+1).
+
+    Trial division by the listed primes only, so nothing is factored;
+    raises ValueError on 0 and when x has a prime outside the list.
+    """
+    num, den = x.numerator, x.denominator
+    if num == 0:
+        raise ValueError("0 has no square class")
+    mask = int(num < 0)
+    num = abs(num)
+    for k, p in enumerate(primes, 1):
+        while num % p == 0:
+            num //= p
+            mask ^= 1 << k
+        while den % p == 0:
+            den //= p
+            mask ^= 1 << k
+    if num != 1 or den != 1:
+        raise ValueError(f"{x} has a prime outside {list(primes)}")
+    return mask
+
+
+def class_from_mask(mask: int, primes: Sequence[int]) -> SquareClass:
+    """The square class with coordinates mask over -1 and ascending primes."""
+    support = tuple(p for k, p in enumerate(primes, 1) if mask >> k & 1)
+    return SquareClass(-1 if mask & 1 else 1, support)
+
+
 def square_class(x: Rational) -> SquareClass:
-    """Image of a nonzero rational in Q*/(Q*)^2."""
+    """Image of a nonzero rational in Q*/(Q*)^2, by factoring: for values
+    whose primes are unknown.  class_mask reads a class over known primes."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no square class")

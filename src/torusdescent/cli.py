@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .arith import Place, parse_place, square_class
+from .arith import Place, parse_place, parse_rational, square_class
 from .brauer import brauer_generator, residue_at
 from .conditiond import check_condition_d
 from .descent import (
@@ -28,7 +27,6 @@ from .selmer import selmer_groups, torus_data
 from .surface import (
     DegenerateFiberError,
     SpecValidationError,
-    compute_s_bad,
     fiber,
     load_spec,
     parse_point_file,
@@ -60,7 +58,7 @@ def cmd_validate(args) -> int:
         {
             "valid": True,
             "d": str(spec.d),
-            "s_bad": [str(v) for v in compute_s_bad(spec)],
+            "s_bad": [str(v) for v in spec.s_bad],
         }
     )
     _emit(
@@ -93,13 +91,13 @@ def cmd_condition_d(args) -> int:
 
 def cmd_selmer(args) -> int:
     spec = load_spec(args.spec)
-    t = Fraction(args.t)
+    t = parse_rational(args.t)
     fib = fiber(spec, t)
     support = {2} | set(spec.s0_finite_primes)
     cls = square_class(fib.torus_d)
     support |= set(cls.support)
     places = [Place.real()] + [Place.finite(p) for p in sorted(support)]
-    torus = torus_data(fib.torus_d, places)
+    torus = torus_data(cls, places)
     sel, dual = selmer_groups(torus)
     payload = _report_base(spec)
     payload.update(
@@ -107,8 +105,8 @@ def cmd_selmer(args) -> int:
             "t": str(t),
             "torus_d": str(torus.d),
             "places": [str(v) for v in torus.places],
-            "selmer_basis": [str(c) for c in sel.basis_elements()],
-            "dual_selmer_basis": [str(c) for c in dual.basis_elements()],
+            "selmer_basis": [str(g.c) for g in sel.basis_elements()],
+            "dual_selmer_basis": [str(g.c) for g in dual.basis_elements()],
             "dim_selmer": sel.dim,
             "dim_dual_selmer": dual.dim,
         }
@@ -120,9 +118,9 @@ def cmd_selmer(args) -> int:
             f"fiber t = {t}: torus parameter {torus.d} over S = "
             + "{" + ", ".join(str(v) for v in torus.places) + "}",
             f"Selmer group: dim {sel.dim}, basis "
-            + "{" + ", ".join(str(c) for c in sel.basis_elements()) + "}",
+            + "{" + ", ".join(payload["selmer_basis"]) + "}",
             f"dual Selmer group: dim {dual.dim}, basis "
-            + "{" + ", ".join(str(c) for c in dual.basis_elements()) + "}",
+            + "{" + ", ".join(payload["dual_selmer_basis"]) + "}",
         ],
     )
     return EXIT_OK
@@ -157,7 +155,7 @@ def cmd_brauer(args) -> int:
 
 def cmd_local(args) -> int:
     spec = load_spec(args.spec)
-    t = Fraction(args.t)
+    t = parse_rational(args.t)
     v = parse_place(args.place)
     fib = fiber(spec, t)
     model = args.model
@@ -192,7 +190,7 @@ def cmd_local(args) -> int:
 
 def cmd_solve(args) -> int:
     spec = load_spec(args.spec)
-    t = Fraction(args.t)
+    t = parse_rational(args.t)
     fib = fiber(spec, t)
     sol = solve_global(fib.aA, fib.bB, spec.s0_finite_primes, args.height)
     payload = _report_base(spec)

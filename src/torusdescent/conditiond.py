@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import FrozenSet, Iterable, List, Sequence, Tuple
 
 from . import gf2
-from .arith import SquareClass, square_class
+from .arith import SquareClass, class_from_mask, class_mask
 from .brauer import generator_left
 from .surface import SurfaceSpec
 
@@ -29,10 +29,6 @@ class GElement:
     @staticmethod
     def identity() -> "GElement":
         return GElement(SquareClass.identity(), frozenset())
-
-    @staticmethod
-    def make(value, subset: Iterable[int]) -> "GElement":
-        return GElement(square_class(value), frozenset(subset))
 
     def __mul__(self, other: "GElement") -> "GElement":
         return GElement(self.c * other.c, self.poly ^ other.poly)
@@ -74,44 +70,39 @@ def d_constant_dual(spec: SurfaceSpec, i: int, subset: Iterable[int]) -> Fractio
 
 def in_g_i(spec: SurfaceSpec, x: GElement, i: int) -> bool:
     """Membership in G_i: [c*D_i^{J'}] lies in <[a*D_i^A]>."""
-    cls = x.c * square_class(d_constant(spec, i, x.poly))
-    return cls.is_identity() or cls == square_class(generator_left(spec, i))
+    cls = x.c * spec.class_of(d_constant(spec, i, x.poly))
+    return cls.is_identity() or cls == spec.class_of(generator_left(spec, i))
 
 
 def in_g_i_dual(spec: SurfaceSpec, x: GElement, i: int) -> bool:
     """Membership in G^i: [c*Dhat_i^{J'}] lies in <[a*D_i^A]>."""
-    cls = x.c * square_class(d_constant_dual(spec, i, x.poly))
-    return cls.is_identity() or cls == square_class(generator_left(spec, i))
+    cls = x.c * spec.class_of(d_constant_dual(spec, i, x.poly))
+    return cls.is_identity() or cls == spec.class_of(generator_left(spec, i))
 
 
 def _compute_intersection(spec: SurfaceSpec, dual: bool) -> List[GElement]:
     """The x = (c, J') with [c*D_i^{J'}] in <t_i = [a*D_i^A]> for every i.
 
     [D_i^{J'}] = sum over j in J' of r_ij = [D_i^{{j}}], so the intersection is the
-    projection to (c, J') of the kernel of (c, J', e) -> (c + sum_j J'_j r_ij + e_i t_i)_i.
-    Bit 0 of a class is -1; no c with a prime outside the r_ij and t_i qualifies.
+    projection to (c, J') of the kernel of (c, J', e) -> (c + sum_j J'_j r_ij + e_i t_i)_i,
+    with every class a mask over -1 and the spec's basis primes.
     """
     constant = d_constant_dual if dual else d_constant
     n = len(spec.indices)
-    r = [[square_class(constant(spec, i, {j})) for j in spec.indices] for i in spec.indices]
-    t = [square_class(generator_left(spec, i)) for i in spec.indices]
-    primes = sorted({p for cls in t + sum(r, []) for p in cls.support})
+    primes = spec.basis_primes
     width = 1 + len(primes)
-
-    def bits(cls: SquareClass) -> int:
-        return (cls.sign < 0) | sum(2 << primes.index(p) for p in cls.support)
-
+    r = [[class_mask(constant(spec, i, {j}), primes) for j in spec.indices] for i in spec.indices]
+    t = [class_mask(generator_left(spec, i), primes) for i in spec.indices]
     cols = [sum(1 << b << k * width for k in range(n)) for b in range(width)]
-    cols += [sum(bits(r[k][j]) << k * width for k in range(n)) for j in range(n)]
-    cols += [bits(t[k]) << k * width for k in range(n)]
+    cols += [sum(r[k][j] << k * width for k in range(n)) for j in range(n)]
+    cols += [t[k] << k * width for k in range(n)]
     rows = [sum((col >> q & 1) << m for m, col in enumerate(cols)) for q in range(n * width)]
     kernel = gf2.kernel_basis(rows, width + 2 * n)
     group = gf2.Subspace(width + n, [v % (1 << width + n) for v in kernel])
 
     def element(vec: int) -> GElement:
-        support = tuple(p for k, p in enumerate(primes) if vec >> (k + 1) & 1)
         poly = frozenset(j for k, j in enumerate(spec.indices) if vec >> (width + k) & 1)
-        return GElement(SquareClass(-1 if vec & 1 else 1, support), poly)
+        return GElement(class_from_mask(vec, primes), poly)
 
     member = in_g_i_dual if dual else in_g_i
     for x in map(element, group.basis):
@@ -140,14 +131,14 @@ def span_of(generators: Sequence[GElement]) -> List[GElement]:
 def expected_g_d_generators(spec: SurfaceSpec) -> List[GElement]:
     """[a][p_A] and [d][p_J], the generators of the target subgroup of G_D."""
     return [
-        GElement.make(spec.a, spec.part_a),
-        GElement.make(spec.d, spec.indices),
+        GElement(spec.class_of(spec.a), spec.part_a),
+        GElement(spec.class_of(spec.d), frozenset(spec.indices)),
     ]
 
 
 def expected_g_d_dual_generators(spec: SurfaceSpec) -> List[GElement]:
     """[-d][p_J], the generator of the target subgroup of G^D."""
-    return [GElement.make(-spec.d, spec.indices)]
+    return [GElement(spec.class_of(-spec.d), frozenset(spec.indices))]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ from .arith import (
     local_dim,
     local_mask,
     prime_stream,
-    square_class,
     valuation,
 )
 from .brauer import generator_left, obstruction_sum
@@ -53,7 +52,7 @@ from .points import (
     verify_integral_point,
 )
 from .selmer import (
-    GLattice,
+    Lattice,
     SelmerSubspace,
     dimension_identity,
     fiber_torus,
@@ -65,7 +64,6 @@ from .surface import (
     LocalPoint,
     PartialAdelicPoint,
     SurfaceSpec,
-    compute_s_bad,
     fiber,
     spec_hash,
 )
@@ -148,7 +146,7 @@ class HypothesisReport:
 
 def _working_places(spec: SurfaceSpec, s_d: Sequence[Place]) -> Set[Place]:
     """T = S0 + S_bad + S_D: the places a suitable point supplies."""
-    return set(spec.s0) | set(compute_s_bad(spec)) | set(s_d)
+    return set(spec.s0) | set(spec.s_bad) | set(s_d)
 
 
 def suitability(
@@ -500,12 +498,10 @@ def _scan_prime(
     bound: int,
     stage: str,
 ) -> int:
-    """Least odd prime with the prescribed Legendre values for each rational."""
-    skip = set(avoid) | {2}
-    for value, _ in conditions:
-        skip.update(square_class(value).support)
+    """Least odd prime outside `avoid` with the prescribed Legendre values for
+    each rational; `avoid` must hold every prime of the rationals."""
     count = 0
-    for w in prime_stream(2, sorted(skip)):
+    for w in prime_stream(2, avoid):
         count += 1
         if count > bound:
             raise SearchExhausted(stage, bound)
@@ -667,9 +663,9 @@ def _chebotarev_step(
     _require_suitable(spec, new_pt, state.s_d, "extension broke suitability")
 
     old_adm, old_sel, old_dual = state.adm, state.sel, state.dual
-    old_lattice: GLattice = old_sel.lattice  # type: ignore[assignment]
+    old_lattice = old_sel.lattice
     new_state = _make_state(spec, new_pt, state.s_d, bounds, state.trace)
-    new_lattice: GLattice = new_state.sel.lattice  # type: ignore[assignment]
+    new_lattice = new_state.sel.lattice
     t1 = new_state.adm.t0
 
     # the subgroups avoiding the distinguished factor index
@@ -679,7 +675,7 @@ def _chebotarev_step(
     dual0_old = old_dual.space.intersect_hyperplane(bit_old)
     dual0_new = new_state.dual.space.intersect_hyperplane(bit_new)
 
-    def loc_image(space: gf2.Subspace, lattice: GLattice) -> gf2.Subspace:
+    def loc_image(space: gf2.Subspace, lattice: Lattice) -> gf2.Subspace:
         images = []
         for mask in space.basis:
             g = lattice.decode(mask)

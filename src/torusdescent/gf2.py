@@ -89,9 +89,6 @@ class Subspace:
     def contains(self, vec: int) -> bool:
         return in_span(vec, self.basis)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(b) for b in other.basis)
-
     def intersect_hyperplane(self, row: int) -> "Subspace":
         """Subspace of vectors x in this space with <x, row> = 0."""
         coeffs = [dot(b, row) << j for j, b in enumerate(self.basis)]

@@ -13,7 +13,6 @@ of the annihilator of [d]_v) becomes one row of the F2 system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
@@ -24,6 +23,8 @@ from .arith import (
     Place,
     Rational,
     SquareClass,
+    class_from_mask,
+    class_mask,
     hilbert_row,
     is_local_square,
     local_dim,
@@ -72,73 +73,29 @@ def torus_data(d: Union[Rational, SquareClass], places: Iterable[Place]) -> Toru
 # ---------------------------------------------------------------------------
 
 
-class SquareClassLattice:
-    """Z_S^* / (Z_S^*)^2 with basis -1 followed by the finite primes of S."""
+class Lattice:
+    """Classes [c][p_{J'}] as F2 masks: bit 0 is -1, then the finite primes of
+    the places in ascending order, then one formal symbol per factor index
+    (none for the lattice of a torus)."""
 
-    def __init__(self, places: Sequence[Place]):
-        self.places = tuple(sorted(set(places)))
-        self.generators: List[int] = [-1] + [v.p for v in self.places if v.is_finite]
-
-    @property
-    def ncols(self) -> int:
-        return len(self.generators)
-
-    def encode(self, cls: SquareClass) -> int:
-        mask = 0 if cls.sign > 0 else 1
-        for p in cls.support:
-            try:
-                mask |= 1 << self.generators.index(p)
-            except ValueError:
-                raise ValueError(f"{p} is outside the lattice support") from None
-        return mask
-
-    def decode(self, mask: int) -> SquareClass:
-        cls = SquareClass.identity()
-        for k in range(self.ncols):
-            if (mask >> k) & 1:
-                cls = cls * square_class(self.generators[k])
-        return cls
-
-
-class GLattice:
-    """The relative lattice: S-unit classes plus one formal symbol per factor."""
-
-    def __init__(self, spec: SurfaceSpec, places: Sequence[Place]):
-        self.spec = spec
-        self.places = tuple(sorted(set(places)))
-        self.unit_part = SquareClassLattice(self.places)
-        self.factor_indices = tuple(spec.indices)
-
-    @property
-    def ncols(self) -> int:
-        return self.unit_part.ncols + len(self.factor_indices)
-
-    def generator_values(self, t0: Rational) -> List[Rational]:
-        """The generators evaluated at the base value t0."""
-        factors = [self.spec.factor_value(i, t0) for i in self.factor_indices]
-        return self.unit_part.generators + factors
+    def __init__(self, places: Iterable[Place], factor_indices: Sequence[int] = ()):
+        self.primes = [v.p for v in sorted(set(places)) if v.is_finite]
+        self.factor_indices = tuple(factor_indices)
+        self.ncols = 1 + len(self.primes) + len(self.factor_indices)
 
     def factor_bit(self, i: int) -> int:
-        return self.unit_part.ncols + self.factor_indices.index(i)
+        return 1 + len(self.primes) + self.factor_indices.index(i)
 
     def encode(self, x: GElement) -> int:
-        mask = self.unit_part.encode(x.c)
+        """ValueError if x has a prime or a factor outside the lattice."""
+        mask = class_mask(x.c.value(), self.primes)
         for i in x.poly:
             mask |= 1 << self.factor_bit(i)
         return mask
 
     def decode(self, mask: int) -> GElement:
-        n_units = self.unit_part.ncols
-        cls = self.unit_part.decode(mask & ((1 << n_units) - 1))
-        poly = frozenset(
-            i
-            for k, i in enumerate(self.factor_indices)
-            if (mask >> (n_units + k)) & 1
-        )
-        return GElement(cls, poly)
-
-
-Lattice = Union[SquareClassLattice, GLattice]
+        poly = frozenset(i for i in self.factor_indices if mask >> self.factor_bit(i) & 1)
+        return GElement(class_from_mask(mask, self.primes), poly)
 
 
 @dataclass
@@ -152,21 +109,16 @@ class SelmerSubspace:
     def dim(self) -> int:
         return self.space.dim
 
-    def contains(self, x) -> bool:
-        if isinstance(x, int):
-            return self.space.contains(x)
+    def contains(self, x: GElement) -> bool:
         try:
             return self.space.contains(self.lattice.encode(x))
         except ValueError:
             return False
 
-    def contains_subspace(self, other: "SelmerSubspace") -> bool:
-        return self.space.contains_subspace(other.space)
-
-    def elements(self) -> List:
+    def elements(self) -> List[GElement]:
         return [self.lattice.decode(mask) for mask in self.space.elements()]
 
-    def basis_elements(self) -> List:
+    def basis_elements(self) -> List[GElement]:
         return [self.lattice.decode(mask) for mask in self.space.basis]
 
     def __eq__(self, other: object) -> bool:
@@ -185,17 +137,19 @@ class SelmerSubspace:
 
 def _cut_out(
     lattice: Lattice,
-    values: Sequence[Rational],
+    factor_values: Sequence[Rational],
     d: Rational,
     places: Iterable[Place],
     unit_places: Iterable[Place] = (),
 ) -> Tuple[SelmerSubspace, SelmerSubspace]:
     """The Selmer and dual Selmer groups of d inside the lattice.
 
-    values[k] is the k-th lattice generator as a rational.  At each place of
-    `places` a class must lie in <[d]_v>^perp (Selmer) or in <[d]_v> (dual);
-    at each place of `unit_places` it must be a local unit class (both).
+    factor_values[k] is the rational that the k-th factor symbol stands for.
+    At each place of `places` a class must lie in <[d]_v>^perp (Selmer) or
+    in <[d]_v> (dual); at each place of `unit_places` it must be a local unit
+    class (both).
     """
+    values = [-1, *lattice.primes, *factor_values]
     sel_rows: List[int] = []
     dual_rows: List[int] = []
     for v in places:
@@ -226,8 +180,7 @@ def selmer_groups(torus: TorusData) -> Tuple[SelmerSubspace, SelmerSubspace]:
     """The Selmer group (classes of I_S pairing trivially with d at every place
     of S) and the dual Selmer group (classes of I_S locally in <[d]_v> at
     every place of S) of the torus."""
-    lattice = SquareClassLattice(torus.places)
-    return _cut_out(lattice, lattice.generators, torus.d, torus.places)
+    return _cut_out(Lattice(torus.places), (), torus.d, torus.places)
 
 
 def split_places(torus: TorusData, base: Sequence[Place]) -> List[Place]:
@@ -323,32 +276,19 @@ def relative_selmer(fiber: RelativeFiber) -> Tuple[SelmerSubspace, SelmerSubspac
     """Pullbacks of the fiber torus Selmer and dual Selmer groups under
     evaluation at t0: the local conditions of -d*p_J(t0) at the ramified
     places, and unit classes at the rest of T."""
-    lattice = GLattice(fiber.spec, fiber.places)
-    values = lattice.generator_values(fiber.t0)
+    lattice = Lattice(fiber.places, fiber.spec.indices)
+    values = [fiber.spec.factor_value(i, fiber.t0) for i in lattice.factor_indices]
     return _cut_out(lattice, values, fiber.torus_value, fiber.ramified, fiber.unit_kind)
 
 
 def fiber_torus(fiber: RelativeFiber) -> TorusData:
     """The norm-one torus of the fiber at the admissible point, over T0(t0).
 
-    The square-free part of -d*p_J(t0) is read off from valuations at the
-    working places (T and the witness places); the leftover cofactor must be
-    a perfect square, so no large number is ever factored.
+    -d*p_J(t0) is a T-unit times the witness primes, so its square class is
+    read off over the working places (T and the witness places) and no
+    large number is ever factored.
     """
-    sign = 1 if fiber.torus_value > 0 else -1
-    support = []
-    residual = abs(fiber.torus_value)
-    finite = sorted(
-        v for v in set(fiber.ramified) | set(fiber.unit_kind) if v.is_finite
-    )
-    for v in finite:
-        val = valuation(fiber.torus_value, v.p)
-        residual /= Fraction(v.p) ** val
-        if val & 1:
-            support.append(v.p)
-    cofactor = residual.numerator * residual.denominator
-    if math.isqrt(cofactor) ** 2 != cofactor:
-        raise ValueError("fiber torus support escapes the working place set")
-    d_t = SquareClass(sign, tuple(sorted(support)))
+    primes = sorted(v.p for v in set(fiber.ramified) | set(fiber.unit_kind) if v.is_finite)
+    d_t = class_from_mask(class_mask(fiber.torus_value, primes), primes)
     places = set(fiber.ramified) | {REAL, Place.finite(2)}
     return torus_data(d_t, places)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -16,9 +17,13 @@ from .arith import (
     REAL,
     Place,
     Rational,
+    SquareClass,
+    class_from_mask,
+    class_mask,
     factorize,
     is_prime,
     parse_place,
+    parse_rational,
     valuation,
 )
 
@@ -94,6 +99,26 @@ class SurfaceSpec:
 
     def is_s0_integer(self, x: Rational) -> bool:
         return _is_s0_integral(Fraction(x), self.s0_finite_primes)
+
+    @cached_property
+    def s_bad(self) -> Tuple[Place, ...]:
+        """compute_s_bad of this spec, computed at first use."""
+        return compute_s_bad(self)
+
+    @cached_property
+    def basis_primes(self) -> Tuple[int, ...]:
+        """The finite primes of S0 + S_bad, ascending.
+
+        With -1 they generate the square class of every constant of the
+        descent: d, a, each D_i^{J'} and each a*D_i^A is a product of a, b,
+        the c_i and the cross-resultants c_i*d_j - c_j*d_i, whose primes
+        outside S0 all lie in S_bad.
+        """
+        return tuple(sorted({*self.s0_finite_primes, *(v.p for v in self.s_bad)}))
+
+    def class_of(self, x: Rational) -> SquareClass:
+        """[x] for a constant of the descent, read off over basis_primes."""
+        return class_from_mask(class_mask(x, self.basis_primes), self.basis_primes)
 
 
 def spec_violations(
@@ -441,7 +466,7 @@ def parse_point_file(text: str, spec: SurfaceSpec) -> PartialAdelicPoint:
             raise SpecValidationError([f"point line {lineno}: expected 5 fields"])
         try:
             v = parse_place(tokens[0])
-            x, y, t = (Fraction(tok) for tok in tokens[1:4])
+            x, y, t = (parse_rational(tok) for tok in tokens[1:4])
             precision = int(tokens[4])
         except ValueError as exc:
             raise SpecValidationError([f"point line {lineno}: {exc}"]) from exc

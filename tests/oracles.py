@@ -274,6 +274,11 @@ def compute_s(spec, s_d=()):
     return tuple(sorted(set(spec.s0) | set(compute_s_bad(spec)) | set(s_d)))
 
 
+def g_element(value, subset=()) -> GElement:
+    """[value][p_subset], with the square class of value found by factoring."""
+    return GElement(square_class(value), frozenset(subset))
+
+
 def ev(spec, t0, x: GElement) -> SquareClass:
     """[c][p_{J'}] evaluated at t0: the square class of c * p_{J'}(t0)."""
     value = Fraction(x.c.value()) * spec.product_value(sorted(x.poly), t0)

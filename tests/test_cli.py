@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from torusdescent import arith
 from torusdescent.cli import main
 from torusdescent.surface import serialize_point, serialize_spec
 
@@ -105,12 +106,42 @@ def test_solve_command(spec_file, capsys):
     [["selmer"], ["local", "--place", "7"], ["solve", "--height", "5"]],
     ids=["selmer", "local", "solve"],
 )
-@pytest.mark.parametrize("t", ["0", "-1"])
-def test_fiber_at_root_of_p_j_is_input_error(spec_file, capsys, extra, t):
+@pytest.mark.parametrize(
+    "t, message",
+    [("0", "p_J"), ("-1", "p_J"), ("1/0", "zero denominator")],
+    ids=["0", "-1", "zero-denominator"],
+)
+def test_fiber_at_root_of_p_j_is_input_error(spec_file, capsys, extra, t, message):
     assert main(["--json", extra[0], spec_file, "--t", t, *extra[1:]]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
-    assert "p_J" in captured.err
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_point_file_zero_denominator_is_input_error(tmp_path, capsys):
+    spec, point, _ = family_point(0)
+    spec_path = tmp_path / "family.spec"
+    spec_path.write_text(serialize_spec(spec))
+    point_path = tmp_path / "family.points"
+    point_path.write_text(serialize_point(point) + "3 1/0 1 1 10\n")
+    assert main(["descend", str(spec_path), "--point-file", str(point_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: point line")
+    assert "zero denominator" in captured.err
+    assert captured.out == ""
+
+
+def test_factoring_failure_is_input_error(tmp_path, capsys, monkeypatch):
+    def give_up(n):
+        raise arith.FactorizationError(f"Pollard rho failed on {n}")
+
+    monkeypatch.setattr(arith, "_pollard_rho", give_up)
+    path = tmp_path / "hard.spec"
+    path.write_text(f"s0 real 2\na 1\nb 1\nfactor 1 {1009 * 1013} 1\npartA 1\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: Pollard rho failed on {1009 * 1013}\n"
     assert captured.out == ""
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torusdescent.arith import square_class
+from torusdescent.arith import factorize, square_class
+from torusdescent.brauer import generator_left
 from torusdescent.conditiond import (
     GElement,
     check_condition_d,
@@ -19,9 +20,11 @@ from torusdescent.conditiond import (
     in_g_i_dual,
     span_of,
 )
-from torusdescent.surface import REAL, Place, make_spec, spec_violations
+from torusdescent.surface import REAL, Place, make_spec, serialize_spec, spec_violations
 
-from oracles import g_d_bruteforce
+from fixtures import ALL_FAMILY, family_spec
+from oracles import g_d_bruteforce, g_element
+from test_pipeline_fuzz import _random_spec
 
 
 @pytest.fixture
@@ -49,8 +52,8 @@ def test_d_constant_dual_only_differs_inside(running_spec):
 
 
 def test_group_law():
-    x = GElement.make(6, {1})
-    y = GElement.make(-10, {1, 2})
+    x = g_element(6, {1})
+    y = g_element(-10, {1, 2})
     z = x * y
     assert z.c == square_class(-60)
     assert z.poly == frozenset({2})
@@ -72,8 +75,8 @@ def test_membership_square_invariance(running_spec):
         value = rng.choice([1, -1, 2, 3, 5, -6, 30])
         subset = frozenset(rng.sample([1, 2], rng.randint(0, 2)))
         square = rng.choice([1, 4, 9, 49]) * rng.choice([1, Fraction(1, 25)])
-        x = GElement.make(value, subset)
-        y = GElement.make(value * square, subset)
+        x = g_element(value, subset)
+        y = g_element(value * square, subset)
         for i in running_spec.indices:
             assert in_g_i(running_spec, x, i) == in_g_i(running_spec, y, i)
             assert in_g_i_dual(running_spec, x, i) == in_g_i_dual(running_spec, y, i)
@@ -85,7 +88,7 @@ def test_condition_d_running_example(running_spec):
     assert set(report.g_d) == set(span_of(expected_g_d_generators(running_spec)))
     assert set(report.g_d_dual) == {
         GElement.identity(),
-        GElement.make(-6, {1, 2}),
+        g_element(-6, {1, 2}),
     }
 
 
@@ -165,7 +168,7 @@ def test_wide_j_known_failure(n):
     spec = _g_d_too_large_spec(n)
     report = check_condition_d(spec)
     assert not report.holds
-    x = GElement.make(3, ())
+    x = g_element(3, ())
     assert x in report.g_d and x in report.witnesses
     assert set(span_of(expected_g_d_generators(spec))) <= set(report.g_d)
     assert set(span_of(expected_g_d_dual_generators(spec))) <= set(report.g_d_dual)
@@ -176,8 +179,26 @@ def test_wide_j_known_failure(n):
 @pytest.mark.parametrize("s0,a,b,factors,part_a", SPECS)
 def test_product_of_generators_identity(s0, a, b, factors, part_a):
     spec = make_spec(s0, a, b, factors, part_a)
-    g_a = GElement.make(spec.a, spec.part_a)
-    g_b = GElement.make(spec.b, spec.part_b)
-    g_d = GElement.make(spec.d, spec.indices)
+    g_a = g_element(spec.a, spec.part_a)
+    g_b = g_element(spec.b, spec.part_b)
+    g_d = g_element(spec.d, spec.indices)
     assert g_a * g_b == g_d
     assert set(span_of([g_a, g_d])) == set(span_of([g_a, g_b]))
+
+
+def test_descent_constants_lie_over_the_spec_basis():
+    """Every constant the descent reads a class of has all its primes, to any
+    power, among -1 and the finite primes of S0 + S_bad."""
+    rng = random.Random(2024)
+    specs = [family_spec(k) for k in range(len(ALL_FAMILY))]
+    specs += [_random_spec(rng) for _ in range(120)]
+    for spec in specs:
+        values = [spec.a, spec.b, spec.d]
+        for i in spec.indices:
+            values.append(generator_left(spec, i))
+            for j in spec.indices:
+                values += [d_constant(spec, i, {j}), d_constant_dual(spec, i, {j})]
+        for x in values:
+            primes = set(factorize(x.numerator)) | set(factorize(x.denominator))
+            assert primes <= set(spec.basis_primes), (serialize_spec(spec), x)
+            assert spec.class_of(x) == square_class(x)

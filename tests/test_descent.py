@@ -4,7 +4,6 @@ import pytest
 
 from torusdescent.arith import REAL, Place, hilbert_symbol
 from torusdescent.brauer import generator_left
-from torusdescent.conditiond import GElement
 from torusdescent.descent import (
     Certificate,
     DescentBounds,
@@ -28,6 +27,7 @@ from torusdescent.surface import (
 from fixtures import REDUCTION_MEMBERS, SOLUBLE_FAMILY, family_point, family_spec
 from oracles import (
     compute_s,
+    g_element,
     hilbert_symbol_closed_form,
     is_local_square_closed_form,
     local_square_class,
@@ -165,9 +165,9 @@ def _dual_selmer_by_lemma_conditions(spec, p_t, adm):
     pairing of p_i(t0) against the evaluated element, twisted by [-d][p_J]
     when i lies in the subset.
     """
-    from torusdescent.selmer import GLattice, t0_place_split
+    from torusdescent.selmer import Lattice, t0_place_split
 
-    lattice = GLattice(spec, adm.places)
+    lattice = Lattice(adm.places, spec.indices)
     t0 = adm.t0
     torus_value = -spec.d * spec.product_value(spec.indices, t0)
     t0_places, unit_places = t0_place_split(spec, p_t)
@@ -220,10 +220,10 @@ def test_state_invariants():
     spec, point, _ = family_point(5)
     p_t = build_suitable(spec, point)
     state = _make_state(spec, p_t, (), DescentBounds(), [])
-    neg = GElement.make(-spec.d, spec.indices)
+    neg = g_element(-spec.d, spec.indices)
     assert state.dual.contains(neg)
-    assert state.sel.contains(GElement.make(spec.a, spec.part_a))
-    assert state.sel.contains(GElement.make(spec.d, spec.indices))
+    assert state.sel.contains(g_element(spec.a, spec.part_a))
+    assert state.sel.contains(g_element(spec.d, spec.indices))
     assert state.sel.dim > state.dual.dim
 
 
@@ -233,12 +233,12 @@ def test_evaluation_map_injective():
     import math
 
     from torusdescent.arith import valuation
-    from torusdescent.selmer import GLattice
+    from torusdescent.selmer import Lattice
 
     spec, point, _ = family_point(6)
     p_t = build_suitable(spec, point)
     adm = find_admissible(spec, p_t, DescentBounds()).point
-    lattice = GLattice(spec, adm.places)
+    lattice = Lattice(adm.places, spec.indices)
     primes = [v.p for v in adm.places if v.is_finite]
     primes += [u.p for _, u in adm.witnesses]
     for mask in range(1, 1 << lattice.ncols):
@@ -270,7 +270,7 @@ def test_reduce_strictly_decreases(index):
     p_t = build_suitable(spec, point)
     state = _make_state(spec, p_t, (), DescentBounds(), [])
     assert state.dual.dim >= 2
-    neg = GElement.make(-spec.d, spec.indices)
+    neg = g_element(-spec.d, spec.indices)
     before = state.dual.dim
     new_state = reduce_dual_selmer(state, DescentBounds())
     assert new_state.dual.dim < before
@@ -363,7 +363,7 @@ def test_sd_witness_insertion_kills_element():
     spec, point, _ = family_point(5)
     p_t = build_suitable(spec, point)
     state = _make_state(spec, p_t, (), DescentBounds(), [])
-    neg = GElement.make(-spec.d, spec.indices)
+    neg = g_element(-spec.d, spec.indices)
     target = None
     for g in state.dual.elements():
         if not g.is_identity() and g != neg:

@@ -1,17 +1,22 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusdescent.arith import (
     REAL,
     Place,
     SquareClass,
+    class_from_mask,
+    class_mask,
     is_local_square,
     square_class,
 )
 from torusdescent.conditiond import GElement
 from torusdescent.selmer import (
-    SquareClassLattice,
+    Lattice,
     dimension_identity,
     selmer_groups,
     split_places,
@@ -19,7 +24,7 @@ from torusdescent.selmer import (
 )
 from torusdescent.surface import make_spec
 
-from oracles import dual_selmer_by_enumeration, ev, selmer_by_enumeration
+from oracles import dual_selmer_by_enumeration, ev, g_element, selmer_by_enumeration
 
 
 def places_of(*primes):
@@ -40,8 +45,8 @@ def test_torus_data_validation():
 def test_selmer_minus_one():
     torus = torus_data(-1, places_of(2))
     sel, dual = selmer_groups(torus)
-    assert sel.dim == 1 and sel.contains(square_class(2))
-    assert dual.dim == 1 and dual.contains(square_class(-1))
+    assert sel.dim == 1 and sel.contains(g_element(2))
+    assert dual.dim == 1 and dual.contains(g_element(-1))
 
 
 def test_selmer_square_discriminant():
@@ -94,8 +99,8 @@ def test_selmer_matches_enumeration_random():
         if torus is None:
             continue
         sel, dual = selmer_groups(torus)
-        assert set(sel.elements()) == selmer_by_enumeration(torus.d, torus.places)
-        assert set(dual.elements()) == dual_selmer_by_enumeration(
+        assert {g.c for g in sel.elements()} == selmer_by_enumeration(torus.d, torus.places)
+        assert {g.c for g in dual.elements()} == dual_selmer_by_enumeration(
             torus.d, torus.places
         )
         checked += 1
@@ -121,21 +126,44 @@ def test_dimension_identity_random():
         checked += 1
 
 
-def test_lattice_encode_decode():
-    lattice = SquareClassLattice(places_of(2, 7))
-    for value in (1, -1, 2, 7, -14):
-        cls = square_class(value)
-        assert lattice.decode(lattice.encode(cls)) == cls
+BASIS_PRIMES = (2, 3, 5, 7, 13, 10007)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sign=st.sampled_from((1, -1)),
+    chosen=st.sets(st.sampled_from(BASIS_PRIMES), min_size=1),
+    exponents=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        min_size=len(BASIS_PRIMES), max_size=len(BASIS_PRIMES),
+    ),
+    extra=st.sampled_from((11, 17, 10009)),
+    extra_exponent=st.integers(-2, 2).filter(bool),
+)
+def test_lattice_encode_decode(sign, chosen, exponents, extra, extra_exponent):
+    lattice = Lattice(places_of(*chosen))
+    x = Fraction(sign)
+    for p, (up, down) in zip(sorted(chosen), exponents):
+        x *= Fraction(p**up, p**down)
+    mask = class_mask(x, lattice.primes)
+    assert class_from_mask(mask, lattice.primes) == square_class(x)
+    assert lattice.decode(mask) == g_element(x)
+    assert lattice.encode(lattice.decode(mask)) == mask
+    # a prime outside the list is an error even to an even power, and so is 0
     with pytest.raises(ValueError, match="outside"):
-        lattice.encode(square_class(3))
+        class_mask(x * Fraction(extra) ** extra_exponent, lattice.primes)
+    with pytest.raises(ValueError, match="outside"):
+        lattice.encode(g_element(x * extra))
+    with pytest.raises(ValueError, match="0 has no square class"):
+        class_mask(Fraction(0), lattice.primes)
 
 
 def test_ev_examples():
     spec = make_spec([], 2, 3, {1: (1, 0), 2: (1, 1)}, [1])
     assert ev(spec, 2, GElement.identity()) == SquareClass.identity()
-    assert ev(spec, 2, GElement.make(1, {1})) == square_class(2)
-    x = GElement.make(3, {1})
-    y = GElement.make(-1, {2})
+    assert ev(spec, 2, g_element(1, {1})) == square_class(2)
+    x = g_element(3, {1})
+    y = g_element(-1, {2})
     assert ev(spec, 5, x * y) == ev(spec, 5, x) * ev(spec, 5, y)
     with pytest.raises(ValueError):
-        ev(spec, 0, GElement.make(1, {1}))
+        ev(spec, 0, g_element(1, {1}))

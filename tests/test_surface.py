@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from torusdescent import surface
 from torusdescent.arith import REAL, Place
+from torusdescent.descent import DescentBounds, descend
 from torusdescent.surface import (
     DegenerateFiberError,
     LocalPoint,
@@ -20,6 +22,7 @@ from torusdescent.surface import (
     spec_violations,
 )
 
+from fixtures import family_point
 from oracles import compute_s
 
 
@@ -92,6 +95,22 @@ def test_s_bad_covering_prime():
 def test_s_bad_leading_coefficient_prime():
     spec = make_spec([2], 1, 1, {1: (5, 1), 2: (1, 1)}, [1])
     assert 5 in {v.p for v in compute_s_bad(spec)}
+
+
+def test_s_bad_is_computed_once_per_spec(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return compute_s_bad(spec)
+
+    monkeypatch.setattr(surface, "compute_s_bad", counted)
+    spec, point, _ = family_point(5)
+    assert calls == []  # validation does not compute S_bad
+    descend(spec, point, DescentBounds(solve_each_fiber=False, height=50))
+    assert calls == [spec]
+    assert spec.s_bad == compute_s_bad(spec)
+    assert spec.basis_primes == (2, 5)
 
 
 def test_compute_s_union(running_spec):
