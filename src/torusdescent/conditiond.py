@@ -1,21 +1,20 @@
 """Condition (D): the class group G, the constants D_i^{J'}, and the
 subgroup intersections that control which Selmer elements descent can kill.
 
-Elements of G are pairs (square class, subset of J).  The class of
-D_i^{J'} is linear in the indicator vector of J', so each membership
-condition is linear over F2 and the intersection groups are kernels of one
-stacked F2 map, computed in polynomial time in |J|.
+Elements of G are pairs (square class, subset of J).  No constant is built
+as a rational: [D_i^{J'}] is the XOR of SurfaceSpec.root_masks over its
+factors p_j(-d_i/c_i), plus [d] or [-d] when i lies in J'.  It is linear in
+J', so each membership condition is linear over F2 and the intersection
+groups are kernels of one stacked F2 map, polynomial in |J|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import FrozenSet, Iterable, List, Sequence, Tuple
+from typing import AbstractSet, FrozenSet, List, Sequence, Tuple
 
 from . import gf2
 from .arith import SquareClass, class_from_mask, class_mask
-from .brauer import generator_left
 from .surface import SurfaceSpec
 
 
@@ -46,57 +45,55 @@ class GElement:
         return f"[{self.c}][{prod}]"
 
 
-def d_constant(spec: SurfaceSpec, i: int, subset: Iterable[int]) -> Fraction:
-    """D_i^{J'} = p_{J'}(-d_i/c_i) for i outside J', d*p_{J'^c}(-d_i/c_i) inside."""
-    subset = frozenset(subset)
-    root = spec.root(i)
-    if i not in subset:
-        value = spec.product_value(sorted(subset), root)
-    else:
-        complement = sorted(set(spec.indices) - subset)
-        value = spec.d * spec.product_value(complement, root)
-    if value == 0:
-        raise ValueError(f"D_{i}^{sorted(subset)} vanished: spec invariant violated")
-    return value
+def constant_mask(spec: SurfaceSpec, i: int, subset: AbstractSet[int], dual: bool = False) -> int:
+    """[D_i^{J'}] over -1 and spec.basis_primes; [Dhat_i^{J'}] when dual.
+
+    D_i^{J'} = p_{J'}(-d_i/c_i) for i outside J', d*p_{J'^c}(-d_i/c_i)
+    inside, and Dhat_i^{J'} puts -d for d.  The class of each factor
+    p_j(-d_i/c_i) is the table entry spec.root_masks[i, j].
+    """
+    others, mask = subset, 0
+    if i in subset:
+        others = [j for j in spec.indices if j not in subset]
+        mask = class_mask(spec.d, spec.basis_primes) ^ dual
+    for j in others:
+        mask ^= spec.root_masks[i, j]
+    return mask
 
 
-def d_constant_dual(spec: SurfaceSpec, i: int, subset: Iterable[int]) -> Fraction:
-    """Dual constant: d replaced by -d in the i-in-J' branch."""
-    subset = frozenset(subset)
-    if i not in subset:
-        return d_constant(spec, i, subset)
-    return -d_constant(spec, i, subset)
+def generator_mask(spec: SurfaceSpec, i: int) -> int:
+    """[a*D_i^A], the class of brauer.generator_left(spec, i)."""
+    return class_mask(spec.a, spec.basis_primes) ^ constant_mask(spec, i, spec.part_a)
 
 
-def in_g_i(spec: SurfaceSpec, x: GElement, i: int) -> bool:
-    """Membership in G_i: [c*D_i^{J'}] lies in <[a*D_i^A]>."""
-    cls = x.c * spec.class_of(d_constant(spec, i, x.poly))
-    return cls.is_identity() or cls == spec.class_of(generator_left(spec, i))
+def in_g_i(spec: SurfaceSpec, x: GElement, i: int, dual: bool = False) -> bool:
+    """Membership in G_i (G^i when dual): [c*D_i^{J'}] lies in <[a*D_i^A]>."""
+    primes = spec.basis_primes
+    cls = x.c * class_from_mask(constant_mask(spec, i, x.poly, dual), primes)
+    return cls.is_identity() or cls == class_from_mask(generator_mask(spec, i), primes)
 
 
-def in_g_i_dual(spec: SurfaceSpec, x: GElement, i: int) -> bool:
-    """Membership in G^i: [c*Dhat_i^{J'}] lies in <[a*D_i^A]>."""
-    cls = x.c * spec.class_of(d_constant_dual(spec, i, x.poly))
-    return cls.is_identity() or cls == spec.class_of(generator_left(spec, i))
-
-
-def _compute_intersection(spec: SurfaceSpec, dual: bool) -> List[GElement]:
-    """The x = (c, J') with [c*D_i^{J'}] in <t_i = [a*D_i^A]> for every i.
+def compute_intersection(spec: SurfaceSpec, dual: bool = False) -> List[GElement]:
+    """G_D (G^D when dual): the x = (c, J') with [c*D_i^{J'}] in <t_i = [a*D_i^A]>
+    for every i, its generators re-checked one by one.
 
     [D_i^{J'}] = sum over j in J' of r_ij = [D_i^{{j}}], so the intersection is the
     projection to (c, J') of the kernel of (c, J', e) -> (c + sum_j J'_j r_ij + e_i t_i)_i,
-    with every class a mask over -1 and the spec's basis primes.
+    with every class a mask over -1 and the spec's basis primes.  The row of
+    index k and bit b holds bit b of c, of each r_kj and of t_k.
     """
-    constant = d_constant_dual if dual else d_constant
     n = len(spec.indices)
     primes = spec.basis_primes
     width = 1 + len(primes)
-    r = [[class_mask(constant(spec, i, {j}), primes) for j in spec.indices] for i in spec.indices]
-    t = [class_mask(generator_left(spec, i), primes) for i in spec.indices]
-    cols = [sum(1 << b << k * width for k in range(n)) for b in range(width)]
-    cols += [sum(r[k][j] << k * width for k in range(n)) for j in range(n)]
-    cols += [t[k] << k * width for k in range(n)]
-    rows = [sum((col >> q & 1) << m for m, col in enumerate(cols)) for q in range(n * width)]
+    rows = []
+    for k, i in enumerate(spec.indices):
+        r = [constant_mask(spec, i, {j}, dual) for j in spec.indices]
+        t = generator_mask(spec, i)
+        for b in range(width):
+            row = 1 << b | (t >> b & 1) << width + n + k
+            for m, r_kj in enumerate(r):
+                row |= (r_kj >> b & 1) << width + m
+            rows.append(row)
     kernel = gf2.kernel_basis(rows, width + 2 * n)
     group = gf2.Subspace(width + n, [v % (1 << width + n) for v in kernel])
 
@@ -104,21 +101,10 @@ def _compute_intersection(spec: SurfaceSpec, dual: bool) -> List[GElement]:
         poly = frozenset(j for k, j in enumerate(spec.indices) if vec >> (width + k) & 1)
         return GElement(class_from_mask(vec, primes), poly)
 
-    member = in_g_i_dual if dual else in_g_i
     for x in map(element, group.basis):
-        if not all(member(spec, x, i) for i in spec.indices):
+        if not all(in_g_i(spec, x, i, dual) for i in spec.indices):
             raise AssertionError(f"kernel generator {x} is outside the intersection (bug)")
     return sorted(map(element, group.elements()), key=GElement.sort_key)
-
-
-def compute_g_d(spec: SurfaceSpec) -> List[GElement]:
-    """G_D = intersection of the G_i, its generators re-checked one by one."""
-    return _compute_intersection(spec, dual=False)
-
-
-def compute_g_d_dual(spec: SurfaceSpec) -> List[GElement]:
-    """G^D = intersection of the G^i."""
-    return _compute_intersection(spec, dual=True)
 
 
 def span_of(generators: Sequence[GElement]) -> List[GElement]:
@@ -162,8 +148,8 @@ class ConditionDReport:
 
 def check_condition_d(spec: SurfaceSpec) -> ConditionDReport:
     """Compare G_D, G^D against their target subgroups."""
-    g_d = compute_g_d(spec)
-    g_d_dual = compute_g_d_dual(spec)
+    g_d = compute_intersection(spec)
+    g_d_dual = compute_intersection(spec, dual=True)
     target = span_of(expected_g_d_generators(spec))
     target_dual = span_of(expected_g_d_dual_generators(spec))
     for g in target:

@@ -21,6 +21,7 @@ from .arith import (
     REAL,
     Place,
     Rational,
+    class_from_mask,
     crt,
     hensel_solve,
     hilbert_row,
@@ -37,12 +38,10 @@ from .conditiond import (
     ConditionDReport,
     GElement,
     check_condition_d,
-    d_constant,
-    d_constant_dual,
+    constant_mask,
     expected_g_d_dual_generators,
     expected_g_d_generators,
     in_g_i,
-    in_g_i_dual,
     span_of,
 )
 from .points import (
@@ -493,7 +492,7 @@ def _make_state(
 
 
 def _scan_prime(
-    conditions: Sequence[Tuple[Fraction, int]],
+    conditions: Sequence[Tuple[Rational, int]],
     avoid: Set[int],
     bound: int,
     stage: str,
@@ -581,6 +580,12 @@ def _normalize(state: DescentState, x0: GElement, x1: GElement, i: int):
     return x0, x1
 
 
+def _character_value(spec: SurfaceSpec, x: GElement, i: int, dual: bool = False) -> int:
+    """Square-free [c*D_i^{J'}] (Dhat if dual): the constant's Legendre symbols outside T."""
+    mask = constant_mask(spec, i, x.poly, dual)
+    return (x.c * class_from_mask(mask, spec.basis_primes)).value()
+
+
 def _add_sd_witness(
     state: DescentState, x: GElement, dual: bool, bounds: DescentBounds
 ) -> DescentState:
@@ -592,11 +597,9 @@ def _add_sd_witness(
     Selmer condition that excludes x.
     """
     spec = state.spec
-    membership = in_g_i_dual if dual else in_g_i
-    constant = d_constant_dual if dual else d_constant
     i_prime = None
     for i in spec.indices:
-        if not membership(spec, x, i):
+        if not in_g_i(spec, x, i, dual):
             i_prime = i
             break
     if i_prime is None:
@@ -604,7 +607,7 @@ def _add_sd_witness(
             "element lies in every membership subgroup: Condition (D) "
             "verification should have caught this"
         )
-    char_value = Fraction(x.c.value()) * constant(spec, i_prime, x.poly)
+    char_value = _character_value(spec, x, i_prime, dual)
     target = generator_left(spec, i_prime)
     avoid = {v.p for v in state.p_t.places if v.is_finite}
     avoid.update(u.p for _, u in state.adm.witnesses)
@@ -646,8 +649,8 @@ def _chebotarev_step(
     if i_x in x0.poly or i_x in x1.poly:
         raise DescentAnomaly("elements must be normalized away from the index")
     a_val = generator_left(spec, i_x)
-    c0_val = Fraction(x0.c.value()) * d_constant(spec, i_x, x0.poly)
-    c1_val = Fraction(x1.c.value()) * d_constant(spec, i_x, x1.poly)
+    c0_val = _character_value(spec, x0, i_x)
+    c1_val = _character_value(spec, x1, i_x)
     avoid = {v.p for v in state.p_t.places if v.is_finite}
     avoid.update(u.p for _, u in state.adm.witnesses)
     w = _scan_prime(
@@ -761,7 +764,7 @@ def reduce_dual_selmer(state: DescentState, bounds: DescentBounds) -> DescentSta
             if in_g_i(state.spec, x1, i):
                 continue
             x0n, x1n = _normalize(state, x0, x1, i)
-            if not in_g_i_dual(state.spec, x0n, i):
+            if not in_g_i(state.spec, x0n, i, dual=True):
                 usable.append((i in x0.poly or i in x1.poly, i, x0n, x1n))
         if usable:
             usable.sort()

@@ -116,6 +116,14 @@ class SurfaceSpec:
         """
         return tuple(sorted({*self.s0_finite_primes, *(v.p for v in self.s_bad)}))
 
+    @cached_property
+    def root_masks(self) -> Dict[Tuple[int, int], int]:
+        """(i, j) -> class_mask of p_j(-d_i/c_i) = (c_i*d_j - c_j*d_i)/c_i
+        over basis_primes, for i != j: every descent constant is an XOR of
+        these and [a] or [d]."""
+        return {(i, j): class_mask(self.factor_value(j, self.root(i)), self.basis_primes)
+                for i in self.indices for j in self.indices if i != j}
+
     def class_of(self, x: Rational) -> SquareClass:
         """[x] for a constant of the descent, read off over basis_primes."""
         return class_from_mask(class_mask(x, self.basis_primes), self.basis_primes)

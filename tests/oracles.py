@@ -24,7 +24,7 @@ from torusdescent.arith import (
     square_class,
     valuation,
 )
-from torusdescent.conditiond import GElement, in_g_i, in_g_i_dual
+from torusdescent.conditiond import GElement
 from torusdescent.surface import compute_s_bad
 
 
@@ -185,12 +185,30 @@ def dual_selmer_by_enumeration(d, places) -> set:
     return members
 
 
+def d_constant(spec, i: int, subset) -> Fraction:
+    """D_i^{J'} = p_{J'}(-d_i/c_i) for i outside J', d*p_{J'^c}(-d_i/c_i) inside,
+    as the rational product of the definition."""
+    subset = frozenset(subset)
+    root = spec.root(i)
+    if i not in subset:
+        return spec.product_value(sorted(subset), root)
+    complement = sorted(set(spec.indices) - subset)
+    return spec.d * spec.product_value(complement, root)
+
+
+def d_constant_dual(spec, i: int, subset) -> Fraction:
+    """Dual constant: d replaced by -d in the i-in-J' branch."""
+    value = d_constant(spec, i, subset)
+    return -value if i in frozenset(subset) else value
+
+
 def g_d_bruteforce(spec, dual: bool) -> set:
     """Support-bounded enumeration of the intersection subgroup.
 
     Candidate square classes run over all sign/support combinations inside
     the primes dividing 2, a, b, every c_i, d_i, and every cross-resultant;
-    membership is tested factor by factor with the direct definition.
+    membership is tested factor by factor with the direct definition, on
+    square_class of the rational constants d_constant / d_constant_dual.
     """
     primes = {2}
     values = [spec.a, spec.b]
@@ -203,17 +221,28 @@ def g_d_bruteforce(spec, dual: bool) -> set:
         value = Fraction(value)
         primes |= set(factorize(value.numerator)) | set(factorize(value.denominator))
     primes = sorted(primes)
-    membership = in_g_i_dual if dual else in_g_i
+    constant = d_constant_dual if dual else d_constant
+    subsets = [
+        frozenset(subset)
+        for size in range(len(spec.indices) + 1)
+        for subset in itertools.combinations(spec.indices, size)
+    ]
+    classes = {(i, s): square_class(constant(spec, i, s)) for i in spec.indices for s in subsets}
+    targets = {i: square_class(spec.a * d_constant(spec, i, spec.part_a)) for i in spec.indices}
+
+    def member(x: GElement, i: int) -> bool:
+        cls = x.c * classes[i, x.poly]
+        return cls.is_identity() or cls == targets[i]
+
     members = set()
     for sign in (1, -1):
         for r in range(len(primes) + 1):
             for support in itertools.combinations(primes, r):
                 cls = SquareClass(sign, support)
-                for size in range(len(spec.indices) + 1):
-                    for subset in itertools.combinations(spec.indices, size):
-                        x = GElement(cls, frozenset(subset))
-                        if all(membership(spec, x, i) for i in spec.indices):
-                            members.add(x)
+                for subset in subsets:
+                    x = GElement(cls, subset)
+                    if all(member(x, i) for i in spec.indices):
+                        members.add(x)
     return members
 
 

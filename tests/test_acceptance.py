@@ -17,8 +17,7 @@ from torusdescent.arith import (
 )
 from torusdescent.brauer import brauer_generator, generator_left, residue_at
 from torusdescent.conditiond import (
-    compute_g_d,
-    compute_g_d_dual,
+    compute_intersection,
     expected_g_d_dual_generators,
     expected_g_d_generators,
     span_of,
@@ -196,8 +195,8 @@ def _random_specs(seed, count, max_factors=3):
 def test_criterion_5_condition_d_exactness():
     started = time.time()
     for spec in _random_specs(105, 50):
-        g_d = compute_g_d(spec)
-        g_d_dual = compute_g_d_dual(spec)
+        g_d = compute_intersection(spec)
+        g_d_dual = compute_intersection(spec, dual=True)
         assert set(g_d) == g_d_bruteforce(spec, dual=False)
         assert set(g_d_dual) == g_d_bruteforce(spec, dual=True)
         for gen in span_of(expected_g_d_generators(spec)):

@@ -18,11 +18,10 @@ from torusdescent.brauer import (
     obstruction_sum,
     residue_at,
 )
-from torusdescent.conditiond import d_constant
 from torusdescent.points import good_place_solubility
 from torusdescent.surface import LocalPoint, PartialAdelicPoint, fiber, make_spec
 
-from oracles import hilbert_relevant_places, poly_from_factors, tame_residue
+from oracles import d_constant, hilbert_relevant_places, poly_from_factors, tame_residue
 
 
 @pytest.fixture

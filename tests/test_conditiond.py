@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,25 +6,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torusdescent.arith import factorize, square_class
+from torusdescent.arith import class_mask, factorize, square_class
 from torusdescent.brauer import generator_left
 from torusdescent.conditiond import (
     GElement,
     check_condition_d,
-    compute_g_d,
-    compute_g_d_dual,
-    d_constant,
-    d_constant_dual,
+    compute_intersection,
+    constant_mask,
     expected_g_d_dual_generators,
     expected_g_d_generators,
+    generator_mask,
     in_g_i,
-    in_g_i_dual,
     span_of,
 )
 from torusdescent.surface import REAL, Place, make_spec, serialize_spec, spec_violations
 
 from fixtures import ALL_FAMILY, family_spec
-from oracles import g_d_bruteforce, g_element
+from oracles import d_constant, d_constant_dual, g_d_bruteforce, g_element
 from test_pipeline_fuzz import _random_spec
 
 
@@ -65,7 +64,7 @@ def test_generators_always_members(running_spec):
     for gen in expected_g_d_generators(spec):
         assert all(in_g_i(spec, gen, i) for i in spec.indices)
     for gen in expected_g_d_dual_generators(spec):
-        assert all(in_g_i_dual(spec, gen, i) for i in spec.indices)
+        assert all(in_g_i(spec, gen, i, dual=True) for i in spec.indices)
     assert all(in_g_i(spec, GElement.identity(), i) for i in spec.indices)
 
 
@@ -79,7 +78,7 @@ def test_membership_square_invariance(running_spec):
         y = g_element(value * square, subset)
         for i in running_spec.indices:
             assert in_g_i(running_spec, x, i) == in_g_i(running_spec, y, i)
-            assert in_g_i_dual(running_spec, x, i) == in_g_i_dual(running_spec, y, i)
+            assert in_g_i(running_spec, x, i, True) == in_g_i(running_spec, y, i, True)
 
 
 def test_condition_d_running_example(running_spec):
@@ -101,15 +100,15 @@ def test_condition_d_failure_with_witness():
     # every witness genuinely satisfies all memberships but escapes the span
     for x in report.witnesses:
         in_plain = all(in_g_i(spec, x, i) for i in spec.indices)
-        in_dual = all(in_g_i_dual(spec, x, i) for i in spec.indices)
+        in_dual = all(in_g_i(spec, x, i, dual=True) for i in spec.indices)
         assert in_plain or in_dual
 
 
 def test_single_factor_bound():
     # |J| = 1: at most 2 candidate classes for each of the 2 subsets
     spec = make_spec([2], 2, 1, {1: (1, 0)}, [1])
-    assert len(compute_g_d(spec)) <= 4
-    assert len(compute_g_d_dual(spec)) <= 4
+    assert len(compute_intersection(spec)) <= 4
+    assert len(compute_intersection(spec, dual=True)) <= 4
 
 
 SPECS = [
@@ -129,16 +128,16 @@ SPECS = [
 @pytest.mark.parametrize("s0,a,b,factors,part_a", SPECS)
 def test_intersection_matches_bruteforce(s0, a, b, factors, part_a):
     spec = make_spec(s0, a, b, factors, part_a)
-    assert set(compute_g_d(spec)) == g_d_bruteforce(spec, dual=False)
-    assert set(compute_g_d_dual(spec)) == g_d_bruteforce(spec, dual=True)
+    assert set(compute_intersection(spec)) == g_d_bruteforce(spec, dual=False)
+    assert set(compute_intersection(spec, dual=True)) == g_d_bruteforce(spec, dual=True)
 
 
 @st.composite
-def small_specs(draw):
-    """Raw specs with |J| <= 3 and coefficients small enough for the oracle."""
+def small_specs(draw, max_factors=3):
+    """Raw specs with |J| <= max_factors and coefficients small enough for the oracle."""
     s0 = draw(st.sampled_from([(), (2,), (2, 3)]))
     a, b = (draw(st.sampled_from([x for x in range(-6, 7) if x])) for _ in range(2))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_factors))
     factors = {i: (draw(st.integers(1, 3)), draw(st.integers(-5, 5))) for i in range(1, n + 1)}
     part_a = [i for i in factors if draw(st.booleans())]
     return s0, a, b, factors, part_a
@@ -151,6 +150,30 @@ def test_intersection_matches_bruteforce_random(raw):
     places = [REAL] + [Place.finite(p) for p in s0]
     assume(not spec_violations(places, a, b, factors, part_a))
     test_intersection_matches_bruteforce(*raw)
+
+
+@given(small_specs(max_factors=4))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_constant_masks_match_rational_constants(raw):
+    """Every D_i^{J'} and Dhat_i^{J'} read off root_masks has the class of the
+    rational product, and so does every generator_left."""
+    s0, a, b, factors, part_a = raw
+    places = [REAL] + [Place.finite(p) for p in s0]
+    assume(not spec_violations(places, a, b, factors, part_a))
+    spec = make_spec(s0, a, b, factors, part_a)
+    primes = spec.basis_primes
+    for i in spec.indices:
+        for size in range(len(spec.indices) + 1):
+            for subset in map(frozenset, itertools.combinations(spec.indices, size)):
+                for dual, constant in ((False, d_constant), (True, d_constant_dual)):
+                    expected = class_mask(constant(spec, i, subset), primes)
+                    assert constant_mask(spec, i, subset, dual) == expected
+        left, part = (spec.a, spec.part_a) if i not in spec.part_a else (spec.b, spec.part_b)
+        mask = class_mask(left, primes)
+        for j in part:
+            mask ^= spec.root_masks[i, j]
+        assert class_mask(generator_left(spec, i), primes) == mask
+        assert generator_mask(spec, i) == mask
 
 
 def _g_d_too_large_spec(n):
@@ -173,7 +196,7 @@ def test_wide_j_known_failure(n):
     assert set(span_of(expected_g_d_generators(spec))) <= set(report.g_d)
     assert set(span_of(expected_g_d_dual_generators(spec))) <= set(report.g_d_dual)
     assert all(in_g_i(spec, g, i) for g in report.g_d for i in spec.indices)
-    assert all(in_g_i_dual(spec, g, i) for g in report.g_d_dual for i in spec.indices)
+    assert all(in_g_i(spec, g, i, dual=True) for g in report.g_d_dual for i in spec.indices)
 
 
 @pytest.mark.parametrize("s0,a,b,factors,part_a", SPECS)

@@ -10,6 +10,7 @@ from torusdescent.surface import (
     LocalPoint,
     PartialAdelicPoint,
     SpecValidationError,
+    SurfaceSpec,
     compute_s_bad,
     evaluate_point,
     fiber,
@@ -111,6 +112,19 @@ def test_s_bad_is_computed_once_per_spec(monkeypatch):
     assert calls == [spec]
     assert spec.s_bad == compute_s_bad(spec)
     assert spec.basis_primes == (2, 5)
+
+
+def test_root_masks_running_example(running_spec):
+    # p_2(0) = 1 and p_1(-1) = -1, over -1 (bit 0), 2 and 3
+    assert running_spec.basis_primes == (2, 3)
+    assert running_spec.root_masks == {(1, 2): 0, (2, 1): 1}
+
+
+def test_traced_spec_methods_stay_in_the_class_dict():
+    """The benchmark's span recorder (SPEC_METHODS in perfbench/spans.py) wraps
+    these methods by looking each one up in SurfaceSpec.__dict__."""
+    for name in ("coeffs", "root", "factor_value", "product_value", "is_s0_integer"):
+        assert callable(SurfaceSpec.__dict__.get(name)), name
 
 
 def test_compute_s_union(running_spec):
