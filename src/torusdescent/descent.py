@@ -14,10 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
 from .arith import (
+    _SMALL_PRIMES,
     REAL,
     Place,
     Rational,
@@ -307,6 +308,56 @@ class AdmissibleSearch:
     reciprocity_sums: Dict[int, int]
 
 
+# the primes below 200; most leftovers that are not prime have one of them
+_SIEVE_PRIMES = frozenset(_SMALL_PRIMES[:46])
+
+
+def _t_free(n: int, t_primes: Sequence[int]) -> int:
+    """n with every prime of T divided out; n must be nonzero."""
+    for q in t_primes:
+        while n % q == 0:
+            n //= q
+    return n
+
+
+def _leftover_sieve(
+    spec: SurfaceSpec, tau0: int, modulus: int, denominator: int, t_primes: Sequence[int]
+) -> Callable[[int], bool]:
+    """Predicate on n: does t0 = (tau0 + modulus*n)/denominator have a
+    leftover with a sieving prime q outside T that is not q itself?
+
+    With c_i = c/c' and d_i = d/d' in lowest terms, L_i*p_i(t0) is the
+    integer linear form A_i + B_i*n with L_i = denominator*c'*d',
+    A_i = c*d'*tau0 + d*c'*denominator and B_i = c*d'*modulus.  If every
+    L_i is T-smooth, the leftover of p_i(t0) is the T-free part of
+    A_i + B_i*n, so q divides it exactly when n = -A_i/B_i (mod q) (for q
+    dividing B_i: for all n or for none).  One gcd with the product of the
+    sieving primes tests every residue class at once.
+    """
+    forms = []
+    for i in spec.indices:
+        c, d = spec.coeffs(i)
+        if _t_free(denominator * c.denominator * d.denominator, t_primes) != 1:
+            return lambda n: False  # a leftover could keep a denominator
+        forms.append((c.numerator * d.denominator * tau0
+                      + d.numerator * c.denominator * denominator,
+                      c.numerator * d.denominator * modulus))
+    sieve = math.prod(_SIEVE_PRIMES.difference(t_primes))
+
+    def struck(n: int) -> bool:
+        for a, b in forms:
+            value = a + b * n
+            if value == 0:  # a root of p_J, rejected anyway
+                return True
+            g = math.gcd(value, sieve)
+            # two sieving primes divide the leftover, or one that is not all of it
+            if g != 1 and (g not in _SIEVE_PRIMES or _t_free(abs(value) // g, t_primes) != 1):
+                return True
+        return False
+
+    return struck
+
+
 def find_admissible(
     spec: SurfaceSpec,
     p_t: PartialAdelicPoint,
@@ -320,6 +371,18 @@ def find_admissible(
     fiber above t0 is verified everywhere locally soluble, with the
     reciprocity certificate at each u_i.  Exhaustion of the scan is the
     explicit conditionality of the whole pipeline.
+
+    The primes below 200 sieve the progression first (`_leftover_sieve`),
+    and only survivors reach the `Fraction` checks of `_try_admissible`.
+    The sieve is exact: it strikes n only when a sieving prime q outside T
+    divides the leftover of some p_i(t0) and the leftover is not q itself,
+    so the leftover is composite (or p_i(t0) = 0) and `_try_admissible`
+    returns None.  It cannot raise there first: its only earlier check, on
+    the denominator, holds because every L_i = D*den(c_i)*den(d_i) is
+    T-smooth (the sieve is off otherwise).  A leftover equal to q is kept,
+    since q may be the witness prime.  Struck candidates are counted in
+    `candidates_checked` and against `bounds.admissible_candidates`, so the
+    scan order, the budget and the result are those of the unsieved scan.
     """
     if REAL not in p_t.entries:
         raise DescentAnomaly("partial adelic point lacks a real component")
@@ -328,6 +391,7 @@ def find_admissible(
     tau0, modulus, denominator = _approximation_data(spec, p_t)
     lo, hi = _real_chamber(spec, p_t.entries[REAL].t)
     t_primes = [v.p for v in p_t.places if v.is_finite]
+    struck = _leftover_sieve(spec, tau0, modulus, denominator, t_primes)
     step = Fraction(modulus, denominator)
     base = Fraction(tau0, denominator)
     # base + n*step lies in the open chamber exactly when n_min <= n <= n_max
@@ -346,6 +410,8 @@ def find_admissible(
             checked += 1
             if checked > bounds.admissible_candidates:
                 raise SearchExhausted("admissible_point", bounds.admissible_candidates)
+            if struck(n):
+                continue
             result = _try_admissible(spec, p_t, Fraction(tau0 + modulus * n, denominator),
                                       t_primes, reject)
             if result is not None:
@@ -372,13 +438,8 @@ def _try_admissible(
     for i in spec.indices:
         value = values[i] = spec.factor_value(i, t0)
         # the leftover of p_i(t0) once the primes of T are stripped
-        num, den = abs(value.numerator), value.denominator
-        for q in t_primes:
-            while num % q == 0:
-                num //= q
-            while den % q == 0:
-                den //= q
-        if den != 1:
+        num = _t_free(abs(value.numerator), t_primes)
+        if _t_free(value.denominator, t_primes) != 1:
             raise DescentAnomaly(f"denominator of {value} escapes the working primes")
         if any(u.p == num for _, u in witnesses):
             return None

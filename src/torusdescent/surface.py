@@ -8,6 +8,7 @@ spec-file format.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -174,9 +175,8 @@ def spec_violations(
             if bad:
                 problems.append(f"factor {i}: d = 0 and c has primes {bad} outside S0")
         else:
-            common = set(factorize(c.numerator)) & set(factorize(d.numerator))
-            bad = sorted(q for q in common if q not in s0_primes
-                         and valuation(c, q) > 0 and valuation(d, q) > 0)
+            common = factorize(math.gcd(c.numerator, d.numerator))
+            bad = sorted(q for q in common if q not in s0_primes)
             if bad:
                 problems.append(f"factor {i}: c,d share primes {bad} outside S0")
     for idx, (i, (ci, di)) in enumerate(items):

@@ -45,6 +45,16 @@ def test_validate_json_deterministic(spec_file, capsys):
     assert "spec_hash" in payload and "readings" in payload
 
 
+def test_validate_coefficient_past_the_primality_range(tmp_path, capsys):
+    # c = 1 and d coprime: nothing needs the factorization of d, however large
+    path = tmp_path / "big.spec"
+    path.write_text(f"s0 real 2\na 1\nb 1\nfactor 1 1 {arith._MR_LIMIT}\npartA 1\n")
+    assert main(["validate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("spec valid")
+    assert captured.err == ""
+
+
 def test_validate_rejects_bad_file(tmp_path, capsys):
     path = tmp_path / "bad.spec"
     path.write_text("s0 real\na 0\nb 1\nfactor 1 1 0\npartA 1\n")

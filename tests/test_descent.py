@@ -1,6 +1,9 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusdescent.arith import REAL, Place, hilbert_symbol
 from torusdescent.brauer import generator_left
@@ -8,7 +11,12 @@ from torusdescent.descent import (
     Certificate,
     DescentBounds,
     DescentError,
+    SearchExhausted,
+    _SIEVE_PRIMES,
+    _approximation_data,
+    _leftover_sieve,
     _make_state,
+    _try_admissible,
     build_suitable,
     check_hypotheses,
     descend,
@@ -24,7 +32,7 @@ from torusdescent.surface import (
     make_spec,
 )
 
-from fixtures import REDUCTION_MEMBERS, SOLUBLE_FAMILY, family_point, family_spec
+from fixtures import ALL_FAMILY, REDUCTION_MEMBERS, SOLUBLE_FAMILY, family_point, family_spec
 from oracles import (
     compute_s,
     g_element,
@@ -141,6 +149,100 @@ def test_find_admissible_properties():
             assert local_square_class(
                 spec.factor_value(i, adm.t0), v
             ) == local_square_class(spec.factor_value(i, p_t.entries[v].t), v)
+
+
+@functools.lru_cache(maxsize=None)
+def _progression(index):
+    """Spec, suitable point, T primes, progression data and sieve of a member."""
+    spec, point, _ = family_point(index)
+    p_t = build_suitable(spec, point)
+    t_primes = [v.p for v in p_t.places if v.is_finite]
+    tau0, modulus, denominator = _approximation_data(spec, p_t)
+    struck = _leftover_sieve(spec, tau0, modulus, denominator, t_primes)
+    return spec, p_t, t_primes, (tau0, modulus, denominator), struck
+
+
+def _leftovers(spec, t_primes, t0):
+    """|numerator of p_i(t0)| with the primes of T divided out, per factor."""
+    out = []
+    for i in spec.indices:
+        num = abs(spec.factor_value(i, t0).numerator)
+        for q in t_primes:
+            while num and num % q == 0:
+                num //= q
+        out.append(num)
+    return out
+
+
+def _should_strike(spec, t_primes, t0):
+    """A root of p_J, or a leftover with a sieving prime outside T not equal to it."""
+    return any(
+        num == 0
+        or any(num % q == 0 and num != q for q in _SIEVE_PRIMES if q not in t_primes)
+        for num in _leftovers(spec, t_primes, t0)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    index=st.integers(0, len(ALL_FAMILY) - 1),
+    start=st.integers(-3000, 3000),
+    offsets=st.lists(st.integers(0, 23), max_size=4),
+)
+@example(index=7, start=-12, offsets=[])  # n = -1: the leftovers are 11 and 23
+def test_sieve_strikes_only_candidates_try_admissible_rejects(index, start, offsets):
+    spec, p_t, t_primes, (tau0, modulus, denominator), struck = _progression(index)
+
+    def t0(n):
+        return Fraction(tau0 + modulus * n, denominator)
+
+    reject = {t0(start + k) for k in offsets} | {spec.root(i) for i in spec.indices}
+    for n in range(start, start + 24):
+        assert struck(n) == _should_strike(spec, t_primes, t0(n)), n
+        if struck(n):
+            assert _try_admissible(spec, p_t, t0(n), t_primes, reject) is None, n
+
+
+def test_sieve_keeps_a_leftover_equal_to_a_sieving_prime():
+    # family member 7 is admissible at n = -1 with witness primes 11 and 23
+    spec, p_t, t_primes, (tau0, modulus, denominator), struck = _progression(7)
+    t0 = Fraction(tau0 - modulus, denominator)
+    assert _leftovers(spec, t_primes, t0) == [11, 23]
+    assert not struck(-1)
+    assert find_admissible(spec, p_t, DescentBounds()).point.t0 == t0
+
+
+def test_sieve_is_off_when_a_denominator_escapes_t():
+    spec = family_spec(0)
+    struck = _leftover_sieve(spec, 1, 3 * 5 * 7, 7, [2])
+    assert not any(struck(n) for n in range(-50, 50))
+
+
+@pytest.mark.parametrize("index", range(len(ALL_FAMILY)))
+def test_admissible_budget_counts_struck_candidates(index):
+    spec, p_t = _progression(index)[:2]
+    bounds = DescentBounds(solve_each_fiber=False)
+    search = find_admissible(spec, p_t, bounds)
+    budget = search.candidates_checked
+    bounds.admissible_candidates = budget - 1
+    with pytest.raises(SearchExhausted) as info:
+        find_admissible(spec, p_t, bounds)
+    assert info.value.stage == "admissible_point"
+    bounds.admissible_candidates = budget
+    again = find_admissible(spec, p_t, bounds)
+    assert again.point.t0 == search.point.t0
+    assert again.candidates_checked == budget
+
+
+def test_admissible_scan_strikes_candidates_before_its_hits():
+    # the budget test above counts struck candidates only if some are struck
+    struck_before_hit = 0
+    for index in range(len(ALL_FAMILY)):
+        spec, p_t, _, (tau0, modulus, denominator), struck = _progression(index)
+        t0 = find_admissible(spec, p_t, DescentBounds()).point.t0
+        hit = int((t0 * denominator - tau0) / modulus)
+        struck_before_hit += sum(struck(n) for n in range(-abs(hit), abs(hit) + 1))
+    assert struck_before_hit > 0
 
 
 def test_relative_groups_independent_of_admissible_point():
