@@ -24,6 +24,10 @@ class FactorizationError(ValueError):
     """Raised when an integer resists the desk-scale factoring stack."""
 
 
+class PrimalityRangeError(ValueError):
+    """Raised by is_prime past the range where Miller-Rabin is a proof."""
+
+
 # ---------------------------------------------------------------------------
 # Primality and factorization
 # ---------------------------------------------------------------------------
@@ -42,7 +46,7 @@ for _n in range(2, _SMALL_PRIME_BOUND):
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; rejects inputs beyond the proven range."""
     if n >= _MR_LIMIT:
-        raise ValueError(f"{n} exceeds the deterministic Miller-Rabin range")
+        raise PrimalityRangeError(f"{n} exceeds the deterministic Miller-Rabin range")
     if n < 2:
         return False
     for p in _SMALL_PRIMES[:12]:

@@ -239,12 +239,17 @@ def _require_suitable(
 def build_suitable(
     spec: SurfaceSpec, point: PartialAdelicPoint
 ) -> PartialAdelicPoint:
-    """Restrict the input point to T = S0 + S_bad and verify suitability."""
+    """Restrict a point that passed check_hypotheses to T = S0 + S_bad.
+
+    Dropping a place changes the Brauer sums, so a restriction that drops
+    one is verified again; otherwise p_t is the point already checked.
+    """
     t_places = _working_places(spec, ())
     p_t = PartialAdelicPoint(
         spec, {v: pt for v, pt in point.entries.items() if v in t_places}
     )
-    _require_suitable(spec, p_t, (), "suitability failed")
+    if len(p_t.entries) < len(point.entries):
+        _require_suitable(spec, p_t, (), "suitability failed")
     return p_t
 
 
@@ -460,8 +465,10 @@ def _try_admissible(
     for v in p_t.places:
         if v.is_real:
             continue
-        model = "rational" if v in spec.s0 else "integral"
-        if local_solubility(fib.aA, fib.bB, v, model).status != "soluble":
+        if v in spec.s0:  # over Q_v: the test local_solubility(..., "rational") makes
+            if hilbert_symbol(fib.aA, fib.bB, v) != 0:
+                return None
+        elif local_solubility(fib.aA, fib.bB, v, "integral").status != "soluble":
             return None
     # reciprocity certificate at each witness place
     sums: Dict[int, int] = {}

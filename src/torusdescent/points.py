@@ -231,6 +231,14 @@ def solve_global(
     then |m|, then |n|, preferring positive signs.  Every returned solution
     re-verifies exactly.  Absence within the bound is the legitimate
     "not found" outcome, distinct from insolubility.
+
+    With A, B the coefficients scaled to integers, x = m/u, y = n/u solves
+    the conic iff A*m^2 + B*n^2 = target (target = lcm_den*u^2), and
+    0 <= n^2 <= h^2 puts A*m^2 between target and target - B*h^2.  That
+    interval gives an exact range [m_lo, m_hi] of m >= 0 (integer ceiling
+    division and isqrt, no floats); only those m are scanned, ascending, so
+    the canonical order and the result are those of the scan over all
+    0 <= m <= h.
     """
     aA, bB = Fraction(aA), Fraction(bB)
     if aA * bB == 0:
@@ -245,7 +253,14 @@ def solve_global(
     B = int(bB * lcm_den)
     for u in _denominators(s0_primes, height_bound):
         target = lcm_den * u * u
-        for m in range(height_bound + 1):
+        ends = (target, target - B * height_bound * height_bound)
+        # lo <= |A|*m^2 <= hi, with the signs of A folded into the ends
+        lo, hi = (min(ends), max(ends)) if A > 0 else (-max(ends), -min(ends))
+        sq_lo, sq_hi = -(-lo // abs(A)), hi // abs(A)  # bounds on m^2
+        if sq_hi < 0:
+            continue
+        m_lo = math.isqrt(sq_lo - 1) + 1 if sq_lo > 0 else 0
+        for m in range(m_lo, min(math.isqrt(sq_hi), height_bound) + 1):
             rest = target - A * m * m
             if rest % B != 0:
                 continue

@@ -15,8 +15,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .arith import (
+    _MR_LIMIT,
     REAL,
     Place,
+    PrimalityRangeError,
     Rational,
     SquareClass,
     class_from_mask,
@@ -37,6 +39,18 @@ class SpecValidationError(Exception):
     def __init__(self, violations: Sequence[str]):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
+
+
+def _input_primes(name: str, x: Rational) -> Dict[int, int]:
+    """factorize the numerator of the spec quantity x, called name in the
+    SpecValidationError raised when it is past the certified primality range."""
+    try:
+        return factorize(Fraction(x).numerator)
+    except PrimalityRangeError:
+        raise SpecValidationError([
+            f"{name} = {x} cannot be factored within the certified primality "
+            f"range (n < {_MR_LIMIT:.4g})"
+        ]) from None
 
 
 class DegenerateFiberError(Exception):
@@ -167,18 +181,18 @@ def spec_violations(
             if x and not _is_s0_integral(x, s0_primes):
                 problems.append(f"{name} = {x} is not an S0-integer")
         # coprimality as S0-integers: no prime outside S0 divides both
-        if d == 0:
-            bad = sorted(
-                q for q in factorize(c.numerator)
-                if q not in s0_primes and valuation(c, q) > 0
-            )
-            if bad:
-                problems.append(f"factor {i}: d = 0 and c has primes {bad} outside S0")
-        else:
-            common = factorize(math.gcd(c.numerator, d.numerator))
-            bad = sorted(q for q in common if q not in s0_primes)
-            if bad:
-                problems.append(f"factor {i}: c,d share primes {bad} outside S0")
+        # (for d = 0 the gcd is c's numerator: c must be an S0-unit)
+        name = f"c_{i}" if d == 0 else f"gcd(c_{i}, d_{i})"
+        try:
+            common = _input_primes(name, math.gcd(c.numerator, d.numerator))
+        except SpecValidationError as exc:
+            problems += exc.violations
+            continue
+        bad = sorted(q for q in common if q not in s0_primes)
+        if bad and d == 0:
+            problems.append(f"factor {i}: d = 0 and c has primes {bad} outside S0")
+        elif bad:
+            problems.append(f"factor {i}: c,d share primes {bad} outside S0")
     for idx, (i, (ci, di)) in enumerate(items):
         for j, (cj, dj) in items[idx + 1 :]:
             if Fraction(ci) * Fraction(dj) - Fraction(cj) * Fraction(di) == 0:
@@ -232,19 +246,21 @@ def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
     p_J(t) = 0 mod p for every residue t (only possible for p <= |J|).
     Leading-coefficient primes are included so that the constants
     a*p_A(-d_i/c_i) are v-units at every place outside S0 and S_bad.
+    A quantity that cannot be factored within the certified primality
+    range raises SpecValidationError naming it.
     """
     s0_primes = set(spec.s0_finite_primes)
     bad = set()
     if 2 not in s0_primes:
         bad.add(2)
-    values = [spec.d]
+    values = [("d = ab", spec.d)]
     items = list(spec.factors)
     for idx, (i, (ci, di)) in enumerate(items):
-        values.append(ci)
+        values.append((f"c_{i}", ci))
         for j, (cj, dj) in items[idx + 1 :]:
-            values.append(ci * dj - cj * di)
-    for x in values:
-        for q in factorize(Fraction(x).numerator):
+            values.append((f"c_{i}*d_{j} - c_{j}*d_{i}", ci * dj - cj * di))
+    for name, x in values:
+        for q in _input_primes(name, x):
             if valuation(x, q) > 0 and q not in s0_primes:
                 bad.add(q)
     # residue-covering primes: every t mod p is a root of p_J

@@ -284,6 +284,48 @@ def fiber_point_bruteforce(spec, t, height: int):
     return None
 
 
+def solve_global_fullscan(aA, bB, s0_primes, height_bound: int):
+    """solve_global as a scan over every 0 <= m <= height_bound per denominator.
+
+    The reference for the bounded m-range of solve_global: same canonical
+    order, same re-verification, no interval argument.
+    """
+    import math
+
+    from torusdescent.points import _denominators, _rational_sqrt
+    from torusdescent.surface import _is_s0_integral
+
+    aA, bB = Fraction(aA), Fraction(bB)
+    if aA * bB == 0:
+        raise ValueError("degenerate conic")
+    for lead, axis in ((aA, 0), (bB, 1)):
+        root = _rational_sqrt(1 / lead)
+        if root is not None and _is_s0_integral(root, s0_primes):
+            if root.numerator <= height_bound and root.denominator <= height_bound:
+                return (root, Fraction(0)) if axis == 0 else (Fraction(0), root)
+    lcm_den = math.lcm(aA.denominator, bB.denominator)
+    A = int(aA * lcm_den)
+    B = int(bB * lcm_den)
+    for u in _denominators(s0_primes, height_bound):
+        target = lcm_den * u * u
+        for m in range(height_bound + 1):
+            rest = target - A * m * m
+            if rest % B != 0:
+                continue
+            square = rest // B
+            if square < 0:
+                continue
+            n = math.isqrt(square)
+            if n * n != square or n > height_bound:
+                continue
+            for sm, sn in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                x = Fraction(sm * m, u)
+                y = Fraction(sn * n, u)
+                if aA * x * x + bB * y * y == 1:
+                    return (x, y)
+    return None
+
+
 def surface_points_bruteforce(spec, t_values, height: int):
     """First point found scanning the given fibers with fiber_point_bruteforce."""
     for t in t_values:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +11,8 @@ from torusdescent.surface import serialize_point, serialize_spec
 
 from fixtures import family_point
 
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 SPEC_TEXT = """# running example
 s0 real 2
@@ -53,6 +58,39 @@ def test_validate_coefficient_past_the_primality_range(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("spec valid")
     assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "factors, quantity",
+    [
+        ([(1, arith._MR_LIMIT, 1)], "c_1"),
+        ([(1, arith._MR_LIMIT, 0)], "c_1"),
+        ([(1, 1, 0), (2, 1, arith._MR_LIMIT)], "c_1*d_2 - c_2*d_1"),
+    ],
+)
+def test_validate_names_a_quantity_past_the_primality_range(tmp_path, capsys, factors, quantity):
+    path = tmp_path / "big.spec"
+    lines = "".join(f"factor {i} {c} {d}\n" for i, c, d in factors)
+    path.write_text(f"s0 real 2\na 1\nb 1\n{lines}partA 1\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {quantity} = {arith._MR_LIMIT} cannot be factored within the "
+        "certified primality range (n < 3.317e+24)\n"
+    )
+    assert captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli(spec_file):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "torusdescent", "validate", spec_file],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("spec valid; d = 6")
 
 
 def test_validate_rejects_bad_file(tmp_path, capsys):

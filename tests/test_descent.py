@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from torusdescent import descent
 from torusdescent.arith import REAL, Place, hilbert_symbol
 from torusdescent.brauer import generator_left
 from torusdescent.descent import (
     Certificate,
+    DescentAnomaly,
     DescentBounds,
     DescentError,
     SearchExhausted,
@@ -126,6 +128,50 @@ def test_build_suitable_family():
         assert set(p_t.places) == set(compute_s(spec))
         violations, split_place = suitability(spec, p_t)
         assert violations == [] and split_place in spec.s0
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call to descent.<name> from now on."""
+    calls = []
+    real = getattr(descent, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(descent, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("index", range(len(ALL_FAMILY)))
+def test_descend_checks_the_input_point_once(index, monkeypatch):
+    # check_hypotheses checks the input point; build_suitable keeps every
+    # place of it and checks nothing; each witness insertion checks once
+    spec, point, _ = family_point(index)
+    checks = _count_calls(monkeypatch, "suitability")
+    rechecks = _count_calls(monkeypatch, "_require_suitable")
+    descend(spec, point)
+    insertions = {"witness insertion broke suitability", "extension broke suitability"}
+    assert all(context in insertions for *_, context in rechecks)
+    assert len(checks) == 1 + len(rechecks)
+    assert checks[0][1] is point
+
+
+def test_build_suitable_rechecks_a_restricted_point(monkeypatch):
+    # -d*p_J(2) = -2 is a square at no place of S0: the restriction to T is
+    # unsuitable, whatever the extra place outside T carried
+    spec, point, (x, y, t) = family_point(0)
+    extra = Place.finite(101)
+    assert extra not in compute_s(spec)
+    entries = {v: LocalPoint.make(0, 1, 2, 12) for v in compute_s(spec)}
+    entries[extra] = LocalPoint.make(x, y, t, 12)
+    checks = _count_calls(monkeypatch, "suitability")
+    with pytest.raises(DescentAnomaly, match="suitability failed: split_place"):
+        build_suitable(spec, PartialAdelicPoint(spec, entries))
+    assert len(checks) == 1
+    point = PartialAdelicPoint(spec, {**point.entries, extra: LocalPoint.make(x, y, t, 12)})
+    p_t = build_suitable(spec, point)
+    assert set(p_t.places) == set(compute_s(spec)) and len(checks) == 2
 
 
 def test_find_admissible_properties():

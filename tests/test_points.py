@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from torusdescent.arith import REAL, Place, hilbert_symbol, valuation
 from torusdescent.points import (
+    _denominators,
     good_place_solubility,
     local_solubility,
     solve_global,
@@ -10,7 +14,7 @@ from torusdescent.points import (
 )
 from torusdescent.surface import evaluate_point, fiber, make_spec
 
-from oracles import conic_soluble_bruteforce, fiber_point_bruteforce
+from oracles import conic_soluble_bruteforce, fiber_point_bruteforce, solve_global_fullscan
 
 
 def test_local_trivial_witness():
@@ -45,6 +49,19 @@ def test_local_rational_matches_hilbert():
             x, y = res.witness
             residual = a * x * x + b * y * y - 1
             assert residual == 0 or valuation(residual, v.p) >= res.precision
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    aA=st.builds(Fraction, st.integers(-10**4, 10**4).filter(bool), st.integers(1, 200)),
+    bB=st.builds(Fraction, st.integers(-10**4, 10**4).filter(bool), st.integers(1, 200)),
+    p=st.sampled_from([2, 3, 5]),
+)
+def test_hilbert_symbol_decides_rational_solubility(aA, bB, p):
+    # the S0-place test of the admissible scan reads the Hilbert symbol alone
+    v = Place.finite(p)
+    insoluble = local_solubility(aA, bB, v, "rational").status != "soluble"
+    assert (hilbert_symbol(aA, bB, v) != 0) == insoluble
 
 
 def test_local_integral_witnesses_verify():
@@ -118,6 +135,34 @@ def test_solve_global_with_denominators():
     assert sol is not None
     x, y = sol
     assert 8 * x * x - y * y == 1
+
+
+@st.composite
+def _conic(draw):
+    """(aA, bB, s0, height): coefficients with denominators 1..8 and any signs,
+    or bB chosen so that some (m/u, n/u) within the height solves the conic."""
+    s0 = draw(st.sampled_from([[], [2], [2, 3], [5]]))
+    height = draw(st.integers(1, 60))
+    num = draw(st.integers(1, 60) | st.integers(1, 10**6))
+    aA = Fraction(num, draw(st.integers(1, 8))) * draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        m, n = draw(st.integers(0, height)), draw(st.integers(1, height))
+        u = draw(st.sampled_from(_denominators(s0, height)))
+        bB = (u * u - aA * m * m) / (n * n)
+        if bB:
+            return aA, bB, s0, height
+    num = draw(st.integers(1, 60) | st.integers(1, 10**6))
+    bB = Fraction(num, draw(st.integers(1, 8))) * draw(st.sampled_from([1, -1]))
+    return aA, bB, s0, height
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(conic=_conic())
+@example(conic=(7778368004, 77783680060, [2], 1000))  # positive definite
+@example(conic=(-480, 94, [2], 1000))  # indefinite: (23/16, 13/4)
+@example(conic=(5, -1, [], 2))  # the only m is the bottom of the range
+def test_solve_global_matches_full_scan(conic):
+    assert solve_global(*conic) == solve_global_fullscan(*conic)
 
 
 def test_solve_global_verifies():
