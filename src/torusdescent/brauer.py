@@ -32,16 +32,15 @@ class QuaternionClass:
 
 
 def generator_left(spec: SurfaceSpec, i: int) -> Fraction:
-    """The residue constant of factor i: a*p_A(-d_i/c_i) for i outside A,
-    else b*p_B(-d_i/c_i).
+    """The residue constant of factor i: the fiber coefficient at the root
+    of p_i that stays nonzero, a*p_A(-d_i/c_i) for i outside A, else
+    b*p_B(-d_i/c_i).
 
     Both are a*D_i^A up to squares (for i in A, a*D_i^A is a^2 times this
     value), and every use of the constant goes through this function.
     """
-    root = spec.root(i)
-    if i not in spec.part_a:
-        return spec.a * spec.product_value(sorted(spec.part_a), root)
-    return spec.b * spec.product_value(sorted(spec.part_b), root)
+    aA, bB = spec.fiber_coeffs(spec.root(i))
+    return bB if i in spec.part_a else aA
 
 
 def brauer_generator(spec: SurfaceSpec, i: int) -> QuaternionClass:

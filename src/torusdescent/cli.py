@@ -285,19 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["integral", "rational"], default="integral")
     p.set_defaults(func=cmd_local)
 
+    defaults = DescentBounds()
     p = sub.add_parser("descend", help="run the full descent pipeline")
     p.add_argument("spec")
     p.add_argument("--point-file", required=True)
-    p.add_argument("--height", type=int, default=1000)
-    p.add_argument("--admissible-bound", type=int, default=50000)
-    p.add_argument("--prime-bound", type=int, default=50000)
-    p.add_argument("--max-steps", type=int, default=24)
+    p.add_argument("--height", type=int, default=defaults.height)
+    p.add_argument("--admissible-bound", type=int, default=defaults.admissible_candidates)
+    p.add_argument("--prime-bound", type=int, default=defaults.prime_scan)
+    p.add_argument("--max-steps", type=int, default=defaults.max_steps)
     p.set_defaults(func=cmd_descend)
 
     p = sub.add_parser("solve", help="bounded point search on one fiber")
     p.add_argument("spec")
     p.add_argument("--t", required=True)
-    p.add_argument("--height", type=int, default=1000)
+    p.add_argument("--height", type=int, default=defaults.height)
     p.set_defaults(func=cmd_solve)
 
     return parser

@@ -172,7 +172,7 @@ def suitability(
         return violations, None
 
     def d_p_j(v: Place) -> Fraction:
-        return spec.d * spec.product_value(spec.indices, point.entries[v].t)
+        return math.prod(spec.fiber_coeffs(point.entries[v].t))
 
     for v in point.places:
         if v.is_real or v in spec.s0:
@@ -310,7 +310,6 @@ def _real_chamber(
 class AdmissibleSearch:
     point: AdmissiblePoint
     candidates_checked: int
-    reciprocity_sums: Dict[int, int]
 
 
 # the primes below 200; most leftovers that are not prime have one of them
@@ -420,7 +419,7 @@ def find_admissible(
             result = _try_admissible(spec, p_t, Fraction(tau0 + modulus * n, denominator),
                                       t_primes, reject)
             if result is not None:
-                return AdmissibleSearch(result[0], checked, result[1])
+                return AdmissibleSearch(result, checked)
         if not alive and k > 0:
             raise SearchExhausted(
                 "admissible_point",
@@ -435,7 +434,7 @@ def _try_admissible(
     t0: Fraction,
     t_primes: Sequence[int],
     reject: Set[Fraction],
-) -> Optional[Tuple[AdmissiblePoint, Dict[int, int]]]:
+) -> Optional[AdmissiblePoint]:
     if t0 in reject:
         return None
     values: Dict[int, Fraction] = {}
@@ -471,7 +470,6 @@ def _try_admissible(
         elif local_solubility(fib.aA, fib.bB, v, "integral").status != "soluble":
             return None
     # reciprocity certificate at each witness place
-    sums: Dict[int, int] = {}
     for i, u in witnesses:
         left = generator_left(spec, i)
         direct = hilbert_symbol(left, values[i], u)
@@ -482,13 +480,11 @@ def _try_admissible(
             raise DescentAnomaly(f"reciprocity certificate mismatch at u_{i} = {u}")
         if direct != 0:
             return None
-        sums[i] = direct
         # the certificate makes a*D_i^A a square at u_i; the good-place
         # criterion then certifies an integral point on the fiber there
         if good_place_solubility(spec, u, t0).status != "soluble":
             raise DescentAnomaly(f"fiber insoluble at the witness place {u}")
-    adm = AdmissiblePoint(t0=t0, witnesses=tuple(witnesses), places=p_t.places)
-    return adm, sums
+    return AdmissiblePoint(t0=t0, witnesses=tuple(witnesses), places=p_t.places)
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +650,26 @@ def _character_value(spec: SurfaceSpec, x: GElement, i: int, dual: bool = False)
     return (x.c * class_from_mask(mask, spec.basis_primes)).value()
 
 
+def _insert_place(
+    state: DescentState,
+    i: int,
+    characters: Sequence[Rational],
+    stage: str,
+    bounds: DescentBounds,
+) -> Tuple[Place, int, PartialAdelicPoint]:
+    """Extend p_t by a new place w where a*D_i^A is a square and every
+    character value a non-square: the least such prime outside T and the
+    witness places, an integer t_w with val_w(p_i(t_w)) = 1, and the point
+    with a local point above t_w added at w."""
+    spec = state.spec
+    avoid = {v.p for v in state.p_t.places if v.is_finite}
+    avoid.update(u.p for _, u in state.adm.witnesses)
+    conditions = [(generator_left(spec, i), 1)] + [(value, -1) for value in characters]
+    place = Place.finite(_scan_prime(conditions, avoid, bounds.prime_scan, stage))
+    t_w = _uniformizer_t(spec, i, place.p)
+    return place, t_w, state.p_t.with_entry(place, _local_point_above(spec, place, t_w, i))
+
+
 def _add_sd_witness(
     state: DescentState, x: GElement, dual: bool, bounds: DescentBounds
 ) -> DescentState:
@@ -675,34 +691,25 @@ def _add_sd_witness(
             "element lies in every membership subgroup: Condition (D) "
             "verification should have caught this"
         )
-    char_value = _character_value(spec, x, i_prime, dual)
-    target = generator_left(spec, i_prime)
-    avoid = {v.p for v in state.p_t.places if v.is_finite}
-    avoid.update(u.p for _, u in state.adm.witnesses)
-    w = _scan_prime(
-        [(target, 1), (char_value, -1)], avoid, bounds.prime_scan, "sd_witness_prime"
+    place, t_w, new_pt = _insert_place(
+        state, i_prime, [_character_value(spec, x, i_prime, dual)], "sd_witness_prime", bounds
     )
-    place = Place.finite(w)
-    t_w = _uniformizer_t(spec, i_prime, w)
-    point = _local_point_above(spec, place, t_w, i_prime)
-    new_pt = state.p_t.with_entry(place, point)
-    _require_suitable(spec, new_pt, state.s_d + (place,), "witness insertion broke suitability")
+    s_d = state.s_d + (place,)
+    _require_suitable(spec, new_pt, s_d, "witness insertion broke suitability")
     state.trace.append(
         {
             "step": "sd_witness",
             "side": "dual" if dual else "selmer",
             "element": str(x),
             "index": i_prime,
-            "place": w,
+            "place": place.p,
             "t_w": t_w,
         }
     )
-    new_state = _make_state(
-        spec, new_pt, state.s_d + (place,), bounds, state.trace
-    )
+    new_state = _make_state(spec, new_pt, s_d, bounds, state.trace)
     group = new_state.dual if dual else new_state.sel
     if group.contains(x):
-        raise DescentAnomaly(f"witness place {w} failed to kill {x}")
+        raise DescentAnomaly(f"witness place {place} failed to kill {x}")
     return new_state
 
 
@@ -716,21 +723,8 @@ def _chebotarev_step(
     spec = state.spec
     if i_x in x0.poly or i_x in x1.poly:
         raise DescentAnomaly("elements must be normalized away from the index")
-    a_val = generator_left(spec, i_x)
-    c0_val = _character_value(spec, x0, i_x)
-    c1_val = _character_value(spec, x1, i_x)
-    avoid = {v.p for v in state.p_t.places if v.is_finite}
-    avoid.update(u.p for _, u in state.adm.witnesses)
-    w = _scan_prime(
-        [(a_val, 1), (c0_val, -1), (c1_val, -1)],
-        avoid,
-        bounds.prime_scan,
-        "chebotarev_prime",
-    )
-    place = Place.finite(w)
-    t_w = _uniformizer_t(spec, i_x, w)
-    point = _local_point_above(spec, place, t_w, i_x)
-    new_pt = state.p_t.with_entry(place, point)
+    characters = [_character_value(spec, x0, i_x), _character_value(spec, x1, i_x)]
+    place, t_w, new_pt = _insert_place(state, i_x, characters, "chebotarev_prime", bounds)
     _require_suitable(spec, new_pt, state.s_d, "extension broke suitability")
 
     old_adm, old_sel, old_dual = state.adm, state.sel, state.dual
@@ -806,7 +800,7 @@ def _chebotarev_step(
             "x0": str(x0),
             "x1": str(x1),
             "i_x": i_x,
-            "w": w,
+            "w": place.p,
             "t_w": t_w,
             "dim_before": old_dual.dim,
             "dim_after": new_state.dual.dim,

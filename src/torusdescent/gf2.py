@@ -1,4 +1,9 @@
-"""GF(2) linear algebra on int bitsets."""
+"""GF(2) linear algebra on int bitsets.
+
+Bit k of an int is column k.  `echelon` is the one elimination: it returns
+the reduced echelon form with each row's lowest bit as its pivot, and
+`kernel_basis`, membership and `Subspace` all read their answers off it.
+"""
 
 from __future__ import annotations
 
@@ -37,33 +42,20 @@ def in_span(vec: int, basis: Sequence[int]) -> bool:
 
 
 def kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
-    """Basis of {x : popcount(row & x) even for all rows}."""
-    work = list(rows)
-    pivots: List[int] = []  # column index per pivot row
-    reduced: List[int] = []
-    for col in range(ncols):
-        pivot = None
-        for idx, row in enumerate(work):
-            if (row >> col) & 1:
-                pivot = idx
-                break
-        if pivot is None:
-            continue
-        prow = work.pop(pivot)
-        work = [r ^ prow if (r >> col) & 1 else r for r in work]
-        reduced = [r ^ prow if (r >> col) & 1 else r for r in reduced]
-        reduced.append(prow)
-        pivots.append(col)
-    pivot_set = set(pivots)
+    """Basis of {x : popcount(row & x) even for all rows}, rows over ncols columns.
+
+    Read off the reduced echelon form: a row meeting the free column f ties
+    its pivot to f, so f plus the pivot of every such row is a kernel vector.
+    """
+    reduced = echelon(rows)
+    pivots = 0
+    for row in reduced:
+        pivots |= row & -row
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = 1 << free
-        for prow, pcol in zip(reduced, pivots):
-            if (prow >> free) & 1:
-                vec |= 1 << pcol
-        basis.append(vec)
+        bit = 1 << free
+        if not pivots & bit:
+            basis.append(bit | sum(row & -row for row in reduced if row & bit))
     return basis
 
 
@@ -90,17 +82,11 @@ class Subspace:
         return in_span(vec, self.basis)
 
     def intersect_hyperplane(self, row: int) -> "Subspace":
-        """Subspace of vectors x in this space with <x, row> = 0."""
-        coeffs = [dot(b, row) << j for j, b in enumerate(self.basis)]
-        combo_rows = [sum(coeffs)] if coeffs else []
-        vectors = []
-        for combo in kernel_basis(combo_rows, len(self.basis)):
-            vec = 0
-            for j, b in enumerate(self.basis):
-                if (combo >> j) & 1:
-                    vec ^= b
-            vectors.append(vec)
-        return Subspace(self.ncols, vectors)
+        """Subspace of vectors x in this space with <x, row> = 0: the even
+        basis vectors and the sums of the first odd one with each other."""
+        even = [b for b in self.basis if not dot(b, row)]
+        odd = [b for b in self.basis if dot(b, row)]
+        return Subspace(self.ncols, even + [odd[0] ^ b for b in odd[1:]])
 
     def elements(self) -> Iterator[int]:
         if self.dim > 24:

@@ -43,9 +43,13 @@ class LocalSolubility:
 def _real_solubility(aA: Fraction, bB: Fraction) -> LocalSolubility:
     if aA <= 0 and bB <= 0:
         return LocalSolubility("insoluble", REAL, certificate="negative definite form")
-    # informational witness: rational approximation of (1/sqrt(aA), 0)
+    # informational witness: x = n/scale just below 1/sqrt(c) on the positive
+    # axis; scale >= 10^5*sqrt(c) puts 1 - c*x^2 in (0, 4*10^-5) for every c > 0
     c = aA if aA > 0 else bB
-    approx = Fraction(math.isqrt(int(Fraction(10**8) / c)), 10**4)
+    scale = 10**5
+    while scale * scale < 10**10 * c:
+        scale *= 10
+    approx = Fraction(math.isqrt(math.ceil(scale * scale / c) - 1), scale)
     witness = (approx, Fraction(0)) if aA > 0 else (Fraction(0), approx)
     return LocalSolubility("soluble", REAL, witness=witness)
 

@@ -13,6 +13,7 @@ of the annihilator of [d]_v) becomes one row of the F2 system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, Union
@@ -229,9 +230,8 @@ def t0_place_split(
         if v in spec.s0:
             t0_places.append(v)
             continue
-        t_v = p_t.entries[v].t
-        value = spec.d * spec.product_value(spec.indices, t_v)
-        if valuation(value, v.p) == 1:
+        d_p_j = math.prod(spec.fiber_coeffs(p_t.entries[v].t))
+        if valuation(d_p_j, v.p) == 1:
             t0_places.append(v)
         else:
             rest.append(v)
@@ -261,12 +261,11 @@ def relative_fiber(
         raise ValueError("witness places must be pairwise distinct")
     if set(u_places) & set(adm.places):
         raise ValueError("witness places must avoid T")
-    torus_value = -spec.d * spec.product_value(spec.indices, adm.t0)
     return RelativeFiber(
         spec=spec,
         t0=Fraction(adm.t0),
         places=tuple(adm.places),
-        torus_value=torus_value,
+        torus_value=-math.prod(spec.fiber_coeffs(adm.t0)),
         ramified=tuple(sorted(set(t0_places) | set(u_places))),
         unit_kind=tuple(sorted(rest)),
     )

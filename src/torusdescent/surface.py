@@ -2,7 +2,9 @@
 
 Holds the surface specification (place set, coefficients, linear factors,
 partition), derived place sets, fibers, local points, and the line-oriented
-spec-file format.
+spec-file format.  `SurfaceSpec.fiber_coeffs` is the one spelling of the
+conic coefficients (a*p_A(t), b*p_B(t)) above t: fibers, point residuals,
+d*p_J(t) (their product) and the Brauer constants are all read off it.
 """
 
 from __future__ import annotations
@@ -111,6 +113,16 @@ class SurfaceSpec:
         for i in subset:
             value *= self.factor_value(i, t)
         return value
+
+    def fiber_coeffs(self, t: Rational) -> Tuple[Fraction, Fraction]:
+        """(a*p_A(t), b*p_B(t)), the coefficients of the conic above t.
+
+        Every fiber quantity is read off this pair: their product is
+        d*p_J(t), and at the root of p_i the entry that stays nonzero is
+        brauer.generator_left(i).
+        """
+        return (self.a * self.product_value(sorted(self.part_a), t),
+                self.b * self.product_value(sorted(self.part_b), t))
 
     def is_s0_integer(self, x: Rational) -> bool:
         return _is_s0_integral(Fraction(x), self.s0_finite_primes)
@@ -296,19 +308,15 @@ class FiberSpec:
 
 def fiber(spec: SurfaceSpec, t: Rational) -> FiberSpec:
     t = Fraction(t)
-    p_j = spec.product_value(spec.indices, t)
-    if p_j == 0:
+    aA, bB = spec.fiber_coeffs(t)
+    if aA * bB == 0:
         raise DegenerateFiberError(f"p_J({t}) = 0")
-    aA = spec.a * spec.product_value(sorted(spec.part_a), t)
-    bB = spec.b * spec.product_value(sorted(spec.part_b), t)
-    return FiberSpec(t=t, aA=aA, bB=bB, torus_d=-spec.d * p_j)
+    return FiberSpec(t=t, aA=aA, bB=bB, torus_d=-aA * bB)
 
 
 def evaluate_point(spec: SurfaceSpec, x: Rational, y: Rational, t: Rational) -> Fraction:
     """Residual a*p_A(t)x^2 + b*p_B(t)y^2 - 1; zero iff on the surface."""
-    t = Fraction(t)
-    aA = spec.a * spec.product_value(sorted(spec.part_a), t)
-    bB = spec.b * spec.product_value(sorted(spec.part_b), t)
+    aA, bB = spec.fiber_coeffs(t)
     return aA * Fraction(x) ** 2 + bB * Fraction(y) ** 2 - 1
 
 
@@ -348,9 +356,6 @@ class PartialAdelicPoint:
     def places(self) -> Tuple[Place, ...]:
         return tuple(sorted(self.entries))
 
-    def entry(self, v: Place) -> LocalPoint:
-        return self.entries[v]
-
     def with_entry(self, v: Place, point: LocalPoint) -> "PartialAdelicPoint":
         new = dict(self.entries)
         new[v] = point
@@ -359,17 +364,15 @@ class PartialAdelicPoint:
     def validate(self) -> List[str]:
         problems = []
         for v, pt in sorted(self.entries.items()):
-            residual = evaluate_point(self.spec, pt.x, pt.y, pt.t)
-            torus = -self.spec.d * self.spec.product_value(self.spec.indices, pt.t)
-            if torus == 0:
+            aA, bB = self.spec.fiber_coeffs(pt.t)
+            if aA * bB == 0:
                 problems.append(f"{v}: d*p_J(t_v) = 0")
                 continue
             if v.is_real:
-                aA = self.spec.a * self.spec.product_value(sorted(self.spec.part_a), pt.t)
-                bB = self.spec.b * self.spec.product_value(sorted(self.spec.part_b), pt.t)
                 if aA <= 0 and bB <= 0:
                     problems.append(f"real: fiber at t = {pt.t} has no real points")
                 continue
+            residual = aA * pt.x**2 + bB * pt.y**2 - 1
             if residual != 0 and valuation(residual, v.p) < pt.precision:
                 problems.append(
                     f"{v}: residual {residual} below stated precision {pt.precision}"

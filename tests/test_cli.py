@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from torusdescent import arith
-from torusdescent.cli import main
+from torusdescent.cli import build_parser, main
+from torusdescent.descent import DescentBounds
 from torusdescent.surface import serialize_point, serialize_spec
 
 from fixtures import family_point
@@ -138,6 +140,28 @@ def test_local_command(spec_file, capsys):
     assert main(["local", spec_file, "--t", "1", "--place", "7"]) == 0
     assert "soluble" in capsys.readouterr().out
     assert main(["local", spec_file, "--t", "1", "--place", "real", "--model", "rational"]) == 0
+
+
+def test_local_real_witness_for_a_large_leading_coefficient(tmp_path, capsys):
+    # at t = 2*10^8 the conic is t*x^2 + y^2 = 1: the witness is (x, 0)
+    # with x just below 1/sqrt(t), not (0, 0)
+    path = tmp_path / "small.spec"
+    path.write_text("s0 real 2\na 1\nb 1\nfactor 1 1 0\npartA 1\n")
+    t = 2 * 10**8
+    assert main(["--json", "local", str(path), "--t", str(t), "--place", "real"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    x, y = (Fraction(c) for c in payload["witness"])
+    assert payload["status"] == "soluble" and x != 0 and y == 0
+    assert 0 < 1 - t * x * x < Fraction(1, 10**4)
+
+
+def test_descent_flag_defaults_are_the_descent_bounds():
+    defaults = DescentBounds()
+    args = build_parser().parse_args(["descend", "s.spec", "--point-file", "p.txt"])
+    assert (args.height, args.admissible_bound, args.prime_bound, args.max_steps) == (
+        defaults.height, defaults.admissible_candidates, defaults.prime_scan,
+        defaults.max_steps)
+    assert build_parser().parse_args(["solve", "s.spec", "--t", "1"]).height == defaults.height
 
 
 def test_solve_command(spec_file, capsys):

@@ -54,3 +54,29 @@ def test_intersect_hyperplane():
     for vec in half.elements():
         assert gf2.dot(vec, 0b0001) == 0
         assert space.contains(vec)
+
+
+def _kernel_by_enumeration(rows, ncols):
+    return [x for x in range(1 << ncols) if all(gf2.dot(row, x) == 0 for row in rows)]
+
+
+def test_kernel_basis_matches_enumeration():
+    rng = random.Random(3)
+    for _ in range(200):
+        ncols = rng.randint(0, 10)
+        rows = [rng.getrandbits(ncols) for _ in range(rng.randint(0, 8))]
+        basis = gf2.kernel_basis(rows, ncols)
+        assert len(basis) == len(set(basis))
+        expected = gf2.Subspace(ncols, _kernel_by_enumeration(rows, ncols))
+        assert gf2.Subspace(ncols, basis).basis == expected.basis
+        assert len(basis) == expected.dim
+
+
+def test_intersect_hyperplane_matches_enumeration():
+    rng = random.Random(4)
+    for _ in range(200):
+        ncols = rng.randint(0, 10)
+        space = gf2.Subspace(ncols, [rng.getrandbits(ncols) for _ in range(rng.randint(0, 6))])
+        row = rng.getrandbits(ncols)
+        expected = [x for x in space.elements() if gf2.dot(x, row) == 0]
+        assert space.intersect_hyperplane(row) == gf2.Subspace(ncols, expected)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,30 @@ def test_local_trivial_witness():
         model = "rational" if v.is_finite else "integral"
         res = local_solubility(1, 7, v, model="rational" if v.is_finite else "integral")
         assert res.status == "soluble"
+
+
+def _real_witness_gap(aA, bB):
+    """1 - c*x^2 for the real witness, with c the positive coefficient on its axis."""
+    x, y = local_solubility(aA, bB, REAL).witness
+    return 1 - Fraction(aA) * x * x - Fraction(bB) * y * y, x or y
+
+
+@pytest.mark.parametrize("aA, bB", [
+    (1, 1), (Fraction(1, 3), -1), (-5, Fraction(1, 10**12)), (2, 7), (4, -1),
+    (2 * 10**8, 1), (10**30 + 7, -3), (-1, Fraction(10**9, 7)),
+])
+def test_real_witness_near_the_conic(aA, bB):
+    # the positive coefficient c gives 0 < 1 - c*x^2 < 10^-4 with x nonzero
+    gap, coordinate = _real_witness_gap(aA, bB)
+    assert coordinate != 0
+    assert 0 < gap < Fraction(1, 10**4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.fractions(min_value=Fraction(1, 10**15), max_value=10**15))
+def test_real_witness_near_the_conic_for_every_coefficient(c):
+    gap, coordinate = _real_witness_gap(c, -1)
+    assert coordinate > 0 and 0 < gap < Fraction(1, 10**4)
 
 
 def test_local_negative_definite():

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from torusdescent import surface
 from torusdescent.arith import REAL, Place
+from torusdescent.brauer import generator_left
 from torusdescent.descent import DescentBounds, descend
 from torusdescent.surface import (
     DegenerateFiberError,
@@ -148,6 +150,44 @@ def test_fiber_torsor_relation(running_spec):
     for t in (Fraction(1, 3), 5, -7, Fraction(-9, 2)):
         f = fiber(running_spec, t)
         assert f.aA * f.bB == -f.torus_d
+
+
+def test_fiber_coeffs_random_specs():
+    rng = random.Random(9)
+    checked = 0
+    while checked < 300:
+        factors = {i: (rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(-9, 9))
+                   for i in range(1, rng.randint(1, 4) + 1)}
+        part_a = [i for i in factors if rng.random() < 0.5]
+        a, b = (rng.choice([-6, -2, -1, 1, 2, 3, 5]) for _ in range(2))
+        try:
+            spec = make_spec([3], a, b, factors, part_a)
+        except SpecValidationError:
+            continue
+
+        def by_hand(coefficient, subset, t):
+            value = Fraction(coefficient)
+            for i in subset:
+                c, d = factors[i]
+                value *= c * t + d
+            return value
+
+        part_b = [i for i in factors if i not in part_a]
+        t = Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 9]))
+        aA, bB = spec.fiber_coeffs(t)
+        assert (aA, bB) == (by_hand(a, part_a, t), by_hand(b, part_b, t))
+        assert aA * bB == spec.d * spec.product_value(spec.indices, t)
+        if aA * bB == 0:
+            with pytest.raises(DegenerateFiberError):
+                fiber(spec, t)
+        else:
+            f = fiber(spec, t)
+            assert (f.aA, f.bB, f.torus_d) == (aA, bB, -spec.d * by_hand(1, factors, t))
+        for i, (c, d) in factors.items():
+            root = Fraction(-d, c)
+            expected = by_hand(b, part_b, root) if i in part_a else by_hand(a, part_a, root)
+            assert generator_left(spec, i) == expected != 0
+        checked += 1
 
 
 def test_evaluate_point(running_spec):
