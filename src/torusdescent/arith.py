@@ -2,9 +2,9 @@
 
 Valuations, square classes, local square classes as F2 bitmasks, the
 Hilbert symbol at every place as a bilinear form on those masks, Legendre
-symbols, Hensel lifting and deterministic prime streams.  Everything is
-computed with exact integer/Fraction arithmetic; nothing here touches
-floating point.
+symbols, Hensel lifting on diagonal quadrics and deterministic prime
+streams.  Everything is computed with exact integer/Fraction arithmetic;
+nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .gf2 import dot
 
@@ -243,6 +243,14 @@ def valuation(x: Rational, p: int | Place) -> int:
     return v
 
 
+def strip_primes(n: int, primes: Iterable[int]) -> int:
+    """n with every listed prime divided out; n must be nonzero."""
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
 def mod_prime_power(x: Rational, p: int, k: int) -> int:
     """Residue of a p-integral rational mod p^k."""
     x = Fraction(x)
@@ -436,38 +444,14 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
 # Hensel lifting
 # ---------------------------------------------------------------------------
 
-Poly = Mapping[Tuple[int, ...], Rational]
-
-
-def poly_eval(poly: Poly, point: Sequence[Rational]) -> Fraction:
-    total = Fraction(0)
-    for exps, coeff in poly.items():
-        term = Fraction(coeff)
-        for x, e in zip(point, exps):
-            term *= Fraction(x) ** e
-        total += term
-    return total
-
-
-def poly_derivative(poly: Poly, var: int) -> Dict[Tuple[int, ...], Fraction]:
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    for exps, coeff in poly.items():
-        e = exps[var]
-        if e == 0:
-            continue
-        new = tuple(x - 1 if i == var else x for i, x in enumerate(exps))
-        out[new] = out.get(new, Fraction(0)) + e * Fraction(coeff)
-    return out
-
-
 @dataclass(frozen=True)
 class HenselResult:
     """Outcome of a bounded residue search with smooth-point certification.
 
-    status 'witness': witness solves the system mod p^precision and the
-    partial derivative in smooth_var satisfies the strong Hensel condition
-    val(f) > 2*val(df/dx_j) there, so the witness lifts to Z_p (at odd p
-    for the conics in scope the derivative is simply a unit).  status
+    status 'witness': witness solves f = 0 mod p^precision and the partial
+    derivative 2*c_j*x_j in j = smooth_var satisfies the strong Hensel
+    condition val(f) > 2*val(2*c_j*x_j) there, so the witness lifts to Z_p
+    (at odd p and a unit c_j the derivative is simply a unit).  status
     'none': a complete residue analysis at the stated precision excluded
     all solutions.  status 'inconclusive': solutions mod p^precision exist
     (or the node budget ran out) but none could be certified.
@@ -481,51 +465,51 @@ class HenselResult:
     detail: str = ""
 
 
-def _poly_eval_mod(
-    residues: Mapping[Tuple[int, ...], int], point: Sequence[int], p: int, k: int
-) -> int:
-    """The polynomial mod p^k, from its coefficients' residues mod p^j, j >= k."""
-    m = p**k
-    total = 0
-    for exps, c in residues.items():
-        for x, e in zip(point, exps):
-            c = c * pow(x % m, e, m) % m
-        total = (total + c) % m
-    return total
-
-
 def hensel_solve(
-    poly: Poly, p: int, precision: int, node_limit: int = 100_000
+    coeffs: Sequence[Rational],
+    constant: Rational,
+    p: int,
+    precision: int,
+    node_limit: int = 100_000,
 ) -> HenselResult:
-    """Search residues mod p^precision for a certified-liftable zero of poly.
+    """Search residues mod p^precision for a certified-liftable zero of the
+    diagonal quadric f = sum(coeffs[k]*x_k^2) + constant.
 
-    poly is one polynomial in <= 2 variables with p-integral coefficients.
-    Solutions are explored level by level; a node with a unit partial
-    derivative is Newton-lifted to full precision and returned with the
-    derivative index as its non-degeneracy certificate.
+    One or two variables, every coefficient p-integral.  Solutions are
+    explored level by level; a node where the strong Hensel condition
+    val(f) > 2*val(2*c_j*x_j) holds is Newton-lifted in x_j to full
+    precision and returned with j as its non-degeneracy certificate
+    (Serre, A Course in Arithmetic, Ch. II).
     """
-    nvars = len(next(iter(poly.keys())))
+    nvars = len(coeffs)
     if nvars not in (1, 2):
         raise ValueError("hensel_solve handles 1 or 2 variables")
-    for coeff in poly.values():
-        if Fraction(coeff) != 0 and valuation(coeff, p) < 0:
+    coeffs = [Fraction(c) for c in coeffs]
+    constant = Fraction(constant)
+    for coeff in (*coeffs, constant):
+        if coeff != 0 and valuation(coeff, p) < 0:
             raise ValueError("coefficients must be p-integral")
     if p**nvars > node_limit:
         return HenselResult(
             "inconclusive", p, precision, detail="residue space exceeds node budget"
         )
-    derivs = [poly_derivative(poly, j) for j in range(nvars)]
     # every level k <= precision reads these residues mod p^k
-    residues = {
-        exps: mod_prime_power(coeff, p, max(precision, 1)) for exps, coeff in poly.items()
-    }
+    top = max(precision, 1)
+    residues = [mod_prime_power(c, p, top) for c in coeffs]
+    residue0 = mod_prime_power(constant, p, top)
+
+    def vanishes_mod(point: Sequence[int], k: int) -> bool:
+        return (sum(r * x * x for r, x in zip(residues, point)) + residue0) % p**k == 0
+
+    def f(point: Sequence[int]) -> Fraction:
+        return sum((c * x * x for c, x in zip(coeffs, point)), constant)
 
     def certificate_var(point: Sequence[int]) -> Optional[int]:
-        """Strong Hensel condition val(f) > 2*val(df/dx_j) at the exact point."""
-        fval = poly_eval(poly, point)
+        """Strong Hensel condition val(f) > 2*val(2*c_j*x_j) at the exact point."""
+        fval = f(point)
         vf = None if fval == 0 else valuation(fval, p)
         for j in range(nvars):
-            dval = poly_eval(derivs[j], point)
+            dval = 2 * coeffs[j] * point[j]
             if dval == 0:
                 continue
             if vf is None or vf > 2 * valuation(dval, p):
@@ -536,19 +520,15 @@ def hensel_solve(
         modulus = p**precision
         pt = [x % modulus for x in point]
         while True:
-            fval = poly_eval(poly, pt)
+            fval = f(pt)
             if fval == 0 or valuation(fval, p) >= precision:
                 return tuple(pt)
-            dval = poly_eval(derivs[var], pt)
+            dval = 2 * coeffs[var] * pt[var]
             delta = -fval / dval  # p-integral: val(f) > 2 val(f') >= val(f')
             pt[var] = (pt[var] + mod_prime_power(delta, p, precision)) % modulus
 
     # level-1 frontier
-    frontier = [
-        pt
-        for pt in itertools.product(range(p), repeat=nvars)
-        if _poly_eval_mod(residues, pt, p, 1) == 0
-    ]
+    frontier = [pt for pt in itertools.product(range(p), repeat=nvars) if vanishes_mod(pt, 1)]
     level = 1
     nodes = len(frontier)
     while True:
@@ -574,7 +554,7 @@ def hensel_solve(
         for pt in frontier:
             for delta in itertools.product(range(p), repeat=nvars):
                 cand = tuple(x + step * t for x, t in zip(pt, delta))
-                if _poly_eval_mod(residues, cand, p, level + 1) == 0:
+                if vanishes_mod(cand, level + 1):
                     new_frontier.append(cand)
             nodes += p**nvars
             if nodes > node_limit:

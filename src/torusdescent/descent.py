@@ -32,6 +32,7 @@ from .arith import (
     local_dim,
     local_mask,
     prime_stream,
+    strip_primes,
     valuation,
 )
 from .brauer import generator_left, obstruction_sum
@@ -316,50 +317,53 @@ class AdmissibleSearch:
 _SIEVE_PRIMES = frozenset(_SMALL_PRIMES[:46])
 
 
-def _t_free(n: int, t_primes: Sequence[int]) -> int:
-    """n with every prime of T divided out; n must be nonzero."""
-    for q in t_primes:
-        while n % q == 0:
-            n //= q
-    return n
-
-
-def _leftover_sieve(
+def _candidate_test(
     spec: SurfaceSpec, tau0: int, modulus: int, denominator: int, t_primes: Sequence[int]
-) -> Callable[[int], bool]:
-    """Predicate on n: does t0 = (tau0 + modulus*n)/denominator have a
-    leftover with a sieving prime q outside T that is not q itself?
+) -> Callable[[int], Optional[List[Tuple[int, Place]]]]:
+    """The witnesses of t0 = (tau0 + modulus*n)/denominator as a function of n:
+    the pairs (i, u_i) with p_i(t0) a T-unit times the prime u_i, the u_i
+    distinct, or None.
 
     With c_i = c/c' and d_i = d/d' in lowest terms, L_i*p_i(t0) is the
-    integer linear form A_i + B_i*n with L_i = denominator*c'*d',
-    A_i = c*d'*tau0 + d*c'*denominator and B_i = c*d'*modulus.  If every
-    L_i is T-smooth, the leftover of p_i(t0) is the T-free part of
-    A_i + B_i*n, so q divides it exactly when n = -A_i/B_i (mod q) (for q
-    dividing B_i: for all n or for none).  One gcd with the product of the
-    sieving primes tests every residue class at once.
+    integer form A_i + B_i*n with L_i = denominator*c'*d',
+    A_i = c*d'*tau0 + d*c'*denominator and B_i = c*d'*modulus.  Every L_i is
+    T-smooth (D, c' and d' are S0-supported and T contains S0), so the
+    leftover of p_i(t0), its T-free part, is that of A_i + B_i*n.  A zero
+    form (a root of p_J) or a leftover with a sieving prime outside T
+    other than itself (one gcd per form with the product of those primes)
+    rejects n before any leftover is proved prime.
     """
     forms = []
     for i in spec.indices:
         c, d = spec.coeffs(i)
-        if _t_free(denominator * c.denominator * d.denominator, t_primes) != 1:
-            return lambda n: False  # a leftover could keep a denominator
-        forms.append((c.numerator * d.denominator * tau0
+        if strip_primes(denominator * c.denominator * d.denominator, t_primes) != 1:
+            raise DescentAnomaly(f"denominator of p_{i}(t0) escapes the working primes")
+        forms.append((i, c.numerator * d.denominator * tau0
                       + d.numerator * c.denominator * denominator,
                       c.numerator * d.denominator * modulus))
     sieve = math.prod(_SIEVE_PRIMES.difference(t_primes))
 
-    def struck(n: int) -> bool:
-        for a, b in forms:
-            value = a + b * n
-            if value == 0:  # a root of p_J, rejected anyway
-                return True
+    def witnesses(n: int) -> Optional[List[Tuple[int, Place]]]:
+        values = [a + b * n for _, a, b in forms]
+        for value in values:
+            if value == 0:
+                return None
             g = math.gcd(value, sieve)
             # two sieving primes divide the leftover, or one that is not all of it
-            if g != 1 and (g not in _SIEVE_PRIMES or _t_free(abs(value) // g, t_primes) != 1):
-                return True
-        return False
+            if g != 1 and (g not in _SIEVE_PRIMES or strip_primes(abs(value) // g, t_primes) != 1):
+                return None
+        found: List[Tuple[int, Place]] = []
+        for (i, _, _), value in zip(forms, values):
+            leftover = strip_primes(abs(value), t_primes)
+            if any(u.p == leftover for _, u in found):
+                return None
+            try:  # building the place proves the leftover prime
+                found.append((i, Place.finite(leftover)))
+            except ValueError:  # 1, composite, or past the proven primality range
+                return None
+        return found
 
-    return struck
+    return witnesses
 
 
 def find_admissible(
@@ -376,33 +380,32 @@ def find_admissible(
     reciprocity certificate at each u_i.  Exhaustion of the scan is the
     explicit conditionality of the whole pipeline.
 
-    The primes below 200 sieve the progression first (`_leftover_sieve`),
-    and only survivors reach the `Fraction` checks of `_try_admissible`.
-    The sieve is exact: it strikes n only when a sieving prime q outside T
-    divides the leftover of some p_i(t0) and the leftover is not q itself,
-    so the leftover is composite (or p_i(t0) = 0) and `_try_admissible`
-    returns None.  It cannot raise there first: its only earlier check, on
-    the denominator, holds because every L_i = D*den(c_i)*den(d_i) is
-    T-smooth (the sieve is off otherwise).  A leftover equal to q is kept,
-    since q may be the witness prime.  Struck candidates are counted in
-    `candidates_checked` and against `bounds.admissible_candidates`, so the
-    scan order, the budget and the result are those of the unsieved scan.
+    The scan visits n = k, -k for k = k0, k0 + 1, ..., where k0 is the
+    least |n| in the real chamber, until neither lies in it.  Each n runs
+    one integer candidate test (`_candidate_test`) on the forms
+    L_i*p_i(t0) = A_i + B_i*n.  It strikes n early when a leftover has a
+    prime below 200 outside T other than itself, which is exact: such a
+    leftover is composite.  Only candidates whose leftovers are proved
+    prime reach the exact checks of `_try_admissible`.  Every candidate,
+    struck or not, counts in `candidates_checked` and against
+    `bounds.admissible_candidates`.
     """
     if REAL not in p_t.entries:
         raise DescentAnomaly("partial adelic point lacks a real component")
-    # a root of p_J is rejected like a value from an earlier state
-    reject = {Fraction(t) for t in reject} | {spec.root(i) for i in spec.indices}
     tau0, modulus, denominator = _approximation_data(spec, p_t)
     lo, hi = _real_chamber(spec, p_t.entries[REAL].t)
     t_primes = [v.p for v in p_t.places if v.is_finite]
-    struck = _leftover_sieve(spec, tau0, modulus, denominator, t_primes)
+    witnesses = _candidate_test(spec, tau0, modulus, denominator, t_primes)
     step = Fraction(modulus, denominator)
     base = Fraction(tau0, denominator)
+    # a value from an earlier state, as its index in the progression
+    reject = {(Fraction(t) - base) / step for t in reject}
     # base + n*step lies in the open chamber exactly when n_min <= n <= n_max
     n_min = None if lo is None else math.floor((lo - base) / step) + 1
     n_max = None if hi is None else math.ceil((hi - base) / step) - 1
+    nearest = max(0, 0 if n_min is None else n_min, 0 if n_max is None else -n_max)
     checked = 0
-    for k in itertools.count():
+    for k in itertools.count(nearest):
         candidates = [k] if k == 0 else [k, -k]
         alive = False
         for n in candidates:
@@ -414,10 +417,13 @@ def find_admissible(
             checked += 1
             if checked > bounds.admissible_candidates:
                 raise SearchExhausted("admissible_point", bounds.admissible_candidates)
-            if struck(n):
+            if n in reject:
+                continue
+            found = witnesses(n)
+            if found is None:
                 continue
             result = _try_admissible(spec, p_t, Fraction(tau0 + modulus * n, denominator),
-                                      t_primes, reject)
+                                      found)
             if result is not None:
                 return AdmissibleSearch(result, checked)
         if not alive and k > 0:
@@ -432,25 +438,11 @@ def _try_admissible(
     spec: SurfaceSpec,
     p_t: PartialAdelicPoint,
     t0: Fraction,
-    t_primes: Sequence[int],
-    reject: Set[Fraction],
+    witnesses: List[Tuple[int, Place]],
 ) -> Optional[AdmissiblePoint]:
-    if t0 in reject:
-        return None
-    values: Dict[int, Fraction] = {}
-    witnesses: List[Tuple[int, Place]] = []
-    for i in spec.indices:
-        value = values[i] = spec.factor_value(i, t0)
-        # the leftover of p_i(t0) once the primes of T are stripped
-        num = _t_free(abs(value.numerator), t_primes)
-        if _t_free(value.denominator, t_primes) != 1:
-            raise DescentAnomaly(f"denominator of {value} escapes the working primes")
-        if any(u.p == num for _, u in witnesses):
-            return None
-        try:  # building the place proves num prime
-            witnesses.append((i, Place.finite(num)))
-        except ValueError:  # 1, composite, or past the proven primality range
-            return None
+    """The exact checks on a candidate whose leftovers are the primes u_i of
+    `witnesses`: approximation, local solubility at T and reciprocity."""
+    values = {i: spec.factor_value(i, t0) for i in spec.indices}
     # square-class approximation check (guaranteed by the modulus; exact)
     for v in p_t.places:
         for i in spec.indices:
@@ -596,13 +588,9 @@ def _local_point_above(
     keeps the residue search linear in w.
     """
     fib = fiber(spec, t_w)
-    if i in spec.part_a:
-        poly = {(2,): fib.bB, (0,): Fraction(-1)}
-        axis = 1
-    else:
-        poly = {(2,): fib.aA, (0,): Fraction(-1)}
-        axis = 0
-    result = hensel_solve(poly, w.p, precision, node_limit=2_000_000)
+    axis = 1 if i in spec.part_a else 0
+    coeff = fib.bB if axis else fib.aA
+    result = hensel_solve((coeff,), -1, w.p, precision, node_limit=2_000_000)
     if result.status != "witness":
         raise DescentAnomaly(f"fiber above t = {t_w} not certifiably soluble at {w}")
     root = Fraction(result.witness[0])

@@ -17,10 +17,11 @@ from .arith import (
     hensel_solve,
     hilbert_symbol,
     is_local_square,
+    strip_primes,
     valuation,
 )
 from .brauer import generator_left
-from .surface import SurfaceSpec, _is_s0_integral, evaluate_point
+from .surface import SurfaceSpec, evaluate_point
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,8 @@ def local_solubility(
     projective closure (a smooth conic with one Q_v-point carries points off
     the line at infinity, so no separate affine obstruction remains) and
     attaches a witness when the bounded scan finds one.  model 'integral'
-    runs the bounded Hensel analysis over Z_v and is exact up to the stated
+    runs hensel_solve on the diagonal quadric aA*x^2 + bB*y^2 - 1 over Z_v
+    (precision val(4*aA*bB) + 3 unless stated) and is exact up to that
     precision.
     """
     aA, bB = Fraction(aA), Fraction(bB)
@@ -92,8 +94,7 @@ def local_solubility(
         raise ValueError("integral model needs v-integral coefficients")
     if precision is None:
         precision = valuation(4 * aA * bB, p) + 3
-    poly = {(2, 0): aA, (0, 2): bB, (0, 0): Fraction(-1)}
-    return _from_hensel(hensel_solve(poly, p, precision), v)
+    return _from_hensel(hensel_solve((aA, bB), -1, p, precision), v)
 
 
 def _from_hensel(result: HenselResult, v: Place) -> LocalSolubility:
@@ -122,7 +123,7 @@ def _padic_sqrt(c: Fraction, p: int, precision: int) -> Optional[Fraction]:
         return None
     shift = val // 2
     unit = c / Fraction(p) ** val
-    result = hensel_solve({(2,): Fraction(1), (0,): -unit}, p, precision)
+    result = hensel_solve((1,), -unit, p, precision)
     if result.status != "witness":
         return None
     return Fraction(result.witness[0]) * Fraction(p) ** shift
@@ -249,7 +250,7 @@ def solve_global(
         raise ValueError("degenerate conic")
     for lead, axis in ((aA, 0), (bB, 1)):
         root = _rational_sqrt(1 / lead)
-        if root is not None and _is_s0_integral(root, s0_primes):
+        if root is not None and strip_primes(root.denominator, s0_primes) == 1:
             if root.numerator <= height_bound and root.denominator <= height_bound:
                 return (root, Fraction(0)) if axis == 0 else (Fraction(0), root)
     lcm_den = math.lcm(aA.denominator, bB.denominator)

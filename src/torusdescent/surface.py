@@ -29,6 +29,7 @@ from .arith import (
     is_prime,
     parse_place,
     parse_rational,
+    strip_primes,
     valuation,
 )
 
@@ -57,14 +58,6 @@ def _input_primes(name: str, x: Rational) -> Dict[int, int]:
 
 class DegenerateFiberError(Exception):
     """Fiber over a root of p_J."""
-
-
-def _is_s0_integral(x: Fraction, s0_primes: Iterable[int]) -> bool:
-    den = x.denominator
-    for p in s0_primes:
-        while den % p == 0:
-            den //= p
-    return den == 1
 
 
 @dataclass(frozen=True)
@@ -125,7 +118,7 @@ class SurfaceSpec:
                 self.b * self.product_value(sorted(self.part_b), t))
 
     def is_s0_integer(self, x: Rational) -> bool:
-        return _is_s0_integral(Fraction(x), self.s0_finite_primes)
+        return strip_primes(Fraction(x).denominator, self.s0_finite_primes) == 1
 
     @cached_property
     def s_bad(self) -> Tuple[Place, ...]:
@@ -174,7 +167,7 @@ def spec_violations(
     if a == 0 or b == 0:
         problems.append("a and b must be nonzero")
     for name, x in (("a", a), ("b", b)):
-        if x and not _is_s0_integral(x, s0_primes):
+        if x and strip_primes(x.denominator, s0_primes) != 1:
             problems.append(f"{name} = {x} is not an S0-integer")
     if not factors:
         problems.append("the factor set J must be non-empty")
@@ -190,7 +183,7 @@ def spec_violations(
             problems.append(f"factor {i}: leading coefficient c must be nonzero")
             continue
         for name, x in ((f"c_{i}", c), (f"d_{i}", d)):
-            if x and not _is_s0_integral(x, s0_primes):
+            if x and strip_primes(x.denominator, s0_primes) != 1:
                 problems.append(f"{name} = {x} is not an S0-integer")
         # coprimality as S0-integers: no prime outside S0 divides both
         # (for d = 0 the gcd is c's numerator: c must be an S0-unit)

@@ -22,6 +22,7 @@ from torusdescent.arith import (
     legendre,
     mod_prime_power,
     square_class,
+    strip_primes,
     valuation,
 )
 from torusdescent.conditiond import GElement
@@ -293,14 +294,13 @@ def solve_global_fullscan(aA, bB, s0_primes, height_bound: int):
     import math
 
     from torusdescent.points import _denominators, _rational_sqrt
-    from torusdescent.surface import _is_s0_integral
 
     aA, bB = Fraction(aA), Fraction(bB)
     if aA * bB == 0:
         raise ValueError("degenerate conic")
     for lead, axis in ((aA, 0), (bB, 1)):
         root = _rational_sqrt(1 / lead)
-        if root is not None and _is_s0_integral(root, s0_primes):
+        if root is not None and strip_primes(root.denominator, s0_primes) == 1:
             if root.numerator <= height_bound and root.denominator <= height_bound:
                 return (root, Fraction(0)) if axis == 0 else (Fraction(0), root)
     lcm_den = math.lcm(aA.denominator, bB.denominator)
@@ -324,6 +324,73 @@ def solve_global_fullscan(aA, bB, s0_primes, height_bound: int):
                 if aA * x * x + bB * y * y == 1:
                     return (x, y)
     return None
+
+
+def admissible_candidate_reference(spec, t_primes, t0: Fraction):
+    """The witnesses (i, u_i) of t0 by the unsieved Fraction test, or None.
+
+    p_i(t0) is evaluated as a Fraction; the primes of T are divided out of
+    its numerator and the leftover is proved prime by building its Place.
+    A root of p_J or a repeated leftover rejects t0.
+    """
+    from torusdescent.descent import DescentAnomaly
+
+    witnesses = []
+    for i in spec.indices:
+        value = spec.factor_value(i, t0)
+        if value == 0:
+            return None
+        if strip_primes(value.denominator, t_primes) != 1:
+            raise DescentAnomaly(f"denominator of {value} escapes the working primes")
+        leftover = strip_primes(abs(value.numerator), t_primes)
+        if any(u.p == leftover for _, u in witnesses):
+            return None
+        try:
+            witnesses.append((i, Place.finite(leftover)))
+        except ValueError:
+            return None
+    return witnesses
+
+
+def find_admissible_reference(spec, p_t, bounds, reject=()):
+    """find_admissible as the unsieved scan: (t0, witnesses, candidates_checked).
+
+    Every progression value t0 = (tau0 + M*n)/D with n = 0, 1, -1, 2, -2, ...
+    inside the open real chamber is a candidate; it is tested by
+    admissible_candidate_reference, then by the exact checks of
+    _try_admissible.  The scan ends when the values on both sides have
+    left the chamber; SearchExhausted is raised as find_admissible raises it.
+    """
+    from torusdescent.descent import (
+        SearchExhausted,
+        _approximation_data,
+        _real_chamber,
+        _try_admissible,
+    )
+
+    reject = {Fraction(t) for t in reject}
+    tau0, modulus, denominator = _approximation_data(spec, p_t)
+    lo, hi = _real_chamber(spec, p_t.entries[REAL].t)
+    t_primes = [v.p for v in p_t.places if v.is_finite]
+    checked = 0
+    for k in itertools.count():
+        ts = [Fraction(tau0 + modulus * n, denominator) for n in ((k,) if k == 0 else (k, -k))]
+        if hi is not None and lo is not None and ts[0] >= hi and ts[-1] <= lo:
+            raise SearchExhausted("admissible_point", checked)
+        for t0 in ts:
+            if (lo is not None and t0 <= lo) or (hi is not None and t0 >= hi):
+                continue
+            checked += 1
+            if checked > bounds.admissible_candidates:
+                raise SearchExhausted("admissible_point", bounds.admissible_candidates)
+            if t0 in reject:
+                continue
+            witnesses = admissible_candidate_reference(spec, t_primes, t0)
+            if witnesses is None:
+                continue
+            point = _try_admissible(spec, p_t, t0, witnesses)
+            if point is not None:
+                return point.t0, point.witnesses, checked
 
 
 def surface_points_bruteforce(spec, t_values, height: int):

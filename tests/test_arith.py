@@ -301,33 +301,33 @@ def test_hilbert_vs_bruteforce_small():
 
 
 def test_hensel_sqrt2_at_7():
-    result = hensel_solve({(2,): 1, (0,): -2}, 7, 2)
+    result = hensel_solve((1,), -2, 7, 2)
     assert result.status == "witness"
     assert result.witness == (10,)  # lifts 3 mod 7
     assert result.smooth_var == 0
 
 
 def test_hensel_certified_none():
-    result = hensel_solve({(2,): 1, (0,): -2}, 3, 3)
+    result = hensel_solve((1,), -2, 3, 3)
     assert result.status == "none"
 
 
 def test_hensel_trivial_root():
-    result = hensel_solve({(2,): 1, (0,): -1}, 5, 2)
+    result = hensel_solve((1,), -1, 5, 2)
     assert result.status == "witness"
     assert result.witness == (1,)
 
 
 def test_hensel_two_variables():
     # x^2 + y^2 = 1 over Z_7 to depth 3
-    result = hensel_solve({(2, 0): 1, (0, 2): 1, (0, 0): -1}, 7, 3)
+    result = hensel_solve((1, 1), -1, 7, 3)
     assert result.status == "witness"
     x, y = result.witness
     assert (x * x + y * y - 1) % 7**3 == 0
 
 
 def test_hensel_witness_reduces_correctly():
-    result = hensel_solve({(2,): 1, (0,): -17}, 2, 6)
+    result = hensel_solve((1,), -17, 2, 6)
     assert result.status == "witness"
     (x,) = result.witness
     assert (x * x - 17) % 2**6 == 0
@@ -335,7 +335,36 @@ def test_hensel_witness_reduces_correctly():
 
 def test_hensel_rejects_bad_coefficients():
     with pytest.raises(ValueError):
-        hensel_solve({(2,): Fraction(1, 7), (0,): 1}, 7, 2)
+        hensel_solve((Fraction(1, 7),), 1, 7, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11]),
+    precision=st.integers(1, 6),
+    coeffs=st.lists(st.integers(-300, 300).filter(bool), min_size=1, max_size=2),
+    constant=st.integers(-300, 300),
+)
+def test_hensel_on_diagonal_quadrics(p, precision, coeffs, constant):
+    nvars = len(coeffs)
+
+    def f(point):
+        return sum(c * x * x for c, x in zip(coeffs, point)) + constant
+
+    result = hensel_solve(coeffs, constant, p, precision)
+    if result.status == "witness":
+        point, j = result.witness, result.smooth_var
+        assert f(point) % p**precision == 0
+        # strong Hensel: val(f) > 2*val(df/dx_j) with df/dx_j = 2*c_j*x_j
+        derivative = 2 * coeffs[j] * point[j]
+        assert derivative != 0
+        assert f(point) == 0 or valuation(f(point), p) > 2 * valuation(derivative, p)
+    elif result.status == "none":
+        level = int(result.detail.rsplit(" ", 1)[1])
+        assert level <= precision
+        if p ** (nvars * level) <= 10**5:
+            residues = itertools.product(range(p**level), repeat=nvars)
+            assert not any(f(point) % p**level == 0 for point in residues)
 
 
 # ---------------------------------------------------------------------------

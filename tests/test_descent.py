@@ -16,9 +16,8 @@ from torusdescent.descent import (
     SearchExhausted,
     _SIEVE_PRIMES,
     _approximation_data,
-    _leftover_sieve,
+    _candidate_test,
     _make_state,
-    _try_admissible,
     build_suitable,
     check_hypotheses,
     descend,
@@ -36,7 +35,9 @@ from torusdescent.surface import (
 
 from fixtures import ALL_FAMILY, REDUCTION_MEMBERS, SOLUBLE_FAMILY, family_point, family_spec
 from oracles import (
+    admissible_candidate_reference,
     compute_s,
+    find_admissible_reference,
     g_element,
     hilbert_symbol_closed_form,
     is_local_square_closed_form,
@@ -201,13 +202,13 @@ def test_find_admissible_properties():
 
 @functools.lru_cache(maxsize=None)
 def _progression(index):
-    """Spec, suitable point, T primes, progression data and sieve of a member."""
+    """Spec, suitable point, T primes, progression data and candidate test of a member."""
     spec, point, _ = family_point(index)
     p_t = build_suitable(spec, point)
     t_primes = [v.p for v in p_t.places if v.is_finite]
     tau0, modulus, denominator = _approximation_data(spec, p_t)
-    struck = _leftover_sieve(spec, tau0, modulus, denominator, t_primes)
-    return spec, p_t, t_primes, (tau0, modulus, denominator), struck
+    witnesses = _candidate_test(spec, tau0, modulus, denominator, t_primes)
+    return spec, p_t, t_primes, (tau0, modulus, denominator), witnesses
 
 
 def _leftovers(spec, t_primes, t0):
@@ -235,35 +236,39 @@ def _should_strike(spec, t_primes, t0):
 @given(
     index=st.integers(0, len(ALL_FAMILY) - 1),
     start=st.integers(-3000, 3000),
-    offsets=st.lists(st.integers(0, 23), max_size=4),
 )
-@example(index=7, start=-12, offsets=[])  # n = -1: the leftovers are 11 and 23
-def test_sieve_strikes_only_candidates_try_admissible_rejects(index, start, offsets):
-    spec, p_t, t_primes, (tau0, modulus, denominator), struck = _progression(index)
-
-    def t0(n):
-        return Fraction(tau0 + modulus * n, denominator)
-
-    reject = {t0(start + k) for k in offsets} | {spec.root(i) for i in spec.indices}
+@example(index=7, start=-12)  # n = -1: the leftovers are 11 and 23
+def test_sieve_strikes_only_candidates_try_admissible_rejects(index, start):
+    # the integer candidate test gives the witnesses of the Fraction test,
+    # and every candidate a sieving prime strikes has none
+    spec, p_t, t_primes, (tau0, modulus, denominator), witnesses = _progression(index)
     for n in range(start, start + 24):
-        assert struck(n) == _should_strike(spec, t_primes, t0(n)), n
-        if struck(n):
-            assert _try_admissible(spec, p_t, t0(n), t_primes, reject) is None, n
+        t0 = Fraction(tau0 + modulus * n, denominator)
+        expected = admissible_candidate_reference(spec, t_primes, t0)
+        assert witnesses(n) == expected, n
+        if _should_strike(spec, t_primes, t0):
+            assert expected is None, n
 
 
 def test_sieve_keeps_a_leftover_equal_to_a_sieving_prime():
     # family member 7 is admissible at n = -1 with witness primes 11 and 23
-    spec, p_t, t_primes, (tau0, modulus, denominator), struck = _progression(7)
+    spec, p_t, t_primes, (tau0, modulus, denominator), witnesses = _progression(7)
     t0 = Fraction(tau0 - modulus, denominator)
     assert _leftovers(spec, t_primes, t0) == [11, 23]
-    assert not struck(-1)
+    assert witnesses(-1) == [(1, Place.finite(11)), (2, Place.finite(23))]
     assert find_admissible(spec, p_t, DescentBounds()).point.t0 == t0
 
 
-def test_sieve_is_off_when_a_denominator_escapes_t():
-    spec = family_spec(0)
-    struck = _leftover_sieve(spec, 1, 3 * 5 * 7, 7, [2])
-    assert not any(struck(n) for n in range(-50, 50))
+def test_denominator_outside_t_is_an_anomaly():
+    # c_1 = 1/3 with 3 in S0; a point without the place 3 leaves the
+    # denominator of p_1(t0) outside the working primes
+    spec = make_spec([3], 1, 1, {1: (Fraction(1, 3), 1)}, [1])
+    p_t = PartialAdelicPoint(spec, {REAL: LocalPoint.make(1, 0, 6, 10)})
+    with pytest.raises(DescentAnomaly, match="escapes the working primes"):
+        find_admissible(spec, p_t, DescentBounds())
+    # with the place 3 the denominator is T-smooth and the test is built
+    with_3 = p_t.with_entry(Place.finite(3), LocalPoint.make(1, 0, 6, 10))
+    _candidate_test(spec, *_approximation_data(spec, with_3), [3])
 
 
 @pytest.mark.parametrize("index", range(len(ALL_FAMILY)))
@@ -286,11 +291,56 @@ def test_admissible_scan_strikes_candidates_before_its_hits():
     # the budget test above counts struck candidates only if some are struck
     struck_before_hit = 0
     for index in range(len(ALL_FAMILY)):
-        spec, p_t, _, (tau0, modulus, denominator), struck = _progression(index)
+        spec, p_t, t_primes, (tau0, modulus, denominator), witnesses = _progression(index)
         t0 = find_admissible(spec, p_t, DescentBounds()).point.t0
         hit = int((t0 * denominator - tau0) / modulus)
-        struck_before_hit += sum(struck(n) for n in range(-abs(hit), abs(hit) + 1))
+        for n in range(-abs(hit), abs(hit) + 1):
+            if _should_strike(spec, t_primes, Fraction(tau0 + modulus * n, denominator)):
+                assert witnesses(n) is None
+                struck_before_hit += 1
     assert struck_before_hit > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    index=st.integers(0, len(ALL_FAMILY) - 1),
+    offsets=st.lists(st.integers(-40, 40), max_size=6),
+    reject_hit=st.booleans(),
+)
+def test_find_admissible_matches_reference_scan(index, offsets, reject_hit):
+    spec, p_t, _, (tau0, modulus, denominator), _ = _progression(index)
+    bounds = DescentBounds()
+    reject = [Fraction(tau0 + modulus * n, denominator) for n in offsets]
+    reject.append(Fraction(2 * tau0 + 1, 2 * denominator))  # off the progression
+    if reject_hit:
+        reject.append(find_admissible(spec, p_t, bounds).point.t0)
+
+    def outcome(scan):
+        try:
+            return scan(spec, p_t, bounds, reject)
+        except SearchExhausted as exc:
+            return exc.stage, exc.bound
+
+    def scan(*args):
+        search = find_admissible(*args)
+        return search.point.t0, search.point.witnesses, search.candidates_checked
+
+    assert outcome(scan) == outcome(find_admissible_reference)
+
+
+def test_admissible_scan_reaches_a_far_real_chamber():
+    # p_1 = t - 1000001 and p_2 = 1262145 - t: the real chamber
+    # (1000001, 1262145) holds the progression indices 15625..19720 only
+    spec = make_spec([2], 1, 1, {1: (1, -1000001), 2: (-1, 1262145)}, [1])
+    p_t = PartialAdelicPoint(
+        spec, {v: LocalPoint.make(1, 0, 1131074, 10) for v in compute_s(spec)}
+    )
+    assert p_t.validate() == []
+    search = find_admissible(spec, p_t, DescentBounds())
+    assert (search.point.t0, search.candidates_checked) == (1000258, 5)
+    assert search.point.witnesses == ((1, Place.finite(257)), (2, Place.finite(261887)))
+    reference = find_admissible_reference(spec, p_t, DescentBounds())
+    assert reference == (search.point.t0, search.point.witnesses, search.candidates_checked)
 
 
 def test_relative_groups_independent_of_admissible_point():
