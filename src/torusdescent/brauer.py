@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .arith import Place, Rational, SquareClass, hilbert_symbol, square_class
+from .arith import Place, Rational, SquareClass, hilbert_row, local_mask, square_class
+from .gf2 import dot
 from .surface import PartialAdelicPoint, SurfaceSpec
 
 
@@ -31,22 +32,10 @@ class QuaternionClass:
             raise ValueError("right entry must be linear in t")
 
 
-def generator_left(spec: SurfaceSpec, i: int) -> Fraction:
-    """The residue constant of factor i: the fiber coefficient at the root
-    of p_i that stays nonzero, a*p_A(-d_i/c_i) for i outside A, else
-    b*p_B(-d_i/c_i).
-
-    Both are a*D_i^A up to squares (for i in A, a*D_i^A is a^2 times this
-    value), and every use of the constant goes through this function.
-    """
-    aA, bB = spec.fiber_coeffs(spec.root(i))
-    return bB if i in spec.part_a else aA
-
-
 def brauer_generator(spec: SurfaceSpec, i: int) -> QuaternionClass:
-    """The vertical class attached to factor i: (generator_left(i), p_i(t))."""
+    """The vertical class attached to factor i: (spec.brauer_constants[i], p_i(t))."""
     c, d = spec.coeffs(i)
-    return QuaternionClass(left=generator_left(spec, i), right=(d, c))
+    return QuaternionClass(left=spec.brauer_constants[i], right=(d, c))
 
 
 def residue_at(q: QuaternionClass, m: Rational) -> SquareClass:
@@ -62,16 +51,14 @@ def residue_at(q: QuaternionClass, m: Rational) -> SquareClass:
     return square_class(q.left)
 
 
-def invariant(spec: SurfaceSpec, i: int, t_v: Rational, v: Place) -> int:
-    """inv_v of the i-th generator at a local point with coordinate t_v."""
-    value = spec.factor_value(i, t_v)
-    if value == 0:
-        raise ValueError(f"p_{i}({t_v}) = 0: point lies on the bad fiber")
-    return hilbert_symbol(generator_left(spec, i), value, v)
+def invariant(spec: SurfaceSpec, i: int, mask: int, v: Place) -> int:
+    """inv_v of the i-th generator where p_i(t_v) has local class `mask` at v:
+    the Hilbert pairing dot(local_mask(constant, v), H_v * mask)."""
+    return dot(local_mask(spec.brauer_constants[i], v), hilbert_row(mask, v))
 
 
 def obstruction_sum(spec: SurfaceSpec, point: PartialAdelicPoint, i: int) -> int:
-    """Sum of invariants of the i-th generator over the point's places.
+    """Sum of invariants of the i-th generator over the point's local classes.
 
     Places outside the point's support must be good (outside S0 and S_bad);
     there the invariant vanishes on any v-integral point, so the finite sum
@@ -79,5 +66,5 @@ def obstruction_sum(spec: SurfaceSpec, point: PartialAdelicPoint, i: int) -> int
     """
     total = 0
     for v in point.places:
-        total ^= invariant(spec, i, point.entries[v].t, v)
+        total ^= invariant(spec, i, point.local_data[v][i][1], v)
     return total

@@ -25,8 +25,6 @@ from .descent import (
 from .points import local_solubility, solve_global, verify_integral_point
 from .selmer import selmer_groups, torus_data
 from .surface import (
-    DegenerateFiberError,
-    SpecValidationError,
     fiber,
     load_spec,
     parse_point_file,
@@ -316,9 +314,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             if getattr(args, name, 0) < 0:
                 raise ValueError(f"--{name.replace('_', '-')} must be nonnegative")
         return args.func(args)
-    except (
-        SpecValidationError, DegenerateFiberError, DescentError, OSError, ValueError
-    ) as exc:
+    except (DescentError, OSError, ValueError) as exc:  # input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

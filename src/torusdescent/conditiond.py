@@ -62,7 +62,7 @@ def constant_mask(spec: SurfaceSpec, i: int, subset: AbstractSet[int], dual: boo
 
 
 def generator_mask(spec: SurfaceSpec, i: int) -> int:
-    """[a*D_i^A], the class of brauer.generator_left(spec, i)."""
+    """[a*D_i^A], the class of spec.brauer_constants[i]."""
     return class_mask(spec.a, spec.basis_primes) ^ constant_mask(spec, i, spec.part_a)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -27,7 +27,6 @@ from .arith import (
     hensel_solve,
     hilbert_row,
     hilbert_symbol,
-    is_local_square,
     legendre,
     local_dim,
     local_mask,
@@ -35,7 +34,7 @@ from .arith import (
     strip_primes,
     valuation,
 )
-from .brauer import generator_left, obstruction_sum
+from .brauer import obstruction_sum
 from .conditiond import (
     ConditionDReport,
     GElement,
@@ -103,13 +102,7 @@ class DescentBounds:
     solve_each_fiber: bool = True
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "admissible_candidates": self.admissible_candidates,
-            "prime_scan": self.prime_scan,
-            "height": self.height,
-            "max_steps": self.max_steps,
-            "solve_each_fiber": int(self.solve_each_fiber),
-        }
+        return {f.name: int(getattr(self, f.name)) for f in fields(self)}
 
 
 def _q(x: Rational) -> str:
@@ -172,13 +165,10 @@ def suitability(
     if violations:
         return violations, None
 
-    def d_p_j(v: Place) -> Fraction:
-        return math.prod(spec.fiber_coeffs(point.entries[v].t))
-
     for v in point.places:
         if v.is_real or v in spec.s0:
             continue
-        val = valuation(d_p_j(v), v.p)
+        val = valuation(spec.d, v.p) + point.p_j_class(v)[0]
         if val > 1:
             violations.append(("valuation_bound", f"val_{v}(d*p_J(t_v)) = {val} > 1"))
         if v.p == 2 and val != 1:
@@ -186,7 +176,7 @@ def suitability(
                 ("valuation_at_2", f"val_2(d*p_J(t_2)) = {val} != 1 with 2 outside S0")
             )
     split_place = next(
-        (v for v in spec.s0 if v in point.entries and is_local_square(-d_p_j(v), v)), None
+        (v for v in spec.s0 if point.p_j_class(v)[1] == local_mask(-spec.d, v)), None
     )
     if split_place is None:
         violations.append(
@@ -271,9 +261,7 @@ def _approximation_data(
             continue
         t_v = p_t.entries[v].t
         p = v.p
-        m_v = max(
-            max(0, valuation(spec.factor_value(i, t_v), p)) for i in spec.indices
-        )
+        m_v = max(0, *(val for val, _ in p_t.local_data[v].values()))
         e_v = max(0, -valuation(t_v, p)) if t_v != 0 else 0
         if e_v and p not in s0_primes:
             raise DescentAnomaly(f"non-integral t_v at {v} outside S0")
@@ -445,9 +433,8 @@ def _try_admissible(
     values = {i: spec.factor_value(i, t0) for i in spec.indices}
     # square-class approximation check (guaranteed by the modulus; exact)
     for v in p_t.places:
-        for i in spec.indices:
-            old = spec.factor_value(i, p_t.entries[v].t)
-            if local_mask(values[i], v) != local_mask(old, v):
+        for i, (_, mask) in p_t.local_data[v].items():
+            if local_mask(values[i], v) != mask:
                 raise DescentAnomaly(f"approximation lost [p_{i}(t)]_{v}")
     # local solubility of the fiber everywhere
     fib = fiber(spec, t0)
@@ -463,11 +450,9 @@ def _try_admissible(
             return None
     # reciprocity certificate at each witness place
     for i, u in witnesses:
-        left = generator_left(spec, i)
+        left = spec.brauer_constants[i]
         direct = hilbert_symbol(left, values[i], u)
-        indirect = 0
-        for v in p_t.places:
-            indirect ^= hilbert_symbol(left, values[i], v)
+        indirect = sum(hilbert_symbol(left, values[i], v) for v in p_t.places) % 2
         if direct != indirect:
             raise DescentAnomaly(f"reciprocity certificate mismatch at u_{i} = {u}")
         if direct != 0:
@@ -652,7 +637,7 @@ def _insert_place(
     spec = state.spec
     avoid = {v.p for v in state.p_t.places if v.is_finite}
     avoid.update(u.p for _, u in state.adm.witnesses)
-    conditions = [(generator_left(spec, i), 1)] + [(value, -1) for value in characters]
+    conditions = [(spec.brauer_constants[i], 1)] + [(value, -1) for value in characters]
     place = Place.finite(_scan_prime(conditions, avoid, bounds.prime_scan, stage))
     t_w = _uniformizer_t(spec, i, place.p)
     return place, t_w, state.p_t.with_entry(place, _local_point_above(spec, place, t_w, i))

@@ -20,7 +20,6 @@ from .arith import (
     strip_primes,
     valuation,
 )
-from .brauer import generator_left
 from .surface import SurfaceSpec, evaluate_point
 
 
@@ -163,7 +162,7 @@ def good_place_solubility(
 
     At v outside S0 and S_bad with val_v(p_i(t_v)) > 0 for (necessarily
     unique) i, the fiber has Z_v-points iff the residue constant
-    generator_left(i), a*D_i^A up to squares, is a square at v.  When no
+    spec.brauer_constants[i], a*D_i^A up to squares, is a square at v.  When no
     factor degenerates the special fiber is a smooth affine conic over F_v,
     which always has a smooth rational point, so the fiber is soluble.  No
     Hensel search is run; the test suite checks agreement with direct
@@ -184,7 +183,7 @@ def good_place_solubility(
             "soluble", v, certificate="smooth special fiber (unit coefficients)"
         )
     i = degenerate[0]
-    unit = generator_left(spec, i)
+    unit = spec.brauer_constants[i]
     label = f"a*D_{i}^A"  # unit and a*D_i^A differ by a^2, a v-unit square
     if valuation(unit, p) != 0:
         raise ValueError(f"{v} divides the constant {label}; not a good place")

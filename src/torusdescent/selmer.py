@@ -227,11 +227,7 @@ def t0_place_split(
     t0_places: List[Place] = []
     rest: List[Place] = []
     for v in p_t.places:
-        if v in spec.s0:
-            t0_places.append(v)
-            continue
-        d_p_j = math.prod(spec.fiber_coeffs(p_t.entries[v].t))
-        if valuation(d_p_j, v.p) == 1:
+        if v in spec.s0 or valuation(spec.d, v.p) + p_t.p_j_class(v)[0] == 1:
             t0_places.append(v)
         else:
             rest.append(v)

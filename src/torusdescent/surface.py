@@ -4,7 +4,8 @@ Holds the surface specification (place set, coefficients, linear factors,
 partition), derived place sets, fibers, local points, and the line-oriented
 spec-file format.  `SurfaceSpec.fiber_coeffs` is the one spelling of the
 conic coefficients (a*p_A(t), b*p_B(t)) above t: fibers, point residuals,
-d*p_J(t) (their product) and the Brauer constants are all read off it.
+d*p_J(t) (their product) and the per-spec Brauer constants are read off it.
+A partial adelic point keeps one table of local data, read by every check.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .arith import (
     class_mask,
     factorize,
     is_prime,
+    local_mask,
     parse_place,
     parse_rational,
     strip_primes,
@@ -36,7 +38,7 @@ from .arith import (
 MAX_FACTORS = 16  # cap on |J|; G_D can hold up to 2^(|J|+1) elements
 
 
-class SpecValidationError(Exception):
+class SpecValidationError(ValueError):
     """Invalid surface specification; carries the list of violations."""
 
     def __init__(self, violations: Sequence[str]):
@@ -56,7 +58,7 @@ def _input_primes(name: str, x: Rational) -> Dict[int, int]:
         ]) from None
 
 
-class DegenerateFiberError(Exception):
+class DegenerateFiberError(ValueError):
     """Fiber over a root of p_J."""
 
 
@@ -112,7 +114,7 @@ class SurfaceSpec:
 
         Every fiber quantity is read off this pair: their product is
         d*p_J(t), and at the root of p_i the entry that stays nonzero is
-        brauer.generator_left(i).
+        brauer_constants[i].
         """
         return (self.a * self.product_value(sorted(self.part_a), t),
                 self.b * self.product_value(sorted(self.part_b), t))
@@ -143,6 +145,14 @@ class SurfaceSpec:
         these and [a] or [d]."""
         return {(i, j): class_mask(self.factor_value(j, self.root(i)), self.basis_primes)
                 for i in self.indices for j in self.indices if i != j}
+
+    @cached_property
+    def brauer_constants(self) -> Dict[int, Fraction]:
+        """i -> the left entry of the vertical Brauer generator of factor i:
+        the entry of fiber_coeffs(root(i)) that stays nonzero, b*p_B for i in
+        A and a*p_A otherwise.  Both are a*D_i^A up to squares (for i in A,
+        a*D_i^A is a^2 times b*p_B(-d_i/c_i))."""
+        return {i: self.fiber_coeffs(self.root(i))[i in self.part_a] for i in self.indices}
 
     def class_of(self, x: Rational) -> SquareClass:
         """[x] for a constant of the descent, read off over basis_primes."""
@@ -340,6 +350,9 @@ class PartialAdelicPoint:
     surface equation to the stated precision; at finite v in S0 only the
     v-adic residual bound is required; at the real place the fiber above
     t_v must be soluble over R.
+
+    Nothing mutates `entries` after construction (`with_entry` copies), so
+    `local_data` is computed from them once, at first use.
     """
 
     spec: SurfaceSpec
@@ -348,6 +361,23 @@ class PartialAdelicPoint:
     @property
     def places(self) -> Tuple[Place, ...]:
         return tuple(sorted(self.entries))
+
+    @cached_property
+    def local_data(self) -> Dict[Place, Dict[int, Tuple[int, int]]]:
+        """v -> {i: (val_v(p_i(t_v)), local_mask(p_i(t_v), v))}, val 0 at real."""
+        table = {}
+        for v, pt in self.entries.items():
+            values = {i: self.spec.factor_value(i, pt.t) for i in self.spec.indices}
+            table[v] = {i: (0 if v.is_real else valuation(x, v.p), local_mask(x, v))
+                        for i, x in values.items()}
+        return table
+
+    def p_j_class(self, v: Place) -> Tuple[int, int]:
+        """(val_v, local_mask at v) of p_J(t_v): the sums of local_data[v]."""
+        val = mask = 0
+        for val_i, mask_i in self.local_data[v].values():
+            val, mask = val + val_i, mask ^ mask_i
+        return val, mask
 
     def with_entry(self, v: Place, point: LocalPoint) -> "PartialAdelicPoint":
         new = dict(self.entries)
@@ -401,14 +431,15 @@ def parse_spec_text(text: str) -> SurfaceSpec:
     """Parse the line-oriented key-value spec format.
 
     Keys: s0, a, b, factor <i> <c> <d>, partA; integers in decimal;
-    '#' starts a comment.
+    '#' starts a comment.  Each key but factor appears once, and a, b and
+    factor lines carry exactly their values.
     """
     s0: List[Place] = []
     a: Optional[int] = None
     b: Optional[int] = None
     factors: Dict[int, Tuple[int, int]] = {}
     part_a: List[int] = []
-    seen_part_a = False
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -416,6 +447,12 @@ def parse_spec_text(text: str) -> SurfaceSpec:
         tokens = line.split()
         key = tokens[0]
         try:
+            if key in seen and key != "factor":
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
+            arity = {"a": 1, "b": 1, "factor": 3}.get(key)
+            if arity is not None and len(tokens) - 1 != arity:
+                raise ValueError(f"{key} line has {len(tokens) - 1} values, expected {arity}")
             if key == "s0":
                 s0 = [parse_place(tok) for tok in tokens[1:]]
             elif key == "a":
@@ -429,15 +466,14 @@ def parse_spec_text(text: str) -> SurfaceSpec:
                 factors[i] = (int(tokens[2]), int(tokens[3]))
             elif key == "partA":
                 part_a = [int(tok) for tok in tokens[1:]]
-                seen_part_a = True
             else:
                 raise ValueError(f"unknown key {key!r}")
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise SpecValidationError([f"line {lineno}: {exc}"]) from exc
     missing = [
         name
         for name, ok in (("s0", bool(s0)), ("a", a is not None), ("b", b is not None),
-                         ("factor", bool(factors)), ("partA", seen_part_a))
+                         ("factor", bool(factors)), ("partA", "partA" in seen))
         if not ok
     ]
     if missing:

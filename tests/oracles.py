@@ -393,6 +393,52 @@ def find_admissible_reference(spec, p_t, bounds, reject=()):
                 return point.t0, point.witnesses, checked
 
 
+def brauer_constant_reference(spec, i: int) -> Fraction:
+    """The Brauer constant of factor i, rebuilt from fiber_coeffs at the root
+    of p_i: b*p_B for i in A, a*p_A otherwise."""
+    aA, bB = spec.fiber_coeffs(spec.root(i))
+    return bB if i in spec.part_a else aA
+
+
+def obstruction_sum_reference(spec, point, i: int) -> int:
+    """Sum over the point's places of <constant_i, p_i(t_v)>_v, each symbol
+    from Serre's closed-form formulas on the Fraction values."""
+    left = brauer_constant_reference(spec, i)
+    return sum(
+        hilbert_symbol_closed_form(left, spec.factor_value(i, point.entries[v].t), v)
+        for v in point.places
+    ) % 2
+
+
+def suitability_reference(spec, point):
+    """The non-input verdict names of suitability and the split place, by the
+    Fraction path: d*p_J(t_v) as one product of the fiber coefficients, its
+    valuation and closed-form local squareness, and obstruction_sum_reference.
+    The point must pass its input checks."""
+    import math
+
+    def d_p_j(v):
+        return math.prod(spec.fiber_coeffs(point.entries[v].t))
+
+    names = []
+    for v in point.places:
+        if v.is_real or v in spec.s0:
+            continue
+        val = valuation(d_p_j(v), v.p)
+        if val > 1:
+            names.append("valuation_bound")
+        if v.p == 2 and val != 1:
+            names.append("valuation_at_2")
+    split_place = next(
+        (v for v in spec.s0
+         if v in point.entries and is_local_square_closed_form(-d_p_j(v), v)), None
+    )
+    if split_place is None:
+        names.append("split_place")
+    names += [f"brauer_sum_{i}" for i in spec.indices if obstruction_sum_reference(spec, point, i)]
+    return names, split_place
+
+
 def surface_points_bruteforce(spec, t_values, height: int):
     """First point found scanning the given fibers with fiber_point_bruteforce."""
     for t in t_values:

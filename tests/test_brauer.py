@@ -8,12 +8,12 @@ from torusdescent.arith import (
     Place,
     SquareClass,
     hilbert_symbol,
+    local_mask,
     square_class,
 )
 from torusdescent.brauer import (
     QuaternionClass,
     brauer_generator,
-    generator_left,
     invariant,
     obstruction_sum,
     residue_at,
@@ -27,6 +27,11 @@ from oracles import d_constant, hilbert_relevant_places, poly_from_factors, tame
 @pytest.fixture
 def running_spec():
     return make_spec([], 2, 3, {1: (1, 0), 2: (1, 1)}, [1])
+
+
+def _invariant_at(spec, i, t, v):
+    """inv_v of generator i at a local point with coordinate t."""
+    return invariant(spec, i, local_mask(spec.factor_value(i, t), v), v)
 
 
 def test_generator_examples(running_spec):
@@ -47,7 +52,7 @@ def test_generator_empty_part():
 def test_generator_left_matches_d_constant(running_spec):
     spec = running_spec
     for i in spec.indices:
-        left = generator_left(spec, i)
+        left = spec.brauer_constants[i]
         if i not in spec.part_a:
             assert left == spec.a * d_constant(spec, i, spec.part_a)
         else:
@@ -111,17 +116,17 @@ def test_combination_residues(running_spec):
         root = spec.root(i)
         assert tame_residue(c, combo, root) == square_class(c)
         total = tame_residue(c, combo, root) * residue_at(brauer_generator(spec, i), root)
-        expected = square_class(c) * square_class(generator_left(spec, i))
+        expected = square_class(c) * square_class(spec.brauer_constants[i])
         assert total == expected
 
 
 def test_invariant_examples(running_spec):
     spec = running_spec
     # real place: left = -2 < 0 for i = 2; p_2(t) < 0 at t = -3
-    assert invariant(spec, 2, -3, REAL) == 1
-    assert invariant(spec, 2, 1, REAL) == 0
+    assert _invariant_at(spec, 2, -3, REAL) == 1
+    assert _invariant_at(spec, 2, 1, REAL) == 0
     with pytest.raises(ValueError):
-        invariant(spec, 1, 0, REAL)
+        PartialAdelicPoint(spec, {REAL: LocalPoint.make(1, 0, 0, 4)}).local_data
 
 
 def test_invariant_unit_square_left():
@@ -130,7 +135,7 @@ def test_invariant_unit_square_left():
     # the symbol vanishes
     v = Place.finite(7)
     for i in spec.indices:
-        assert invariant(spec, i, 3, v) == 0
+        assert _invariant_at(spec, i, 3, v) == 0
 
 
 def test_invariant_vanishes_at_good_soluble_places(running_spec):
@@ -148,7 +153,7 @@ def test_invariant_vanishes_at_good_soluble_places(running_spec):
             if good_place_solubility(spec, v, t).status != "soluble":
                 continue
             for i in spec.indices:
-                assert invariant(spec, i, t, v) == 0
+                assert _invariant_at(spec, i, t, v) == 0
                 checked += 1
     assert checked > 100
 
@@ -161,7 +166,7 @@ def test_reciprocity_sum_on_soluble_fibers(running_spec):
     for t in [Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-3)]:
         fib = fiber(spec, t)
         for i in spec.indices:
-            left = generator_left(spec, i)
+            left = spec.brauer_constants[i]
             value = spec.factor_value(i, t)
             total = 0
             for v in hilbert_relevant_places(left, value):
@@ -192,5 +197,5 @@ def test_obstructed_point_via_real_signs():
     point = PartialAdelicPoint(spec, {REAL: LocalPoint.make(1, 1, -3, 4)})
     # at t = -3: aA = -6, bB = -6 -> not soluble over R, but the invariant
     # itself is still defined through the t-coordinate
-    assert invariant(spec, 2, -3, REAL) == 1
+    assert _invariant_at(spec, 2, -3, REAL) == 1
     assert obstruction_sum(spec, point, 2) == 1

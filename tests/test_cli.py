@@ -102,6 +102,17 @@ def test_validate_rejects_bad_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_validate_rejects_junk_tokens_and_repeated_keys(tmp_path, capsys):
+    # each line alone used to be accepted, the later a silently winning
+    path = tmp_path / "junk.spec"
+    path.write_text("s0 real 2\na 1 junk\nb 1\nfactor 1 1 0 99\npartA 1\na 7\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 2: a line has 2 values, expected 1\n"
+    path.write_text("s0 real 2\na 1\nb 1\nfactor 1 1 0\npartA 1\na 7\n")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 6: repeated key 'a'\n"
+
+
 def test_validate_rejects_proportional(tmp_path, capsys):
     path = tmp_path / "bad.spec"
     path.write_text("s0 real\na 1\nb 1\nfactor 1 1 0\nfactor 2 2 0\npartA 1\n")

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusdescent.arith import class_mask, factorize, square_class
-from torusdescent.brauer import generator_left
 from torusdescent.conditiond import (
     GElement,
     check_condition_d,
@@ -156,7 +155,7 @@ def test_intersection_matches_bruteforce_random(raw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_constant_masks_match_rational_constants(raw):
     """Every D_i^{J'} and Dhat_i^{J'} read off root_masks has the class of the
-    rational product, and so does every generator_left."""
+    rational product, and so does every spec.brauer_constants entry."""
     s0, a, b, factors, part_a = raw
     places = [REAL] + [Place.finite(p) for p in s0]
     assume(not spec_violations(places, a, b, factors, part_a))
@@ -172,7 +171,7 @@ def test_constant_masks_match_rational_constants(raw):
         mask = class_mask(left, primes)
         for j in part:
             mask ^= spec.root_masks[i, j]
-        assert class_mask(generator_left(spec, i), primes) == mask
+        assert class_mask(spec.brauer_constants[i], primes) == mask
         assert generator_mask(spec, i) == mask
 
 
@@ -218,7 +217,7 @@ def test_descent_constants_lie_over_the_spec_basis():
     for spec in specs:
         values = [spec.a, spec.b, spec.d]
         for i in spec.indices:
-            values.append(generator_left(spec, i))
+            values.append(spec.brauer_constants[i])
             for j in spec.indices:
                 values += [d_constant(spec, i, {j}), d_constant_dual(spec, i, {j})]
         for x in values:

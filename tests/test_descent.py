@@ -2,12 +2,12 @@ import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusdescent import descent
-from torusdescent.arith import REAL, Place, hilbert_symbol
-from torusdescent.brauer import generator_left
+from torusdescent.arith import REAL, Place, hilbert_symbol, local_mask, valuation
+from torusdescent.brauer import obstruction_sum
 from torusdescent.descent import (
     Certificate,
     DescentAnomaly,
@@ -42,6 +42,8 @@ from oracles import (
     hilbert_symbol_closed_form,
     is_local_square_closed_form,
     local_square_class,
+    obstruction_sum_reference,
+    suitability_reference,
 )
 
 
@@ -117,9 +119,45 @@ def test_family_hypotheses_pass():
         assert all(s == 0 for s in report.brauer_sums.values())
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(index=st.integers(0, len(ALL_FAMILY) - 1), data=st.data())
+def test_point_table_matches_the_fraction_path(index, data):
+    # the point's (valuation, local mask) table, and every verdict read off
+    # it, agree with the Fraction path of the oracles; each finite place
+    # keeps the fixture's local point or gets a random S0-integral t_v
+    spec, point, _ = family_point(index)
+    dens = [1, *(p**k for p in spec.s0_finite_primes for k in (1, 2, 3))]
+    entries = dict(point.entries)
+    for v in sorted(entries):
+        if v.is_finite and data.draw(st.booleans()):
+            t_v = Fraction(data.draw(st.integers(-300, 300)), data.draw(st.sampled_from(dens)))
+            # precision 0 claims no residual: the checks read t_v alone
+            entries[v] = LocalPoint.make(0, 0, t_v, 0)
+    p_t = PartialAdelicPoint(spec, entries)
+    assume(not p_t.validate())  # t_v off the roots of p_J
+    for v, row in p_t.local_data.items():
+        for i, (val, mask) in row.items():
+            value = spec.factor_value(i, p_t.entries[v].t)
+            assert val == (0 if v.is_real else valuation(value, v.p))
+            assert mask == local_mask(value, v)
+    violations, split_place = suitability(spec, p_t)
+    assert ([name for name, _ in violations], split_place) == suitability_reference(spec, p_t)
+    for i in spec.indices:
+        assert obstruction_sum(spec, p_t, i) == obstruction_sum_reference(spec, p_t, i)
+
+
 # ---------------------------------------------------------------------------
 # suitable points and admissible fibers
 # ---------------------------------------------------------------------------
+
+
+def test_bounds_dict_lists_every_field():
+    bounds = DescentBounds(admissible_candidates=7, solve_each_fiber=False)
+    assert bounds.as_dict() == {
+        "admissible_candidates": 7, "prime_scan": 50_000, "height": 1_000,
+        "max_steps": 24, "solve_each_fiber": 0,
+    }
+    assert type(bounds.as_dict()["solve_each_fiber"]) is int
 
 
 def test_build_suitable_family():
@@ -188,7 +226,7 @@ def test_find_admissible_properties():
     # reciprocity certificate vanished at every witness place: the symbol at
     # u_i is 0, and so is the sum over T and u_i
     for i, u in adm.witnesses:
-        left, value = generator_left(spec, i), spec.factor_value(i, adm.t0)
+        left, value = spec.brauer_constants[i], spec.factor_value(i, adm.t0)
         assert hilbert_symbol(left, value, u) == 0
         assert sum(hilbert_symbol(left, value, v) for v in (*p_t.places, u)) % 2 == 0
     # approximation preserved local square classes (checked internally, but

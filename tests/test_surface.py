@@ -5,7 +5,6 @@ import pytest
 
 from torusdescent import surface
 from torusdescent.arith import REAL, Place
-from torusdescent.brauer import generator_left
 from torusdescent.descent import DescentBounds, descend
 from torusdescent.surface import (
     DegenerateFiberError,
@@ -25,7 +24,7 @@ from torusdescent.surface import (
     spec_violations,
 )
 
-from fixtures import family_point
+from fixtures import REDUCTION_MEMBERS, family_point
 from oracles import compute_s
 
 
@@ -116,6 +115,24 @@ def test_s_bad_is_computed_once_per_spec(monkeypatch):
     assert spec.basis_primes == (2, 5)
 
 
+def test_brauer_constants_are_built_once_per_spec(monkeypatch):
+    # a descend with reductions reads the constants in the Brauer sums, the
+    # reciprocity checks, the prime scans and the good-place criterion
+    calls = []
+    real = SurfaceSpec.fiber_coeffs
+
+    def counted(self, t):
+        calls.append(Fraction(t))
+        return real(self, t)
+
+    monkeypatch.setattr(SurfaceSpec, "fiber_coeffs", counted)
+    spec, point, _ = family_point(REDUCTION_MEMBERS[0])
+    cert = descend(spec, point, DescentBounds(solve_each_fiber=False, height=50))
+    assert any(entry["step"] == "reduce_dual_selmer" for entry in cert.trace)
+    roots = sorted(spec.root(i) for i in spec.indices)
+    assert sorted(t for t in calls if t in roots) == roots
+
+
 def test_root_masks_running_example(running_spec):
     # p_2(0) = 1 and p_1(-1) = -1, over -1 (bit 0), 2 and 3
     assert running_spec.basis_primes == (2, 3)
@@ -186,7 +203,7 @@ def test_fiber_coeffs_random_specs():
         for i, (c, d) in factors.items():
             root = Fraction(-d, c)
             expected = by_hand(b, part_b, root) if i in part_a else by_hand(a, part_a, root)
-            assert generator_left(spec, i) == expected != 0
+            assert spec.brauer_constants[i] == expected != 0
         checked += 1
 
 
@@ -206,12 +223,27 @@ def test_spec_file_round_trip(running_spec):
 
 
 def test_spec_file_parsing_errors():
-    with pytest.raises(SpecValidationError, match="missing keys"):
-        parse_spec_text("s0 real\na 1\n")
-    with pytest.raises(SpecValidationError, match="unknown key"):
-        parse_spec_text("s0 real\nbogus 1\n")
-    with pytest.raises(SpecValidationError, match="duplicate factor"):
-        parse_spec_text("s0 real\na 1\nb 1\nfactor 1 1 0\nfactor 1 1 1\npartA 1\n")
+    valid = "s0 real\na 1\nb 1\nfactor 1 1 0\npartA 1\n"
+    cases = [
+        ("s0 real\na 1\n", "missing keys"),
+        ("s0 real\nbogus 1\n", "unknown key"),
+        ("s0 real\na 1\nb 1\nfactor 1 1 0\nfactor 1 1 1\npartA 1\n", "duplicate factor"),
+        # extra or missing tokens on a, b and factor lines
+        (valid.replace("a 1", "a 1 junk"), "line 2: a line has 2 values, expected 1"),
+        (valid.replace("b 1", "b 1 2"), "line 3: b line has 2 values, expected 1"),
+        (valid.replace("factor 1 1 0", "factor 1 1 0 99"),
+         "line 4: factor line has 4 values, expected 3"),
+        (valid.replace("factor 1 1 0", "factor 1 1"), "line 4: factor line has 2 values"),
+        # a repeated key would silently override the earlier line
+        (valid + "a 7\n", "line 6: repeated key 'a'"),
+        (valid + "b 7\n", "line 6: repeated key 'b'"),
+        (valid + "s0 real 2\n", "line 6: repeated key 's0'"),
+        (valid + "partA\n", "line 6: repeated key 'partA'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(SpecValidationError, match=message):
+            parse_spec_text(text)
+    parse_spec_text(valid + "factor 2 1 1\n")  # factor is the one repeatable key
 
 
 def test_spec_file_comments_and_empty_part():
