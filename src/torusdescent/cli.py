@@ -8,11 +8,12 @@ Exit codes: 0 success (including point_found), 1 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, List, Optional
 
-from .arith import Place, parse_place, parse_rational, square_class
+from .arith import Place, PrimalityRangeError, parse_place, parse_rational, square_class
 from .brauer import brauer_generator, residue_at
 from .conditiond import check_condition_d
 from .descent import (
@@ -28,6 +29,7 @@ from .surface import (
     fiber,
     load_spec,
     parse_point_file,
+    past_primality_range,
     spec_hash,
 )
 
@@ -92,7 +94,11 @@ def cmd_selmer(args) -> int:
     t = parse_rational(args.t)
     fib = fiber(spec, t)
     support = {2} | set(spec.s0_finite_primes)
-    cls = square_class(fib.torus_d)
+    try:
+        cls = square_class(fib.torus_d)
+    except PrimalityRangeError:
+        name = "torus parameter -d*p_J(t)"
+        raise ValueError(past_primality_range(name, fib.torus_d)) from None
     support |= set(cls.support)
     places = [Place.real()] + [Place.finite(p) for p in sorted(support)]
     torus = torus_data(cls, places)
@@ -251,7 +257,11 @@ def cmd_descend(args) -> int:
     return EXIT_EXHAUSTED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first call and shared by every later
+    one: parse_args returns a fresh Namespace each time and every default is
+    an immutable value, so no option value carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="torusdescent",
         description="Integral points on conic bundles via descent on norm-one torus fibrations",
@@ -307,8 +317,7 @@ BOUND_OPTIONS = ("height", "admissible_bound", "prime_bound", "max_steps")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         for name in BOUND_OPTIONS:
             if getattr(args, name, 0) < 0:

@@ -46,16 +46,20 @@ class SpecValidationError(ValueError):
         self.violations = list(violations)
 
 
+def past_primality_range(name: str, x: Rational) -> str:
+    """The input-error message for a quantity x, called name, whose
+    factorization needs a primality proof past the certified range."""
+    return (f"{name} = {x} cannot be factored within the certified primality "
+            f"range (n < {_MR_LIMIT:.4g})")
+
+
 def _input_primes(name: str, x: Rational) -> Dict[int, int]:
     """factorize the numerator of the spec quantity x, called name in the
     SpecValidationError raised when it is past the certified primality range."""
     try:
         return factorize(Fraction(x).numerator)
     except PrimalityRangeError:
-        raise SpecValidationError([
-            f"{name} = {x} cannot be factored within the certified primality "
-            f"range (n < {_MR_LIMIT:.4g})"
-        ]) from None
+        raise SpecValidationError([past_primality_range(name, x)]) from None
 
 
 class DegenerateFiberError(ValueError):
@@ -431,8 +435,9 @@ def parse_spec_text(text: str) -> SurfaceSpec:
     """Parse the line-oriented key-value spec format.
 
     Keys: s0, a, b, factor <i> <c> <d>, partA; integers in decimal;
-    '#' starts a comment.  Each key but factor appears once, and a, b and
-    factor lines carry exactly their values.
+    '#' starts a comment.  Each key but factor appears once, a, b and
+    factor lines carry exactly their values, and partA names each index
+    at most once.
     """
     s0: List[Place] = []
     a: Optional[int] = None
@@ -466,6 +471,9 @@ def parse_spec_text(text: str) -> SurfaceSpec:
                 factors[i] = (int(tokens[2]), int(tokens[3]))
             elif key == "partA":
                 part_a = [int(tok) for tok in tokens[1:]]
+                for k, i in enumerate(part_a):
+                    if i in part_a[:k]:
+                        raise ValueError(f"repeated index {i} on partA")
             else:
                 raise ValueError(f"unknown key {key!r}")
         except ValueError as exc:

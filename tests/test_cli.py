@@ -83,14 +83,19 @@ def test_validate_names_a_quantity_past_the_primality_range(tmp_path, capsys, fa
     assert captured.out == ""
 
 
-def test_python_dash_m_runs_the_cli(spec_file):
+def run_module(*argv):
+    """Run `python -m torusdescent *argv` in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p
     )}
-    done = subprocess.run(
-        [sys.executable, "-m", "torusdescent", "validate", spec_file],
+    return subprocess.run(
+        [sys.executable, "-m", "torusdescent", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_python_dash_m_runs_the_cli(spec_file):
+    done = run_module("validate", spec_file)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("spec valid; d = 6")
 
@@ -111,6 +116,16 @@ def test_validate_rejects_junk_tokens_and_repeated_keys(tmp_path, capsys):
     path.write_text("s0 real 2\na 1\nb 1\nfactor 1 1 0\npartA 1\na 7\n")
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().err == "error: line 6: repeated key 'a'\n"
+
+
+def test_validate_rejects_a_repeated_part_a_index(tmp_path, capsys):
+    # "partA 1 1" used to collapse to "partA 1" and validate
+    path = tmp_path / "repeat.spec"
+    path.write_text("s0 real 2\na 1\nb 1\nfactor 1 1 0\nfactor 2 1 1\npartA 1 1\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 6: repeated index 1 on partA\n"
+    assert captured.out == ""
 
 
 def test_validate_rejects_proportional(tmp_path, capsys):
@@ -138,6 +153,20 @@ def test_selmer_command(spec_file, capsys):
     assert payload["t"] == "1"
     assert payload["torus_d"] == "-3"  # -12 mod squares
     assert payload["dim_selmer"] - payload["dim_dual_selmer"] >= 0
+
+
+def test_selmer_names_a_torus_parameter_past_the_primality_range(tmp_path, capsys):
+    path = tmp_path / "big.spec"
+    path.write_text("s0 real 2\na 1\nb 1\nfactor 1 1 0\nfactor 2 1 1\npartA 1\n")
+    t = Fraction(10**31 + 1, 3)
+    assert main(["selmer", str(path), "--t", str(t)]) == 1
+    captured = capsys.readouterr()
+    # d = 1 and p_J(t) = t(t + 1): a cofactor of the numerator is past the range
+    assert captured.err == (
+        f"error: torus parameter -d*p_J(t) = {-t * (t + 1)} cannot be factored "
+        "within the certified primality range (n < 3.317e+24)\n"
+    )
+    assert captured.out == ""
 
 
 def test_brauer_command(spec_file, capsys):
@@ -303,3 +332,41 @@ def test_negative_search_bound_is_input_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --") and "nonnegative" in captured.err
     assert captured.out == ""
+
+
+def test_parser_is_built_once_and_shared_by_every_call(tmp_path, spec_file, capsys):
+    assert build_parser() is build_parser()
+    # --json on one call does not carry over to the next
+    assert main(["--json", "validate", spec_file]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    assert main(["validate", spec_file]) == 0
+    assert capsys.readouterr().out.startswith("spec valid; d = 6\n")
+    # nor does an option value: the second descend runs at the default height
+    spec, point, _ = family_point(0)
+    spec_path = tmp_path / "family.spec"
+    spec_path.write_text(serialize_spec(spec))
+    point_path = tmp_path / "family.points"
+    point_path.write_text(serialize_point(point))
+    argv = ["descend", str(spec_path), "--point-file", str(point_path)]
+    assert build_parser().parse_args([*argv, "--height", "5"]).height == 5
+    assert build_parser().parse_args(argv).height == DescentBounds().height
+    main(["--json", *argv, "--height", "5"])
+    assert json.loads(capsys.readouterr().out)["bounds"]["height"] == 5
+    main(["--json", *argv])
+    bounds = json.loads(capsys.readouterr().out)["bounds"]
+    assert bounds["height"] == DescentBounds().height
+
+
+def test_argparse_rejection_leaves_the_next_call_as_in_a_fresh_process(spec_file, capsys):
+    argv = ["selmer", spec_file, "--t", "1/2"]
+    assert main(["--json", *argv]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as rejected:
+        main(["selmer", spec_file])  # --t is required
+    assert rejected.value.code == 2
+    assert "--t" in capsys.readouterr().err
+    rc = main(argv)
+    captured = capsys.readouterr()
+    fresh = run_module(*argv)
+    assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert captured.out.startswith("fiber t = 1/2: ")

@@ -239,6 +239,8 @@ def test_spec_file_parsing_errors():
         (valid + "b 7\n", "line 6: repeated key 'b'"),
         (valid + "s0 real 2\n", "line 6: repeated key 's0'"),
         (valid + "partA\n", "line 6: repeated key 'partA'"),
+        # a repeated index on the partA line would silently collapse
+        (valid.replace("partA 1", "partA 1 1"), "line 5: repeated index 1 on partA"),
     ]
     for text, message in cases:
         with pytest.raises(SpecValidationError, match=message):
