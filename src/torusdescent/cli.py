@@ -160,7 +160,10 @@ def cmd_brauer(args) -> int:
 def cmd_local(args) -> int:
     spec = load_spec(args.spec)
     t = parse_rational(args.t)
-    v = parse_place(args.place)
+    try:
+        v = parse_place(args.place)
+    except ValueError as exc:  # not an integer, not prime, or past the primality range
+        raise ValueError(f"--place {args.place}: {exc}") from None
     fib = fiber(spec, t)
     model = args.model
     result = local_solubility(fib.aA, fib.bB, v, model=model)

@@ -2,7 +2,8 @@
 
 Bit k of an int is column k.  `echelon` is the one elimination: it returns
 the reduced echelon form with each row's lowest bit as its pivot, and
-`kernel_basis`, membership and `Subspace` all read their answers off it.
+`kernel_basis`, `column_kernel`, membership and `Subspace` all read their
+answers off it.
 """
 
 from __future__ import annotations
@@ -57,6 +58,20 @@ def kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
         if not pivots & bit:
             basis.append(bit | sum(row & -row for row in reduced if row & bit))
     return basis
+
+
+def column_kernel(columns: Sequence[int]) -> List[int]:
+    """Basis of {x : XOR of columns[m] over the set bits m of x is 0}, the
+    kernel of the matrix with these columns.
+
+    Each column is tagged with its own bit above every column bit.  In the
+    reduced echelon form a row whose pivot is a tag has no column bits, and
+    those rows span the tagged dependencies: any combination of rows keeps
+    the lowest pivot among them.
+    """
+    shift = max(columns, default=0).bit_length()
+    tagged = echelon([col | 1 << shift + m for m, col in enumerate(columns)])
+    return [row >> shift for row in tagged if not row & (1 << shift) - 1]
 
 
 def parity(mask: int) -> int:

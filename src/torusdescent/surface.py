@@ -29,6 +29,7 @@ from .arith import (
     factorize,
     is_prime,
     local_mask,
+    mod_prime_power,
     parse_place,
     parse_rational,
     strip_primes,
@@ -76,7 +77,7 @@ class SurfaceSpec:
     factors: Tuple[Tuple[int, Tuple[Fraction, Fraction]], ...]  # (i, (c_i, d_i))
     part_a: frozenset
 
-    @property
+    @cached_property
     def d(self) -> Fraction:
         return self.a * self.b
 
@@ -143,12 +144,30 @@ class SurfaceSpec:
         return tuple(sorted({*self.s0_finite_primes, *(v.p for v in self.s_bad)}))
 
     @cached_property
+    def cross_resultants(self) -> Dict[Tuple[int, int], Fraction]:
+        """(i, j) -> c_i*d_j - c_j*d_i for i before j in indices, each
+        formed once: compute_s_bad factors them and root_masks reads their
+        classes."""
+        items = self.factors
+        return {(i, j): ci * dj - cj * di
+                for k, (i, (ci, di)) in enumerate(items) for j, (cj, dj) in items[k + 1:]}
+
+    @cached_property
     def root_masks(self) -> Dict[Tuple[int, int], int]:
-        """(i, j) -> class_mask of p_j(-d_i/c_i) = (c_i*d_j - c_j*d_i)/c_i
-        over basis_primes, for i != j: every descent constant is an XOR of
-        these and [a] or [d]."""
-        return {(i, j): class_mask(self.factor_value(j, self.root(i)), self.basis_primes)
-                for i in self.indices for j in self.indices if i != j}
+        """(i, j) -> class_mask of p_j(-d_i/c_i) over basis_primes, for i != j:
+        every descent constant is an XOR of these and [a] or [d].
+
+        p_j(-d_i/c_i) = R/c_i and p_i(-d_j/c_j) = -R/c_j for the
+        cross-resultant R of i before j, so each pair costs one class_mask.
+        """
+        primes = self.basis_primes
+        lead = {i: class_mask(c, primes) for i, (c, _) in self.factors}
+        table = {}
+        for (i, j), r in self.cross_resultants.items():
+            mask = class_mask(r, primes)
+            table[i, j] = mask ^ lead[i]
+            table[j, i] = mask ^ 1 ^ lead[j]
+        return table
 
     @cached_property
     def brauer_constants(self) -> Dict[int, Fraction]:
@@ -263,6 +282,8 @@ def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
     Primes dividing a cross-resultant c_i*d_j - c_j*d_i, a leading
     coefficient c_i, or d = ab; the prime 2; and primes p with
     p_J(t) = 0 mod p for every residue t (only possible for p <= |J|).
+    The cross-resultants are read from spec.cross_resultants, the one
+    table that root_masks also reads.
     Leading-coefficient primes are included so that the constants
     a*p_A(-d_i/c_i) are v-units at every place outside S0 and S_bad.
     A quantity that cannot be factored within the certified primality
@@ -273,29 +294,23 @@ def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
     if 2 not in s0_primes:
         bad.add(2)
     values = [("d = ab", spec.d)]
-    items = list(spec.factors)
-    for idx, (i, (ci, di)) in enumerate(items):
+    cross = spec.cross_resultants
+    for k, (i, (ci, _)) in enumerate(spec.factors):
         values.append((f"c_{i}", ci))
-        for j, (cj, dj) in items[idx + 1 :]:
-            values.append((f"c_{i}*d_{j} - c_{j}*d_{i}", ci * dj - cj * di))
+        values += [(f"c_{i}*d_{j} - c_{j}*d_{i}", cross[i, j]) for j in spec.indices[k + 1:]]
     for name, x in values:
-        for q in _input_primes(name, x):
-            if valuation(x, q) > 0 and q not in s0_primes:
-                bad.add(q)
-    # residue-covering primes: every t mod p is a root of p_J
+        # x's denominator is S0-smooth: a prime outside S0 dividing the
+        # numerator has positive valuation
+        bad.update(q for q in _input_primes(name, x) if q not in s0_primes)
+    # residue-covering primes: every t mod p is a root of p_J.  Such p lies
+    # outside S0 and divides no c_i (those are bad already), so each root
+    # -d_i/c_i is p-integral and p_i(t) = 0 mod p at its residue only.
     for p in range(2, len(spec.factors) + 1):
         if p in s0_primes or p in bad or not is_prime(p):
             continue
-        if all(
-            any(_vanishes_mod(spec, i, t, p) for i in spec.indices) for t in range(p)
-        ):
+        if len({mod_prime_power(spec.root(i), p, 1) for i in spec.indices}) == p:
             bad.add(p)
     return tuple(Place.finite(q) for q in sorted(bad))
-
-
-def _vanishes_mod(spec: SurfaceSpec, i: int, t: int, p: int) -> bool:
-    value = spec.factor_value(i, t)
-    return value == 0 or valuation(value, p) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from torusdescent import gf2
 from torusdescent.arith import (
     REAL,
     Place,
     SquareClass,
+    class_from_mask,
     factorize,
     legendre,
     mod_prime_power,
@@ -25,7 +27,15 @@ from torusdescent.arith import (
     strip_primes,
     valuation,
 )
-from torusdescent.conditiond import GElement
+from torusdescent.conditiond import (
+    ConditionDReport,
+    GElement,
+    constant_mask,
+    expected_g_d_dual_generators,
+    expected_g_d_generators,
+    generator_mask,
+    span_of,
+)
 from torusdescent.surface import compute_s_bad
 
 
@@ -247,6 +257,66 @@ def g_d_bruteforce(spec, dual: bool) -> set:
     return members
 
 
+def _in_g_i_reference(spec, x: GElement, i: int, dual: bool) -> bool:
+    """Membership in G_i (G^i when dual) on SquareClass objects."""
+    primes = spec.basis_primes
+    cls = x.c * class_from_mask(constant_mask(spec, i, x.poly, dual), primes)
+    return cls.is_identity() or cls == class_from_mask(generator_mask(spec, i), primes)
+
+
+def _intersection_reference(spec, dual: bool) -> List[GElement]:
+    """G_D (G^D when dual) from the row-stacked map, as GElement objects.
+
+    The row of index k and bit b holds bit b of c, of each r_kj =
+    [D_k^{{j}}] and of t_k = [a*D_k^A]; the kernel's projection to (c, J')
+    is the intersection, each generator re-checked on SquareClass objects.
+    """
+    n = len(spec.indices)
+    primes = spec.basis_primes
+    width = 1 + len(primes)
+    rows = []
+    for k, i in enumerate(spec.indices):
+        r = [constant_mask(spec, i, {j}, dual) for j in spec.indices]
+        t = generator_mask(spec, i)
+        for b in range(width):
+            row = 1 << b | (t >> b & 1) << width + n + k
+            for m, r_kj in enumerate(r):
+                row |= (r_kj >> b & 1) << width + m
+            rows.append(row)
+    kernel = gf2.kernel_basis(rows, width + 2 * n)
+    group = gf2.Subspace(width + n, [v % (1 << width + n) for v in kernel])
+
+    def element(vec: int) -> GElement:
+        poly = frozenset(j for k, j in enumerate(spec.indices) if vec >> (width + k) & 1)
+        return GElement(class_from_mask(vec, primes), poly)
+
+    for x in map(element, group.basis):
+        if not all(_in_g_i_reference(spec, x, i, dual) for i in spec.indices):
+            raise AssertionError(f"kernel generator {x} is outside the intersection")
+    return sorted(map(element, group.elements()), key=GElement.sort_key)
+
+
+def check_condition_d_reference(spec) -> ConditionDReport:
+    """check_condition_d on GElement and SquareClass objects: the
+    intersections from the row-stacked map, compared with span_of the
+    expected generators element by element.  It shares constant_mask and
+    generator_mask with the program; test_constant_masks_match_rational_constants
+    checks those against the rational constants."""
+    g_d = _intersection_reference(spec, dual=False)
+    g_d_dual = _intersection_reference(spec, dual=True)
+    target = span_of(expected_g_d_generators(spec))
+    target_dual = span_of(expected_g_d_dual_generators(spec))
+    assert all(g in g_d for g in target) and all(g in g_d_dual for g in target_dual)
+    witnesses = [g for g in g_d if g not in target]
+    witnesses += [g for g in g_d_dual if g not in target_dual]
+    return ConditionDReport(
+        holds=not witnesses,
+        g_d=tuple(g_d),
+        g_d_dual=tuple(g_d_dual),
+        witnesses=tuple(sorted(set(witnesses), key=GElement.sort_key)),
+    )
+
+
 def fiber_point_bruteforce(spec, t, height: int):
     """Direct scan over x = m/u on one fiber, solving exactly for y.
 
@@ -451,6 +521,24 @@ def surface_points_bruteforce(spec, t_values, height: int):
 # ---------------------------------------------------------------------------
 # Test-only helpers: place sets, evaluation maps, ranks, local classes
 # ---------------------------------------------------------------------------
+
+
+def s_bad_reference(spec) -> set:
+    """The primes of S_bad by their definition: 2 unless in S0, the primes
+    outside S0 of d, of every c_i and of every c_i*d_j - c_j*d_i, and each
+    prime p <= |J| outside S0 at which every residue t mod p makes some
+    p_i(t) vanish or have positive valuation."""
+    s0 = set(spec.s0_finite_primes)
+    values = [spec.d] + [c for _, (c, _) in spec.factors]
+    values += [ci * dj - cj * di for i, (ci, di) in spec.factors
+               for j, (cj, dj) in spec.factors if i < j]
+    bad = {q for x in values for q in factorize(Fraction(x).numerator)} | {2}
+    for p in range(3, len(spec.factors) + 1):
+        if all(p % q for q in range(2, p)) and all(
+                any(spec.factor_value(i, t) == 0 or valuation(spec.factor_value(i, t), p) > 0
+                    for i in spec.indices) for t in range(p)):
+            bad.add(p)
+    return bad - s0
 
 
 def compute_s(spec, s_d=()):

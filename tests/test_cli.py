@@ -182,6 +182,21 @@ def test_local_command(spec_file, capsys):
     assert main(["local", spec_file, "--t", "1", "--place", "real", "--model", "rational"]) == 0
 
 
+@pytest.mark.parametrize(
+    "place, reason",
+    [("3317044064679887385961981", "exceeds the deterministic Miller-Rabin range"),
+     ("4", "4 is not prime"),
+     ("x", "invalid literal for int()")],
+    ids=["past-primality-range", "composite", "not-an-integer"],
+)
+def test_local_names_the_place_option_in_its_error(spec_file, capsys, place, reason):
+    assert main(["local", spec_file, "--t", "1", "--place", place]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --place {place}: ")
+    assert reason in captured.err
+    assert captured.out == ""
+
+
 def test_local_real_witness_for_a_large_leading_coefficient(tmp_path, capsys):
     # at t = 2*10^8 the conic is t*x^2 + y^2 = 1: the witness is (x, 0)
     # with x just below 1/sqrt(t), not (0, 0)

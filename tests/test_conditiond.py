@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from torusdescent import gf2
 from torusdescent.arith import class_mask, factorize, square_class
 from torusdescent.conditiond import (
     GElement,
@@ -18,10 +20,24 @@ from torusdescent.conditiond import (
     in_g_i,
     span_of,
 )
-from torusdescent.surface import REAL, Place, make_spec, serialize_spec, spec_violations
+from torusdescent.surface import (
+    REAL,
+    Place,
+    SurfaceSpec,
+    compute_s_bad,
+    make_spec,
+    serialize_spec,
+    spec_violations,
+)
 
 from fixtures import ALL_FAMILY, family_spec
-from oracles import d_constant, d_constant_dual, g_d_bruteforce, g_element
+from oracles import (
+    check_condition_d_reference,
+    d_constant,
+    d_constant_dual,
+    g_d_bruteforce,
+    g_element,
+)
 from test_pipeline_fuzz import _random_spec
 
 
@@ -132,22 +148,30 @@ def test_intersection_matches_bruteforce(s0, a, b, factors, part_a):
 
 
 @st.composite
-def small_specs(draw, max_factors=3):
-    """Raw specs with |J| <= max_factors and coefficients small enough for the oracle."""
+def small_specs(draw, max_factors=3, d_bound=5):
+    """Raw specs with |J| <= max_factors and coefficients small enough for the
+    oracle: c_i of either sign, and c_i, d_i with a denominator 2 or 4 when
+    2 lies in S0."""
     s0 = draw(st.sampled_from([(), (2,), (2, 3)]))
     a, b = (draw(st.sampled_from([x for x in range(-6, 7) if x])) for _ in range(2))
     n = draw(st.integers(1, max_factors))
-    factors = {i: (draw(st.integers(1, 3)), draw(st.integers(-5, 5))) for i in range(1, n + 1)}
+    scales = st.sampled_from([1, 1, Fraction(1, 2), Fraction(1, 4)] if 2 in s0 else [1])
+    factors = {i: (draw(st.sampled_from([-3, -2, -1, 1, 2, 3])) * draw(scales),
+                   draw(st.integers(-d_bound, d_bound)) * draw(scales))
+               for i in range(1, n + 1)}
     part_a = [i for i in factors if draw(st.booleans())]
     return s0, a, b, factors, part_a
+
+
+def _valid(raw) -> bool:
+    s0, a, b, factors, part_a = raw
+    return not spec_violations([REAL] + [Place.finite(p) for p in s0], a, b, factors, part_a)
 
 
 @given(small_specs())
 @settings(max_examples=30, deadline=None, derandomize=True)
 def test_intersection_matches_bruteforce_random(raw):
-    s0, a, b, factors, part_a = raw
-    places = [REAL] + [Place.finite(p) for p in s0]
-    assume(not spec_violations(places, a, b, factors, part_a))
+    assume(_valid(raw))
     test_intersection_matches_bruteforce(*raw)
 
 
@@ -155,13 +179,17 @@ def test_intersection_matches_bruteforce_random(raw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_constant_masks_match_rational_constants(raw):
     """Every D_i^{J'} and Dhat_i^{J'} read off root_masks has the class of the
-    rational product, and so does every spec.brauer_constants entry."""
-    s0, a, b, factors, part_a = raw
-    places = [REAL] + [Place.finite(p) for p in s0]
-    assume(not spec_violations(places, a, b, factors, part_a))
-    spec = make_spec(s0, a, b, factors, part_a)
+    rational product, and so does every spec.brauer_constants entry.  The
+    specs draw negative and S0-fractional coefficients, so root_masks meets
+    the sign of the reversed pair and the class of the leading coefficient."""
+    assume(_valid(raw))
+    spec = make_spec(*raw)
     primes = spec.basis_primes
     for i in spec.indices:
+        for j in spec.indices:
+            if j != i:
+                value = spec.factor_value(j, spec.root(i))
+                assert spec.root_masks[i, j] == class_mask(value, primes)
         for size in range(len(spec.indices) + 1):
             for subset in map(frozenset, itertools.combinations(spec.indices, size)):
                 for dual, constant in ((False, d_constant), (True, d_constant_dual)):
@@ -224,3 +252,61 @@ def test_descent_constants_lie_over_the_spec_basis():
             primes = set(factorize(x.numerator)) | set(factorize(x.denominator))
             assert primes <= set(spec.basis_primes), (serialize_spec(spec), x)
             assert spec.class_of(x) == square_class(x)
+
+
+def _assert_matches_reference(spec):
+    report, reference = check_condition_d(spec), check_condition_d_reference(spec)
+    assert report == reference
+    assert str(report) == str(reference)
+
+
+@given(small_specs(max_factors=8, d_bound=30))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_condition_d_matches_object_reference_random(raw):
+    assume(_valid(raw))
+    _assert_matches_reference(make_spec(*raw))
+
+
+@pytest.mark.parametrize("member", range(len(ALL_FAMILY)))
+def test_condition_d_matches_object_reference_family(member):
+    _assert_matches_reference(family_spec(member))
+
+
+def test_condition_d_reads_no_fiber_value_and_forms_each_cross_resultant_once(monkeypatch):
+    values, builds = [], []
+    real_value = SurfaceSpec.factor_value
+    real_cross = SurfaceSpec.__dict__["cross_resultants"].func
+
+    def counted_value(self, i, t):
+        values.append((i, t))
+        return real_value(self, i, t)
+
+    def counted_cross(self):
+        builds.append(self)
+        return real_cross(self)
+
+    cross = cached_property(counted_cross)
+    cross.__set_name__(SurfaceSpec, "cross_resultants")
+    monkeypatch.setattr(SurfaceSpec, "factor_value", counted_value)
+    monkeypatch.setattr(SurfaceSpec, "cross_resultants", cross)
+    # t, t+1, t+2 over S0 = {2} makes 3 a residue-covering prime of S_bad
+    specs = [family_spec(23), _g_d_too_large_spec(8),
+             make_spec([2], 1, 3, {1: (1, 0), 2: (1, 1), 3: (1, 2)}, [1])]
+    for spec in specs:
+        check_condition_d(spec)
+        assert len(spec.root_masks) == len(spec.indices) * (len(spec.indices) - 1)
+        assert compute_s_bad(spec) == spec.s_bad
+    assert values == []
+    assert builds == specs
+    assert 3 in specs[2].basis_primes
+
+
+def test_self_checks_catch_a_wrong_kernel(monkeypatch, running_spec):
+    # a kernel holding the bare class [2] ([2] is not in G_D) fails the
+    # generator re-check; an empty kernel loses the target generators
+    monkeypatch.setattr(gf2, "column_kernel", lambda columns: [0b10])
+    with pytest.raises(AssertionError, match=r"kernel generator \[2\] is outside"):
+        check_condition_d(running_spec)
+    monkeypatch.setattr(gf2, "column_kernel", lambda columns: [])
+    with pytest.raises(AssertionError, match="missing from G_D"):
+        check_condition_d(running_spec)

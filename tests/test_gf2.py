@@ -72,6 +72,20 @@ def test_kernel_basis_matches_enumeration():
         assert len(basis) == expected.dim
 
 
+def test_column_kernel_matches_enumeration():
+    # the combinations of columns summing to 0 are the kernel of the rows
+    # of the transposed matrix
+    rng = random.Random(5)
+    for _ in range(200):
+        ncols, height = rng.randint(0, 10), rng.randint(0, 8)
+        columns = [rng.getrandbits(height) for _ in range(ncols)]
+        rows = [sum((col >> b & 1) << m for m, col in enumerate(columns)) for b in range(height)]
+        basis = gf2.column_kernel(columns)
+        expected = gf2.Subspace(ncols, _kernel_by_enumeration(rows, ncols))
+        assert gf2.Subspace(ncols, basis).basis == expected.basis
+        assert len(basis) == expected.dim
+
+
 def test_intersect_hyperplane_matches_enumeration():
     rng = random.Random(4)
     for _ in range(200):

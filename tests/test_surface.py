@@ -25,7 +25,7 @@ from torusdescent.surface import (
 )
 
 from fixtures import REDUCTION_MEMBERS, family_point
-from oracles import compute_s
+from oracles import compute_s, s_bad_reference
 
 
 @pytest.fixture
@@ -92,6 +92,29 @@ def test_s_bad_covering_prime():
     # p_J = t(t+1): every residue mod 2 is a root
     spec = make_spec([], 1, 1, {1: (1, 0), 2: (1, 1)}, [1])
     assert 2 in {v.p for v in compute_s_bad(spec)}
+
+
+def test_s_bad_covering_prime_above_2():
+    # p_J = t(t+1)(t+2) with 2 in S0: every residue mod 3 is a root
+    spec = make_spec([2], 1, 1, {1: (1, 0), 2: (1, 1), 3: (1, 2)}, [1])
+    assert [v.p for v in compute_s_bad(spec)] == [3]
+
+
+def test_s_bad_matches_its_definition():
+    rng = random.Random(13)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(1, 6)
+        s0 = rng.choice([[], [2], [2, 3], [2, 5]])
+        scale = [1, Fraction(1, 2)] if 2 in s0 else [1]
+        factors = {i: (rng.choice([-3, -2, -1, 1, 2, 3]) * rng.choice(scale),
+                       rng.randint(-12, 12) * rng.choice(scale)) for i in range(1, n + 1)}
+        raw = (s0, rng.choice([-3, -1, 1, 2, 5]), rng.choice([-2, 1, 3, 7]), factors, [1])
+        if spec_violations([REAL] + [Place.finite(p) for p in s0], *raw[1:]):
+            continue
+        spec = make_spec(*raw)
+        assert {v.p for v in compute_s_bad(spec)} == s_bad_reference(spec), raw
+        checked += 1
 
 
 def test_s_bad_leading_coefficient_prime():
