@@ -1,25 +1,26 @@
 """Condition (D): the class group G, the constants D_i^{J'}, and the
 subgroup intersections that control which Selmer elements descent can kill.
 
-Elements of G are pairs (square class, subset of J).  No constant is built
-as a rational: [D_i^{J'}] is the XOR of SurfaceSpec.root_masks over its
-factors p_j(-d_i/c_i), plus [d] or [-d] when i lies in J'.  It is linear in
-J', so each membership condition is linear over F2 and the intersection
-groups are kernels of one stacked F2 map, polynomial in |J|.
-
-check_condition_d works on masks end to end: an element of G is one int
-(the class bits over -1 and the spec's basis primes, then one bit per
-factor), the kernel generators are re-checked and the targets compared on
-those ints, and only the reported elements are decoded to GElement.
+Elements of G are pairs (square class, subset of J).  `Lattice` is the one
+encoding of G as F2 masks (the sign bit, bits over ascending primes, then
+one bit per factor symbol): Condition (D) works over the spec lattice and
+`selmer` over the lattices of its tori and fibers.  Each constant has one
+function: constant_mask is [D_i^{J'}] (the XOR of SurfaceSpec.root_masks
+over its factors p_j(-d_i/c_i), plus [d] or [-d] when i lies in J'),
+target_mask is t_i = [a*D_i^A] and target_generators spans the target
+subgroups.  [D_i^{J'}] is linear in J', so each membership condition is
+linear over F2 and the intersection groups are kernels of one stacked F2
+map, polynomial in |J|.  check_condition_d works on masks end to end and
+decodes only the reported elements to GElement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from . import gf2
-from .arith import SquareClass, class_from_mask, class_mask
+from .arith import Place, SquareClass, class_from_mask, class_mask
 from .surface import SurfaceSpec
 
 
@@ -50,6 +51,54 @@ class GElement:
         return f"[{self.c}][{prod}]"
 
 
+class Lattice:
+    """Elements [c][p_{J'}] of G as F2 masks: bit 0 is -1, bit k the k-th of
+    the ascending primes, then one formal symbol per factor index in the
+    given order (none for the lattice of a torus).  The spec lattice
+    (Lattice.of_spec) is G over a spec: every constant of Condition (D)
+    is a mask of it."""
+
+    def __init__(self, primes: Sequence[int], factor_indices: Sequence[int] = ()):
+        self.primes = tuple(primes)
+        self.factor_indices = tuple(factor_indices)
+        self.width = 1 + len(self.primes)
+        self.ncols = self.width + len(self.factor_indices)
+        self._bits = {i: self.width + m for m, i in enumerate(self.factor_indices)}
+
+    @classmethod
+    def of_places(cls, places: Iterable[Place], factor_indices: Sequence[int] = ()) -> "Lattice":
+        return cls([v.p for v in sorted(set(places)) if v.is_finite], factor_indices)
+
+    @classmethod
+    def of_spec(cls, spec: SurfaceSpec) -> "Lattice":
+        """G over spec: -1, spec.basis_primes and the factor indices."""
+        return cls(spec.basis_primes, spec.indices)
+
+    def poly_mask(self, subset: Iterable[int]) -> int:
+        """The bits of p_{J'}; ValueError on an index outside the lattice."""
+        mask = 0
+        for i in subset:
+            if i not in self._bits:
+                raise ValueError(f"factor index {i} is outside the lattice")
+            mask |= 1 << self._bits[i]
+        return mask
+
+    def poly(self, mask: int) -> FrozenSet[int]:
+        """The J' of the mask [c][p_{J'}]."""
+        return frozenset(i for i, bit in self._bits.items() if mask >> bit & 1)
+
+    def encode(self, x: GElement) -> int:
+        """ValueError if x has a prime or a factor outside the lattice."""
+        return class_mask(x.c.value(), self.primes) | self.poly_mask(x.poly)
+
+    def decode(self, mask: int) -> GElement:
+        return GElement(class_from_mask(mask, self.primes), self.poly(mask))
+
+    def report(self, masks: Iterable[int]) -> Tuple[GElement, ...]:
+        """The decoded masks in GElement.sort_key order."""
+        return tuple(sorted(map(self.decode, masks), key=GElement.sort_key))
+
+
 def constant_mask(spec: SurfaceSpec, i: int, subset: AbstractSet[int], dual: bool = False) -> int:
     """[D_i^{J'}] over -1 and spec.basis_primes; [Dhat_i^{J'}] when dual.
 
@@ -57,23 +106,25 @@ def constant_mask(spec: SurfaceSpec, i: int, subset: AbstractSet[int], dual: boo
     inside, and Dhat_i^{J'} puts -d for d.  The class of each factor
     p_j(-d_i/c_i) is the table entry spec.root_masks[i, j].
     """
-    return _constant(spec, i, subset, class_mask(spec.d, spec.basis_primes) ^ dual)
-
-
-def _constant(spec: SurfaceSpec, i: int, subset: AbstractSet[int], d_mask: int) -> int:
-    """constant_mask with the class put for d given as d_mask."""
     others, mask = subset, 0
     if i in subset:
         others = [j for j in spec.indices if j not in subset]
-        mask = d_mask
+        mask = spec.d_mask ^ dual
     for j in others:
         mask ^= spec.root_masks[i, j]
     return mask
 
 
-def generator_mask(spec: SurfaceSpec, i: int) -> int:
-    """[a*D_i^A], the class of spec.brauer_constants[i]."""
-    return class_mask(spec.a, spec.basis_primes) ^ constant_mask(spec, i, spec.part_a)
+def target_mask(spec: SurfaceSpec, i: int) -> int:
+    """t_i = [a*D_i^A], the class of spec.brauer_constants[i]."""
+    return spec.a_mask ^ constant_mask(spec, i, spec.part_a)
+
+
+def _member(spec: SurfaceSpec, cls: int, poly: AbstractSet[int], i: int, dual: bool,
+            target: int) -> bool:
+    """([c], J') in G_i (G^i when dual), [c] given as a mask: [c*D_i^{J'}]
+    lies in <t_i>, t_i given as target."""
+    return cls ^ constant_mask(spec, i, poly, dual) in (0, target)
 
 
 def in_g_i(spec: SurfaceSpec, x: GElement, i: int, dual: bool = False) -> bool:
@@ -83,88 +134,22 @@ def in_g_i(spec: SurfaceSpec, x: GElement, i: int, dual: bool = False) -> bool:
         cls = class_mask(x.c.value(), spec.basis_primes)
     except ValueError:
         return False
-    cls ^= constant_mask(spec, i, x.poly, dual)
-    return cls == 0 or cls == generator_mask(spec, i)
+    return _member(spec, cls, x.poly, i, dual, target_mask(spec, i))
 
 
-class _Masks:
-    """G over one spec as ints: bit 0 is -1, bit k the k-th basis prime, and
-    bit width + m the m-th factor index in ascending order.  Holds [a], [d]
-    and the targets t_i = [a*D_i^A], each read once."""
-
-    def __init__(self, spec: SurfaceSpec):
-        self.spec = spec
-        self.primes = spec.basis_primes
-        self.indices = tuple(sorted(spec.indices))
-        self.width = 1 + len(self.primes)
-        self.a = class_mask(spec.a, self.primes)
-        self.d = class_mask(spec.d, self.primes)
-        self.targets = {i: self.a ^ _constant(spec, i, spec.part_a, self.d)
-                        for i in self.indices}
-
-    def poly_bits(self, subset: AbstractSet[int]) -> int:
-        return sum(1 << self.width + m for m, j in enumerate(self.indices) if j in subset)
-
-    def poly(self, vec: int) -> Tuple[int, ...]:
-        return tuple(j for m, j in enumerate(self.indices) if vec >> self.width + m & 1)
-
-    def sort_key(self, vec: int):
-        """GElement.sort_key of the decoded vec, read off its bits."""
-        value = 1
-        for k, p in enumerate(self.primes, 1):
-            if vec >> k & 1:
-                value *= p
-        return (value, vec & 1, self.poly(vec))
-
-    def report(self, vecs: Iterable[int]) -> Tuple[GElement, ...]:
-        """The elements of vecs as GElements, in GElement.sort_key order."""
-        return tuple(GElement(class_from_mask(vec, self.primes), frozenset(self.poly(vec)))
-                     for vec in sorted(vecs, key=self.sort_key))
-
-    def intersection(self, dual: bool = False) -> Set[int]:
-        """G_D (G^D when dual): the x = (c, J') with [c*D_i^{J'}] in <t_i>
-        for every i, its generators re-checked one by one.
-
-        [D_i^{J'}] = sum over j in J' of r_ij = [D_i^{{j}}], so the intersection is the
-        projection to (c, J') of the kernel of (c, J', e) -> (c + sum_j J'_j r_ij + e_i t_i)_i.
-        The map is stacked by columns, one per unknown, with bits
-        width*k and up holding the image in block k: the column of J'_j
-        holds r_kj there and the column of e_k holds t_k.  Off the diagonal
-        r_ij = root_masks[i, j]; on it r_ii is [d] ([-d] when dual) plus
-        every root_masks[i, j].  The re-check reads each constant off
-        root_masks by its definition, not off the columns.
-        """
-        spec, indices, width = self.spec, self.indices, self.width
-        n = len(indices)
-        d_mask = self.d ^ dual
-        table = spec.root_masks
-        diagonal = dict.fromkeys(indices, d_mask)
-        for (i, _), mask in table.items():
-            diagonal[i] ^= mask
-        shifts = [width * k for k in range(n)]
-        ones = sum(1 << shift for shift in shifts)
-        columns = [ones << b for b in range(width)]
-        columns += [sum((table[i, j] if i != j else diagonal[i]) << shift
-                        for i, shift in zip(indices, shifts)) for j in indices]
-        columns += [self.targets[i] << shift for i, shift in zip(indices, shifts)]
-        kernel = gf2.column_kernel(columns)
-        group = gf2.Subspace(width + n, [v & (1 << width + n) - 1 for v in kernel])
-        low = (1 << width) - 1
-        for vec in group.basis:
-            poly = frozenset(self.poly(vec))
-            for i in indices:
-                cls = vec & low ^ _constant(spec, i, poly, d_mask)
-                if cls and cls != self.targets[i]:
-                    raise AssertionError(
-                        f"kernel generator {self.report([vec])[0]} is outside the "
-                        "intersection (bug)")
-        return set(group.elements())
+def target_generators(spec: SurfaceSpec, lattice: Lattice, dual: bool = False) -> List[int]:
+    """The generators of the target subgroup as masks of the spec lattice:
+    [a][p_A] and [d][p_J] for G_D, [-d][p_J] for G^D when dual."""
+    p_j = lattice.poly_mask(spec.indices)
+    if dual:
+        return [spec.d_mask ^ 1 | p_j]
+    return [spec.a_mask | lattice.poly_mask(spec.part_a), spec.d_mask | p_j]
 
 
-def compute_intersection(spec: SurfaceSpec, dual: bool = False) -> List[GElement]:
-    """G_D (G^D when dual), sorted by GElement.sort_key."""
-    masks = _Masks(spec)
-    return list(masks.report(masks.intersection(dual)))
+def expected_g_d_generators(spec: SurfaceSpec, dual: bool = False) -> List[GElement]:
+    """target_generators decoded: [a][p_A], [d][p_J] ([-d][p_J] when dual)."""
+    lattice = Lattice.of_spec(spec)
+    return [lattice.decode(mask) for mask in target_generators(spec, lattice, dual)]
 
 
 def span_of(generators: Sequence[GElement]) -> List[GElement]:
@@ -174,17 +159,41 @@ def span_of(generators: Sequence[GElement]) -> List[GElement]:
     return sorted(out, key=GElement.sort_key)
 
 
-def expected_g_d_generators(spec: SurfaceSpec) -> List[GElement]:
-    """[a][p_A] and [d][p_J], the generators of the target subgroup of G_D."""
-    return [
-        GElement(spec.class_of(spec.a), spec.part_a),
-        GElement(spec.class_of(spec.d), frozenset(spec.indices)),
-    ]
+def _intersection(spec: SurfaceSpec, lattice: Lattice, targets: Dict[int, int],
+                  dual: bool) -> Set[int]:
+    """G_D (G^D when dual) as spec-lattice masks: the x = (c, J') with
+    [c*D_i^{J'}] in <t_i> for every i, t_i = targets[i], its generators
+    re-checked one by one.
 
-
-def expected_g_d_dual_generators(spec: SurfaceSpec) -> List[GElement]:
-    """[-d][p_J], the generator of the target subgroup of G^D."""
-    return [GElement(spec.class_of(-spec.d), frozenset(spec.indices))]
+    [D_i^{J'}] = sum over j in J' of r_ij = [D_i^{{j}}], so the intersection is the
+    projection to (c, J') of the kernel of (c, J', e) -> (c + sum_j J'_j r_ij + e_i t_i)_i.
+    The map is stacked by columns, one per unknown, with bits
+    width*k and up holding the image in block k: the column of J'_j
+    holds r_kj there and the column of e_k holds t_k.  Off the diagonal
+    r_ij = root_masks[i, j]; on it r_ii is [d] ([-d] when dual) plus
+    every root_masks[i, j].  The re-check reads each constant off
+    root_masks by its definition, not off the columns.
+    """
+    indices, width = lattice.factor_indices, lattice.width
+    table = spec.root_masks
+    diagonal = dict.fromkeys(indices, spec.d_mask ^ dual)
+    for (i, _), mask in table.items():
+        diagonal[i] ^= mask
+    shifts = [width * k for k in range(len(indices))]
+    ones = sum(1 << shift for shift in shifts)
+    columns = [ones << b for b in range(width)]
+    columns += [sum((table[i, j] if i != j else diagonal[i]) << shift
+                    for i, shift in zip(indices, shifts)) for j in indices]
+    columns += [targets[i] << shift for i, shift in zip(indices, shifts)]
+    kernel = gf2.column_kernel(columns)
+    group = gf2.Subspace(lattice.ncols, [v & (1 << lattice.ncols) - 1 for v in kernel])
+    low = (1 << width) - 1
+    for vec in group.basis:
+        poly = lattice.poly(vec)
+        if not all(_member(spec, vec & low, poly, i, dual, targets[i]) for i in indices):
+            raise AssertionError(
+                f"kernel generator {lattice.decode(vec)} is outside the intersection (bug)")
+    return set(group.elements())
 
 
 @dataclass(frozen=True)
@@ -208,20 +217,23 @@ class ConditionDReport:
 
 def check_condition_d(spec: SurfaceSpec) -> ConditionDReport:
     """Compare G_D, G^D against their target subgroups <[a][p_A], [d][p_J]>
-    and <[-d][p_J]>, all as masks."""
-    masks = _Masks(spec)
-    g_d, g_d_dual = masks.intersection(), masks.intersection(dual=True)
-    p_j = masks.poly_bits(spec.indices)
-    gen_a, gen_d = masks.a | masks.poly_bits(spec.part_a), masks.d | p_j
-    target, target_dual = {0, gen_a, gen_d, gen_a ^ gen_d}, {0, masks.d ^ 1 | p_j}
-    for group, span, name in ((g_d, target, "G_D"), (g_d_dual, target_dual, "G^D")):
-        missing = masks.report(span - group)
+    and <[-d][p_J]>, all as masks of one spec lattice."""
+    lattice = Lattice.of_spec(spec)
+    targets = {i: target_mask(spec, i) for i in spec.indices}
+    groups, witnesses = [], set()
+    for dual, name in ((False, "G_D"), (True, "G^D")):
+        group = _intersection(spec, lattice, targets, dual)
+        span = {0}
+        for gen in target_generators(spec, lattice, dual):
+            span |= {gen ^ x for x in span}
+        missing = lattice.report(span - group)
         if missing:
             raise AssertionError(f"generator {missing[0]} missing from {name} (bug)")
-    witnesses = (g_d - target) | (g_d_dual - target_dual)
+        groups.append(lattice.report(group))
+        witnesses |= group - span
     return ConditionDReport(
         holds=not witnesses,
-        g_d=masks.report(g_d),
-        g_d_dual=masks.report(g_d_dual),
-        witnesses=masks.report(witnesses),
+        g_d=groups[0],
+        g_d_dual=groups[1],
+        witnesses=lattice.report(witnesses),
     )

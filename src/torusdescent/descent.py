@@ -38,9 +38,9 @@ from .brauer import obstruction_sum
 from .conditiond import (
     ConditionDReport,
     GElement,
+    Lattice,
     check_condition_d,
     constant_mask,
-    expected_g_d_dual_generators,
     expected_g_d_generators,
     in_g_i,
     span_of,
@@ -52,7 +52,6 @@ from .points import (
     verify_integral_point,
 )
 from .selmer import (
-    Lattice,
     SelmerSubspace,
     dimension_identity,
     fiber_torus,
@@ -482,7 +481,7 @@ class DescentState:
     @property
     def neg_gen(self) -> GElement:
         """[-d][p_J]."""
-        return expected_g_d_dual_generators(self.spec)[0]
+        return expected_g_d_generators(self.spec, dual=True)[0]
 
     def terminal(self) -> bool:
         return self.dual.dim == 1 and self.dual.contains(self.neg_gen)
@@ -500,7 +499,7 @@ def _make_state(
     adm = search.point
     fib = relative_fiber(spec, p_t, adm)
     sel, dual = relative_selmer(fib)
-    for gen in expected_g_d_dual_generators(spec):
+    for gen in expected_g_d_generators(spec, dual=True):
         if not dual.contains(gen):
             raise DescentAnomaly(f"{gen} escaped the relative dual Selmer group")
     for gen in expected_g_d_generators(spec):
@@ -707,8 +706,8 @@ def _chebotarev_step(
     t1 = new_state.adm.t0
 
     # the subgroups avoiding the distinguished factor index
-    bit_old = 1 << old_lattice.factor_bit(i_x)
-    bit_new = 1 << new_lattice.factor_bit(i_x)
+    bit_old = old_lattice.poly_mask([i_x])
+    bit_new = new_lattice.poly_mask([i_x])
     sel0_old = old_sel.space.intersect_hyperplane(bit_old)
     dual0_old = old_dual.space.intersect_hyperplane(bit_old)
     dual0_new = new_state.dual.space.intersect_hyperplane(bit_new)

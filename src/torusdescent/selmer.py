@@ -1,12 +1,13 @@
 """Selmer and dual Selmer groups of norm-one tori over rings of S-integers,
 and the relative (dual) Selmer groups of admissible fibers.
 
-Everything is F2 linear algebra over explicit square-class lattices: the
-ambient group is generated by -1, the finite primes of S (and the formal
-factor symbols in the relative case).  Both groups are cut out by local
-subspaces L_v of Q_v*/(Q_v*)^2, in the local_mask coordinates of `arith`:
-L_v = <[d]_v>^perp for the Selmer group and L_v = <[d]_v> for the dual
-Selmer group.  Each generator's local mask is computed once per place, and
+Everything is F2 linear algebra over explicit square-class lattices, read
+through conditiond.Lattice, the one encoding of G: the ambient group is
+generated by -1, the finite primes of S (and the formal factor symbols in
+the relative case).  Both groups are cut out by local subspaces L_v of
+Q_v*/(Q_v*)^2, in the local_mask coordinates of `arith`: L_v =
+<[d]_v>^perp for the Selmer group and L_v = <[d]_v> for the dual Selmer
+group.  Each generator's local mask is computed once per place, and
 each linear form on those masks whose kernel is L_v (H_v [d]_v, or a basis
 of the annihilator of [d]_v) becomes one row of the F2 system.
 """
@@ -33,7 +34,7 @@ from .arith import (
     square_class,
     valuation,
 )
-from .conditiond import GElement
+from .conditiond import GElement, Lattice
 from .surface import AdmissiblePoint, PartialAdelicPoint, SurfaceSpec
 
 
@@ -70,33 +71,8 @@ def torus_data(d: Union[Rational, SquareClass], places: Iterable[Place]) -> Toru
 
 
 # ---------------------------------------------------------------------------
-# Ambient lattices
+# Subspaces of the ambient lattices
 # ---------------------------------------------------------------------------
-
-
-class Lattice:
-    """Classes [c][p_{J'}] as F2 masks: bit 0 is -1, then the finite primes of
-    the places in ascending order, then one formal symbol per factor index
-    (none for the lattice of a torus)."""
-
-    def __init__(self, places: Iterable[Place], factor_indices: Sequence[int] = ()):
-        self.primes = [v.p for v in sorted(set(places)) if v.is_finite]
-        self.factor_indices = tuple(factor_indices)
-        self.ncols = 1 + len(self.primes) + len(self.factor_indices)
-
-    def factor_bit(self, i: int) -> int:
-        return 1 + len(self.primes) + self.factor_indices.index(i)
-
-    def encode(self, x: GElement) -> int:
-        """ValueError if x has a prime or a factor outside the lattice."""
-        mask = class_mask(x.c.value(), self.primes)
-        for i in x.poly:
-            mask |= 1 << self.factor_bit(i)
-        return mask
-
-    def decode(self, mask: int) -> GElement:
-        poly = frozenset(i for i in self.factor_indices if mask >> self.factor_bit(i) & 1)
-        return GElement(class_from_mask(mask, self.primes), poly)
 
 
 @dataclass
@@ -181,7 +157,7 @@ def selmer_groups(torus: TorusData) -> Tuple[SelmerSubspace, SelmerSubspace]:
     """The Selmer group (classes of I_S pairing trivially with d at every place
     of S) and the dual Selmer group (classes of I_S locally in <[d]_v> at
     every place of S) of the torus."""
-    return _cut_out(Lattice(torus.places), (), torus.d, torus.places)
+    return _cut_out(Lattice.of_places(torus.places), (), torus.d, torus.places)
 
 
 def split_places(torus: TorusData, base: Sequence[Place]) -> List[Place]:
@@ -271,7 +247,7 @@ def relative_selmer(fiber: RelativeFiber) -> Tuple[SelmerSubspace, SelmerSubspac
     """Pullbacks of the fiber torus Selmer and dual Selmer groups under
     evaluation at t0: the local conditions of -d*p_J(t0) at the ramified
     places, and unit classes at the rest of T."""
-    lattice = Lattice(fiber.places, fiber.spec.indices)
+    lattice = Lattice.of_places(fiber.places, fiber.spec.indices)
     values = [fiber.spec.factor_value(i, fiber.t0) for i in lattice.factor_indices]
     return _cut_out(lattice, values, fiber.torus_value, fiber.ramified, fiber.unit_kind)
 

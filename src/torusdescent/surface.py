@@ -23,8 +23,6 @@ from .arith import (
     Place,
     PrimalityRangeError,
     Rational,
-    SquareClass,
-    class_from_mask,
     class_mask,
     factorize,
     is_prime,
@@ -81,7 +79,7 @@ class SurfaceSpec:
     def d(self) -> Fraction:
         return self.a * self.b
 
-    @property
+    @cached_property
     def indices(self) -> Tuple[int, ...]:
         return tuple(i for i, _ in self.factors)
 
@@ -153,6 +151,16 @@ class SurfaceSpec:
                 for k, (i, (ci, di)) in enumerate(items) for j, (cj, dj) in items[k + 1:]}
 
     @cached_property
+    def a_mask(self) -> int:
+        """class_mask of a over basis_primes."""
+        return class_mask(self.a, self.basis_primes)
+
+    @cached_property
+    def d_mask(self) -> int:
+        """class_mask of d over basis_primes."""
+        return class_mask(self.d, self.basis_primes)
+
+    @cached_property
     def root_masks(self) -> Dict[Tuple[int, int], int]:
         """(i, j) -> class_mask of p_j(-d_i/c_i) over basis_primes, for i != j:
         every descent constant is an XOR of these and [a] or [d].
@@ -176,10 +184,6 @@ class SurfaceSpec:
         A and a*p_A otherwise.  Both are a*D_i^A up to squares (for i in A,
         a*D_i^A is a^2 times b*p_B(-d_i/c_i))."""
         return {i: self.fiber_coeffs(self.root(i))[i in self.part_a] for i in self.indices}
-
-    def class_of(self, x: Rational) -> SquareClass:
-        """[x] for a constant of the descent, read off over basis_primes."""
-        return class_from_mask(class_mask(x, self.basis_primes), self.basis_primes)
 
 
 def spec_violations(
@@ -209,9 +213,8 @@ def spec_violations(
     part_a = set(part_a)
     if not part_a <= set(factors):
         problems.append("partA contains unknown factor indices")
-    items = sorted(factors.items())
-    for i, (c, d) in items:
-        c, d = Fraction(c), Fraction(d)
+    items = [(i, Fraction(c), Fraction(d)) for i, (c, d) in sorted(factors.items())]
+    for i, c, d in items:
         if c == 0:
             problems.append(f"factor {i}: leading coefficient c must be nonzero")
             continue
@@ -231,9 +234,9 @@ def spec_violations(
             problems.append(f"factor {i}: d = 0 and c has primes {bad} outside S0")
         elif bad:
             problems.append(f"factor {i}: c,d share primes {bad} outside S0")
-    for idx, (i, (ci, di)) in enumerate(items):
-        for j, (cj, dj) in items[idx + 1 :]:
-            if Fraction(ci) * Fraction(dj) - Fraction(cj) * Fraction(di) == 0:
+    for idx, (i, ci, di) in enumerate(items):
+        for j, cj, dj in items[idx + 1 :]:
+            if ci * dj == cj * di:
                 problems.append(f"factors {i},{j} are proportional")
     return problems
 

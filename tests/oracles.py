@@ -20,6 +20,7 @@ from torusdescent.arith import (
     Place,
     SquareClass,
     class_from_mask,
+    class_mask,
     factorize,
     legendre,
     mod_prime_power,
@@ -27,15 +28,7 @@ from torusdescent.arith import (
     strip_primes,
     valuation,
 )
-from torusdescent.conditiond import (
-    ConditionDReport,
-    GElement,
-    constant_mask,
-    expected_g_d_dual_generators,
-    expected_g_d_generators,
-    generator_mask,
-    span_of,
-)
+from torusdescent.conditiond import ConditionDReport, GElement, constant_mask, span_of
 from torusdescent.surface import compute_s_bad
 
 
@@ -257,27 +250,32 @@ def g_d_bruteforce(spec, dual: bool) -> set:
     return members
 
 
-def _in_g_i_reference(spec, x: GElement, i: int, dual: bool) -> bool:
-    """Membership in G_i (G^i when dual) on SquareClass objects."""
-    primes = spec.basis_primes
-    cls = x.c * class_from_mask(constant_mask(spec, i, x.poly, dual), primes)
-    return cls.is_identity() or cls == class_from_mask(generator_mask(spec, i), primes)
+def target_generators_reference(spec, dual: bool) -> List[GElement]:
+    """[a][p_A] and [d][p_J] ([-d][p_J] when dual), the generators of the
+    target subgroup of G_D (G^D), from square_class of a, d and -d."""
+    p_j = frozenset(spec.indices)
+    if dual:
+        return [GElement(square_class(-spec.d), p_j)]
+    return [GElement(square_class(spec.a), frozenset(spec.part_a)),
+            GElement(square_class(spec.d), p_j)]
 
 
 def _intersection_reference(spec, dual: bool) -> List[GElement]:
     """G_D (G^D when dual) from the row-stacked map, as GElement objects.
 
     The row of index k and bit b holds bit b of c, of each r_kj =
-    [D_k^{{j}}] and of t_k = [a*D_k^A]; the kernel's projection to (c, J')
-    is the intersection, each generator re-checked on SquareClass objects.
+    [D_k^{{j}}] and of t_k = square_class(a*D_k^A); the kernel's projection
+    to (c, J') is the intersection, each generator re-checked on SquareClass
+    objects.
     """
     n = len(spec.indices)
     primes = spec.basis_primes
     width = 1 + len(primes)
+    targets = {i: square_class(spec.a * d_constant(spec, i, spec.part_a)) for i in spec.indices}
     rows = []
     for k, i in enumerate(spec.indices):
         r = [constant_mask(spec, i, {j}, dual) for j in spec.indices]
-        t = generator_mask(spec, i)
+        t = class_mask(targets[i].value(), primes)
         for b in range(width):
             row = 1 << b | (t >> b & 1) << width + n + k
             for m, r_kj in enumerate(r):
@@ -290,8 +288,12 @@ def _intersection_reference(spec, dual: bool) -> List[GElement]:
         poly = frozenset(j for k, j in enumerate(spec.indices) if vec >> (width + k) & 1)
         return GElement(class_from_mask(vec, primes), poly)
 
+    def member(x: GElement, i: int) -> bool:
+        cls = x.c * class_from_mask(constant_mask(spec, i, x.poly, dual), primes)
+        return cls.is_identity() or cls == targets[i]
+
     for x in map(element, group.basis):
-        if not all(_in_g_i_reference(spec, x, i, dual) for i in spec.indices):
+        if not all(member(x, i) for i in spec.indices):
             raise AssertionError(f"kernel generator {x} is outside the intersection")
     return sorted(map(element, group.elements()), key=GElement.sort_key)
 
@@ -299,13 +301,15 @@ def _intersection_reference(spec, dual: bool) -> List[GElement]:
 def check_condition_d_reference(spec) -> ConditionDReport:
     """check_condition_d on GElement and SquareClass objects: the
     intersections from the row-stacked map, compared with span_of the
-    expected generators element by element.  It shares constant_mask and
-    generator_mask with the program; test_constant_masks_match_rational_constants
-    checks those against the rational constants."""
+    reference generators element by element.  The targets and generators
+    are square classes of the rational constants; only the constants
+    [D_i^{{j}}] come from the program's constant_mask, which
+    test_constant_masks_match_rational_constants checks against the
+    rational constants."""
     g_d = _intersection_reference(spec, dual=False)
     g_d_dual = _intersection_reference(spec, dual=True)
-    target = span_of(expected_g_d_generators(spec))
-    target_dual = span_of(expected_g_d_dual_generators(spec))
+    target = span_of(target_generators_reference(spec, dual=False))
+    target_dual = span_of(target_generators_reference(spec, dual=True))
     assert all(g in g_d for g in target) and all(g in g_d_dual for g in target_dual)
     witnesses = [g for g in g_d if g not in target]
     witnesses += [g for g in g_d_dual if g not in target_dual]

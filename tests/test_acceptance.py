@@ -17,8 +17,7 @@ from torusdescent.arith import (
 )
 from torusdescent.brauer import brauer_generator, residue_at
 from torusdescent.conditiond import (
-    compute_intersection,
-    expected_g_d_dual_generators,
+    check_condition_d,
     expected_g_d_generators,
     span_of,
 )
@@ -195,13 +194,13 @@ def _random_specs(seed, count, max_factors=3):
 def test_criterion_5_condition_d_exactness():
     started = time.time()
     for spec in _random_specs(105, 50):
-        g_d = compute_intersection(spec)
-        g_d_dual = compute_intersection(spec, dual=True)
+        condition_d = check_condition_d(spec)
+        g_d, g_d_dual = condition_d.g_d, condition_d.g_d_dual
         assert set(g_d) == g_d_bruteforce(spec, dual=False)
         assert set(g_d_dual) == g_d_bruteforce(spec, dual=True)
         for gen in span_of(expected_g_d_generators(spec)):
             assert gen in g_d
-        for gen in span_of(expected_g_d_dual_generators(spec)):
+        for gen in span_of(expected_g_d_generators(spec, dual=True)):
             assert gen in g_d_dual
     elapsed = time.time() - started
     assert elapsed < 30.0, f"too slow: {elapsed:.2f}s"

@@ -8,17 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusdescent import gf2
-from torusdescent.arith import class_mask, factorize, square_class
+from torusdescent.arith import class_from_mask, class_mask, factorize, square_class
 from torusdescent.conditiond import (
     GElement,
     check_condition_d,
-    compute_intersection,
     constant_mask,
-    expected_g_d_dual_generators,
     expected_g_d_generators,
-    generator_mask,
     in_g_i,
     span_of,
+    target_mask,
 )
 from torusdescent.surface import (
     REAL,
@@ -37,6 +35,7 @@ from oracles import (
     d_constant_dual,
     g_d_bruteforce,
     g_element,
+    target_generators_reference,
 )
 from test_pipeline_fuzz import _random_spec
 
@@ -78,7 +77,7 @@ def test_generators_always_members(running_spec):
     spec = running_spec
     for gen in expected_g_d_generators(spec):
         assert all(in_g_i(spec, gen, i) for i in spec.indices)
-    for gen in expected_g_d_dual_generators(spec):
+    for gen in expected_g_d_generators(spec, dual=True):
         assert all(in_g_i(spec, gen, i, dual=True) for i in spec.indices)
     assert all(in_g_i(spec, GElement.identity(), i) for i in spec.indices)
 
@@ -94,6 +93,16 @@ def test_membership_square_invariance(running_spec):
         for i in running_spec.indices:
             assert in_g_i(running_spec, x, i) == in_g_i(running_spec, y, i)
             assert in_g_i(running_spec, x, i, True) == in_g_i(running_spec, y, i, True)
+
+
+def _assert_generators_match_reference(spec):
+    for dual in (False, True):
+        assert expected_g_d_generators(spec, dual) == target_generators_reference(spec, dual)
+
+
+@pytest.mark.parametrize("member", range(len(ALL_FAMILY)))
+def test_expected_generators_match_reference_family(member):
+    _assert_generators_match_reference(family_spec(member))
 
 
 def test_condition_d_running_example(running_spec):
@@ -122,8 +131,9 @@ def test_condition_d_failure_with_witness():
 def test_single_factor_bound():
     # |J| = 1: at most 2 candidate classes for each of the 2 subsets
     spec = make_spec([2], 2, 1, {1: (1, 0)}, [1])
-    assert len(compute_intersection(spec)) <= 4
-    assert len(compute_intersection(spec, dual=True)) <= 4
+    report = check_condition_d(spec)
+    assert len(report.g_d) <= 4
+    assert len(report.g_d_dual) <= 4
 
 
 SPECS = [
@@ -143,8 +153,9 @@ SPECS = [
 @pytest.mark.parametrize("s0,a,b,factors,part_a", SPECS)
 def test_intersection_matches_bruteforce(s0, a, b, factors, part_a):
     spec = make_spec(s0, a, b, factors, part_a)
-    assert set(compute_intersection(spec)) == g_d_bruteforce(spec, dual=False)
-    assert set(compute_intersection(spec, dual=True)) == g_d_bruteforce(spec, dual=True)
+    report = check_condition_d(spec)
+    assert set(report.g_d) == g_d_bruteforce(spec, dual=False)
+    assert set(report.g_d_dual) == g_d_bruteforce(spec, dual=True)
 
 
 @st.composite
@@ -175,6 +186,13 @@ def test_intersection_matches_bruteforce_random(raw):
     test_intersection_matches_bruteforce(*raw)
 
 
+@given(small_specs(max_factors=6, d_bound=30))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_expected_generators_match_reference_random(raw):
+    assume(_valid(raw))
+    _assert_generators_match_reference(make_spec(*raw))
+
+
 @given(small_specs(max_factors=4))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_constant_masks_match_rational_constants(raw):
@@ -200,7 +218,7 @@ def test_constant_masks_match_rational_constants(raw):
         for j in part:
             mask ^= spec.root_masks[i, j]
         assert class_mask(spec.brauer_constants[i], primes) == mask
-        assert generator_mask(spec, i) == mask
+        assert target_mask(spec, i) == mask
 
 
 def _g_d_too_large_spec(n):
@@ -221,7 +239,7 @@ def test_wide_j_known_failure(n):
     x = g_element(3, ())
     assert x in report.g_d and x in report.witnesses
     assert set(span_of(expected_g_d_generators(spec))) <= set(report.g_d)
-    assert set(span_of(expected_g_d_dual_generators(spec))) <= set(report.g_d_dual)
+    assert set(span_of(expected_g_d_generators(spec, dual=True))) <= set(report.g_d_dual)
     assert all(in_g_i(spec, g, i) for g in report.g_d for i in spec.indices)
     assert all(in_g_i(spec, g, i, dual=True) for g in report.g_d_dual for i in spec.indices)
 
@@ -251,7 +269,8 @@ def test_descent_constants_lie_over_the_spec_basis():
         for x in values:
             primes = set(factorize(x.numerator)) | set(factorize(x.denominator))
             assert primes <= set(spec.basis_primes), (serialize_spec(spec), x)
-            assert spec.class_of(x) == square_class(x)
+            basis = spec.basis_primes
+            assert class_from_mask(class_mask(x, basis), basis) == square_class(x)
 
 
 def _assert_matches_reference(spec):

@@ -403,9 +403,10 @@ def _dual_selmer_by_lemma_conditions(spec, p_t, adm):
     pairing of p_i(t0) against the evaluated element, twisted by [-d][p_J]
     when i lies in the subset.
     """
-    from torusdescent.selmer import Lattice, t0_place_split
+    from torusdescent.conditiond import Lattice
+    from torusdescent.selmer import t0_place_split
 
-    lattice = Lattice(adm.places, spec.indices)
+    lattice = Lattice.of_places(adm.places, spec.indices)
     t0 = adm.t0
     torus_value = -spec.d * spec.product_value(spec.indices, t0)
     t0_places, unit_places = t0_place_split(spec, p_t)
@@ -471,12 +472,12 @@ def test_evaluation_map_injective():
     import math
 
     from torusdescent.arith import valuation
-    from torusdescent.selmer import Lattice
+    from torusdescent.conditiond import Lattice
 
     spec, point, _ = family_point(6)
     p_t = build_suitable(spec, point)
     adm = find_admissible(spec, p_t, DescentBounds()).point
-    lattice = Lattice(adm.places, spec.indices)
+    lattice = Lattice.of_places(adm.places, spec.indices)
     primes = [v.p for v in adm.places if v.is_finite]
     primes += [u.p for _, u in adm.witnesses]
     for mask in range(1, 1 << lattice.ncols):

@@ -14,9 +14,8 @@ from torusdescent.arith import (
     is_local_square,
     square_class,
 )
-from torusdescent.conditiond import GElement
+from torusdescent.conditiond import GElement, Lattice
 from torusdescent.selmer import (
-    Lattice,
     dimension_identity,
     selmer_groups,
     split_places,
@@ -127,6 +126,7 @@ def test_dimension_identity_random():
 
 
 BASIS_PRIMES = (2, 3, 5, 7, 13, 10007)
+FACTOR_INDICES = (1, 3, 7)
 
 
 @settings(max_examples=200, deadline=None)
@@ -139,9 +139,11 @@ BASIS_PRIMES = (2, 3, 5, 7, 13, 10007)
     ),
     extra=st.sampled_from((11, 17, 10009)),
     extra_exponent=st.integers(-2, 2).filter(bool),
+    poly=st.sets(st.sampled_from(FACTOR_INDICES)),
+    outside=st.sampled_from((0, 2, 8)),
 )
-def test_lattice_encode_decode(sign, chosen, exponents, extra, extra_exponent):
-    lattice = Lattice(places_of(*chosen))
+def test_lattice_encode_decode(sign, chosen, exponents, extra, extra_exponent, poly, outside):
+    lattice = Lattice.of_places(places_of(*chosen), FACTOR_INDICES)
     x = Fraction(sign)
     for p, (up, down) in zip(sorted(chosen), exponents):
         x *= Fraction(p**up, p**down)
@@ -149,6 +151,12 @@ def test_lattice_encode_decode(sign, chosen, exponents, extra, extra_exponent):
     assert class_from_mask(mask, lattice.primes) == square_class(x)
     assert lattice.decode(mask) == g_element(x)
     assert lattice.encode(lattice.decode(mask)) == mask
+    # the factor symbols sit above the class bits, in the order given
+    mask |= lattice.poly_mask(poly)
+    assert lattice.decode(mask) == g_element(x, poly)
+    assert lattice.encode(lattice.decode(mask)) == mask
+    with pytest.raises(ValueError, match="outside"):
+        lattice.encode(g_element(x, poly | {outside}))
     # a prime outside the list is an error even to an even power, and so is 0
     with pytest.raises(ValueError, match="outside"):
         class_mask(x * Fraction(extra) ** extra_exponent, lattice.primes)
@@ -156,6 +164,17 @@ def test_lattice_encode_decode(sign, chosen, exponents, extra, extra_exponent):
         lattice.encode(g_element(x * extra))
     with pytest.raises(ValueError, match="0 has no square class"):
         class_mask(Fraction(0), lattice.primes)
+
+
+def test_lattice_report_sorts_by_sort_key():
+    # GElement.sort_key order: |c|, then the sign, then the sorted indices
+    order = [g_element(1), g_element(-1), g_element(2, {1}), g_element(2, {7}),
+             g_element(-2, {1}), g_element(3), g_element(-3, {3}), g_element(6, {1, 3, 7})]
+    lattice = Lattice((2, 3, 5), FACTOR_INDICES)
+    assert lattice.decode(0b1010011) == g_element(-2, {1, 7})
+    masks = [lattice.encode(x) for x in order]
+    assert list(lattice.report(reversed(masks))) == order
+    assert list(lattice.report(random.Random(5).sample(masks, len(masks)))) == order
 
 
 def test_ev_examples():
