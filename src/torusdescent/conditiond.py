@@ -3,15 +3,17 @@ subgroup intersections that control which Selmer elements descent can kill.
 
 Elements of G are pairs (square class, subset of J).  `Lattice` is the one
 encoding of G as F2 masks (the sign bit, bits over ascending primes, then
-one bit per factor symbol): Condition (D) works over the spec lattice and
-`selmer` over the lattices of its tori and fibers.  Each constant has one
-function: constant_mask is [D_i^{J'}] (the XOR of SurfaceSpec.root_masks
-over its factors p_j(-d_i/c_i), plus [d] or [-d] when i lies in J'),
-target_mask is t_i = [a*D_i^A] and target_generators spans the target
-subgroups.  [D_i^{J'}] is linear in J', so each membership condition is
+one bit per factor symbol): Condition (D) works over the spec lattice, and
+`selmer` and the descent over the lattices of tori and fibers.  Each
+constant has one function: constant_mask is [D_i^{J'}] (the XOR of
+SurfaceSpec.root_masks over its factors p_j(-d_i/c_i), plus [d] or [-d]
+when i lies in J'), target_mask is t_i = [a*D_i^A] and target_generators
+spans the target subgroups in any lattice whose primes hold those of a
+and d.  [D_i^{J'}] is linear in J', so each membership condition is
 linear over F2 and the intersection groups are kernels of one stacked F2
-map, polynomial in |J|.  check_condition_d works on masks end to end and
-decodes only the reported elements to GElement.
+map, polynomial in |J|.  Everything here takes and returns masks;
+GElement is the report type, made by Lattice.decode for reports, trace
+strings and containment across two lattices.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from . import gf2
-from .arith import Place, SquareClass, class_from_mask, class_mask
+from .arith import Place, Rational, SquareClass, class_from_mask, class_mask, local_mask
 from .surface import SurfaceSpec
 
 
@@ -30,16 +32,6 @@ class GElement:
 
     c: SquareClass
     poly: FrozenSet[int]
-
-    @staticmethod
-    def identity() -> "GElement":
-        return GElement(SquareClass.identity(), frozenset())
-
-    def __mul__(self, other: "GElement") -> "GElement":
-        return GElement(self.c * other.c, self.poly ^ other.poly)
-
-    def is_identity(self) -> bool:
-        return self.c.is_identity() and not self.poly
 
     def sort_key(self):
         return (abs(self.c.value()), 0 if self.c.sign > 0 else 1, tuple(sorted(self.poly)))
@@ -98,6 +90,12 @@ class Lattice:
         """The decoded masks in GElement.sort_key order."""
         return tuple(sorted(map(self.decode, masks), key=GElement.sort_key))
 
+    def local_masks(self, factor_values: Sequence[Rational], v: Place) -> List[int]:
+        """The evaluation map at v: the local_mask of each generator, -1,
+        the primes, then the value each factor symbol stands for.  The
+        local class of a mask is the XOR of the entries at its bits."""
+        return [local_mask(g, v) for g in (-1, *self.primes, *factor_values)]
+
 
 def constant_mask(spec: SurfaceSpec, i: int, subset: AbstractSet[int], dual: bool = False) -> int:
     """[D_i^{J'}] over -1 and spec.basis_primes; [Dhat_i^{J'}] when dual.
@@ -127,36 +125,26 @@ def _member(spec: SurfaceSpec, cls: int, poly: AbstractSet[int], i: int, dual: b
     return cls ^ constant_mask(spec, i, poly, dual) in (0, target)
 
 
-def in_g_i(spec: SurfaceSpec, x: GElement, i: int, dual: bool = False) -> bool:
-    """Membership in G_i (G^i when dual): [c*D_i^{J'}] lies in <[a*D_i^A]>.
-    A class with a prime outside spec.basis_primes lies in no G_i."""
+def in_g_i(spec: SurfaceSpec, lattice: Lattice, x: int, i: int, dual: bool = False) -> bool:
+    """Membership of x = [c][p_{J'}], a mask of lattice, in G_i (G^i when
+    dual): [c*D_i^{J'}] lies in <[a*D_i^A]>.  A class with a prime outside
+    spec.basis_primes lies in no G_i."""
     try:
-        cls = class_mask(x.c.value(), spec.basis_primes)
+        cls = class_mask(class_from_mask(x, lattice.primes).value(), spec.basis_primes)
     except ValueError:
         return False
-    return _member(spec, cls, x.poly, i, dual, target_mask(spec, i))
+    return _member(spec, cls, lattice.poly(x), i, dual, target_mask(spec, i))
 
 
 def target_generators(spec: SurfaceSpec, lattice: Lattice, dual: bool = False) -> List[int]:
-    """The generators of the target subgroup as masks of the spec lattice:
-    [a][p_A] and [d][p_J] for G_D, [-d][p_J] for G^D when dual."""
-    p_j = lattice.poly_mask(spec.indices)
+    """The generators of the target subgroup as masks of lattice: [a][p_A]
+    and [d][p_J] for G_D, [-d][p_J] for G^D when dual.  The lattice's
+    primes must hold those of a and d: the spec lattice's do, and so do
+    those of every relative lattice, whose T contains S0 + S_bad."""
+    d_gen = class_mask(spec.d, lattice.primes) | lattice.poly_mask(spec.indices)
     if dual:
-        return [spec.d_mask ^ 1 | p_j]
-    return [spec.a_mask | lattice.poly_mask(spec.part_a), spec.d_mask | p_j]
-
-
-def expected_g_d_generators(spec: SurfaceSpec, dual: bool = False) -> List[GElement]:
-    """target_generators decoded: [a][p_A], [d][p_J] ([-d][p_J] when dual)."""
-    lattice = Lattice.of_spec(spec)
-    return [lattice.decode(mask) for mask in target_generators(spec, lattice, dual)]
-
-
-def span_of(generators: Sequence[GElement]) -> List[GElement]:
-    out = {GElement.identity()}
-    for g in generators:
-        out |= {g * x for x in out}
-    return sorted(out, key=GElement.sort_key)
+        return [d_gen ^ 1]
+    return [class_mask(spec.a, lattice.primes) | lattice.poly_mask(spec.part_a), d_gen]
 
 
 def _intersection(spec: SurfaceSpec, lattice: Lattice, targets: Dict[int, int],

@@ -6,6 +6,13 @@ The two conjectural inputs are replaced by bounded searches that report
 exhaustion as a first-class outcome: simultaneous-prime values of the
 factors are found by scanning an arithmetic progression, and the character
 conditions normally supplied by Chebotarev are found by scanning primes.
+
+The reduction step works on masks of the state's relative lattice
+(DescentState.lattice): the elements it picks, normalizes, tests for
+membership in G_i / G^i and localizes at the new place are ints from the
+moment they are picked.  They are decoded to GElement only for trace
+strings and for the containment checks that cross from the old lattice to
+the new one.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .arith import (
     Place,
     Rational,
     class_from_mask,
+    class_mask,
     crt,
     hensel_solve,
     hilbert_row,
@@ -30,6 +38,7 @@ from .arith import (
     legendre,
     local_dim,
     local_mask,
+    mod_prime_power,
     prime_stream,
     strip_primes,
     valuation,
@@ -37,13 +46,11 @@ from .arith import (
 from .brauer import obstruction_sum
 from .conditiond import (
     ConditionDReport,
-    GElement,
     Lattice,
     check_condition_d,
     constant_mask,
-    expected_g_d_generators,
     in_g_i,
-    span_of,
+    target_generators,
 )
 from .points import (
     good_place_solubility,
@@ -267,13 +274,9 @@ def _approximation_data(
         k_v = m_v + 3 + (3 if p == 2 else 0)
         denominator *= p**e_v
         congruences.append((v, k_v, e_v))
-    entries = []
-    for v, k_v, e_v in congruences:
-        modulus = v.p ** (k_v + e_v)
-        target = p_t.entries[v].t * denominator
-        entries.append((int(target) % modulus if target.denominator == 1 else
-                        target.numerator * pow(target.denominator, -1, modulus) % modulus,
-                        modulus))
+    # t_v * D is p-integral at v: D holds the denominator of t_v at p
+    entries = [(mod_prime_power(p_t.entries[v].t * denominator, v.p, k_v + e_v),
+                v.p ** (k_v + e_v)) for v, k_v, e_v in congruences]
     tau0, M = crt(entries) if entries else (0, 1)
     return tau0, M, denominator
 
@@ -479,12 +482,14 @@ class DescentState:
     trace: List[Dict] = field(default_factory=list)
 
     @property
-    def neg_gen(self) -> GElement:
-        """[-d][p_J]."""
-        return expected_g_d_generators(self.spec, dual=True)[0]
+    def lattice(self) -> Lattice:
+        """The relative lattice over T that R and R-hat live in."""
+        return self.sel.lattice
 
     def terminal(self) -> bool:
-        return self.dual.dim == 1 and self.dual.contains(self.neg_gen)
+        """R-hat is generated by [-d][p_J]."""
+        (neg_gen,) = target_generators(self.spec, self.lattice, dual=True)
+        return self.dual.dim == 1 and self.dual.space.contains(neg_gen)
 
 
 def _make_state(
@@ -493,18 +498,17 @@ def _make_state(
     s_d: Tuple[Place, ...],
     bounds: DescentBounds,
     trace: List[Dict],
-    reject: Iterable[Fraction] = (),
 ) -> DescentState:
-    search = find_admissible(spec, p_t, bounds, reject)
+    search = find_admissible(spec, p_t, bounds)
     adm = search.point
     fib = relative_fiber(spec, p_t, adm)
     sel, dual = relative_selmer(fib)
-    for gen in expected_g_d_generators(spec, dual=True):
-        if not dual.contains(gen):
-            raise DescentAnomaly(f"{gen} escaped the relative dual Selmer group")
-    for gen in expected_g_d_generators(spec):
-        if not sel.contains(gen):
-            raise DescentAnomaly(f"{gen} escaped the relative Selmer group")
+    lattice = sel.lattice
+    for group, side, name in ((dual, True, "relative dual Selmer group"),
+                              (sel, False, "relative Selmer group")):
+        for gen in target_generators(spec, lattice, dual=side):
+            if not group.space.contains(gen):
+                raise DescentAnomaly(f"{lattice.decode(gen)} escaped the {name}")
     _, _, n_split = dimension_identity(fiber_torus(fib), spec.s0)
     if sel.dim - dual.dim != n_split:
         raise DescentAnomaly(
@@ -550,9 +554,8 @@ def _scan_prime(
 
 def _uniformizer_t(spec: SurfaceSpec, i: int, w: int) -> int:
     """Integer t_w with val_w(p_i(t_w)) exactly 1."""
-    c, d = spec.coeffs(i)
-    cw = c.numerator * pow(c.denominator, -1, w * w) % (w * w)
-    dw = d.numerator * pow(d.denominator, -1, w * w) % (w * w)
+    # c_i and d_i are w-integral: w lies outside T, which holds S_bad
+    cw, dw = (mod_prime_power(x, w, 2) for x in spec.coeffs(i))
     root = (-dw * pow(cw, -1, w)) % w
     for shift in range(w):
         t_w = root + w * shift
@@ -562,9 +565,11 @@ def _uniformizer_t(spec: SurfaceSpec, i: int, w: int) -> int:
     raise DescentAnomaly(f"no uniformizer value for p_{i} at {w}")
 
 
-def _local_point_above(
-    spec: SurfaceSpec, w: Place, t_w: int, i: int, precision: int = 8
-) -> LocalPoint:
+# the w-adic digits of the local point added at a new place w
+_LOCAL_POINT_PRECISION = 8
+
+
+def _local_point_above(spec: SurfaceSpec, w: Place, t_w: int, i: int) -> LocalPoint:
     """Integral local point on the fiber above t_w, where p_i degenerates.
 
     The non-degenerate coefficient is a unit square at w by construction, so
@@ -574,13 +579,13 @@ def _local_point_above(
     fib = fiber(spec, t_w)
     axis = 1 if i in spec.part_a else 0
     coeff = fib.bB if axis else fib.aA
-    result = hensel_solve((coeff,), -1, w.p, precision, node_limit=2_000_000)
+    result = hensel_solve((coeff,), -1, w.p, _LOCAL_POINT_PRECISION, node_limit=2_000_000)
     if result.status != "witness":
         raise DescentAnomaly(f"fiber above t = {t_w} not certifiably soluble at {w}")
     root = Fraction(result.witness[0])
     if axis == 0:
-        return LocalPoint.make(root, 0, t_w, precision)
-    return LocalPoint.make(0, root, t_w, precision)
+        return LocalPoint.make(root, 0, t_w, _LOCAL_POINT_PRECISION)
+    return LocalPoint.make(0, root, t_w, _LOCAL_POINT_PRECISION)
 
 
 # ---------------------------------------------------------------------------
@@ -588,38 +593,39 @@ def _local_point_above(
 # ---------------------------------------------------------------------------
 
 
-def _pick_elements(state: DescentState) -> Tuple[GElement, GElement]:
-    spec = state.spec
-    neg_gen = state.neg_gen
-    x0 = None
-    for g in sorted(state.dual.elements(), key=GElement.sort_key):
-        if not g.is_identity() and g != neg_gen:
-            x0 = g
-            break
-    span = span_of(expected_g_d_generators(spec))
-    x1 = None
-    for g in sorted(state.sel.elements(), key=GElement.sort_key):
-        if g not in span:
-            x1 = g
-            break
+def _pick_elements(state: DescentState) -> Tuple[int, int]:
+    """x0, the least element of R-hat other than 0 and [-d][p_J], and x1,
+    the least element of R outside <[a][p_A], [d][p_J]>, least in the
+    GElement.sort_key order of the decoded masks (a total order)."""
+    lattice = state.lattice
+    (neg_gen,) = target_generators(state.spec, lattice, dual=True)
+    span = gf2.Subspace(lattice.ncols, target_generators(state.spec, lattice))
+    key = lambda mask: lattice.decode(mask).sort_key()
+    x0 = min((m for m in state.dual.space.elements() if m not in (0, neg_gen)),
+             key=key, default=None)
+    x1 = min((m for m in state.sel.space.elements() if not span.contains(m)),
+             key=key, default=None)
     if x0 is None or x1 is None:
         raise DescentAnomaly("reduction invoked without reducible elements")
     return x0, x1
 
 
-def _normalize(state: DescentState, x0: GElement, x1: GElement, i: int):
-    """Multiply by the always-present generators so that i avoids both subsets."""
-    if i in x0.poly:
-        x0 = x0 * state.neg_gen
-    if i in x1.poly:
-        x1 = x1 * expected_g_d_generators(state.spec)[1]
-    return x0, x1
+def _normalize(state: DescentState, x0: int, x1: int, i: int) -> Tuple[int, int]:
+    """Add the always-present generators [-d][p_J] to x0 and [d][p_J] to
+    x1 where needed, so that i avoids both subsets."""
+    bit = state.lattice.poly_mask([i])
+    (neg_gen,) = target_generators(state.spec, state.lattice, dual=True)
+    _, d_gen = target_generators(state.spec, state.lattice)
+    return x0 ^ (neg_gen if x0 & bit else 0), x1 ^ (d_gen if x1 & bit else 0)
 
 
-def _character_value(spec: SurfaceSpec, x: GElement, i: int, dual: bool = False) -> int:
-    """Square-free [c*D_i^{J'}] (Dhat if dual): the constant's Legendre symbols outside T."""
-    mask = constant_mask(spec, i, x.poly, dual)
-    return (x.c * class_from_mask(mask, spec.basis_primes)).value()
+def _character_value(
+    spec: SurfaceSpec, lattice: Lattice, x: int, i: int, dual: bool = False
+) -> int:
+    """Square-free [c*D_i^{J'}] (Dhat if dual) for x = [c][p_{J'}], a mask
+    of lattice: the constant's Legendre symbols outside T."""
+    constant = class_from_mask(constant_mask(spec, i, lattice.poly(x), dual), spec.basis_primes)
+    return class_from_mask(x ^ class_mask(constant.value(), lattice.primes), lattice.primes).value()
 
 
 def _insert_place(
@@ -642,87 +648,82 @@ def _insert_place(
     return place, t_w, state.p_t.with_entry(place, _local_point_above(spec, place, t_w, i))
 
 
-def _add_sd_witness(
-    state: DescentState, x: GElement, dual: bool, bounds: DescentBounds
-) -> DescentState:
-    """Insert an on-demand witness place killing x from the relative group.
+def _add_sd_witness(state: DescentState, x: int, bounds: DescentBounds) -> DescentState:
+    """Insert an on-demand witness place killing x, a mask of R-hat, from
+    the relative dual Selmer group.
 
-    x lies in G^{i_x} (dual side; resp. G_{i_x}) but not in G^D (resp. G_D),
-    so some other index carries a violated membership; a prime where the
-    violated constant is a non-square while a*D^A is a square forces the
-    Selmer condition that excludes x.
+    x lies in G^{i_x} but not in G^D, so some other index carries a
+    violated membership; a prime where the violated constant is a
+    non-square while a*D^A is a square forces the Selmer condition that
+    excludes x.
     """
-    spec = state.spec
-    i_prime = None
-    for i in spec.indices:
-        if not in_g_i(spec, x, i, dual):
-            i_prime = i
-            break
+    spec, lattice = state.spec, state.lattice
+    i_prime = next((i for i in spec.indices if not in_g_i(spec, lattice, x, i, dual=True)), None)
     if i_prime is None:
         raise DescentAnomaly(
             "element lies in every membership subgroup: Condition (D) "
             "verification should have caught this"
         )
-    place, t_w, new_pt = _insert_place(
-        state, i_prime, [_character_value(spec, x, i_prime, dual)], "sd_witness_prime", bounds
-    )
+    character = _character_value(spec, lattice, x, i_prime, dual=True)
+    place, t_w, new_pt = _insert_place(state, i_prime, [character], "sd_witness_prime", bounds)
     s_d = state.s_d + (place,)
     _require_suitable(spec, new_pt, s_d, "witness insertion broke suitability")
+    element = lattice.decode(x)
     state.trace.append(
         {
             "step": "sd_witness",
-            "side": "dual" if dual else "selmer",
-            "element": str(x),
+            "side": "dual",
+            "element": str(element),
             "index": i_prime,
             "place": place.p,
             "t_w": t_w,
         }
     )
     new_state = _make_state(spec, new_pt, s_d, bounds, state.trace)
-    group = new_state.dual if dual else new_state.sel
-    if group.contains(x):
-        raise DescentAnomaly(f"witness place {place} failed to kill {x}")
+    if new_state.dual.contains(element):
+        raise DescentAnomaly(f"witness place {place} failed to kill {element}")
     return new_state
 
 
 def _chebotarev_step(
     state: DescentState,
-    x0: GElement,
-    x1: GElement,
+    x0: int,
+    x1: int,
     i_x: int,
     bounds: DescentBounds,
 ) -> DescentState:
-    spec = state.spec
-    if i_x in x0.poly or i_x in x1.poly:
+    """One reduction at index i_x with x0 in R-hat and x1 in R, masks of
+    the state's lattice normalized away from i_x."""
+    spec, old_lattice = state.spec, state.lattice
+    bit_old = old_lattice.poly_mask([i_x])
+    if (x0 | x1) & bit_old:
         raise DescentAnomaly("elements must be normalized away from the index")
-    characters = [_character_value(spec, x0, i_x), _character_value(spec, x1, i_x)]
+    characters = [_character_value(spec, old_lattice, x, i_x) for x in (x0, x1)]
     place, t_w, new_pt = _insert_place(state, i_x, characters, "chebotarev_prime", bounds)
     _require_suitable(spec, new_pt, state.s_d, "extension broke suitability")
 
     old_adm, old_sel, old_dual = state.adm, state.sel, state.dual
-    old_lattice = old_sel.lattice
     new_state = _make_state(spec, new_pt, state.s_d, bounds, state.trace)
-    new_lattice = new_state.sel.lattice
+    new_lattice = new_state.lattice
     t1 = new_state.adm.t0
 
     # the subgroups avoiding the distinguished factor index
-    bit_old = old_lattice.poly_mask([i_x])
     bit_new = new_lattice.poly_mask([i_x])
     sel0_old = old_sel.space.intersect_hyperplane(bit_old)
     dual0_old = old_dual.space.intersect_hyperplane(bit_old)
     dual0_new = new_state.dual.space.intersect_hyperplane(bit_new)
 
-    def loc_image(space: gf2.Subspace, lattice: Lattice) -> gf2.Subspace:
-        images = []
-        for mask in space.basis:
-            g = lattice.decode(mask)
-            value = Fraction(g.c.value()) * spec.product_value(sorted(g.poly), t1)
-            images.append(local_mask(value, place))
-        return gf2.Subspace(local_dim(place), images)
+    # localization at w of both lattices, p_i(t1) read once for the two
+    values = [spec.factor_value(i, t1) for i in spec.indices]
+    old_columns = old_lattice.local_masks(values, place)
+    new_columns = new_lattice.local_masks(values, place)
 
-    p_lower_0 = loc_image(sel0_old, old_lattice)
-    p_upper_0 = loc_image(dual0_old, old_lattice)
-    p_upper_1 = loc_image(dual0_new, new_lattice)
+    def loc_image(space: gf2.Subspace, columns: List[int]) -> gf2.Subspace:
+        return gf2.Subspace(local_dim(place), [gf2.combine(columns, m) for m in space.basis])
+
+    p_lower_0 = loc_image(sel0_old, old_columns)
+    p_upper_0 = loc_image(dual0_old, old_columns)
+    p_upper_1 = loc_image(dual0_new, new_columns)
     if p_lower_0.dim == 0 or p_upper_0.dim == 0:
         raise DescentAnomaly("localization images at w vanished; wrong prime choice")
     if p_upper_1.dim != 0:
@@ -757,9 +758,10 @@ def _chebotarev_step(
         g = new_lattice.decode(mask)
         if not old_dual.contains(g):
             raise DescentAnomaly(f"persistence failed for {g}")
-    if new_state.dual.contains(x0):
-        raise DescentAnomaly(f"{x0} survived the reduction")
-    if not new_state.dual.contains(state.neg_gen):
+    x0_element = old_lattice.decode(x0)
+    if new_state.dual.contains(x0_element):
+        raise DescentAnomaly(f"{x0_element} survived the reduction")
+    if not new_state.dual.space.contains(target_generators(spec, new_lattice, dual=True)[0]):
         raise DescentAnomaly("[-d][p_J] lost during reduction")
     if new_state.dual.dim >= old_dual.dim:
         raise DescentAnomaly(
@@ -769,8 +771,8 @@ def _chebotarev_step(
     state.trace.append(
         {
             "step": "reduce_dual_selmer",
-            "x0": str(x0),
-            "x1": str(x1),
+            "x0": str(x0_element),
+            "x1": str(old_lattice.decode(x1)),
             "i_x": i_x,
             "w": place.p,
             "t_w": t_w,
@@ -792,21 +794,21 @@ def reduce_dual_selmer(state: DescentState, bounds: DescentBounds) -> DescentSta
     if state.dual.dim < 2:
         raise DescentAnomaly("reduction requires dual dimension at least 2")
     for _ in range(bounds.max_steps):
+        spec, lattice = state.spec, state.lattice
         x0, x1 = _pick_elements(state)
         usable = []
-        for i in state.spec.indices:
-            if in_g_i(state.spec, x1, i):
+        for i in spec.indices:
+            if in_g_i(spec, lattice, x1, i):
                 continue
             x0n, x1n = _normalize(state, x0, x1, i)
-            if not in_g_i(state.spec, x0n, i, dual=True):
-                usable.append((i in x0.poly or i in x1.poly, i, x0n, x1n))
+            if not in_g_i(spec, lattice, x0n, i, dual=True):
+                usable.append((bool((x0 | x1) & lattice.poly_mask([i])), i, x0n, x1n))
         if usable:
-            usable.sort()
-            _, i_x, x0n, x1n = usable[0]
+            _, i_x, x0n, x1n = min(usable)
             return _chebotarev_step(state, x0n, x1n, i_x, bounds)
         # dual-side trigger: x0 sits in G^i at every index usable for x1;
         # kill it with a witness place and retry
-        state = _add_sd_witness(state, x0, dual=True, bounds=bounds)
+        state = _add_sd_witness(state, x0, bounds)
         if state.terminal() or state.dual.dim < 2:
             return state
     raise SearchExhausted("sd_retries", bounds.max_steps)
@@ -920,7 +922,8 @@ def descend(
                         "aA": _q(fib.aA),
                         "bB": _q(fib.bB),
                         "torus_d": _q(fib.torus_d),
-                        "dual_generator": str(state.neg_gen),
+                        # the one basis vector of a terminal R-hat is [-d][p_J]
+                        "dual_generator": str(state.dual.basis_elements()[0]),
                         "height_bound": bounds.height,
                         "note": "fiber satisfies the integral Hasse principle; "
                         "no point within the height bound",

@@ -74,6 +74,19 @@ def column_kernel(columns: Sequence[int]) -> List[int]:
     return [row >> shift for row in tagged if not row & (1 << shift) - 1]
 
 
+def combine(vectors: Sequence[int], x: int) -> int:
+    """XOR of vectors[m] over the set bits m of x: the image of x under the
+    matrix with these columns."""
+    out = 0
+    for vec in vectors:
+        if not x:
+            break
+        if x & 1:
+            out ^= vec
+        x >>= 1
+    return out
+
+
 def parity(mask: int) -> int:
     return mask.bit_count() & 1
 
@@ -106,16 +119,11 @@ class Subspace:
     def elements(self) -> Iterator[int]:
         if self.dim > 24:
             raise ValueError("subspace too large to enumerate")
-        for mask in range(1 << self.dim):
-            vec = 0
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    vec ^= self.basis[i]
-                m >>= 1
-                i += 1
-            yield vec
+        # element m is combine(self.basis, m): each basis vector doubles the list
+        out = [0]
+        for vec in self.basis:
+            out += [x ^ vec for x in out]
+        yield from out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

@@ -59,7 +59,6 @@ def local_solubility(
     bB: Rational,
     v: Place,
     model: str = "integral",
-    precision: Optional[int] = None,
 ) -> LocalSolubility:
     """Decide solubility of aA*x^2 + bB*y^2 = 1 at the place v.
 
@@ -68,8 +67,7 @@ def local_solubility(
     the line at infinity, so no separate affine obstruction remains) and
     attaches a witness when the bounded scan finds one.  model 'integral'
     runs hensel_solve on the diagonal quadric aA*x^2 + bB*y^2 - 1 over Z_v
-    (precision val(4*aA*bB) + 3 unless stated) and is exact up to that
-    precision.
+    to precision val(4*aA*bB) + 3 and is exact up to that precision.
     """
     aA, bB = Fraction(aA), Fraction(bB)
     if aA * bB == 0:
@@ -82,7 +80,7 @@ def local_solubility(
             return LocalSolubility(
                 "insoluble", v, certificate=f"Hilbert symbol <aA,bB>_{p} = 1"
             )
-        witness, prec = _rational_witness(aA, bB, v, precision)
+        witness, prec = _rational_witness(aA, bB, v)
         return LocalSolubility(
             "soluble", v, witness=witness, precision=prec,
             certificate="Hilbert symbol vanishes",
@@ -91,8 +89,7 @@ def local_solubility(
         raise ValueError(f"unknown model {model!r}")
     if valuation(aA, p) < 0 or valuation(bB, p) < 0:
         raise ValueError("integral model needs v-integral coefficients")
-    if precision is None:
-        precision = valuation(4 * aA * bB, p) + 3
+    precision = valuation(4 * aA * bB, p) + 3
     return _from_hensel(hensel_solve((aA, bB), -1, p, precision), v)
 
 
@@ -129,11 +126,12 @@ def _padic_sqrt(c: Fraction, p: int, precision: int) -> Optional[Fraction]:
 
 
 def _rational_witness(
-    aA: Fraction, bB: Fraction, v: Place, precision: Optional[int]
+    aA: Fraction, bB: Fraction, v: Place
 ) -> Tuple[Optional[Tuple[Fraction, Fraction]], int]:
-    """Best-effort Q_v witness scan once solubility is already decided."""
+    """Best-effort Q_v witness scan once solubility is already decided, to
+    precision max(val(4*aA*bB), 0) + 3."""
     p = v.p
-    target = precision or max(valuation(4 * aA * bB, p), 0) + 3
+    target = max(valuation(4 * aA * bB, p), 0) + 3
     depth = max(0, -(min(valuation(aA, p), valuation(bB, p)) // 2)) + 2
     for e in range(depth + 1):
         for m in range(p ** min(target, 3)):

@@ -7,7 +7,8 @@ generated by -1, the finite primes of S (and the formal factor symbols in
 the relative case).  Both groups are cut out by local subspaces L_v of
 Q_v*/(Q_v*)^2, in the local_mask coordinates of `arith`: L_v =
 <[d]_v>^perp for the Selmer group and L_v = <[d]_v> for the dual Selmer
-group.  Each generator's local mask is computed once per place, and
+group.  Each generator's local mask is computed once per place
+(Lattice.local_masks, the lattice's evaluation map at v), and
 each linear form on those masks whose kernel is L_v (H_v [d]_v, or a basis
 of the annihilator of [d]_v) becomes one row of the F2 system.
 """
@@ -126,16 +127,15 @@ def _cut_out(
     in <[d]_v> (dual); at each place of `unit_places` it must be a local unit
     class (both).
     """
-    values = [-1, *lattice.primes, *factor_values]
     sel_rows: List[int] = []
     dual_rows: List[int] = []
     for v in places:
-        masks = [local_mask(g, v) for g in values]
+        masks = lattice.local_masks(factor_values, v)
         d_v = local_mask(d, v)
         sel_rows += _form_rows(masks, [hilbert_row(d_v, v)])
         dual_rows += _form_rows(masks, gf2.kernel_basis([d_v], local_dim(v)))
     for v in unit_places:
-        masks = [local_mask(g, v) for g in values]
+        masks = lattice.local_masks(factor_values, v)
         # the top coordinate is the valuation parity
         unit_rows = _form_rows(masks, [1 << local_dim(v) - 1])
         sel_rows += unit_rows

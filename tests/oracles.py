@@ -28,7 +28,13 @@ from torusdescent.arith import (
     strip_primes,
     valuation,
 )
-from torusdescent.conditiond import ConditionDReport, GElement, constant_mask, span_of
+from torusdescent.conditiond import (
+    ConditionDReport,
+    GElement,
+    Lattice,
+    constant_mask,
+    target_generators,
+)
 from torusdescent.surface import compute_s_bad
 
 
@@ -206,13 +212,29 @@ def d_constant_dual(spec, i: int, subset) -> Fraction:
     return -value if i in frozenset(subset) else value
 
 
+def membership_reference(spec, dual: bool):
+    """(x, i) -> whether the GElement x lies in G_i (G^i when dual), by the
+    definition: [c*D_i^{J'}] is trivial or [a*D_i^A], on square_class of
+    the rational constants d_constant / d_constant_dual."""
+    constant = d_constant_dual if dual else d_constant
+    targets = {i: square_class(spec.a * d_constant(spec, i, spec.part_a)) for i in spec.indices}
+    classes = {}
+
+    def member(x: GElement, i: int) -> bool:
+        if (i, x.poly) not in classes:
+            classes[i, x.poly] = square_class(constant(spec, i, x.poly))
+        cls = x.c * classes[i, x.poly]
+        return cls.is_identity() or cls == targets[i]
+
+    return member
+
+
 def g_d_bruteforce(spec, dual: bool) -> set:
     """Support-bounded enumeration of the intersection subgroup.
 
     Candidate square classes run over all sign/support combinations inside
     the primes dividing 2, a, b, every c_i, d_i, and every cross-resultant;
-    membership is tested factor by factor with the direct definition, on
-    square_class of the rational constants d_constant / d_constant_dual.
+    membership is tested factor by factor with membership_reference.
     """
     primes = {2}
     values = [spec.a, spec.b]
@@ -225,19 +247,12 @@ def g_d_bruteforce(spec, dual: bool) -> set:
         value = Fraction(value)
         primes |= set(factorize(value.numerator)) | set(factorize(value.denominator))
     primes = sorted(primes)
-    constant = d_constant_dual if dual else d_constant
     subsets = [
         frozenset(subset)
         for size in range(len(spec.indices) + 1)
         for subset in itertools.combinations(spec.indices, size)
     ]
-    classes = {(i, s): square_class(constant(spec, i, s)) for i in spec.indices for s in subsets}
-    targets = {i: square_class(spec.a * d_constant(spec, i, spec.part_a)) for i in spec.indices}
-
-    def member(x: GElement, i: int) -> bool:
-        cls = x.c * classes[i, x.poly]
-        return cls.is_identity() or cls == targets[i]
-
+    member = membership_reference(spec, dual)
     members = set()
     for sign in (1, -1):
         for r in range(len(primes) + 1):
@@ -248,6 +263,48 @@ def g_d_bruteforce(spec, dual: bool) -> set:
                     if all(member(x, i) for i in spec.indices):
                         members.add(x)
     return members
+
+
+def g_identity() -> GElement:
+    return GElement(SquareClass.identity(), frozenset())
+
+
+def g_mul(x: GElement, y: GElement) -> GElement:
+    """The group law of G: classes multiply, subsets add mod 2."""
+    return GElement(x.c * y.c, x.poly ^ y.poly)
+
+
+def g_is_identity(x: GElement) -> bool:
+    return x.c.is_identity() and not x.poly
+
+
+def span_of(generators: Sequence[GElement]) -> List[GElement]:
+    """Every product of the generators, in GElement.sort_key order."""
+    out = {g_identity()}
+    for g in generators:
+        out |= {g_mul(g, x) for x in out}
+    return sorted(out, key=GElement.sort_key)
+
+
+def expected_g_d_generators(spec, dual: bool = False) -> List[GElement]:
+    """The program's target_generators over the spec lattice, decoded:
+    [a][p_A], [d][p_J] ([-d][p_J] when dual)."""
+    lattice = Lattice.of_spec(spec)
+    return [lattice.decode(mask) for mask in target_generators(spec, lattice, dual)]
+
+
+def pick_elements_reference(state) -> Tuple[GElement, GElement]:
+    """The elements the reduction step picks, on GElement objects: x0 is
+    the first of the sorted relative dual Selmer group that is neither the
+    identity nor [-d][p_J], x1 the first of the sorted relative Selmer
+    group outside <[a][p_A], [d][p_J]>, with the generators from
+    target_generators_reference."""
+    (neg_gen,) = target_generators_reference(state.spec, dual=True)
+    span = span_of(target_generators_reference(state.spec, dual=False))
+    x0 = next(g for g in sorted(state.dual.elements(), key=GElement.sort_key)
+              if not g_is_identity(g) and g != neg_gen)
+    x1 = next(g for g in sorted(state.sel.elements(), key=GElement.sort_key) if g not in span)
+    return x0, x1
 
 
 def target_generators_reference(spec, dual: bool) -> List[GElement]:

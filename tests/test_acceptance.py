@@ -16,11 +16,7 @@ from torusdescent.arith import (
     square_class,
 )
 from torusdescent.brauer import brauer_generator, residue_at
-from torusdescent.conditiond import (
-    check_condition_d,
-    expected_g_d_generators,
-    span_of,
-)
+from torusdescent.conditiond import check_condition_d
 from torusdescent.descent import (
     DescentBounds,
     _make_state,
@@ -52,11 +48,13 @@ from fixtures import (
 from oracles import (
     conic_soluble_bruteforce,
     dual_selmer_by_enumeration,
+    expected_g_d_generators,
     fiber_point_bruteforce,
     g_d_bruteforce,
     g_element,
     hilbert_relevant_places,
     selmer_by_enumeration,
+    span_of,
 )
 
 

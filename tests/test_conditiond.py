@@ -11,11 +11,11 @@ from torusdescent import gf2
 from torusdescent.arith import class_from_mask, class_mask, factorize, square_class
 from torusdescent.conditiond import (
     GElement,
+    Lattice,
     check_condition_d,
     constant_mask,
-    expected_g_d_generators,
     in_g_i,
-    span_of,
+    target_generators,
     target_mask,
 )
 from torusdescent.surface import (
@@ -33,8 +33,14 @@ from oracles import (
     check_condition_d_reference,
     d_constant,
     d_constant_dual,
+    expected_g_d_generators,
     g_d_bruteforce,
     g_element,
+    g_identity,
+    g_is_identity,
+    g_mul,
+    membership_reference,
+    span_of,
     target_generators_reference,
 )
 from test_pipeline_fuzz import _random_spec
@@ -43,6 +49,12 @@ from test_pipeline_fuzz import _random_spec
 @pytest.fixture
 def running_spec():
     return make_spec([], 2, 3, {1: (1, 0), 2: (1, 1)}, [1])
+
+
+def _in_g_i(spec, x: GElement, i, dual=False):
+    """in_g_i on x, encoded in the spec lattice widened by the primes of x."""
+    lattice = Lattice(sorted(set(spec.basis_primes) | set(x.c.support)), spec.indices)
+    return in_g_i(spec, lattice, lattice.encode(x), i, dual)
 
 
 def test_d_constant_examples(running_spec):
@@ -65,21 +77,25 @@ def test_d_constant_dual_only_differs_inside(running_spec):
 
 
 def test_group_law():
+    # the group law of G is the XOR of lattice masks
     x = g_element(6, {1})
     y = g_element(-10, {1, 2})
-    z = x * y
+    lattice = Lattice((2, 3, 5), (1, 2))
+    z = lattice.decode(lattice.encode(x) ^ lattice.encode(y))
+    assert z == g_mul(x, y)
     assert z.c == square_class(-60)
     assert z.poly == frozenset({2})
-    assert (z * z).is_identity()
+    assert g_is_identity(g_mul(z, z))
 
 
 def test_generators_always_members(running_spec):
     spec = running_spec
-    for gen in expected_g_d_generators(spec):
-        assert all(in_g_i(spec, gen, i) for i in spec.indices)
-    for gen in expected_g_d_generators(spec, dual=True):
-        assert all(in_g_i(spec, gen, i, dual=True) for i in spec.indices)
-    assert all(in_g_i(spec, GElement.identity(), i) for i in spec.indices)
+    lattice = Lattice.of_spec(spec)
+    for gen in target_generators(spec, lattice):
+        assert all(in_g_i(spec, lattice, gen, i) for i in spec.indices)
+    for gen in target_generators(spec, lattice, dual=True):
+        assert all(in_g_i(spec, lattice, gen, i, dual=True) for i in spec.indices)
+    assert all(in_g_i(spec, lattice, 0, i) for i in spec.indices)
 
 
 def test_membership_square_invariance(running_spec):
@@ -91,8 +107,8 @@ def test_membership_square_invariance(running_spec):
         x = g_element(value, subset)
         y = g_element(value * square, subset)
         for i in running_spec.indices:
-            assert in_g_i(running_spec, x, i) == in_g_i(running_spec, y, i)
-            assert in_g_i(running_spec, x, i, True) == in_g_i(running_spec, y, i, True)
+            assert _in_g_i(running_spec, x, i) == _in_g_i(running_spec, y, i)
+            assert _in_g_i(running_spec, x, i, True) == _in_g_i(running_spec, y, i, True)
 
 
 def _assert_generators_match_reference(spec):
@@ -110,7 +126,7 @@ def test_condition_d_running_example(running_spec):
     assert report.holds
     assert set(report.g_d) == set(span_of(expected_g_d_generators(running_spec)))
     assert set(report.g_d_dual) == {
-        GElement.identity(),
+        g_identity(),
         g_element(-6, {1, 2}),
     }
 
@@ -123,8 +139,8 @@ def test_condition_d_failure_with_witness():
     assert report.witnesses
     # every witness genuinely satisfies all memberships but escapes the span
     for x in report.witnesses:
-        in_plain = all(in_g_i(spec, x, i) for i in spec.indices)
-        in_dual = all(in_g_i(spec, x, i, dual=True) for i in spec.indices)
+        in_plain = all(_in_g_i(spec, x, i) for i in spec.indices)
+        in_dual = all(_in_g_i(spec, x, i, dual=True) for i in spec.indices)
         assert in_plain or in_dual
 
 
@@ -240,8 +256,8 @@ def test_wide_j_known_failure(n):
     assert x in report.g_d and x in report.witnesses
     assert set(span_of(expected_g_d_generators(spec))) <= set(report.g_d)
     assert set(span_of(expected_g_d_generators(spec, dual=True))) <= set(report.g_d_dual)
-    assert all(in_g_i(spec, g, i) for g in report.g_d for i in spec.indices)
-    assert all(in_g_i(spec, g, i, dual=True) for g in report.g_d_dual for i in spec.indices)
+    assert all(_in_g_i(spec, g, i) for g in report.g_d for i in spec.indices)
+    assert all(_in_g_i(spec, g, i, dual=True) for g in report.g_d_dual for i in spec.indices)
 
 
 @pytest.mark.parametrize("s0,a,b,factors,part_a", SPECS)
@@ -250,7 +266,7 @@ def test_product_of_generators_identity(s0, a, b, factors, part_a):
     g_a = g_element(spec.a, spec.part_a)
     g_b = g_element(spec.b, spec.part_b)
     g_d = g_element(spec.d, spec.indices)
-    assert g_a * g_b == g_d
+    assert g_mul(g_a, g_b) == g_d
     assert set(span_of([g_a, g_d])) == set(span_of([g_a, g_b]))
 
 
@@ -329,3 +345,28 @@ def test_self_checks_catch_a_wrong_kernel(monkeypatch, running_spec):
     monkeypatch.setattr(gf2, "column_kernel", lambda columns: [])
     with pytest.raises(AssertionError, match="missing from G_D"):
         check_condition_d(running_spec)
+
+
+@pytest.mark.parametrize("member", range(len(ALL_FAMILY)))
+def test_in_g_i_on_a_relative_lattice_matches_the_definition(member):
+    """in_g_i on masks of a lattice over the basis primes and three primes
+    outside them, as a relative lattice holds witness and reduction places,
+    agrees with the definition; a class with an outside prime is in no G_i."""
+    spec = family_spec(member)
+    extra = [p for p in (3, 5, 7, 11, 13, 17, 19, 23) if p not in spec.basis_primes][:3]
+    primes = sorted({*spec.basis_primes, *extra})
+    lattice = Lattice(primes, spec.indices)
+    outside = sum(1 << k for k, p in enumerate(primes, 1) if p in extra)
+    report = check_condition_d(spec)
+    rng = random.Random(member)
+    masks = [lattice.encode(g) for g in report.g_d + report.g_d_dual]
+    masks += [rng.getrandbits(lattice.ncols) & ~(outside if k % 2 else 0) for k in range(60)]
+    for dual in (False, True):
+        reference = membership_reference(spec, dual)
+        for x in masks:
+            for i in spec.indices:
+                found = in_g_i(spec, lattice, x, i, dual)
+                assert found == reference(lattice.decode(x), i), (lattice.decode(x), i, dual)
+                assert not (found and x & outside)
+    assert all(in_g_i(spec, lattice, lattice.encode(g), i)
+               for g in report.g_d for i in spec.indices)

@@ -33,7 +33,14 @@ from torusdescent.surface import (
     make_spec,
 )
 
-from fixtures import ALL_FAMILY, REDUCTION_MEMBERS, SOLUBLE_FAMILY, family_point, family_spec
+from fixtures import (
+    ALL_FAMILY,
+    MULTI_REDUCTION_MEMBERS,
+    REDUCTION_MEMBERS,
+    SOLUBLE_FAMILY,
+    family_point,
+    family_spec,
+)
 from oracles import (
     admissible_candidate_reference,
     compute_s,
@@ -43,8 +50,10 @@ from oracles import (
     is_local_square_closed_form,
     local_square_class,
     obstruction_sum_reference,
+    pick_elements_reference,
     suitability_reference,
 )
+from test_golden_descend import _fuzz_input
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +612,43 @@ def test_sd_witness_insertion_kills_element():
     p_t = build_suitable(spec, point)
     state = _make_state(spec, p_t, (), DescentBounds(), [])
     neg = g_element(-spec.d, spec.indices)
-    target = None
-    for g in state.dual.elements():
-        if not g.is_identity() and g != neg:
-            target = g
-            break
-    assert target is not None
-    new_state = _add_sd_witness(state, target, dual=True, bounds=DescentBounds())
+    lattice = state.lattice
+    x = next(m for m in state.dual.space.elements() if m and lattice.decode(m) != neg)
+    target = lattice.decode(x)
+    new_state = _add_sd_witness(state, x, bounds=DescentBounds())
     assert not new_state.dual.contains(target)
     assert new_state.dual.contains(neg)
     assert len(new_state.s_d) == 1
     inserted = [s for s in new_state.trace if s["step"] == "sd_witness"]
     assert inserted and inserted[-1]["side"] == "dual"
+
+
+# golden fuzz seeds (tests/test_golden_descend.py) whose descent reduces
+PICK_FUZZ_SEEDS = (2, 10, 22, 25, 30, 31, 33, 62, 69)
+
+
+@pytest.mark.parametrize(
+    "case", [f"family-{k}" for k in REDUCTION_MEMBERS + MULTI_REDUCTION_MEMBERS]
+    + [f"fuzz-{seed}" for seed in PICK_FUZZ_SEEDS])
+def test_pick_elements_matches_the_sorted_element_reference(case, monkeypatch):
+    """On every state that descend reduces, the masks _pick_elements picks
+    decode to the elements the sorted-GElement reference picks."""
+    picks = []
+    real_pick = descent._pick_elements
+
+    def checked_pick(state):
+        x0, x1 = real_pick(state)
+        assert (state.lattice.decode(x0), state.lattice.decode(x1)) == \
+            pick_elements_reference(state)
+        picks.append(state)
+        return x0, x1
+
+    monkeypatch.setattr(descent, "_pick_elements", checked_pick)
+    kind, _, number = case.partition("-")
+    if kind == "family":
+        spec, point, _ = family_point(int(number))
+        bounds = DescentBounds(solve_each_fiber=False)
+    else:
+        spec, point, bounds = _fuzz_input(int(number))
+    descend(spec, point, bounds)
+    assert picks

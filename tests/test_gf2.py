@@ -43,6 +43,9 @@ def test_subspace_membership_and_elements():
     space = gf2.Subspace(4, [0b0011, 0b0110])
     elements = set(space.elements())
     assert elements == {0, 0b0011, 0b0110, 0b0101}
+    # element m combines the basis vectors at the set bits of m
+    assert list(space.elements()) == [gf2.combine(space.basis, m) for m in range(4)]
+    assert gf2.combine([0b0011, 0b0110, 0b1000], 0b101) == 0b1011
     assert space.contains(0b0101)
     assert not space.contains(0b1000)
 

@@ -12,9 +12,12 @@ from torusdescent.arith import (
     class_from_mask,
     class_mask,
     is_local_square,
+    local_mask,
     square_class,
 )
-from torusdescent.conditiond import GElement, Lattice
+from torusdescent import gf2
+from torusdescent.conditiond import Lattice
+from torusdescent.descent import DescentBounds, build_suitable, find_admissible
 from torusdescent.selmer import (
     dimension_identity,
     selmer_groups,
@@ -23,7 +26,15 @@ from torusdescent.selmer import (
 )
 from torusdescent.surface import make_spec
 
-from oracles import dual_selmer_by_enumeration, ev, g_element, selmer_by_enumeration
+from fixtures import REDUCTION_MEMBERS, family_point
+from oracles import (
+    dual_selmer_by_enumeration,
+    ev,
+    g_element,
+    g_identity,
+    g_mul,
+    selmer_by_enumeration,
+)
 
 
 def places_of(*primes):
@@ -179,10 +190,32 @@ def test_lattice_report_sorts_by_sort_key():
 
 def test_ev_examples():
     spec = make_spec([], 2, 3, {1: (1, 0), 2: (1, 1)}, [1])
-    assert ev(spec, 2, GElement.identity()) == SquareClass.identity()
+    assert ev(spec, 2, g_identity()) == SquareClass.identity()
     assert ev(spec, 2, g_element(1, {1})) == square_class(2)
     x = g_element(3, {1})
     y = g_element(-1, {2})
-    assert ev(spec, 5, x * y) == ev(spec, 5, x) * ev(spec, 5, y)
+    assert ev(spec, 5, g_mul(x, y)) == ev(spec, 5, x) * ev(spec, 5, y)
     with pytest.raises(ValueError):
         ev(spec, 0, g_element(1, {1}))
+
+
+@pytest.mark.parametrize("index", REDUCTION_MEMBERS)
+def test_evaluation_map_is_the_local_mask_of_the_evaluated_element(index):
+    """The XOR of Lattice.local_masks at the bits of a mask is local_mask of
+    c * p_{J'}(t0) for the decoded [c][p_{J'}], at the places of T, at the
+    witness places and at primes outside both."""
+    spec, point, _ = family_point(index)
+    p_t = build_suitable(spec, point)
+    adm = find_admissible(spec, p_t, DescentBounds()).point
+    lattice = Lattice.of_places(adm.places, spec.indices)
+    values = [spec.factor_value(i, adm.t0) for i in lattice.factor_indices]
+    places = list(adm.places) + [u for _, u in adm.witnesses]
+    places += [Place.finite(p) for p in (3, 7, 13, 101) if Place.finite(p) not in places]
+    rng = random.Random(index)
+    masks = [0, (1 << lattice.ncols) - 1] + [rng.getrandbits(lattice.ncols) for _ in range(30)]
+    for v in places:
+        columns = lattice.local_masks(values, v)
+        for mask in masks:
+            x = lattice.decode(mask)
+            value = Fraction(x.c.value()) * spec.product_value(sorted(x.poly), adm.t0)
+            assert gf2.combine(columns, mask) == local_mask(value, v), (v, x)
