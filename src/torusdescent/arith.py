@@ -32,9 +32,22 @@ class PrimalityRangeError(ValueError):
 # Primality and factorization
 # ---------------------------------------------------------------------------
 
-# Deterministic Miller-Rabin bases, valid for n < 3.317e24.
+# (psi_k, k): psi_k is the least strong pseudoprime to the first k primes;
+# is_prime's docstring gives the sources.  _MR_LIMIT is psi_13.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (_MR_LIMIT, 13),
+)
 
 _SMALL_PRIME_BOUND = 1000
 _SMALL_PRIMES: List[int] = []
@@ -44,7 +57,16 @@ for _n in range(2, _SMALL_PRIME_BOUND):
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; rejects inputs beyond the proven range."""
+    """Deterministic Miller-Rabin; rejects inputs beyond the proven range.
+
+    n is tested to the first k bases of _MR_BASES for the first tier of
+    _MR_TIERS with n < psi_k, since no composite below psi_k is a strong
+    probable prime to all of them.  The psi_k are published: psi_1 to psi_4
+    by Pomerance, Selfridge and Wagstaff (Math. Comp. 35, 1980), psi_5 to
+    psi_8 by Jaeschke (Math. Comp. 61, 1993), psi_9 to psi_11 (all equal)
+    by Jiang and Deng (Math. Comp. 83, 2014), and psi_12 and psi_13 by
+    Sorenson and Webster (Math. Comp. 86, 2017).
+    """
     if n >= _MR_LIMIT:
         raise PrimalityRangeError(f"{n} exceeds the deterministic Miller-Rabin range")
     if n < 2:
@@ -57,9 +79,11 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
-        if a % n == 0:
-            continue
+    for bound, k in _MR_TIERS:
+        if n < bound:
+            break
+    # n > 37 here, so no base is a multiple of n
+    for a in _MR_BASES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -229,11 +253,10 @@ def valuation(x: Rational, p: int | Place) -> int:
         if p.is_real:
             raise ValueError("valuation undefined at the real place")
         p = p.p  # type: ignore[assignment]
-    x = Fraction(x)
-    if x == 0:
+    num, den = x.numerator, x.denominator
+    if num == 0:
         raise ValueError("valuation of 0 is undefined")
     v = 0
-    num, den = x.numerator, x.denominator
     while num % p == 0:
         num //= p
         v += 1
@@ -277,18 +300,11 @@ class SquareClass:
     def identity() -> "SquareClass":
         return SquareClass(1, ())
 
-    def is_identity(self) -> bool:
-        return self.sign == 1 and not self.support
-
     def value(self) -> int:
         v = self.sign
         for p in self.support:
             v *= p
         return v
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        support = tuple(sorted(set(self.support) ^ set(other.support)))
-        return SquareClass(self.sign * other.sign, support)
 
     def __str__(self):
         return str(self.value())
@@ -480,36 +496,44 @@ def hensel_solve(
     val(f) > 2*val(2*c_j*x_j) holds is Newton-lifted in x_j to full
     precision and returned with j as its non-degeneracy certificate
     (Serre, A Course in Arithmetic, Ch. II).
+
+    The search runs on the integer quadric F = L*f, L the lcm of the
+    coefficient denominators: p does not divide L, as every coefficient is
+    p-integral, so val(F) = val(f) at every point and F = 0 exactly where
+    f = 0.  Level 1 tests each vanishing residue for a certificate as soon
+    as it is found, which returns the node the full level-1 frontier would
+    return first; each deeper level is built whole and checked against the
+    node budget before its certificates are tested.
     """
     nvars = len(coeffs)
     if nvars not in (1, 2):
         raise ValueError("hensel_solve handles 1 or 2 variables")
-    coeffs = [Fraction(c) for c in coeffs]
-    constant = Fraction(constant)
-    for coeff in (*coeffs, constant):
-        if coeff != 0 and valuation(coeff, p) < 0:
-            raise ValueError("coefficients must be p-integral")
+    rationals = (*coeffs, constant)
+    if any(c.denominator % p == 0 for c in rationals):
+        raise ValueError("coefficients must be p-integral")
     if p**nvars > node_limit:
         return HenselResult(
             "inconclusive", p, precision, detail="residue space exceeds node budget"
         )
+    scale = math.lcm(*(c.denominator for c in rationals))
+    *ints, int0 = (c.numerator * (scale // c.denominator) for c in rationals)
     # every level k <= precision reads these residues mod p^k
-    top = max(precision, 1)
-    residues = [mod_prime_power(c, p, top) for c in coeffs]
-    residue0 = mod_prime_power(constant, p, top)
+    top = p ** max(precision, 1)
+    residues = [c % top for c in ints]
+    residue0 = int0 % top
 
     def vanishes_mod(point: Sequence[int], k: int) -> bool:
         return (sum(r * x * x for r, x in zip(residues, point)) + residue0) % p**k == 0
 
-    def f(point: Sequence[int]) -> Fraction:
-        return sum((c * x * x for c, x in zip(coeffs, point)), constant)
+    def f(point: Sequence[int]) -> int:
+        return sum(c * x * x for c, x in zip(ints, point)) + int0
 
     def certificate_var(point: Sequence[int]) -> Optional[int]:
-        """Strong Hensel condition val(f) > 2*val(2*c_j*x_j) at the exact point."""
+        """Strong Hensel condition val(F) > 2*val(2*C_j*x_j) at the exact point."""
         fval = f(point)
         vf = None if fval == 0 else valuation(fval, p)
         for j in range(nvars):
-            dval = 2 * coeffs[j] * point[j]
+            dval = 2 * ints[j] * point[j]
             if dval == 0:
                 continue
             if vf is None or vf > 2 * valuation(dval, p):
@@ -521,22 +545,27 @@ def hensel_solve(
         pt = [x % modulus for x in point]
         while True:
             fval = f(pt)
-            if fval == 0 or valuation(fval, p) >= precision:
+            if fval % modulus == 0:
                 return tuple(pt)
-            dval = 2 * coeffs[var] * pt[var]
-            delta = -fval / dval  # p-integral: val(f) > 2 val(f') >= val(f')
-            pt[var] = (pt[var] + mod_prime_power(delta, p, precision)) % modulus
+            # delta = -F/G for G = 2*C_var*x_var, with p^val(G) cancelled:
+            # p-integral, as val(F) > 2 val(G) >= val(G)
+            dval = 2 * ints[var] * pt[var]
+            while dval % p == 0:
+                dval //= p
+                fval //= p
+            delta = -fval * pow(dval, -1, modulus)
+            pt[var] = (pt[var] + delta) % modulus
 
-    # level-1 frontier
-    frontier = [pt for pt in itertools.product(range(p), repeat=nvars) if vanishes_mod(pt, 1)]
+    frontier = []
+    for pt in itertools.product(range(p), repeat=nvars):
+        if vanishes_mod(pt, 1):
+            var = certificate_var(pt)
+            if var is not None:
+                return HenselResult("witness", p, precision, newton_lift(pt, var), var)
+            frontier.append(pt)
     level = 1
     nodes = len(frontier)
     while True:
-        for pt in frontier:
-            var = certificate_var(pt)
-            if var is not None:
-                witness = newton_lift(tuple(pt), var)
-                return HenselResult("witness", p, precision, witness, var)
         if not frontier:
             return HenselResult(
                 "none", p, precision, detail=f"all residues excluded at level {level}"
@@ -563,3 +592,7 @@ def hensel_solve(
                 )
         frontier = new_frontier
         level += 1
+        for pt in frontier:
+            var = certificate_var(pt)
+            if var is not None:
+                return HenselResult("witness", p, precision, newton_lift(pt, var), var)

@@ -93,9 +93,6 @@ class SelmerSubspace:
         except ValueError:
             return False
 
-    def elements(self) -> List[GElement]:
-        return [self.lattice.decode(mask) for mask in self.space.elements()]
-
     def basis_elements(self) -> List[GElement]:
         return [self.lattice.decode(mask) for mask in self.space.basis]
 

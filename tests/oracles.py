@@ -10,13 +10,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from torusdescent import gf2
 from torusdescent.arith import (
     REAL,
+    HenselResult,
     Place,
     SquareClass,
     class_from_mask,
@@ -223,8 +224,8 @@ def membership_reference(spec, dual: bool):
     def member(x: GElement, i: int) -> bool:
         if (i, x.poly) not in classes:
             classes[i, x.poly] = square_class(constant(spec, i, x.poly))
-        cls = x.c * classes[i, x.poly]
-        return cls.is_identity() or cls == targets[i]
+        cls = class_mul(x.c, classes[i, x.poly])
+        return class_is_identity(cls) or cls == targets[i]
 
     return member
 
@@ -265,17 +266,31 @@ def g_d_bruteforce(spec, dual: bool) -> set:
     return members
 
 
+def class_mul(x: SquareClass, y: SquareClass) -> SquareClass:
+    """The group law of Q*/(Q*)^2: signs multiply, supports add mod 2."""
+    return SquareClass(x.sign * y.sign, tuple(sorted(set(x.support) ^ set(y.support))))
+
+
+def class_is_identity(x: SquareClass) -> bool:
+    return x.sign == 1 and not x.support
+
+
+def selmer_elements(sel) -> List[GElement]:
+    """Every element of a SelmerSubspace, decoded, in gf2.Subspace.elements order."""
+    return [sel.lattice.decode(mask) for mask in sel.space.elements()]
+
+
 def g_identity() -> GElement:
     return GElement(SquareClass.identity(), frozenset())
 
 
 def g_mul(x: GElement, y: GElement) -> GElement:
     """The group law of G: classes multiply, subsets add mod 2."""
-    return GElement(x.c * y.c, x.poly ^ y.poly)
+    return GElement(class_mul(x.c, y.c), x.poly ^ y.poly)
 
 
 def g_is_identity(x: GElement) -> bool:
-    return x.c.is_identity() and not x.poly
+    return class_is_identity(x.c) and not x.poly
 
 
 def span_of(generators: Sequence[GElement]) -> List[GElement]:
@@ -301,9 +316,9 @@ def pick_elements_reference(state) -> Tuple[GElement, GElement]:
     target_generators_reference."""
     (neg_gen,) = target_generators_reference(state.spec, dual=True)
     span = span_of(target_generators_reference(state.spec, dual=False))
-    x0 = next(g for g in sorted(state.dual.elements(), key=GElement.sort_key)
+    x0 = next(g for g in sorted(selmer_elements(state.dual), key=GElement.sort_key)
               if not g_is_identity(g) and g != neg_gen)
-    x1 = next(g for g in sorted(state.sel.elements(), key=GElement.sort_key) if g not in span)
+    x1 = next(g for g in sorted(selmer_elements(state.sel), key=GElement.sort_key) if g not in span)
     return x0, x1
 
 
@@ -346,8 +361,8 @@ def _intersection_reference(spec, dual: bool) -> List[GElement]:
         return GElement(class_from_mask(vec, primes), poly)
 
     def member(x: GElement, i: int) -> bool:
-        cls = x.c * class_from_mask(constant_mask(spec, i, x.poly, dual), primes)
-        return cls.is_identity() or cls == targets[i]
+        cls = class_mul(x.c, class_from_mask(constant_mask(spec, i, x.poly, dual), primes))
+        return class_is_identity(cls) or cls == targets[i]
 
     for x in map(element, group.basis):
         if not all(member(x, i) for i in spec.indices):
@@ -735,3 +750,97 @@ def tame_residue(left, right: Sequence[Fraction], point) -> SquareClass:
         raise ValueError("both entries must be nonzero")
     v_g, _cofactor = _root_multiplicity(right, _rational_point(point))
     return SquareClass.identity() if v_g % 2 == 0 else square_class(left)
+
+
+# ---------------------------------------------------------------------------
+# Hensel lifting
+# ---------------------------------------------------------------------------
+
+
+def hensel_solve_reference(
+    coeffs: Sequence,
+    constant,
+    p: int,
+    precision: int,
+    node_limit: int = 100_000,
+) -> HenselResult:
+    """arith.hensel_solve as it was on Fractions, kept as its reference: f
+    and every Newton step evaluated in Fraction, the whole level-1 frontier
+    built before any node is tested for a certificate."""
+    nvars = len(coeffs)
+    if nvars not in (1, 2):
+        raise ValueError("hensel_solve handles 1 or 2 variables")
+    coeffs = [Fraction(c) for c in coeffs]
+    constant = Fraction(constant)
+    for coeff in (*coeffs, constant):
+        if coeff != 0 and valuation(coeff, p) < 0:
+            raise ValueError("coefficients must be p-integral")
+    if p**nvars > node_limit:
+        return HenselResult(
+            "inconclusive", p, precision, detail="residue space exceeds node budget"
+        )
+    top = max(precision, 1)
+    residues = [mod_prime_power(c, p, top) for c in coeffs]
+    residue0 = mod_prime_power(constant, p, top)
+
+    def vanishes_mod(point: Sequence[int], k: int) -> bool:
+        return (sum(r * x * x for r, x in zip(residues, point)) + residue0) % p**k == 0
+
+    def f(point: Sequence[int]) -> Fraction:
+        return sum((c * x * x for c, x in zip(coeffs, point)), constant)
+
+    def certificate_var(point: Sequence[int]) -> Optional[int]:
+        fval = f(point)
+        vf = None if fval == 0 else valuation(fval, p)
+        for j in range(nvars):
+            dval = 2 * coeffs[j] * point[j]
+            if dval == 0:
+                continue
+            if vf is None or vf > 2 * valuation(dval, p):
+                return j
+        return None
+
+    def newton_lift(point: Tuple[int, ...], var: int) -> Tuple[int, ...]:
+        modulus = p**precision
+        pt = [x % modulus for x in point]
+        while True:
+            fval = f(pt)
+            if fval == 0 or valuation(fval, p) >= precision:
+                return tuple(pt)
+            dval = 2 * coeffs[var] * pt[var]
+            delta = -fval / dval
+            pt[var] = (pt[var] + mod_prime_power(delta, p, precision)) % modulus
+
+    frontier = [pt for pt in itertools.product(range(p), repeat=nvars) if vanishes_mod(pt, 1)]
+    level = 1
+    nodes = len(frontier)
+    while True:
+        for pt in frontier:
+            var = certificate_var(pt)
+            if var is not None:
+                return HenselResult("witness", p, precision, newton_lift(tuple(pt), var), var)
+        if not frontier:
+            return HenselResult(
+                "none", p, precision, detail=f"all residues excluded at level {level}"
+            )
+        if level >= precision:
+            return HenselResult(
+                "inconclusive",
+                p,
+                precision,
+                detail="singular solutions remain at stated precision",
+            )
+        new_frontier = []
+        step = p**level
+        for pt in frontier:
+            for delta in itertools.product(range(p), repeat=nvars):
+                cand = tuple(x + step * t for x, t in zip(pt, delta))
+                if vanishes_mod(cand, level + 1):
+                    new_frontier.append(cand)
+            nodes += p**nvars
+            if nodes > node_limit:
+                return HenselResult(
+                    "inconclusive", p, precision, detail="node budget exhausted"
+                )
+        frontier = new_frontier
+        level += 1

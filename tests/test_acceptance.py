@@ -46,6 +46,7 @@ from fixtures import (
     family_point,
 )
 from oracles import (
+    class_is_identity,
     conic_soluble_bruteforce,
     dual_selmer_by_enumeration,
     expected_g_d_generators,
@@ -54,6 +55,7 @@ from oracles import (
     g_element,
     hilbert_relevant_places,
     selmer_by_enumeration,
+    selmer_elements,
     span_of,
 )
 
@@ -140,8 +142,8 @@ def test_criterion_3_selmer_oracle():
     started = time.time()
     for torus in _random_torus_suite(103, 200):
         sel, dual = selmer_groups(torus)
-        assert {g.c for g in sel.elements()} == selmer_by_enumeration(torus.d, torus.places)
-        assert {g.c for g in dual.elements()} == dual_selmer_by_enumeration(
+        assert {g.c for g in selmer_elements(sel)} == selmer_by_enumeration(torus.d, torus.places)
+        assert {g.c for g in selmer_elements(dual)} == dual_selmer_by_enumeration(
             torus.d, torus.places
         )
     elapsed = time.time() - started
@@ -220,13 +222,13 @@ def test_criterion_6_brauer_residues_and_sums():
             for j in spec.indices:
                 res = residue_at(gen, spec.root(j))
                 if j != i:
-                    assert res.is_identity(), (spec, i, j)
+                    assert class_is_identity(res), (spec, i, j)
                 else:
                     assert res == square_class(gen.left)
             # unramified at every other rational point
             for t in (rng.randint(-20, 20), Fraction(rng.randint(-9, 9), 2)):
                 if spec.factor_value(i, t) != 0:
-                    assert residue_at(gen, Fraction(t)).is_identity()
+                    assert class_is_identity(residue_at(gen, Fraction(t)))
         # invariant sums over everywhere-locally-soluble sampled fibers
         sampled = 0
         for t in range(-60, 61):

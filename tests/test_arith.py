@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.ntheory.primetest import mr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdescent.arith import (
+    _MR_BASES,
+    _MR_LIMIT,
+    _MR_TIERS,
     REAL,
     Place,
+    PrimalityRangeError,
     SquareClass,
     crt,
     factorize,
@@ -24,7 +29,9 @@ from torusdescent.arith import (
 )
 
 from oracles import (
+    class_mul,
     conic_soluble_bruteforce,
+    hensel_solve_reference,
     hilbert_relevant_places,
     hilbert_symbol_closed_form,
     is_square_mod_enumeration,
@@ -57,6 +64,56 @@ def test_is_prime_small():
 def test_is_prime_rejects_oversized():
     with pytest.raises(ValueError):
         is_prime(10**25)
+
+
+def test_miller_rabin_tiers_cover_the_range_once():
+    bounds = [bound for bound, _ in _MR_TIERS]
+    counts = [k for _, k in _MR_TIERS]
+    assert bounds == sorted(set(bounds)) and counts == sorted(set(counts))
+    assert _MR_TIERS[-1] == (_MR_LIMIT, len(_MR_BASES))
+    assert list(_MR_BASES) == list(sympy.primerange(2, _MR_BASES[-1] + 1))
+
+
+@pytest.mark.parametrize("bound,k", _MR_TIERS)
+def test_each_tier_bound_is_a_strong_pseudoprime_to_its_bases(bound, k):
+    """psi_k fools the first k bases, so a tier that tested psi_k with only
+    k bases would call it prime; is_prime must reject it."""
+    assert not sympy.isprime(bound)
+    assert mr(bound, list(_MR_BASES[:k]))
+    if bound == _MR_LIMIT:
+        with pytest.raises(PrimalityRangeError):
+            is_prime(bound)
+    else:
+        assert not is_prime(bound)
+
+
+@st.composite
+def primality_inputs(draw):
+    """Integers of 2 to 81 bits, and primes and composites just below and
+    just above each tier bound: the nearest primes, nearby integers and
+    products of two primes of about half the size."""
+    kind = draw(st.sampled_from(["bits", "near", "prime", "semiprime"]))
+    if kind == "bits":
+        bits = draw(st.integers(2, 81))
+        return draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    bound = draw(st.sampled_from([bound for bound, _ in _MR_TIERS]))
+    above = bound < _MR_LIMIT and draw(st.booleans())
+    if kind == "near":
+        offset = draw(st.integers(1, 5000))
+        return bound + offset if above else bound - offset
+    if kind == "prime":
+        return sympy.nextprime(bound) if above else sympy.prevprime(bound)
+    root = sympy.integer_nthroot(bound, 2)[0]
+    half = sympy.prevprime(max(root - draw(st.integers(0, 500)), 5))
+    other = sympy.nextprime(half) if above else sympy.prevprime(half)
+    return half * other
+
+
+@given(primality_inputs())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_is_prime_matches_sympy(n):
+    assert n < _MR_LIMIT
+    assert is_prime(n) == sympy.isprime(n)
 
 
 def test_factorize():
@@ -110,7 +167,7 @@ def test_square_class(x, expected):
 @given(nonzero_rationals, nonzero_rationals)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_square_class_homomorphism(x, y):
-    assert square_class(x * y) == square_class(x) * square_class(y)
+    assert square_class(x * y) == class_mul(square_class(x), square_class(y))
     assert square_class(x * y * y) == square_class(x)
 
 
@@ -336,6 +393,34 @@ def test_hensel_witness_reduces_correctly():
 def test_hensel_rejects_bad_coefficients():
     with pytest.raises(ValueError):
         hensel_solve((Fraction(1, 7),), 1, 7, 2)
+
+
+@st.composite
+def p_integral_quadrics(draw):
+    """(p, coeffs, constant): one or two nonzero coefficients, every value an
+    int or a Fraction with denominator prime to p, scaled by powers of p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 31]))
+    rational = st.one_of(
+        st.integers(-300, 300),
+        st.builds(Fraction, st.integers(-300, 300), st.integers(1, 60).filter(lambda d: d % p)),
+    )
+    coeffs = [draw(rational.filter(bool)) * p ** draw(st.integers(0, 3))
+              for _ in range(draw(st.integers(1, 2)))]
+    constant = draw(rational) * p ** draw(st.integers(0, 5))
+    return p, coeffs, constant
+
+
+@given(
+    quadric=p_integral_quadrics(),
+    precision=st.integers(1, 9),
+    node_limit=st.sampled_from([50, 500, 100_000]),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_hensel_matches_the_fraction_reference(quadric, precision, node_limit):
+    p, coeffs, constant = quadric
+    assert hensel_solve(coeffs, constant, p, precision, node_limit) == hensel_solve_reference(
+        coeffs, constant, p, precision, node_limit
+    )
 
 
 @settings(max_examples=300, deadline=None)

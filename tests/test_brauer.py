@@ -21,7 +21,13 @@ from torusdescent.brauer import (
 from torusdescent.points import good_place_solubility
 from torusdescent.surface import LocalPoint, PartialAdelicPoint, fiber, make_spec
 
-from oracles import d_constant, hilbert_relevant_places, poly_from_factors, tame_residue
+from oracles import (
+    class_mul,
+    d_constant,
+    hilbert_relevant_places,
+    poly_from_factors,
+    tame_residue,
+)
 
 
 @pytest.fixture
@@ -115,8 +121,9 @@ def test_combination_residues(running_spec):
     for i in spec.indices:
         root = spec.root(i)
         assert tame_residue(c, combo, root) == square_class(c)
-        total = tame_residue(c, combo, root) * residue_at(brauer_generator(spec, i), root)
-        expected = square_class(c) * square_class(spec.brauer_constants[i])
+        total = class_mul(tame_residue(c, combo, root),
+                          residue_at(brauer_generator(spec, i), root))
+        expected = class_mul(square_class(c), square_class(spec.brauer_constants[i]))
         assert total == expected
 
 

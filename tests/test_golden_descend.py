@@ -29,6 +29,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "descend.jsonl")
 FUZZ_SEEDS = (1, 2, 6, 10, 20, 22, 25, 30, 31, 33, 62, 69)
 # seeds whose input fails valuation_bound, split_place and valuation_at_2 alone
 HYPOTHESIS_SEEDS = (5, 35, 2493)
+# seeds whose descent inserts two dual-side S_D witness places (sd_witness)
+SD_WITNESS_SEEDS = (1741, 2515)
 # (seed, variant): brauer_sum_1 and brauer_sum_2 fail; the input is rejected
 VARIANT_CASES = ((2, "real-moved"), (10, "place-dropped"))
 
@@ -36,6 +38,7 @@ CASES = (
     [f"family-{k:02d}/solve={solve}" for k in range(len(ALL_FAMILY)) for solve in (1, 0)]
     + [f"fuzz-{seed}" for seed in FUZZ_SEEDS + HYPOTHESIS_SEEDS]
     + [f"fuzz-{seed}/{variant}" for seed, variant in VARIANT_CASES]
+    + [f"fuzz-{seed}" for seed in SD_WITNESS_SEEDS]
 )
 
 
