@@ -2,19 +2,27 @@
 
 The cases are the 25 curated family members of fixtures.py, each with
 fiber solving on and off under the default bounds, one random spec per
-fixed seed drawn as in test_pipeline_fuzz.py, and seeded inputs that fail
-each hypothesis of the descent theorem or the input checks.  Regenerate the golden file
-only on purpose, from a checkout whose certificates are trusted:
+fixed seed drawn as in test_pipeline_fuzz.py, seeded inputs that fail
+each hypothesis of the descent theorem or the input checks, and tight
+bounds that end the search at each exhaustion stage.  Every certificate is
+also re-checked by the benchmark's independent oracle (perfbench/oracle.py),
+and the file must show every outcome, exhaustion stage and trace step.
+Regenerate the golden file only on purpose, from a checkout whose
+certificates are trusted:
 
     PYTHONPATH=src:tests python tests/test_golden_descend.py
 """
 
+import ast
+import dataclasses
 import json
 import os
 import random
+import sys
 
 import pytest
 
+from torusdescent import descent
 from torusdescent.cli import certificate_json
 from torusdescent.arith import REAL
 from torusdescent.descent import DescentBounds, DescentError, check_hypotheses, descend
@@ -24,6 +32,12 @@ from fixtures import ALL_FAMILY, family_point
 from test_pipeline_fuzz import _candidate_point, _random_spec
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "descend.jsonl")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+if BENCH not in sys.path:
+    sys.path.insert(0, BENCH)
+
+import inputs  # noqa: E402  (perfbench/inputs.py)
+import oracle  # noqa: E402  (perfbench/oracle.py)
 
 # seeds chosen so that every outcome and up to three reductions occur
 FUZZ_SEEDS = (1, 2, 6, 10, 20, 22, 25, 30, 31, 33, 62, 69)
@@ -33,12 +47,22 @@ HYPOTHESIS_SEEDS = (5, 35, 2493)
 SD_WITNESS_SEEDS = (1741, 2515)
 # (seed, variant): brauer_sum_1 and brauer_sum_2 fail; the input is rejected
 VARIANT_CASES = ((2, "real-moved"), (10, "place-dropped"))
+# a tight bound, named after the last "/", ends each of these searches at
+# the stage chebotarev_prime, descent_loop, sd_retries or sd_witness_prime
+EXHAUSTION_CASES = (
+    "family-09/solve=0/prime_scan=3",
+    "family-16/solve=0/max_steps=1",
+    "family-23/solve=0/max_steps=1",
+    "fuzz-1741/prime_scan=2",
+    "fuzz-2515/prime_scan=2",
+)
 
 CASES = (
     [f"family-{k:02d}/solve={solve}" for k in range(len(ALL_FAMILY)) for solve in (1, 0)]
     + [f"fuzz-{seed}" for seed in FUZZ_SEEDS + HYPOTHESIS_SEEDS]
     + [f"fuzz-{seed}/{variant}" for seed, variant in VARIANT_CASES]
     + [f"fuzz-{seed}" for seed in SD_WITNESS_SEEDS]
+    + list(EXHAUSTION_CASES)
 )
 
 
@@ -79,15 +103,24 @@ def _fuzz_input(seed, variant=None):
         return spec, point, bounds
 
 
+def case_input(name):
+    """(spec, point, bounds) of the case: its family member or fuzz seed, the
+    variant, fiber solving ("solve=") and any bound overridden by "bound=value"."""
+    head, *parts = name.split("/")
+    settings = dict(part.split("=") for part in parts if "=" in part)
+    variant = next((part for part in parts if "=" not in part), None)
+    if head.startswith("family-"):
+        spec, point, _ = family_point(int(head[len("family-"):]))
+        bounds = DescentBounds(solve_each_fiber=settings.pop("solve") == "1")
+    else:
+        spec, point, bounds = _fuzz_input(int(head[len("fuzz-"):]), variant)
+    bounds = dataclasses.replace(bounds, **{key: int(value) for key, value in settings.items()})
+    return spec, point, bounds
+
+
 def run_case(name):
     """Canonical certificate JSON of the case, or the text of its DescentError."""
-    if name.startswith("family-"):
-        member, solve = name[len("family-"):].split("/solve=")
-        spec, point, _ = family_point(int(member))
-        bounds = DescentBounds(solve_each_fiber=solve == "1")
-    else:
-        seed, _, variant = name[len("fuzz-"):].partition("/")
-        spec, point, bounds = _fuzz_input(int(seed), variant or None)
+    spec, point, bounds = case_input(name)
     try:
         return certificate_json(descend(spec, point, bounds))
     except DescentError as exc:
@@ -123,9 +156,51 @@ def test_golden_has_every_hypothesis_failure():
     }
 
 
+def _trace_steps():
+    """Every "step" value of a trace entry that descent.py writes, read with ast."""
+    with open(descent.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {value.value for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for key, value in zip(node.keys, node.values)
+            if isinstance(key, ast.Constant) and key.value == "step"
+            and isinstance(value, ast.Constant)}
+
+
+def test_golden_has_every_exhaustion_stage_and_trace_step():
+    certificates = [json.loads(out) for out in _golden().values() if not out.startswith("error:")]
+    stages = {cert["data"]["stage"] for cert in certificates
+              if cert["outcome"] == "search_exhausted"}
+    steps = {entry["step"] for cert in certificates for entry in cert["trace"]}
+    assert stages == oracle.EXHAUSTED_STAGES
+    assert steps == _trace_steps()
+    assert {"hypotheses", "admissible_point", "sd_witness", "reduce_dual_selmer", "point",
+            "exhausted"} <= steps
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_descend_certificate_matches_golden(name):
     assert run_case(name) == _golden()[name]
+
+
+def _raw_spec(spec):
+    """The spec as the oracle's inputs.RawSpec; golden specs have integer coefficients."""
+    def integer(x):
+        assert x.denominator == 1, x
+        return x.numerator
+
+    return inputs.RawSpec(
+        s0=spec.s0_finite_primes, a=integer(spec.a), b=integer(spec.b),
+        factors=tuple((i, integer(c), integer(d)) for i, (c, d) in spec.factors),
+        part_a=tuple(sorted(spec.part_a)),
+    )
+
+
+@pytest.mark.parametrize("name", [name for name, out in _golden().items()
+                                  if not out.startswith("error:")])
+def test_golden_certificate_passes_the_independent_oracle(name):
+    raw = _raw_spec(case_input(name)[0])
+    cert = json.loads(_golden()[name])
+    assert oracle.check_certificate(raw, cert, oracle.condition_d(raw)["holds"]) == []
 
 
 if __name__ == "__main__":
