@@ -314,23 +314,19 @@ def _candidate_test(
     the pairs (i, u_i) with p_i(t0) a T-unit times the prime u_i, the u_i
     distinct, or None.
 
-    With c_i = c/c' and d_i = d/d' in lowest terms, L_i*p_i(t0) is the
-    integer form A_i + B_i*n with L_i = denominator*c'*d',
-    A_i = c*d'*tau0 + d*c'*denominator and B_i = c*d'*modulus.  Every L_i is
-    T-smooth (D, c' and d' are S0-supported and T contains S0), so the
-    leftover of p_i(t0), its T-free part, is that of A_i + B_i*n.  A zero
-    form (a root of p_J) or a leftover with a sieving prime outside T
-    other than itself (one gcd per form with the product of those primes)
-    rejects n before any leftover is proved prime.
+    With (C_i, D_i, L_i) = spec.forms[i], L_i*D*p_i(t0) is the integer form
+    A_i + B_i*n with A_i = C_i*tau0 + D_i*D and B_i = C_i*modulus, where D
+    is `denominator`.  L_i*D is T-smooth (D and L_i are S0-supported and T
+    contains S0), so the leftover of p_i(t0), its T-free part, is that of
+    A_i + B_i*n.  A zero form (a root of p_J) or a leftover with a sieving
+    prime outside T other than itself (one gcd per form with the product of
+    those primes) rejects n before any leftover is proved prime.
     """
     forms = []
-    for i in spec.indices:
-        c, d = spec.coeffs(i)
-        if strip_primes(denominator * c.denominator * d.denominator, t_primes) != 1:
+    for i, (c, d, lcm) in spec.forms.items():
+        if strip_primes(denominator * lcm, t_primes) != 1:
             raise DescentAnomaly(f"denominator of p_{i}(t0) escapes the working primes")
-        forms.append((i, c.numerator * d.denominator * tau0
-                      + d.numerator * c.denominator * denominator,
-                      c.numerator * d.denominator * modulus))
+        forms.append((i, c * tau0 + d * denominator, c * modulus))
     sieve = math.prod(_SIEVE_PRIMES.difference(t_primes))
 
     def witnesses(n: int) -> Optional[List[Tuple[int, Place]]]:
@@ -373,7 +369,7 @@ def find_admissible(
     The scan visits n = k, -k for k = k0, k0 + 1, ..., where k0 is the
     least |n| in the real chamber, until neither lies in it.  Each n runs
     one integer candidate test (`_candidate_test`) on the forms
-    L_i*p_i(t0) = A_i + B_i*n.  It strikes n early when a leftover has a
+    L_i*D*p_i(t0) = A_i + B_i*n, read off `spec.forms`.  It strikes n early when a leftover has a
     prime below 200 outside T other than itself, which is exact: such a
     leftover is composite.  Only candidates whose leftovers are proved
     prime reach the exact checks of `_try_admissible`.  Every candidate,
@@ -439,7 +435,7 @@ def _try_admissible(
             if local_mask(values[i], v) != mask:
                 raise DescentAnomaly(f"approximation lost [p_{i}(t)]_{v}")
     # local solubility of the fiber everywhere
-    fib = fiber(spec, t0)
+    fib = fiber(spec, t0, values)
     if fib.aA <= 0 and fib.bB <= 0:
         return None
     for v in p_t.places:
@@ -713,10 +709,12 @@ def _chebotarev_step(
     dual0_old = old_dual.space.intersect_hyperplane(bit_old)
     dual0_new = new_state.dual.space.intersect_hyperplane(bit_new)
 
-    # localization at w of both lattices, p_i(t1) read once for the two
-    values = [spec.factor_value(i, t1) for i in spec.indices]
-    old_columns = old_lattice.local_masks(values, place)
-    new_columns = new_lattice.local_masks(values, place)
+    # p_i(t0) and p_i(t1), each read once: the localization at w of both
+    # lattices and the comparison checks use them
+    old_values = {i: spec.factor_value(i, old_adm.t0) for i in spec.indices}
+    new_values = {i: spec.factor_value(i, t1) for i in spec.indices}
+    old_columns = old_lattice.local_masks(list(new_values.values()), place)
+    new_columns = new_lattice.local_masks(list(new_values.values()), place)
 
     def loc_image(space: gf2.Subspace, columns: List[int]) -> gf2.Subspace:
         return gf2.Subspace(local_dim(place), [gf2.combine(columns, m) for m in space.basis])
@@ -741,12 +739,8 @@ def _chebotarev_step(
         for j in spec.indices:
             if j == i:
                 continue
-            s0 = hilbert_symbol(
-                spec.factor_value(i, old_adm.t0), spec.factor_value(j, old_adm.t0), u0
-            )
-            s1 = hilbert_symbol(
-                spec.factor_value(i, t1), spec.factor_value(j, t1), u1
-            )
+            s0 = hilbert_symbol(old_values[i], old_values[j], u0)
+            s1 = hilbert_symbol(new_values[i], new_values[j], u1)
             if s0 ^ s1:
                 raise DescentAnomaly(
                     f"comparison identity failed at u_{i} for factors ({i},{j})"

@@ -2,10 +2,14 @@
 
 Holds the surface specification (place set, coefficients, linear factors,
 partition), derived place sets, fibers, local points, and the line-oriented
-spec-file format.  `SurfaceSpec.fiber_coeffs` is the one spelling of the
-conic coefficients (a*p_A(t), b*p_B(t)) above t: fibers, point residuals,
-d*p_J(t) (their product) and the per-spec Brauer constants are read off it.
-A partial adelic point keeps one table of local data, read by every check.
+spec-file format.  `SurfaceSpec.forms` holds each factor p_i as integers
+(C_i, D_i, L_i), p_i(t) = (C_i*t + D_i)/L_i: factor_value, product_value
+and fiber_coeffs multiply them out on ints and build one Fraction per value
+returned.  `fiber_coeffs`, read off `forms`, is the one spelling of the conic
+coefficients (a*p_A(t), b*p_B(t)) above t: fibers, point residuals (over one
+common integer denominator), d*p_J(t) (their product) and the per-spec
+Brauer constants are read off it.  A partial adelic point keeps one table
+of local data, read by every check.
 """
 
 from __future__ import annotations
@@ -65,6 +69,15 @@ class DegenerateFiberError(ValueError):
     """Fiber over a root of p_J."""
 
 
+def _scaled_product(scale: Rational, values: Iterable[Rational]) -> Fraction:
+    """scale times the product of values, multiplied out on ints into one Fraction."""
+    num, den = scale.numerator, scale.denominator
+    for x in values:
+        num *= x.numerator
+        den *= x.denominator
+    return Fraction(num, den)
+
+
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Validated surface data; construct through validate_spec."""
@@ -102,15 +115,39 @@ class SurfaceSpec:
         c, d = self.coeffs(i)
         return -d / c
 
-    def factor_value(self, i: int, t: Rational) -> Fraction:
-        c, d = self.coeffs(i)
-        return c * Fraction(t) + d
+    @cached_property
+    def forms(self) -> Dict[int, Tuple[int, int, int]]:
+        """i -> (C_i, D_i, L_i), ints with L_i the lcm of the denominators of
+        c_i and d_i, C_i = L_i*c_i and D_i = L_i*d_i: for t = n/m,
+        p_i(t) = (C_i*n + D_i*m) / (L_i*m)."""
+        table = {}
+        for i, (c, d) in self.factors:
+            lcm = math.lcm(c.denominator, d.denominator)
+            table[i] = (c.numerator * (lcm // c.denominator),
+                        d.numerator * (lcm // d.denominator), lcm)
+        return table
 
-    def product_value(self, subset: Iterable[int], t: Rational) -> Fraction:
-        value = Fraction(1)
+    def factor_value(self, i: int, t: Rational) -> Fraction:
+        c, d, lcm = self.forms[i]
+        n, m = t.numerator, t.denominator
+        return Fraction(c * n + d * m, lcm * m)
+
+    def product_value(self, subset: Iterable[int], t: Rational,
+                      scale: Rational = 1) -> Fraction:
+        """scale * p_{subset}(t), multiplied out on ints into one Fraction."""
+        n, m = t.numerator, t.denominator
+        num, den = scale.numerator, scale.denominator
         for i in subset:
-            value *= self.factor_value(i, t)
-        return value
+            c, d, lcm = self.forms[i]
+            num *= c * n + d * m
+            den *= lcm * m
+        return Fraction(num, den)
+
+    @cached_property
+    def partition(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """(A, B), each in index order."""
+        return (tuple(i for i in self.indices if i in self.part_a),
+                tuple(i for i in self.indices if i not in self.part_a))
 
     def fiber_coeffs(self, t: Rational) -> Tuple[Fraction, Fraction]:
         """(a*p_A(t), b*p_B(t)), the coefficients of the conic above t.
@@ -119,8 +156,8 @@ class SurfaceSpec:
         d*p_J(t), and at the root of p_i the entry that stays nonzero is
         brauer_constants[i].
         """
-        return (self.a * self.product_value(sorted(self.part_a), t),
-                self.b * self.product_value(sorted(self.part_b), t))
+        part_a, part_b = self.partition
+        return self.product_value(part_a, t, self.a), self.product_value(part_b, t, self.b)
 
     def is_s0_integer(self, x: Rational) -> bool:
         return strip_primes(Fraction(x).denominator, self.s0_finite_primes) == 1
@@ -331,18 +368,33 @@ class FiberSpec:
     torus_d: Fraction  # -d * p_J(t); the fiber is a torsor under x^2 - torus_d*y^2 = 1
 
 
-def fiber(spec: SurfaceSpec, t: Rational) -> FiberSpec:
+def fiber(spec: SurfaceSpec, t: Rational,
+          values: Optional[Mapping[int, Fraction]] = None) -> FiberSpec:
+    """The fiber above t.  `values`, the map i -> p_i(t) when the caller
+    holds it already, gives the coefficients without evaluating p_i again."""
     t = Fraction(t)
-    aA, bB = spec.fiber_coeffs(t)
-    if aA * bB == 0:
+    if values is None:
+        aA, bB = spec.fiber_coeffs(t)
+    else:
+        aA, bB = (_scaled_product(scale, (values[i] for i in part))
+                  for scale, part in zip((spec.a, spec.b), spec.partition))
+    if not aA or not bB:
         raise DegenerateFiberError(f"p_J({t}) = 0")
-    return FiberSpec(t=t, aA=aA, bB=bB, torus_d=-aA * bB)
+    return FiberSpec(t=t, aA=aA, bB=bB, torus_d=_scaled_product(-1, (aA, bB)))
+
+
+def _residual(aA: Fraction, bB: Fraction, x: Rational, y: Rational) -> Fraction:
+    """aA*x^2 + bB*y^2 - 1 over one common integer denominator."""
+    a_den = aA.denominator * x.denominator ** 2
+    b_den = bB.denominator * y.denominator ** 2
+    return Fraction(aA.numerator * x.numerator ** 2 * b_den
+                    + bB.numerator * y.numerator ** 2 * a_den - a_den * b_den,
+                    a_den * b_den)
 
 
 def evaluate_point(spec: SurfaceSpec, x: Rational, y: Rational, t: Rational) -> Fraction:
     """Residual a*p_A(t)x^2 + b*p_B(t)y^2 - 1; zero iff on the surface."""
-    aA, bB = spec.fiber_coeffs(t)
-    return aA * Fraction(x) ** 2 + bB * Fraction(y) ** 2 - 1
+    return _residual(*spec.fiber_coeffs(t), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +462,14 @@ class PartialAdelicPoint:
         problems = []
         for v, pt in sorted(self.entries.items()):
             aA, bB = self.spec.fiber_coeffs(pt.t)
-            if aA * bB == 0:
+            if not aA or not bB:
                 problems.append(f"{v}: d*p_J(t_v) = 0")
                 continue
             if v.is_real:
                 if aA <= 0 and bB <= 0:
                     problems.append(f"real: fiber at t = {pt.t} has no real points")
                 continue
-            residual = aA * pt.x**2 + bB * pt.y**2 - 1
+            residual = _residual(aA, bB, pt.x, pt.y)
             if residual != 0 and valuation(residual, v.p) < pt.precision:
                 problems.append(
                     f"{v}: residual {residual} below stated precision {pt.precision}"

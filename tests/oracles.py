@@ -39,6 +39,37 @@ from torusdescent.conditiond import (
 from torusdescent.surface import compute_s_bad
 
 
+# ---------------------------------------------------------------------------
+# The fibration by its defining Fraction formulas
+# ---------------------------------------------------------------------------
+
+
+def factor_value_reference(spec, i: int, t) -> Fraction:
+    """p_i(t) = c_i*t + d_i in Fraction arithmetic."""
+    c, d = spec.coeffs(i)
+    return c * Fraction(t) + d
+
+
+def product_value_reference(spec, subset, t) -> Fraction:
+    """p_{subset}(t), one Fraction product per factor."""
+    value = Fraction(1)
+    for i in subset:
+        value *= factor_value_reference(spec, i, t)
+    return value
+
+
+def fiber_coeffs_reference(spec, t) -> Tuple[Fraction, Fraction]:
+    """(a*p_A(t), b*p_B(t)) in Fraction arithmetic."""
+    return (spec.a * product_value_reference(spec, sorted(spec.part_a), t),
+            spec.b * product_value_reference(spec, sorted(spec.part_b), t))
+
+
+def residual_reference(spec, x, y, t) -> Fraction:
+    """a*p_A(t)x^2 + b*p_B(t)y^2 - 1 in Fraction arithmetic."""
+    aA, bB = fiber_coeffs_reference(spec, t)
+    return aA * Fraction(x) ** 2 + bB * Fraction(y) ** 2 - 1
+
+
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd positive n, by quadratic-reciprocity recursion."""
     if n <= 0 or n % 2 == 0:
@@ -202,9 +233,9 @@ def d_constant(spec, i: int, subset) -> Fraction:
     subset = frozenset(subset)
     root = spec.root(i)
     if i not in subset:
-        return spec.product_value(sorted(subset), root)
+        return product_value_reference(spec, sorted(subset), root)
     complement = sorted(set(spec.indices) - subset)
-    return spec.d * spec.product_value(complement, root)
+    return spec.d * product_value_reference(spec, complement, root)
 
 
 def d_constant_dual(spec, i: int, subset) -> Fraction:
@@ -403,18 +434,17 @@ def fiber_point_bruteforce(spec, t, height: int):
     import math
 
     from torusdescent.points import _denominators
-    from torusdescent.surface import evaluate_point, fiber
 
     t = Fraction(t)
-    if spec.product_value(spec.indices, t) == 0:
+    aA, bB = fiber_coeffs_reference(spec, t)
+    if aA * bB == 0:
         return None
-    fib = fiber(spec, t)
     dens = _denominators(spec.s0_finite_primes, height)
     for u in dens:
         for m in range(height + 1):
             for sx in (1, -1) if m else (1,):
                 x = Fraction(sx * m, u)
-                rest = (1 - fib.aA * x * x) / fib.bB
+                rest = (1 - aA * x * x) / bB
                 if rest < 0:
                     continue
                 num, den = rest.numerator, rest.denominator
@@ -426,7 +456,7 @@ def fiber_point_bruteforce(spec, t, height: int):
                     continue
                 if not spec.is_s0_integer(y):
                     continue
-                if evaluate_point(spec, x, y, t) == 0:
+                if residual_reference(spec, x, y, t) == 0:
                     return (x, y, t)
     return None
 
@@ -475,15 +505,15 @@ def solve_global_fullscan(aA, bB, s0_primes, height_bound: int):
 def admissible_candidate_reference(spec, t_primes, t0: Fraction):
     """The witnesses (i, u_i) of t0 by the unsieved Fraction test, or None.
 
-    p_i(t0) is evaluated as a Fraction; the primes of T are divided out of
-    its numerator and the leftover is proved prime by building its Place.
-    A root of p_J or a repeated leftover rejects t0.
+    p_i(t0) is evaluated by factor_value_reference; the primes of T are
+    divided out of its numerator and the leftover is proved prime by
+    building its Place.  A root of p_J or a repeated leftover rejects t0.
     """
     from torusdescent.descent import DescentAnomaly
 
     witnesses = []
     for i in spec.indices:
-        value = spec.factor_value(i, t0)
+        value = factor_value_reference(spec, i, t0)
         if value == 0:
             return None
         if strip_primes(value.denominator, t_primes) != 1:
@@ -540,9 +570,9 @@ def find_admissible_reference(spec, p_t, bounds, reject=()):
 
 
 def brauer_constant_reference(spec, i: int) -> Fraction:
-    """The Brauer constant of factor i, rebuilt from fiber_coeffs at the root
-    of p_i: b*p_B for i in A, a*p_A otherwise."""
-    aA, bB = spec.fiber_coeffs(spec.root(i))
+    """The Brauer constant of factor i, rebuilt from fiber_coeffs_reference at
+    the root of p_i: b*p_B for i in A, a*p_A otherwise."""
+    aA, bB = fiber_coeffs_reference(spec, spec.root(i))
     return bB if i in spec.part_a else aA
 
 
@@ -551,7 +581,7 @@ def obstruction_sum_reference(spec, point, i: int) -> int:
     from Serre's closed-form formulas on the Fraction values."""
     left = brauer_constant_reference(spec, i)
     return sum(
-        hilbert_symbol_closed_form(left, spec.factor_value(i, point.entries[v].t), v)
+        hilbert_symbol_closed_form(left, factor_value_reference(spec, i, point.entries[v].t), v)
         for v in point.places
     ) % 2
 
@@ -564,7 +594,7 @@ def suitability_reference(spec, point):
     import math
 
     def d_p_j(v):
-        return math.prod(spec.fiber_coeffs(point.entries[v].t))
+        return math.prod(fiber_coeffs_reference(spec, point.entries[v].t))
 
     names = []
     for v in point.places:
@@ -611,7 +641,8 @@ def s_bad_reference(spec) -> set:
     bad = {q for x in values for q in factorize(Fraction(x).numerator)} | {2}
     for p in range(3, len(spec.factors) + 1):
         if all(p % q for q in range(2, p)) and all(
-                any(spec.factor_value(i, t) == 0 or valuation(spec.factor_value(i, t), p) > 0
+                any(factor_value_reference(spec, i, t) == 0
+                    or valuation(factor_value_reference(spec, i, t), p) > 0
                     for i in spec.indices) for t in range(p)):
             bad.add(p)
     return bad - s0
@@ -629,7 +660,7 @@ def g_element(value, subset=()) -> GElement:
 
 def ev(spec, t0, x: GElement) -> SquareClass:
     """[c][p_{J'}] evaluated at t0: the square class of c * p_{J'}(t0)."""
-    value = Fraction(x.c.value()) * spec.product_value(sorted(x.poly), t0)
+    value = Fraction(x.c.value()) * product_value_reference(spec, sorted(x.poly), t0)
     if value == 0:
         raise ValueError(f"evaluation at {t0} hit a root of the factors")
     return square_class(value)

@@ -6,9 +6,12 @@ nowhere); ALLOWED lists the exceptions and why.
 A method counts as called when its name is read as an attribute anywhere
 outside its own body.  An operator names no class, so a call of an
 arithmetic dunder such as __mul__ cannot be seen in the source: every
-arithmetic dunder of a public class needs an ALLOWED entry."""
+arithmetic dunder of a public class needs an ALLOWED entry.  Nor can a
+name read tell apart two classes that define a method of that name:
+SHARED_METHODS names, for each such name, the caller of each class."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,6 +22,22 @@ ALLOWED = {
                        "(ROADMAP item 8)",
     "Certificate.from_dict": "inverse of as_dict; the planned check-cert subcommand "
                              "reads certificates with it (ROADMAP item 4)",
+}
+
+# method name -> {defining class: its caller outside the tests, as
+# "module.function" or "module.Class.method"}, for every method name that
+# two or more public classes define.  The entries are checked by reading the
+# caller, not by resolving types; a new shared name fails until it is added.
+SHARED_METHODS = {
+    "as_dict": {"descent.Certificate": "cli.certificate_json",
+                "descent.DescentBounds": "descent._certificate",
+                "descent.HypothesisReport": "descent.descend"},
+    "contains": {"gf2.Subspace": "descent.DescentState.terminal",
+                 "selmer.SelmerSubspace": "descent._add_sd_witness"},
+    "dim": {"gf2.Subspace": "descent._chebotarev_step",
+            "selmer.SelmerSubspace": "descent._make_state"},
+    "sort_key": {"arith.Place": "arith.Place.__lt__",
+                 "conditiond.GElement": "descent._pick_elements"},
 }
 
 _OPERATORS = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod",
@@ -100,3 +119,26 @@ def test_allowlist_holds_only_unreferenced_definitions():
     assert set(ALLOWED) <= defined
     assert not [name for name in ALLOWED if _is_referenced(name, referenced)]
 
+
+
+def _definition(module, qualname):
+    """The ast node of a top-level function or class method of the package."""
+    node = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for name in qualname.split("."):
+        node = next(child for child in node.body
+                    if isinstance(child, _DEFINITIONS) and child.name == name)
+    return node
+
+
+def test_every_shared_method_name_names_a_caller_per_class():
+    owners = defaultdict(set)
+    for module, name in _public_definitions():
+        cls, _, method = name.partition(".")
+        if method:
+            owners[method].add(f"{module}.{cls}")
+    shared = {method: classes for method, classes in owners.items() if len(classes) > 1}
+    assert shared == {method: set(callers) for method, callers in SHARED_METHODS.items()}
+    for method, callers in SHARED_METHODS.items():
+        for caller in callers.values():
+            module, _, qualname = caller.partition(".")
+            assert method in set(_reads(_definition(module, qualname))), (method, caller)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torusdescent import surface
 from torusdescent.arith import REAL, Place
@@ -25,7 +27,14 @@ from torusdescent.surface import (
 )
 
 from fixtures import REDUCTION_MEMBERS, family_point
-from oracles import compute_s, s_bad_reference
+from oracles import (
+    compute_s,
+    factor_value_reference,
+    fiber_coeffs_reference,
+    product_value_reference,
+    residual_reference,
+    s_bad_reference,
+)
 
 
 @pytest.fixture
@@ -228,6 +237,63 @@ def test_fiber_coeffs_random_specs():
             expected = by_hand(b, part_b, root) if i in part_a else by_hand(a, part_a, root)
             assert spec.brauer_constants[i] == expected != 0
         checked += 1
+
+
+def _s0_integers(numerators):
+    """S0-integers for S0 = {2, 3}: a numerator over 2^k or 3^k."""
+    return st.builds(lambda n, p, k: Fraction(n, p**k), numerators,
+                     st.sampled_from([2, 3]), st.integers(0, 5))
+
+
+_RATIONALS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**12)),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)),
+)
+
+
+@st.composite
+def _fibration_cases(draw):
+    """(spec, t, x, y): S0 = {2, 3}, S0-integer rational coefficients, and t
+    a rational of either sign, sometimes a root of p_J."""
+    n = draw(st.integers(1, 4))
+    factors = {i: (draw(_s0_integers(st.sampled_from([-7, -5, -2, -1, 1, 3, 4, 11]))),
+                   draw(_s0_integers(st.integers(-60, 60)))) for i in range(1, n + 1)}
+    part_a = draw(st.sets(st.sampled_from(sorted(factors))))
+    a, b = (draw(_s0_integers(st.integers(1, 30).map(lambda k: k * (-1) ** k))) for _ in range(2))
+    assume(not spec_violations([REAL, Place.finite(2), Place.finite(3)], a, b, factors, part_a))
+    spec = make_spec([2, 3], a, b, factors, part_a)
+    roots = [spec.root(i) for i in spec.indices]
+    t = draw(st.one_of(_RATIONALS, st.sampled_from(roots)))
+    return spec, t, draw(_RATIONALS), draw(_RATIONALS)
+
+
+@given(_fibration_cases())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_fibration_matches_the_fraction_formulas(case):
+    spec, t, x, y = case
+    for i in spec.indices:
+        assert spec.factor_value(i, t) == factor_value_reference(spec, i, t)
+    for k in range(len(spec.indices) + 1):
+        subset = spec.indices[:k]
+        assert spec.product_value(subset, t) == product_value_reference(spec, subset, t)
+    aA, bB = fiber_coeffs_reference(spec, t)
+    assert spec.fiber_coeffs(t) == (aA, bB)
+    residual = residual_reference(spec, x, y, t)
+    assert evaluate_point(spec, x, y, t) == residual
+    place = Place.finite(3)
+    problems = PartialAdelicPoint(spec, {place: LocalPoint.make(x, y, t, 10**6)}).validate()
+    if aA * bB == 0:
+        assert problems == [f"{place}: d*p_J(t_v) = 0"]
+        with pytest.raises(DegenerateFiberError):
+            fiber(spec, t)
+        return
+    expected = [] if residual == 0 else [f"{place}: residual {residual} below stated precision"
+                                         f" {10**6}"]
+    assert problems == expected
+    values = {i: factor_value_reference(spec, i, t) for i in spec.indices}
+    for f in (fiber(spec, t), fiber(spec, t, values)):
+        assert (f.t, f.aA, f.bB, f.torus_d) == (t, aA, bB, -aA * bB)
 
 
 def test_evaluate_point(running_spec):
