@@ -369,9 +369,9 @@ def find_admissible(
     The scan visits n = k, -k for k = k0, k0 + 1, ..., where k0 is the
     least |n| in the real chamber, until neither lies in it.  Each n runs
     one integer candidate test (`_candidate_test`) on the forms
-    L_i*D*p_i(t0) = A_i + B_i*n, read off `spec.forms`.  It strikes n early when a leftover has a
-    prime below 200 outside T other than itself, which is exact: such a
-    leftover is composite.  Only candidates whose leftovers are proved
+    L_i*D*p_i(t0) = A_i + B_i*n, read off `spec.forms`.  It strikes n
+    early when a leftover has a prime below 200 outside T other than
+    itself, which is exact: such a leftover is composite.  Only candidates whose leftovers are proved
     prime reach the exact checks of `_try_admissible`.  Every candidate,
     struck or not, counts in `candidates_checked` and against
     `bounds.admissible_candidates`.
