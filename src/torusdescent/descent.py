@@ -435,7 +435,7 @@ def _try_admissible(
             if local_mask(values[i], v) != mask:
                 raise DescentAnomaly(f"approximation lost [p_{i}(t)]_{v}")
     # local solubility of the fiber everywhere
-    fib = fiber(spec, t0, values)
+    fib = fiber(spec, t0)
     if fib.aA <= 0 and fib.bB <= 0:
         return None
     for v in p_t.places:

@@ -69,15 +69,6 @@ class DegenerateFiberError(ValueError):
     """Fiber over a root of p_J."""
 
 
-def _scaled_product(scale: Rational, values: Iterable[Rational]) -> Fraction:
-    """scale times the product of values, multiplied out on ints into one Fraction."""
-    num, den = scale.numerator, scale.denominator
-    for x in values:
-        num *= x.numerator
-        den *= x.denominator
-    return Fraction(num, den)
-
-
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Validated surface data; construct through validate_spec."""
@@ -368,19 +359,13 @@ class FiberSpec:
     torus_d: Fraction  # -d * p_J(t); the fiber is a torsor under x^2 - torus_d*y^2 = 1
 
 
-def fiber(spec: SurfaceSpec, t: Rational,
-          values: Optional[Mapping[int, Fraction]] = None) -> FiberSpec:
-    """The fiber above t.  `values`, the map i -> p_i(t) when the caller
-    holds it already, gives the coefficients without evaluating p_i again."""
+def fiber(spec: SurfaceSpec, t: Rational) -> FiberSpec:
+    """The fiber above t."""
     t = Fraction(t)
-    if values is None:
-        aA, bB = spec.fiber_coeffs(t)
-    else:
-        aA, bB = (_scaled_product(scale, (values[i] for i in part))
-                  for scale, part in zip((spec.a, spec.b), spec.partition))
+    aA, bB = spec.fiber_coeffs(t)
     if not aA or not bB:
         raise DegenerateFiberError(f"p_J({t}) = 0")
-    return FiberSpec(t=t, aA=aA, bB=bB, torus_d=_scaled_product(-1, (aA, bB)))
+    return FiberSpec(t=t, aA=aA, bB=bB, torus_d=-aA * bB)
 
 
 def _residual(aA: Fraction, bB: Fraction, x: Rational, y: Rational) -> Fraction:

@@ -15,6 +15,7 @@ certificates are trusted:
 
 import ast
 import dataclasses
+import importlib.util
 import json
 import os
 import random
@@ -33,11 +34,31 @@ from test_pipeline_fuzz import _candidate_point, _random_spec
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "descend.jsonl")
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
-if BENCH not in sys.path:
-    sys.path.insert(0, BENCH)
 
-import inputs  # noqa: E402  (perfbench/inputs.py)
-import oracle  # noqa: E402  (perfbench/oracle.py)
+
+def _load_bench_module(name, requires=None):
+    """perfbench/<name>.py loaded as the module perfbench_<name>, leaving sys.path
+    alone.  `requires` maps the top-level names the file imports (perfbench's
+    own modules) to the modules to give it; they are visible only while it loads."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    saved = {key: sys.modules.get(key) for key in requires or {}}
+    sys.modules.update(requires or {})
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        for key, previous in saved.items():
+            if previous is None:
+                sys.modules.pop(key, None)
+            else:
+                sys.modules[key] = previous
+    return module
+
+
+inputs = _load_bench_module("inputs")
+oracle = _load_bench_module("oracle", requires={"inputs": inputs})
 
 # seeds chosen so that every outcome and up to three reductions occur
 FUZZ_SEEDS = (1, 2, 6, 10, 20, 22, 25, 30, 31, 33, 62, 69)
