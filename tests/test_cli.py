@@ -155,6 +155,19 @@ def test_selmer_command(spec_file, capsys):
     assert payload["dim_selmer"] - payload["dim_dual_selmer"] >= 0
 
 
+def test_selmer_factors_the_torus_parameter_once(tmp_path, capsys):
+    # -d*p_J(t) = -3*P/Q with P and Q prime: each factors on its own, but the
+    # square-free class -3*P*Q is past the primality range as one integer
+    p, q = 2000000000003, 2000001000001
+    path = tmp_path / "two-primes.spec"
+    path.write_text("s0 real 2\na 1\nb 3\nfactor 1 1 0\npartA 1\n")
+    assert -3 * p * q < -arith._MR_LIMIT
+    assert main(["--json", "selmer", str(path), "--t", f"{p}/{q}"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["places"] == ["real", "2", "3", str(p), str(q)]
+    assert payload["torus_d"] == str(-3 * p * q) == "-12000006000024000009000009"
+
+
 def test_selmer_names_a_torus_parameter_past_the_primality_range(tmp_path, capsys):
     path = tmp_path / "big.spec"
     path.write_text("s0 real 2\na 1\nb 1\nfactor 1 1 0\nfactor 2 1 1\npartA 1\n")
