@@ -11,7 +11,6 @@ fibers.
 from .arith import (  # noqa: F401
     Place,
     REAL,
-    SquareClass,
     hilbert_symbol,
     is_local_square,
     square_class,

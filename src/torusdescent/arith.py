@@ -1,10 +1,12 @@
 """Exact local and global arithmetic over Q.
 
-Valuations, square classes, local square classes as F2 bitmasks, the
-Hilbert symbol at every place as a bilinear form on those masks, Legendre
-symbols, Hensel lifting on diagonal quadrics and deterministic prime
-streams.  Everything is computed with exact integer/Fraction arithmetic;
-nothing here touches floating point.
+Valuations, square classes (an element of Q*/(Q*)^2 is its signed
+square-free integer, or its F2 mask over -1 and known primes), local
+square classes as F2 bitmasks, the Hilbert symbol at every place as a
+bilinear form on those masks, Legendre symbols, Hensel lifting on
+diagonal quadrics and deterministic prime streams.  Everything is
+computed with exact integer/Fraction arithmetic; nothing here touches
+floating point.
 """
 
 from __future__ import annotations
@@ -283,33 +285,6 @@ def mod_prime_power(x: Rational, p: int, k: int) -> int:
     return x.numerator * pow(x.denominator, -1, m) % m
 
 
-@dataclass(frozen=True)
-class SquareClass:
-    """An element of Q*/(Q*)^2: sign together with square-free prime support."""
-
-    sign: int
-    support: Tuple[int, ...]
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if list(self.support) != sorted(set(self.support)):
-            raise ValueError("support must be strictly increasing")
-
-    @staticmethod
-    def identity() -> "SquareClass":
-        return SquareClass(1, ())
-
-    def value(self) -> int:
-        v = self.sign
-        for p in self.support:
-            v *= p
-        return v
-
-    def __str__(self):
-        return str(self.value())
-
-
 def class_mask(x: Rational, primes: Sequence[int]) -> int:
     """Coordinates of [x] in Q*/(Q*)^2 over -1 (bit 0) and primes (bit k+1).
 
@@ -333,25 +308,27 @@ def class_mask(x: Rational, primes: Sequence[int]) -> int:
     return mask
 
 
-def class_from_mask(mask: int, primes: Sequence[int]) -> SquareClass:
+def class_from_mask(mask: int, primes: Sequence[int]) -> int:
     """The square class with coordinates mask over -1 and ascending primes."""
-    support = tuple(p for k, p in enumerate(primes, 1) if mask >> k & 1)
-    return SquareClass(-1 if mask & 1 else 1, support)
+    c = -1 if mask & 1 else 1
+    for k, p in enumerate(primes, 1):
+        if mask >> k & 1:
+            c *= p
+    return c
 
 
-def square_class(x: Rational) -> SquareClass:
+def square_class(x: Rational) -> int:
     """Image of a nonzero rational in Q*/(Q*)^2, by factoring: for values
     whose primes are unknown.  class_mask reads a class over known primes."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("0 has no square class")
-    sign = 1 if x > 0 else -1
-    support = []
+    c = 1 if x > 0 else -1
     for n in (x.numerator, x.denominator):
         for p, e in factorize(n).items():
             if e % 2:
-                support.append(p)
-    return SquareClass(sign, tuple(sorted(support)))
+                c *= p
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .arith import Place, Rational, SquareClass, hilbert_row, local_mask, square_class
+from .arith import Place, Rational, hilbert_row, local_mask, square_class
 from .gf2 import dot
 from .surface import PartialAdelicPoint, SurfaceSpec
 
@@ -38,16 +38,16 @@ def brauer_generator(spec: SurfaceSpec, i: int) -> QuaternionClass:
     return QuaternionClass(left=spec.brauer_constants[i], right=(d, c))
 
 
-def residue_at(q: QuaternionClass, m: Rational) -> SquareClass:
+def residue_at(q: QuaternionClass, m: Rational) -> int:
     """Tame-symbol residue of q at the rational point t = m.
 
     The left entry is a unit there and the linear right entry vanishes to
     order 1 at its root and to order 0 elsewhere, so the residue is [left]
-    at the root and trivial at every other point.
+    at the root and trivial (1) at every other point.
     """
     d, c = q.right
     if c * Fraction(m) + d != 0:
-        return SquareClass.identity()
+        return 1
     return square_class(q.left)
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Dict, List, Optional
 
-from .arith import Place, PrimalityRangeError, parse_place, parse_rational, square_class
+from .arith import Place, PrimalityRangeError, factorize, parse_place, parse_rational
 from .brauer import brauer_generator, residue_at
 from .conditiond import check_condition_d
 from .descent import (
@@ -92,16 +93,18 @@ def cmd_condition_d(args) -> int:
 def cmd_selmer(args) -> int:
     spec = load_spec(args.spec)
     t = parse_rational(args.t)
-    fib = fiber(spec, t)
-    support = {2} | set(spec.s0_finite_primes)
+    x = fiber(spec, t).torus_d
+    # one factorization gives both the class and its primes: the square-free
+    # class can be past the primality range when its factors are not
     try:
-        cls = square_class(fib.torus_d)
+        factors = {**factorize(x.numerator), **factorize(x.denominator)}
     except PrimalityRangeError:
         name = "torus parameter -d*p_J(t)"
-        raise ValueError(past_primality_range(name, fib.torus_d)) from None
-    support |= set(cls.support)
+        raise ValueError(past_primality_range(name, x)) from None
+    ramified = [p for p, e in factors.items() if e % 2]
+    support = {2} | set(spec.s0_finite_primes) | set(ramified)
     places = [Place.real()] + [Place.finite(p) for p in sorted(support)]
-    torus = torus_data(cls, places)
+    torus = torus_data(math.prod(ramified, start=-1 if x < 0 else 1), places)
     sel, dual = selmer_groups(torus)
     payload = _report_base(spec)
     payload.update(

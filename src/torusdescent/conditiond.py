@@ -1,10 +1,11 @@
 """Condition (D): the class group G, the constants D_i^{J'}, and the
 subgroup intersections that control which Selmer elements descent can kill.
 
-Elements of G are pairs (square class, subset of J).  `Lattice` is the one
-encoding of G as F2 masks (the sign bit, bits over ascending primes, then
-one bit per factor symbol): Condition (D) works over the spec lattice, and
-`selmer` and the descent over the lattices of tori and fibers.  Each
+Elements of G are pairs (square class, subset of J), the square class
+being its signed square-free integer.  `Lattice` is the one encoding of G
+as F2 masks (the sign bit, bits over ascending primes, then one bit per
+factor symbol): Condition (D) works over the spec lattice, and `selmer`
+and the descent over the lattices of tori and fibers.  Each
 constant has one function: constant_mask is [D_i^{J'}] (the XOR of
 SurfaceSpec.root_masks over its factors p_j(-d_i/c_i), plus [d] or [-d]
 when i lies in J'), target_mask is t_i = [a*D_i^A] and target_generators
@@ -22,19 +23,20 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from . import gf2
-from .arith import Place, Rational, SquareClass, class_from_mask, class_mask, local_mask
+from .arith import Place, Rational, class_from_mask, class_mask, local_mask
 from .surface import SurfaceSpec
 
 
 @dataclass(frozen=True)
 class GElement:
-    """[c][p_{J'}]: a square class times a formal product of factors."""
+    """[c][p_{J'}]: a square class, given as its signed square-free integer
+    c, times a formal product of factors."""
 
-    c: SquareClass
+    c: int
     poly: FrozenSet[int]
 
     def sort_key(self):
-        return (abs(self.c.value()), 0 if self.c.sign > 0 else 1, tuple(sorted(self.poly)))
+        return (abs(self.c), self.c < 0, tuple(sorted(self.poly)))
 
     def __str__(self):
         if not self.poly:
@@ -81,7 +83,7 @@ class Lattice:
 
     def encode(self, x: GElement) -> int:
         """ValueError if x has a prime or a factor outside the lattice."""
-        return class_mask(x.c.value(), self.primes) | self.poly_mask(x.poly)
+        return class_mask(x.c, self.primes) | self.poly_mask(x.poly)
 
     def decode(self, mask: int) -> GElement:
         return GElement(class_from_mask(mask, self.primes), self.poly(mask))
@@ -130,7 +132,7 @@ def in_g_i(spec: SurfaceSpec, lattice: Lattice, x: int, i: int, dual: bool = Fal
     dual): [c*D_i^{J'}] lies in <[a*D_i^A]>.  A class with a prime outside
     spec.basis_primes lies in no G_i."""
     try:
-        cls = class_mask(class_from_mask(x, lattice.primes).value(), spec.basis_primes)
+        cls = class_mask(class_from_mask(x, lattice.primes), spec.basis_primes)
     except ValueError:
         return False
     return _member(spec, cls, lattice.poly(x), i, dual, target_mask(spec, i))

@@ -621,7 +621,7 @@ def _character_value(
     """Square-free [c*D_i^{J'}] (Dhat if dual) for x = [c][p_{J'}], a mask
     of lattice: the constant's Legendre symbols outside T."""
     constant = class_from_mask(constant_mask(spec, i, lattice.poly(x), dual), spec.basis_primes)
-    return class_from_mask(x ^ class_mask(constant.value(), lattice.primes), lattice.primes).value()
+    return class_from_mask(x ^ class_mask(constant, lattice.primes), lattice.primes)
 
 
 def _insert_place(

@@ -2,7 +2,8 @@
 and the relative (dual) Selmer groups of admissible fibers.
 
 Everything is F2 linear algebra over explicit square-class lattices, read
-through conditiond.Lattice, the one encoding of G: the ambient group is
+through conditiond.Lattice, the one encoding of G; a square class outside
+a lattice is its signed square-free integer.  The ambient group is
 generated by -1, the finite primes of S (and the formal factor symbols in
 the relative case).  Both groups are cut out by local subspaces L_v of
 Q_v*/(Q_v*)^2, in the local_mask coordinates of `arith`: L_v =
@@ -18,21 +19,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple
 
 from . import gf2
 from .arith import (
     REAL,
     Place,
     Rational,
-    SquareClass,
     class_from_mask,
     class_mask,
     hilbert_row,
     is_local_square,
     local_dim,
     local_mask,
-    square_class,
     valuation,
 )
 from .conditiond import GElement, Lattice
@@ -57,18 +56,21 @@ class TorusData:
     places: Tuple[Place, ...]
 
 
-def torus_data(d: Union[Rational, SquareClass], places: Iterable[Place]) -> TorusData:
-    cls = d if isinstance(d, SquareClass) else square_class(d)
+def torus_data(d: int, places: Iterable[Place]) -> TorusData:
+    """The torus of the nonzero integer d over S = places.  Every prime
+    dividing d must lie in S: d is read over the primes of S with
+    class_mask, so nothing is factored."""
     places = tuple(sorted(set(places)))
-    primes = {v.p for v in places if v.is_finite}
+    primes = [v.p for v in places if v.is_finite]
     if REAL not in places:
         raise ValueError("S must contain the real place")
     if 2 not in primes:
         raise ValueError("S must contain 2")
-    missing = [p for p in cls.support if p not in primes]
-    if missing:
-        raise ValueError(f"S must contain the ramified primes {missing}")
-    return TorusData(d=cls.value(), places=places)
+    try:
+        mask = class_mask(d, primes)
+    except ValueError:
+        raise ValueError(f"S must contain the ramified primes of {d}") from None
+    return TorusData(d=class_from_mask(mask, primes), places=places)
 
 
 # ---------------------------------------------------------------------------

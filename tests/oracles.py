@@ -8,24 +8,24 @@ the implementations under test.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from sympy import factorint
 
 from torusdescent import gf2
 from torusdescent.arith import (
     REAL,
     HenselResult,
     Place,
-    SquareClass,
     class_from_mask,
     class_mask,
     factorize,
     legendre,
     mod_prime_power,
-    square_class,
     strip_primes,
     valuation,
 )
@@ -200,7 +200,7 @@ def selmer_by_enumeration(d, places) -> set:
             if (mask >> j) & 1:
                 value *= g
         if all(hilbert_symbol_closed_form(value, d, v) == 0 for v in places):
-            members.add(square_class(value))
+            members.add(sqfree(value))
     return members
 
 
@@ -223,7 +223,7 @@ def dual_selmer_by_enumeration(d, places) -> set:
             or is_local_square_closed_form(value * d, v)
             for v in places
         ):
-            members.add(square_class(value))
+            members.add(sqfree(value))
     return members
 
 
@@ -246,15 +246,15 @@ def d_constant_dual(spec, i: int, subset) -> Fraction:
 
 def membership_reference(spec, dual: bool):
     """(x, i) -> whether the GElement x lies in G_i (G^i when dual), by the
-    definition: [c*D_i^{J'}] is trivial or [a*D_i^A], on square_class of
-    the rational constants d_constant / d_constant_dual."""
+    definition: [c*D_i^{J'}] is trivial or [a*D_i^A], on sqfree of the
+    rational constants d_constant / d_constant_dual."""
     constant = d_constant_dual if dual else d_constant
-    targets = {i: square_class(spec.a * d_constant(spec, i, spec.part_a)) for i in spec.indices}
+    targets = {i: sqfree(spec.a * d_constant(spec, i, spec.part_a)) for i in spec.indices}
     classes = {}
 
     def member(x: GElement, i: int) -> bool:
         if (i, x.poly) not in classes:
-            classes[i, x.poly] = square_class(constant(spec, i, x.poly))
+            classes[i, x.poly] = sqfree(constant(spec, i, x.poly))
         cls = class_mul(x.c, classes[i, x.poly])
         return class_is_identity(cls) or cls == targets[i]
 
@@ -289,7 +289,7 @@ def g_d_bruteforce(spec, dual: bool) -> set:
     for sign in (1, -1):
         for r in range(len(primes) + 1):
             for support in itertools.combinations(primes, r):
-                cls = SquareClass(sign, support)
+                cls = _ClassWithValue(math.prod(support, start=sign))
                 for subset in subsets:
                     x = GElement(cls, subset)
                     if all(member(x, i) for i in spec.indices):
@@ -297,13 +297,35 @@ def g_d_bruteforce(spec, dual: bool) -> set:
     return members
 
 
-def class_mul(x: SquareClass, y: SquareClass) -> SquareClass:
-    """The group law of Q*/(Q*)^2: signs multiply, supports add mod 2."""
-    return SquareClass(x.sign * y.sign, tuple(sorted(set(x.support) ^ set(y.support))))
+class _ClassWithValue(int):
+    """A signed square-free int that also answers value(), for callers that
+    still read x.c.value() off g_d_bruteforce (perfbench/tests does).  It
+    compares and hashes as the int; delete it once they read x.c."""
+
+    def value(self) -> int:
+        return int(self)
 
 
-def class_is_identity(x: SquareClass) -> bool:
-    return x.sign == 1 and not x.support
+def sqfree(x) -> int:
+    """Signed square-free integer in the square class of the nonzero
+    rational x, by sympy's factorint."""
+    x = Fraction(x)
+    out = 1 if x > 0 else -1
+    for n in (x.numerator, x.denominator):
+        for p, e in factorint(abs(n)).items():
+            if e % 2:
+                out *= int(p)
+    return out
+
+
+def class_mul(x: int, y: int) -> int:
+    """The group law of Q*/(Q*)^2 on signed square-free ints: signs
+    multiply, shared primes square away."""
+    return x * y // math.gcd(x, y) ** 2
+
+
+def class_is_identity(x: int) -> bool:
+    return x == 1
 
 
 def selmer_elements(sel) -> List[GElement]:
@@ -312,7 +334,7 @@ def selmer_elements(sel) -> List[GElement]:
 
 
 def g_identity() -> GElement:
-    return GElement(SquareClass.identity(), frozenset())
+    return GElement(1, frozenset())
 
 
 def g_mul(x: GElement, y: GElement) -> GElement:
@@ -355,30 +377,30 @@ def pick_elements_reference(state) -> Tuple[GElement, GElement]:
 
 def target_generators_reference(spec, dual: bool) -> List[GElement]:
     """[a][p_A] and [d][p_J] ([-d][p_J] when dual), the generators of the
-    target subgroup of G_D (G^D), from square_class of a, d and -d."""
+    target subgroup of G_D (G^D), from sqfree of a, d and -d."""
     p_j = frozenset(spec.indices)
     if dual:
-        return [GElement(square_class(-spec.d), p_j)]
-    return [GElement(square_class(spec.a), frozenset(spec.part_a)),
-            GElement(square_class(spec.d), p_j)]
+        return [GElement(sqfree(-spec.d), p_j)]
+    return [GElement(sqfree(spec.a), frozenset(spec.part_a)),
+            GElement(sqfree(spec.d), p_j)]
 
 
 def _intersection_reference(spec, dual: bool) -> List[GElement]:
     """G_D (G^D when dual) from the row-stacked map, as GElement objects.
 
     The row of index k and bit b holds bit b of c, of each r_kj =
-    [D_k^{{j}}] and of t_k = square_class(a*D_k^A); the kernel's projection
-    to (c, J') is the intersection, each generator re-checked on SquareClass
-    objects.
+    [D_k^{{j}}] and of t_k = sqfree(a*D_k^A); the kernel's projection to
+    (c, J') is the intersection, each generator re-checked on signed
+    square-free ints.
     """
     n = len(spec.indices)
     primes = spec.basis_primes
     width = 1 + len(primes)
-    targets = {i: square_class(spec.a * d_constant(spec, i, spec.part_a)) for i in spec.indices}
+    targets = {i: sqfree(spec.a * d_constant(spec, i, spec.part_a)) for i in spec.indices}
     rows = []
     for k, i in enumerate(spec.indices):
         r = [constant_mask(spec, i, {j}, dual) for j in spec.indices]
-        t = class_mask(targets[i].value(), primes)
+        t = class_mask(targets[i], primes)
         for b in range(width):
             row = 1 << b | (t >> b & 1) << width + n + k
             for m, r_kj in enumerate(r):
@@ -402,7 +424,7 @@ def _intersection_reference(spec, dual: bool) -> List[GElement]:
 
 
 def check_condition_d_reference(spec) -> ConditionDReport:
-    """check_condition_d on GElement and SquareClass objects: the
+    """check_condition_d on GElement objects and signed square-free ints: the
     intersections from the row-stacked map, compared with span_of the
     reference generators element by element.  The targets and generators
     are square classes of the rational constants; only the constants
@@ -655,15 +677,15 @@ def compute_s(spec, s_d=()):
 
 def g_element(value, subset=()) -> GElement:
     """[value][p_subset], with the square class of value found by factoring."""
-    return GElement(square_class(value), frozenset(subset))
+    return GElement(sqfree(value), frozenset(subset))
 
 
-def ev(spec, t0, x: GElement) -> SquareClass:
+def ev(spec, t0, x: GElement) -> int:
     """[c][p_{J'}] evaluated at t0: the square class of c * p_{J'}(t0)."""
-    value = Fraction(x.c.value()) * product_value_reference(spec, sorted(x.poly), t0)
+    value = x.c * product_value_reference(spec, sorted(x.poly), t0)
     if value == 0:
         raise ValueError(f"evaluation at {t0} hit a root of the factors")
-    return square_class(value)
+    return sqfree(value)
 
 
 def gf2_rank(rows) -> int:
@@ -773,14 +795,14 @@ def _root_multiplicity(coeffs: Sequence[Fraction], m: Fraction) -> Tuple[int, Fr
             raise ValueError("right entry vanished identically during division")
 
 
-def tame_residue(left, right: Sequence[Fraction], point) -> SquareClass:
+def tame_residue(left, right: Sequence[Fraction], point) -> int:
     """Residue of the quaternion symbol (left, right(t)) at a rational closed
     point, for a nonzero constant left and any nonzero polynomial right:
     the tame symbol (-1)^{v_f v_g} f^{v_g} / g^{v_f} with v_f = 0."""
     if Fraction(left) == 0 or not any(right):
         raise ValueError("both entries must be nonzero")
     v_g, _cofactor = _root_multiplicity(right, _rational_point(point))
-    return SquareClass.identity() if v_g % 2 == 0 else square_class(left)
+    return 1 if v_g % 2 == 0 else sqfree(left)
 
 
 # ---------------------------------------------------------------------------

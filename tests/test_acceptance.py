@@ -11,6 +11,7 @@ from fractions import Fraction
 from torusdescent.arith import (
     REAL,
     Place,
+    factorize,
     hilbert_symbol,
     is_local_square,
     square_class,
@@ -125,7 +126,7 @@ def _random_torus_suite(seed, count):
                 d *= p
         if rng.random() < 0.5:
             d = -d
-        primes = set(square_class(d).support) | {2}
+        primes = set(factorize(d)) | {2}
         for p in (3, 5, 7, 11, 13):
             if len(primes) >= 5:
                 break

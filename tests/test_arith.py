@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from torusdescent.arith import (
     REAL,
     Place,
     PrimalityRangeError,
-    SquareClass,
     crt,
     factorize,
     hensel_solve,
@@ -38,6 +38,7 @@ from oracles import (
     jacobi,
     local_basis,
     local_square_class,
+    sqfree,
 )
 
 # desk-scale values: products of three test rationals stay far below the
@@ -153,15 +154,17 @@ def test_valuation_rejects_zero_and_real():
 @pytest.mark.parametrize(
     "x,expected",
     [
-        (18, SquareClass(1, (2,))),
-        (-12, SquareClass(-1, (3,))),
-        (1, SquareClass(1, ())),
-        (Fraction(4, 9), SquareClass(1, ())),
-        (Fraction(-5, 8), SquareClass(-1, (2, 5))),
+        (18, (1, (2,))),
+        (-12, (-1, (3,))),
+        (1, (1, ())),
+        (Fraction(4, 9), (1, ())),
+        (Fraction(-5, 8), (-1, (2, 5))),
     ],
 )
 def test_square_class(x, expected):
-    assert square_class(x) == expected
+    # expected is (sign, square-free support); the class is their product
+    sign, support = expected
+    assert square_class(x) == math.prod(support, start=sign)
 
 
 @given(nonzero_rationals, nonzero_rationals)
@@ -169,6 +172,13 @@ def test_square_class(x, expected):
 def test_square_class_homomorphism(x, y):
     assert square_class(x * y) == class_mul(square_class(x), square_class(y))
     assert square_class(x * y * y) == square_class(x)
+
+
+@given(st.integers(1, 10**12), st.integers(1, 10**12), st.sampled_from((1, -1)))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_square_class_matches_sympy_factoring(num, den, sign):
+    x = Fraction(sign * num, den)
+    assert square_class(x) == sqfree(x)
 
 
 def test_places_ordered():

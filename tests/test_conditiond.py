@@ -53,7 +53,7 @@ def running_spec():
 
 def _in_g_i(spec, x: GElement, i, dual=False):
     """in_g_i on x, encoded in the spec lattice widened by the primes of x."""
-    lattice = Lattice(sorted(set(spec.basis_primes) | set(x.c.support)), spec.indices)
+    lattice = Lattice(sorted(set(spec.basis_primes) | set(factorize(x.c))), spec.indices)
     return in_g_i(spec, lattice, lattice.encode(x), i, dual)
 
 

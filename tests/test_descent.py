@@ -423,7 +423,7 @@ def _dual_selmer_by_lemma_conditions(spec, p_t, adm):
     members = []
     for mask in range(1 << lattice.ncols):
         x = lattice.decode(mask)
-        value = Fraction(x.c.value()) * spec.product_value(sorted(x.poly), t0)
+        value = Fraction(x.c) * spec.product_value(sorted(x.poly), t0)
         ok = True
         for v in t0_places:
             if not (
@@ -492,7 +492,7 @@ def test_evaluation_map_injective():
     primes += [u.p for _, u in adm.witnesses]
     for mask in range(1, 1 << lattice.ncols):
         x = lattice.decode(mask)
-        value = Fraction(x.c.value()) * spec.product_value(sorted(x.poly), adm.t0)
+        value = Fraction(x.c) * spec.product_value(sorted(x.poly), adm.t0)
         if value < 0:
             continue  # nontrivial at the real place already
         trivial = True

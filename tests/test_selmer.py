@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdescent.arith import (
+    _MR_LIMIT,
     REAL,
     Place,
-    SquareClass,
     class_from_mask,
     class_mask,
+    factorize,
     is_local_square,
     local_mask,
     square_class,
@@ -54,6 +55,16 @@ def test_torus_data_validation():
         torus_data(5, places_of(2))
 
 
+def test_torus_data_reads_d_over_s_without_factoring():
+    # 3*P*Q is past the primality range, so factoring d would raise
+    p, q = 2000000000003, 2000001000001
+    assert p * q > _MR_LIMIT
+    torus = torus_data(-3 * p * q, places_of(2, 3, p, q))
+    assert torus.d == -3 * p * q
+    with pytest.raises(ValueError, match="ramified"):
+        torus_data(-3 * p * q, places_of(2, 3, p))
+
+
 def test_selmer_minus_one():
     torus = torus_data(-1, places_of(2))
     sel, dual = selmer_groups(torus)
@@ -92,7 +103,7 @@ def _random_torus(rng):
             d *= p
     if rng.random() < 0.5:
         d = -d
-    primes = set(square_class(d).support) | {2}
+    primes = set(factorize(d)) | {2}
     for p in (3, 5, 7, 11, 13):
         if len(primes) >= 5:
             break
@@ -192,7 +203,7 @@ def test_lattice_report_sorts_by_sort_key():
 
 def test_ev_examples():
     spec = make_spec([], 2, 3, {1: (1, 0), 2: (1, 1)}, [1])
-    assert ev(spec, 2, g_identity()) == SquareClass.identity()
+    assert ev(spec, 2, g_identity()) == 1
     assert ev(spec, 2, g_element(1, {1})) == square_class(2)
     x = g_element(3, {1})
     y = g_element(-1, {2})
@@ -219,5 +230,5 @@ def test_evaluation_map_is_the_local_mask_of_the_evaluated_element(index):
         columns = lattice.local_masks(values, v)
         for mask in masks:
             x = lattice.decode(mask)
-            value = Fraction(x.c.value()) * spec.product_value(sorted(x.poly), adm.t0)
+            value = Fraction(x.c) * spec.product_value(sorted(x.poly), adm.t0)
             assert gf2.combine(columns, mask) == local_mask(value, v), (v, x)
