@@ -68,6 +68,10 @@ def test_validate_coefficient_past_the_primality_range(tmp_path, capsys):
         ([(1, arith._MR_LIMIT, 1)], "c_1"),
         ([(1, arith._MR_LIMIT, 0)], "c_1"),
         ([(1, 1, 0), (2, 1, arith._MR_LIMIT)], "c_1*d_2 - c_2*d_1"),
+        # both c_2 and the cross-resultant are past the range: the
+        # cross-resultant of 1 and 2 is factored before c_2
+        ([(1, 1, 0), (2, arith._MR_LIMIT, arith._MR_LIMIT + 10)],
+         "c_1*d_2 - c_2*d_1 = 3317044064679887385961991"),
     ],
 )
 def test_validate_names_a_quantity_past_the_primality_range(tmp_path, capsys, factors, quantity):
@@ -76,8 +80,9 @@ def test_validate_names_a_quantity_past_the_primality_range(tmp_path, capsys, fa
     path.write_text(f"s0 real 2\na 1\nb 1\n{lines}partA 1\n")
     assert main(["validate", str(path)]) == 1
     captured = capsys.readouterr()
+    named = quantity if " = " in quantity else f"{quantity} = {arith._MR_LIMIT}"
     assert captured.err == (
-        f"error: {quantity} = {arith._MR_LIMIT} cannot be factored within the "
+        f"error: {named} cannot be factored within the "
         "certified primality range (n < 3.317e+24)\n"
     )
     assert captured.out == ""

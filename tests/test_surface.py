@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusdescent import surface
-from torusdescent.arith import REAL, Place
+from torusdescent.arith import _MR_LIMIT, REAL, Place
 from torusdescent.descent import DescentBounds, descend
 from torusdescent.surface import (
     DegenerateFiberError,
@@ -129,6 +129,17 @@ def test_s_bad_matches_its_definition():
 def test_s_bad_leading_coefficient_prime():
     spec = make_spec([2], 1, 1, {1: (5, 1), 2: (1, 1)}, [1])
     assert 5 in {v.p for v in compute_s_bad(spec)}
+
+
+def test_s_bad_names_the_rational_cross_resultant_past_the_primality_range():
+    # c_1*d_2 - c_2*d_1 = (M + 10)/2 with M = _MR_LIMIT: the error names the
+    # rational value, whose numerator is the number that cannot be factored
+    spec = make_spec([2], 1, 1, {1: (Fraction(1, 2), 1), 2: (1, _MR_LIMIT + 12)}, [1])
+    with pytest.raises(SpecValidationError) as excinfo:
+        spec.s_bad
+    assert excinfo.value.violations == [
+        "c_1*d_2 - c_2*d_1 = 3317044064679887385961991/2 cannot be factored within "
+        "the certified primality range (n < 3.317e+24)"]
 
 
 def test_s_bad_is_computed_once_per_spec(monkeypatch):
