@@ -12,21 +12,33 @@ from typing import Iterator, List, Sequence
 
 
 def echelon(rows: Sequence[int]) -> List[int]:
-    """Row-echelon form (reduced, lowest bit = column 0), zero rows dropped."""
-    basis: List[int] = []
+    """Row-echelon form (reduced, lowest bit = column 0), zero rows dropped.
+
+    The basis is kept reduced, as a map from each pivot bit to its row, so
+    a row is reduced in one pass: it takes in the row of each pivot bit it
+    holds, and each of those rows holds no other pivot bit.
+    """
+    row_at = {}
+    pivots = 0
     for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
+        hit = row & pivots
+        while hit:
+            low = hit & -hit
+            row ^= row_at[low]
+            hit ^= low
         if row:
-            basis.append(row)
-            # keep reduced: clear this pivot from earlier rows
+            # row holds no pivot bit: clear its own from the rows that hold it
             low = row & -row
-            for k in range(len(basis) - 1):
-                if basis[k] & low:
-                    basis[k] ^= row
-    basis.sort(key=lambda r: r & -r)
+            for pivot, b in row_at.items():
+                if b & low:
+                    row_at[pivot] = b ^ row
+            row_at[low] = row
+            pivots |= low
+    basis = []
+    while pivots:
+        low = pivots & -pivots
+        basis.append(row_at[low])
+        pivots ^= low
     return basis
 
 

@@ -31,7 +31,6 @@ from .arith import (
     factorize,
     is_prime,
     local_mask,
-    mod_prime_power,
     parse_place,
     parse_rational,
     strip_primes,
@@ -56,13 +55,14 @@ def past_primality_range(name: str, x: Rational) -> str:
             f"range (n < {_MR_LIMIT:.4g})")
 
 
-def _input_primes(name: str, x: Rational) -> Dict[int, int]:
-    """factorize the numerator of the spec quantity x, called name in the
-    SpecValidationError raised when it is past the certified primality range."""
+def _input_primes(name: str, num: int, den: int = 1) -> Dict[int, int]:
+    """factorize the numerator of the spec quantity num/den, called name in
+    the SpecValidationError raised when it is past the certified primality
+    range."""
     try:
-        return factorize(Fraction(x).numerator)
+        return factorize(num // math.gcd(num, den))
     except PrimalityRangeError:
-        raise SpecValidationError([past_primality_range(name, x)]) from None
+        raise SpecValidationError([past_primality_range(name, Fraction(num, den))]) from None
 
 
 class DegenerateFiberError(ValueError):
@@ -170,13 +170,13 @@ class SurfaceSpec:
         return tuple(sorted({*self.s0_finite_primes, *(v.p for v in self.s_bad)}))
 
     @cached_property
-    def cross_resultants(self) -> Dict[Tuple[int, int], Fraction]:
-        """(i, j) -> c_i*d_j - c_j*d_i for i before j in indices, each
-        formed once: compute_s_bad factors them and root_masks reads their
-        classes."""
-        items = self.factors
+    def cross_resultants(self) -> Dict[Tuple[int, int], int]:
+        """(i, j) -> C_i*D_j - C_j*D_i = L_i*L_j*(c_i*d_j - c_j*d_i) over
+        forms, for i before j in indices, each formed once: compute_s_bad
+        factors them and root_masks reads their classes."""
+        items = list(self.forms.items())
         return {(i, j): ci * dj - cj * di
-                for k, (i, (ci, di)) in enumerate(items) for j, (cj, dj) in items[k + 1:]}
+                for k, (i, (ci, di, _)) in enumerate(items) for j, (cj, dj, _) in items[k + 1:]}
 
     @cached_property
     def a_mask(self) -> int:
@@ -193,16 +193,19 @@ class SurfaceSpec:
         """(i, j) -> class_mask of p_j(-d_i/c_i) over basis_primes, for i != j:
         every descent constant is an XOR of these and [a] or [d].
 
-        p_j(-d_i/c_i) = R/c_i and p_i(-d_j/c_j) = -R/c_j for the
-        cross-resultant R of i before j, so each pair costs one class_mask.
+        p_j(-d_i/c_i) = R/(L_i*L_j*c_i) = R/(L_j*C_i) and p_i(-d_j/c_j) =
+        -R/(L_i*C_j) for the integer cross-resultant R of i before j, so each
+        pair costs one class_mask.  Every L_i is S0-supported, so its primes
+        lie in basis_primes.
         """
         primes = self.basis_primes
-        lead = {i: class_mask(c, primes) for i, (c, _) in self.factors}
+        lead = {i: class_mask(c, primes) for i, (c, _, _) in self.forms.items()}
+        denom = {i: class_mask(lcm, primes) for i, (_, _, lcm) in self.forms.items()}
         table = {}
         for (i, j), r in self.cross_resultants.items():
             mask = class_mask(r, primes)
-            table[i, j] = mask ^ lead[i]
-            table[j, i] = mask ^ 1 ^ lead[j]
+            table[i, j] = mask ^ lead[i] ^ denom[j]
+            table[j, i] = mask ^ 1 ^ lead[j] ^ denom[i]
         return table
 
     @cached_property
@@ -314,7 +317,8 @@ def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
     coefficient c_i, or d = ab; the prime 2; and primes p with
     p_J(t) = 0 mod p for every residue t (only possible for p <= |J|).
     The cross-resultants are read from spec.cross_resultants, the one
-    table that root_masks also reads.
+    table that root_masks also reads: the numerator of c_i*d_j - c_j*d_i
+    is R_ij // gcd(R_ij, L_i*L_j) for the integer R_ij there.
     Leading-coefficient primes are included so that the constants
     a*p_A(-d_i/c_i) are v-units at every place outside S0 and S_bad.
     A quantity that cannot be factored within the certified primality
@@ -324,22 +328,24 @@ def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
     bad = set()
     if 2 not in s0_primes:
         bad.add(2)
-    values = [("d = ab", spec.d)]
+    forms = spec.forms
+    values = [("d = ab", spec.d.numerator, spec.d.denominator)]
     cross = spec.cross_resultants
     for k, (i, (ci, _)) in enumerate(spec.factors):
-        values.append((f"c_{i}", ci))
-        values += [(f"c_{i}*d_{j} - c_{j}*d_{i}", cross[i, j]) for j in spec.indices[k + 1:]]
-    for name, x in values:
-        # x's denominator is S0-smooth: a prime outside S0 dividing the
+        values.append((f"c_{i}", ci.numerator, ci.denominator))
+        values += [(f"c_{i}*d_{j} - c_{j}*d_{i}", cross[i, j], forms[i][2] * forms[j][2])
+                   for j in spec.indices[k + 1:]]
+    for name, num, den in values:
+        # the denominator is S0-smooth: a prime outside S0 dividing the
         # numerator has positive valuation
-        bad.update(q for q in _input_primes(name, x) if q not in s0_primes)
+        bad.update(q for q in _input_primes(name, num, den) if q not in s0_primes)
     # residue-covering primes: every t mod p is a root of p_J.  Such p lies
-    # outside S0 and divides no c_i (those are bad already), so each root
-    # -d_i/c_i is p-integral and p_i(t) = 0 mod p at its residue only.
+    # outside S0 and divides no C_i (the primes of c_i are bad already and
+    # L_i is S0-supported), so p_i(t) = 0 mod p at t = -D_i/C_i only.
     for p in range(2, len(spec.factors) + 1):
         if p in s0_primes or p in bad or not is_prime(p):
             continue
-        if len({mod_prime_power(spec.root(i), p, 1) for i in spec.indices}) == p:
+        if len({-d * pow(c, -1, p) % p for c, d, _ in forms.values()}) == p:
             bad.add(p)
     return tuple(Place.finite(q) for q in sorted(bad))
 

@@ -50,6 +50,12 @@ def factor_value_reference(spec, i: int, t) -> Fraction:
     return c * Fraction(t) + d
 
 
+def cross_resultant_reference(spec, i: int, j: int) -> Fraction:
+    """c_i*d_j - c_j*d_i in Fraction arithmetic."""
+    (ci, di), (cj, dj) = spec.coeffs(i), spec.coeffs(j)
+    return ci * dj - cj * di
+
+
 def product_value_reference(spec, subset, t) -> Fraction:
     """p_{subset}(t), one Fraction product per factor."""
     value = Fraction(1)
@@ -658,8 +664,8 @@ def s_bad_reference(spec) -> set:
     p_i(t) vanish or have positive valuation."""
     s0 = set(spec.s0_finite_primes)
     values = [spec.d] + [c for _, (c, _) in spec.factors]
-    values += [ci * dj - cj * di for i, (ci, di) in spec.factors
-               for j, (cj, dj) in spec.factors if i < j]
+    values += [cross_resultant_reference(spec, i, j) for i in spec.indices
+               for j in spec.indices if i < j]
     bad = {q for x in values for q in factorize(Fraction(x).numerator)} | {2}
     for p in range(3, len(spec.factors) + 1):
         if all(p % q for q in range(2, p)) and all(
@@ -699,6 +705,26 @@ def gf2_rank(rows) -> int:
         rows = [r for r in rows if r]
         rank += 1
     return rank
+
+
+def echelon_reference(rows) -> List[int]:
+    """Reduced echelon form by elimination over every basis row: each new row
+    is reduced against each earlier row's pivot (its lowest bit), then
+    cleared from the earlier rows; the rows are sorted by pivot."""
+    basis: List[int] = []
+    for row in rows:
+        for b in basis:
+            low = b & -b
+            if row & low:
+                row ^= b
+        if row:
+            basis.append(row)
+            low = row & -row
+            for k in range(len(basis) - 1):
+                if basis[k] & low:
+                    basis[k] ^= row
+    basis.sort(key=lambda r: r & -r)
+    return basis
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,9 @@ def test_validate_coefficient_past_the_primality_range(tmp_path, capsys):
         ([(1, 1, 0), (2, 1, arith._MR_LIMIT)], "c_1*d_2 - c_2*d_1"),
         # both c_2 and the cross-resultant are past the range: the
         # cross-resultant of 1 and 2 is factored before c_2
-        ([(1, 1, 0), (2, arith._MR_LIMIT, arith._MR_LIMIT + 10)],
-         "c_1*d_2 - c_2*d_1 = 3317044064679887385961991"),
+        pytest.param([(1, 1, 0), (2, arith._MR_LIMIT, arith._MR_LIMIT + 10)],
+                     "c_1*d_2 - c_2*d_1 = 3317044064679887385961991",
+                     id="cross-resultant-before-c_2"),
     ],
 )
 def test_validate_names_a_quantity_past_the_primality_range(tmp_path, capsys, factors, quantity):

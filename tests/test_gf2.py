@@ -1,8 +1,11 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from torusdescent import gf2
 
-from oracles import gf2_rank
+from oracles import echelon_reference, gf2_rank
 
 
 def test_echelon_and_rank():
@@ -10,6 +13,32 @@ def test_echelon_and_rank():
     assert gf2_rank(rows) == 2 == len(gf2.echelon(rows))
     assert gf2_rank([0b1, 0b10, 0b100]) == 3 == len(gf2.echelon([0b1, 0b10, 0b100]))
     assert gf2_rank([0, 0]) == 0 == len(gf2.echelon([0, 0]))
+
+
+@st.composite
+def _row_lists(draw):
+    """Rows of one width, up to 130 bits, with zero rows, duplicate rows and
+    sums of other rows mixed in: each extra row XORs the base rows picked by
+    the bits of a mask (no bit gives 0, one bit a duplicate)."""
+    width = draw(st.sampled_from([1, 7, 64, 65, 130]))
+    base = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=10))
+    masks = draw(st.lists(st.integers(0, (1 << len(base)) - 1), max_size=6))
+    extra = []
+    for mask in masks:
+        row = 0
+        for k, b in enumerate(base):
+            if mask >> k & 1:
+                row ^= b
+        extra.append(row)
+    return draw(st.permutations(base + extra))
+
+
+@given(_row_lists())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_echelon_matches_the_reference(rows):
+    reduced = gf2.echelon(rows)
+    assert reduced == echelon_reference(rows)
+    assert len(reduced) == gf2_rank(rows)
 
 
 def test_kernel_basis_small():

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torusdescent import surface
-from torusdescent.arith import _MR_LIMIT, REAL, Place
+from torusdescent.arith import _MR_LIMIT, REAL, Place, class_mask
 from torusdescent.descent import DescentBounds, descend
 from torusdescent.surface import (
     DegenerateFiberError,
@@ -29,6 +30,7 @@ from torusdescent.surface import (
 from fixtures import REDUCTION_MEMBERS, family_point
 from oracles import (
     compute_s,
+    cross_resultant_reference,
     factor_value_reference,
     fiber_coeffs_reference,
     product_value_reference,
@@ -124,6 +126,51 @@ def test_s_bad_matches_its_definition():
         spec = make_spec(*raw)
         assert {v.p for v in compute_s_bad(spec)} == s_bad_reference(spec), raw
         checked += 1
+
+
+@st.composite
+def _specs_over_a_large_prime(draw):
+    """Specs over S0 = {2, q} with coefficients over powers of q, so that the
+    integer forms carry an L_i of q's: for q = 1009, above the primes that
+    factorize divides out by trial, an L_i*L_j left in a cross-resultant
+    would reach its Pollard rho stage."""
+    q = draw(st.sampled_from([3, 211, 1009]))
+
+    def s0_integer(numerators):
+        return st.builds(lambda n, k: Fraction(n, q**k), numerators, st.integers(0, 2))
+
+    n = draw(st.integers(1, 5))
+    factors = {i: (draw(s0_integer(st.sampled_from([-6, -5, -2, -1, 1, 3, 7]))),
+                   draw(s0_integer(st.integers(-60, 60)))) for i in range(1, n + 1)}
+    a, b = (draw(s0_integer(st.sampled_from([-3, -1, 1, 2, 5]))) for _ in range(2))
+    part_a = draw(st.sets(st.sampled_from(sorted(factors))))
+    raw = ([2, q], a, b, factors, part_a)
+    assume(not spec_violations([REAL, Place.finite(2), Place.finite(q)], *raw[1:]))
+    return make_spec(*raw)
+
+
+@given(_specs_over_a_large_prime())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_integer_constants_match_the_fraction_formulas(spec):
+    pairs = [(i, j) for k, i in enumerate(spec.indices) for j in spec.indices[k + 1:]]
+    assert list(spec.cross_resultants) == pairs
+    for (i, j), r in spec.cross_resultants.items():
+        lcm_i, lcm_j = spec.forms[i][2], spec.forms[j][2]
+        assert r == lcm_i * lcm_j * cross_resultant_reference(spec, i, j)
+    # factorize sees the numerator of each rational quantity, in order
+    expected = [spec.d.numerator]
+    for i, (c, _) in spec.factors:
+        expected.append(c.numerator)
+        expected += [cross_resultant_reference(spec, i, j).numerator
+                     for j in spec.indices if j > i]
+    with mock.patch.object(surface, "factorize", wraps=surface.factorize) as factored:
+        assert {v.p for v in compute_s_bad(spec)} == s_bad_reference(spec)
+    assert [call.args[0] for call in factored.call_args_list] == expected
+    for i in spec.indices:
+        for j in spec.indices:
+            if j != i:
+                value = factor_value_reference(spec, j, spec.root(i))
+                assert spec.root_masks[i, j] == class_mask(value, spec.basis_primes)
 
 
 def test_s_bad_leading_coefficient_prime():
