@@ -238,15 +238,17 @@ def build_suitable(
 ) -> PartialAdelicPoint:
     """Restrict a point that passed check_hypotheses to T = S0 + S_bad.
 
-    Dropping a place changes the Brauer sums, so a restriction that drops
-    one is verified again; otherwise p_t is the point already checked.
+    A point with no place outside T is returned itself, with the local_data
+    that check_hypotheses built.  Dropping a place changes the Brauer sums,
+    so a restriction that drops one is verified again.
     """
     t_places = _working_places(spec, ())
+    if set(point.entries) <= t_places:
+        return point
     p_t = PartialAdelicPoint(
         spec, {v: pt for v, pt in point.entries.items() if v in t_places}
     )
-    if len(p_t.entries) < len(point.entries):
-        _require_suitable(spec, p_t, (), "suitability failed")
+    _require_suitable(spec, p_t, (), "suitability failed")
     return p_t
 
 
@@ -282,15 +284,15 @@ def _approximation_data(
 
 
 def _real_chamber(
-    spec: SurfaceSpec, t_real: Fraction
+    spec: SurfaceSpec, p_t: PartialAdelicPoint
 ) -> Tuple[Optional[Fraction], Optional[Fraction]]:
-    """Open interval of t with the same factor sign pattern as t_real."""
+    """Open interval of t with the same factor sign pattern as t_real: the
+    real local mask of p_i(t_real) in p_t.local_data is 1 when it is negative."""
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
-    for i in spec.indices:
-        c, _ = spec.coeffs(i)
+    for i, (_, negative) in p_t.local_data[REAL].items():
         root = spec.root(i)
-        if c * spec.factor_value(i, t_real) > 0:  # t_real right of the root
+        if (spec.forms[i][0] < 0) == negative:  # t_real right of the root
             lo = root if lo is None else max(lo, root)
         else:
             hi = root if hi is None else min(hi, root)
@@ -379,7 +381,7 @@ def find_admissible(
     if REAL not in p_t.entries:
         raise DescentAnomaly("partial adelic point lacks a real component")
     tau0, modulus, denominator = _approximation_data(spec, p_t)
-    lo, hi = _real_chamber(spec, p_t.entries[REAL].t)
+    lo, hi = _real_chamber(spec, p_t)
     t_primes = [v.p for v in p_t.places if v.is_finite]
     witnesses = _candidate_test(spec, tau0, modulus, denominator, t_primes)
     step = Fraction(modulus, denominator)
@@ -427,7 +429,8 @@ def _try_admissible(
     witnesses: List[Tuple[int, Place]],
 ) -> Optional[AdmissiblePoint]:
     """The exact checks on a candidate whose leftovers are the primes u_i of
-    `witnesses`: approximation, local solubility at T and reciprocity."""
+    `witnesses`: approximation, local solubility at T and reciprocity.  The
+    AdmissiblePoint keeps p_i(t0) and the fiber, evaluated here once."""
     values = {i: spec.factor_value(i, t0) for i in spec.indices}
     # square-class approximation check (guaranteed by the modulus; exact)
     for v in p_t.places:
@@ -457,9 +460,10 @@ def _try_admissible(
             return None
         # the certificate makes a*D_i^A a square at u_i; the good-place
         # criterion then certifies an integral point on the fiber there
-        if good_place_solubility(spec, u, t0).status != "soluble":
+        if good_place_solubility(spec, u, values).status != "soluble":
             raise DescentAnomaly(f"fiber insoluble at the witness place {u}")
-    return AdmissiblePoint(t0=t0, witnesses=tuple(witnesses), places=p_t.places)
+    return AdmissiblePoint(fiber=fib, values=values, witnesses=tuple(witnesses),
+                           places=p_t.places)
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +553,13 @@ def _scan_prime(
 
 
 def _uniformizer_t(spec: SurfaceSpec, i: int, w: int) -> int:
-    """Integer t_w with val_w(p_i(t_w)) exactly 1."""
-    # c_i and d_i are w-integral: w lies outside T, which holds S_bad
-    cw, dw = (mod_prime_power(x, w, 2) for x in spec.coeffs(i))
-    root = (-dw * pow(cw, -1, w)) % w
-    for shift in range(w):
-        t_w = root + w * shift
-        value = spec.factor_value(i, t_w)
+    """Integer t_w with val_w(p_i(t_w)) exactly 1: w lies outside T, so L_i is
+    a w-unit and C_i*t + D_i vanishes mod w at one residue root; where its
+    valuation there is 2 or more, it is 1 at root + w."""
+    c, d, _ = spec.forms[i]
+    root = -d * pow(c, -1, w) % w
+    for t_w in (root, root + w):
+        value = c * t_w + d
         if value != 0 and valuation(value, w) == 1:
             return t_w
     raise DescentAnomaly(f"no uniformizer value for p_{i} at {w}")
@@ -701,7 +705,6 @@ def _chebotarev_step(
     old_adm, old_sel, old_dual = state.adm, state.sel, state.dual
     new_state = _make_state(spec, new_pt, state.s_d, bounds, state.trace)
     new_lattice = new_state.lattice
-    t1 = new_state.adm.t0
 
     # the subgroups avoiding the distinguished factor index
     bit_new = new_lattice.poly_mask([i_x])
@@ -709,10 +712,9 @@ def _chebotarev_step(
     dual0_old = old_dual.space.intersect_hyperplane(bit_old)
     dual0_new = new_state.dual.space.intersect_hyperplane(bit_new)
 
-    # p_i(t0) and p_i(t1), each read once: the localization at w of both
-    # lattices and the comparison checks use them
-    old_values = {i: spec.factor_value(i, old_adm.t0) for i in spec.indices}
-    new_values = {i: spec.factor_value(i, t1) for i in spec.indices}
+    # p_i(t0) and p_i(t1), kept by the two admissible points: the
+    # localization at w of both lattices and the comparison checks use them
+    old_values, new_values = old_adm.values, new_state.adm.values
     old_columns = old_lattice.local_masks(list(new_values.values()), place)
     new_columns = new_lattice.local_masks(list(new_values.values()), place)
 
@@ -855,13 +857,6 @@ def _certificate(spec, bounds, outcome, data, trace) -> Certificate:
     )
 
 
-def _try_fiber_point(
-    spec: SurfaceSpec, t0: Fraction, bounds: DescentBounds
-) -> Optional[Tuple[Fraction, Fraction]]:
-    fib = fiber(spec, t0)
-    return solve_global(fib.aA, fib.bB, spec.s0_finite_primes, bounds.height)
-
-
 def descend(
     spec: SurfaceSpec,
     point: PartialAdelicPoint,
@@ -890,8 +885,9 @@ def descend(
         state = _make_state(spec, p_t, (), bounds, trace)
         steps = 0
         while True:
+            fib = state.adm.fiber
             if bounds.solve_each_fiber or state.terminal():
-                found = _try_fiber_point(spec, state.adm.t0, bounds)
+                found = solve_global(fib.aA, fib.bB, spec.s0_finite_primes, bounds.height)
                 if found is not None:
                     x, y = found
                     if not verify_integral_point(spec, x, y, state.adm.t0):
@@ -908,7 +904,6 @@ def descend(
                         trace,
                     )
             if state.terminal():
-                fib = fiber(spec, state.adm.t0)
                 return _certificate(
                     spec, bounds, "dual_selmer_minimized",
                     {

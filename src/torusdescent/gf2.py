@@ -42,18 +42,6 @@ def echelon(rows: Sequence[int]) -> List[int]:
     return basis
 
 
-def reduce_vector(vec: int, basis: Sequence[int]) -> int:
-    """Reduce vec against an echelonized basis; 0 iff vec is in the span."""
-    for b in basis:
-        if vec & (b & -b):
-            vec ^= b
-    return vec
-
-
-def in_span(vec: int, basis: Sequence[int]) -> bool:
-    return reduce_vector(vec, basis) == 0
-
-
 def kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
     """Basis of {x : popcount(row & x) even for all rows}, rows over ncols columns.
 
@@ -119,7 +107,11 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, vec: int) -> bool:
-        return in_span(vec, self.basis)
+        # reduce vec by the echelon basis: 0 exactly when it is in the span
+        for b in self.basis:
+            if vec & (b & -b):
+                vec ^= b
+        return vec == 0
 
     def intersect_hyperplane(self, row: int) -> "Subspace":
         """Subspace of vectors x in this space with <x, row> = 0: the even

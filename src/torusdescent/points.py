@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .arith import (
     REAL,
@@ -154,9 +154,10 @@ def _rational_witness(
 
 
 def good_place_solubility(
-    spec: SurfaceSpec, v: Place, t_v: Rational
+    spec: SurfaceSpec, v: Place, values: Mapping[int, Rational]
 ) -> LocalSolubility:
-    """Integral solubility of the fiber at an odd good place, by criterion only.
+    """Integral solubility of the fiber above t_v at an odd good place, by
+    criterion only, read off values: i -> p_i(t_v), the caller's own table.
 
     At v outside S0 and S_bad with val_v(p_i(t_v)) > 0 for (necessarily
     unique) i, the fiber has Z_v-points iff the residue constant
@@ -171,11 +172,9 @@ def good_place_solubility(
     p = v.p
     if valuation(spec.d, p) != 0:
         raise ValueError(f"{v} divides d = ab; not a good place")
-    degenerate = [
-        i for i in spec.indices if valuation(spec.factor_value(i, t_v), p) > 0
-    ]
+    degenerate = [i for i, value in values.items() if valuation(value, p) > 0]
     if len(degenerate) > 1:
-        raise ValueError(f"{v} is not a good place for t = {t_v}")
+        raise ValueError(f"{v} is not a good place: two factors vanish there")
     if not degenerate:
         return LocalSolubility(
             "soluble", v, certificate="smooth special fiber (unit coefficients)"

@@ -16,10 +16,9 @@ of the annihilator of [d]_v) becomes one row of the F2 system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import gf2
 from .arith import (
@@ -214,9 +213,9 @@ class RelativeFiber:
     """Shared data for the relative Selmer computations at one admissible point."""
 
     spec: SurfaceSpec
-    t0: Fraction
+    values: Dict[int, Fraction]  # i -> p_i(t0), kept by the admissible point
     places: Tuple[Place, ...]  # T, the support of the relative lattice
-    torus_value: Fraction  # -d * p_J(t0)
+    torus_value: Fraction  # -d * p_J(t0), the torus parameter of the fiber above t0
     ramified: Tuple[Place, ...]  # T0 together with the witness places u_i
     unit_kind: Tuple[Place, ...]  # T minus T0: unit-class local conditions
 
@@ -234,9 +233,9 @@ def relative_fiber(
         raise ValueError("witness places must avoid T")
     return RelativeFiber(
         spec=spec,
-        t0=Fraction(adm.t0),
+        values=adm.values,
         places=tuple(adm.places),
-        torus_value=-math.prod(spec.fiber_coeffs(adm.t0)),
+        torus_value=adm.fiber.torus_d,
         ramified=tuple(sorted(set(t0_places) | set(u_places))),
         unit_kind=tuple(sorted(rest)),
     )
@@ -247,7 +246,7 @@ def relative_selmer(fiber: RelativeFiber) -> Tuple[SelmerSubspace, SelmerSubspac
     evaluation at t0: the local conditions of -d*p_J(t0) at the ramified
     places, and unit classes at the rest of T."""
     lattice = Lattice.of_places(fiber.places, fiber.spec.indices)
-    values = [fiber.spec.factor_value(i, fiber.t0) for i in lattice.factor_indices]
+    values = [fiber.values[i] for i in lattice.factor_indices]
     return _cut_out(lattice, values, fiber.torus_value, fiber.ramified, fiber.unit_kind)
 
 

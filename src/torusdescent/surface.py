@@ -8,8 +8,10 @@ and fiber_coeffs multiply them out on ints and build one Fraction per value
 returned.  `fiber_coeffs`, read off `forms`, is the one spelling of the conic
 coefficients (a*p_A(t), b*p_B(t)) above t: fibers, point residuals (over one
 common integer denominator), d*p_J(t) (their product) and the per-spec
-Brauer constants are read off it.  A partial adelic point keeps one table
-of local data, read by every check.
+Brauer constants are read off it.  Each point is evaluated once: a partial
+adelic point keeps one table of local data, read by every check, and an
+admissible point keeps the p_i(t0) and the fiber that the admissible scan
+computed, read by every later step of the descent.
 """
 
 from __future__ import annotations
@@ -474,11 +476,18 @@ class PartialAdelicPoint:
 
 @dataclass(frozen=True)
 class AdmissiblePoint:
-    """A base value with prime uniformizer places for each factor."""
+    """A base value t0 with prime uniformizer places for each factor, the
+    fiber above t0 and i -> p_i(t0) in index order, as the admissible scan
+    computed them; no later step evaluates anything at t0 again."""
 
-    t0: Fraction
+    fiber: FiberSpec
+    values: Dict[int, Fraction]
     witnesses: Tuple[Tuple[int, Place], ...]  # (factor index, place u_i)
     places: Tuple[Place, ...]  # the ambient T
+
+    @property
+    def t0(self) -> Fraction:
+        return self.fiber.t
 
     def witness(self, i: int) -> Place:
         for j, u in self.witnesses:

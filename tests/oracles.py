@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from sympy import factorint
@@ -48,6 +48,11 @@ def factor_value_reference(spec, i: int, t) -> Fraction:
     """p_i(t) = c_i*t + d_i in Fraction arithmetic."""
     c, d = spec.coeffs(i)
     return c * Fraction(t) + d
+
+
+def factor_values_reference(spec, t) -> Dict[int, Fraction]:
+    """i -> p_i(t) for every index, in index order."""
+    return {i: factor_value_reference(spec, i, t) for i in spec.indices}
 
 
 def cross_resultant_reference(spec, i: int, j: int) -> Fraction:
@@ -562,19 +567,19 @@ def find_admissible_reference(spec, p_t, bounds, reject=()):
     Every progression value t0 = (tau0 + M*n)/D with n = 0, 1, -1, 2, -2, ...
     inside the open real chamber is a candidate; it is tested by
     admissible_candidate_reference, then by the exact checks of
-    _try_admissible.  The scan ends when the values on both sides have
-    left the chamber; SearchExhausted is raised as find_admissible raises it.
+    _try_admissible.  The real chamber is the open interval between the
+    nearest roots -d_i/c_i on either side of t_real.  The scan ends when
+    the values on both sides have left the chamber; SearchExhausted is
+    raised as find_admissible raises it.
     """
-    from torusdescent.descent import (
-        SearchExhausted,
-        _approximation_data,
-        _real_chamber,
-        _try_admissible,
-    )
+    from torusdescent.descent import SearchExhausted, _approximation_data, _try_admissible
 
     reject = {Fraction(t) for t in reject}
     tau0, modulus, denominator = _approximation_data(spec, p_t)
-    lo, hi = _real_chamber(spec, p_t.entries[REAL].t)
+    t_real = p_t.entries[REAL].t
+    roots = [-d / c for _, (c, d) in spec.factors]
+    lo = max((r for r in roots if r < t_real), default=None)
+    hi = min((r for r in roots if r > t_real), default=None)
     t_primes = [v.p for v in p_t.places if v.is_finite]
     checked = 0
     for k in itertools.count():
@@ -595,6 +600,21 @@ def find_admissible_reference(spec, p_t, bounds, reject=()):
             point = _try_admissible(spec, p_t, t0, witnesses)
             if point is not None:
                 return point.t0, point.witnesses, checked
+
+
+def uniformizer_t_reference(spec, i: int, w: int) -> int:
+    """The least t_w = root + w*shift, shift in [0, w), with val_w(p_i(t_w))
+    exactly 1, root the residue of -d_i/c_i mod w; p_i(t_w) as a Fraction."""
+    from torusdescent.descent import DescentAnomaly
+
+    cw, dw = (mod_prime_power(x, w, 2) for x in spec.coeffs(i))
+    root = (-dw * pow(cw, -1, w)) % w
+    for shift in range(w):
+        t_w = root + w * shift
+        value = factor_value_reference(spec, i, t_w)
+        if value != 0 and valuation(value, w) == 1:
+            return t_w
+    raise DescentAnomaly(f"no uniformizer value for p_{i} at {w}")
 
 
 def brauer_constant_reference(spec, i: int) -> Fraction:

@@ -51,6 +51,7 @@ from oracles import (
     conic_soluble_bruteforce,
     dual_selmer_by_enumeration,
     expected_g_d_generators,
+    factor_values_reference,
     fiber_point_bruteforce,
     g_d_bruteforce,
     g_element,
@@ -280,7 +281,7 @@ def test_criterion_7_good_place_agreement():
         if spec.product_value(spec.indices, t) == 0:
             continue
         try:
-            crit = good_place_solubility(spec, v, t)
+            crit = good_place_solubility(spec, v, factor_values_reference(spec, t))
         except ValueError:
             continue  # not a good place; the criterion does not apply
         fib = fiber(spec, t)

@@ -23,6 +23,7 @@ from torusdescent.surface import LocalPoint, PartialAdelicPoint, fiber, make_spe
 from oracles import (
     class_mul,
     d_constant,
+    factor_values_reference,
     hilbert_relevant_places,
     poly_from_factors,
     tame_residue,
@@ -154,7 +155,7 @@ def test_invariant_vanishes_at_good_soluble_places(running_spec):
         if spec.product_value(spec.indices, t) == 0:
             continue
         for v in good:
-            if good_place_solubility(spec, v, t).status != "soluble":
+            if good_place_solubility(spec, v, factor_values_reference(spec, t)).status != "soluble":
                 continue
             for i in spec.indices:
                 assert _invariant_at(spec, i, t, v) == 0

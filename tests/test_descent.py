@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy import primerange
 
 from torusdescent import descent
 from torusdescent.arith import REAL, Place, hilbert_symbol, local_mask, valuation
@@ -18,6 +19,7 @@ from torusdescent.descent import (
     _approximation_data,
     _candidate_test,
     _make_state,
+    _uniformizer_t,
     build_suitable,
     check_hypotheses,
     descend,
@@ -44,6 +46,8 @@ from fixtures import (
 from oracles import (
     admissible_candidate_reference,
     compute_s,
+    factor_values_reference,
+    fiber_coeffs_reference,
     find_admissible_reference,
     g_element,
     hilbert_symbol_closed_form,
@@ -53,8 +57,9 @@ from oracles import (
     pick_elements_reference,
     selmer_elements,
     suitability_reference,
+    uniformizer_t_reference,
 )
-from test_golden_descend import _fuzz_input
+from test_golden_descend import SD_WITNESS_SEEDS, _fuzz_input
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +226,90 @@ def test_build_suitable_rechecks_a_restricted_point(monkeypatch):
     point = PartialAdelicPoint(spec, {**point.entries, extra: LocalPoint.make(x, y, t, 12)})
     p_t = build_suitable(spec, point)
     assert set(p_t.places) == set(compute_s(spec)) and len(checks) == 2
+    # a restricted copy: the input point keeps its extra place
+    assert p_t is not point and extra in point.entries and extra not in p_t.entries
+
+
+def test_build_suitable_returns_a_point_on_T_itself(monkeypatch):
+    # a point whose places are exactly T is the point check_hypotheses
+    # checked: the descent reads the local_data table built there
+    checks = _count_calls(monkeypatch, "suitability")
+    for index in range(len(ALL_FAMILY)):
+        spec, point, _ = family_point(index)
+        assert set(point.entries) == set(compute_s(spec))
+        table = point.local_data
+        p_t = build_suitable(spec, point)
+        assert p_t is point and p_t.local_data is table
+    assert checks == []
+
+
+def test_build_suitable_rejects_a_restriction_that_breaks_a_brauer_sum():
+    # t_real = 1 flips the real invariants of both generators of member 10,
+    # and nothing else: the restriction to T fails only its Brauer sums
+    spec, point, (x, y, t) = family_point(10)
+    extra = Place.finite(101)
+    assert extra not in compute_s(spec)
+    real = point.entries[REAL]
+    entries = {**point.entries, REAL: LocalPoint.make(real.x, real.y, 1, real.precision),
+               extra: LocalPoint.make(x, y, t, 12)}
+    with pytest.raises(DescentAnomaly,
+                       match="^suitability failed: brauer_sum_1: .*; brauer_sum_2: [^;]*$"):
+        build_suitable(spec, PartialAdelicPoint(spec, entries))
+
+
+@pytest.mark.parametrize(
+    "case", [f"family-{k}" for k in range(len(ALL_FAMILY))]
+    + [f"fuzz-{seed}" for seed in SD_WITNESS_SEEDS])
+def test_admissible_points_keep_p_i_t0_and_the_fiber(case, monkeypatch):
+    """Every admissible point that descend reaches, the first and those
+    after each reduction or witness insertion, carries p_i(t0) in index
+    order and the fiber above t0 as the Fraction formulas give them."""
+    points = []
+    real_try = descent._try_admissible
+
+    def recorded(*args):
+        adm = real_try(*args)
+        if adm is not None:
+            points.append(adm)
+        return adm
+
+    monkeypatch.setattr(descent, "_try_admissible", recorded)
+    kind, _, number = case.partition("-")
+    if kind == "family":
+        spec, point, _ = family_point(int(number))
+        bounds = DescentBounds(solve_each_fiber=False)
+    else:
+        spec, point, bounds = _fuzz_input(int(number))
+    cert = descend(spec, point, bounds)
+    steps = [step["step"] for step in cert.trace]
+    assert [str(adm.t0) for adm in points] == \
+        [step["t0"] for step in cert.trace if step["step"] == "admissible_point"]
+    if kind == "fuzz":
+        assert "sd_witness" in steps
+    if kind == "family" and int(number) in REDUCTION_MEMBERS + MULTI_REDUCTION_MEMBERS:
+        assert "reduce_dual_selmer" in steps and len(points) > 1
+    for adm in points:
+        t0 = adm.t0
+        assert list(adm.values.items()) == list(factor_values_reference(spec, t0).items())
+        aA, bB = fiber_coeffs_reference(spec, t0)
+        assert (adm.fiber.t, adm.fiber.aA, adm.fiber.bB, adm.fiber.torus_d) == \
+            (t0, aA, bB, -aA * bB)
+
+
+# every family spec, and one whose residue roots at 7 have valuation 2
+UNIFORMIZER_SPECS = [family_spec(k) for k in range(len(ALL_FAMILY))] + [
+    make_spec([2], 1, 1, {1: (1, 46), 2: (3, -49)}, [1])]
+PRIMES_BELOW_500 = list(primerange(3, 500))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(0, len(UNIFORMIZER_SPECS) - 1), w=st.sampled_from(PRIMES_BELOW_500))
+@example(k=len(UNIFORMIZER_SPECS) - 1, w=7)
+def test_uniformizer_t_matches_the_residue_scan(k, w):
+    spec = UNIFORMIZER_SPECS[k]
+    assume(Place.finite(w) not in compute_s(spec))
+    for i in spec.indices:
+        assert _uniformizer_t(spec, i, w) == uniformizer_t_reference(spec, i, w)
 
 
 def test_find_admissible_properties():

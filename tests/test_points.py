@@ -15,7 +15,12 @@ from torusdescent.points import (
 )
 from torusdescent.surface import evaluate_point, fiber, make_spec
 
-from oracles import conic_soluble_bruteforce, fiber_point_bruteforce, solve_global_fullscan
+from oracles import (
+    conic_soluble_bruteforce,
+    factor_values_reference,
+    fiber_point_bruteforce,
+    solve_global_fullscan,
+)
 
 
 def test_local_trivial_witness():
@@ -111,13 +116,13 @@ def test_good_place_criterion_examples():
     spec = make_spec([], 2, 3, {1: (1, 0), 2: (1, 1)}, [1])
     v = Place.finite(5)
     # t = 5: p_1 degenerates, criterion value b*p_B(0) = 3*1 = 3; (3|5) = -1
-    res = good_place_solubility(spec, v, 5)
+    res = good_place_solubility(spec, v, factor_values_reference(spec, 5))
     assert res.status == "insoluble"
     # t = 4: p_2 degenerates at 5; criterion value a*p_A(-1) = -2; (-2|5) = ?
-    res = good_place_solubility(spec, v, 4)
+    res = good_place_solubility(spec, v, factor_values_reference(spec, 4))
     assert res.status in ("soluble", "insoluble")
     # unit fiber: no degeneration
-    res = good_place_solubility(spec, v, 1)
+    res = good_place_solubility(spec, v, factor_values_reference(spec, 1))
     assert res.status == "soluble"
 
 
@@ -137,7 +142,7 @@ def test_good_place_criterion_agrees_with_hensel():
         if spec.product_value(spec.indices, t) == 0:
             continue
         try:
-            crit = good_place_solubility(spec, v, t)
+            crit = good_place_solubility(spec, v, factor_values_reference(spec, t))
         except ValueError:
             continue  # not a good place for this t
         fib = fiber(spec, t)
