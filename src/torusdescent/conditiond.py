@@ -155,28 +155,35 @@ def _intersection(spec: SurfaceSpec, lattice: Lattice, targets: Dict[int, int],
     [c*D_i^{J'}] in <t_i> for every i, t_i = targets[i], its generators
     re-checked one by one.
 
-    [D_i^{J'}] = sum over j in J' of r_ij = [D_i^{{j}}], so the intersection is the
-    projection to (c, J') of the kernel of (c, J', e) -> (c + sum_j J'_j r_ij + e_i t_i)_i.
-    The map is stacked by columns, one per unknown, with bits
-    width*k and up holding the image in block k: the column of J'_j
-    holds r_kj there and the column of e_k holds t_k.  Off the diagonal
-    r_ij = root_masks[i, j]; on it r_ii is [d] ([-d] when dual) plus
-    every root_masks[i, j].  The re-check reads each constant off
-    root_masks by its definition, not off the columns.
+    [D_i^{J'}] = sum over j in J' of r_ij = [D_i^{{j}}], so the intersection
+    is the projection to (c, J') of the solutions (c, J', e) of
+    c = B_i(J', e) := sum_j J'_j r_ij + e_i t_i for every i.  The first
+    index i0 gives c = B_i0(J', e) outright; substituting it leaves
+    (B_k + B_i0)(J', e) = 0 for the other k, a map stacked by columns, one
+    per unknown J'_j or e_j, with bits width*s and up holding block s.  Off
+    the diagonal r_ij = root_masks[i, j]; on it r_ii is [d] ([-d] when
+    dual) plus every root_masks[i, j].  The re-check reads each constant
+    off root_masks by its definition, not off the columns.
     """
     indices, width = lattice.factor_indices, lattice.width
     table = spec.root_masks
     diagonal = dict.fromkeys(indices, spec.d_mask ^ dual)
     for (i, _), mask in table.items():
         diagonal[i] ^= mask
-    shifts = [width * k for k in range(len(indices))]
+    i0, *rest = indices
+    shifts = [width * s for s in range(len(rest))]
     ones = sum(1 << shift for shift in shifts)
-    columns = [ones << b for b in range(width)]
-    columns += [sum((table[i, j] if i != j else diagonal[i]) << shift
-                    for i, shift in zip(indices, shifts)) for j in indices]
-    columns += [targets[i] << shift for i, shift in zip(indices, shifts)]
-    kernel = gf2.column_kernel(columns)
-    group = gf2.Subspace(lattice.ncols, [v & (1 << lattice.ncols) - 1 for v in kernel])
+    # B_i0 over the unknowns J'_j, then e_j; in the stacked map it is added
+    # to every block, as x*ones (ones holds bit 0 of each block)
+    first = [table[i0, j] if j != i0 else diagonal[i0] for j in indices]
+    first += [targets[i0]] + [0] * len(rest)
+    columns = [sum((table[k, j] if k != j else diagonal[k]) << shift
+                   for k, shift in zip(rest, shifts)) ^ r * ones
+               for j, r in zip(indices, first)]
+    columns += [targets[i0] * ones] + [targets[k] << shift for k, shift in zip(rest, shifts)]
+    poly_bits = (1 << len(indices)) - 1
+    group = gf2.Subspace(lattice.ncols, [gf2.combine(first, x) | (x & poly_bits) << width
+                                         for x in gf2.column_kernel(columns)])
     low = (1 << width) - 1
     for vec in group.basis:
         poly = lattice.poly(vec)

@@ -260,7 +260,24 @@ def build_suitable(
 def _approximation_data(
     spec: SurfaceSpec, p_t: PartialAdelicPoint
 ) -> Tuple[int, int, int]:
-    """CRT data (tau0, M, D) so that t0 = (tau0 + M*n)/D approximates every t_v."""
+    """CRT data (tau0, M, D) so that every t0 = (tau0 + M*n)/D agrees with
+    each finite t_v to k_v digits, val_v(t0 - t_v) >= k_v, and so keeps
+    val_v(p_i(t0)) and the square class [p_i(t0)]_v of p_i(t_v).
+
+    Why k_v digits suffice: p_i(t0) = p_i(t_v)*(1 + x) with
+    x = c_i*(t0 - t_v)/p_i(t_v), so val_v(x) >= k_v + val_v(c_i) -
+    val_v(p_i(t_v)).  A unit 1 + x is a square in Q_p once val_p(x) >= 1
+    at an odd p and val_p(x) >= 3 at 2 (Serre, A Course in Arithmetic,
+    Ch. II Sec. 3.3, Theorems 3 and 4).  So k_v = m_v + delta_p, with
+    delta_p = 1 at an odd p and 3 at 2, and m_v the largest
+    val_v(p_i(t_v)) + max(0, -val_v(c_i)).  The valuation is signed: t_v
+    or d_i may have p in the denominator at a place of S0.  A c_i with p
+    in its denominator asks for that many digits more.  The bound is tight
+    when p divides no c_i: one digit fewer lets x be any unit at an odd p
+    (1 + x a non-square, or of higher valuation) and 4 times a unit at 2
+    (1 + x = 5 mod 8).  k_v is at least -e_v, e_v the number of p's in the
+    denominator of t_v, so that D*t_v is taken modulo an integer.
+    """
     congruences = []
     denominator = 1
     s0_primes = set(spec.s0_finite_primes)
@@ -269,11 +286,12 @@ def _approximation_data(
             continue
         t_v = p_t.entries[v].t
         p = v.p
-        m_v = max(0, *(val for val, _ in p_t.local_data[v].values()))
+        m_v = max(val + max(0, -valuation(spec.coeffs(i)[0], p))
+                  for i, (val, _) in p_t.local_data[v].items())
         e_v = max(0, -valuation(t_v, p)) if t_v != 0 else 0
         if e_v and p not in s0_primes:
             raise DescentAnomaly(f"non-integral t_v at {v} outside S0")
-        k_v = m_v + 3 + (3 if p == 2 else 0)
+        k_v = max(m_v + (3 if p == 2 else 1), -e_v)
         denominator *= p**e_v
         congruences.append((v, k_v, e_v))
     # t_v * D is p-integral at v: D holds the denominator of t_v at p

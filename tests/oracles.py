@@ -602,6 +602,33 @@ def find_admissible_reference(spec, p_t, bounds, reject=()):
                 return point.t0, point.witnesses, checked
 
 
+def same_valuation_and_class_bruteforce(x, y, p: int) -> bool:
+    """x and y nonzero with one p-adic valuation and x/y a square in Q_p.
+
+    The valuations come from dividing by p; the unit x/y is a square when
+    it is one modulo p^2, or modulo 16 at 2, which is checked against every
+    square of that ring.
+    """
+    x, y = Fraction(x), Fraction(y)
+    if x == 0 or y == 0:
+        return False
+
+    def val(z: Fraction) -> int:
+        num, den, k = z.numerator, z.denominator, 0
+        while num % p == 0:
+            num, k = num // p, k + 1
+        while den % p == 0:
+            den, k = den // p, k - 1
+        return k
+
+    if val(x) != val(y):
+        return False
+    ratio = x / y
+    pk = 16 if p == 2 else p * p
+    unit = ratio.numerator * pow(ratio.denominator, -1, pk) % pk
+    return any(z * z % pk == unit for z in range(pk))
+
+
 def uniformizer_t_reference(spec, i: int, w: int) -> int:
     """The least t_w = root + w*shift, shift in [0, w), with val_w(p_i(t_w))
     exactly 1, root the residue of -d_i/c_i mod w; p_i(t_w) as a Fraction."""

@@ -337,10 +337,11 @@ def test_condition_d_reads_no_fiber_value_and_forms_each_cross_resultant_once(mo
 
 
 def test_self_checks_catch_a_wrong_kernel(monkeypatch, running_spec):
-    # a kernel holding the bare class [2] ([2] is not in G_D) fails the
-    # generator re-check; an empty kernel loses the target generators
-    monkeypatch.setattr(gf2, "column_kernel", lambda columns: [0b10])
-    with pytest.raises(AssertionError, match=r"kernel generator \[2\] is outside"):
+    # a kernel over the unknowns (J', e) holding e_1 alone, which gives the
+    # bare class c = t_1 = [3] ([3] is not in G_D), fails the generator
+    # re-check; an empty kernel loses the target generators
+    monkeypatch.setattr(gf2, "column_kernel", lambda columns: [0b100])
+    with pytest.raises(AssertionError, match=r"kernel generator \[3\] is outside"):
         check_condition_d(running_spec)
     monkeypatch.setattr(gf2, "column_kernel", lambda columns: [])
     with pytest.raises(AssertionError, match="missing from G_D"):

@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from torusdescent.selmer import relative_fiber, relative_selmer
 from torusdescent.surface import (
     LocalPoint,
     PartialAdelicPoint,
+    SpecValidationError,
     make_spec,
 )
 
@@ -46,6 +48,7 @@ from fixtures import (
 from oracles import (
     admissible_candidate_reference,
     compute_s,
+    factor_value_reference,
     factor_values_reference,
     fiber_coeffs_reference,
     find_admissible_reference,
@@ -55,6 +58,7 @@ from oracles import (
     local_square_class,
     obstruction_sum_reference,
     pick_elements_reference,
+    same_valuation_and_class_bruteforce,
     selmer_elements,
     suitability_reference,
     uniformizer_t_reference,
@@ -374,7 +378,7 @@ def _should_strike(spec, t_primes, t0):
     index=st.integers(0, len(ALL_FAMILY) - 1),
     start=st.integers(-3000, 3000),
 )
-@example(index=7, start=-12)  # n = -1: the leftovers are 11 and 23
+@example(index=7, start=-12)  # n = -1: the leftovers are 3 and 7
 def test_sieve_strikes_only_candidates_try_admissible_rejects(index, start):
     # the integer candidate test gives the witnesses of the Fraction test,
     # and every candidate a sieving prime strikes has none
@@ -388,11 +392,12 @@ def test_sieve_strikes_only_candidates_try_admissible_rejects(index, start):
 
 
 def test_sieve_keeps_a_leftover_equal_to_a_sieving_prime():
-    # family member 7 is admissible at n = -1 with witness primes 11 and 23
+    # family member 7 is admissible at n = -1 with witness primes 3 and 7,
+    # both sieving primes outside T
     spec, p_t, t_primes, (tau0, modulus, denominator), witnesses = _progression(7)
     t0 = Fraction(tau0 - modulus, denominator)
-    assert _leftovers(spec, t_primes, t0) == [11, 23]
-    assert witnesses(-1) == [(1, Place.finite(11)), (2, Place.finite(23))]
+    assert _leftovers(spec, t_primes, t0) == [3, 7]
+    assert witnesses(-1) == [(1, Place.finite(3)), (2, Place.finite(7))]
     assert find_admissible(spec, p_t, DescentBounds()).point.t0 == t0
 
 
@@ -406,6 +411,68 @@ def test_denominator_outside_t_is_an_anomaly():
     # with the place 3 the denominator is T-smooth and the test is built
     with_3 = p_t.with_entry(Place.finite(3), LocalPoint.make(1, 0, 6, 10))
     _candidate_test(spec, *_approximation_data(spec, with_3), [3])
+
+
+def _digits(spec, t_v, p):
+    """The progression (tau0, M, D) of the point whose only place is p, at
+    t_v, and k with M/D = p^k: its values agree with t_v to k digits."""
+    p_t = PartialAdelicPoint(spec, {Place.finite(p): LocalPoint.make(0, 0, t_v, 0)})
+    tau0, modulus, denominator = _approximation_data(spec, p_t)
+    return tau0, modulus, denominator, valuation(Fraction(modulus, denominator), p)
+
+
+def _keeps_classes(spec, t_v, t0, p):
+    return all(same_valuation_and_class_bruteforce(factor_value_reference(spec, i, t0),
+                                                   factor_value_reference(spec, i, t_v), p)
+               for i in spec.indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
+def test_approximation_keeps_every_valuation_and_square_class(data, p):
+    # c_i, d_i and t_v may have p in the denominator (p is in S0)
+    p_rational = st.builds(lambda num, e: Fraction(num, p**e),
+                           st.integers(-40, 40), st.integers(0, 2))
+    factors = {}
+    for i in range(1, data.draw(st.integers(1, 3)) + 1):
+        c, d = data.draw(p_rational.filter(bool)), data.draw(p_rational)
+        g = math.gcd(c.numerator, d.numerator)  # no common prime outside S0
+        factors[i] = (c / g, d / g)
+    try:
+        spec = make_spec([p], 1, 1, factors, [1])
+    except SpecValidationError:
+        assume(False)
+    t_v = data.draw(p_rational)
+    assume(all(factor_value_reference(spec, i, t_v) for i in spec.indices))
+    tau0, modulus, denominator, k = _digits(spec, t_v, p)
+    units = st.builds(Fraction, st.integers(-10**6, 10**6),
+                      st.integers(1, 60).filter(lambda q: q % p))
+    agreeing = [Fraction(tau0 + modulus * n, denominator) for n in range(-4, 5)]
+    agreeing += [t_v + Fraction(p) ** k * x for x in data.draw(st.lists(units, max_size=8))]
+    for t0 in agreeing:
+        assert t0 == t_v or valuation(t0 - t_v, p) >= k
+        assert _keeps_classes(spec, t_v, t0, p), t0
+    # with p dividing no c_i, one digit fewer changes a class, unless k is
+    # only the floor -e that keeps D*t_v integral
+    e = max(0, -valuation(t_v, p)) if t_v else 0
+    if all(valuation(c, p) <= 0 for _, (c, _) in spec.factors) and k > -e:
+        assert any(not _keeps_classes(spec, t_v, t_v + Fraction(p) ** (k - 1) * s, p)
+                   for s in range(1, p))
+
+
+@pytest.mark.parametrize("p, factor, t_v, k", [
+    # p_1 = t/3 + 1 at t_v = 0: val 0, one digit for the 3 in c_1's denominator
+    (3, (Fraction(1, 3), 1), Fraction(0), 2),
+    # p_1 = t + 1 at t_v = 1/2: p_1(t_v) = 3/2 has val -1, so 2 digits at 2
+    (2, (1, 1), Fraction(1, 2), 2),
+])
+def test_approximation_digits_are_the_least_that_keep_the_classes(p, factor, t_v, k):
+    spec = make_spec([p], 1, 1, {1: factor}, [1])
+    assert _digits(spec, t_v, p)[3] == k
+    assert _keeps_classes(spec, t_v, t_v + p**k, p)
+    # one digit fewer: t/3 + 1 is 2 at t0 = 3, a non-square at 3, and
+    # t + 1 is 7/2 at t0 = 5/2, and 7/3 = 5 mod 8 is a non-square at 2
+    assert not _keeps_classes(spec, t_v, t_v + p ** (k - 1), p)
 
 
 @pytest.mark.parametrize("index", range(len(ALL_FAMILY)))
@@ -467,15 +534,15 @@ def test_find_admissible_matches_reference_scan(index, offsets, reject_hit):
 
 def test_admissible_scan_reaches_a_far_real_chamber():
     # p_1 = t - 1000001 and p_2 = 1262145 - t: the real chamber
-    # (1000001, 1262145) holds the progression indices 15625..19720 only
+    # (1000001, 1262145) holds the progression indices 125000..157767 only
     spec = make_spec([2], 1, 1, {1: (1, -1000001), 2: (-1, 1262145)}, [1])
     p_t = PartialAdelicPoint(
         spec, {v: LocalPoint.make(1, 0, 1131074, 10) for v in compute_s(spec)}
     )
     assert p_t.validate() == []
     search = find_admissible(spec, p_t, DescentBounds())
-    assert (search.point.t0, search.candidates_checked) == (1000258, 5)
-    assert search.point.witnesses == ((1, Place.finite(257)), (2, Place.finite(261887)))
+    assert (search.point.t0, search.candidates_checked) == (1000018, 3)
+    assert search.point.witnesses == ((1, Place.finite(17)), (2, Place.finite(262127)))
     reference = find_admissible_reference(spec, p_t, DescentBounds())
     assert reference == (search.point.t0, search.point.witnesses, search.candidates_checked)
 

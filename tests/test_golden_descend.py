@@ -25,9 +25,9 @@ import pytest
 
 from torusdescent import descent
 from torusdescent.cli import certificate_json
-from torusdescent.arith import REAL
+from torusdescent.arith import REAL, Place
 from torusdescent.descent import DescentBounds, DescentError, check_hypotheses, descend
-from torusdescent.surface import LocalPoint, PartialAdelicPoint
+from torusdescent.surface import LocalPoint, PartialAdelicPoint, make_spec
 
 from fixtures import ALL_FAMILY, family_point
 from test_pipeline_fuzz import _candidate_point, _random_spec
@@ -77,6 +77,13 @@ EXHAUSTION_CASES = (
     "fuzz-1741/prime_scan=2",
     "fuzz-2515/prime_scan=2",
 )
+# a `cli-mix` benchmark spec (seed 13) at the benchmark's descend bounds:
+# its first admissible point is candidate 70, so the benchmark's admissible
+# bound 60 exhausts the scan and 200 decides it
+CLI_MIX_CASES = (
+    "cli-mix-13/admissible_candidates=60",
+    "cli-mix-13/admissible_candidates=200",
+)
 
 CASES = (
     [f"family-{k:02d}/solve={solve}" for k in range(len(ALL_FAMILY)) for solve in (1, 0)]
@@ -84,6 +91,7 @@ CASES = (
     + [f"fuzz-{seed}/{variant}" for seed, variant in VARIANT_CASES]
     + [f"fuzz-{seed}" for seed in SD_WITNESS_SEEDS]
     + list(EXHAUSTION_CASES)
+    + list(CLI_MIX_CASES)
 )
 
 
@@ -124,15 +132,31 @@ def _fuzz_input(seed, variant=None):
         return spec, point, bounds
 
 
+def _cli_mix_input():
+    """The `cli-mix` case: S0 = {real}; a = 2; b = -3; p_1 = t - 3,
+    p_2 = 2t + 3 and p_3 = t + 3 with partA {1, 2}; the point (1, 1) at
+    t = 4 at the real place, 2 and 3; the descend bounds of
+    perfbench/inputs.py."""
+    spec = make_spec([], 2, -3, {1: (1, -3), 2: (2, 3), 3: (1, 3)}, [1, 2])
+    point = PartialAdelicPoint(
+        spec, {v: LocalPoint.make(1, 1, 4, 12) for v in (REAL, Place.finite(2), Place.finite(3))}
+    )
+    return spec, point, DescentBounds(height=20, admissible_candidates=60, prime_scan=2000,
+                                      max_steps=6)
+
+
 def case_input(name):
-    """(spec, point, bounds) of the case: its family member or fuzz seed, the
-    variant, fiber solving ("solve=") and any bound overridden by "bound=value"."""
+    """(spec, point, bounds) of the case: its family member, fuzz seed or
+    `cli-mix` spec, the variant, fiber solving ("solve=") and any bound
+    overridden by "bound=value"."""
     head, *parts = name.split("/")
     settings = dict(part.split("=") for part in parts if "=" in part)
     variant = next((part for part in parts if "=" not in part), None)
     if head.startswith("family-"):
         spec, point, _ = family_point(int(head[len("family-"):]))
         bounds = DescentBounds(solve_each_fiber=settings.pop("solve") == "1")
+    elif head == "cli-mix-13":
+        spec, point, bounds = _cli_mix_input()
     else:
         spec, point, bounds = _fuzz_input(int(head[len("fuzz-"):]), variant)
     bounds = dataclasses.replace(bounds, **{key: int(value) for key, value in settings.items()})
