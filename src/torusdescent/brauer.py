@@ -64,7 +64,4 @@ def obstruction_sum(spec: SurfaceSpec, point: PartialAdelicPoint, i: int) -> int
     there the invariant vanishes on any v-integral point, so the finite sum
     is the full adelic sum.
     """
-    total = 0
-    for v in point.places:
-        total ^= invariant(spec, i, point.local_data[v][i][1], v)
-    return total
+    return sum(invariant(spec, i, point.rows[v].factors[i][1], v) for v in point.places) % 2

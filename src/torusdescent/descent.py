@@ -67,6 +67,7 @@ from .selmer import (
 )
 from .surface import (
     AdmissiblePoint,
+    FiberSpec,
     LocalPoint,
     PartialAdelicPoint,
     SurfaceSpec,
@@ -174,16 +175,14 @@ def suitability(
     for v in point.places:
         if v.is_real or v in spec.s0:
             continue
-        val = valuation(spec.d, v.p) + point.p_j_class(v)[0]
+        val = point.rows[v].torus[0]
         if val > 1:
             violations.append(("valuation_bound", f"val_{v}(d*p_J(t_v)) = {val} > 1"))
         if v.p == 2 and val != 1:
             violations.append(
                 ("valuation_at_2", f"val_2(d*p_J(t_2)) = {val} != 1 with 2 outside S0")
             )
-    split_place = next(
-        (v for v in spec.s0 if point.p_j_class(v)[1] == local_mask(-spec.d, v)), None
-    )
+    split_place = next((v for v in spec.s0 if point.rows[v].torus[1] == 0), None)
     if split_place is None:
         violations.append(
             ("split_place", "-d*p_J(t_v) is a nonzero square at no supplied place of S0")
@@ -238,16 +237,15 @@ def build_suitable(
 ) -> PartialAdelicPoint:
     """Restrict a point that passed check_hypotheses to T = S0 + S_bad.
 
-    A point with no place outside T is returned itself, with the local_data
-    that check_hypotheses built.  Dropping a place changes the Brauer sums,
-    so a restriction that drops one is verified again.
+    A point with no place outside T is returned itself.  A restriction
+    shares the rows of the places it keeps, but dropping a place changes
+    the Brauer sums, so a restriction that drops one is verified again.
     """
     t_places = _working_places(spec, ())
     if set(point.entries) <= t_places:
         return point
-    p_t = PartialAdelicPoint(
-        spec, {v: pt for v, pt in point.entries.items() if v in t_places}
-    )
+    p_t = PartialAdelicPoint(spec, {v: pt for v, pt in point.entries.items() if v in t_places},
+                             point.rows)
     _require_suitable(spec, p_t, (), "suitability failed")
     return p_t
 
@@ -456,16 +454,16 @@ def _try_admissible(
             if local_mask(values[i], v) != mask:
                 raise DescentAnomaly(f"approximation lost [p_{i}(t)]_{v}")
     # local solubility of the fiber everywhere
-    fib = fiber(spec, t0)
-    if fib.aA <= 0 and fib.bB <= 0:
+    aA, bB = spec.fiber_coeffs_of(values)
+    if aA <= 0 and bB <= 0:
         return None
     for v in p_t.places:
         if v.is_real:
             continue
         if v in spec.s0:  # over Q_v: the test local_solubility(..., "rational") makes
-            if hilbert_symbol(fib.aA, fib.bB, v) != 0:
+            if hilbert_symbol(aA, bB, v) != 0:
                 return None
-        elif local_solubility(fib.aA, fib.bB, v, "integral").status != "soluble":
+        elif local_solubility(aA, bB, v, "integral").status != "soluble":
             return None
     # reciprocity certificate at each witness place
     for i, u in witnesses:
@@ -480,8 +478,7 @@ def _try_admissible(
         # criterion then certifies an integral point on the fiber there
         if good_place_solubility(spec, u, values).status != "soluble":
             raise DescentAnomaly(f"fiber insoluble at the witness place {u}")
-    return AdmissiblePoint(fiber=fib, values=values, witnesses=tuple(witnesses),
-                           places=p_t.places)
+    return AdmissiblePoint(FiberSpec(t0, aA, bB, -aA * bB), values, tuple(witnesses), p_t.places)
 
 
 # ---------------------------------------------------------------------------

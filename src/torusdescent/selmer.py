@@ -31,7 +31,6 @@ from .arith import (
     is_local_square,
     local_dim,
     local_mask,
-    valuation,
 )
 from .conditiond import GElement, Lattice
 from .surface import AdmissiblePoint, PartialAdelicPoint, SurfaceSpec
@@ -198,14 +197,8 @@ def t0_place_split(
     spec: SurfaceSpec, p_t: PartialAdelicPoint
 ) -> Tuple[List[Place], List[Place]]:
     """Split T into T0 (S0 places and places with val_v(d p_J(t_v)) = 1) and the rest."""
-    t0_places: List[Place] = []
-    rest: List[Place] = []
-    for v in p_t.places:
-        if v in spec.s0 or valuation(spec.d, v.p) + p_t.p_j_class(v)[0] == 1:
-            t0_places.append(v)
-        else:
-            rest.append(v)
-    return t0_places, rest
+    t0_places = [v for v in p_t.places if v in spec.s0 or p_t.rows[v].torus[0] == 1]
+    return t0_places, [v for v in p_t.places if v not in t0_places]
 
 
 @dataclass(frozen=True)

@@ -5,23 +5,22 @@ partition), derived place sets, fibers, local points, and the line-oriented
 spec-file format.  `SurfaceSpec.forms` holds each factor p_i as integers
 (C_i, D_i, L_i), p_i(t) = (C_i*t + D_i)/L_i: factor_value, product_value
 and fiber_coeffs multiply them out on ints and build one Fraction per value
-returned.  `fiber_coeffs`, read off `forms`, is the one spelling of the conic
-coefficients (a*p_A(t), b*p_B(t)) above t: fibers, point residuals (over one
-common integer denominator), d*p_J(t) (their product) and the per-spec
-Brauer constants are read off it.  Each point is evaluated once: a partial
-adelic point keeps one table of local data, read by every check, and an
-admissible point keeps the p_i(t0) and the fiber that the admissible scan
-computed, read by every later step of the descent.
+returned.  The conic coefficients (a*p_A(t), b*p_B(t)) above t are
+fiber_coeffs(t), or fiber_coeffs_of(values) for p_i(t) at hand; fibers,
+point residuals, d*p_J(t) and the Brauer constants are read off them.  Each
+point is evaluated once: a partial adelic point keeps one row per place,
+made with its entry, and an admissible point keeps the p_i(t0) and the
+fiber made from them, read by every later step of the descent.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import (
     _MR_LIMIT,
@@ -151,6 +150,17 @@ class SurfaceSpec:
         """
         part_a, part_b = self.partition
         return self.product_value(part_a, t, self.a), self.product_value(part_b, t, self.b)
+
+    def fiber_coeffs_of(self, values: Mapping[int, Fraction]) -> Tuple[Fraction, Fraction]:
+        """fiber_coeffs(t) from values[i] = p_i(t), multiplied out on ints."""
+        def scaled(scale: Fraction, part: Tuple[int, ...]) -> Fraction:
+            num, den = scale.numerator, scale.denominator
+            for x in map(values.__getitem__, part):
+                num, den = num * x.numerator, den * x.denominator
+            return Fraction(num, den)
+
+        part_a, part_b = self.partition
+        return scaled(self.a, part_a), scaled(self.b, part_b)
 
     def is_s0_integer(self, x: Rational) -> bool:
         return strip_primes(Fraction(x).denominator, self.s0_finite_primes) == 1
@@ -409,7 +419,39 @@ class LocalPoint:
         return LocalPoint(Fraction(x), Fraction(y), Fraction(t), precision)
 
 
-@dataclass
+class PlaceRow(NamedTuple):
+    """What the checks read of place v, from one evaluation of the p_i(t_v):
+    i -> (val_v, local mask) of p_i(t_v) (val 0 at real), those of
+    -d*p_J(t_v), both None where it is 0, and what `validate` reports."""
+
+    factors: Optional[Dict[int, Tuple[int, int]]]
+    torus: Optional[Tuple[int, int]]
+    problems: Tuple[str, ...]
+
+
+def _place_row(spec: SurfaceSpec, v: Place, pt: LocalPoint) -> PlaceRow:
+    values = {i: spec.factor_value(i, pt.t) for i in spec.indices}
+    aA, bB = spec.fiber_coeffs_of(values)
+    if not aA or not bB:
+        return PlaceRow(None, None, (f"{v}: d*p_J(t_v) = 0",))
+    problems = []
+    if v.is_real and aA <= 0 and bB <= 0:
+        problems.append(f"real: fiber at t = {pt.t} has no real points")
+    residual = 0 if v.is_real else _residual(aA, bB, pt.x, pt.y)
+    if residual != 0 and valuation(residual, v.p) < pt.precision:
+        problems.append(f"{v}: residual {residual} below stated precision {pt.precision}")
+    if v.is_finite and v not in spec.s0:
+        problems += [f"{v}: coordinate {name} is not v-integral"
+                     for name, x in (("x", pt.x), ("y", pt.y), ("t", pt.t))
+                     if x != 0 and valuation(x, v.p) < 0]
+    factors = {i: (0 if v.is_real else valuation(x, v.p), local_mask(x, v))
+               for i, x in values.items()}
+    val, mask = 0 if v.is_real else valuation(spec.d, v.p), local_mask(-spec.d, v)
+    for val_i, mask_i in factors.values():
+        val, mask = val + val_i, mask ^ mask_i
+    return PlaceRow(factors, (val, mask), tuple(problems))
+
+
 class PartialAdelicPoint:
     """Local points indexed by an ordered finite set of places T.
 
@@ -418,60 +460,30 @@ class PartialAdelicPoint:
     v-adic residual bound is required; at the real place the fiber above
     t_v must be soluble over R.
 
-    Nothing mutates `entries` after construction (`with_entry` copies), so
-    `local_data` is computed from them once, at first use.
+    Each entry is evaluated once, when it is made, into rows[v]; `rows` hands
+    over another point's rows of the same entries, to share.  places is T.
     """
 
-    spec: SurfaceSpec
-    entries: Dict[Place, LocalPoint] = field(default_factory=dict)
-
-    @property
-    def places(self) -> Tuple[Place, ...]:
-        return tuple(sorted(self.entries))
+    def __init__(self, spec: SurfaceSpec, entries: Mapping[Place, LocalPoint],
+                 rows: Optional[Mapping[Place, PlaceRow]] = None):
+        self.spec, self.entries, rows = spec, dict(entries), rows or {}
+        self.places = tuple(sorted(self.entries))
+        self.rows = {v: rows[v] if v in rows else _place_row(spec, v, self.entries[v])
+                     for v in self.places}
 
     @cached_property
     def local_data(self) -> Dict[Place, Dict[int, Tuple[int, int]]]:
-        """v -> {i: (val_v(p_i(t_v)), local_mask(p_i(t_v), v))}, val 0 at real."""
-        table = {}
-        for v, pt in self.entries.items():
-            values = {i: self.spec.factor_value(i, pt.t) for i in self.spec.indices}
-            table[v] = {i: (0 if v.is_real else valuation(x, v.p), local_mask(x, v))
-                        for i, x in values.items()}
-        return table
-
-    def p_j_class(self, v: Place) -> Tuple[int, int]:
-        """(val_v, local_mask at v) of p_J(t_v): the sums of local_data[v]."""
-        val = mask = 0
-        for val_i, mask_i in self.local_data[v].values():
-            val, mask = val + val_i, mask ^ mask_i
-        return val, mask
+        """v -> rows[v].factors; a ValueError when d*p_J(t_v) = 0 at some v."""
+        if any(row.factors is None for row in self.rows.values()):
+            raise ValueError("d*p_J(t_v) = 0 at a place: no local data")
+        return {v: row.factors for v, row in self.rows.items()}
 
     def with_entry(self, v: Place, point: LocalPoint) -> "PartialAdelicPoint":
-        new = dict(self.entries)
-        new[v] = point
-        return PartialAdelicPoint(self.spec, new)
+        return PartialAdelicPoint(self.spec, {**self.entries, v: point},
+                                  {w: row for w, row in self.rows.items() if w != v})
 
     def validate(self) -> List[str]:
-        problems = []
-        for v, pt in sorted(self.entries.items()):
-            aA, bB = self.spec.fiber_coeffs(pt.t)
-            if not aA or not bB:
-                problems.append(f"{v}: d*p_J(t_v) = 0")
-                continue
-            if v.is_real:
-                if aA <= 0 and bB <= 0:
-                    problems.append(f"real: fiber at t = {pt.t} has no real points")
-                continue
-            residual = _residual(aA, bB, pt.x, pt.y)
-            if residual != 0 and valuation(residual, v.p) < pt.precision:
-                problems.append(
-                    f"{v}: residual {residual} below stated precision {pt.precision}"
-                )
-            if v not in self.spec.s0:
-                for name, coord in (("x", pt.x), ("y", pt.y), ("t", pt.t)):
-                    if coord != 0 and valuation(coord, v.p) < 0:
-                        problems.append(f"{v}: coordinate {name} is not v-integral")
-        return problems
+        return [problem for v in self.places for problem in self.rows[v].problems]
 
 
 @dataclass(frozen=True)

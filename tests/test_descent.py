@@ -34,6 +34,7 @@ from torusdescent.surface import (
     LocalPoint,
     PartialAdelicPoint,
     SpecValidationError,
+    SurfaceSpec,
     make_spec,
 )
 
@@ -163,6 +164,97 @@ def test_point_table_matches_the_fraction_path(index, data):
     assert ([name for name, _ in violations], split_place) == suitability_reference(spec, p_t)
     for i in spec.indices:
         assert obstruction_sum(spec, p_t, i) == obstruction_sum_reference(spec, p_t, i)
+
+
+def _assert_rows_are_fresh(spec, p_t):
+    """p_t's rows, validate list and verdicts equal those of a point built
+    fresh from its entries, and the Fraction path of the oracles."""
+    fresh = PartialAdelicPoint(spec, p_t.entries)
+    assert p_t.places == fresh.places == tuple(sorted(p_t.entries))
+    assert p_t.rows == fresh.rows
+    assert p_t.validate() == fresh.validate()
+    for v in p_t.places:
+        row = p_t.rows[v]
+        values = {i: factor_value_reference(spec, i, p_t.entries[v].t) for i in spec.indices}
+        torus = -spec.d * math.prod(values.values())
+        if torus == 0:
+            assert (row.factors, row.torus) == (None, None)
+            assert row.problems == (f"{v}: d*p_J(t_v) = 0",)
+            continue
+        assert row.factors == {i: (0 if v.is_real else valuation(x, v.p), local_mask(x, v))
+                               for i, x in values.items()}
+        assert row.torus[0] == (0 if v.is_real else valuation(torus, v.p))
+        assert (row.torus[1] == 0) == is_local_square_closed_form(torus, v)
+    violations, split_place = suitability(spec, p_t)
+    assert (violations, split_place) == suitability(spec, fresh)
+    if p_t.validate() or any(name == "input" for name, _ in violations):
+        return
+    assert ([name for name, _ in violations], split_place) == suitability_reference(spec, p_t)
+    for i in spec.indices:
+        assert obstruction_sum(spec, p_t, i) == obstruction_sum(spec, fresh, i) == \
+            obstruction_sum_reference(spec, p_t, i)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(index=st.integers(0, len(ALL_FAMILY) - 1), data=st.data())
+def test_shared_rows_match_a_point_built_fresh(index, data):
+    # with_entry adds one row and a restriction to T keeps rows: along a
+    # chain of both, every point reads as if built from its entries
+    spec, point, _ = family_point(index)
+    t_places = set(compute_s(spec))
+    extra = [Place.finite(p) for p in (101, 103) if Place.finite(p) not in t_places]
+    dens = [1, *(p**k for p in spec.s0_finite_primes for k in (1, 2))]
+    p_t = point
+    for _ in range(data.draw(st.integers(1, 5))):
+        if data.draw(st.booleans()):
+            v = data.draw(st.sampled_from(sorted(t_places) + extra))
+            t_v = Fraction(data.draw(st.integers(-60, 60)), data.draw(st.sampled_from(dens)))
+            new = p_t.with_entry(v, LocalPoint.make(0, 0, t_v, 0))
+            assert all(new.rows[w] is p_t.rows[w] for w in p_t.places if w != v)
+        else:
+            new = PartialAdelicPoint(
+                spec, {v: pt for v, pt in p_t.entries.items() if v in t_places}, p_t.rows)
+            assert all(new.rows[w] is p_t.rows[w] for w in new.places)
+            try:
+                assert build_suitable(spec, p_t).rows == new.rows
+            except DescentAnomaly:  # the restriction is unsuitable
+                pass
+        p_t = new
+        _assert_rows_are_fresh(spec, p_t)
+
+
+def test_with_entry_evaluates_only_the_new_place(monkeypatch):
+    # the new row costs |J| factor values and no product; validate reads
+    # the rows and evaluates nothing
+    spec, point, (x, y, t) = family_point(0)
+    calls = []
+    for name in ("factor_value", "product_value"):
+        real = getattr(SurfaceSpec, name)
+        monkeypatch.setattr(SurfaceSpec, name,
+                            lambda self, *args, _real=real, _name=name:
+                            calls.append(_name) or _real(self, *args))
+    extra = Place.finite(101)
+    new = point.with_entry(extra, LocalPoint.make(x, y, t, 12))
+    assert calls == ["factor_value"] * len(spec.indices)
+    assert all(new.rows[v] is point.rows[v] for v in point.places)
+    calls.clear()
+    assert new.validate() == [] and point.validate() == []
+    assert calls == []
+
+
+def test_an_entry_at_a_root_of_p_j_is_reported_by_validate():
+    # t = 0 is the root of p_1 = t: building the point raises nothing, the
+    # entry is an input problem, and the local data cannot be read
+    spec = make_spec([], 2, 3, {1: (1, 0), 2: (1, 1)}, [1])
+    point = PartialAdelicPoint(spec, {REAL: LocalPoint.make(1, 0, 0, 4)})
+    assert point.validate() == ["real: d*p_J(t_v) = 0"]
+    three = point.with_entry(Place.finite(3), LocalPoint.make(1, 0, -1, 4))
+    assert three.validate() == ["real: d*p_J(t_v) = 0", "3: d*p_J(t_v) = 0"]
+    for p_t in (point, three):
+        with pytest.raises(ValueError):
+            p_t.local_data
+        violations, split_place = suitability(spec, p_t)
+        assert split_place is None and {name for name, _ in violations} == {"input"}
 
 
 # ---------------------------------------------------------------------------

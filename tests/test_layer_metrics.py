@@ -2,7 +2,8 @@
 
 perfbench/run.py reads each metric off the span of one function; renaming
 or deleting that function would make the metric read 0 without an error.
-The metric list is read with `ast`, so the benchmark is not imported.
+The metric list and perfbench/spans.py's SPEC_METHODS are read with `ast`,
+so the benchmark is not imported.
 """
 
 import ast
@@ -45,3 +46,11 @@ def test_every_layer_metric_names_a_recorded_function():
         if not recorded:
             missing.append(name)
     assert missing == []
+
+
+def test_traced_spec_methods_stay_in_the_class_dict():
+    """The span recorder wraps each method named in SPEC_METHODS by looking
+    it up in SurfaceSpec.__dict__."""
+    spec_class = importlib.import_module("torusdescent.surface").SurfaceSpec
+    for name in _literal("spans.py", "SPEC_METHODS"):
+        assert callable(spec_class.__dict__.get(name)), name

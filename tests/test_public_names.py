@@ -19,7 +19,7 @@ PACKAGE = ROOT / "src" / "torusdescent"
 
 ALLOWED = {
     "serialize_point": "inverse of parse_point_file; a CLI point writer is planned "
-                       "(ROADMAP item 8)",
+                       "(ROADMAP item 9)",
     "Certificate.from_dict": "inverse of as_dict; the planned check-cert subcommand "
                              "reads certificates with it (ROADMAP item 4)",
 }

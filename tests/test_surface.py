@@ -229,13 +229,6 @@ def test_root_masks_running_example(running_spec):
     assert running_spec.root_masks == {(1, 2): 0, (2, 1): 1}
 
 
-def test_traced_spec_methods_stay_in_the_class_dict():
-    """The benchmark's span recorder (SPEC_METHODS in perfbench/spans.py) wraps
-    these methods by looking each one up in SurfaceSpec.__dict__."""
-    for name in ("coeffs", "root", "factor_value", "product_value", "is_s0_integer"):
-        assert callable(SurfaceSpec.__dict__.get(name)), name
-
-
 def test_compute_s_union(running_spec):
     s = compute_s(running_spec, ())
     assert [str(v) for v in s] == ["real", "2", "3"]
