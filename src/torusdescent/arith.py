@@ -351,6 +351,31 @@ def legendre(a: int | Rational, p: int) -> int:
     return 1 if r == 1 else -1
 
 
+def sqrt_mod(c: int, q: int) -> Optional[int]:
+    """A square root of c modulo the odd prime q, or None if c is a
+    non-residue: Tonelli-Shanks (H. Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 1.5.1)."""
+    c %= q
+    if c == 0:
+        return 0
+    if pow(c, (q - 1) // 2, q) != 1:
+        return None
+    s, e = q - 1, 0
+    while s % 2 == 0:
+        s, e = s // 2, e + 1
+    root, b = pow(c, (s + 1) // 2, q), pow(c, s, q)  # root^2 = c*b, b of order 2^m < 2^e
+    z = next(n for n in itertools.count(2) if pow(n, (q - 1) // 2, q) == q - 1)
+    y = pow(z, s, q)  # of order exactly 2^e
+    while b != 1:
+        m, t = 0, b
+        while t != 1:
+            t, m = t * t % q, m + 1
+        t = pow(y, 1 << (e - m - 1), q)
+        y, e = t * t % q, m
+        root, b = root * t % q, b * y % q
+    return root
+
+
 # ---------------------------------------------------------------------------
 # Local square classes
 # ---------------------------------------------------------------------------

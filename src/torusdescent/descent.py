@@ -71,7 +71,6 @@ from .surface import (
     LocalPoint,
     PartialAdelicPoint,
     SurfaceSpec,
-    fiber,
     spec_hash,
 )
 
@@ -591,9 +590,8 @@ def _local_point_above(spec: SurfaceSpec, w: Place, t_w: int, i: int) -> LocalPo
     an axis point (x, 0) or (0, y) exists; solving the one-variable equation
     keeps the residue search linear in w.
     """
-    fib = fiber(spec, t_w)
-    axis = 1 if i in spec.part_a else 0
-    coeff = fib.bB if axis else fib.aA
+    axis = 1 if i in spec.part_a else 0  # the coefficient solved for is bB, else aA
+    coeff = spec.product_value(spec.partition[axis], t_w, spec.b if axis else spec.a)
     result = hensel_solve((coeff,), -1, w.p, _LOCAL_POINT_PRECISION, node_limit=2_000_000)
     if result.status != "witness":
         raise DescentAnomaly(f"fiber above t = {t_w} not certifiably soluble at {w}")

@@ -10,6 +10,8 @@ from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from .arith import (
+    _MR_LIMIT,
+    _SMALL_PRIMES,
     REAL,
     HenselResult,
     Place,
@@ -17,6 +19,8 @@ from .arith import (
     hensel_solve,
     hilbert_symbol,
     is_local_square,
+    is_prime,
+    sqrt_mod,
     strip_primes,
     valuation,
 )
@@ -219,6 +223,48 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
+# a scan longer than this steps through two residue classes of a prime
+_CLASS_SCAN_MIN = 32
+_SMALL_PRIME_PRODUCT = math.prod(_SMALL_PRIMES)
+
+
+def _root_range(C: int, D: int, target: int, height_bound: int) -> range:
+    """The k in [0, h] with C*k^2 = target - D*j^2 for a real j in [0, h],
+    h = height_bound."""
+    ends = (target, target - D * height_bound * height_bound)
+    # lo <= |C|*k^2 <= hi, with the sign of C folded into the ends
+    lo, hi = (min(ends), max(ends)) if C > 0 else (-max(ends), -min(ends))
+    sq_lo, sq_hi = -(-lo // abs(C)), hi // abs(C)  # bounds on k^2
+    if sq_hi < 0:
+        return range(0)
+    k_lo = math.isqrt(sq_lo - 1) + 1 if sq_lo > 0 else 0
+    return range(k_lo, min(math.isqrt(sq_hi), height_bound) + 1)
+
+
+def _class_root(
+    C: int, D: int, L: int, s0_primes: Sequence[int]
+) -> Optional[Tuple[int, Optional[int]]]:
+    """(q, r): q an odd prime outside S0 dividing D but not C*L, r^2 = L/C
+    mod q, r None for a non-residue; None without such a q.  q is the
+    cofactor of D after one gcd with the primes below 1000 if is_prime
+    proves it prime, else the largest such small prime."""
+    small = math.gcd(D, _SMALL_PRIME_PRODUCT)
+    usable = lambda q: q % 2 == 1 and (C * L) % q != 0 and q not in s0_primes
+    q = abs(D) // small
+    if not (usable(q) and q < _MR_LIMIT and is_prime(q)):
+        q = None
+        for p in _SMALL_PRIMES:  # small is square-free: divide its primes out
+            if small == 1:
+                break
+            if small % p == 0:
+                small //= p
+                if usable(p):
+                    q = p
+        if q is None:
+            return None
+    return q, sqrt_mod(L * pow(C, -1, q), q)
+
+
 def solve_global(
     aA: Rational,
     bB: Rational,
@@ -233,13 +279,24 @@ def solve_global(
     re-verifies exactly.  Absence within the bound is the legitimate
     "not found" outcome, distinct from insolubility.
 
-    With A, B the coefficients scaled to integers, x = m/u, y = n/u solves
-    the conic iff A*m^2 + B*n^2 = target (target = lcm_den*u^2), and
-    0 <= n^2 <= h^2 puts A*m^2 between target and target - B*h^2.  That
-    interval gives an exact range [m_lo, m_hi] of m >= 0 (integer ceiling
-    division and isqrt, no floats); only those m are scanned, ascending, so
-    the canonical order and the result are those of the scan over all
-    0 <= m <= h.
+    With A, B the coefficients scaled to integers by L, x = m/u, y = n/u
+    solves the conic iff A*m^2 + B*n^2 = L*u^2.  For each u, _root_range
+    gives the exact range of m and of n (integer ceiling division and
+    isqrt, no floats), and the shorter is scanned in the direction of
+    growing m: m^2 = (L*u^2 - B*n^2)/A grows with n iff A and B differ in
+    sign.  The least m found is kept, so the result is that of the scan
+    over all 0 <= m <= h.
+
+    A range longer than _CLASS_SCAN_MIN, say of m, is scanned in two
+    residue classes, each to its first solution.  With q an odd prime
+    outside S0 dividing B but not A*L (_class_root), A*m^2 = L*u^2 mod q
+    and u is a unit mod q, so every solution has m = +-u*r mod q with
+    r^2 = L/A: both classes are nonzero, as q divides neither L*u^2 nor A.
+    If L/A is a non-residue mod q, no S0-supported u has a solution, and
+    the search ends; the axis checks have run before.  Every descent fiber
+    has such a q: a p_i(t0) is a T-unit times its witness prime u_i, and
+    the admissible point's reciprocity certificate makes the other
+    coefficient a square mod u_i.
     """
     aA, bB = Fraction(aA), Fraction(bB)
     if aA * bB == 0:
@@ -249,28 +306,39 @@ def solve_global(
         if root is not None and strip_primes(root.denominator, s0_primes) == 1:
             if root.numerator <= height_bound and root.denominator <= height_bound:
                 return (root, Fraction(0)) if axis == 0 else (Fraction(0), root)
-    lcm_den = math.lcm(aA.denominator, bB.denominator)
-    A = int(aA * lcm_den)
-    B = int(bB * lcm_den)
+    L = math.lcm(aA.denominator, bB.denominator)
+    A = aA.numerator * (L // aA.denominator)
+    B = bB.numerator * (L // bB.denominator)
+    classes = {}  # swap -> _class_root of the scanned coefficient, found at most once
     for u in _denominators(s0_primes, height_bound):
-        target = lcm_den * u * u
-        ends = (target, target - B * height_bound * height_bound)
-        # lo <= |A|*m^2 <= hi, with the signs of A folded into the ends
-        lo, hi = (min(ends), max(ends)) if A > 0 else (-max(ends), -min(ends))
-        sq_lo, sq_hi = -(-lo // abs(A)), hi // abs(A)  # bounds on m^2
-        if sq_hi < 0:
-            continue
-        m_lo = math.isqrt(sq_lo - 1) + 1 if sq_lo > 0 else 0
-        for m in range(m_lo, min(math.isqrt(sq_hi), height_bound) + 1):
-            rest = target - A * m * m
-            if rest % B != 0:
-                continue
-            square = rest // B
-            if square < 0:
-                continue
-            n = math.isqrt(square)
-            if n * n != square or n > height_bound:
-                continue
+        target = L * u * u
+        ms, ns = _root_range(A, B, target, height_bound), _root_range(B, A, target, height_bound)
+        swap = len(ns) < len(ms)
+        C, D, ks = (B, A, ns) if swap else (A, B, ms)
+        scans = [ks]
+        if len(ks) > _CLASS_SCAN_MIN:
+            if swap not in classes:
+                classes[swap] = _class_root(C, D, L, s0_primes)
+            if classes[swap] is not None:
+                q, r = classes[swap]
+                if r is None:
+                    return None
+                scans = [range(ks.start + (c - ks.start) % q, ks.stop, q)
+                         for c in (u * r % q, -u * r % q)]
+        found = []
+        for scan in scans:
+            for k in (scan[::-1] if swap and (A > 0) == (B > 0) else scan):
+                rest = target - C * k * k
+                if rest % D != 0:
+                    continue
+                square = rest // D
+                if square < 0:
+                    continue
+                j = math.isqrt(square)
+                if j * j == square and j <= height_bound:
+                    found.append((j, k) if swap else (k, j))
+                    break
+        for m, n in sorted(found):
             for sm, sn in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 x = Fraction(sm * m, u)
                 y = Fraction(sn * n, u)

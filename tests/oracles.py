@@ -497,8 +497,9 @@ def fiber_point_bruteforce(spec, t, height: int):
 def solve_global_fullscan(aA, bB, s0_primes, height_bound: int):
     """solve_global as a scan over every 0 <= m <= height_bound per denominator.
 
-    The reference for the bounded m-range of solve_global: same canonical
-    order, same re-verification, no interval argument.
+    The reference for solve_global's scan of the shorter of the m- and
+    n-ranges, through two residue classes when it is long: same canonical
+    order, same re-verification, no interval argument, no residue classes.
     """
     import math
 

@@ -242,6 +242,37 @@ def test_with_entry_evaluates_only_the_new_place(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("case", ["family-23", "fuzz-2515"])
+def test_insert_place_evaluates_t_w_once(case, monkeypatch):
+    # each insertion (both stages) computes the one coefficient it solves
+    # for and the new row's |J| factor values, and no fiber above t_w
+    kind, _, number = case.partition("-")
+    if kind == "family":
+        spec, point, _ = family_point(int(number))
+        bounds = DescentBounds(solve_each_fiber=False)
+    else:
+        spec, point, bounds = _fuzz_input(int(number))
+    calls, per_insert = [], []
+    for name in ("factor_value", "product_value", "fiber_coeffs"):
+        real = getattr(SurfaceSpec, name)
+        monkeypatch.setattr(SurfaceSpec, name,
+                            lambda self, *args, _real=real, _name=name:
+                            calls.append(_name) or _real(self, *args))
+    real_insert = descent._insert_place
+
+    def counted(*args):
+        calls.clear()
+        result = real_insert(*args)
+        per_insert.append((args[3], sorted(calls)))
+        return result
+
+    monkeypatch.setattr(descent, "_insert_place", counted)
+    descend(spec, point, bounds)
+    expected = ["factor_value"] * len(spec.indices) + ["product_value"]
+    assert {stage for stage, _ in per_insert} == {"sd_witness_prime", "chebotarev_prime"}
+    assert all(made == expected for _, made in per_insert)
+
+
 def test_an_entry_at_a_root_of_p_j_is_reported_by_validate():
     # t = 0 is the root of p_1 = t: building the point raises nothing, the
     # entry is an input problem, and the local data cannot be read

@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy import nextprime, primerange
 
-from torusdescent.arith import REAL, Place, hilbert_symbol, valuation
+from torusdescent import points
+from torusdescent.arith import REAL, Place, hilbert_symbol, sqrt_mod, valuation
 from torusdescent.points import (
     _denominators,
     good_place_solubility,
@@ -167,23 +170,34 @@ def test_solve_global_with_denominators():
     assert 8 * x * x - y * y == 1
 
 
+def _coefficient(draw, s0):
+    """A rational of either sign with denominator 1..8: a small or 6-digit
+    numerator, or, shaped like a descent fiber's, an S0-unit times one or
+    two primes in [3, 10^7]."""
+    if draw(st.booleans()):
+        num = draw(st.integers(1, 60) | st.integers(1, 10**6))
+    else:
+        num = math.prod(draw(st.lists(st.sampled_from(s0 or [1]), max_size=4)))
+        for _ in range(draw(st.integers(1, 2))):
+            num *= nextprime(draw(st.integers(2, 9_999_990)))
+    return Fraction(num, draw(st.integers(1, 8))) * draw(st.sampled_from([1, -1]))
+
+
 @st.composite
 def _conic(draw):
-    """(aA, bB, s0, height): coefficients with denominators 1..8 and any signs,
-    or bB chosen so that some (m/u, n/u) within the height solves the conic."""
+    """(aA, bB, s0, height): coefficients from _coefficient, or bB chosen so
+    that some (m/u, n/u) within the height solves the conic; heights up to
+    1,000 make long scans, which step through residue classes."""
     s0 = draw(st.sampled_from([[], [2], [2, 3], [5]]))
-    height = draw(st.integers(1, 60))
-    num = draw(st.integers(1, 60) | st.integers(1, 10**6))
-    aA = Fraction(num, draw(st.integers(1, 8))) * draw(st.sampled_from([1, -1]))
+    height = draw(st.integers(1, 60) | st.integers(61, 1000))
+    aA = _coefficient(draw, s0)
     if draw(st.booleans()):
         m, n = draw(st.integers(0, height)), draw(st.integers(1, height))
         u = draw(st.sampled_from(_denominators(s0, height)))
         bB = (u * u - aA * m * m) / (n * n)
         if bB:
             return aA, bB, s0, height
-    num = draw(st.integers(1, 60) | st.integers(1, 10**6))
-    bB = Fraction(num, draw(st.integers(1, 8))) * draw(st.sampled_from([1, -1]))
-    return aA, bB, s0, height
+    return aA, _coefficient(draw, s0), s0, height
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -191,8 +205,41 @@ def _conic(draw):
 @example(conic=(7778368004, 77783680060, [2], 1000))  # positive definite
 @example(conic=(-480, 94, [2], 1000))  # indefinite: (23/16, 13/4)
 @example(conic=(5, -1, [], 2))  # the only m is the bottom of the range
+# fibers of the family round: three without a point, and one with
+@example(conic=(-4112261, 16910711093432, [2], 1000))
+@example(conic=(-21610547, 9261669, [2], 1000))
+@example(conic=(-7427, 3189, [2], 1000))
+@example(conic=(96, -470, [2], 1000))  # (9/16, 1/4)
 def test_solve_global_matches_full_scan(conic):
     assert solve_global(*conic) == solve_global_fullscan(*conic)
+
+
+def test_sqrt_mod_against_brute_force():
+    for q in primerange(3, 600):
+        squares = {x * x % q for x in range(q)}
+        for c in range(q):
+            r = sqrt_mod(c, q)
+            assert (r is not None) == (c in squares), (c, q)
+            assert r is None or r * r % q == c
+    # the ten primes in [10^12, 10^12 + 200), four of them 1 mod 8
+    for q in primerange(10**12, 10**12 + 200):
+        for c in (2, 3, 5, -1, 10**11 + 3, 123_456_789):
+            r = sqrt_mod(c, q)
+            assert (r is not None) == (pow(c, (q - 1) // 2, q) == 1)
+            assert r is None or r * r % q == c % q
+
+
+def test_a_short_scan_runs_no_primality_test(monkeypatch):
+    # 30-digit coefficients at height 20 leave scans no longer than 21; each
+    # is a square-free smooth part times a prime that is_prime could prove
+    calls = []
+    real = points.is_prime
+    monkeypatch.setattr(points, "is_prime", lambda n: calls.append(n) or real(n))
+    a = 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * nextprime(10**21)
+    b = -2 * 29 * 31 * 37 * 41 * 43 * 47 * nextprime(10**20)
+    for aA, bB in ((a, b), (-a, -b), (Fraction(a, 4), b), (a, Fraction(-b, 9))):
+        assert solve_global(aA, bB, [2], 20) == solve_global_fullscan(aA, bB, [2], 20)
+    assert calls == []
 
 
 def test_solve_global_verifies():
