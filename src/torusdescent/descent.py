@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import gf2
 from .arith import (
@@ -37,7 +37,6 @@ from .arith import (
     hilbert_symbol,
     legendre,
     local_dim,
-    local_mask,
     mod_prime_power,
     prime_stream,
     strip_primes,
@@ -71,6 +70,7 @@ from .surface import (
     LocalPoint,
     PartialAdelicPoint,
     SurfaceSpec,
+    factor_row,
     spec_hash,
 )
 
@@ -284,7 +284,7 @@ def _approximation_data(
         t_v = p_t.entries[v].t
         p = v.p
         m_v = max(val + max(0, -valuation(spec.coeffs(i)[0], p))
-                  for i, (val, _) in p_t.local_data[v].items())
+                  for i, (val, _) in p_t.rows[v].factors.items())
         e_v = max(0, -valuation(t_v, p)) if t_v != 0 else 0
         if e_v and p not in s0_primes:
             raise DescentAnomaly(f"non-integral t_v at {v} outside S0")
@@ -302,10 +302,10 @@ def _real_chamber(
     spec: SurfaceSpec, p_t: PartialAdelicPoint
 ) -> Tuple[Optional[Fraction], Optional[Fraction]]:
     """Open interval of t with the same factor sign pattern as t_real: the
-    real local mask of p_i(t_real) in p_t.local_data is 1 when it is negative."""
+    real local mask of p_i(t_real) in p_t.rows is 1 when it is negative."""
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
-    for i, (_, negative) in p_t.local_data[REAL].items():
+    for i, (_, negative) in p_t.rows[REAL].factors.items():
         root = spec.root(i)
         if (spec.forms[i][0] < 0) == negative:  # t_real right of the root
             lo = root if lo is None else max(lo, root)
@@ -329,7 +329,8 @@ def _candidate_test(
 ) -> Callable[[int], Optional[List[Tuple[int, Place]]]]:
     """The witnesses of t0 = (tau0 + modulus*n)/denominator as a function of n:
     the pairs (i, u_i) with p_i(t0) a T-unit times the prime u_i, the u_i
-    distinct, or None.
+    distinct, or None.  That is all of admissibility: the first n with
+    witnesses gives the admissible point (`find_admissible`).
 
     With (C_i, D_i, L_i) = spec.forms[i], L_i*D*p_i(t0) is the integer form
     A_i + B_i*n with A_i = C_i*tau0 + D_i*D and B_i = C_i*modulus, where D
@@ -370,27 +371,23 @@ def _candidate_test(
 
 
 def find_admissible(
-    spec: SurfaceSpec,
-    p_t: PartialAdelicPoint,
-    bounds: DescentBounds,
-    reject: Iterable[Fraction] = (),
+    spec: SurfaceSpec, p_t: PartialAdelicPoint, bounds: DescentBounds
 ) -> AdmissibleSearch:
-    """Scan the approximation progression for t0 with prime factor values.
-
-    t0 matches every local t_v to square-class depth, each p_i(t0) is a
-    T-unit times a single new prime u_i (its uniformizer place), and the
-    fiber above t0 is verified everywhere locally soluble, with the
-    reciprocity certificate at each u_i.  Exhaustion of the scan is the
-    explicit conditionality of the whole pipeline.
+    """The admissible point: the first t0 of the approximation progression
+    with each p_i(t0) a T-unit times a single new prime u_i (its
+    uniformizer place).  For a suitable p_t nothing more is needed: local
+    solubility at T and the reciprocity certificate at each u_i follow, and
+    `_try_admissible` checks them as invariants.  Exhaustion of the scan is
+    the explicit conditionality of the whole pipeline.
 
     The scan visits n = k, -k for k = k0, k0 + 1, ..., where k0 is the
     least |n| in the real chamber, until neither lies in it.  Each n runs
     one integer candidate test (`_candidate_test`) on the forms
     L_i*D*p_i(t0) = A_i + B_i*n, read off `spec.forms`.  It strikes n
     early when a leftover has a prime below 200 outside T other than
-    itself, which is exact: such a leftover is composite.  Only candidates whose leftovers are proved
-    prime reach the exact checks of `_try_admissible`.  Every candidate,
-    struck or not, counts in `candidates_checked` and against
+    itself, which is exact: such a leftover is composite.  The first
+    candidate whose leftovers are proved prime is the result.  Every
+    candidate, struck or not, counts in `candidates_checked` and against
     `bounds.admissible_candidates`.
     """
     if REAL not in p_t.entries:
@@ -401,8 +398,6 @@ def find_admissible(
     witnesses = _candidate_test(spec, tau0, modulus, denominator, t_primes)
     step = Fraction(modulus, denominator)
     base = Fraction(tau0, denominator)
-    # a value from an earlier state, as its index in the progression
-    reject = {(Fraction(t) - base) / step for t in reject}
     # base + n*step lies in the open chamber exactly when n_min <= n <= n_max
     n_min = None if lo is None else math.floor((lo - base) / step) + 1
     n_max = None if hi is None else math.ceil((hi - base) / step) - 1
@@ -420,21 +415,13 @@ def find_admissible(
             checked += 1
             if checked > bounds.admissible_candidates:
                 raise SearchExhausted("admissible_point", bounds.admissible_candidates)
-            if n in reject:
-                continue
             found = witnesses(n)
-            if found is None:
-                continue
-            result = _try_admissible(spec, p_t, Fraction(tau0 + modulus * n, denominator),
-                                      found)
-            if result is not None:
-                return AdmissibleSearch(result, checked)
+            if found is not None:
+                t0 = Fraction(tau0 + modulus * n, denominator)
+                return AdmissibleSearch(_try_admissible(spec, p_t, t0, found), checked)
         if not alive and k > 0:
-            raise SearchExhausted(
-                "admissible_point",
-                checked,
-                "the real chamber contains no further progression values",
-            )
+            raise SearchExhausted("admissible_point", checked,
+                                  "the real chamber contains no further progression values")
 
 
 def _try_admissible(
@@ -442,28 +429,39 @@ def _try_admissible(
     p_t: PartialAdelicPoint,
     t0: Fraction,
     witnesses: List[Tuple[int, Place]],
-) -> Optional[AdmissiblePoint]:
-    """The exact checks on a candidate whose leftovers are the primes u_i of
-    `witnesses`: approximation, local solubility at T and reciprocity.  The
-    AdmissiblePoint keeps p_i(t0) and the fiber, evaluated here once."""
+) -> AdmissiblePoint:
+    """The admissible point at a candidate t0 whose leftovers are the primes
+    u_i of `witnesses`; p_i(t0) and the fiber are evaluated here once.  For
+    a suitable p_t each check holds, and a failure raises DescentAnomaly:
+
+    - Row check: each p_i(t0) has the (val_v, local mask) of p_t.rows[v], as
+      `_approximation_data` promises, and so then do aA and bB.
+    - t0 lies in t_real's chamber, so the fiber above it has the signs of
+      the one above t_real, which holds p_t's real point.
+    - Integral solubility of aA*x^2 + bB*y^2 = 1 over Z_v depends only on
+      the valuations and unit square classes of aA and bB (scaling aA by a
+      unit square maps integral solutions to integral ones), so p_t's entry
+      at v gives one above t0; at places of S0 the Hilbert symbol reads
+      only the classes.  An "inconclusive" local_solubility (a Hensel
+      search too large) is no failure: the row check fixed what it reads.
+    - The reciprocity symbol at u_i is the sum over T of
+      (a*D_i^A, p_i(t0))_v, by the row check p_t's Brauer sum i: 0.
+    """
     values = {i: spec.factor_value(i, t0) for i in spec.indices}
-    # square-class approximation check (guaranteed by the modulus; exact)
     for v in p_t.places:
-        for i, (_, mask) in p_t.local_data[v].items():
-            if local_mask(values[i], v) != mask:
-                raise DescentAnomaly(f"approximation lost [p_{i}(t)]_{v}")
-    # local solubility of the fiber everywhere
+        if factor_row(v, values) != p_t.rows[v].factors:
+            raise DescentAnomaly(f"approximation lost the row of p_t at {v}")
     aA, bB = spec.fiber_coeffs_of(values)
     if aA <= 0 and bB <= 0:
-        return None
+        raise DescentAnomaly(f"fiber above t0 = {t0} is negative definite")
     for v in p_t.places:
         if v.is_real:
             continue
         if v in spec.s0:  # over Q_v: the test local_solubility(..., "rational") makes
             if hilbert_symbol(aA, bB, v) != 0:
-                return None
-        elif local_solubility(aA, bB, v, "integral").status != "soluble":
-            return None
+                raise DescentAnomaly(f"fiber above t0 = {t0} insoluble over Q_{v}")
+        elif local_solubility(aA, bB, v, "integral").status == "insoluble":
+            raise DescentAnomaly(f"fiber above t0 = {t0} has no integral point at {v}")
     # reciprocity certificate at each witness place
     for i, u in witnesses:
         left = spec.brauer_constants[i]
@@ -472,7 +470,7 @@ def _try_admissible(
         if direct != indirect:
             raise DescentAnomaly(f"reciprocity certificate mismatch at u_{i} = {u}")
         if direct != 0:
-            return None
+            raise DescentAnomaly(f"reciprocity symbol 1 at u_{i} = {u}")
         # the certificate makes a*D_i^A a square at u_i; the good-place
         # criterion then certifies an integral point on the fiber there
         if good_place_solubility(spec, u, values).status != "soluble":

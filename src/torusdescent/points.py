@@ -281,11 +281,12 @@ def solve_global(
 
     With A, B the coefficients scaled to integers by L, x = m/u, y = n/u
     solves the conic iff A*m^2 + B*n^2 = L*u^2.  For each u, _root_range
-    gives the exact range of m and of n (integer ceiling division and
-    isqrt, no floats), and the shorter is scanned in the direction of
-    growing m: m^2 = (L*u^2 - B*n^2)/A grows with n iff A and B differ in
-    sign.  The least m found is kept, so the result is that of the scan
-    over all 0 <= m <= h.
+    gives the exact range of m (integer ceiling division and isqrt, no
+    floats); only when it is longer than _CLASS_SCAN_MIN is that of n
+    computed, and the shorter is scanned in the direction of growing m:
+    m^2 = (L*u^2 - B*n^2)/A grows with n iff A and B differ in sign.  The
+    least m found is kept, so the result is that of the scan over all
+    0 <= m <= h.
 
     A range longer than _CLASS_SCAN_MIN, say of m, is scanned in two
     residue classes, each to its first solution.  With q an odd prime
@@ -312,7 +313,8 @@ def solve_global(
     classes = {}  # swap -> _class_root of the scanned coefficient, found at most once
     for u in _denominators(s0_primes, height_bound):
         target = L * u * u
-        ms, ns = _root_range(A, B, target, height_bound), _root_range(B, A, target, height_bound)
+        ms = _root_range(A, B, target, height_bound)
+        ns = _root_range(B, A, target, height_bound) if len(ms) > _CLASS_SCAN_MIN else ms
         swap = len(ns) < len(ms)
         C, D, ks = (B, A, ns) if swap else (A, B, ms)
         scans = [ks]

@@ -429,6 +429,12 @@ class PlaceRow(NamedTuple):
     problems: Tuple[str, ...]
 
 
+def factor_row(v: Place, values: Mapping[int, Fraction]) -> Dict[int, Tuple[int, int]]:
+    """i -> (val_v, local mask) of the values p_i(t), val 0 at real."""
+    return {i: (0 if v.is_real else valuation(x, v.p), local_mask(x, v))
+            for i, x in values.items()}
+
+
 def _place_row(spec: SurfaceSpec, v: Place, pt: LocalPoint) -> PlaceRow:
     values = {i: spec.factor_value(i, pt.t) for i in spec.indices}
     aA, bB = spec.fiber_coeffs_of(values)
@@ -444,8 +450,7 @@ def _place_row(spec: SurfaceSpec, v: Place, pt: LocalPoint) -> PlaceRow:
         problems += [f"{v}: coordinate {name} is not v-integral"
                      for name, x in (("x", pt.x), ("y", pt.y), ("t", pt.t))
                      if x != 0 and valuation(x, v.p) < 0]
-    factors = {i: (0 if v.is_real else valuation(x, v.p), local_mask(x, v))
-               for i, x in values.items()}
+    factors = factor_row(v, values)
     val, mask = 0 if v.is_real else valuation(spec.d, v.p), local_mask(-spec.d, v)
     for val_i, mask_i in factors.values():
         val, mask = val + val_i, mask ^ mask_i
@@ -470,13 +475,6 @@ class PartialAdelicPoint:
         self.places = tuple(sorted(self.entries))
         self.rows = {v: rows[v] if v in rows else _place_row(spec, v, self.entries[v])
                      for v in self.places}
-
-    @cached_property
-    def local_data(self) -> Dict[Place, Dict[int, Tuple[int, int]]]:
-        """v -> rows[v].factors; a ValueError when d*p_J(t_v) = 0 at some v."""
-        if any(row.factors is None for row in self.rows.values()):
-            raise ValueError("d*p_J(t_v) = 0 at a place: no local data")
-        return {v: row.factors for v, row in self.rows.items()}
 
     def with_entry(self, v: Place, point: LocalPoint) -> "PartialAdelicPoint":
         return PartialAdelicPoint(self.spec, {**self.entries, v: point},

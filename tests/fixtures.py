@@ -62,6 +62,14 @@ MULTI_REDUCTION_MEMBERS = [16]  # initial dual dimension 3: two reductions
 
 ALL_FAMILY = SOLUBLE_FAMILY + EXTRA_FAMILY
 
+# members whose T holds a prime p > 316, keyed by p: hensel_solve refuses
+# the p^2 residues there, so local_solubility(..., "integral") at p is
+# inconclusive, and the descent must not need it
+LARGE_PRIME_FAMILY = {
+    317: ([2], 3, -4, {1: (1, 0), 2: (1, -317)}, [1], -44),
+    331: ([2], -5, 2, {1: (1, 0), 2: (1, 331)}, [1], -14),
+}
+
 
 def family_spec(index):
     s0, a, b, factors, part_a, _ = ALL_FAMILY[index]
@@ -70,11 +78,22 @@ def family_spec(index):
 
 def family_point(index, height=400):
     """Constant-t adelic point data built from a global point on the fiber."""
-    s0, a, b, factors, part_a, t_star = ALL_FAMILY[index]
+    return member_point(ALL_FAMILY[index], height)
+
+
+def large_prime_point(p):
+    """family_point of the LARGE_PRIME_FAMILY member of the prime p."""
+    return member_point(LARGE_PRIME_FAMILY[p])
+
+
+def member_point(member, height=400):
+    """(spec, point, (x, y, t_star)) of a member: the global point (x, y) on
+    the fiber above t_star, copied to every place of T."""
+    s0, a, b, factors, part_a, t_star = member
     spec = make_spec(s0, a, b, factors, part_a)
     fib = fiber(spec, t_star)
     sol = solve_global(fib.aA, fib.bB, spec.s0_finite_primes, height)
-    assert sol is not None, f"family member {index} lost its point"
+    assert sol is not None, f"family member {member} lost its point"
     x, y = sol
     entries = {
         v: LocalPoint.make(x, y, t_star, 12) for v in compute_s(spec)

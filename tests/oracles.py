@@ -566,14 +566,16 @@ def find_admissible_reference(spec, p_t, bounds, reject=()):
     """find_admissible as the unsieved scan: (t0, witnesses, candidates_checked).
 
     Every progression value t0 = (tau0 + M*n)/D with n = 0, 1, -1, 2, -2, ...
-    inside the open real chamber is a candidate; it is tested by
-    admissible_candidate_reference, then by the exact checks of
-    _try_admissible.  The real chamber is the open interval between the
-    nearest roots -d_i/c_i on either side of t_real.  The scan ends when
-    the values on both sides have left the chamber; SearchExhausted is
-    raised as find_admissible raises it.
+    inside the open real chamber is a candidate, and the first one that
+    admissible_candidate_reference gives witnesses is the result: for a
+    suitable p_t admissibility is that test alone.  The values in `reject`
+    are counted but not tested, which gives a second admissible value.  The
+    real chamber is the open interval between the nearest roots -d_i/c_i on
+    either side of t_real.  The scan ends when the values on both sides
+    have left the chamber; SearchExhausted is raised as find_admissible
+    raises it.
     """
-    from torusdescent.descent import SearchExhausted, _approximation_data, _try_admissible
+    from torusdescent.descent import SearchExhausted, _approximation_data
 
     reject = {Fraction(t) for t in reject}
     tau0, modulus, denominator = _approximation_data(spec, p_t)
@@ -596,11 +598,8 @@ def find_admissible_reference(spec, p_t, bounds, reject=()):
             if t0 in reject:
                 continue
             witnesses = admissible_candidate_reference(spec, t_primes, t0)
-            if witnesses is None:
-                continue
-            point = _try_admissible(spec, p_t, t0, witnesses)
-            if point is not None:
-                return point.t0, point.witnesses, checked
+            if witnesses is not None:
+                return t0, tuple(witnesses), checked
 
 
 def same_valuation_and_class_bruteforce(x, y, p: int) -> bool:

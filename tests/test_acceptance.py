@@ -21,6 +21,7 @@ from torusdescent.conditiond import check_condition_d
 from torusdescent.descent import (
     DescentBounds,
     _make_state,
+    _try_admissible,
     build_suitable,
     descend,
     find_admissible,
@@ -53,6 +54,7 @@ from oracles import (
     expected_g_d_generators,
     factor_values_reference,
     fiber_point_bruteforce,
+    find_admissible_reference,
     g_d_bruteforce,
     g_element,
     hilbert_relevant_places,
@@ -308,10 +310,12 @@ def test_criterion_8_admissible_machinery():
             left, value = spec.brauer_constants[i], spec.factor_value(i, search.point.t0)
             assert hilbert_symbol(left, value, u) == 0, index
             assert sum(hilbert_symbol(left, value, v) for v in (*p_t.places, u)) % 2 == 0, index
-        second = find_admissible(spec, p_t, bounds, reject=[search.point.t0])
-        assert search.point.t0 != second.point.t0
+        t0, witnesses, _ = find_admissible_reference(spec, p_t, bounds,
+                                                     reject=[search.point.t0])
+        second = _try_admissible(spec, p_t, t0, list(witnesses))
+        assert search.point.t0 != second.t0
         _, dual_a = relative_selmer(relative_fiber(spec, p_t, search.point))
-        _, dual_b = relative_selmer(relative_fiber(spec, p_t, second.point))
+        _, dual_b = relative_selmer(relative_fiber(spec, p_t, second))
         assert dual_a == dual_b, index
     report(
         "8 (admissible machinery)",

@@ -130,8 +130,8 @@ def test_invariant_examples(running_spec):
     # real place: left = -2 < 0 for i = 2; p_2(t) < 0 at t = -3
     assert _invariant_at(spec, 2, -3, REAL) == 1
     assert _invariant_at(spec, 2, 1, REAL) == 0
-    with pytest.raises(ValueError):
-        PartialAdelicPoint(spec, {REAL: LocalPoint.make(1, 0, 0, 4)}).local_data
+    at_root = PartialAdelicPoint(spec, {REAL: LocalPoint.make(1, 0, 0, 4)})
+    assert at_root.rows[REAL].factors is None
 
 
 def test_invariant_unit_square_left():

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,11 +41,13 @@ from torusdescent.surface import (
 
 from fixtures import (
     ALL_FAMILY,
+    LARGE_PRIME_FAMILY,
     MULTI_REDUCTION_MEMBERS,
     REDUCTION_MEMBERS,
     SOLUBLE_FAMILY,
     family_point,
     family_spec,
+    large_prime_point,
 )
 from oracles import (
     admissible_candidate_reference,
@@ -155,8 +158,8 @@ def test_point_table_matches_the_fraction_path(index, data):
             entries[v] = LocalPoint.make(0, 0, t_v, 0)
     p_t = PartialAdelicPoint(spec, entries)
     assume(not p_t.validate())  # t_v off the roots of p_J
-    for v, row in p_t.local_data.items():
-        for i, (val, mask) in row.items():
+    for v, row in p_t.rows.items():
+        for i, (val, mask) in row.factors.items():
             value = spec.factor_value(i, p_t.entries[v].t)
             assert val == (0 if v.is_real else valuation(value, v.p))
             assert mask == local_mask(value, v)
@@ -275,15 +278,14 @@ def test_insert_place_evaluates_t_w_once(case, monkeypatch):
 
 def test_an_entry_at_a_root_of_p_j_is_reported_by_validate():
     # t = 0 is the root of p_1 = t: building the point raises nothing, the
-    # entry is an input problem, and the local data cannot be read
+    # entry is an input problem, and its row holds no factor data
     spec = make_spec([], 2, 3, {1: (1, 0), 2: (1, 1)}, [1])
     point = PartialAdelicPoint(spec, {REAL: LocalPoint.make(1, 0, 0, 4)})
     assert point.validate() == ["real: d*p_J(t_v) = 0"]
     three = point.with_entry(Place.finite(3), LocalPoint.make(1, 0, -1, 4))
     assert three.validate() == ["real: d*p_J(t_v) = 0", "3: d*p_J(t_v) = 0"]
     for p_t in (point, three):
-        with pytest.raises(ValueError):
-            p_t.local_data
+        assert all(row.factors is None for row in p_t.rows.values())
         violations, split_place = suitability(spec, p_t)
         assert split_place is None and {name for name, _ in violations} == {"input"}
 
@@ -359,14 +361,14 @@ def test_build_suitable_rechecks_a_restricted_point(monkeypatch):
 
 def test_build_suitable_returns_a_point_on_T_itself(monkeypatch):
     # a point whose places are exactly T is the point check_hypotheses
-    # checked: the descent reads the local_data table built there
+    # checked: the descent reads the rows built there
     checks = _count_calls(monkeypatch, "suitability")
     for index in range(len(ALL_FAMILY)):
         spec, point, _ = family_point(index)
         assert set(point.entries) == set(compute_s(spec))
-        table = point.local_data
+        rows = point.rows
         p_t = build_suitable(spec, point)
-        assert p_t is point and p_t.local_data is table
+        assert p_t is point and p_t.rows is rows
     assert checks == []
 
 
@@ -395,10 +397,8 @@ def test_admissible_points_keep_p_i_t0_and_the_fiber(case, monkeypatch):
     real_try = descent._try_admissible
 
     def recorded(*args):
-        adm = real_try(*args)
-        if adm is not None:
-            points.append(adm)
-        return adm
+        points.append(real_try(*args))
+        return points[-1]
 
     monkeypatch.setattr(descent, "_try_admissible", recorded)
     kind, _, number = case.partition("-")
@@ -462,6 +462,57 @@ def test_find_admissible_properties():
             assert local_square_class(
                 spec.factor_value(i, adm.t0), v
             ) == local_square_class(spec.factor_value(i, p_t.entries[v].t), v)
+
+
+@pytest.mark.parametrize(
+    "case", [f"family-{k}" for k in range(len(ALL_FAMILY))]
+    + [f"large-{p}" for p in LARGE_PRIME_FAMILY])
+def test_each_admissible_scan_tries_one_candidate(case, monkeypatch):
+    """The first candidate whose leftovers pass is the admissible point:
+    every find_admissible call of a descent makes one _try_admissible call,
+    also where T holds a prime too large for the integral Hensel search."""
+    tries = []
+    real_find, real_try = descent.find_admissible, descent._try_admissible
+
+    def find(*args):
+        tries.append(0)
+        return real_find(*args)
+
+    def try_once(*args):
+        tries[-1] += 1
+        return real_try(*args)
+
+    monkeypatch.setattr(descent, "find_admissible", find)
+    monkeypatch.setattr(descent, "_try_admissible", try_once)
+    kind, _, number = case.partition("-")
+    spec, point, _ = (family_point if kind == "family" else large_prime_point)(int(number))
+    descend(spec, point, DescentBounds(admissible_candidates=3000, solve_each_fiber=False))
+    assert tries and tries == [1] * len(tries)
+
+
+@pytest.mark.parametrize("index, v, t, text", [
+    # the fiber above t_real = 5, and so above every t0 > 1, has no real points
+    (11, REAL, 5, "fiber above t0 = 21 is negative definite"),
+    (7, Place.finite(2), -28, "fiber above t0 = -4 insoluble over Q_2"),
+    (9, Place.finite(3), -29, "fiber above t0 = -110 has no integral point at 3"),
+    # t_real = 1 flips the real invariants of both generators of member 10
+    (10, REAL, 1, "reciprocity symbol 1 at u_1 = 37"),
+], ids=["negative-definite", "hilbert-symbol-at-s0", "integral-insoluble", "reciprocity"])
+def test_a_broken_premise_of_admissibility_is_an_anomaly(index, v, t, text):
+    # the member's entry at v moves to a t_v above which the fiber is no
+    # longer locally soluble at v, or which makes a Brauer sum 1: the first
+    # candidate whose leftovers pass breaks the invariant it fed
+    spec, point, _ = family_point(index)
+    p_t = point.with_entry(v, LocalPoint.make(0, 0, t, 0))  # precision 0: no residual claimed
+    with pytest.raises(DescentAnomaly, match=f"^{re.escape(text)}$"):
+        find_admissible(spec, p_t, DescentBounds())
+
+
+def test_a_value_off_the_progression_loses_the_row():
+    # t_real + 1 = -59 is a 2-adic unit, and p_1(t_real) = -60 is not
+    spec, p_t = _progression(0)[:2]
+    with pytest.raises(DescentAnomaly, match="^approximation lost the row of p_t at 2$"):
+        descent._try_admissible(spec, p_t, p_t.entries[REAL].t + 1, [])
 
 
 @functools.lru_cache(maxsize=None)
@@ -629,22 +680,15 @@ def test_admissible_scan_strikes_candidates_before_its_hits():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    index=st.integers(0, len(ALL_FAMILY) - 1),
-    offsets=st.lists(st.integers(-40, 40), max_size=6),
-    reject_hit=st.booleans(),
-)
-def test_find_admissible_matches_reference_scan(index, offsets, reject_hit):
-    spec, p_t, _, (tau0, modulus, denominator), _ = _progression(index)
-    bounds = DescentBounds()
-    reject = [Fraction(tau0 + modulus * n, denominator) for n in offsets]
-    reject.append(Fraction(2 * tau0 + 1, 2 * denominator))  # off the progression
-    if reject_hit:
-        reject.append(find_admissible(spec, p_t, bounds).point.t0)
+@given(index=st.integers(0, len(ALL_FAMILY) - 1), budget=st.integers(1, 200))
+def test_find_admissible_matches_reference_scan(index, budget):
+    # the first candidate with witnesses, or exhaustion at the same budget
+    spec, p_t = _progression(index)[:2]
+    bounds = DescentBounds(admissible_candidates=budget)
 
     def outcome(scan):
         try:
-            return scan(spec, p_t, bounds, reject)
+            return scan(spec, p_t, bounds)
         except SearchExhausted as exc:
             return exc.stage, exc.bound
 
@@ -675,7 +719,8 @@ def test_relative_groups_independent_of_admissible_point():
     p_t = build_suitable(spec, point)
     bounds = DescentBounds(admissible_candidates=100_000)
     first = find_admissible(spec, p_t, bounds).point
-    second = find_admissible(spec, p_t, bounds, reject=[first.t0]).point
+    t0, witnesses, _ = find_admissible_reference(spec, p_t, bounds, reject=[first.t0])
+    second = descent._try_admissible(spec, p_t, t0, list(witnesses))
     assert first.t0 != second.t0
     sel_a, dual_a = relative_selmer(relative_fiber(spec, p_t, first))
     sel_b, dual_b = relative_selmer(relative_fiber(spec, p_t, second))

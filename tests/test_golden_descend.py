@@ -1,7 +1,8 @@
 """Golden `descend` certificates, compared byte for byte.
 
-The cases are the 25 curated family members of fixtures.py, each with
-fiber solving on and off under the default bounds, one random spec per
+The cases are the 25 curated family members of fixtures.py and its two
+large-prime members, each with fiber solving on and off under the default
+bounds, one random spec per
 fixed seed drawn as in test_pipeline_fuzz.py, seeded inputs that fail
 each hypothesis of the descent theorem or the input checks, and tight
 bounds that end the search at each exhaustion stage.  Every certificate is
@@ -29,7 +30,7 @@ from torusdescent.arith import REAL, Place
 from torusdescent.descent import DescentBounds, DescentError, check_hypotheses, descend
 from torusdescent.surface import LocalPoint, PartialAdelicPoint, make_spec
 
-from fixtures import ALL_FAMILY, family_point
+from fixtures import ALL_FAMILY, LARGE_PRIME_FAMILY, family_point, large_prime_point
 from test_pipeline_fuzz import _candidate_point, _random_spec
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "descend.jsonl")
@@ -85,6 +86,12 @@ CLI_MIX_CASES = (
     "cli-mix-13/admissible_candidates=200",
 )
 
+# the suitable points of fixtures.LARGE_PRIME_FAMILY, whose T holds a prime
+# too large for the integral Hensel search; 317 ends dual_selmer_minimized
+# and 331 point_found
+LARGE_PRIME_CASES = tuple(f"large-{p}/solve={solve}" for p in LARGE_PRIME_FAMILY
+                          for solve in (1, 0))
+
 CASES = (
     [f"family-{k:02d}/solve={solve}" for k in range(len(ALL_FAMILY)) for solve in (1, 0)]
     + [f"fuzz-{seed}" for seed in FUZZ_SEEDS + HYPOTHESIS_SEEDS]
@@ -92,6 +99,7 @@ CASES = (
     + [f"fuzz-{seed}" for seed in SD_WITNESS_SEEDS]
     + list(EXHAUSTION_CASES)
     + list(CLI_MIX_CASES)
+    + list(LARGE_PRIME_CASES)
 )
 
 
@@ -146,14 +154,15 @@ def _cli_mix_input():
 
 
 def case_input(name):
-    """(spec, point, bounds) of the case: its family member, fuzz seed or
-    `cli-mix` spec, the variant, fiber solving ("solve=") and any bound
-    overridden by "bound=value"."""
+    """(spec, point, bounds) of the case: its family or large-prime member,
+    fuzz seed or `cli-mix` spec, the variant, fiber solving ("solve=") and
+    any bound overridden by "bound=value"."""
     head, *parts = name.split("/")
     settings = dict(part.split("=") for part in parts if "=" in part)
     variant = next((part for part in parts if "=" not in part), None)
-    if head.startswith("family-"):
-        spec, point, _ = family_point(int(head[len("family-"):]))
+    if head.startswith(("family-", "large-")):
+        kind, _, number = head.partition("-")
+        spec, point, _ = (family_point if kind == "family" else large_prime_point)(int(number))
         bounds = DescentBounds(solve_each_fiber=settings.pop("solve") == "1")
     elif head == "cli-mix-13":
         spec, point, bounds = _cli_mix_input()

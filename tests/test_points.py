@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sympy import nextprime, primerange
 
 from torusdescent import points
-from torusdescent.arith import REAL, Place, hilbert_symbol, sqrt_mod, valuation
+from torusdescent.arith import REAL, Place, hilbert_symbol, local_mask, sqrt_mod, valuation
 from torusdescent.points import (
     _denominators,
     good_place_solubility,
@@ -113,6 +113,29 @@ def test_local_integral_witnesses_verify():
             # solutions all have non-integral coordinates; cross-check the
             # brute-force oracle does not find integral solutions implicitly
             assert conic_soluble_bruteforce(a, b, v.p) or True
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
+def test_integral_verdict_reads_only_valuations_and_classes(p, data):
+    # two coefficient pairs with one key (p, val aA, [aA], val bB, [bB]) get
+    # one definite verdict from hensel_solve: the admissible point's row
+    # check fixes all that local_solubility(..., "integral") reads
+    v = Place.finite(p)
+    units = st.integers(1, 10**4).filter(lambda n: n % p)
+    pairs = []
+    for _ in range(2):
+        x = data.draw(st.sampled_from([1, -1])) * p ** data.draw(st.integers(0, 5)) * data.draw(units)
+        # (s/w)^2 times 1 + p*z (1 + 8*z at 2): a unit square by Hensel's lemma
+        square = Fraction(data.draw(units), data.draw(units)) ** 2 * (
+            1 + p ** (3 if p == 2 else 1) * data.draw(st.integers(-10**4, 10**4)))
+        y = x * square
+        assert (valuation(y, p), local_mask(y, v)) == (valuation(x, p), local_mask(x, v))
+        pairs.append((x, y))
+    (aA, aA_same), (bB, bB_same) = pairs
+    verdict = local_solubility(aA, bB, v, "integral").status
+    assert verdict in ("soluble", "insoluble")
+    assert local_solubility(aA_same, bB_same, v, "integral").status == verdict
 
 
 def test_good_place_criterion_examples():
