@@ -35,6 +35,7 @@ from .arith import (
     hensel_solve,
     hilbert_row,
     hilbert_symbol,
+    is_local_square,
     legendre,
     local_dim,
     mod_prime_power,
@@ -57,13 +58,7 @@ from .points import (
     solve_global,
     verify_integral_point,
 )
-from .selmer import (
-    SelmerSubspace,
-    dimension_identity,
-    fiber_torus,
-    relative_fiber,
-    relative_selmer,
-)
+from .selmer import SelmerSubspace, relative_fiber, relative_selmer
 from .surface import (
     AdmissiblePoint,
     FiberSpec,
@@ -511,17 +506,25 @@ def _make_state(
     bounds: DescentBounds,
     trace: List[Dict],
 ) -> DescentState:
+    """The state at the next admissible point, with R and R-hat built once.
+    They are the preimages under evaluation at t0 of the fiber torus's
+    Selmer pair, so dim R - dim R-hat is its number of split places in S0:
+    - ev sends symbol i to p_i(t0), a T-unit times u_i, so it maps the
+      lattice onto the classes over T and the u_i; the unit conditions at
+      T \\ T0 cut those down to the classes over T0 and the u_i, the torus's
+      S (real is in S0, and 2 in T0: in S0, or val = 1 by valuation_at_2);
+    - there the local conditions of -d*p_J(t0) are the same on both sides.
+    """
     search = find_admissible(spec, p_t, bounds)
     adm = search.point
-    fib = relative_fiber(spec, p_t, adm)
-    sel, dual = relative_selmer(fib)
+    sel, dual = relative_selmer(relative_fiber(spec, p_t, adm))
     lattice = sel.lattice
     for group, side, name in ((dual, True, "relative dual Selmer group"),
                               (sel, False, "relative Selmer group")):
         for gen in target_generators(spec, lattice, dual=side):
             if not group.space.contains(gen):
                 raise DescentAnomaly(f"{lattice.decode(gen)} escaped the {name}")
-    _, _, n_split = dimension_identity(fiber_torus(fib), spec.s0)
+    n_split = sum(is_local_square(adm.fiber.torus_d, v) for v in spec.s0)
     if sel.dim - dual.dim != n_split:
         raise DescentAnomaly(
             f"relative dimension gap {sel.dim}-{dual.dim} != split count {n_split}"

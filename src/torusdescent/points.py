@@ -129,16 +129,20 @@ def _padic_sqrt(c: Fraction, p: int, precision: int) -> Optional[Fraction]:
     return Fraction(result.witness[0]) * Fraction(p) ** shift
 
 
+# the most numerators x = m/p^e that _rational_witness tries at one level e
+_WITNESS_SCAN = 2_000
+
+
 def _rational_witness(
     aA: Fraction, bB: Fraction, v: Place
 ) -> Tuple[Optional[Tuple[Fraction, Fraction]], int]:
     """Best-effort Q_v witness scan once solubility is already decided, to
-    precision max(val(4*aA*bB), 0) + 3."""
+    precision max(val(4*aA*bB), 0) + 3; None when no level holds one."""
     p = v.p
     target = max(valuation(4 * aA * bB, p), 0) + 3
     depth = max(0, -(min(valuation(aA, p), valuation(bB, p)) // 2)) + 2
     for e in range(depth + 1):
-        for m in range(p ** min(target, 3)):
+        for m in range(min(p ** min(target, 3), _WITNESS_SCAN)):
             x = Fraction(m, p**e)
             c = (1 - aA * x * x) / bB
             if c == 0:

@@ -28,7 +28,6 @@ from .arith import (
     class_from_mask,
     class_mask,
     hilbert_row,
-    is_local_square,
     local_dim,
     local_mask,
 )
@@ -157,37 +156,6 @@ def selmer_groups(torus: TorusData) -> Tuple[SelmerSubspace, SelmerSubspace]:
     return _cut_out(Lattice.of_places(torus.places), (), torus.d, torus.places)
 
 
-def split_places(torus: TorusData, base: Sequence[Place]) -> List[Place]:
-    return [v for v in sorted(base) if is_local_square(torus.d, v)]
-
-
-def dimension_identity(
-    torus: TorusData, base: Sequence[Place]
-) -> Tuple[int, int, int]:
-    """(dim Sel, dim dual Sel, #split base places); asserts the dimension gap.
-
-    Every place of S outside the designated base set must be non-split for
-    the torus (in the pipeline those are exactly the ramified places), else
-    the identity does not apply and a ValueError is raised.
-    """
-    base = set(base)
-    if not base <= set(torus.places):
-        raise ValueError("base places must lie inside S")
-    for v in torus.places:
-        if v not in base and is_local_square(torus.d, v):
-            raise ValueError(
-                f"place {v} outside the base set is split; identity not applicable"
-            )
-    n_split = len(split_places(torus, sorted(base)))
-    sel, dual = selmer_groups(torus)
-    dim_sel, dim_dual = sel.dim, dual.dim
-    if dim_sel - dim_dual != n_split:
-        raise AssertionError(
-            f"dimension identity failed: {dim_sel} - {dim_dual} != {n_split}"
-        )
-    return dim_sel, dim_dual, n_split
-
-
 # ---------------------------------------------------------------------------
 # Evaluation maps and relative Selmer groups
 # ---------------------------------------------------------------------------
@@ -242,15 +210,3 @@ def relative_selmer(fiber: RelativeFiber) -> Tuple[SelmerSubspace, SelmerSubspac
     values = [fiber.values[i] for i in lattice.factor_indices]
     return _cut_out(lattice, values, fiber.torus_value, fiber.ramified, fiber.unit_kind)
 
-
-def fiber_torus(fiber: RelativeFiber) -> TorusData:
-    """The norm-one torus of the fiber at the admissible point, over T0(t0).
-
-    -d*p_J(t0) is a T-unit times the witness primes, so its square class is
-    read off over the working places (T and the witness places) and no
-    large number is ever factored.
-    """
-    primes = sorted(v.p for v in set(fiber.ramified) | set(fiber.unit_kind) if v.is_finite)
-    d_t = class_from_mask(class_mask(fiber.torus_value, primes), primes)
-    places = set(fiber.ramified) | {REAL, Place.finite(2)}
-    return torus_data(d_t, places)

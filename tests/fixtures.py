@@ -70,6 +70,10 @@ LARGE_PRIME_FAMILY = {
     331: ([2], -5, 2, {1: (1, 0), 2: (1, 331)}, [1], -14),
 }
 
+# a member whose real chamber, between the roots -22 and 17, holds a single
+# value of the admissible progression: the scan ends after one candidate
+BOUNDED_CHAMBER_MEMBER = ([2], 3, 4, {1: (1, 22), 2: (1, -17)}, [2], 9)
+
 
 def family_spec(index):
     s0, a, b, factors, part_a, _ = ALL_FAMILY[index]

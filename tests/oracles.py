@@ -36,6 +36,7 @@ from torusdescent.conditiond import (
     constant_mask,
     target_generators,
 )
+from torusdescent.selmer import TorusData, selmer_groups, torus_data
 from torusdescent.surface import compute_s_bad
 
 
@@ -236,6 +237,54 @@ def dual_selmer_by_enumeration(d, places) -> set:
         ):
             members.add(sqfree(value))
     return members
+
+
+def split_places(torus: TorusData, base: Sequence[Place]) -> List[Place]:
+    """The places of base where the torus splits: d is a local square."""
+    return [v for v in sorted(base) if is_local_square_closed_form(torus.d, v)]
+
+
+def dimension_identity(torus: TorusData, base: Sequence[Place]) -> Tuple[int, int, int]:
+    """(dim Sel, dim dual Sel, #split base places) of the package's
+    selmer_groups; asserts the dimension gap.
+
+    Every place of S outside the designated base set must be non-split for
+    the torus (in the descent those are the ramified places), else the
+    identity does not apply and a ValueError is raised.
+    """
+    base = set(base)
+    if not base <= set(torus.places):
+        raise ValueError("base places must lie inside S")
+    for v in torus.places:
+        if v not in base and is_local_square_closed_form(torus.d, v):
+            raise ValueError(f"place {v} outside the base set is split; identity not applicable")
+    n_split = len(split_places(torus, sorted(base)))
+    sel, dual = selmer_groups(torus)
+    if sel.dim - dual.dim != n_split:
+        raise AssertionError(f"dimension identity failed: {sel.dim} - {dual.dim} != {n_split}")
+    return sel.dim, dual.dim, n_split
+
+
+def fiber_torus_reference(state) -> TorusData:
+    """The norm-one torus of the fiber above a descent state's t0, over
+    T0, the witness places u_i, the real place and 2.
+
+    T0 is S0 and the places v of T with val_v(-d*p_J(t_v)) = 1, from the
+    Fraction formulas.  -d*p_J(t0) is a T-unit times the u_i, so its square
+    class is read off its valuations at those primes; nothing is factored.
+    """
+    spec, p_t, adm = state.spec, state.p_t, state.adm
+    t0_places = {v for v in p_t.places if v in spec.s0 or valuation(
+        -spec.d * product_value_reference(spec, spec.indices, p_t.entries[v].t), v.p) == 1}
+    u_places = {u for _, u in adm.witnesses}
+    primes = [v.p for v in set(p_t.places) | u_places if v.is_finite]
+    value = Fraction(adm.fiber.torus_d)
+    assert strip_primes(abs(value.numerator) * value.denominator, primes) == 1
+    d_t = 1 if value > 0 else -1
+    for p in primes:
+        if valuation(value, p) % 2:
+            d_t *= p
+    return torus_data(d_t, t0_places | u_places | {REAL, Place.finite(2)})
 
 
 def d_constant(spec, i: int, subset) -> Fraction:

@@ -32,7 +32,6 @@ from torusdescent.points import (
     verify_integral_point,
 )
 from torusdescent.selmer import (
-    dimension_identity,
     relative_fiber,
     relative_selmer,
     selmer_groups,
@@ -50,6 +49,7 @@ from fixtures import (
 from oracles import (
     class_is_identity,
     conic_soluble_bruteforce,
+    dimension_identity,
     dual_selmer_by_enumeration,
     expected_g_d_generators,
     factor_values_reference,

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
-from torusdescent import descent
+from torusdescent import descent, gf2, selmer
 from torusdescent.arith import REAL, Place, hilbert_symbol, local_mask, valuation
 from torusdescent.brauer import obstruction_sum
 from torusdescent.descent import (
@@ -30,7 +30,7 @@ from torusdescent.descent import (
     suitability,
 )
 from torusdescent.points import verify_integral_point
-from torusdescent.selmer import relative_fiber, relative_selmer
+from torusdescent.selmer import SelmerSubspace, relative_fiber, relative_selmer
 from torusdescent.surface import (
     LocalPoint,
     PartialAdelicPoint,
@@ -52,9 +52,11 @@ from fixtures import (
 from oracles import (
     admissible_candidate_reference,
     compute_s,
+    dimension_identity,
     factor_value_reference,
     factor_values_reference,
     fiber_coeffs_reference,
+    fiber_torus_reference,
     find_admissible_reference,
     g_element,
     hilbert_symbol_closed_form,
@@ -64,10 +66,11 @@ from oracles import (
     pick_elements_reference,
     same_valuation_and_class_bruteforce,
     selmer_elements,
+    split_places,
     suitability_reference,
     uniformizer_t_reference,
 )
-from test_golden_descend import SD_WITNESS_SEEDS, _fuzz_input
+from test_golden_descend import SD_WITNESS_SEEDS, _fuzz_input, case_input
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +833,85 @@ def test_evaluation_map_injective():
         if math.isqrt(cofactor) ** 2 != cofactor:
             trivial = False
         assert not trivial, f"{x} evaluates to a square"
+
+
+def _record_states(monkeypatch):
+    """(state, selmer._cut_out calls while building it, its trace entry) of
+    every state that _make_state builds from now on."""
+    states = []
+    cuts = []
+    real_cut, real_make = selmer._cut_out, descent._make_state
+
+    def counted_cut(*args):
+        cuts.append(args)
+        return real_cut(*args)
+
+    def recorded_make(*args):
+        before = len(cuts)
+        state = real_make(*args)
+        states.append((state, len(cuts) - before, state.trace[-1]))
+        return state
+
+    monkeypatch.setattr(selmer, "_cut_out", counted_cut)
+    monkeypatch.setattr(descent, "_make_state", recorded_make)
+    return states
+
+
+@pytest.mark.parametrize(
+    "case", [f"family-{k:02d}/solve={solve}" for k in range(len(ALL_FAMILY)) for solve in (1, 0)]
+    + [f"large-{p}/solve={solve}" for p in LARGE_PRIME_FAMILY for solve in (1, 0)])
+def test_each_state_is_the_preimage_of_the_fiber_torus_selmer_pair(case, monkeypatch):
+    """R and R-hat of every state that descend builds have the dimensions of
+    the Selmer pair of the fiber torus above t0, over T0, the u_i, the real
+    place and 2, and the state's split count is that torus's, as the
+    _make_state docstring argues."""
+    states = _record_states(monkeypatch)
+    spec, point, bounds = case_input(case)
+    descend(spec, point, bounds)
+    assert states
+    for state, _, entry in states:
+        torus = fiber_torus_reference(state)
+        n_split = entry["split_places"]
+        assert len(split_places(torus, spec.s0)) == n_split
+        # the torus's selmer_groups, with the identity checked on them
+        assert dimension_identity(torus, spec.s0) == (state.sel.dim, state.dual.dim, n_split)
+
+
+def test_make_state_builds_one_selmer_pair(monkeypatch):
+    states = _record_states(monkeypatch)
+    for k in range(len(ALL_FAMILY)):
+        spec, point, _ = family_point(k)
+        descend(spec, point, DescentBounds(solve_each_fiber=False))
+    assert len(states) > len(ALL_FAMILY)
+    assert [cuts for _, cuts, _ in states] == [1] * len(states)
+
+
+@pytest.mark.parametrize("groups, text", [
+    ("zero dual", r"\] escaped the relative dual Selmer group$"),
+    ("zero sel", r"\] escaped the relative Selmer group$"),
+    ("whole", r"^relative dimension gap (\d+)-\1 != split count [1-9]\d*$"),
+    ("whole, no split", r"^no split place: suitability \(4\) violated upstream$"),
+])
+def test_make_state_anomalies(groups, text, monkeypatch):
+    """Each DescentAnomaly of _make_state, forced by replacing its groups: a
+    zero R-hat or R loses a target generator, the whole lattice for both
+    has the gap 0, and that gap is the split count when no place splits."""
+    spec, point, _ = family_point(5)
+    p_t = build_suitable(spec, point)
+    real_selmer = descent.relative_selmer
+
+    def replaced(fib):
+        sel, dual = real_selmer(fib)
+        lattice, ncols = sel.lattice, sel.lattice.ncols
+        zero = SelmerSubspace(lattice, gf2.Subspace(ncols))
+        whole = SelmerSubspace(lattice, gf2.Subspace(ncols, [1 << k for k in range(ncols)]))
+        return {"zero dual": (sel, zero), "zero sel": (zero, dual)}.get(groups, (whole, whole))
+
+    monkeypatch.setattr(descent, "relative_selmer", replaced)
+    if groups.endswith("no split"):
+        monkeypatch.setattr(descent, "is_local_square", lambda x, v: False)
+    with pytest.raises(DescentAnomaly, match=text):
+        _make_state(spec, p_t, (), DescentBounds(), [])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Golden `descend` certificates, compared byte for byte.
 
-The cases are the 25 curated family members of fixtures.py and its two
-large-prime members, each with fiber solving on and off under the default
-bounds, one random spec per
+The cases are the 25 curated family members of fixtures.py, its two
+large-prime members and its bounded-chamber member, each with fiber solving
+on and off under the default bounds, one random spec per
 fixed seed drawn as in test_pipeline_fuzz.py, seeded inputs that fail
 each hypothesis of the descent theorem or the input checks, and tight
 bounds that end the search at each exhaustion stage.  Every certificate is
@@ -30,7 +30,14 @@ from torusdescent.arith import REAL, Place
 from torusdescent.descent import DescentBounds, DescentError, check_hypotheses, descend
 from torusdescent.surface import LocalPoint, PartialAdelicPoint, make_spec
 
-from fixtures import ALL_FAMILY, LARGE_PRIME_FAMILY, family_point, large_prime_point
+from fixtures import (
+    ALL_FAMILY,
+    BOUNDED_CHAMBER_MEMBER,
+    LARGE_PRIME_FAMILY,
+    family_point,
+    large_prime_point,
+    member_point,
+)
 from test_pipeline_fuzz import _candidate_point, _random_spec
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "descend.jsonl")
@@ -92,6 +99,10 @@ CLI_MIX_CASES = (
 LARGE_PRIME_CASES = tuple(f"large-{p}/solve={solve}" for p in LARGE_PRIME_FAMILY
                           for solve in (1, 0))
 
+# fixtures.BOUNDED_CHAMBER_MEMBER, the global point (25/2, 11/2) at t* = 9:
+# its scan ends at once, the real chamber holding no second progression value
+BOUNDED_CHAMBER_CASES = tuple(f"chamber-9/solve={solve}" for solve in (1, 0))
+
 CASES = (
     [f"family-{k:02d}/solve={solve}" for k in range(len(ALL_FAMILY)) for solve in (1, 0)]
     + [f"fuzz-{seed}" for seed in FUZZ_SEEDS + HYPOTHESIS_SEEDS]
@@ -100,6 +111,7 @@ CASES = (
     + list(EXHAUSTION_CASES)
     + list(CLI_MIX_CASES)
     + list(LARGE_PRIME_CASES)
+    + list(BOUNDED_CHAMBER_CASES)
 )
 
 
@@ -154,8 +166,8 @@ def _cli_mix_input():
 
 
 def case_input(name):
-    """(spec, point, bounds) of the case: its family or large-prime member,
-    fuzz seed or `cli-mix` spec, the variant, fiber solving ("solve=") and
+    """(spec, point, bounds) of the case: its family, large-prime or
+    bounded-chamber member, fuzz seed or `cli-mix` spec, the variant, fiber solving ("solve=") and
     any bound overridden by "bound=value"."""
     head, *parts = name.split("/")
     settings = dict(part.split("=") for part in parts if "=" in part)
@@ -163,6 +175,9 @@ def case_input(name):
     if head.startswith(("family-", "large-")):
         kind, _, number = head.partition("-")
         spec, point, _ = (family_point if kind == "family" else large_prime_point)(int(number))
+        bounds = DescentBounds(solve_each_fiber=settings.pop("solve") == "1")
+    elif head == "chamber-9":
+        spec, point, _ = member_point(BOUNDED_CHAMBER_MEMBER)
         bounds = DescentBounds(solve_each_fiber=settings.pop("solve") == "1")
     elif head == "cli-mix-13":
         spec, point, bounds = _cli_mix_input()
@@ -222,10 +237,11 @@ def _trace_steps():
 
 def test_golden_has_every_exhaustion_stage_and_trace_step():
     certificates = [json.loads(out) for out in _golden().values() if not out.startswith("error:")]
-    stages = {cert["data"]["stage"] for cert in certificates
-              if cert["outcome"] == "search_exhausted"}
+    exhausted = [cert["data"] for cert in certificates if cert["outcome"] == "search_exhausted"]
     steps = {entry["step"] for cert in certificates for entry in cert["trace"]}
-    assert stages == oracle.EXHAUSTED_STAGES
+    assert {data["stage"] for data in exhausted} == oracle.EXHAUSTED_STAGES
+    assert "the real chamber contains no further progression values" in {
+        data["detail"] for data in exhausted}
     assert steps == _trace_steps()
     assert {"hypotheses", "admissible_point", "sd_witness", "reduce_dual_selmer", "point",
             "exhausted"} <= steps

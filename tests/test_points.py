@@ -84,6 +84,25 @@ def test_local_rational_matches_hilbert():
             assert residual == 0 or valuation(residual, v.p) >= res.precision
 
 
+def test_rational_witness_scans_a_capped_number_of_numerators(monkeypatch):
+    """The fiber at t = 1 of a = b = p, p_1 = t + 1, partA {1}, at p = 233:
+    no x = m with m < p^3 gives a witness, and the scan of that level stops
+    after _WITNESS_SCAN values of m, where it once tried all p^3."""
+    p, calls = 233, []
+    real = points.is_local_square
+
+    def counted(x, v):
+        calls.append(x)
+        assert len(calls) <= 2 * points._WITNESS_SCAN, "the witness scan passed its cap"
+        return real(x, v)
+
+    monkeypatch.setattr(points, "is_local_square", counted)
+    res = local_solubility(2 * p, p, Place.finite(p), "rational")
+    assert res.status == "soluble"
+    assert res.witness == (Fraction(1, p), Fraction(157844283313701, p))
+    assert points._WITNESS_SCAN < len(calls)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     aA=st.builds(Fraction, st.integers(-10**4, 10**4).filter(bool), st.integers(1, 200)),

@@ -19,17 +19,13 @@ from torusdescent.arith import (
 from torusdescent import gf2
 from torusdescent.conditiond import Lattice
 from torusdescent.descent import DescentBounds, build_suitable, find_admissible
-from torusdescent.selmer import (
-    dimension_identity,
-    selmer_groups,
-    split_places,
-    torus_data,
-)
+from torusdescent.selmer import selmer_groups, torus_data
 from torusdescent.surface import make_spec
 
 from fixtures import REDUCTION_MEMBERS, family_point
 from oracles import (
     class_mul,
+    dimension_identity,
     dual_selmer_by_enumeration,
     ev,
     g_element,
@@ -37,6 +33,7 @@ from oracles import (
     g_mul,
     selmer_by_enumeration,
     selmer_elements,
+    split_places,
 )
 
 
