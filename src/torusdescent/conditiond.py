@@ -149,38 +149,57 @@ def target_generators(spec: SurfaceSpec, lattice: Lattice, dual: bool = False) -
     return [class_mask(spec.a, lattice.primes) | lattice.poly_mask(spec.part_a), d_gen]
 
 
-def _intersection(spec: SurfaceSpec, lattice: Lattice, targets: Dict[int, int],
-                  dual: bool) -> Set[int]:
-    """G_D (G^D when dual) as spec-lattice masks: the x = (c, J') with
-    [c*D_i^{J'}] in <t_i> for every i, t_i = targets[i], its generators
-    re-checked one by one.
+def _stacked_map(spec: SurfaceSpec, lattice: Lattice,
+                 targets: Dict[int, int]) -> Tuple[List[int], List[int], int]:
+    """The F2 map whose kernel gives G_D, as (first, columns, ones).
 
-    [D_i^{J'}] = sum over j in J' of r_ij = [D_i^{{j}}], so the intersection
-    is the projection to (c, J') of the solutions (c, J', e) of
-    c = B_i(J', e) := sum_j J'_j r_ij + e_i t_i for every i.  The first
-    index i0 gives c = B_i0(J', e) outright; substituting it leaves
+    [D_i^{J'}] = sum over j in J' of r_ij = [D_i^{{j}}], so G_D is the
+    projection to (c, J') of the solutions (c, J', e) of
+    c = B_i(J', e) := sum_j J'_j r_ij + e_i t_i for every i, t_i =
+    targets[i].  first lists B_i0 for the first index i0, one entry per
+    unknown J'_j, then e_j; it gives c outright.  Substituting it leaves
     (B_k + B_i0)(J', e) = 0 for the other k, a map stacked by columns, one
-    per unknown J'_j or e_j, with bits width*s and up holding block s.  Off
-    the diagonal r_ij = root_masks[i, j]; on it r_ii is [d] ([-d] when
-    dual) plus every root_masks[i, j].  The re-check reads each constant
-    off root_masks by its definition, not off the columns.
+    per unknown, with bits width*s and up holding block s; B_i0 is added
+    to every block as x*ones, ones holding bit 0 of each block.  Off the
+    diagonal r_ij = root_masks[i, j]; on it r_ii is [d] plus every
+    root_masks[i, j].  G^D puts [-d] for [d], which flips bit 0 of every
+    r_ii: check_condition_d makes its map from this one in three edits.
     """
     indices, width = lattice.factor_indices, lattice.width
     table = spec.root_masks
-    diagonal = dict.fromkeys(indices, spec.d_mask ^ dual)
+    diagonal = dict.fromkeys(indices, spec.d_mask)
     for (i, _), mask in table.items():
         diagonal[i] ^= mask
     i0, *rest = indices
     shifts = [width * s for s in range(len(rest))]
-    ones = sum(1 << shift for shift in shifts)
-    # B_i0 over the unknowns J'_j, then e_j; in the stacked map it is added
-    # to every block, as x*ones (ones holds bit 0 of each block)
-    first = [table[i0, j] if j != i0 else diagonal[i0] for j in indices]
-    first += [targets[i0]] + [0] * len(rest)
-    columns = [sum((table[k, j] if k != j else diagonal[k]) << shift
-                   for k, shift in zip(rest, shifts)) ^ r * ones
-               for j, r in zip(indices, first)]
-    columns += [targets[i0] * ones] + [targets[k] << shift for k, shift in zip(rest, shifts)]
+    ones = 0
+    for shift in shifts:
+        ones |= 1 << shift
+    first, columns = [], []
+    for j in indices:
+        r = diagonal[j] if j == i0 else table[i0, j]
+        column = r * ones
+        for k, shift in zip(rest, shifts):
+            column ^= (diagonal[k] if k == j else table[k, j]) << shift
+        first.append(r)
+        columns.append(column)
+    first.append(targets[i0])
+    columns.append(targets[i0] * ones)
+    for k, shift in zip(rest, shifts):
+        first.append(0)
+        columns.append(targets[k] << shift)
+    return first, columns, ones
+
+
+def _intersection(spec: SurfaceSpec, lattice: Lattice, targets: Dict[int, int], dual: bool,
+                  first: Sequence[int], columns: Sequence[int]) -> Set[int]:
+    """G_D (G^D when dual) as spec-lattice masks: the x = (c, J') with
+    [c*D_i^{J'}] in <t_i> for every i, t_i = targets[i], from the kernel
+    of its stacked map (first, columns) of _stacked_map.  Its generators
+    are re-checked one by one, each constant read off root_masks by its
+    definition, not off the columns.
+    """
+    indices, width = lattice.factor_indices, lattice.width
     poly_bits = (1 << len(indices)) - 1
     group = gf2.Subspace(lattice.ncols, [gf2.combine(first, x) | (x & poly_bits) << width
                                          for x in gf2.column_kernel(columns)])
@@ -214,23 +233,35 @@ class ConditionDReport:
 
 def check_condition_d(spec: SurfaceSpec) -> ConditionDReport:
     """Compare G_D, G^D against their target subgroups <[a][p_A], [d][p_J]>
-    and <[-d][p_J]>, all as masks of one spec lattice."""
+    and <[-d][p_J]>, all as masks of one spec lattice.  Each reported
+    element is decoded once."""
     lattice = Lattice.of_spec(spec)
     targets = {i: target_mask(spec, i) for i in spec.indices}
-    groups, witnesses = [], set()
+    first, columns, ones = _stacked_map(spec, lattice, targets)
+    groups, decoded, witnesses = [], {}, set()
     for dual, name in ((False, "G_D"), (True, "G^D")):
-        group = _intersection(spec, lattice, targets, dual)
+        if dual:
+            # flip bit 0 of every r_ii: in B_i0, in the column of i0 (B_i0
+            # is added to every block) and in block s of the column of the
+            # index s + 1
+            first[0] ^= 1
+            columns[0] ^= ones
+            for s in range(len(spec.indices) - 1):
+                columns[s + 1] ^= 1 << lattice.width * s
+        group = _intersection(spec, lattice, targets, dual, first, columns)
         span = {0}
         for gen in target_generators(spec, lattice, dual):
             span |= {gen ^ x for x in span}
-        missing = lattice.report(span - group)
-        if missing:
+        if not span <= group:
+            missing = lattice.report(span - group)
             raise AssertionError(f"generator {missing[0]} missing from {name} (bug)")
-        groups.append(lattice.report(group))
+        for x in group - decoded.keys():
+            decoded[x] = lattice.decode(x)
+        groups.append(tuple(sorted(map(decoded.__getitem__, group), key=GElement.sort_key)))
         witnesses |= group - span
     return ConditionDReport(
         holds=not witnesses,
         g_d=groups[0],
         g_d_dual=groups[1],
-        witnesses=lattice.report(witnesses),
+        witnesses=tuple(sorted(map(decoded.__getitem__, witnesses), key=GElement.sort_key)),
     )

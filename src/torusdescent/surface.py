@@ -56,14 +56,15 @@ def past_primality_range(name: str, x: Rational) -> str:
             f"range (n < {_MR_LIMIT:.4g})")
 
 
-def _input_primes(name: str, num: int, den: int = 1) -> Dict[int, int]:
-    """factorize the numerator of the spec quantity num/den, called name in
-    the SpecValidationError raised when it is past the certified primality
-    range."""
+def _input_primes(num: int, den: int, name: str, *fields: object) -> Dict[int, int]:
+    """factorize the numerator of the spec quantity num/den, called
+    name.format(*fields) in the SpecValidationError raised when it is past
+    the certified primality range; the name is formatted only then."""
     try:
         return factorize(num // math.gcd(num, den))
     except PrimalityRangeError:
-        raise SpecValidationError([past_primality_range(name, Fraction(num, den))]) from None
+        raise SpecValidationError(
+            [past_primality_range(name.format(*fields), Fraction(num, den))]) from None
 
 
 class DegenerateFiberError(ValueError):
@@ -166,6 +167,11 @@ class SurfaceSpec:
         return strip_primes(Fraction(x).denominator, self.s0_finite_primes) == 1
 
     @cached_property
+    def _tables(self) -> _FactorTables:
+        """The tables of the one factorization pass, built at first use."""
+        return _factor_tables(self)
+
+    @cached_property
     def s_bad(self) -> Tuple[Place, ...]:
         """compute_s_bad of this spec, computed at first use."""
         return compute_s_bad(self)
@@ -184,8 +190,8 @@ class SurfaceSpec:
     @cached_property
     def cross_resultants(self) -> Dict[Tuple[int, int], int]:
         """(i, j) -> C_i*D_j - C_j*D_i = L_i*L_j*(c_i*d_j - c_j*d_i) over
-        forms, for i before j in indices, each formed once: compute_s_bad
-        factors them and root_masks reads their classes."""
+        forms, for i before j in indices, each formed once for the one
+        factorization pass."""
         items = list(self.forms.items())
         return {(i, j): ci * dj - cj * di
                 for k, (i, (ci, di, _)) in enumerate(items) for j, (cj, dj, _) in items[k + 1:]}
@@ -202,23 +208,10 @@ class SurfaceSpec:
 
     @cached_property
     def root_masks(self) -> Dict[Tuple[int, int], int]:
-        """(i, j) -> class_mask of p_j(-d_i/c_i) over basis_primes, for i != j:
-        every descent constant is an XOR of these and [a] or [d].
-
-        p_j(-d_i/c_i) = R/(L_i*L_j*c_i) = R/(L_j*C_i) and p_i(-d_j/c_j) =
-        -R/(L_i*C_j) for the integer cross-resultant R of i before j, so each
-        pair costs one class_mask.  Every L_i is S0-supported, so its primes
-        lie in basis_primes.
-        """
-        primes = self.basis_primes
-        lead = {i: class_mask(c, primes) for i, (c, _, _) in self.forms.items()}
-        denom = {i: class_mask(lcm, primes) for i, (_, _, lcm) in self.forms.items()}
-        table = {}
-        for (i, j), r in self.cross_resultants.items():
-            mask = class_mask(r, primes)
-            table[i, j] = mask ^ lead[i] ^ denom[j]
-            table[j, i] = mask ^ 1 ^ lead[j] ^ denom[i]
-        return table
+        """(i, j) -> the class mask of p_j(-d_i/c_i) over basis_primes, for
+        i != j: every descent constant is an XOR of these and [a] or [d].
+        Read off the one factorization pass (see _factor_tables)."""
+        return self._tables.root_masks
 
     @cached_property
     def brauer_constants(self) -> Dict[int, Fraction]:
@@ -266,9 +259,9 @@ def spec_violations(
                 problems.append(f"{name} = {x} is not an S0-integer")
         # coprimality as S0-integers: no prime outside S0 divides both
         # (for d = 0 the gcd is c's numerator: c must be an S0-unit)
-        name = f"c_{i}" if d == 0 else f"gcd(c_{i}, d_{i})"
+        name = "c_{0}" if d == 0 else "gcd(c_{0}, d_{0})"
         try:
-            common = _input_primes(name, math.gcd(c.numerator, d.numerator))
+            common = _input_primes(math.gcd(c.numerator, d.numerator), 1, name, i)
         except SpecValidationError as exc:
             problems += exc.violations
             continue
@@ -322,35 +315,43 @@ def make_spec(
 # ---------------------------------------------------------------------------
 
 
-def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
-    """Finite places outside S0 of bad reduction for the fibration.
+class _FactorTables(NamedTuple):
+    """What a spec keeps of its one factorization pass: no factorization,
+    only the tables derived from them."""
 
-    Primes dividing a cross-resultant c_i*d_j - c_j*d_i, a leading
-    coefficient c_i, or d = ab; the prime 2; and primes p with
-    p_J(t) = 0 mod p for every residue t (only possible for p <= |J|).
-    The cross-resultants are read from spec.cross_resultants, the one
-    table that root_masks also reads: the numerator of c_i*d_j - c_j*d_i
-    is R_ij // gcd(R_ij, L_i*L_j) for the integer R_ij there.
-    Leading-coefficient primes are included so that the constants
-    a*p_A(-d_i/c_i) are v-units at every place outside S0 and S_bad.
-    A quantity that cannot be factored within the certified primality
-    range raises SpecValidationError naming it.
+    s_bad: Tuple[Place, ...]
+    root_masks: Dict[Tuple[int, int], int]
+
+
+def _factor_tables(spec: SurfaceSpec) -> _FactorTables:
+    """The one factorization pass over the constants of spec: it factors
+    the numerators of d, then of each c_i followed by c_i*d_j - c_j*d_i for
+    each j after i, once each and in that order, and reads S_bad (see
+    compute_s_bad) and root_masks off them, keeping no factorization.
+
+    The numerator of c_i*d_j - c_j*d_i is N_ij = R_ij // gcd(R_ij, L_i*L_j)
+    for R_ij in spec.cross_resultants, and p_j(-d_i/c_i) = R_ij/(L_j*C_i),
+    p_i(-d_j/c_j) = -R_ij/(L_i*C_j).  Each of R_ij, C_i and L_j is a
+    factored numerator (none for L_j) times an S0-supported integer
+    (gcd(R_ij, L_i*L_j), L_i/den(c_i), L_j), so its class over basis_primes
+    is its sign, the primes of odd exponent in the factorization, and the
+    class of that integer over the S0 primes.
     """
-    s0_primes = set(spec.s0_finite_primes)
-    bad = set()
+    s0_primes = spec.s0_finite_primes
+    forms, cross = spec.forms, spec.cross_resultants
+    d_primes = _input_primes(spec.d.numerator, spec.d.denominator, "d = ab")
+    lead_primes, numerators = {}, {}
+    for k, (i, (c, _)) in enumerate(spec.factors):
+        lead_primes[i] = _input_primes(c.numerator, c.denominator, "c_{}", i)
+        for j in spec.indices[k + 1:]:
+            numerators[i, j] = _input_primes(cross[i, j], forms[i][2] * forms[j][2],
+                                             "c_{0}*d_{1} - c_{1}*d_{0}", i, j)
+    # the denominators are S0-smooth: a prime outside S0 dividing a
+    # numerator has positive valuation
+    bad = {q for primes in (d_primes, *lead_primes.values(), *numerators.values())
+           for q in primes if q not in s0_primes}
     if 2 not in s0_primes:
         bad.add(2)
-    forms = spec.forms
-    values = [("d = ab", spec.d.numerator, spec.d.denominator)]
-    cross = spec.cross_resultants
-    for k, (i, (ci, _)) in enumerate(spec.factors):
-        values.append((f"c_{i}", ci.numerator, ci.denominator))
-        values += [(f"c_{i}*d_{j} - c_{j}*d_{i}", cross[i, j], forms[i][2] * forms[j][2])
-                   for j in spec.indices[k + 1:]]
-    for name, num, den in values:
-        # the denominator is S0-smooth: a prime outside S0 dividing the
-        # numerator has positive valuation
-        bad.update(q for q in _input_primes(name, num, den) if q not in s0_primes)
     # residue-covering primes: every t mod p is a root of p_J.  Such p lies
     # outside S0 and divides no C_i (the primes of c_i are bad already and
     # L_i is S0-supported), so p_i(t) = 0 mod p at t = -D_i/C_i only.
@@ -359,7 +360,49 @@ def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
             continue
         if len({-d * pow(c, -1, p) % p for c, d, _ in forms.values()}) == p:
             bad.add(p)
-    return tuple(Place.finite(q) for q in sorted(bad))
+    bit = {p: 1 << k for k, p in enumerate(sorted({*s0_primes, *bad}), 1)}
+
+    def class_of(negative: bool, primes: Dict[int, int], smooth: int) -> int:
+        """The class over basis_primes of +-(the factored number) * smooth,
+        smooth > 0 S0-supported."""
+        mask = int(negative)
+        for p, e in primes.items():
+            if e & 1:
+                mask ^= bit[p]
+        for p in s0_primes:
+            while smooth % p == 0:
+                smooth //= p
+                mask ^= bit[p]
+        return mask
+
+    lead, denom = {}, {}
+    for i, (c, _) in spec.factors:
+        lcm = forms[i][2]
+        lead[i] = class_of(c < 0, lead_primes[i], lcm // c.denominator)
+        denom[i] = class_of(False, {}, lcm)
+    table = {}
+    for (i, j), primes in numerators.items():
+        r = cross[i, j]
+        mask = class_of(r < 0, primes, math.gcd(r, forms[i][2] * forms[j][2]))
+        table[i, j] = mask ^ lead[i] ^ denom[j]
+        table[j, i] = mask ^ 1 ^ lead[j] ^ denom[i]
+    return _FactorTables(tuple(Place.finite(q) for q in sorted(bad)), table)
+
+
+def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
+    """Finite places outside S0 of bad reduction for the fibration.
+
+    Primes dividing a cross-resultant c_i*d_j - c_j*d_i, a leading
+    coefficient c_i, or d = ab; the prime 2; and primes p with
+    p_J(t) = 0 mod p for every residue t (only possible for p <= |J|).
+    Read off the one factorization pass of the spec (_factor_tables),
+    which factors each of these numerators once, at first use, and from
+    which root_masks is read too.  Leading-coefficient primes are included
+    so that the constants a*p_A(-d_i/c_i) are v-units at every place
+    outside S0 and S_bad.  A quantity that cannot be factored within the
+    certified primality range raises SpecValidationError naming it.
+    """
+    return spec._tables.s_bad
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,17 @@ def cross_resultant_reference(spec, i: int, j: int) -> Fraction:
     return ci * dj - cj * di
 
 
+def factored_numerators_reference(spec) -> List[int]:
+    """The numerators S_bad factors, in the order it factors them: d, then
+    each c_i followed by c_i*d_j - c_j*d_i for each j after i."""
+    expected = [spec.d.numerator]
+    for i, (c, _) in spec.factors:
+        expected.append(c.numerator)
+        expected += [cross_resultant_reference(spec, i, j).numerator
+                     for j in spec.indices if j > i]
+    return expected
+
+
 def product_value_reference(spec, subset, t) -> Fraction:
     """p_{subset}(t), one Fraction product per factor."""
     value = Fraction(1)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torusdescent import gf2
+from torusdescent import conditiond, gf2, surface
 from torusdescent.arith import class_from_mask, class_mask, factorize, square_class
 from torusdescent.conditiond import (
     GElement,
@@ -34,6 +35,7 @@ from oracles import (
     d_constant,
     d_constant_dual,
     expected_g_d_generators,
+    factored_numerators_reference,
     g_d_bruteforce,
     g_element,
     g_identity,
@@ -308,9 +310,14 @@ def test_condition_d_matches_object_reference_family(member):
 
 
 def test_condition_d_reads_no_fiber_value_and_forms_each_cross_resultant_once(monkeypatch):
-    values, builds = [], []
+    """A cold check_condition_d evaluates no p_i, forms each cross-resultant
+    once, factors each quantity of S_bad once and in its order, and takes
+    the class of no quantity but a and d with class_mask: the classes of
+    the cross-resultants are read off their factorizations."""
+    values, builds, factored, classes = [], [], [], []
     real_value = SurfaceSpec.factor_value
     real_cross = SurfaceSpec.__dict__["cross_resultants"].func
+    real_factorize, real_class_mask = surface.factorize, surface.class_mask
 
     def counted_value(self, i, t):
         values.append((i, t))
@@ -320,20 +327,69 @@ def test_condition_d_reads_no_fiber_value_and_forms_each_cross_resultant_once(mo
         builds.append(self)
         return real_cross(self)
 
+    def counted_factorize(n):
+        factored.append(n)
+        return real_factorize(n)
+
+    def counted_class_mask(x, primes):
+        classes.append(x)
+        return real_class_mask(x, primes)
+
     cross = cached_property(counted_cross)
     cross.__set_name__(SurfaceSpec, "cross_resultants")
     monkeypatch.setattr(SurfaceSpec, "factor_value", counted_value)
     monkeypatch.setattr(SurfaceSpec, "cross_resultants", cross)
-    # t, t+1, t+2 over S0 = {2} makes 3 a residue-covering prime of S_bad
-    specs = [family_spec(23), _g_d_too_large_spec(8),
+    # |J| = 3, 3, 8 and 16; t, t+1, t+2 over S0 = {2} makes 3 a
+    # residue-covering prime of S_bad
+    specs = [family_spec(23), _g_d_too_large_spec(8), _g_d_too_large_spec(16),
              make_spec([2], 1, 3, {1: (1, 0), 2: (1, 1), 3: (1, 2)}, [1])]
+    monkeypatch.setattr(surface, "factorize", counted_factorize)
+    for module in (surface, conditiond):
+        monkeypatch.setattr(module, "class_mask", counted_class_mask)
     for spec in specs:
+        factored.clear()
+        classes.clear()
         check_condition_d(spec)
+        assert factored == factored_numerators_reference(spec)
+        assert classes and set(classes) <= {spec.a, spec.d}
         assert len(spec.root_masks) == len(spec.indices) * (len(spec.indices) - 1)
         assert compute_s_bad(spec) == spec.s_bad
+    assert [len(spec.indices) for spec in specs] == [3, 8, 16, 3]
     assert values == []
     assert builds == specs
-    assert 3 in specs[2].basis_primes
+    assert 3 in specs[3].basis_primes
+
+
+def test_spec_keeps_the_derived_tables_and_no_factorization():
+    """After check_condition_d a spec holds its fields and the named tables,
+    none of them a factorization."""
+    for spec in (family_spec(23), _g_d_too_large_spec(16)):
+        check_condition_d(spec)
+        fields = {field.name for field in dataclasses.fields(spec)}
+        assert set(vars(spec)) - fields == {
+            "d", "indices", "forms", "cross_resultants", "_tables", "s_bad",
+            "basis_primes", "root_masks", "a_mask", "d_mask"}
+        assert tuple(spec._tables) == (spec.s_bad, spec.root_masks)
+
+
+def test_check_condition_d_decodes_each_reported_element_once(monkeypatch):
+    """Every distinct element of G_D and G^D is decoded once, the witnesses
+    included; a failing and a holding spec."""
+    decoded = []
+    real_decode = Lattice.decode
+
+    def counted_decode(self, mask):
+        decoded.append(mask)
+        return real_decode(self, mask)
+
+    monkeypatch.setattr(Lattice, "decode", counted_decode)
+    for spec in (_g_d_too_large_spec(8), family_spec(23)):
+        decoded.clear()
+        report = check_condition_d(spec)
+        lattice = Lattice.of_spec(spec)
+        reported = {real_decode(lattice, x) for x in decoded}
+        assert len(decoded) == len(reported) == len({*report.g_d, *report.g_d_dual})
+        assert set(report.witnesses) <= reported
 
 
 def test_self_checks_catch_a_wrong_kernel(monkeypatch, running_spec):

@@ -32,6 +32,7 @@ from oracles import (
     compute_s,
     cross_resultant_reference,
     factor_value_reference,
+    factored_numerators_reference,
     fiber_coeffs_reference,
     product_value_reference,
     residual_reference,
@@ -158,13 +159,9 @@ def test_integer_constants_match_the_fraction_formulas(spec):
         lcm_i, lcm_j = spec.forms[i][2], spec.forms[j][2]
         assert r == lcm_i * lcm_j * cross_resultant_reference(spec, i, j)
     # factorize sees the numerator of each rational quantity, in order
-    expected = [spec.d.numerator]
-    for i, (c, _) in spec.factors:
-        expected.append(c.numerator)
-        expected += [cross_resultant_reference(spec, i, j).numerator
-                     for j in spec.indices if j > i]
     with mock.patch.object(surface, "factorize", wraps=surface.factorize) as factored:
         assert {v.p for v in compute_s_bad(spec)} == s_bad_reference(spec)
+    expected = factored_numerators_reference(spec)
     assert [call.args[0] for call in factored.call_args_list] == expected
     for i in spec.indices:
         for j in spec.indices:
