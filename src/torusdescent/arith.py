@@ -3,8 +3,8 @@
 Valuations, square classes (an element of Q*/(Q*)^2 is its signed
 square-free integer, or its F2 mask over -1 and known primes), local
 square classes as F2 bitmasks, the Hilbert symbol at every place as a
-bilinear form on those masks, Legendre symbols, Hensel lifting on
-diagonal quadrics and deterministic prime streams.  Everything is
+bilinear form on those masks, Legendre symbols, Hensel lifting of
+unit square roots and deterministic prime streams.  Everything is
 computed with exact integer/Fraction arithmetic; nothing here touches
 floating point.
 """
@@ -462,139 +462,34 @@ def hilbert_symbol(a: Rational, b: Rational, v: Place) -> int:
 # Hensel lifting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HenselResult:
-    """Outcome of a bounded residue search with smooth-point certification.
 
-    status 'witness': witness solves f = 0 mod p^precision and the partial
-    derivative 2*c_j*x_j in j = smooth_var satisfies the strong Hensel
-    condition val(f) > 2*val(2*c_j*x_j) there, so the witness lifts to Z_p
-    (at odd p and a unit c_j the derivative is simply a unit).  status
-    'none': a complete residue analysis at the stated precision excluded
-    all solutions.  status 'inconclusive': solutions mod p^precision exist
-    (or the node budget ran out) but none could be certified.
+def sqrt_lift(u: Rational, p: int, k: int) -> Optional[int]:
+    """The square root mod p^k of u, or None unless u is a unit square in Z_p.
+
+    Starts from the least root mod p (1 at 2, where a unit square is 1 mod
+    8) and runs Newton's method on F = den(u)*x^2 - num(u), with
+    F' = 2*den(u)*x: at odd p F' is a unit, and at 2 val(F) >= 3 > 2*val(F')
+    (Serre, A Course in Arithmetic, Ch. II), so each step keeps x integral
+    and raises val(F).
     """
-
-    status: str  # 'witness' | 'none' | 'inconclusive'
-    p: int
-    precision: int
-    witness: Optional[Tuple[int, ...]] = None
-    smooth_var: Optional[int] = None
-    detail: str = ""
-
-
-def hensel_solve(
-    coeffs: Sequence[Rational],
-    constant: Rational,
-    p: int,
-    precision: int,
-    node_limit: int = 100_000,
-) -> HenselResult:
-    """Search residues mod p^precision for a certified-liftable zero of the
-    diagonal quadric f = sum(coeffs[k]*x_k^2) + constant.
-
-    One or two variables, every coefficient p-integral.  Solutions are
-    explored level by level; a node where the strong Hensel condition
-    val(f) > 2*val(2*c_j*x_j) holds is Newton-lifted in x_j to full
-    precision and returned with j as its non-degeneracy certificate
-    (Serre, A Course in Arithmetic, Ch. II).
-
-    The search runs on the integer quadric F = L*f, L the lcm of the
-    coefficient denominators: p does not divide L, as every coefficient is
-    p-integral, so val(F) = val(f) at every point and F = 0 exactly where
-    f = 0.  Level 1 tests each vanishing residue for a certificate as soon
-    as it is found, which returns the node the full level-1 frontier would
-    return first; each deeper level is built whole and checked against the
-    node budget before its certificates are tested.
-    """
-    nvars = len(coeffs)
-    if nvars not in (1, 2):
-        raise ValueError("hensel_solve handles 1 or 2 variables")
-    rationals = (*coeffs, constant)
-    if any(c.denominator % p == 0 for c in rationals):
-        raise ValueError("coefficients must be p-integral")
-    if p**nvars > node_limit:
-        return HenselResult(
-            "inconclusive", p, precision, detail="residue space exceeds node budget"
-        )
-    scale = math.lcm(*(c.denominator for c in rationals))
-    *ints, int0 = (c.numerator * (scale // c.denominator) for c in rationals)
-    # every level k <= precision reads these residues mod p^k
-    top = p ** max(precision, 1)
-    residues = [c % top for c in ints]
-    residue0 = int0 % top
-
-    def vanishes_mod(point: Sequence[int], k: int) -> bool:
-        return (sum(r * x * x for r, x in zip(residues, point)) + residue0) % p**k == 0
-
-    def f(point: Sequence[int]) -> int:
-        return sum(c * x * x for c, x in zip(ints, point)) + int0
-
-    def certificate_var(point: Sequence[int]) -> Optional[int]:
-        """Strong Hensel condition val(F) > 2*val(2*C_j*x_j) at the exact point."""
-        fval = f(point)
-        vf = None if fval == 0 else valuation(fval, p)
-        for j in range(nvars):
-            dval = 2 * ints[j] * point[j]
-            if dval == 0:
-                continue
-            if vf is None or vf > 2 * valuation(dval, p):
-                return j
+    u = Fraction(u)
+    num, den = u.numerator, u.denominator
+    if num % p == 0 or den % p == 0:
         return None
-
-    def newton_lift(point: Tuple[int, ...], var: int) -> Tuple[int, ...]:
-        modulus = p**precision
-        pt = [x % modulus for x in point]
-        while True:
-            fval = f(pt)
-            if fval % modulus == 0:
-                return tuple(pt)
-            # delta = -F/G for G = 2*C_var*x_var, with p^val(G) cancelled:
-            # p-integral, as val(F) > 2 val(G) >= val(G)
-            dval = 2 * ints[var] * pt[var]
-            while dval % p == 0:
-                dval //= p
-                fval //= p
-            delta = -fval * pow(dval, -1, modulus)
-            pt[var] = (pt[var] + delta) % modulus
-
-    frontier = []
-    for pt in itertools.product(range(p), repeat=nvars):
-        if vanishes_mod(pt, 1):
-            var = certificate_var(pt)
-            if var is not None:
-                return HenselResult("witness", p, precision, newton_lift(pt, var), var)
-            frontier.append(pt)
-    level = 1
-    nodes = len(frontier)
-    while True:
-        if not frontier:
-            return HenselResult(
-                "none", p, precision, detail=f"all residues excluded at level {level}"
-            )
-        if level >= precision:
-            return HenselResult(
-                "inconclusive",
-                p,
-                precision,
-                detail="singular solutions remain at stated precision",
-            )
-        # branch every surviving node one level deeper
-        new_frontier = []
-        step = p**level
-        for pt in frontier:
-            for delta in itertools.product(range(p), repeat=nvars):
-                cand = tuple(x + step * t for x, t in zip(pt, delta))
-                if vanishes_mod(cand, level + 1):
-                    new_frontier.append(cand)
-            nodes += p**nvars
-            if nodes > node_limit:
-                return HenselResult(
-                    "inconclusive", p, precision, detail="node budget exhausted"
-                )
-        frontier = new_frontier
-        level += 1
-        for pt in frontier:
-            var = certificate_var(pt)
-            if var is not None:
-                return HenselResult("witness", p, precision, newton_lift(pt, var), var)
+    if p == 2:
+        if (num - den) % 8:
+            return None
+        x = 1
+    else:
+        root = sqrt_mod(num * pow(den, -1, p), p)
+        if root is None:
+            return None
+        x = min(root, p - root)
+    modulus = p**k
+    x %= modulus
+    while (f := den * x * x - num) % modulus:
+        g = 2 * den * x
+        if p == 2:  # cancel the one factor 2 of F'
+            f, g = f // 2, g // 2
+        x = (x - f * pow(g, -1, modulus)) % modulus
+    return x

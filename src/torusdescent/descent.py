@@ -32,7 +32,6 @@ from .arith import (
     class_from_mask,
     class_mask,
     crt,
-    hensel_solve,
     hilbert_row,
     hilbert_symbol,
     is_local_square,
@@ -40,6 +39,7 @@ from .arith import (
     local_dim,
     mod_prime_power,
     prime_stream,
+    sqrt_lift,
     strip_primes,
     valuation,
 )
@@ -437,8 +437,7 @@ def _try_admissible(
       the valuations and unit square classes of aA and bB (scaling aA by a
       unit square maps integral solutions to integral ones), so p_t's entry
       at v gives one above t0; at places of S0 the Hilbert symbol reads
-      only the classes.  An "inconclusive" local_solubility (a Hensel
-      search too large) is no failure: the row check fixed what it reads.
+      only the classes.
     - The reciprocity symbol at u_i is the sum over T of
       (a*D_i^A, p_i(t0))_v, by the row check p_t's Brauer sum i: 0.
     """
@@ -588,15 +587,13 @@ def _local_point_above(spec: SurfaceSpec, w: Place, t_w: int, i: int) -> LocalPo
     """Integral local point on the fiber above t_w, where p_i degenerates.
 
     The non-degenerate coefficient is a unit square at w by construction, so
-    an axis point (x, 0) or (0, y) exists; solving the one-variable equation
-    keeps the residue search linear in w.
+    an axis point (x, 0) or (0, y) exists: the square root of its inverse.
     """
     axis = 1 if i in spec.part_a else 0  # the coefficient solved for is bB, else aA
     coeff = spec.product_value(spec.partition[axis], t_w, spec.b if axis else spec.a)
-    result = hensel_solve((coeff,), -1, w.p, _LOCAL_POINT_PRECISION, node_limit=2_000_000)
-    if result.status != "witness":
+    root = sqrt_lift(1 / coeff, w.p, _LOCAL_POINT_PRECISION)
+    if root is None:
         raise DescentAnomaly(f"fiber above t = {t_w} not certifiably soluble at {w}")
-    root = Fraction(result.witness[0])
     if axis == 0:
         return LocalPoint.make(root, 0, t_w, _LOCAL_POINT_PRECISION)
     return LocalPoint.make(0, root, t_w, _LOCAL_POINT_PRECISION)

@@ -13,13 +13,12 @@ from .arith import (
     _MR_LIMIT,
     _SMALL_PRIMES,
     REAL,
-    HenselResult,
     Place,
     Rational,
-    hensel_solve,
     hilbert_symbol,
     is_local_square,
     is_prime,
+    sqrt_lift,
     sqrt_mod,
     strip_primes,
     valuation,
@@ -33,11 +32,10 @@ class LocalSolubility:
 
     status 'soluble' may carry a witness (x, y): exact rationals satisfying
     the equation to the stated v-adic precision.  'insoluble' carries a
-    certificate description.  'inconclusive' only occurs for the integral
-    model when the bounded residue analysis runs out of precision.
+    certificate description.  Every verdict is definite.
     """
 
-    status: str  # 'soluble' | 'insoluble' | 'inconclusive'
+    status: str  # 'soluble' | 'insoluble'
     place: Place
     witness: Optional[Tuple[Fraction, Fraction]] = None
     precision: int = 0
@@ -70,8 +68,15 @@ def local_solubility(
     projective closure (a smooth conic with one Q_v-point carries points off
     the line at infinity, so no separate affine obstruction remains) and
     attaches a witness when the bounded scan finds one.  model 'integral'
-    runs hensel_solve on the diagonal quadric aA*x^2 + bB*y^2 - 1 over Z_v
-    to precision val(4*aA*bB) + 3 and is exact up to that precision.
+    decides over Z_v by the unit-square criterion: 1 is a unit, so at a
+    Z_v-point s*x^2 is a unit for (s, x) = (aA, x) or (bB, y), and then
+    x^2 = (1 - c*y^2)/s, c the other coefficient, is a unit square.  That
+    depends on y mod p only (mod 4 at 2), and only on y = 0 when c is not
+    a unit at an odd p, so a scan of those y in both orientations is
+    exact.  The witness is the first square root found, lifted by
+    sqrt_lift to precision val(4*aA*bB) + 3.  With two units at an odd p
+    the reduction is a smooth conic with points off each axis, so the
+    scan stops within a few y even at a large p.
     """
     aA, bB = Fraction(aA), Fraction(bB)
     if aA * bB == 0:
@@ -94,39 +99,22 @@ def local_solubility(
     if valuation(aA, p) < 0 or valuation(bB, p) < 0:
         raise ValueError("integral model needs v-integral coefficients")
     precision = valuation(4 * aA * bB, p) + 3
-    return _from_hensel(hensel_solve((aA, bB), -1, p, precision), v)
-
-
-def _from_hensel(result: HenselResult, v: Place) -> LocalSolubility:
-    if result.status == "witness":
-        x, y = result.witness  # type: ignore[misc]
-        return LocalSolubility(
-            "soluble",
-            v,
-            witness=(Fraction(x), Fraction(y)),
-            precision=result.precision,
-            certificate=f"Hensel witness, unit derivative in variable {result.smooth_var}",
-        )
-    if result.status == "none":
-        return LocalSolubility(
-            "insoluble", v, precision=result.precision, certificate=result.detail
-        )
+    orientations = ((aA, bB, "(1 - bB*y^2)/aA at y"), (bB, aA, "(1 - aA*x^2)/bB at x"))
+    for j, (s, c, text) in enumerate(orientations):
+        if valuation(s, p) != 0:
+            continue
+        for y in range(4) if p == 2 else range(p) if valuation(c, p) == 0 else (0,):
+            x = sqrt_lift((1 - c * y * y) / s, p, precision)
+            if x is not None:
+                witness = (Fraction(x), Fraction(y)) if j == 0 else (Fraction(y), Fraction(x))
+                return LocalSolubility(
+                    "soluble", v, witness=witness, precision=precision,
+                    certificate=f"{text} = {y} is a unit square",
+                )
     return LocalSolubility(
-        "inconclusive", v, precision=result.precision, certificate=result.detail
+        "insoluble", v, precision=precision,
+        certificate="neither aA*x^2 nor bB*y^2 is a unit at any point",
     )
-
-
-def _padic_sqrt(c: Fraction, p: int, precision: int) -> Optional[Fraction]:
-    """A rational approximating sqrt(c) in Q_p to the stated precision."""
-    val = valuation(c, p)
-    if val % 2:
-        return None
-    shift = val // 2
-    unit = c / Fraction(p) ** val
-    result = hensel_solve((1,), -unit, p, precision)
-    if result.status != "witness":
-        return None
-    return Fraction(result.witness[0]) * Fraction(p) ** shift
 
 
 # the most numerators x = m/p^e that _rational_witness tries at one level e
@@ -149,12 +137,11 @@ def _rational_witness(
                 return (x, Fraction(0)), target
             if not is_local_square(c, v):
                 continue
-            # depth needed so the reconstructed residual meets the target
+            # c = p^(2*shift) * (a unit square); the depth of its root
+            # needed so the reconstructed residual meets the target
             shift = valuation(c, p) // 2
             inner = max(target - valuation(bB, p) - 2 * shift, 2)
-            y = _padic_sqrt(c, p, inner)
-            if y is None:
-                continue
+            y = sqrt_lift(c / Fraction(p) ** (2 * shift), p, inner) * Fraction(p) ** shift
             residual = aA * x * x + bB * y * y - 1
             if residual == 0 or valuation(residual, p) >= target:
                 return (x, y), target

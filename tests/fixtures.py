@@ -62,9 +62,9 @@ MULTI_REDUCTION_MEMBERS = [16]  # initial dual dimension 3: two reductions
 
 ALL_FAMILY = SOLUBLE_FAMILY + EXTRA_FAMILY
 
-# members whose T holds a prime p > 316, keyed by p: hensel_solve refuses
-# the p^2 residues there, so local_solubility(..., "integral") at p is
-# inconclusive, and the descent must not need it
+# members whose T holds a prime p > 316, keyed by p: a residue search over
+# the p^2 pairs (x, y) would be too large there, and the unit-square
+# criterion of local_solubility(..., "integral") decides them all the same
 LARGE_PRIME_FAMILY = {
     317: ([2], 3, -4, {1: (1, 0), 2: (1, -317)}, [1], -44),
     331: ([2], -5, 2, {1: (1, 0), 2: (1, 331)}, [1], -14),

@@ -19,7 +19,6 @@ from sympy import factorint
 from torusdescent import gf2
 from torusdescent.arith import (
     REAL,
-    HenselResult,
     Place,
     class_from_mask,
     class_mask,
@@ -943,6 +942,28 @@ def tame_residue(left, right: Sequence[Fraction], point) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class HenselResult:
+    """Outcome of hensel_solve_reference, a bounded residue search with
+    smooth-point certification.
+
+    status 'witness': witness solves f = 0 mod p^precision and the partial
+    derivative 2*c_j*x_j in j = smooth_var satisfies the strong Hensel
+    condition val(f) > 2*val(2*c_j*x_j) there, so the witness lifts to Z_p
+    (at odd p and a unit c_j the derivative is simply a unit).  status
+    'none': a complete residue analysis at the stated precision excluded
+    all solutions.  status 'inconclusive': solutions mod p^precision exist
+    (or the node budget ran out) but none could be certified.
+    """
+
+    status: str  # 'witness' | 'none' | 'inconclusive'
+    p: int
+    precision: int
+    witness: Optional[Tuple[int, ...]] = None
+    smooth_var: Optional[int] = None
+    detail: str = ""
+
+
 def hensel_solve_reference(
     coeffs: Sequence,
     constant,
@@ -950,9 +971,12 @@ def hensel_solve_reference(
     precision: int,
     node_limit: int = 100_000,
 ) -> HenselResult:
-    """arith.hensel_solve as it was on Fractions, kept as its reference: f
-    and every Newton step evaluated in Fraction, the whole level-1 frontier
-    built before any node is tested for a certificate."""
+    """Search residues mod p^precision for a certified-liftable zero of the
+    diagonal quadric f = sum(coeffs[k]*x_k^2) + constant, one or two
+    variables, every coefficient p-integral: f and every Newton step
+    evaluated in Fraction, the whole level-1 frontier built before any node
+    is tested for a certificate.  The reference for the unit-square
+    criterion of points.local_solubility and for arith.sqrt_lift."""
     nvars = len(coeffs)
     if nvars not in (1, 2):
         raise ValueError("hensel_solve handles 1 or 2 variables")

@@ -267,7 +267,7 @@ def test_criterion_6_brauer_residues_and_sums():
 
 
 # ---------------------------------------------------------------------------
-# 7. Good-place criterion vs direct Hensel enumeration
+# 7. Good-place criterion vs the integral model's unit-square criterion
 # ---------------------------------------------------------------------------
 
 

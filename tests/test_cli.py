@@ -9,9 +9,9 @@ import pytest
 from torusdescent import arith
 from torusdescent.cli import build_parser, main
 from torusdescent.descent import DescentBounds
-from torusdescent.surface import serialize_point, serialize_spec
+from torusdescent.surface import make_spec, serialize_point, serialize_spec
 
-from fixtures import family_point
+from fixtures import LARGE_PRIME_FAMILY, family_point
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -199,6 +199,24 @@ def test_local_command(spec_file, capsys):
     assert main(["local", spec_file, "--t", "1", "--place", "7"]) == 0
     assert "soluble" in capsys.readouterr().out
     assert main(["local", spec_file, "--t", "1", "--place", "real", "--model", "rational"]) == 0
+
+
+@pytest.mark.parametrize("t, status, witness, certificate", [
+    ("-44", "soluble", ["17017556", "2"], "(1 - bB*y^2)/aA at y = 2 is a unit square"),
+    ("634", "insoluble", None, "neither aA*x^2 nor bB*y^2 is a unit at any point"),
+])
+def test_local_integral_verdict_at_a_prime_above_316(tmp_path, capsys, t, status, witness,
+                                                     certificate):
+    # the LARGE_PRIME_FAMILY member of 317: the fiber above t_star = -44 holds
+    # a global point; above 634 = 2*317 both coefficients are divisible by 317
+    s0, a, b, factors, part_a, _ = LARGE_PRIME_FAMILY[317]
+    path = tmp_path / "large.spec"
+    path.write_text(serialize_spec(make_spec(s0, a, b, factors, part_a)))
+    argv = ["--json", "local", str(path), f"--t={t}", "--model", "integral", "--place=317"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["witness"], payload["certificate"]) == (
+        status, witness, certificate)
 
 
 @pytest.mark.parametrize(

@@ -113,7 +113,7 @@ def test_valuation_hypothesis_failure():
         assert "valuation_at_2" in report.failures or "valuation_bound" in report.failures
     else:
         # fiber at t=1 insoluble at 2: the hypothesis cannot even be set up
-        assert res.status in ("insoluble", "inconclusive")
+        assert res.status == "insoluble"
 
 
 def test_missing_places_is_input_problem():
@@ -473,7 +473,7 @@ def test_find_admissible_properties():
 def test_each_admissible_scan_tries_one_candidate(case, monkeypatch):
     """The first candidate whose leftovers pass is the admissible point:
     every find_admissible call of a descent makes one _try_admissible call,
-    also where T holds a prime too large for the integral Hensel search."""
+    also where T holds a prime above 316."""
     tries = []
     real_find, real_try = descent.find_admissible, descent._try_admissible
 

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from sympy import nextprime, primerange
 
 from torusdescent import points
-from torusdescent.arith import REAL, Place, hilbert_symbol, local_mask, sqrt_mod, valuation
+from torusdescent.arith import (
+    REAL,
+    Place,
+    hilbert_symbol,
+    local_mask,
+    sqrt_lift,
+    sqrt_mod,
+    valuation,
+)
 from torusdescent.points import (
     _denominators,
     good_place_solubility,
@@ -18,10 +26,11 @@ from torusdescent.points import (
 )
 from torusdescent.surface import evaluate_point, fiber, make_spec
 
+from fixtures import LARGE_PRIME_FAMILY, large_prime_point
 from oracles import (
-    conic_soluble_bruteforce,
     factor_values_reference,
     fiber_point_bruteforce,
+    hensel_solve_reference,
     solve_global_fullscan,
 )
 
@@ -127,19 +136,19 @@ def test_local_integral_witnesses_verify():
             x, y = res.witness
             residual = a * x * x + b * y * y - 1
             assert residual == 0 or valuation(residual, v.p) >= res.precision
-        elif res.status == "insoluble":
-            # certified: the projective conic must also be insoluble or the
-            # solutions all have non-integral coordinates; cross-check the
-            # brute-force oracle does not find integral solutions implicitly
-            assert conic_soluble_bruteforce(a, b, v.p) or True
+        else:
+            assert res.status == "insoluble"
+            # the residue search excludes every point at the same precision
+            reference = hensel_solve_reference((a, b), -1, v.p, res.precision)
+            assert reference.status == "none"
 
 
 @settings(max_examples=300, deadline=None)
 @given(p=st.sampled_from([2, 3, 5, 7]), data=st.data())
 def test_integral_verdict_reads_only_valuations_and_classes(p, data):
     # two coefficient pairs with one key (p, val aA, [aA], val bB, [bB]) get
-    # one definite verdict from hensel_solve: the admissible point's row
-    # check fixes all that local_solubility(..., "integral") reads
+    # one verdict from the unit-square criterion: the admissible point's
+    # row check fixes all that local_solubility(..., "integral") reads
     v = Place.finite(p)
     units = st.integers(1, 10**4).filter(lambda n: n % p)
     pairs = []
@@ -155,6 +164,63 @@ def test_integral_verdict_reads_only_valuations_and_classes(p, data):
     verdict = local_solubility(aA, bB, v, "integral").status
     assert verdict in ("soluble", "insoluble")
     assert local_solubility(aA_same, bB_same, v, "integral").status == verdict
+
+
+def _p_adic_units(p):
+    """Rationals prime to p, numerator and denominator both."""
+    return st.builds(Fraction, st.integers(-10**4, 10**4).filter(lambda n: n % p),
+                     st.integers(1, 500).filter(lambda n: n % p))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), data=st.data())
+def test_integral_criterion_matches_the_residue_search(p, data):
+    """The unit-square criterion against hensel_solve_reference: the same
+    verdict wherever the search is definite, witnesses to the stated
+    precision, and sqrt_lift equal to the search's one-variable witness."""
+    v = Place.finite(p)
+    aA, bB = (data.draw(_p_adic_units(p)) * p ** data.draw(st.integers(0, 5)) for _ in range(2))
+    res = local_solubility(aA, bB, v, "integral")
+    assert res.precision == valuation(4 * aA * bB, p) + 3
+    if res.status == "soluble":
+        x, y = res.witness
+        residual = aA * x * x + bB * y * y - 1
+        assert residual == 0 or valuation(residual, p) >= res.precision
+    reference = hensel_solve_reference((aA, bB), -1, p, res.precision)
+    if reference.status != "inconclusive":
+        assert res.status == {"witness": "soluble", "none": "insoluble"}[reference.status]
+    # a unit, a unit square half the time: (s/w)^2 * (1 + p*z) (1 + 8*z at 2)
+    u = data.draw(st.one_of(
+        _p_adic_units(p),
+        st.builds(lambda w, z: w * w * (1 + p ** (3 if p == 2 else 1) * z),
+                  _p_adic_units(p), st.integers(-10**3, 10**3)).filter(bool),
+    ))
+    k = data.draw(st.integers(1, 9))
+    root = sqrt_lift(u, p, k)
+    for coeffs, constant in (((1,), -u), ((1 / u,), -1)):
+        reference = hensel_solve_reference(coeffs, constant, p, k)
+        if reference.status == "witness":
+            assert root == reference.witness[0]
+        elif reference.status == "none":
+            assert root is None
+
+
+@pytest.mark.parametrize("p", sorted(LARGE_PRIME_FAMILY))
+def test_integral_verdicts_at_the_large_primes(p):
+    """Definite verdicts at the prime p > 316 of T: the fiber above t_star
+    holds the member's global point, and above 2p both coefficients are
+    divisible by p, so neither term can be a unit."""
+    spec, _, (_, _, t_star) = large_prime_point(p)
+    v = Place.finite(p)
+    fib = fiber(spec, t_star)
+    res = local_solubility(fib.aA, fib.bB, v, "integral")
+    assert res.status == "soluble" and res.precision == 3
+    x, y = res.witness
+    assert valuation(fib.aA * x * x + fib.bB * y * y - 1, p) >= res.precision
+    fib = fiber(spec, 2 * p)
+    assert (valuation(fib.aA, p), valuation(fib.bB, p)) == (1, 1)
+    res = local_solubility(fib.aA, fib.bB, v, "integral")
+    assert res.status == "insoluble" and res.witness is None
 
 
 def test_good_place_criterion_examples():
@@ -193,6 +259,8 @@ def test_good_place_criterion_agrees_with_hensel():
         fib = fiber(spec, t)
         direct = local_solubility(fib.aA, fib.bB, v, model="integral")
         assert direct.status == crit.status, (spec, v, t)
+        search = hensel_solve_reference((fib.aA, fib.bB), -1, v.p, direct.precision)
+        assert search.status == {"soluble": "witness", "insoluble": "none"}[crit.status]
         checked += 1
     assert checked > 250
 
