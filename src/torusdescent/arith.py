@@ -206,6 +206,13 @@ class Place:
     def finite(p: int) -> "Place":
         return Place(p)
 
+    @staticmethod
+    def proved(p: int) -> "Place":
+        """Place(p) for a p just proved prime, built without a second proof."""
+        place = object.__new__(Place)
+        object.__setattr__(place, "p", p)
+        return place
+
     @property
     def is_real(self) -> bool:
         return self.p is None

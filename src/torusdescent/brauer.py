@@ -7,11 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import TYPE_CHECKING, Mapping, Tuple
 
 from .arith import Place, Rational, hilbert_row, local_mask, square_class
 from .gf2 import dot
-from .surface import PartialAdelicPoint, SurfaceSpec
+
+if TYPE_CHECKING:  # surface imports this module to fill PlaceRow.brauer
+    from .surface import PartialAdelicPoint, SurfaceSpec
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,19 @@ def invariant(spec: SurfaceSpec, i: int, mask: int, v: Place) -> int:
     return dot(local_mask(spec.brauer_constants[i], v), hilbert_row(mask, v))
 
 
+def invariant_vector(spec: SurfaceSpec, v: Place,
+                     factors: Mapping[int, Tuple[int, int]]) -> int:
+    """Bit k: invariant of the generator of spec.indices[k] on a factor row
+    (surface.factor_row) at v.  PlaceRow.brauer holds it for a point's row."""
+    return sum(invariant(spec, i, factors[i][1], v) << k for k, i in enumerate(spec.indices))
+
+
 def obstruction_sum(spec: SurfaceSpec, point: PartialAdelicPoint, i: int) -> int:
-    """Sum of invariants of the i-th generator over the point's local classes.
+    """Sum of invariants of the i-th generator over the point's places: bit k
+    of the XOR of the rows' invariant vectors (PlaceRow.brauer), i = spec.indices[k].
 
     Places outside the point's support must be good (outside S0 and S_bad);
     there the invariant vanishes on any v-integral point, so the finite sum
     is the full adelic sum.
     """
-    return sum(invariant(spec, i, point.rows[v].factors[i][1], v) for v in point.places) % 2
+    return sum(point.rows[v].brauer >> spec.indices.index(i) for v in point.places) & 1

@@ -43,7 +43,7 @@ from .arith import (
     strip_primes,
     valuation,
 )
-from .brauer import obstruction_sum
+from .brauer import invariant_vector, obstruction_sum
 from .conditiond import (
     ConditionDReport,
     Lattice,
@@ -54,8 +54,8 @@ from .conditiond import (
 )
 from .points import (
     good_place_solubility,
-    local_solubility,
     solve_global,
+    unit_square_scan,
     verify_integral_point,
 )
 from .selmer import SelmerSubspace, relative_fiber, relative_selmer
@@ -155,7 +155,8 @@ def suitability(
     are "valuation_bound" and "valuation_at_2" (per place outside S0),
     "split_place" (-d*p_J(t_v) is a nonzero square at no place of S0; the
     first place of S0 where it is one is the split place) and
-    "brauer_sum_i" (the invariants of generator i sum to 1).
+    "brauer_sum_i" (the invariants of generator i sum to 1).  Each verdict
+    is read off the point's rows (`obstruction_sum` XORs their invariants).
     """
     violations = [("input", problem) for problem in point.validate()]
     missing = sorted(_working_places(spec, s_d) - set(point.entries))
@@ -436,14 +437,16 @@ def _try_admissible(
     - Integral solubility of aA*x^2 + bB*y^2 = 1 over Z_v depends only on
       the valuations and unit square classes of aA and bB (scaling aA by a
       unit square maps integral solutions to integral ones), so p_t's entry
-      at v gives one above t0; at places of S0 the Hilbert symbol reads
-      only the classes.
+      at v gives one above t0 (`unit_square_scan`, which lifts no witness);
+      at places of S0 the Hilbert symbol reads only the classes.
     - The reciprocity symbol at u_i is the sum over T of
-      (a*D_i^A, p_i(t0))_v, by the row check p_t's Brauer sum i: 0.
+      (a*D_i^A, p_i(t0))_v, by the row check p_t's Brauer sum i: 0.  It is
+      read off t0's own rows, not p_t's, so it stays an independent check.
     """
     values = {i: spec.factor_value(i, t0) for i in spec.indices}
-    for v in p_t.places:
-        if factor_row(v, values) != p_t.rows[v].factors:
+    rows = {v: factor_row(v, values) for v in p_t.places}
+    for v, row in rows.items():
+        if row != p_t.rows[v].factors:
             raise DescentAnomaly(f"approximation lost the row of p_t at {v}")
     aA, bB = spec.fiber_coeffs_of(values)
     if aA <= 0 and bB <= 0:
@@ -454,14 +457,13 @@ def _try_admissible(
         if v in spec.s0:  # over Q_v: the test local_solubility(..., "rational") makes
             if hilbert_symbol(aA, bB, v) != 0:
                 raise DescentAnomaly(f"fiber above t0 = {t0} insoluble over Q_{v}")
-        elif local_solubility(aA, bB, v, "integral").status == "insoluble":
+        elif unit_square_scan(aA, bB, v) is None:
             raise DescentAnomaly(f"fiber above t0 = {t0} has no integral point at {v}")
     # reciprocity certificate at each witness place
+    vectors = [invariant_vector(spec, v, row) for v, row in rows.items()]
     for i, u in witnesses:
-        left = spec.brauer_constants[i]
-        direct = hilbert_symbol(left, values[i], u)
-        indirect = sum(hilbert_symbol(left, values[i], v) for v in p_t.places) % 2
-        if direct != indirect:
+        direct = hilbert_symbol(spec.brauer_constants[i], values[i], u)
+        if direct != sum(x >> spec.indices.index(i) for x in vectors) & 1:
             raise DescentAnomaly(f"reciprocity certificate mismatch at u_{i} = {u}")
         if direct != 0:
             raise DescentAnomaly(f"reciprocity symbol 1 at u_{i} = {u}")

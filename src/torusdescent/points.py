@@ -68,15 +68,8 @@ def local_solubility(
     projective closure (a smooth conic with one Q_v-point carries points off
     the line at infinity, so no separate affine obstruction remains) and
     attaches a witness when the bounded scan finds one.  model 'integral'
-    decides over Z_v by the unit-square criterion: 1 is a unit, so at a
-    Z_v-point s*x^2 is a unit for (s, x) = (aA, x) or (bB, y), and then
-    x^2 = (1 - c*y^2)/s, c the other coefficient, is a unit square.  That
-    depends on y mod p only (mod 4 at 2), and only on y = 0 when c is not
-    a unit at an odd p, so a scan of those y in both orientations is
-    exact.  The witness is the first square root found, lifted by
-    sqrt_lift to precision val(4*aA*bB) + 3.  With two units at an odd p
-    the reduction is a smooth conic with points off each axis, so the
-    scan stops within a few y even at a large p.
+    decides over Z_v by `unit_square_scan` and lifts the square root at its
+    first y by sqrt_lift to precision val(4*aA*bB) + 3, the witness.
     """
     aA, bB = Fraction(aA), Fraction(bB)
     if aA * bB == 0:
@@ -99,22 +92,37 @@ def local_solubility(
     if valuation(aA, p) < 0 or valuation(bB, p) < 0:
         raise ValueError("integral model needs v-integral coefficients")
     precision = valuation(4 * aA * bB, p) + 3
-    orientations = ((aA, bB, "(1 - bB*y^2)/aA at y"), (bB, aA, "(1 - aA*x^2)/bB at x"))
-    for j, (s, c, text) in enumerate(orientations):
+    found = unit_square_scan(aA, bB, v)
+    if found is None:
+        return LocalSolubility("insoluble", v, precision=precision,
+                               certificate="neither aA*x^2 nor bB*y^2 is a unit at any point")
+    j, y = found
+    s, c, text = ((aA, bB, "(1 - bB*y^2)/aA at y"), (bB, aA, "(1 - aA*x^2)/bB at x"))[j]
+    x, y = Fraction(sqrt_lift((1 - c * y * y) / s, p, precision)), Fraction(y)
+    return LocalSolubility("soluble", v, witness=(y, x) if j else (x, y), precision=precision,
+                           certificate=f"{text} = {y} is a unit square")
+
+
+def unit_square_scan(aA: Fraction, bB: Fraction, v: Place) -> Optional[Tuple[int, int]]:
+    """The first (j, y) with (1 - c*y^2)/s a unit square at the finite v,
+    (s, c) = (aA, bB) for j = 0 and (bB, aA) for j = 1, or None exactly when
+    aA*x^2 + bB*y^2 = 1, aA and bB v-integral, has no Z_v-point; no witness
+    is lifted.  1 is a unit, so at a Z_v-point s*x^2 is a unit for (s, x) =
+    (aA, x) or (bB, y), and then x^2 = (1 - c*y^2)/s is a unit square.  That
+    depends on y mod p only (mod 4 at 2), and only on y = 0 when c is not a
+    unit at an odd p, so the scan of those y in both orientations is exact.
+    With two units at an odd p the reduction is a smooth conic with points
+    off each axis, so the scan stops within a few y even at a large p.
+    """
+    p = v.p
+    for j, (s, c) in enumerate(((aA, bB), (bB, aA))):
         if valuation(s, p) != 0:
             continue
         for y in range(4) if p == 2 else range(p) if valuation(c, p) == 0 else (0,):
-            x = sqrt_lift((1 - c * y * y) / s, p, precision)
-            if x is not None:
-                witness = (Fraction(x), Fraction(y)) if j == 0 else (Fraction(y), Fraction(x))
-                return LocalSolubility(
-                    "soluble", v, witness=witness, precision=precision,
-                    certificate=f"{text} = {y} is a unit square",
-                )
-    return LocalSolubility(
-        "insoluble", v, precision=precision,
-        certificate="neither aA*x^2 nor bB*y^2 is a unit at any point",
-    )
+            u = (1 - c * y * y) / s  # v-integral: a unit iff p does not divide its numerator
+            if u.numerator % p and is_local_square(u, v):
+                return j, y
+    return None
 
 
 # the most numerators x = m/p^e that _rational_witness tries at one level e

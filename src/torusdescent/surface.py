@@ -9,8 +9,8 @@ returned.  The conic coefficients (a*p_A(t), b*p_B(t)) above t are
 fiber_coeffs(t), or fiber_coeffs_of(values) for p_i(t) at hand; fibers,
 point residuals, d*p_J(t) and the Brauer constants are read off them.  Each
 point is evaluated once: a partial adelic point keeps one row per place,
-made with its entry, and an admissible point keeps the p_i(t0) and the
-fiber made from them, read by every later step of the descent.
+made with its entry, Brauer invariants included, and an admissible point
+keeps the p_i(t0) and the fiber made from them, read by every later step.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .arith import (
     strip_primes,
     valuation,
 )
+from .brauer import invariant_vector
 
 MAX_FACTORS = 16  # cap on |J|; G_D can hold up to 2^(|J|+1) elements
 
@@ -386,7 +387,7 @@ def _factor_tables(spec: SurfaceSpec) -> _FactorTables:
         mask = class_of(r < 0, primes, math.gcd(r, forms[i][2] * forms[j][2]))
         table[i, j] = mask ^ lead[i] ^ denom[j]
         table[j, i] = mask ^ 1 ^ lead[j] ^ denom[i]
-    return _FactorTables(tuple(Place.finite(q) for q in sorted(bad)), table)
+    return _FactorTables(tuple(Place.proved(q) for q in sorted(bad)), table)
 
 
 def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
@@ -465,10 +466,12 @@ class LocalPoint:
 class PlaceRow(NamedTuple):
     """What the checks read of place v, from one evaluation of the p_i(t_v):
     i -> (val_v, local mask) of p_i(t_v) (val 0 at real), those of
-    -d*p_J(t_v), both None where it is 0, and what `validate` reports."""
+    -d*p_J(t_v), its Brauer invariant vector (brauer.invariant_vector), all
+    three None where -d*p_J(t_v) is 0, and what `validate` reports."""
 
     factors: Optional[Dict[int, Tuple[int, int]]]
     torus: Optional[Tuple[int, int]]
+    brauer: Optional[int]
     problems: Tuple[str, ...]
 
 
@@ -482,7 +485,7 @@ def _place_row(spec: SurfaceSpec, v: Place, pt: LocalPoint) -> PlaceRow:
     values = {i: spec.factor_value(i, pt.t) for i in spec.indices}
     aA, bB = spec.fiber_coeffs_of(values)
     if not aA or not bB:
-        return PlaceRow(None, None, (f"{v}: d*p_J(t_v) = 0",))
+        return PlaceRow(None, None, None, (f"{v}: d*p_J(t_v) = 0",))
     problems = []
     if v.is_real and aA <= 0 and bB <= 0:
         problems.append(f"real: fiber at t = {pt.t} has no real points")
@@ -497,7 +500,7 @@ def _place_row(spec: SurfaceSpec, v: Place, pt: LocalPoint) -> PlaceRow:
     val, mask = 0 if v.is_real else valuation(spec.d, v.p), local_mask(-spec.d, v)
     for val_i, mask_i in factors.values():
         val, mask = val + val_i, mask ^ mask_i
-    return PlaceRow(factors, (val, mask), tuple(problems))
+    return PlaceRow(factors, (val, mask), invariant_vector(spec, v, factors), tuple(problems))
 
 
 class PartialAdelicPoint:

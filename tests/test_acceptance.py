@@ -57,6 +57,7 @@ from oracles import (
     find_admissible_reference,
     g_d_bruteforce,
     g_element,
+    hensel_solve_reference,
     hilbert_relevant_places,
     selmer_by_enumeration,
     selmer_elements,
@@ -275,7 +276,7 @@ def test_criterion_7_good_place_agreement():
     started = time.time()
     rng = random.Random(107)
     specs = _random_specs(107, 25)
-    checked = 0
+    checked = searched = 0
     while checked < 500:
         spec = rng.choice(specs)
         v = Place.finite(rng.choice([3, 5, 7, 11, 13, 17, 19, 23]))
@@ -289,8 +290,16 @@ def test_criterion_7_good_place_agreement():
         fib = fiber(spec, t)
         direct = local_solubility(fib.aA, fib.bB, v, model="integral")
         assert direct.status == crit.status, (spec, v, t)
+        # the residue search of the oracles, wherever it is definite
+        search = hensel_solve_reference((fib.aA, fib.bB), -1, v.p, direct.precision)
+        if search.status != "inconclusive":
+            assert search.status == {"soluble": "witness", "insoluble": "none"}[crit.status], \
+                (spec, v, t)
+            searched += 1
         checked += 1
-    report("7 (good-place solubility)", "500 sampled triples", started)
+    assert searched > 400
+    report("7 (good-place solubility)",
+           f"500 sampled triples, {searched} also against the residue search", started)
 
 
 # ---------------------------------------------------------------------------

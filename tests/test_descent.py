@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import primerange
 
-from torusdescent import descent, gf2, selmer
+from torusdescent import arith, brauer, descent, gf2, points, selmer
 from torusdescent.arith import REAL, Place, hilbert_symbol, local_mask, valuation
 from torusdescent.brauer import obstruction_sum
 from torusdescent.descent import (
@@ -51,6 +52,7 @@ from fixtures import (
 )
 from oracles import (
     admissible_candidate_reference,
+    brauer_constant_reference,
     compute_s,
     dimension_identity,
     factor_value_reference,
@@ -316,16 +318,19 @@ def test_build_suitable_family():
         assert violations == [] and split_place in spec.s0
 
 
-def _count_calls(monkeypatch, name):
-    """Record the arguments of every call to descent.<name> from now on."""
+def _count_calls(monkeypatch, name, module=descent):
+    """Record the arguments of every call to module.<name> from now on, made
+    under any name a torusdescent module binds it to."""
     calls = []
-    real = getattr(descent, name)
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(descent, name, counted)
+    for loaded in list(sys.modules.values()):
+        if loaded.__name__.startswith("torusdescent") and vars(loaded).get(name) is real:
+            monkeypatch.setattr(loaded, name, counted)
     return calls
 
 
@@ -884,6 +889,83 @@ def test_make_state_builds_one_selmer_pair(monkeypatch):
         descend(spec, point, DescentBounds(solve_each_fiber=False))
     assert len(states) > len(ALL_FAMILY)
     assert [cuts for _, cuts, _ in states] == [1] * len(states)
+
+
+@pytest.mark.parametrize(
+    "case", [f"family-{k:02d}/solve=0" for k in range(len(ALL_FAMILY))]
+    + [f"large-{p}/solve=0" for p in LARGE_PRIME_FAMILY])
+def test_row_invariant_vectors_match_the_closed_form(case, monkeypatch):
+    """On the input point and every state's p_t, made by with_entry after a
+    reduction, bit k of rows[v].brauer is the closed-form invariant at v of
+    the generator of spec.indices[k], and bit k of the XOR of the rows is
+    obstruction_sum_reference."""
+    states = _record_states(monkeypatch)
+    spec, point, bounds = case_input(case)
+    descend(spec, point, bounds)
+    assert states
+    for p_t in [point] + [state.p_t for state, _, _ in states]:
+        total = 0
+        for v in p_t.places:
+            vector, t_v = p_t.rows[v].brauer, p_t.entries[v].t
+            total ^= vector
+            assert [vector >> k & 1 for k in range(len(spec.indices))] == [
+                hilbert_symbol_closed_form(brauer_constant_reference(spec, i),
+                                           factor_value_reference(spec, i, t_v), v)
+                for i in spec.indices]
+        assert [total >> k & 1 for k in range(len(spec.indices))] == [
+            obstruction_sum_reference(spec, p_t, i) for i in spec.indices]
+
+
+def _calls_during(monkeypatch, owner, name, calls):
+    """For each call of owner.name from now on, its arguments and the slice
+    of `calls` made during it."""
+    spans, real = [], getattr(owner, name)
+
+    def recorded(*args):
+        before = len(calls)
+        result = real(*args)
+        spans.append((args, calls[before:]))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return spans
+
+
+def test_suitability_of_a_built_point_computes_no_local_mask(monkeypatch):
+    masks = _count_calls(monkeypatch, "local_mask", arith)
+    for k in range(len(ALL_FAMILY)):
+        spec, point, _ = family_point(k)
+        before = len(masks)
+        suitability(spec, point)
+        assert masks[before:] == []
+
+
+def test_an_inserted_place_costs_one_row_of_invariants(monkeypatch):
+    """with_entry computes the invariants of the new place alone, and no
+    suitability check the descent makes computes any."""
+    invariants = _count_calls(monkeypatch, "invariant", brauer)
+    inserted = _calls_during(monkeypatch, PartialAdelicPoint, "with_entry", invariants)
+    checks = _calls_during(monkeypatch, descent, "_require_suitable", invariants)
+    for k in REDUCTION_MEMBERS:
+        spec, point, _ = family_point(k)
+        descend(spec, point, DescentBounds(solve_each_fiber=False))
+    assert inserted and len(checks) >= len(inserted)
+    assert all(calls == [] for _, calls in checks)
+    for (p_t, w, _), calls in inserted:
+        assert [(i, v) for _, i, _, v in calls] == [(i, w) for i in p_t.spec.indices]
+
+
+def test_the_admissible_checks_lift_no_witness(monkeypatch):
+    lifts = _count_calls(monkeypatch, "sqrt_lift", arith)
+    scans = _count_calls(monkeypatch, "unit_square_scan", points)
+    lifted = _calls_during(monkeypatch, descent, "_try_admissible", lifts)
+    scanned = _calls_during(monkeypatch, descent, "_try_admissible", scans)
+    for k in range(len(ALL_FAMILY)):
+        spec, point, _ = family_point(k)
+        descend(spec, point, DescentBounds())
+    assert len(lifted) > len(ALL_FAMILY)
+    assert sum(len(calls) for _, calls in scanned) > len(ALL_FAMILY)
+    assert all(calls == [] for _, calls in lifted)
 
 
 @pytest.mark.parametrize("groups, text", [

@@ -22,6 +22,7 @@ from torusdescent.points import (
     good_place_solubility,
     local_solubility,
     solve_global,
+    unit_square_scan,
     verify_integral_point,
 )
 from torusdescent.surface import evaluate_point, fiber, make_spec
@@ -31,6 +32,7 @@ from oracles import (
     factor_values_reference,
     fiber_point_bruteforce,
     hensel_solve_reference,
+    is_local_square_closed_form,
     solve_global_fullscan,
 )
 
@@ -172,20 +174,43 @@ def _p_adic_units(p):
                      st.integers(1, 500).filter(lambda n: n % p))
 
 
+def _first_unit_square(aA, bB, v):
+    """The first (j, y), y over every residue mod p (mod 4 at 2), with
+    (1 - c*y^2)/s a unit square by the closed form, (s, c) = (aA, bB) for
+    j = 0 and (bB, aA) for j = 1, s a unit; None if there is none."""
+    p = v.p
+    for j, (s, c) in enumerate(((aA, bB), (bB, aA))):
+        if valuation(s, p) != 0:
+            continue
+        for y in range(4 if p == 2 else p):
+            u = (1 - c * y * y) / s
+            if u != 0 and valuation(u, p) == 0 and is_local_square_closed_form(u, v):
+                return j, y
+    return None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(p=st.sampled_from([2, 3, 5, 7, 11]), data=st.data())
 def test_integral_criterion_matches_the_residue_search(p, data):
     """The unit-square criterion against hensel_solve_reference: the same
-    verdict wherever the search is definite, witnesses to the stated
-    precision, and sqrt_lift equal to the search's one-variable witness."""
+    verdict wherever the search is definite, for local_solubility and for
+    the witness-free unit_square_scan, which picks the y of the witness and
+    the first y at which the oracle's closed form finds a unit square;
+    witnesses to the stated precision, and sqrt_lift equal to the search's
+    one-variable witness."""
     v = Place.finite(p)
     aA, bB = (data.draw(_p_adic_units(p)) * p ** data.draw(st.integers(0, 5)) for _ in range(2))
     res = local_solubility(aA, bB, v, "integral")
     assert res.precision == valuation(4 * aA * bB, p) + 3
+    found = unit_square_scan(aA, bB, v)
+    assert (found is not None) == (res.status == "soluble")
     if res.status == "soluble":
         x, y = res.witness
         residual = aA * x * x + bB * y * y - 1
         assert residual == 0 or valuation(residual, p) >= res.precision
+        j, first = found
+        assert res.witness[1 - j] == first
+    assert found == _first_unit_square(aA, bB, v)
     reference = hensel_solve_reference((aA, bB), -1, p, res.precision)
     if reference.status != "inconclusive":
         assert res.status == {"witness": "soluble", "none": "insoluble"}[reference.status]

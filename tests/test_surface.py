@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torusdescent import surface
+from torusdescent import arith, surface
 from torusdescent.arith import _MR_LIMIT, REAL, Place, class_mask
 from torusdescent.descent import DescentBounds, descend
 from torusdescent.surface import (
@@ -186,6 +186,29 @@ def test_s_bad_names_the_rational_cross_resultant_past_the_primality_range():
         "the certified primality range (n < 3.317e+24)"]
 
 
+def test_s_bad_primes_are_proved_once(monkeypatch):
+    # factorize proves the cross-resultant 1000003 with is_prime (it passes
+    # trial division) and finds 5 | d by trial division; the S_bad places
+    # are built without proving either again, while Place(p) still proves p
+    proved = []
+    real = arith.is_prime
+
+    def counted(n):
+        proved.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "is_prime", counted)
+    monkeypatch.setattr(surface, "is_prime", counted)
+    spec = make_spec([2], 5, 1, {1: (1, 0), 2: (1, 1_000_003)}, [1])
+    assert [v.p for v in spec.s_bad] == [5, 1_000_003]
+    assert [proved.count(v.p) for v in spec.s_bad] == [0, 1]
+    for make in (Place, Place.finite):
+        with pytest.raises(ValueError, match="not prime"):
+            make(1_000_001)  # 101 * 9901
+        assert {make(1_000_003)} == {Place.proved(1_000_003)}
+    assert proved.count(1_000_003) == 3
+
+
 def test_s_bad_is_computed_once_per_spec(monkeypatch):
     calls = []
 
@@ -203,8 +226,8 @@ def test_s_bad_is_computed_once_per_spec(monkeypatch):
 
 
 def test_brauer_constants_are_built_once_per_spec(monkeypatch):
-    # a descend with reductions reads the constants in the Brauer sums, the
-    # reciprocity checks, the prime scans and the good-place criterion
+    # the rows of the point and of every place a reduction inserts read the
+    # constants, and so do the prime scans and the good-place criterion
     calls = []
     real = SurfaceSpec.fiber_coeffs
 
