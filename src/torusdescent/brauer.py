@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Tuple
 
-from .arith import Place, Rational, hilbert_row, local_mask, square_class
+from .arith import Place, Rational, class_from_mask, hilbert_row, local_mask
 from .gf2 import dot
 
 if TYPE_CHECKING:  # surface imports this module to fill PlaceRow.brauer
@@ -40,17 +40,19 @@ def brauer_generator(spec: SurfaceSpec, i: int) -> QuaternionClass:
     return QuaternionClass(left=spec.brauer_constants[i], right=(d, c))
 
 
-def residue_at(q: QuaternionClass, m: Rational) -> int:
-    """Tame-symbol residue of q at the rational point t = m.
+def residue_at(spec: SurfaceSpec, i: int, m: Rational) -> int:
+    """Tame-symbol residue of the i-th generator at the rational point t = m.
 
-    The left entry is a unit there and the linear right entry vanishes to
-    order 1 at its root and to order 0 elsewhere, so the residue is [left]
-    at the root and trivial (1) at every other point.
+    The left entry is a unit there and the linear right entry p_i vanishes
+    to order 1 at its root and to order 0 elsewhere, so the residue is the
+    class of spec.brauer_constants[i] at the root and trivial (1) at every
+    other point.  That class is read off its mask over spec.basis_primes
+    (conditiond.target_mask), so the constant is never factored.
     """
-    d, c = q.right
-    if c * Fraction(m) + d != 0:
+    if Fraction(m) != spec.root(i):
         return 1
-    return square_class(q.left)
+    from .conditiond import target_mask  # conditiond imports surface, which imports brauer
+    return class_from_mask(target_mask(spec, i), spec.basis_primes)
 
 
 def invariant(spec: SurfaceSpec, i: int, mask: int, v: Place) -> int:

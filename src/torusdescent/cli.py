@@ -148,7 +148,7 @@ def cmd_brauer(args) -> int:
         }
         for j in spec.indices:
             root = spec.root(j)
-            res = residue_at(q, root)
+            res = residue_at(spec, i, root)
             entries["residues"][f"t={root}"] = str(res)
         gens.append(entries)
         lines.append(

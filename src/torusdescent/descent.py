@@ -52,13 +52,8 @@ from .conditiond import (
     in_g_i,
     target_generators,
 )
-from .points import (
-    good_place_solubility,
-    solve_global,
-    unit_square_scan,
-    verify_integral_point,
-)
-from .selmer import SelmerSubspace, relative_fiber, relative_selmer
+from .points import solve_global, unit_square_scan, verify_integral_point
+from .selmer import SelmerSubspace, relative_selmer
 from .surface import (
     AdmissiblePoint,
     FiberSpec,
@@ -430,19 +425,29 @@ def _try_admissible(
     u_i of `witnesses`; p_i(t0) and the fiber are evaluated here once.  For
     a suitable p_t each check holds, and a failure raises DescentAnomaly:
 
+    - The u_i are pairwise distinct and outside T, as `_candidate_test`
+      makes them; the relative Selmer build reads them as new places.
     - Row check: each p_i(t0) has the (val_v, local mask) of p_t.rows[v], as
       `_approximation_data` promises, and so then do aA and bB.
     - t0 lies in t_real's chamber, so the fiber above it has the signs of
       the one above t_real, which holds p_t's real point.
-    - Integral solubility of aA*x^2 + bB*y^2 = 1 over Z_v depends only on
-      the valuations and unit square classes of aA and bB (scaling aA by a
-      unit square maps integral solutions to integral ones), so p_t's entry
-      at v gives one above t0 (`unit_square_scan`, which lifts no witness);
-      at places of S0 the Hilbert symbol reads only the classes.
+    - At the places of S0 the fiber is soluble over Q_v: the Hilbert symbol
+      reads only the classes of aA and bB, which the row check fixes.
+    - Integral solubility over Z_v at every other finite place, those of T
+      and the u_i, is the one exact criterion `unit_square_scan`, which
+      lifts no witness.  At v in T it depends only on the valuations and
+      unit square classes of aA and bB (scaling aA by a unit square maps
+      integral solutions to integral ones), so p_t's entry at v gives one
+      above t0.  At u_i the reciprocity certificate below makes a*D_i^A a
+      square, and with it the unit coefficient of the fiber.
     - The reciprocity symbol at u_i is the sum over T of
       (a*D_i^A, p_i(t0))_v, by the row check p_t's Brauer sum i: 0.  It is
       read off t0's own rows, not p_t's, so it stays an independent check.
     """
+    u_places = [u for _, u in witnesses]
+    if len(set(u_places)) != len(u_places) or set(u_places) & set(p_t.places):
+        raise DescentAnomaly("witness places " + ", ".join(map(str, u_places))
+                             + " are not distinct places outside T")
     values = {i: spec.factor_value(i, t0) for i in spec.indices}
     rows = {v: factor_row(v, values) for v in p_t.places}
     for v, row in rows.items():
@@ -467,11 +472,9 @@ def _try_admissible(
             raise DescentAnomaly(f"reciprocity certificate mismatch at u_{i} = {u}")
         if direct != 0:
             raise DescentAnomaly(f"reciprocity symbol 1 at u_{i} = {u}")
-        # the certificate makes a*D_i^A a square at u_i; the good-place
-        # criterion then certifies an integral point on the fiber there
-        if good_place_solubility(spec, u, values).status != "soluble":
-            raise DescentAnomaly(f"fiber insoluble at the witness place {u}")
-    return AdmissiblePoint(FiberSpec(t0, aA, bB, -aA * bB), values, tuple(witnesses), p_t.places)
+        if unit_square_scan(aA, bB, u) is None:
+            raise DescentAnomaly(f"fiber above t0 = {t0} has no integral point at {u}")
+    return AdmissiblePoint(FiberSpec(t0, aA, bB, -aA * bB), values, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +510,10 @@ def _make_state(
     bounds: DescentBounds,
     trace: List[Dict],
 ) -> DescentState:
-    """The state at the next admissible point, with R and R-hat built once.
-    They are the preimages under evaluation at t0 of the fiber torus's
-    Selmer pair, so dim R - dim R-hat is its number of split places in S0:
+    """The state at the next admissible point, with R and R-hat built once,
+    by one relative_selmer call on p_t and that point.  They are the
+    preimages under evaluation at t0 of the fiber torus's Selmer pair, so
+    dim R - dim R-hat is its number of split places in S0:
     - ev sends symbol i to p_i(t0), a T-unit times u_i, so it maps the
       lattice onto the classes over T and the u_i; the unit conditions at
       T \\ T0 cut those down to the classes over T0 and the u_i, the torus's
@@ -518,7 +522,7 @@ def _make_state(
     """
     search = find_admissible(spec, p_t, bounds)
     adm = search.point
-    sel, dual = relative_selmer(relative_fiber(spec, p_t, adm))
+    sel, dual = relative_selmer(spec, p_t, adm)
     lattice = sel.lattice
     for group, side, name in ((dual, True, "relative dual Selmer group"),
                               (sel, False, "relative Selmer group")):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .arith import (
     _MR_LIMIT,
@@ -145,53 +145,14 @@ def _rational_witness(
                 return (x, Fraction(0)), target
             if not is_local_square(c, v):
                 continue
-            # c = p^(2*shift) * (a unit square); the depth of its root
-            # needed so the reconstructed residual meets the target
+            # c = p^(2*shift) * (a unit square); a root r of the unit lifted
+            # to `inner` digits gives y = p^shift*r with aA*x^2 + bB*y^2 - 1
+            # = bB*(y^2 - c) of valuation >= val(bB) + 2*shift + inner >= target
             shift = valuation(c, p) // 2
             inner = max(target - valuation(bB, p) - 2 * shift, 2)
             y = sqrt_lift(c / Fraction(p) ** (2 * shift), p, inner) * Fraction(p) ** shift
-            residual = aA * x * x + bB * y * y - 1
-            if residual == 0 or valuation(residual, p) >= target:
-                return (x, y), target
+            return (x, y), target
     return None, target
-
-
-def good_place_solubility(
-    spec: SurfaceSpec, v: Place, values: Mapping[int, Rational]
-) -> LocalSolubility:
-    """Integral solubility of the fiber above t_v at an odd good place, by
-    criterion only, read off values: i -> p_i(t_v), the caller's own table.
-
-    At v outside S0 and S_bad with val_v(p_i(t_v)) > 0 for (necessarily
-    unique) i, the fiber has Z_v-points iff the residue constant
-    spec.brauer_constants[i], a*D_i^A up to squares, is a square at v.  When no
-    factor degenerates the special fiber is a smooth affine conic over F_v,
-    which always has a smooth rational point, so the fiber is soluble.  No
-    Hensel search is run; the test suite checks agreement with direct
-    enumeration.
-    """
-    if v.is_real or v.p == 2:
-        raise ValueError("good-place criterion applies to odd finite places")
-    p = v.p
-    if valuation(spec.d, p) != 0:
-        raise ValueError(f"{v} divides d = ab; not a good place")
-    degenerate = [i for i, value in values.items() if valuation(value, p) > 0]
-    if len(degenerate) > 1:
-        raise ValueError(f"{v} is not a good place: two factors vanish there")
-    if not degenerate:
-        return LocalSolubility(
-            "soluble", v, certificate="smooth special fiber (unit coefficients)"
-        )
-    i = degenerate[0]
-    unit = spec.brauer_constants[i]
-    label = f"a*D_{i}^A"  # unit and a*D_i^A differ by a^2, a v-unit square
-    if valuation(unit, p) != 0:
-        raise ValueError(f"{v} divides the constant {label}; not a good place")
-    if is_local_square(unit, v):
-        return LocalSolubility("soluble", v, certificate=f"{label} is a square at {v}")
-    return LocalSolubility(
-        "insoluble", v, certificate=f"{label} is a non-square unit at {v}"
-    )
 
 
 # ---------------------------------------------------------------------------

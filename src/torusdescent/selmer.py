@@ -1,5 +1,6 @@
 """Selmer and dual Selmer groups of norm-one tori over rings of S-integers,
-and the relative (dual) Selmer groups of admissible fibers.
+and the relative (dual) Selmer groups of admissible fibers, read straight
+off the partial adelic point and its admissible point.
 
 Everything is F2 linear algebra over explicit square-class lattices, read
 through conditiond.Lattice, the one encoding of G; a square class outside
@@ -17,8 +18,7 @@ of the annihilator of [d]_v) becomes one row of the F2 system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from . import gf2
 from .arith import (
@@ -161,52 +161,18 @@ def selmer_groups(torus: TorusData) -> Tuple[SelmerSubspace, SelmerSubspace]:
 # ---------------------------------------------------------------------------
 
 
-def t0_place_split(
-    spec: SurfaceSpec, p_t: PartialAdelicPoint
-) -> Tuple[List[Place], List[Place]]:
-    """Split T into T0 (S0 places and places with val_v(d p_J(t_v)) = 1) and the rest."""
-    t0_places = [v for v in p_t.places if v in spec.s0 or p_t.rows[v].torus[0] == 1]
-    return t0_places, [v for v in p_t.places if v not in t0_places]
-
-
-@dataclass(frozen=True)
-class RelativeFiber:
-    """Shared data for the relative Selmer computations at one admissible point."""
-
-    spec: SurfaceSpec
-    values: Dict[int, Fraction]  # i -> p_i(t0), kept by the admissible point
-    places: Tuple[Place, ...]  # T, the support of the relative lattice
-    torus_value: Fraction  # -d * p_J(t0), the torus parameter of the fiber above t0
-    ramified: Tuple[Place, ...]  # T0 together with the witness places u_i
-    unit_kind: Tuple[Place, ...]  # T minus T0: unit-class local conditions
-
-
-def relative_fiber(
+def relative_selmer(
     spec: SurfaceSpec, p_t: PartialAdelicPoint, adm: AdmissiblePoint
-) -> RelativeFiber:
-    if set(p_t.places) != set(adm.places):
-        raise ValueError("partial adelic point and admissible point disagree on T")
-    t0_places, rest = t0_place_split(spec, p_t)
-    u_places = [u for _, u in adm.witnesses]
-    if len(set(u_places)) != len(u_places):
-        raise ValueError("witness places must be pairwise distinct")
-    if set(u_places) & set(adm.places):
-        raise ValueError("witness places must avoid T")
-    return RelativeFiber(
-        spec=spec,
-        values=adm.values,
-        places=tuple(adm.places),
-        torus_value=adm.fiber.torus_d,
-        ramified=tuple(sorted(set(t0_places) | set(u_places))),
-        unit_kind=tuple(sorted(rest)),
-    )
-
-
-def relative_selmer(fiber: RelativeFiber) -> Tuple[SelmerSubspace, SelmerSubspace]:
-    """Pullbacks of the fiber torus Selmer and dual Selmer groups under
-    evaluation at t0: the local conditions of -d*p_J(t0) at the ramified
-    places, and unit classes at the rest of T."""
-    lattice = Lattice.of_places(fiber.places, fiber.spec.indices)
-    values = [fiber.values[i] for i in lattice.factor_indices]
-    return _cut_out(lattice, values, fiber.torus_value, fiber.ramified, fiber.unit_kind)
-
+) -> Tuple[SelmerSubspace, SelmerSubspace]:
+    """R and R-hat at the admissible point adm of p_t: the pullbacks under
+    evaluation at t0 of the fiber torus's Selmer and dual Selmer groups, in
+    the lattice over T = p_t.places.  The local conditions of -d*p_J(t0)
+    hold at T0 (the places of S0 and those with val_v(d*p_J(t_v)) = 1, read
+    off p_t's rows) and at the witness places u_i; the rest of T asks for
+    unit classes."""
+    t0_places = [v for v in p_t.places if v in spec.s0 or p_t.rows[v].torus[0] == 1]
+    ramified = sorted({*t0_places, *(u for _, u in adm.witnesses)})
+    units = [v for v in p_t.places if v not in t0_places]
+    lattice = Lattice.of_places(p_t.places, spec.indices)
+    values = [adm.values[i] for i in lattice.factor_indices]
+    return _cut_out(lattice, values, adm.fiber.torus_d, ramified, units)

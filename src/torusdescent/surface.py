@@ -534,12 +534,12 @@ class PartialAdelicPoint:
 class AdmissiblePoint:
     """A base value t0 with prime uniformizer places for each factor, the
     fiber above t0 and i -> p_i(t0) in index order, as the admissible scan
-    computed them; no later step evaluates anything at t0 again."""
+    computed them; no later step evaluates anything at t0 again.  Its T is
+    that of the partial adelic point it was found for, read from there."""
 
     fiber: FiberSpec
     values: Dict[int, Fraction]
     witnesses: Tuple[Tuple[int, Place], ...]  # (factor index, place u_i)
-    places: Tuple[Place, ...]  # the ambient T
 
     @property
     def t0(self) -> Fraction:

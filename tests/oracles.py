@@ -720,6 +720,32 @@ def obstruction_sum_reference(spec, point, i: int) -> int:
     ) % 2
 
 
+def good_place_solubility_reference(spec, v: Place, values) -> str:
+    """'soluble' or 'insoluble': integral solubility of the fiber whose factor
+    values are values (i -> p_i(t_v)) at an odd good place v, by the
+    good-place criterion alone; ValueError where v is not good for them.
+
+    At v outside S0 and S_bad with val_v(p_i(t_v)) > 0 for (necessarily
+    unique) i, the fiber has Z_v-points iff the Brauer constant of i, a unit
+    at v, is a square there.  When no factor degenerates the special fiber
+    is a smooth affine conic over F_v, which always has a rational point.
+    """
+    if v.is_real or v.p == 2:
+        raise ValueError("good-place criterion applies to odd finite places")
+    p = v.p
+    if valuation(Fraction(spec.a * spec.b), p) != 0:
+        raise ValueError(f"{v} divides d = ab; not a good place")
+    degenerate = [i for i, value in values.items() if valuation(Fraction(value), p) > 0]
+    if len(degenerate) > 1:
+        raise ValueError(f"{v} is not a good place: two factors vanish there")
+    if not degenerate:
+        return "soluble"
+    constant = brauer_constant_reference(spec, degenerate[0])
+    if valuation(constant, p) != 0:
+        raise ValueError(f"{v} divides the Brauer constant; not a good place")
+    return "soluble" if is_local_square_closed_form(constant, v) else "insoluble"
+
+
 def suitability_reference(spec, point):
     """The non-input verdict names of suitability and the split place, by the
     Fraction path: d*p_J(t_v) as one product of the fiber coefficients, its

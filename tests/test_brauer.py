@@ -17,13 +17,14 @@ from torusdescent.brauer import (
     obstruction_sum,
     residue_at,
 )
-from torusdescent.points import good_place_solubility
+from torusdescent.points import local_solubility
 from torusdescent.surface import LocalPoint, PartialAdelicPoint, fiber, make_spec
 
 from oracles import (
     class_mul,
     d_constant,
     factor_values_reference,
+    good_place_solubility_reference,
     hilbert_relevant_places,
     poly_from_factors,
     tame_residue,
@@ -69,18 +70,24 @@ def test_generator_left_matches_d_constant(running_spec):
         )
 
 
-def test_residue_examples():
-    q = QuaternionClass(Fraction(-2), (Fraction(1), Fraction(1)))
-    assert residue_at(q, Fraction(-1)) == square_class(-2)
-    q = QuaternionClass(Fraction(7), (Fraction(0), Fraction(1)))
-    assert residue_at(q, Fraction(5)) == 1  # unramified
-    q = QuaternionClass(Fraction(4), (Fraction(0), Fraction(1)))
-    assert residue_at(q, Fraction(0)) == 1  # 4 is a square
+def test_residue_examples(running_spec):
+    spec = running_spec  # generators (3, t) and (-2, t + 1)
+    assert residue_at(spec, 2, Fraction(-1)) == square_class(-2)
+    assert residue_at(spec, 1, Fraction(5)) == 1  # unramified
+    assert residue_at(spec, 1, Fraction(0)) == 3
+    # the constant 4 = a*p_A(0) with p_A = t + 2 is a square: residue 1
+    spec = make_spec([], 2, 3, {1: (1, 2), 2: (1, 0)}, [1])
+    assert spec.brauer_constants[2] == 4 and residue_at(spec, 2, Fraction(0)) == 1
+    spec = make_spec([], 4, 3, {1: (2, 3), 2: (1, 0)}, [1])
+    assert spec.brauer_constants[2] == 12 and residue_at(spec, 2, Fraction(0)) == 3
+    spec = make_spec([], 2, 3, {1: (1, -1), 2: (1, 1)}, [1])
+    assert spec.brauer_constants[2] == -4 and residue_at(spec, 2, Fraction(-1)) == -1
     # the linear residues agree with the general tame-symbol oracle
-    for left, right, m in ((-2, (1, 1), -1), (7, (0, 1), 5), (4, (0, 1), 0), (6, (3, 2), -1.5)):
-        q = QuaternionClass(Fraction(left), (Fraction(right[0]), Fraction(right[1])))
-        m = Fraction(m)
-        assert residue_at(q, m) == tame_residue(q.left, q.right, m)
+    for spec in (running_spec, make_spec([2], 6, -5, {1: (3, 2), 2: (2, -7), 3: (1, 4)}, [1, 3])):
+        for i in spec.indices:
+            q = brauer_generator(spec, i)
+            for m in (*(spec.root(j) for j in spec.indices), Fraction(5), Fraction(-3, 2)):
+                assert residue_at(spec, i, m) == tame_residue(q.left, q.right, m), (i, m)
 
 
 def test_residue_rejects_higher_degree_points():
@@ -103,7 +110,7 @@ def test_generators_unramified_at_other_roots(running_spec):
         q = brauer_generator(spec, i)
         for j in spec.indices:
             root = spec.root(j)
-            res = residue_at(q, root)
+            res = residue_at(spec, i, root)
             if j != i:
                 assert res == 1
             else:
@@ -120,7 +127,7 @@ def test_combination_residues(running_spec):
         root = spec.root(i)
         assert tame_residue(c, combo, root) == square_class(c)
         total = class_mul(tame_residue(c, combo, root),
-                          residue_at(brauer_generator(spec, i), root))
+                          residue_at(spec, i, root))
         expected = class_mul(square_class(c), square_class(spec.brauer_constants[i]))
         assert total == expected
 
@@ -155,7 +162,11 @@ def test_invariant_vanishes_at_good_soluble_places(running_spec):
         if spec.product_value(spec.indices, t) == 0:
             continue
         for v in good:
-            if good_place_solubility(spec, v, factor_values_reference(spec, t)).status != "soluble":
+            fib = fiber(spec, t)
+            status = local_solubility(fib.aA, fib.bB, v, "integral").status
+            assert status == good_place_solubility_reference(
+                spec, v, factor_values_reference(spec, t)), (t, v)
+            if status != "soluble":
                 continue
             for i in spec.indices:
                 assert _invariant_at(spec, i, t, v) == 0

@@ -195,6 +195,17 @@ def test_brauer_command(spec_file, capsys):
     assert lefts == {1: "3", 2: "-2"}
 
 
+def test_brauer_constant_past_the_primality_range(tmp_path, capsys):
+    # the constant of factor t is (10^13 + 37)*(10^13 + 51), past the proven
+    # primality range; its class is read over the spec's primes, unfactored
+    path = tmp_path / "big.spec"
+    path.write_text("s0 real 2\na 1\nb 1\nfactor 1 1 0\nfactor 2 1 10000000000037\n"
+                    "factor 3 1 10000000000051\npartA 1\n")
+    assert main(["--json", "brauer", str(path)]) == 0
+    generators = json.loads(capsys.readouterr().out)["generators"]
+    assert generators[0]["residues"]["t=0"] == "100000000000880000000001887"
+
+
 def test_local_command(spec_file, capsys):
     assert main(["local", spec_file, "--t", "1", "--place", "7"]) == 0
     assert "soluble" in capsys.readouterr().out

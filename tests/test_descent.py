@@ -31,7 +31,7 @@ from torusdescent.descent import (
     suitability,
 )
 from torusdescent.points import verify_integral_point
-from torusdescent.selmer import SelmerSubspace, relative_fiber, relative_selmer
+from torusdescent.selmer import SelmerSubspace, relative_selmer
 from torusdescent.surface import (
     LocalPoint,
     PartialAdelicPoint,
@@ -61,11 +61,13 @@ from oracles import (
     fiber_torus_reference,
     find_admissible_reference,
     g_element,
+    good_place_solubility_reference,
     hilbert_symbol_closed_form,
     is_local_square_closed_form,
     local_square_class,
     obstruction_sum_reference,
     pick_elements_reference,
+    product_value_reference,
     same_valuation_and_class_bruteforce,
     selmer_elements,
     split_places,
@@ -730,8 +732,8 @@ def test_relative_groups_independent_of_admissible_point():
     t0, witnesses, _ = find_admissible_reference(spec, p_t, bounds, reject=[first.t0])
     second = descent._try_admissible(spec, p_t, t0, list(witnesses))
     assert first.t0 != second.t0
-    sel_a, dual_a = relative_selmer(relative_fiber(spec, p_t, first))
-    sel_b, dual_b = relative_selmer(relative_fiber(spec, p_t, second))
+    sel_a, dual_a = relative_selmer(spec, p_t, first)
+    sel_b, dual_b = relative_selmer(spec, p_t, second)
     assert dual_a == dual_b
     assert sel_a == sel_b
 
@@ -739,19 +741,22 @@ def test_relative_groups_independent_of_admissible_point():
 def _dual_selmer_by_lemma_conditions(spec, p_t, adm):
     """Independent enumeration of the relative dual Selmer group.
 
-    Conditions at the places of T are tested by direct local squareness of
-    the evaluated element or its product with the torus parameter;
-    conditions at the witness places use the branch form: the closed-form
-    pairing of p_i(t0) against the evaluated element, twisted by [-d][p_J]
-    when i lies in the subset.
+    Conditions at the places of T0 (S0 and the places with
+    val_v(d*p_J(t_v)) = 1, from each entry's own t_v) are tested by direct
+    local squareness of the evaluated element or its product with the torus
+    parameter, and the rest of T asks for even valuation; conditions at the
+    witness places use the branch form: the closed-form pairing of p_i(t0)
+    against the evaluated element, twisted by [-d][p_J] when i lies in the
+    subset.
     """
     from torusdescent.conditiond import Lattice
-    from torusdescent.selmer import t0_place_split
 
-    lattice = Lattice.of_places(adm.places, spec.indices)
+    lattice = Lattice.of_places(p_t.places, spec.indices)
     t0 = adm.t0
     torus_value = -spec.d * spec.product_value(spec.indices, t0)
-    t0_places, unit_places = t0_place_split(spec, p_t)
+    t0_places = [v for v in p_t.places if v in spec.s0 or valuation(
+        spec.d * product_value_reference(spec, spec.indices, p_t.entries[v].t), v.p) == 1]
+    unit_places = [v for v in p_t.places if v not in t0_places]
     members = []
     for mask in range(1 << lattice.ncols):
         x = lattice.decode(mask)
@@ -766,8 +771,6 @@ def _dual_selmer_by_lemma_conditions(spec, p_t, adm):
                 break
         if ok:
             for v in unit_places:
-                from torusdescent.arith import valuation
-
                 if valuation(value, v.p) % 2:
                     ok = False
                     break
@@ -792,7 +795,7 @@ def test_relative_dual_selmer_matches_lemma_conditions(index):
     p_t = build_suitable(spec, point)
     bounds = DescentBounds(admissible_candidates=100_000)
     adm = find_admissible(spec, p_t, bounds).point
-    _, dual = relative_selmer(relative_fiber(spec, p_t, adm))
+    _, dual = relative_selmer(spec, p_t, adm)
     computed = set(selmer_elements(dual))
     assert computed == _dual_selmer_by_lemma_conditions(spec, p_t, adm)
 
@@ -819,8 +822,8 @@ def test_evaluation_map_injective():
     spec, point, _ = family_point(6)
     p_t = build_suitable(spec, point)
     adm = find_admissible(spec, p_t, DescentBounds()).point
-    lattice = Lattice.of_places(adm.places, spec.indices)
-    primes = [v.p for v in adm.places if v.is_finite]
+    lattice = Lattice.of_places(p_t.places, spec.indices)
+    primes = [v.p for v in p_t.places if v.is_finite]
     primes += [u.p for _, u in adm.witnesses]
     for mask in range(1, 1 << lattice.ncols):
         x = lattice.decode(mask)
@@ -968,6 +971,39 @@ def test_the_admissible_checks_lift_no_witness(monkeypatch):
     assert all(calls == [] for _, calls in lifted)
 
 
+def test_the_admissible_checks_scan_each_place_outside_s0_once(monkeypatch):
+    """Integral solubility at every finite place outside S0, those of T and
+    the witness places u_i, is decided by one unit_square_scan each; the
+    good-place criterion is left to the test oracles."""
+    scans = _count_calls(monkeypatch, "unit_square_scan", points)
+    tried = _calls_during(monkeypatch, descent, "_try_admissible", scans)
+    for k in range(len(ALL_FAMILY)):
+        spec, point, _ = family_point(k)
+        descend(spec, point, DescentBounds(solve_each_fiber=False))
+    for p in LARGE_PRIME_FAMILY:
+        spec, point, _ = large_prime_point(p)
+        descend(spec, point, DescentBounds(solve_each_fiber=False))
+    assert len(tried) > len(ALL_FAMILY) + len(LARGE_PRIME_FAMILY)
+    for (spec, p_t, t0, witnesses), calls in tried:
+        expected = [v for v in p_t.places if v.is_finite and v not in spec.s0]
+        assert [v for _, _, v in calls] == expected + [u for _, u in witnesses]
+        for _, u in witnesses:  # the scan found a point there, as the criterion says
+            assert good_place_solubility_reference(
+                spec, u, factor_values_reference(spec, t0)) == "soluble"
+    assert "good_place_solubility" not in vars(points)
+
+
+@pytest.mark.parametrize("witnesses, text", [
+    ([(1, Place.finite(37)), (2, Place.finite(37))], "37, 37"),
+    ([(1, Place.finite(2)), (2, Place.finite(37))], "2, 37"),
+], ids=["repeated", "inside-T"])
+def test_witness_places_must_be_distinct_and_outside_t(witnesses, text):
+    spec, p_t = _progression(0)[:2]
+    with pytest.raises(DescentAnomaly,
+                       match=f"^witness places {text} are not distinct places outside T$"):
+        descent._try_admissible(spec, p_t, p_t.entries[REAL].t, witnesses)
+
+
 @pytest.mark.parametrize("groups, text", [
     ("zero dual", r"\] escaped the relative dual Selmer group$"),
     ("zero sel", r"\] escaped the relative Selmer group$"),
@@ -982,8 +1018,8 @@ def test_make_state_anomalies(groups, text, monkeypatch):
     p_t = build_suitable(spec, point)
     real_selmer = descent.relative_selmer
 
-    def replaced(fib):
-        sel, dual = real_selmer(fib)
+    def replaced(*args):
+        sel, dual = real_selmer(*args)
         lattice, ncols = sel.lattice, sel.lattice.ncols
         zero = SelmerSubspace(lattice, gf2.Subspace(ncols))
         whole = SelmerSubspace(lattice, gf2.Subspace(ncols, [1 << k for k in range(ncols)]))

@@ -19,7 +19,6 @@ from torusdescent.arith import (
 )
 from torusdescent.points import (
     _denominators,
-    good_place_solubility,
     local_solubility,
     solve_global,
     unit_square_scan,
@@ -31,6 +30,7 @@ from fixtures import LARGE_PRIME_FAMILY, large_prime_point
 from oracles import (
     factor_values_reference,
     fiber_point_bruteforce,
+    good_place_solubility_reference,
     hensel_solve_reference,
     is_local_square_closed_form,
     solve_global_fullscan,
@@ -252,14 +252,12 @@ def test_good_place_criterion_examples():
     spec = make_spec([], 2, 3, {1: (1, 0), 2: (1, 1)}, [1])
     v = Place.finite(5)
     # t = 5: p_1 degenerates, criterion value b*p_B(0) = 3*1 = 3; (3|5) = -1
-    res = good_place_solubility(spec, v, factor_values_reference(spec, 5))
-    assert res.status == "insoluble"
-    # t = 4: p_2 degenerates at 5; criterion value a*p_A(-1) = -2; (-2|5) = ?
-    res = good_place_solubility(spec, v, factor_values_reference(spec, 4))
-    assert res.status in ("soluble", "insoluble")
-    # unit fiber: no degeneration
-    res = good_place_solubility(spec, v, factor_values_reference(spec, 1))
-    assert res.status == "soluble"
+    # t = 4: p_2 degenerates, criterion value a*p_A(-1) = -2; (-2|5) = -1
+    # t = 1: no factor degenerates, a smooth special fiber
+    for t, status in ((5, "insoluble"), (4, "insoluble"), (1, "soluble")):
+        assert good_place_solubility_reference(spec, v, factor_values_reference(spec, t)) == status
+        fib = fiber(spec, t)
+        assert local_solubility(fib.aA, fib.bB, v, "integral").status == status
 
 
 def test_good_place_criterion_agrees_with_hensel():
@@ -278,14 +276,14 @@ def test_good_place_criterion_agrees_with_hensel():
         if spec.product_value(spec.indices, t) == 0:
             continue
         try:
-            crit = good_place_solubility(spec, v, factor_values_reference(spec, t))
+            crit = good_place_solubility_reference(spec, v, factor_values_reference(spec, t))
         except ValueError:
             continue  # not a good place for this t
         fib = fiber(spec, t)
         direct = local_solubility(fib.aA, fib.bB, v, model="integral")
-        assert direct.status == crit.status, (spec, v, t)
+        assert direct.status == crit, (spec, v, t)
         search = hensel_solve_reference((fib.aA, fib.bB), -1, v.p, direct.precision)
-        assert search.status == {"soluble": "witness", "insoluble": "none"}[crit.status]
+        assert search.status == {"soluble": "witness", "insoluble": "none"}[crit]
         checked += 1
     assert checked > 250
 

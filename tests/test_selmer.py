@@ -217,9 +217,9 @@ def test_evaluation_map_is_the_local_mask_of_the_evaluated_element(index):
     spec, point, _ = family_point(index)
     p_t = build_suitable(spec, point)
     adm = find_admissible(spec, p_t, DescentBounds()).point
-    lattice = Lattice.of_places(adm.places, spec.indices)
+    lattice = Lattice.of_places(p_t.places, spec.indices)
     values = [spec.factor_value(i, adm.t0) for i in lattice.factor_indices]
-    places = list(adm.places) + [u for _, u in adm.witnesses]
+    places = list(p_t.places) + [u for _, u in adm.witnesses]
     places += [Place.finite(p) for p in (3, 7, 13, 101) if Place.finite(p) not in places]
     rng = random.Random(index)
     masks = [0, (1 << lattice.ncols) - 1] + [rng.getrandbits(lattice.ncols) for _ in range(30)]
