@@ -13,7 +13,6 @@ from .arith import (  # noqa: F401
     REAL,
     hilbert_symbol,
     is_local_square,
-    square_class,
     valuation,
 )
 from .conditiond import GElement, check_condition_d  # noqa: F401

@@ -256,12 +256,8 @@ def parse_rational(token: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def valuation(x: Rational, p: int | Place) -> int:
-    """p-adic valuation of a nonzero rational."""
-    if isinstance(p, Place):
-        if p.is_real:
-            raise ValueError("valuation undefined at the real place")
-        p = p.p  # type: ignore[assignment]
+def valuation(x: Rational, p: int) -> int:
+    """p-adic valuation of a nonzero rational at the prime p."""
     num, den = x.numerator, x.denominator
     if num == 0:
         raise ValueError("valuation of 0 is undefined")
@@ -321,20 +317,6 @@ def class_from_mask(mask: int, primes: Sequence[int]) -> int:
     for k, p in enumerate(primes, 1):
         if mask >> k & 1:
             c *= p
-    return c
-
-
-def square_class(x: Rational) -> int:
-    """Image of a nonzero rational in Q*/(Q*)^2, by factoring: for values
-    whose primes are unknown.  class_mask reads a class over known primes."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("0 has no square class")
-    c = 1 if x > 0 else -1
-    for n in (x.numerator, x.denominator):
-        for p, e in factorize(n).items():
-            if e % 2:
-                c *= p
     return c
 
 

@@ -1,11 +1,14 @@
-"""Vertical Brauer classes of the fibration: quaternion generators with a
-constant left entry and a linear right entry, their residues at the roots
-of the factors, and local invariant sums against adelic points.
+"""Vertical Brauer classes of the fibration, their residues at the roots of
+the factors, and local invariant sums against adelic points.
+
+The generator of factor i is the quaternion symbol (spec.brauer_constants[i],
+p_i(t)): a constant left entry and the linear right entry
+spec.coeffs(i) = (c_i, d_i).  Nothing here wraps that pair in a type; every
+function takes the spec and the index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Tuple
 
@@ -14,30 +17,6 @@ from .gf2 import dot
 
 if TYPE_CHECKING:  # surface imports this module to fill PlaceRow.brauer
     from .surface import PartialAdelicPoint, SurfaceSpec
-
-
-@dataclass(frozen=True)
-class QuaternionClass:
-    """Quaternion symbol (left, d + c*t) with constant left entry and c != 0.
-
-    right is the coefficient pair (d, c), constant term first: the right
-    entries of the fibration generators are the linear factors.
-    """
-
-    left: Fraction
-    right: Tuple[Fraction, Fraction]
-
-    def __post_init__(self):
-        if self.left == 0:
-            raise ValueError("left entry must be nonzero")
-        if len(self.right) != 2 or self.right[1] == 0:
-            raise ValueError("right entry must be linear in t")
-
-
-def brauer_generator(spec: SurfaceSpec, i: int) -> QuaternionClass:
-    """The vertical class attached to factor i: (spec.brauer_constants[i], p_i(t))."""
-    c, d = spec.coeffs(i)
-    return QuaternionClass(left=spec.brauer_constants[i], right=(d, c))
 
 
 def residue_at(spec: SurfaceSpec, i: int, m: Rational) -> int:

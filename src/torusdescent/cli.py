@@ -15,7 +15,7 @@ import sys
 from typing import Dict, List, Optional
 
 from .arith import Place, PrimalityRangeError, factorize, parse_place, parse_rational
-from .brauer import brauer_generator, residue_at
+from .brauer import residue_at
 from .conditiond import check_condition_d
 from .descent import (
     READINGS,
@@ -105,15 +105,15 @@ def cmd_selmer(args) -> int:
     support = {2} | set(spec.s0_finite_primes) | set(ramified)
     places = [Place.real()] + [Place.finite(p) for p in sorted(support)]
     torus = torus_data(math.prod(ramified, start=-1 if x < 0 else 1), places)
-    sel, dual = selmer_groups(torus)
+    lattice, sel, dual = selmer_groups(torus)
     payload = _report_base(spec)
     payload.update(
         {
             "t": str(t),
             "torus_d": str(torus.d),
             "places": [str(v) for v in torus.places],
-            "selmer_basis": [str(g.c) for g in sel.basis_elements()],
-            "dual_selmer_basis": [str(g.c) for g in dual.basis_elements()],
+            "selmer_basis": [str(lattice.decode(m).c) for m in sel.basis],
+            "dual_selmer_basis": [str(lattice.decode(m).c) for m in dual.basis],
             "dim_selmer": sel.dim,
             "dim_dual_selmer": dual.dim,
         }
@@ -139,11 +139,11 @@ def cmd_brauer(args) -> int:
     gens = []
     lines = []
     for i in spec.indices:
-        q = brauer_generator(spec, i)
+        left, (c, d) = spec.brauer_constants[i], spec.coeffs(i)
         entries = {
             "index": i,
-            "left": str(q.left),
-            "right": [str(c) for c in q.right],
+            "left": str(left),
+            "right": [str(d), str(c)],
             "residues": {},
         }
         for j in spec.indices:
@@ -152,7 +152,7 @@ def cmd_brauer(args) -> int:
             entries["residues"][f"t={root}"] = str(res)
         gens.append(entries)
         lines.append(
-            f"generator {i}: ({q.left}, p_{i}(t)); residues: "
+            f"generator {i}: ({left}, p_{i}(t)); residues: "
             + ", ".join(f"{k} -> {v}" for k, v in entries["residues"].items())
         )
     payload["generators"] = gens

@@ -46,6 +46,7 @@ from .arith import (
 from .brauer import invariant_vector, obstruction_sum
 from .conditiond import (
     ConditionDReport,
+    GElement,
     Lattice,
     check_condition_d,
     constant_mask,
@@ -53,7 +54,7 @@ from .conditiond import (
     target_generators,
 )
 from .points import solve_global, unit_square_scan, verify_integral_point
-from .selmer import SelmerSubspace, relative_selmer
+from .selmer import relative_selmer
 from .surface import (
     AdmissiblePoint,
     FiberSpec,
@@ -319,9 +320,10 @@ def _candidate_test(
     spec: SurfaceSpec, tau0: int, modulus: int, denominator: int, t_primes: Sequence[int]
 ) -> Callable[[int], Optional[List[Tuple[int, Place]]]]:
     """The witnesses of t0 = (tau0 + modulus*n)/denominator as a function of n:
-    the pairs (i, u_i) with p_i(t0) a T-unit times the prime u_i, the u_i
-    distinct, or None.  That is all of admissibility: the first n with
-    witnesses gives the admissible point (`find_admissible`).
+    the pairs (i, u_i) with p_i(t0) a T-unit times the prime u_i, or None
+    (the u_i are distinct, as `_try_admissible` argues and checks).  That
+    is all of admissibility: the first n with witnesses gives the
+    admissible point (`find_admissible`).
 
     With (C_i, D_i, L_i) = spec.forms[i], L_i*D*p_i(t0) is the integer form
     A_i + B_i*n with A_i = C_i*tau0 + D_i*D and B_i = C_i*modulus, where D
@@ -350,8 +352,6 @@ def _candidate_test(
         found: List[Tuple[int, Place]] = []
         for (i, _, _), value in zip(forms, values):
             leftover = strip_primes(abs(value), t_primes)
-            if any(u.p == leftover for _, u in found):
-                return None
             try:  # building the place proves the leftover prime
                 found.append((i, Place.finite(leftover)))
             except ValueError:  # 1, composite, or past the proven primality range
@@ -425,8 +425,11 @@ def _try_admissible(
     u_i of `witnesses`; p_i(t0) and the fiber are evaluated here once.  For
     a suitable p_t each check holds, and a failure raises DescentAnomaly:
 
-    - The u_i are pairwise distinct and outside T, as `_candidate_test`
-      makes them; the relative Selmer build reads them as new places.
+    - The u_i are outside T, as `_candidate_test` makes them, and pairwise
+      distinct: a prime dividing two leftovers divides C_i*D_j - C_j*D_i
+      (t0's denominator and every L_i are S0-supported), so it lies in
+      S0 + S_bad, inside T, whose primes every leftover has lost.  The
+      relative Selmer build reads them as new places.
     - Row check: each p_i(t0) has the (val_v, local mask) of p_t.rows[v], as
       `_approximation_data` promises, and so then do aA and bB.
     - t0 lies in t_real's chamber, so the fiber above it has the signs of
@@ -484,23 +487,32 @@ def _try_admissible(
 
 @dataclass
 class DescentState:
+    """R and R-hat at one admissible point adm of p_t, as F2 subspaces of
+    the relative lattice over T = p_t.places (relative_selmer).  A mask
+    crosses to another state's lattice only decoded (`_lies_in`)."""
+
     spec: SurfaceSpec
     p_t: PartialAdelicPoint
     s_d: Tuple[Place, ...]
     adm: AdmissiblePoint
-    sel: SelmerSubspace  # relative Selmer group R
-    dual: SelmerSubspace  # relative dual Selmer group R-hat
+    lattice: Lattice
+    sel: gf2.Subspace  # relative Selmer group R
+    dual: gf2.Subspace  # relative dual Selmer group R-hat
     trace: List[Dict] = field(default_factory=list)
-
-    @property
-    def lattice(self) -> Lattice:
-        """The relative lattice over T that R and R-hat live in."""
-        return self.sel.lattice
 
     def terminal(self) -> bool:
         """R-hat is generated by [-d][p_J]."""
         (neg_gen,) = target_generators(self.spec, self.lattice, dual=True)
-        return self.dual.dim == 1 and self.dual.space.contains(neg_gen)
+        return self.dual.dim == 1 and self.dual.contains(neg_gen)
+
+
+def _lies_in(x: GElement, lattice: Lattice, group: gf2.Subspace) -> bool:
+    """x, decoded from another state's lattice, lies in group, a subspace of
+    lattice; False when x has a prime outside lattice."""
+    try:
+        return group.contains(lattice.encode(x))
+    except ValueError:
+        return False
 
 
 def _make_state(
@@ -522,12 +534,11 @@ def _make_state(
     """
     search = find_admissible(spec, p_t, bounds)
     adm = search.point
-    sel, dual = relative_selmer(spec, p_t, adm)
-    lattice = sel.lattice
+    lattice, sel, dual = relative_selmer(spec, p_t, adm)
     for group, side, name in ((dual, True, "relative dual Selmer group"),
                               (sel, False, "relative Selmer group")):
         for gen in target_generators(spec, lattice, dual=side):
-            if not group.space.contains(gen):
+            if not group.contains(gen):
                 raise DescentAnomaly(f"{lattice.decode(gen)} escaped the {name}")
     n_split = sum(is_local_square(adm.fiber.torus_d, v) for v in spec.s0)
     if sel.dim - dual.dim != n_split:
@@ -547,7 +558,7 @@ def _make_state(
             "split_places": n_split,
         }
     )
-    return DescentState(spec, p_t, s_d, adm, sel, dual, trace)
+    return DescentState(spec, p_t, s_d, adm, lattice, sel, dual, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +629,9 @@ def _pick_elements(state: DescentState) -> Tuple[int, int]:
     (neg_gen,) = target_generators(state.spec, lattice, dual=True)
     span = gf2.Subspace(lattice.ncols, target_generators(state.spec, lattice))
     key = lambda mask: lattice.decode(mask).sort_key()
-    x0 = min((m for m in state.dual.space.elements() if m not in (0, neg_gen)),
+    x0 = min((m for m in state.dual.elements() if m not in (0, neg_gen)),
              key=key, default=None)
-    x1 = min((m for m in state.sel.space.elements() if not span.contains(m)),
+    x1 = min((m for m in state.sel.elements() if not span.contains(m)),
              key=key, default=None)
     if x0 is None or x1 is None:
         raise DescentAnomaly("reduction invoked without reducible elements")
@@ -697,7 +708,7 @@ def _add_sd_witness(state: DescentState, x: int, bounds: DescentBounds) -> Desce
         }
     )
     new_state = _make_state(spec, new_pt, s_d, bounds, state.trace)
-    if new_state.dual.contains(element):
+    if _lies_in(element, new_state.lattice, new_state.dual):
         raise DescentAnomaly(f"witness place {place} failed to kill {element}")
     return new_state
 
@@ -725,9 +736,9 @@ def _chebotarev_step(
 
     # the subgroups avoiding the distinguished factor index
     bit_new = new_lattice.poly_mask([i_x])
-    sel0_old = old_sel.space.intersect_hyperplane(bit_old)
-    dual0_old = old_dual.space.intersect_hyperplane(bit_old)
-    dual0_new = new_state.dual.space.intersect_hyperplane(bit_new)
+    sel0_old = old_sel.intersect_hyperplane(bit_old)
+    dual0_old = old_dual.intersect_hyperplane(bit_old)
+    dual0_new = new_state.dual.intersect_hyperplane(bit_new)
 
     # p_i(t0) and p_i(t1), kept by the two admissible points: the
     # localization at w of both lattices and the comparison checks use them
@@ -769,12 +780,12 @@ def _chebotarev_step(
     # old group, and the distinguished element is gone
     for mask in dual0_new.basis:
         g = new_lattice.decode(mask)
-        if not old_dual.contains(g):
+        if not _lies_in(g, old_lattice, old_dual):
             raise DescentAnomaly(f"persistence failed for {g}")
     x0_element = old_lattice.decode(x0)
-    if new_state.dual.contains(x0_element):
+    if _lies_in(x0_element, new_lattice, new_state.dual):
         raise DescentAnomaly(f"{x0_element} survived the reduction")
-    if not new_state.dual.space.contains(target_generators(spec, new_lattice, dual=True)[0]):
+    if not new_state.dual.contains(target_generators(spec, new_lattice, dual=True)[0]):
         raise DescentAnomaly("[-d][p_J] lost during reduction")
     if new_state.dual.dim >= old_dual.dim:
         raise DescentAnomaly(
@@ -929,7 +940,7 @@ def descend(
                         "bB": _q(fib.bB),
                         "torus_d": _q(fib.torus_d),
                         # the one basis vector of a terminal R-hat is [-d][p_J]
-                        "dual_generator": str(state.dual.basis_elements()[0]),
+                        "dual_generator": str(state.lattice.decode(state.dual.basis[0])),
                         "height_bound": bounds.height,
                         "note": "fiber satisfies the integral Hasse principle; "
                         "no point within the height bound",

@@ -12,7 +12,9 @@ Q_v*/(Q_v*)^2, in the local_mask coordinates of `arith`: L_v =
 group.  Each generator's local mask is computed once per place
 (Lattice.local_masks, the lattice's evaluation map at v), and
 each linear form on those masks whose kernel is L_v (H_v [d]_v, or a basis
-of the annihilator of [d]_v) becomes one row of the F2 system.
+of the annihilator of [d]_v) becomes one row of the F2 system.  A pair of
+groups is returned as (lattice, sel, dual): two gf2.Subspace objects in the
+coordinates of the one lattice, which decodes and encodes their elements.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .arith import (
     local_dim,
     local_mask,
 )
-from .conditiond import GElement, Lattice
+from .conditiond import Lattice
 from .surface import AdmissiblePoint, PartialAdelicPoint, SurfaceSpec
 
 
@@ -71,40 +73,6 @@ def torus_data(d: int, places: Iterable[Place]) -> TorusData:
 
 
 # ---------------------------------------------------------------------------
-# Subspaces of the ambient lattices
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SelmerSubspace:
-    """An F2 subspace of a square-class lattice with a membership test."""
-
-    lattice: Lattice
-    space: gf2.Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def contains(self, x: GElement) -> bool:
-        try:
-            return self.space.contains(self.lattice.encode(x))
-        except ValueError:
-            return False
-
-    def basis_elements(self) -> List[GElement]:
-        return [self.lattice.decode(mask) for mask in self.space.basis]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SelmerSubspace):
-            return NotImplemented
-        return self.space == other.space
-
-    def __hash__(self):
-        return hash(self.space)
-
-
-# ---------------------------------------------------------------------------
 # Local conditions
 # ---------------------------------------------------------------------------
 
@@ -115,8 +83,9 @@ def _cut_out(
     d: Rational,
     places: Iterable[Place],
     unit_places: Iterable[Place] = (),
-) -> Tuple[SelmerSubspace, SelmerSubspace]:
-    """The Selmer and dual Selmer groups of d inside the lattice.
+) -> Tuple[gf2.Subspace, gf2.Subspace]:
+    """The Selmer and dual Selmer groups of d, as subspaces of F2^ncols
+    in the lattice's coordinates.
 
     factor_values[k] is the rational that the k-th factor symbol stands for.
     At each place of `places` a class must lie in <[d]_v>^perp (Selmer) or
@@ -136,12 +105,8 @@ def _cut_out(
         unit_rows = _form_rows(masks, [1 << local_dim(v) - 1])
         sel_rows += unit_rows
         dual_rows += unit_rows
-
-    def group(rows: List[int]) -> SelmerSubspace:
-        kernel = gf2.kernel_basis(rows, lattice.ncols)
-        return SelmerSubspace(lattice, gf2.Subspace(lattice.ncols, kernel))
-
-    return group(sel_rows), group(dual_rows)
+    return tuple(gf2.Subspace(lattice.ncols, gf2.kernel_basis(rows, lattice.ncols))
+                 for rows in (sel_rows, dual_rows))
 
 
 def _form_rows(masks: Sequence[int], forms: Iterable[int]) -> List[int]:
@@ -149,11 +114,13 @@ def _form_rows(masks: Sequence[int], forms: Iterable[int]) -> List[int]:
     return [sum(gf2.dot(m, f) << k for k, m in enumerate(masks)) for f in forms]
 
 
-def selmer_groups(torus: TorusData) -> Tuple[SelmerSubspace, SelmerSubspace]:
-    """The Selmer group (classes of I_S pairing trivially with d at every place
-    of S) and the dual Selmer group (classes of I_S locally in <[d]_v> at
-    every place of S) of the torus."""
-    return _cut_out(Lattice.of_places(torus.places), (), torus.d, torus.places)
+def selmer_groups(torus: TorusData) -> Tuple[Lattice, gf2.Subspace, gf2.Subspace]:
+    """The lattice of S (-1 and the finite primes of S), the Selmer group
+    (classes of I_S pairing trivially with d at every place of S) and the
+    dual Selmer group (classes of I_S locally in <[d]_v> at every place of
+    S) of the torus, the two groups as subspaces of the lattice."""
+    lattice = Lattice.of_places(torus.places)
+    return (lattice, *_cut_out(lattice, (), torus.d, torus.places))
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +130,16 @@ def selmer_groups(torus: TorusData) -> Tuple[SelmerSubspace, SelmerSubspace]:
 
 def relative_selmer(
     spec: SurfaceSpec, p_t: PartialAdelicPoint, adm: AdmissiblePoint
-) -> Tuple[SelmerSubspace, SelmerSubspace]:
-    """R and R-hat at the admissible point adm of p_t: the pullbacks under
-    evaluation at t0 of the fiber torus's Selmer and dual Selmer groups, in
-    the lattice over T = p_t.places.  The local conditions of -d*p_J(t0)
-    hold at T0 (the places of S0 and those with val_v(d*p_J(t_v)) = 1, read
-    off p_t's rows) and at the witness places u_i; the rest of T asks for
-    unit classes."""
+) -> Tuple[Lattice, gf2.Subspace, gf2.Subspace]:
+    """The lattice over T = p_t.places and spec.indices, and in it R and
+    R-hat at the admissible point adm of p_t: the pullbacks under evaluation
+    at t0 of the fiber torus's Selmer and dual Selmer groups.  The local
+    conditions of -d*p_J(t0) hold at T0 (the places of S0 and those with
+    val_v(d*p_J(t_v)) = 1, read off p_t's rows) and at the witness places
+    u_i; the rest of T asks for unit classes."""
     t0_places = [v for v in p_t.places if v in spec.s0 or p_t.rows[v].torus[0] == 1]
     ramified = sorted({*t0_places, *(u for _, u in adm.witnesses)})
     units = [v for v in p_t.places if v not in t0_places]
     lattice = Lattice.of_places(p_t.places, spec.indices)
     values = [adm.values[i] for i in lattice.factor_indices]
-    return _cut_out(lattice, values, adm.fiber.torus_d, ramified, units)
+    return (lattice, *_cut_out(lattice, values, adm.fiber.torus_d, ramified, units))

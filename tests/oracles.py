@@ -193,10 +193,6 @@ def conic_soluble_bruteforce(a, b, p: int) -> bool:
     return bool(squares[chart_x].any() or squares[chart_y].any())
 
 
-def conic_soluble_real(a, b) -> bool:
-    return a > 0 or b > 0
-
-
 def is_square_mod_enumeration(x, v: Place) -> bool:
     """x a square in Q_v, by enumerating y^2 = x mod p^k on the unit part."""
     if v.is_real:
@@ -269,7 +265,7 @@ def dimension_identity(torus: TorusData, base: Sequence[Place]) -> Tuple[int, in
         if v not in base and is_local_square_closed_form(torus.d, v):
             raise ValueError(f"place {v} outside the base set is split; identity not applicable")
     n_split = len(split_places(torus, sorted(base)))
-    sel, dual = selmer_groups(torus)
+    _, sel, dual = selmer_groups(torus)
     if sel.dim - dual.dim != n_split:
         raise AssertionError(f"dimension identity failed: {sel.dim} - {dual.dim} != {n_split}")
     return sel.dim, dual.dim, n_split
@@ -398,9 +394,10 @@ def class_is_identity(x: int) -> bool:
     return x == 1
 
 
-def selmer_elements(sel) -> List[GElement]:
-    """Every element of a SelmerSubspace, decoded, in gf2.Subspace.elements order."""
-    return [sel.lattice.decode(mask) for mask in sel.space.elements()]
+def selmer_elements(lattice, group) -> List[GElement]:
+    """Every element of group, a gf2.Subspace of lattice, decoded, in
+    gf2.Subspace.elements order."""
+    return [lattice.decode(mask) for mask in group.elements()]
 
 
 def g_identity() -> GElement:
@@ -439,9 +436,11 @@ def pick_elements_reference(state) -> Tuple[GElement, GElement]:
     target_generators_reference."""
     (neg_gen,) = target_generators_reference(state.spec, dual=True)
     span = span_of(target_generators_reference(state.spec, dual=False))
-    x0 = next(g for g in sorted(selmer_elements(state.dual), key=GElement.sort_key)
+    lattice = state.lattice
+    x0 = next(g for g in sorted(selmer_elements(lattice, state.dual), key=GElement.sort_key)
               if not g_is_identity(g) and g != neg_gen)
-    x1 = next(g for g in sorted(selmer_elements(state.sel), key=GElement.sort_key) if g not in span)
+    x1 = next(g for g in sorted(selmer_elements(lattice, state.sel), key=GElement.sort_key)
+              if g not in span)
     return x0, x1
 
 
@@ -773,15 +772,6 @@ def suitability_reference(spec, point):
         names.append("split_place")
     names += [f"brauer_sum_{i}" for i in spec.indices if obstruction_sum_reference(spec, point, i)]
     return names, split_place
-
-
-def surface_points_bruteforce(spec, t_values, height: int):
-    """First point found scanning the given fibers with fiber_point_bruteforce."""
-    for t in t_values:
-        point = fiber_point_bruteforce(spec, t, height)
-        if point is not None:
-            return point
-    return None
 
 
 # ---------------------------------------------------------------------------

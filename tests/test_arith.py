@@ -15,6 +15,8 @@ from torusdescent.arith import (
     REAL,
     Place,
     PrimalityRangeError,
+    class_from_mask,
+    class_mask,
     crt,
     factorize,
     hilbert_symbol,
@@ -24,7 +26,6 @@ from torusdescent.arith import (
     local_mask,
     prime_stream,
     sqrt_lift,
-    square_class,
     valuation,
 )
 
@@ -144,11 +145,9 @@ def test_valuation(x, p, expected):
     assert valuation(x, p) == expected
 
 
-def test_valuation_rejects_zero_and_real():
+def test_valuation_rejects_zero():
     with pytest.raises(ValueError):
         valuation(0, 5)
-    with pytest.raises(ValueError):
-        valuation(3, REAL)
 
 
 @pytest.mark.parametrize(
@@ -162,23 +161,35 @@ def test_valuation_rejects_zero_and_real():
     ],
 )
 def test_square_class(x, expected):
-    # expected is (sign, square-free support); the class is their product
+    # expected is (sign, square-free support); the class is their product,
+    # read off the mask of x over its primes
     sign, support = expected
-    assert square_class(x) == math.prod(support, start=sign)
+    primes = (2, 3, 5)
+    assert class_from_mask(class_mask(x, primes), primes) == math.prod(support, start=sign)
+
+
+def _primes_of(*xs):
+    """The ascending primes of the numerators and denominators, by sympy."""
+    return sorted({int(p) for x in xs for n in (x.numerator, x.denominator)
+                   for p in sympy.factorint(abs(n))})
 
 
 @given(nonzero_rationals, nonzero_rationals)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_square_class_homomorphism(x, y):
-    assert square_class(x * y) == class_mul(square_class(x), square_class(y))
-    assert square_class(x * y * y) == square_class(x)
+    # the group law of Q*/(Q*)^2 is the XOR of masks
+    primes = _primes_of(x, y)
+    assert class_mask(x * y, primes) == class_mask(x, primes) ^ class_mask(y, primes)
+    assert class_mask(x * y * y, primes) == class_mask(x, primes)
+    assert class_from_mask(class_mask(x * y, primes), primes) == class_mul(sqfree(x), sqfree(y))
 
 
 @given(st.integers(1, 10**12), st.integers(1, 10**12), st.sampled_from((1, -1)))
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_square_class_matches_sympy_factoring(num, den, sign):
     x = Fraction(sign * num, den)
-    assert square_class(x) == sqfree(x)
+    primes = _primes_of(x)
+    assert class_from_mask(class_mask(x, primes), primes) == sqfree(x)
 
 
 def test_places_ordered():

@@ -8,11 +8,8 @@ from torusdescent.arith import (
     Place,
     hilbert_symbol,
     local_mask,
-    square_class,
 )
 from torusdescent.brauer import (
-    QuaternionClass,
-    brauer_generator,
     invariant,
     obstruction_sum,
     residue_at,
@@ -27,6 +24,7 @@ from oracles import (
     good_place_solubility_reference,
     hilbert_relevant_places,
     poly_from_factors,
+    sqfree,
     tame_residue,
 )
 
@@ -42,18 +40,18 @@ def _invariant_at(spec, i, t, v):
 
 
 def test_generator_examples(running_spec):
-    q2 = brauer_generator(running_spec, 2)  # 2 not in A
-    assert q2.left == -2  # 2 * p_A(-1) = 2 * (-1)
-    assert q2.right == (1, 1)  # t + 1
-    q1 = brauer_generator(running_spec, 1)  # 1 in A
-    assert q1.left == 3  # 3 * p_B(0) = 3 * 1
-    assert q1.right == (0, 1)  # t
+    # the generator of factor i is (brauer_constants[i], p_i(t)), p_i = c*t + d
+    spec = running_spec
+    assert spec.brauer_constants[2] == -2  # 2 not in A: 2 * p_A(-1) = 2 * (-1)
+    assert spec.coeffs(2) == (1, 1)  # t + 1
+    assert spec.brauer_constants[1] == 3  # 1 in A: 3 * p_B(0) = 3 * 1
+    assert spec.coeffs(1) == (1, 0)  # t
 
 
 def test_generator_empty_part():
     spec = make_spec([2], 5, 1, {1: (1, 0), 2: (1, 1)}, [])
     for i in spec.indices:
-        assert brauer_generator(spec, i).left == 5  # empty product = 1
+        assert spec.brauer_constants[i] == 5  # empty product = 1
 
 
 def test_generator_left_matches_d_constant(running_spec):
@@ -65,14 +63,12 @@ def test_generator_left_matches_d_constant(running_spec):
         else:
             assert left == spec.b * d_constant(spec, i, spec.part_b)
         # in both cases the square class is [a * D_i^A]
-        assert square_class(left) == square_class(
-            spec.a * d_constant(spec, i, spec.part_a)
-        )
+        assert sqfree(left) == sqfree(spec.a * d_constant(spec, i, spec.part_a))
 
 
 def test_residue_examples(running_spec):
     spec = running_spec  # generators (3, t) and (-2, t + 1)
-    assert residue_at(spec, 2, Fraction(-1)) == square_class(-2)
+    assert residue_at(spec, 2, Fraction(-1)) == sqfree(-2)
     assert residue_at(spec, 1, Fraction(5)) == 1  # unramified
     assert residue_at(spec, 1, Fraction(0)) == 3
     # the constant 4 = a*p_A(0) with p_A = t + 2 is a square: residue 1
@@ -85,14 +81,13 @@ def test_residue_examples(running_spec):
     # the linear residues agree with the general tame-symbol oracle
     for spec in (running_spec, make_spec([2], 6, -5, {1: (3, 2), 2: (2, -7), 3: (1, 4)}, [1, 3])):
         for i in spec.indices:
-            q = brauer_generator(spec, i)
+            c, d = spec.coeffs(i)
             for m in (*(spec.root(j) for j in spec.indices), Fraction(5), Fraction(-3, 2)):
-                assert residue_at(spec, i, m) == tame_residue(q.left, q.right, m), (i, m)
+                expected = tame_residue(spec.brauer_constants[i], (d, c), m)
+                assert residue_at(spec, i, m) == expected, (i, m)
 
 
 def test_residue_rejects_higher_degree_points():
-    with pytest.raises(ValueError):
-        QuaternionClass(Fraction(3), (Fraction(1), Fraction(0), Fraction(1)))  # t^2 + 1
     with pytest.raises(ValueError):
         tame_residue(3, (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(1)))
 
@@ -107,14 +102,13 @@ def test_generators_unramified_at_other_roots(running_spec):
     # and at its own root the residue is the split-field class
     spec = running_spec
     for i in spec.indices:
-        q = brauer_generator(spec, i)
         for j in spec.indices:
             root = spec.root(j)
             res = residue_at(spec, i, root)
             if j != i:
                 assert res == 1
             else:
-                assert res == square_class(q.left)
+                assert res == sqfree(spec.brauer_constants[i])
 
 
 def test_combination_residues(running_spec):
@@ -125,10 +119,10 @@ def test_combination_residues(running_spec):
     combo = poly_from_factors(spec, {1, 2})
     for i in spec.indices:
         root = spec.root(i)
-        assert tame_residue(c, combo, root) == square_class(c)
+        assert tame_residue(c, combo, root) == sqfree(c)
         total = class_mul(tame_residue(c, combo, root),
                           residue_at(spec, i, root))
-        expected = class_mul(square_class(c), square_class(spec.brauer_constants[i]))
+        expected = class_mul(sqfree(c), sqfree(spec.brauer_constants[i]))
         assert total == expected
 
 

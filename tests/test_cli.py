@@ -140,6 +140,39 @@ def test_validate_rejects_proportional(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
 
 
+_SEVENTEEN_FACTORS = "s0 real 2\na 1\nb 1\n" + "".join(
+    f"factor {i} 1 {i}\n" for i in range(1, 18)) + "partA 1\n"
+
+
+@pytest.mark.parametrize("command, spec_text, points, message", [
+    ("validate", SPEC_TEXT.replace("s0 real 2", "s0 real 2 2"), None,
+     "S0 has repeated places"),
+    ("validate", _SEVENTEEN_FACTORS, None, "more than 16 factors is not supported"),
+    ("validate", SPEC_TEXT.replace("partA 1", "partA 3"), None,
+     "partA contains unknown factor indices"),
+    ("validate", SPEC_TEXT.replace("factor 1 1 0", "factor 1 0 5"), None,
+     "factor 1: leading coefficient c must be nonzero"),
+    ("descend", SPEC_TEXT, "real 1 1 1\n", "point line 1: expected 5 fields"),
+    ("descend", SPEC_TEXT, "real 1 1 1 0\n", "point line 1: precision must be >= 1"),
+    ("descend", SPEC_TEXT, "real 1 1 1 10\nreal 1 1 1 10\n",
+     "point line 2: duplicate place real"),
+], ids=["repeated-s0-place", "seventeen-factors", "unknown-part-a-index", "zero-c",
+        "four-point-fields", "precision-0", "repeated-point-place"])
+def test_input_rejections_exit_1_with_their_message(tmp_path, capsys, command, spec_text,
+                                                    points, message):
+    spec_path = tmp_path / "input.spec"
+    spec_path.write_text(spec_text)
+    argv = [command, str(spec_path)]
+    if points is not None:
+        point_path = tmp_path / "input.points"
+        point_path.write_text(points)
+        argv += ["--point-file", str(point_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_condition_d(spec_file, capsys):
     assert main(["condition-d", spec_file]) == 0
     assert "Condition (D) holds" in capsys.readouterr().out

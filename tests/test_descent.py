@@ -31,7 +31,7 @@ from torusdescent.descent import (
     suitability,
 )
 from torusdescent.points import verify_integral_point
-from torusdescent.selmer import SelmerSubspace, relative_selmer
+from torusdescent.selmer import relative_selmer
 from torusdescent.surface import (
     LocalPoint,
     PartialAdelicPoint,
@@ -732,8 +732,8 @@ def test_relative_groups_independent_of_admissible_point():
     t0, witnesses, _ = find_admissible_reference(spec, p_t, bounds, reject=[first.t0])
     second = descent._try_admissible(spec, p_t, t0, list(witnesses))
     assert first.t0 != second.t0
-    sel_a, dual_a = relative_selmer(spec, p_t, first)
-    sel_b, dual_b = relative_selmer(spec, p_t, second)
+    _, sel_a, dual_a = relative_selmer(spec, p_t, first)
+    _, sel_b, dual_b = relative_selmer(spec, p_t, second)
     assert dual_a == dual_b
     assert sel_a == sel_b
 
@@ -795,8 +795,8 @@ def test_relative_dual_selmer_matches_lemma_conditions(index):
     p_t = build_suitable(spec, point)
     bounds = DescentBounds(admissible_candidates=100_000)
     adm = find_admissible(spec, p_t, bounds).point
-    _, dual = relative_selmer(spec, p_t, adm)
-    computed = set(selmer_elements(dual))
+    lattice, _, dual = relative_selmer(spec, p_t, adm)
+    computed = set(selmer_elements(lattice, dual))
     assert computed == _dual_selmer_by_lemma_conditions(spec, p_t, adm)
 
 
@@ -804,10 +804,10 @@ def test_state_invariants():
     spec, point, _ = family_point(5)
     p_t = build_suitable(spec, point)
     state = _make_state(spec, p_t, (), DescentBounds(), [])
-    neg = g_element(-spec.d, spec.indices)
-    assert state.dual.contains(neg)
-    assert state.sel.contains(g_element(spec.a, spec.part_a))
-    assert state.sel.contains(g_element(spec.d, spec.indices))
+    encode = state.lattice.encode
+    assert state.dual.contains(encode(g_element(-spec.d, spec.indices)))
+    assert state.sel.contains(encode(g_element(spec.a, spec.part_a)))
+    assert state.sel.contains(encode(g_element(spec.d, spec.indices)))
     assert state.sel.dim > state.dual.dim
 
 
@@ -1019,11 +1019,11 @@ def test_make_state_anomalies(groups, text, monkeypatch):
     real_selmer = descent.relative_selmer
 
     def replaced(*args):
-        sel, dual = real_selmer(*args)
-        lattice, ncols = sel.lattice, sel.lattice.ncols
-        zero = SelmerSubspace(lattice, gf2.Subspace(ncols))
-        whole = SelmerSubspace(lattice, gf2.Subspace(ncols, [1 << k for k in range(ncols)]))
-        return {"zero dual": (sel, zero), "zero sel": (zero, dual)}.get(groups, (whole, whole))
+        lattice, sel, dual = real_selmer(*args)
+        zero = gf2.Subspace(lattice.ncols)
+        whole = gf2.Subspace(lattice.ncols, [1 << k for k in range(lattice.ncols)])
+        pair = {"zero dual": (sel, zero), "zero sel": (zero, dual)}.get(groups, (whole, whole))
+        return (lattice, *pair)
 
     monkeypatch.setattr(descent, "relative_selmer", replaced)
     if groups.endswith("no split"):
@@ -1047,7 +1047,7 @@ def test_reduce_strictly_decreases(index):
     before = state.dual.dim
     new_state = reduce_dual_selmer(state, DescentBounds())
     assert new_state.dual.dim < before
-    assert new_state.dual.contains(neg)
+    assert new_state.dual.contains(new_state.lattice.encode(neg))
     # the trace recorded the reduction with the chosen prime
     steps = [s for s in new_state.trace if s["step"] == "reduce_dual_selmer"]
     assert steps and steps[-1]["dim_after"] < steps[-1]["dim_before"]
@@ -1138,11 +1138,12 @@ def test_sd_witness_insertion_kills_element():
     state = _make_state(spec, p_t, (), DescentBounds(), [])
     neg = g_element(-spec.d, spec.indices)
     lattice = state.lattice
-    x = next(m for m in state.dual.space.elements() if m and lattice.decode(m) != neg)
+    x = next(m for m in state.dual.elements() if m and lattice.decode(m) != neg)
     target = lattice.decode(x)
     new_state = _add_sd_witness(state, x, bounds=DescentBounds())
-    assert not new_state.dual.contains(target)
-    assert new_state.dual.contains(neg)
+    # T only grows, so the old lattice's elements encode into the new one
+    assert not new_state.dual.contains(new_state.lattice.encode(target))
+    assert new_state.dual.contains(new_state.lattice.encode(neg))
     assert len(new_state.s_d) == 1
     inserted = [s for s in new_state.trace if s["step"] == "sd_witness"]
     assert inserted and inserted[-1]["side"] == "dual"

@@ -14,7 +14,6 @@ from torusdescent.arith import (
     factorize,
     is_local_square,
     local_mask,
-    square_class,
 )
 from torusdescent import gf2
 from torusdescent.conditiond import Lattice
@@ -34,6 +33,7 @@ from oracles import (
     selmer_by_enumeration,
     selmer_elements,
     split_places,
+    sqfree,
 )
 
 
@@ -64,14 +64,14 @@ def test_torus_data_reads_d_over_s_without_factoring():
 
 def test_selmer_minus_one():
     torus = torus_data(-1, places_of(2))
-    sel, dual = selmer_groups(torus)
-    assert sel.dim == 1 and sel.contains(g_element(2))
-    assert dual.dim == 1 and dual.contains(g_element(-1))
+    lattice, sel, dual = selmer_groups(torus)
+    assert sel.dim == 1 and sel.contains(lattice.encode(g_element(2)))
+    assert dual.dim == 1 and dual.contains(lattice.encode(g_element(-1)))
 
 
 def test_selmer_square_discriminant():
     torus = torus_data(1, places_of(2, 5))
-    sel, dual = selmer_groups(torus)
+    _, sel, dual = selmer_groups(torus)
     assert sel.dim == 3  # everything
     assert dual.dim == 0  # only the trivial class
 
@@ -118,9 +118,10 @@ def test_selmer_matches_enumeration_random():
         torus = _random_torus(rng)
         if torus is None:
             continue
-        sel, dual = selmer_groups(torus)
-        assert {g.c for g in selmer_elements(sel)} == selmer_by_enumeration(torus.d, torus.places)
-        assert {g.c for g in selmer_elements(dual)} == dual_selmer_by_enumeration(
+        lattice, sel, dual = selmer_groups(torus)
+        assert {g.c for g in selmer_elements(lattice, sel)} == selmer_by_enumeration(
+            torus.d, torus.places)
+        assert {g.c for g in selmer_elements(lattice, dual)} == dual_selmer_by_enumeration(
             torus.d, torus.places
         )
         checked += 1
@@ -169,7 +170,7 @@ def test_lattice_encode_decode(sign, chosen, exponents, extra, extra_exponent, p
     for p, (up, down) in zip(sorted(chosen), exponents):
         x *= Fraction(p**up, p**down)
     mask = class_mask(x, lattice.primes)
-    assert class_from_mask(mask, lattice.primes) == square_class(x)
+    assert class_from_mask(mask, lattice.primes) == sqfree(x)
     assert lattice.decode(mask) == g_element(x)
     assert lattice.encode(lattice.decode(mask)) == mask
     # the factor symbols sit above the class bits, in the order given
@@ -201,7 +202,7 @@ def test_lattice_report_sorts_by_sort_key():
 def test_ev_examples():
     spec = make_spec([], 2, 3, {1: (1, 0), 2: (1, 1)}, [1])
     assert ev(spec, 2, g_identity()) == 1
-    assert ev(spec, 2, g_element(1, {1})) == square_class(2)
+    assert ev(spec, 2, g_element(1, {1})) == sqfree(2)
     x = g_element(3, {1})
     y = g_element(-1, {2})
     assert ev(spec, 5, g_mul(x, y)) == class_mul(ev(spec, 5, x), ev(spec, 5, y))
