@@ -281,7 +281,6 @@ def strip_primes(n: int, primes: Iterable[int]) -> int:
 
 def mod_prime_power(x: Rational, p: int, k: int) -> int:
     """Residue of a p-integral rational mod p^k."""
-    x = Fraction(x)
     m = p**k
     if x.denominator % p == 0:
         raise ValueError(f"{x} is not {p}-integral")
@@ -292,7 +291,8 @@ def class_mask(x: Rational, primes: Sequence[int]) -> int:
     """Coordinates of [x] in Q*/(Q*)^2 over -1 (bit 0) and primes (bit k+1).
 
     Trial division by the listed primes only, so nothing is factored;
-    raises ValueError on 0 and when x has a prime outside the list.
+    raises ValueError on 0, on a listed entry below 2 (1 and -1 divide
+    everything) and when x has a prime outside the list.
     """
     num, den = x.numerator, x.denominator
     if num == 0:
@@ -300,6 +300,8 @@ def class_mask(x: Rational, primes: Sequence[int]) -> int:
     mask = int(num < 0)
     num = abs(num)
     for k, p in enumerate(primes, 1):
+        if p < 2:
+            raise ValueError(f"{p} in {list(primes)} is not a prime")
         while num % p == 0:
             num //= p
             mask ^= 1 << k

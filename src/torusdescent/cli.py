@@ -241,8 +241,8 @@ def certificate_json(cert: Certificate) -> str:
 
 def cmd_descend(args) -> int:
     spec = load_spec(args.spec)
-    with open(args.point_file, "r", encoding="utf-8") as fh:
-        point = parse_point_file(fh.read(), spec)
+    with open(args.point_file, "rb") as fh:
+        point = parse_point_file(fh.read().decode("utf-8"), spec)
     bounds = DescentBounds(
         admissible_candidates=args.admissible_bound,
         prime_scan=args.prime_bound,

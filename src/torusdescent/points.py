@@ -18,6 +18,7 @@ from .arith import (
     hilbert_symbol,
     is_local_square,
     is_prime,
+    mod_prime_power,
     sqrt_lift,
     sqrt_mod,
     strip_primes,
@@ -113,14 +114,29 @@ def unit_square_scan(aA: Fraction, bB: Fraction, v: Place) -> Optional[Tuple[int
     unit at an odd p, so the scan of those y in both orientations is exact.
     With two units at an odd p the reduction is a smooth conic with points
     off each axis, so the scan stops within a few y even at a large p.
+
+    The scan reads (1 - c*y^2)*s^-1 mod p (mod 8 at 2), from the residues
+    of s and c: a unit square is a nonzero residue with Euler's criterion 1
+    at an odd p, and 1 mod 8 at 2.  A coefficient that is not v-integral
+    raises ValueError.
     """
     p = v.p
+    k = 3 if p == 2 else 1
+    m = p**k
     for j, (s, c) in enumerate(((aA, bB), (bB, aA))):
-        if valuation(s, p) != 0:
+        s_res = mod_prime_power(s, p, k)
+        if s_res % p == 0:
             continue
-        for y in range(4) if p == 2 else range(p) if valuation(c, p) == 0 else (0,):
-            u = (1 - c * y * y) / s  # v-integral: a unit iff p does not divide its numerator
-            if u.numerator % p and is_local_square(u, v):
+        s_inv, c_res = pow(s_res, -1, m), mod_prime_power(c, p, k)
+        if p == 2:
+            for y in range(4):
+                if (1 - c_res * y * y) * s_inv % 8 == 1:
+                    return j, y
+            continue
+        half = (p - 1) // 2
+        for y in range(p) if c_res else (0,):
+            u = (1 - c_res * y * y) * s_inv % p
+            if u and pow(u, half, p) == 1:
                 return j, y
     return None
 

@@ -230,18 +230,22 @@ def spec_violations(
     factors: Mapping[int, Tuple[Rational, Rational]],
     part_a: Iterable[int],
 ) -> List[str]:
-    """All violated invariants of a raw specification (empty list = valid)."""
+    """All violated invariants of a raw specification (empty list = valid).
+
+    Each check reads the numerators and denominators of the coefficients,
+    ints or Fractions, and works on ints: c_i*d_j = c_j*d_i exactly when
+    C_i*D_j = C_j*D_i for the integer forms (C, D) = den(c)*den(d)*(c, d).
+    """
     problems: List[str] = []
-    a, b = Fraction(a), Fraction(b)
     if REAL not in s0:
         problems.append("S0 must contain the real place")
     if len(set(s0)) != len(s0):
         problems.append("S0 has repeated places")
     s0_primes = [v.p for v in s0 if v.is_finite]
-    if a == 0 or b == 0:
+    if not a or not b:
         problems.append("a and b must be nonzero")
     for name, x in (("a", a), ("b", b)):
-        if x and strip_primes(x.denominator, s0_primes) != 1:
+        if x.denominator != 1 and strip_primes(x.denominator, s0_primes) != 1:
             problems.append(f"{name} = {x} is not an S0-integer")
     if not factors:
         problems.append("the factor set J must be non-empty")
@@ -250,29 +254,34 @@ def spec_violations(
     part_a = set(part_a)
     if not part_a <= set(factors):
         problems.append("partA contains unknown factor indices")
-    items = [(i, Fraction(c), Fraction(d)) for i, (c, d) in sorted(factors.items())]
-    for i, c, d in items:
-        if c == 0:
+    forms = []
+    for i, (c, d) in sorted(factors.items()):
+        cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
+        forms.append((i, cn * dd, dn * cd))
+        if not cn:
             problems.append(f"factor {i}: leading coefficient c must be nonzero")
             continue
-        for name, x in ((f"c_{i}", c), (f"d_{i}", d)):
-            if x and strip_primes(x.denominator, s0_primes) != 1:
+        for name, x, den in ((f"c_{i}", c, cd), (f"d_{i}", d, dd)):
+            if den != 1 and strip_primes(den, s0_primes) != 1:
                 problems.append(f"{name} = {x} is not an S0-integer")
         # coprimality as S0-integers: no prime outside S0 divides both
         # (for d = 0 the gcd is c's numerator: c must be an S0-unit)
-        name = "c_{0}" if d == 0 else "gcd(c_{0}, d_{0})"
+        common = math.gcd(cn, dn)
+        if common == 1:
+            continue
+        name = "c_{0}" if not dn else "gcd(c_{0}, d_{0})"
         try:
-            common = _input_primes(math.gcd(c.numerator, d.numerator), 1, name, i)
+            common = _input_primes(common, 1, name, i)
         except SpecValidationError as exc:
             problems += exc.violations
             continue
         bad = sorted(q for q in common if q not in s0_primes)
-        if bad and d == 0:
+        if bad and not dn:
             problems.append(f"factor {i}: d = 0 and c has primes {bad} outside S0")
         elif bad:
             problems.append(f"factor {i}: c,d share primes {bad} outside S0")
-    for idx, (i, ci, di) in enumerate(items):
-        for j, cj, dj in items[idx + 1 :]:
+    for k, (i, ci, di) in enumerate(forms):
+        for j, cj, dj in forms[k + 1:]:
             if ci * dj == cj * di:
                 problems.append(f"factors {i},{j} are proportional")
     return problems
@@ -285,18 +294,16 @@ def validate_spec(
     factors: Mapping[int, Tuple[Rational, Rational]],
     part_a: Iterable[int],
 ) -> SurfaceSpec:
+    """The SurfaceSpec of a raw specification, or SpecValidationError with
+    every violation.  Each coefficient is made a Fraction once;
+    spec_violations checks those values and the spec is built from them."""
+    a, b, part_a = Fraction(a), Fraction(b), frozenset(part_a)
+    factors = {i: (Fraction(c), Fraction(d)) for i, (c, d) in sorted(factors.items())}
     problems = spec_violations(s0, a, b, factors, part_a)
     if problems:
         raise SpecValidationError(problems)
-    return SurfaceSpec(
-        s0=tuple(sorted(s0)),
-        a=Fraction(a),
-        b=Fraction(b),
-        factors=tuple(
-            (i, (Fraction(c), Fraction(d))) for i, (c, d) in sorted(factors.items())
-        ),
-        part_a=frozenset(part_a),
-    )
+    return SurfaceSpec(s0=tuple(sorted(s0)), a=a, b=b, factors=tuple(factors.items()),
+                       part_a=part_a)
 
 
 def make_spec(
@@ -557,6 +564,9 @@ class AdmissiblePoint:
 # ---------------------------------------------------------------------------
 
 
+_ARITY = {"a": 1, "b": 1, "factor": 3}  # the keys whose lines carry a fixed number of values
+
+
 def parse_spec_text(text: str) -> SurfaceSpec:
     """Parse the line-oriented key-value spec format.
 
@@ -572,16 +582,15 @@ def parse_spec_text(text: str) -> SurfaceSpec:
     part_a: List[int] = []
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         key = tokens[0]
         try:
             if key in seen and key != "factor":
                 raise ValueError(f"repeated key {key!r}")
             seen.add(key)
-            arity = {"a": 1, "b": 1, "factor": 3}.get(key)
+            arity = _ARITY.get(key)
             if arity is not None and len(tokens) - 1 != arity:
                 raise ValueError(f"{key} line has {len(tokens) - 1} values, expected {arity}")
             if key == "s0":
@@ -616,16 +625,14 @@ def parse_spec_text(text: str) -> SurfaceSpec:
 
 
 def serialize_spec(spec: SurfaceSpec) -> str:
-    """Canonical bit-exact serialization; round-trips through parse_spec_text."""
-    for x in (spec.a, spec.b, *(c for _, (c, d) in spec.factors),
-              *(d for _, (c, d) in spec.factors)):
-        if Fraction(x).denominator != 1:
-            raise ValueError("spec file format carries integers only")
-    lines = ["s0 " + " ".join(str(v) for v in sorted(spec.s0))]
-    lines.append(f"a {spec.a}")
-    lines.append(f"b {spec.b}")
-    for i, (c, d) in spec.factors:
-        lines.append(f"factor {i} {c} {d}")
+    """Canonical bit-exact serialization; round-trips through parse_spec_text.
+    Every coefficient must be an integer, and is written as its numerator."""
+    coeffs = (spec.a, spec.b, *(x for _, cd in spec.factors for x in cd))
+    if any(x.denominator != 1 for x in coeffs):
+        raise ValueError("spec file format carries integers only")
+    lines = ["s0 " + " ".join(map(str, sorted(spec.s0))),
+             f"a {spec.a.numerator}", f"b {spec.b.numerator}"]
+    lines += [f"factor {i} {c.numerator} {d.numerator}" for i, (c, d) in spec.factors]
     lines.append("partA" + "".join(f" {i}" for i in sorted(spec.part_a)))
     return "\n".join(lines) + "\n"
 
@@ -635,8 +642,9 @@ def spec_hash(spec: SurfaceSpec) -> str:
 
 
 def load_spec(path: str) -> SurfaceSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec_text(fh.read())
+    """parse_spec_text of the file at path, read as bytes and decoded once."""
+    with open(path, "rb") as fh:
+        return parse_spec_text(fh.read().decode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

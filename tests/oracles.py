@@ -20,6 +20,7 @@ from torusdescent import gf2
 from torusdescent.arith import (
     REAL,
     Place,
+    PrimalityRangeError,
     class_from_mask,
     class_mask,
     factorize,
@@ -36,7 +37,7 @@ from torusdescent.conditiond import (
     target_generators,
 )
 from torusdescent.selmer import TorusData, selmer_groups, torus_data
-from torusdescent.surface import compute_s_bad
+from torusdescent.surface import MAX_FACTORS, compute_s_bad, past_primality_range
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +91,71 @@ def residual_reference(spec, x, y, t) -> Fraction:
     """a*p_A(t)x^2 + b*p_B(t)y^2 - 1 in Fraction arithmetic."""
     aA, bB = fiber_coeffs_reference(spec, t)
     return aA * Fraction(x) ** 2 + bB * Fraction(y) ** 2 - 1
+
+
+# ---------------------------------------------------------------------------
+# The input layer by its Fraction forms
+# ---------------------------------------------------------------------------
+
+
+def spec_violations_reference(s0, a, b, factors, part_a) -> List[str]:
+    """The violated invariants of a raw specification, every coefficient
+    wrapped in a Fraction and proportionality tested by Fraction products."""
+    problems: List[str] = []
+    a, b = Fraction(a), Fraction(b)
+    if REAL not in s0:
+        problems.append("S0 must contain the real place")
+    if len(set(s0)) != len(s0):
+        problems.append("S0 has repeated places")
+    s0_primes = [v.p for v in s0 if v.is_finite]
+    if a == 0 or b == 0:
+        problems.append("a and b must be nonzero")
+    for name, x in (("a", a), ("b", b)):
+        if x and strip_primes(x.denominator, s0_primes) != 1:
+            problems.append(f"{name} = {x} is not an S0-integer")
+    if not factors:
+        problems.append("the factor set J must be non-empty")
+    if len(factors) > MAX_FACTORS:
+        problems.append(f"more than {MAX_FACTORS} factors is not supported")
+    part_a = set(part_a)
+    if not part_a <= set(factors):
+        problems.append("partA contains unknown factor indices")
+    items = [(i, Fraction(c), Fraction(d)) for i, (c, d) in sorted(factors.items())]
+    for i, c, d in items:
+        if c == 0:
+            problems.append(f"factor {i}: leading coefficient c must be nonzero")
+            continue
+        for name, x in ((f"c_{i}", c), (f"d_{i}", d)):
+            if x and strip_primes(x.denominator, s0_primes) != 1:
+                problems.append(f"{name} = {x} is not an S0-integer")
+        common = math.gcd(c.numerator, d.numerator)
+        try:
+            primes = factorize(common)
+        except PrimalityRangeError:
+            name = f"c_{i}" if d == 0 else f"gcd(c_{i}, d_{i})"
+            problems.append(past_primality_range(name, Fraction(common)))
+            continue
+        bad = sorted(q for q in primes if q not in s0_primes)
+        if bad and d == 0:
+            problems.append(f"factor {i}: d = 0 and c has primes {bad} outside S0")
+        elif bad:
+            problems.append(f"factor {i}: c,d share primes {bad} outside S0")
+    for idx, (i, ci, di) in enumerate(items):
+        for j, cj, dj in items[idx + 1:]:
+            if ci * dj == cj * di:
+                problems.append(f"factors {i},{j} are proportional")
+    return problems
+
+
+def serialize_spec_reference(spec) -> str:
+    """The spec file text of spec, each coefficient formatted as a Fraction."""
+    for x in (spec.a, spec.b, *(x for _, cd in spec.factors for x in cd)):
+        if Fraction(x).denominator != 1:
+            raise ValueError("spec file format carries integers only")
+    lines = ["s0 " + " ".join(str(v) for v in sorted(spec.s0)), f"a {spec.a}", f"b {spec.b}"]
+    lines += [f"factor {i} {c} {d}" for i, (c, d) in spec.factors]
+    lines.append("partA" + "".join(f" {i}" for i in sorted(spec.part_a)))
+    return "\n".join(lines) + "\n"
 
 
 def jacobi(a: int, n: int) -> int:

@@ -24,6 +24,7 @@ from torusdescent.arith import (
     is_prime,
     legendre,
     local_mask,
+    parse_rational,
     prime_stream,
     sqrt_lift,
     valuation,
@@ -190,6 +191,27 @@ def test_square_class_matches_sympy_factoring(num, den, sign):
     x = Fraction(sign * num, den)
     primes = _primes_of(x)
     assert class_from_mask(class_mask(x, primes), primes) == sqfree(x)
+
+
+@pytest.mark.parametrize("primes", [(2, 1), (-1, 3), (0,), (2, -3)])
+def test_class_mask_rejects_entries_below_2(primes):
+    # 1 and -1 divide every numerator, so the trial division would never end
+    with pytest.raises(ValueError, match="is not a prime"):
+        class_mask(Fraction(6, 5), primes)
+
+
+@pytest.mark.parametrize("token,value", [
+    ("-3/4", Fraction(-3, 4)), (" 5/15 ", Fraction(1, 3)), ("1_0", 10),
+    ("１/２", Fraction(1, 2)), ("1e3", 1000), ("0.25", Fraction(1, 4)),
+])
+def test_parse_rational_reads_fraction_tokens(token, value):
+    assert parse_rational(token) == value
+
+
+@pytest.mark.parametrize("token", ["3/-4", "3 /4", "3/+4", "3/", "x", "3/0"])
+def test_parse_rational_rejects_malformed_tokens(token):
+    with pytest.raises(ValueError):
+        parse_rational(token)
 
 
 def test_places_ordered():

@@ -1,10 +1,16 @@
+import contextlib
+import functools
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torusdescent import arith
 from torusdescent.cli import build_parser, main
@@ -89,11 +95,14 @@ def test_validate_names_a_quantity_past_the_primality_range(tmp_path, capsys, fa
     assert captured.out == ""
 
 
-def run_module(*argv):
-    """Run `python -m torusdescent *argv` in a fresh interpreter."""
+def run_module(*argv, hash_seed=None):
+    """Run `python -m torusdescent *argv` in a fresh interpreter, under
+    PYTHONHASHSEED=hash_seed when one is given."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p
     )}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return subprocess.run(
         [sys.executable, "-m", "torusdescent", *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -466,3 +475,136 @@ def test_argparse_rejection_leaves_the_next_call_as_in_a_fresh_process(spec_file
     fresh = run_module(*argv)
     assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert captured.out.startswith("fiber t = 1/2: ")
+
+
+_JUNK = ["", "x", "3/-4", "3 /4", "3/+4", "1_0", "１/２", "1e3", "0.5", "-", "1/0", "٣"]
+_PLACES = ["real", "oo", "2", "3", "5", "7", "11", "4", "1", "0", "-3"]
+
+
+def _rational_tokens():
+    return st.one_of(
+        st.integers(-50, 50).map(str),
+        st.builds("{}/{}".format, st.integers(-50, 50), st.integers(0, 12)),
+        st.sampled_from(_JUNK),
+    )
+
+
+@st.composite
+def _spec_text(draw):
+    """A spec file: mostly well formed, with small or 10^6-sized integers,
+    and now and then a junk token or a dropped, repeated or commented line."""
+    integer = st.one_of(st.integers(-20, 20), st.integers(-10**6, 10**6)).map(str)
+    token = st.one_of(integer, integer, integer, st.sampled_from(_JUNK))
+    indices = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    lines = ["s0 " + " ".join(draw(st.lists(st.sampled_from(_PLACES), max_size=4))),
+             f"a {draw(token)}", f"b {draw(token)}",
+             *(f"factor {i} {draw(st.sampled_from(['1', '-1', '2', '3']) | token)} {draw(token)}"
+               for i in indices),
+             "partA" + "".join(f" {i}" for i in draw(st.lists(st.sampled_from(indices),
+                                                              max_size=2)))]
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "repeat", "junk", "comment"]))
+        if edit == "drop":
+            del lines[k]
+        elif edit == "repeat":
+            lines.insert(k, lines[k])
+        elif edit == "junk":
+            lines[k] += " " + draw(token)
+        else:
+            lines[k] = "# " + lines[k]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _family_files(index):
+    """The spec and point file texts of a family member."""
+    spec, point, _ = family_point(index)
+    return serialize_spec(spec), serialize_point(point)
+
+
+@st.composite
+def _cli_inputs(draw):
+    """(spec text, point file text, subcommand and its options, --json or
+    not) of one call: a family member's files, perhaps with one coordinate
+    replaced, or fuzzed ones."""
+    if draw(st.booleans()):
+        spec_text, point_text = _family_files(draw(st.sampled_from([0, 5, 13])))
+        if draw(st.booleans()):
+            rows = point_text.splitlines()
+            k, field = draw(st.integers(0, len(rows) - 1)), draw(st.integers(1, 3))
+            tokens = rows[k].split()
+            tokens[field] = draw(_rational_tokens())
+            rows[k] = " ".join(tokens)
+            point_text = "\n".join(rows) + "\n"
+    else:
+        spec_text = draw(_spec_text())
+        rows = [f"{v} {draw(_rational_tokens())} {draw(_rational_tokens())} "
+                f"{draw(_rational_tokens())} {draw(st.sampled_from(['1', '12', '0', 'x']))}"
+                for v in draw(st.lists(st.sampled_from(_PLACES), max_size=4))]
+        point_text = "\n".join(rows) + "\n"
+    t = f"--t={draw(_rational_tokens())}"
+    command = draw(st.sampled_from([
+        ("validate",), ("condition-d",), ("brauer",), ("selmer", t),
+        ("local", t, f"--place={draw(st.sampled_from(_PLACES))}",
+         f"--model={draw(st.sampled_from(['integral', 'rational']))}"),
+        ("solve", t, "--height", "20"),
+        ("descend", "--height", "20", "--admissible-bound", "60", "--prime-bound", "2000",
+         "--max-steps", "6"),
+    ]))
+    return spec_text, point_text, command, draw(st.booleans())
+
+
+@given(_cli_inputs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cli_fuzz_exits_with_a_known_code(case):
+    """Fuzzed spec text, point file lines and --t values: every call returns
+    one of the four exit codes, and no exception leaves main."""
+    spec_text, point_text, (command, *options), as_json = case
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path, point_path = os.path.join(tmp, "fuzz.spec"), os.path.join(tmp, "fuzz.points")
+        for path, text in ((spec_path, spec_text), (point_path, point_text)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if command == "descend":
+            options = ["--point-file", point_path, *options]
+        argv = ["--json"] * as_json + [command, spec_path, *options]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+
+
+# three family members: a point found, one dual Selmer reduction and two
+_DETERMINISM_MEMBERS = (0, 5, 16)
+
+
+def _golden_entry(name, case):
+    path = os.path.join(os.path.dirname(__file__), "golden", f"{name}.jsonl")
+    with open(path, encoding="utf-8") as fh:
+        return next(entry for entry in map(json.loads, fh) if entry["case"] == case)
+
+
+def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
+    """validate, condition-d and descend --point-file in fresh interpreters
+    under two hash seeds print the same text as each other and as the
+    goldens (ASCII JSON, so the same bytes): the set-built parts of a spec
+    (S0, partA) reach spec_hash and the reports in a fixed order."""
+    for k in _DETERMINISM_MEMBERS:
+        spec_text, point_text = _family_files(k)
+        spec_path, point_path = tmp_path / f"family-{k}.spec", tmp_path / f"family-{k}.points"
+        spec_path.write_text(spec_text)
+        point_path.write_text(point_text)
+        validate = _golden_entry("cli", f"family-{k:02d}/validate")
+        condition_d = _golden_entry("condition_d", f"family-{k:02d}")
+        descend = _golden_entry("descend", f"family-{k:02d}/solve=1")
+        expected = {  # every member's descent ends in an exit-0 outcome
+            ("validate",): (validate["exit"], validate["stdout"]),
+            ("condition-d",): (condition_d["exit"], condition_d["stdout"]),
+            ("descend", "--point-file", str(point_path)): (0, descend["output"] + "\n"),
+        }
+        for (command, *options), (code, stdout) in expected.items():
+            runs = [run_module("--json", command, str(spec_path), *options, hash_seed=seed)
+                    for seed in ("0", "1")]
+            for done in runs:
+                assert done.returncode == code, (k, command, done.stderr)
+            assert runs[0].stdout == runs[1].stdout == stdout, (k, command)

@@ -10,6 +10,7 @@ from torusdescent import arith, surface
 from torusdescent.arith import _MR_LIMIT, REAL, Place, class_mask
 from torusdescent.descent import DescentBounds, descend
 from torusdescent.surface import (
+    MAX_FACTORS,
     DegenerateFiberError,
     LocalPoint,
     PartialAdelicPoint,
@@ -25,6 +26,7 @@ from torusdescent.surface import (
     serialize_spec,
     spec_hash,
     spec_violations,
+    validate_spec,
 )
 
 from fixtures import REDUCTION_MEMBERS, family_point
@@ -37,6 +39,8 @@ from oracles import (
     product_value_reference,
     residual_reference,
     s_bad_reference,
+    serialize_spec_reference,
+    spec_violations_reference,
 )
 
 
@@ -81,6 +85,14 @@ def test_validate_rejects_non_coprime():
 def test_validate_rejects_non_s0_integers():
     with pytest.raises(SpecValidationError, match="S0-integer"):
         make_spec([], Fraction(1, 3), 1, {1: (1, 0)}, [1])
+
+
+def test_validate_spec_reads_a_one_shot_part_a_once():
+    # the checks and the spec see the same partA, also from an iterator
+    spec = make_spec([2], 1, 3, {1: (1, 0), 2: (1, 1)}, iter([1]))
+    assert spec.part_a == frozenset({1})
+    with pytest.raises(SpecValidationError, match="unknown factor indices"):
+        make_spec([2], 1, 3, {1: (1, 0)}, iter([5]))
 
 
 def test_s_bad_running_example(running_spec):
@@ -379,6 +391,98 @@ def test_spec_file_round_trip(running_spec):
     assert again == running_spec
     assert serialize_spec(again) == text
     assert spec_hash(again) == spec_hash(running_spec)
+
+
+_PAST_RANGE = 2**89 - 1  # a prime past the certified primality range
+
+
+@st.composite
+def _raw_specs(draw):
+    """Raw specifications as the input layer meets them: ints and
+    S0-rational Fractions, and one time in five each of these defects:
+    repeated or missing places, denominators outside S0, a zero a or b,
+    zero and proportional factors, shared primes, a gcd past the primality
+    range, too many factors, unknown partA indices."""
+    def rarely():
+        return draw(st.integers(0, 4)) == 0
+
+    finite = draw(st.sets(st.sampled_from([2, 3, 5])))
+    s0 = [REAL] + [Place.finite(p) for p in sorted(finite)]
+    if rarely():
+        s0 = draw(st.lists(st.sampled_from(s0 + [Place.finite(7)]), max_size=5))
+    over = sorted(finite) + [7, 11] if rarely() else sorted(finite)
+
+    def coefficient(numerators):
+        n, k = draw(numerators), draw(st.integers(0, 2))
+        return Fraction(n, draw(st.sampled_from(over)) ** k) if over and rarely() else n
+
+    a, b = (coefficient(st.integers(-30, 30).filter(lambda n: n or rarely())) for _ in "ab")
+    n = MAX_FACTORS + 1 if rarely() and rarely() else draw(st.integers(1, 5))
+    factors = {}
+    for i in draw(st.lists(st.integers(-3, 20), min_size=n, max_size=n, unique=True)):
+        c = coefficient(st.sampled_from([-3, -2, -1, 1, 1, 2, 3]))
+        d = coefficient(st.integers(-30, 30))
+        if rarely():
+            kind = draw(st.sampled_from(["zero", "proportional", "shared", "past range"]))
+            if kind == "zero":
+                c = 0
+            elif kind == "proportional" and factors:
+                base, k = factors[draw(st.sampled_from(sorted(factors)))], coefficient(st.integers(-3, 3))
+                c, d = base[0] * k, base[1] * k
+            elif kind == "shared":
+                q = draw(st.sampled_from([2, 3, 7, 13]))
+                c, d = c * q, d * q
+            elif kind == "past range":
+                c, d = c * _PAST_RANGE, d * _PAST_RANGE
+        factors[i] = (c, d)
+    part_a = draw(st.lists(st.sampled_from([*factors, 99] if rarely() else list(factors)),
+                           max_size=4))
+    return s0, a, b, factors, part_a
+
+
+@given(_raw_specs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_input_layer_matches_the_fraction_forms(raw):
+    """spec_violations gives the messages of its Fraction form, in order;
+    validate_spec raises them or builds the spec of the Fraction values, and
+    spec files parse and serialize as the Fraction forms do."""
+    s0, a, b, factors, part_a = raw
+    problems = spec_violations(*raw)
+    assert problems == spec_violations_reference(*raw)
+    try:
+        spec = validate_spec(*raw)
+    except SpecValidationError as exc:
+        assert exc.violations == problems
+    else:
+        assert not problems
+        assert spec == SurfaceSpec(
+            s0=tuple(sorted(s0)), a=Fraction(a), b=Fraction(b),
+            factors=tuple((i, (Fraction(c), Fraction(d))) for i, (c, d) in sorted(factors.items())),
+            part_a=frozenset(part_a))
+        assert all(type(x) is Fraction for x in (spec.a, spec.b, *(x for _, cd in spec.factors
+                                                                   for x in cd)))
+        try:
+            text = serialize_spec_reference(spec)
+        except ValueError:
+            with pytest.raises(ValueError, match="integers only"):
+                serialize_spec(spec)
+        else:
+            assert serialize_spec(spec) == text
+    coeffs = [a, b, *(x for cd in factors.values() for x in cd)]
+    if not (s0 and factors and all(Fraction(x).denominator == 1 for x in coeffs)):
+        return
+    part_a = list(dict.fromkeys(part_a))
+    text = "".join([f"s0 {' '.join(map(str, s0))}\n", f"a {a}\nb {b}\n",
+                    *(f"factor {i} {c} {d}\n" for i, (c, d) in factors.items()),
+                    "partA" + "".join(f" {i}" for i in part_a) + "\n"])
+    expected = spec_violations_reference(s0, a, b, factors, part_a)
+    try:
+        spec = parse_spec_text(text)
+    except SpecValidationError as exc:
+        assert exc.violations == expected
+    else:
+        assert not expected
+        assert serialize_spec(spec) == serialize_spec_reference(spec)
 
 
 def test_spec_file_parsing_errors():
