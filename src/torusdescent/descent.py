@@ -259,13 +259,12 @@ def _approximation_data(
     at an odd p and val_p(x) >= 3 at 2 (Serre, A Course in Arithmetic,
     Ch. II Sec. 3.3, Theorems 3 and 4).  So k_v = m_v + delta_p, with
     delta_p = 1 at an odd p and 3 at 2, and m_v the largest
-    val_v(p_i(t_v)) + max(0, -val_v(c_i)).  The valuation is signed: t_v
-    or d_i may have p in the denominator at a place of S0.  A c_i with p
-    in its denominator asks for that many digits more.  The bound is tight
-    when p divides no c_i: one digit fewer lets x be any unit at an odd p
-    (1 + x a non-square, or of higher valuation) and 4 times a unit at 2
-    (1 + x = 5 mod 8).  k_v is at least -e_v, e_v the number of p's in the
-    denominator of t_v, so that D*t_v is taken modulo an integer.
+    val_v(p_i(t_v)), as val_v(c_i) >= 0 for the integer c_i.  The valuation
+    is signed: t_v may have p in the denominator at a place of S0.  The
+    bound is tight when p divides no c_i: one digit fewer lets x be any unit
+    at an odd p (1 + x a non-square, or of higher valuation) and 4 times a
+    unit at 2 (1 + x = 5 mod 8).  k_v is at least -e_v, e_v the number of
+    p's in the denominator of t_v, so that D*t_v is taken modulo an integer.
     """
     congruences = []
     denominator = 1
@@ -275,8 +274,7 @@ def _approximation_data(
             continue
         t_v = p_t.entries[v].t
         p = v.p
-        m_v = max(val + max(0, -valuation(spec.coeffs(i)[0], p))
-                  for i, (val, _) in p_t.rows[v].factors.items())
+        m_v = max(val for val, _ in p_t.rows[v].factors.values())
         e_v = max(0, -valuation(t_v, p)) if t_v != 0 else 0
         if e_v and p not in s0_primes:
             raise DescentAnomaly(f"non-integral t_v at {v} outside S0")
@@ -325,19 +323,15 @@ def _candidate_test(
     is all of admissibility: the first n with witnesses gives the
     admissible point (`find_admissible`).
 
-    With (C_i, D_i, L_i) = spec.forms[i], L_i*D*p_i(t0) is the integer form
-    A_i + B_i*n with A_i = C_i*tau0 + D_i*D and B_i = C_i*modulus, where D
-    is `denominator`.  L_i*D is T-smooth (D and L_i are S0-supported and T
-    contains S0), so the leftover of p_i(t0), its T-free part, is that of
-    A_i + B_i*n.  A zero form (a root of p_J) or a leftover with a sieving
-    prime outside T other than itself (one gcd per form with the product of
-    those primes) rejects n before any leftover is proved prime.
+    With (c_i, d_i) = spec.forms[i], D*p_i(t0) is the integer form
+    A_i + B_i*n with A_i = c_i*tau0 + d_i*D and B_i = c_i*modulus, where D
+    is `denominator`, a product of primes of T (`_approximation_data`).  So
+    the leftover of p_i(t0), its T-free part, is that of A_i + B_i*n.  A
+    zero form (a root of p_J) or a leftover with a sieving prime outside T
+    other than itself (one gcd per form with the product of those primes)
+    rejects n before any leftover is proved prime.
     """
-    forms = []
-    for i, (c, d, lcm) in spec.forms.items():
-        if strip_primes(denominator * lcm, t_primes) != 1:
-            raise DescentAnomaly(f"denominator of p_{i}(t0) escapes the working primes")
-        forms.append((i, c * tau0 + d * denominator, c * modulus))
+    forms = [(i, c * tau0 + d * denominator, c * modulus) for i, (c, d) in spec.forms.items()]
     sieve = math.prod(_SIEVE_PRIMES.difference(t_primes))
 
     def witnesses(n: int) -> Optional[List[Tuple[int, Place]]]:
@@ -374,7 +368,7 @@ def find_admissible(
     The scan visits n = k, -k for k = k0, k0 + 1, ..., where k0 is the
     least |n| in the real chamber, until neither lies in it.  Each n runs
     one integer candidate test (`_candidate_test`) on the forms
-    L_i*D*p_i(t0) = A_i + B_i*n, read off `spec.forms`.  It strikes n
+    D*p_i(t0) = A_i + B_i*n, read off `spec.forms`.  It strikes n
     early when a leftover has a prime below 200 outside T other than
     itself, which is exact: such a leftover is composite.  The first
     candidate whose leftovers are proved prime is the result.  Every
@@ -426,10 +420,10 @@ def _try_admissible(
     a suitable p_t each check holds, and a failure raises DescentAnomaly:
 
     - The u_i are outside T, as `_candidate_test` makes them, and pairwise
-      distinct: a prime dividing two leftovers divides C_i*D_j - C_j*D_i
-      (t0's denominator and every L_i are S0-supported), so it lies in
-      S0 + S_bad, inside T, whose primes every leftover has lost.  The
-      relative Selmer build reads them as new places.
+      distinct: a prime dividing two leftovers divides c_i*d_j - c_j*d_i
+      (t0's denominator is S0-supported), so it lies in S0 + S_bad, inside
+      T, whose primes every leftover has lost.  The relative Selmer build
+      reads them as new places.
     - Row check: each p_i(t0) has the (val_v, local mask) of p_t.rows[v], as
       `_approximation_data` promises, and so then do aA and bB.
     - t0 lies in t_real's chamber, so the fiber above it has the signs of
@@ -584,10 +578,10 @@ def _scan_prime(
 
 
 def _uniformizer_t(spec: SurfaceSpec, i: int, w: int) -> int:
-    """Integer t_w with val_w(p_i(t_w)) exactly 1: w lies outside T, so L_i is
-    a w-unit and C_i*t + D_i vanishes mod w at one residue root; where its
-    valuation there is 2 or more, it is 1 at root + w."""
-    c, d, _ = spec.forms[i]
+    """Integer t_w with val_w(p_i(t_w)) exactly 1: w lies outside T, so w
+    divides no c_i and c_i*t + d_i vanishes mod w at one residue root; where
+    its valuation there is 2 or more, it is 1 at root + w."""
+    c, d = spec.forms[i]
     root = -d * pow(c, -1, w) % w
     for t_w in (root, root + w):
         value = c * t_w + d

@@ -2,15 +2,17 @@
 
 Holds the surface specification (place set, coefficients, linear factors,
 partition), derived place sets, fibers, local points, and the line-oriented
-spec-file format.  `SurfaceSpec.forms` holds each factor p_i as integers
-(C_i, D_i, L_i), p_i(t) = (C_i*t + D_i)/L_i: factor_value, product_value
-and fiber_coeffs multiply them out on ints and build one Fraction per value
-returned.  The conic coefficients (a*p_A(t), b*p_B(t)) above t are
-fiber_coeffs(t), or fiber_coeffs_of(values) for p_i(t) at hand; fibers,
-point residuals, d*p_J(t) and the Brauer constants are read off them.  Each
-point is evaluated once: a partial adelic point keeps one row per place,
-made with its entry, Brauer invariants included, and an admissible point
-keeps the p_i(t0) and the fiber made from them, read by every later step.
+spec-file format.  Every coefficient is an int: a spec with S0-integer
+coefficients has an integral model with the same S0-integral points (scale
+each p_i, then a and b, by S0-units; see the README).  `SurfaceSpec.forms`
+maps i -> (c_i, d_i): factor_value, product_value and fiber_coeffs multiply
+them out on ints and build one Fraction per value returned.  The conic
+coefficients (a*p_A(t), b*p_B(t)) above t are fiber_coeffs(t), or
+fiber_coeffs_of(values) for p_i(t) at hand; fibers, point residuals,
+d*p_J(t) and the Brauer constants are read off them.  Each point is
+evaluated once: a partial adelic point keeps one row per place, made with
+its entry, Brauer invariants included, and an admissible point keeps the
+p_i(t0) and the fiber made from them, read by every later step.
 """
 
 from __future__ import annotations
@@ -57,15 +59,14 @@ def past_primality_range(name: str, x: Rational) -> str:
             f"range (n < {_MR_LIMIT:.4g})")
 
 
-def _input_primes(num: int, den: int, name: str, *fields: object) -> Dict[int, int]:
-    """factorize the numerator of the spec quantity num/den, called
-    name.format(*fields) in the SpecValidationError raised when it is past
-    the certified primality range; the name is formatted only then."""
+def _input_primes(n: int, name: str, *fields: object) -> Dict[int, int]:
+    """factorize the spec quantity n, called name.format(*fields) in the
+    SpecValidationError raised when it is past the certified primality
+    range; the name is formatted only then."""
     try:
-        return factorize(num // math.gcd(num, den))
+        return factorize(n)
     except PrimalityRangeError:
-        raise SpecValidationError(
-            [past_primality_range(name.format(*fields), Fraction(num, den))]) from None
+        raise SpecValidationError([past_primality_range(name.format(*fields), n)]) from None
 
 
 class DegenerateFiberError(ValueError):
@@ -77,13 +78,13 @@ class SurfaceSpec:
     """Validated surface data; construct through validate_spec."""
 
     s0: Tuple[Place, ...]
-    a: Fraction
-    b: Fraction
-    factors: Tuple[Tuple[int, Tuple[Fraction, Fraction]], ...]  # (i, (c_i, d_i))
+    a: int
+    b: int
+    factors: Tuple[Tuple[int, Tuple[int, int]], ...]  # (i, (c_i, d_i))
     part_a: frozenset
 
     @cached_property
-    def d(self) -> Fraction:
+    def d(self) -> int:
         return self.a * self.b
 
     @cached_property
@@ -98,43 +99,32 @@ class SurfaceSpec:
     def s0_finite_primes(self) -> Tuple[int, ...]:
         return tuple(v.p for v in self.s0 if v.is_finite)
 
-    def coeffs(self, i: int) -> Tuple[Fraction, Fraction]:
-        for j, cd in self.factors:
-            if j == i:
-                return cd
-        raise KeyError(i)
+    @cached_property
+    def forms(self) -> Dict[int, Tuple[int, int]]:
+        """i -> (c_i, d_i): for t = n/m, p_i(t) = (c_i*n + d_i*m) / m."""
+        return dict(self.factors)
+
+    def coeffs(self, i: int) -> Tuple[int, int]:
+        return self.forms[i]
 
     def root(self, i: int) -> Fraction:
         """The root -d_i/c_i of p_i."""
-        c, d = self.coeffs(i)
-        return -d / c
-
-    @cached_property
-    def forms(self) -> Dict[int, Tuple[int, int, int]]:
-        """i -> (C_i, D_i, L_i), ints with L_i the lcm of the denominators of
-        c_i and d_i, C_i = L_i*c_i and D_i = L_i*d_i: for t = n/m,
-        p_i(t) = (C_i*n + D_i*m) / (L_i*m)."""
-        table = {}
-        for i, (c, d) in self.factors:
-            lcm = math.lcm(c.denominator, d.denominator)
-            table[i] = (c.numerator * (lcm // c.denominator),
-                        d.numerator * (lcm // d.denominator), lcm)
-        return table
+        c, d = self.forms[i]
+        return Fraction(-d, c)
 
     def factor_value(self, i: int, t: Rational) -> Fraction:
-        c, d, lcm = self.forms[i]
+        c, d = self.forms[i]
         n, m = t.numerator, t.denominator
-        return Fraction(c * n + d * m, lcm * m)
+        return Fraction(c * n + d * m, m)
 
-    def product_value(self, subset: Iterable[int], t: Rational,
-                      scale: Rational = 1) -> Fraction:
+    def product_value(self, subset: Iterable[int], t: Rational, scale: int = 1) -> Fraction:
         """scale * p_{subset}(t), multiplied out on ints into one Fraction."""
         n, m = t.numerator, t.denominator
-        num, den = scale.numerator, scale.denominator
+        num, den = scale, 1
         for i in subset:
-            c, d, lcm = self.forms[i]
+            c, d = self.forms[i]
             num *= c * n + d * m
-            den *= lcm * m
+            den *= m
         return Fraction(num, den)
 
     @cached_property
@@ -155,8 +145,8 @@ class SurfaceSpec:
 
     def fiber_coeffs_of(self, values: Mapping[int, Fraction]) -> Tuple[Fraction, Fraction]:
         """fiber_coeffs(t) from values[i] = p_i(t), multiplied out on ints."""
-        def scaled(scale: Fraction, part: Tuple[int, ...]) -> Fraction:
-            num, den = scale.numerator, scale.denominator
+        def scaled(scale: int, part: Tuple[int, ...]) -> Fraction:
+            num, den = scale, 1
             for x in map(values.__getitem__, part):
                 num, den = num * x.numerator, den * x.denominator
             return Fraction(num, den)
@@ -190,12 +180,11 @@ class SurfaceSpec:
 
     @cached_property
     def cross_resultants(self) -> Dict[Tuple[int, int], int]:
-        """(i, j) -> C_i*D_j - C_j*D_i = L_i*L_j*(c_i*d_j - c_j*d_i) over
-        forms, for i before j in indices, each formed once for the one
-        factorization pass."""
+        """(i, j) -> c_i*d_j - c_j*d_i over forms, for i before j in
+        indices, each formed once for the one factorization pass."""
         items = list(self.forms.items())
         return {(i, j): ci * dj - cj * di
-                for k, (i, (ci, di, _)) in enumerate(items) for j, (cj, dj, _) in items[k + 1:]}
+                for k, (i, (ci, di)) in enumerate(items) for j, (cj, dj) in items[k + 1:]}
 
     @cached_property
     def a_mask(self) -> int:
@@ -232,9 +221,9 @@ def spec_violations(
 ) -> List[str]:
     """All violated invariants of a raw specification (empty list = valid).
 
-    Each check reads the numerators and denominators of the coefficients,
-    ints or Fractions, and works on ints: c_i*d_j = c_j*d_i exactly when
-    C_i*D_j = C_j*D_i for the integer forms (C, D) = den(c)*den(d)*(c, d).
+    Every coefficient must be an integer: an int, or a Fraction of
+    denominator 1.  The gcd check of a factor runs only once both of its
+    coefficients are integers, and on their numerators.
     """
     problems: List[str] = []
     if REAL not in s0:
@@ -245,8 +234,8 @@ def spec_violations(
     if not a or not b:
         problems.append("a and b must be nonzero")
     for name, x in (("a", a), ("b", b)):
-        if x.denominator != 1 and strip_primes(x.denominator, s0_primes) != 1:
-            problems.append(f"{name} = {x} is not an S0-integer")
+        if x.denominator != 1:
+            problems.append(f"{name} = {x} is not an integer")
     if not factors:
         problems.append("the factor set J must be non-empty")
     if len(factors) > MAX_FACTORS:
@@ -254,34 +243,34 @@ def spec_violations(
     part_a = set(part_a)
     if not part_a <= set(factors):
         problems.append("partA contains unknown factor indices")
-    forms = []
-    for i, (c, d) in sorted(factors.items()):
-        cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
-        forms.append((i, cn * dd, dn * cd))
-        if not cn:
+    items = sorted(factors.items())
+    for i, (c, d) in items:
+        if not c:
             problems.append(f"factor {i}: leading coefficient c must be nonzero")
             continue
-        for name, x, den in ((f"c_{i}", c, cd), (f"d_{i}", d, dd)):
-            if den != 1 and strip_primes(den, s0_primes) != 1:
-                problems.append(f"{name} = {x} is not an S0-integer")
+        fractional = [f"{name} = {x} is not an integer"
+                      for name, x in ((f"c_{i}", c), (f"d_{i}", d)) if x.denominator != 1]
+        if fractional:
+            problems += fractional
+            continue
         # coprimality as S0-integers: no prime outside S0 divides both
-        # (for d = 0 the gcd is c's numerator: c must be an S0-unit)
-        common = math.gcd(cn, dn)
+        # (for d = 0 the gcd is c: c must be an S0-unit)
+        common = math.gcd(c.numerator, d.numerator)
         if common == 1:
             continue
-        name = "c_{0}" if not dn else "gcd(c_{0}, d_{0})"
+        name = "c_{0}" if not d else "gcd(c_{0}, d_{0})"
         try:
-            common = _input_primes(common, 1, name, i)
+            common = _input_primes(common, name, i)
         except SpecValidationError as exc:
             problems += exc.violations
             continue
         bad = sorted(q for q in common if q not in s0_primes)
-        if bad and not dn:
+        if bad and not d:
             problems.append(f"factor {i}: d = 0 and c has primes {bad} outside S0")
         elif bad:
             problems.append(f"factor {i}: c,d share primes {bad} outside S0")
-    for k, (i, ci, di) in enumerate(forms):
-        for j, cj, dj in forms[k + 1:]:
+    for k, (i, (ci, di)) in enumerate(items):
+        for j, (cj, dj) in items[k + 1:]:
             if ci * dj == cj * di:
                 problems.append(f"factors {i},{j} are proportional")
     return problems
@@ -295,14 +284,15 @@ def validate_spec(
     part_a: Iterable[int],
 ) -> SurfaceSpec:
     """The SurfaceSpec of a raw specification, or SpecValidationError with
-    every violation.  Each coefficient is made a Fraction once;
-    spec_violations checks those values and the spec is built from them."""
-    a, b, part_a = Fraction(a), Fraction(b), frozenset(part_a)
-    factors = {i: (Fraction(c), Fraction(d)) for i, (c, d) in sorted(factors.items())}
+    every violation.  spec_violations checks the raw coefficients, ints or
+    integral Fractions, and the spec stores each as its int numerator."""
+    part_a = frozenset(part_a)
     problems = spec_violations(s0, a, b, factors, part_a)
     if problems:
         raise SpecValidationError(problems)
-    return SurfaceSpec(s0=tuple(sorted(s0)), a=a, b=b, factors=tuple(factors.items()),
+    return SurfaceSpec(s0=tuple(sorted(s0)), a=a.numerator, b=b.numerator,
+                       factors=tuple((i, (c.numerator, d.numerator))
+                                     for i, (c, d) in sorted(factors.items())),
                        part_a=part_a)
 
 
@@ -332,68 +322,51 @@ class _FactorTables(NamedTuple):
 
 
 def _factor_tables(spec: SurfaceSpec) -> _FactorTables:
-    """The one factorization pass over the constants of spec: it factors
-    the numerators of d, then of each c_i followed by c_i*d_j - c_j*d_i for
-    each j after i, once each and in that order, and reads S_bad (see
+    """The one factorization pass over the constants of spec: it factors d,
+    then each c_i followed by R_ij = c_i*d_j - c_j*d_i (spec.cross_resultants)
+    for each j after i, once each and in that order, and reads S_bad (see
     compute_s_bad) and root_masks off them, keeping no factorization.
 
-    The numerator of c_i*d_j - c_j*d_i is N_ij = R_ij // gcd(R_ij, L_i*L_j)
-    for R_ij in spec.cross_resultants, and p_j(-d_i/c_i) = R_ij/(L_j*C_i),
-    p_i(-d_j/c_j) = -R_ij/(L_i*C_j).  Each of R_ij, C_i and L_j is a
-    factored numerator (none for L_j) times an S0-supported integer
-    (gcd(R_ij, L_i*L_j), L_i/den(c_i), L_j), so its class over basis_primes
-    is its sign, the primes of odd exponent in the factorization, and the
-    class of that integer over the S0 primes.
+    p_j(-d_i/c_i) = R_ij/c_i and p_i(-d_j/c_j) = -R_ij/c_j, so the class of
+    each over basis_primes is the XOR of the classes of R_ij and of c_i (or
+    -1 and c_j), each read off its sign and its primes of odd exponent.
     """
     s0_primes = spec.s0_finite_primes
     forms, cross = spec.forms, spec.cross_resultants
-    d_primes = _input_primes(spec.d.numerator, spec.d.denominator, "d = ab")
-    lead_primes, numerators = {}, {}
+    d_primes = _input_primes(spec.d, "d = ab")
+    lead_primes, cross_primes = {}, {}
     for k, (i, (c, _)) in enumerate(spec.factors):
-        lead_primes[i] = _input_primes(c.numerator, c.denominator, "c_{}", i)
+        lead_primes[i] = _input_primes(c, "c_{}", i)
         for j in spec.indices[k + 1:]:
-            numerators[i, j] = _input_primes(cross[i, j], forms[i][2] * forms[j][2],
-                                             "c_{0}*d_{1} - c_{1}*d_{0}", i, j)
-    # the denominators are S0-smooth: a prime outside S0 dividing a
-    # numerator has positive valuation
-    bad = {q for primes in (d_primes, *lead_primes.values(), *numerators.values())
+            cross_primes[i, j] = _input_primes(cross[i, j], "c_{0}*d_{1} - c_{1}*d_{0}", i, j)
+    bad = {q for primes in (d_primes, *lead_primes.values(), *cross_primes.values())
            for q in primes if q not in s0_primes}
     if 2 not in s0_primes:
         bad.add(2)
     # residue-covering primes: every t mod p is a root of p_J.  Such p lies
-    # outside S0 and divides no C_i (the primes of c_i are bad already and
-    # L_i is S0-supported), so p_i(t) = 0 mod p at t = -D_i/C_i only.
+    # outside S0 and divides no c_i (the primes of c_i are bad already), so
+    # p_i(t) = 0 mod p at t = -d_i/c_i only.
     for p in range(2, len(spec.factors) + 1):
         if p in s0_primes or p in bad or not is_prime(p):
             continue
-        if len({-d * pow(c, -1, p) % p for c, d, _ in forms.values()}) == p:
+        if len({-d * pow(c, -1, p) % p for c, d in forms.values()}) == p:
             bad.add(p)
     bit = {p: 1 << k for k, p in enumerate(sorted({*s0_primes, *bad}), 1)}
 
-    def class_of(negative: bool, primes: Dict[int, int], smooth: int) -> int:
-        """The class over basis_primes of +-(the factored number) * smooth,
-        smooth > 0 S0-supported."""
+    def class_of(negative: bool, primes: Dict[int, int]) -> int:
+        """The class over basis_primes of +-(the factored number)."""
         mask = int(negative)
         for p, e in primes.items():
             if e & 1:
                 mask ^= bit[p]
-        for p in s0_primes:
-            while smooth % p == 0:
-                smooth //= p
-                mask ^= bit[p]
         return mask
 
-    lead, denom = {}, {}
-    for i, (c, _) in spec.factors:
-        lcm = forms[i][2]
-        lead[i] = class_of(c < 0, lead_primes[i], lcm // c.denominator)
-        denom[i] = class_of(False, {}, lcm)
+    lead = {i: class_of(c < 0, lead_primes[i]) for i, (c, _) in spec.factors}
     table = {}
-    for (i, j), primes in numerators.items():
-        r = cross[i, j]
-        mask = class_of(r < 0, primes, math.gcd(r, forms[i][2] * forms[j][2]))
-        table[i, j] = mask ^ lead[i] ^ denom[j]
-        table[j, i] = mask ^ 1 ^ lead[j] ^ denom[i]
+    for (i, j), primes in cross_primes.items():
+        mask = class_of(cross[i, j] < 0, primes)
+        table[i, j] = mask ^ lead[i]
+        table[j, i] = mask ^ 1 ^ lead[j]
     return _FactorTables(tuple(Place.proved(q) for q in sorted(bad)), table)
 
 
@@ -404,7 +377,7 @@ def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
     coefficient c_i, or d = ab; the prime 2; and primes p with
     p_J(t) = 0 mod p for every residue t (only possible for p <= |J|).
     Read off the one factorization pass of the spec (_factor_tables),
-    which factors each of these numerators once, at first use, and from
+    which factors each of these quantities once, at first use, and from
     which root_masks is read too.  Leading-coefficient primes are included
     so that the constants a*p_A(-d_i/c_i) are v-units at every place
     outside S0 and S_bad.  A quantity that cannot be factored within the
@@ -625,14 +598,9 @@ def parse_spec_text(text: str) -> SurfaceSpec:
 
 
 def serialize_spec(spec: SurfaceSpec) -> str:
-    """Canonical bit-exact serialization; round-trips through parse_spec_text.
-    Every coefficient must be an integer, and is written as its numerator."""
-    coeffs = (spec.a, spec.b, *(x for _, cd in spec.factors for x in cd))
-    if any(x.denominator != 1 for x in coeffs):
-        raise ValueError("spec file format carries integers only")
-    lines = ["s0 " + " ".join(map(str, sorted(spec.s0))),
-             f"a {spec.a.numerator}", f"b {spec.b.numerator}"]
-    lines += [f"factor {i} {c.numerator} {d.numerator}" for i, (c, d) in spec.factors]
+    """Canonical bit-exact serialization; round-trips through parse_spec_text."""
+    lines = ["s0 " + " ".join(map(str, sorted(spec.s0))), f"a {spec.a}", f"b {spec.b}"]
+    lines += [f"factor {i} {c} {d}" for i, (c, d) in spec.factors]
     lines.append("partA" + "".join(f" {i}" for i in sorted(spec.part_a)))
     return "\n".join(lines) + "\n"
 

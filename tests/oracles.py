@@ -99,8 +99,10 @@ def residual_reference(spec, x, y, t) -> Fraction:
 
 
 def spec_violations_reference(s0, a, b, factors, part_a) -> List[str]:
-    """The violated invariants of a raw specification, every coefficient
-    wrapped in a Fraction and proportionality tested by Fraction products."""
+    """The violated invariants of a raw specification with S0-integer
+    coefficients allowed, every coefficient wrapped in a Fraction and
+    proportionality tested by Fraction products.  On integer coefficients
+    its messages are those of spec_violations."""
     problems: List[str] = []
     a, b = Fraction(a), Fraction(b)
     if REAL not in s0:
@@ -145,6 +147,28 @@ def spec_violations_reference(s0, a, b, factors, part_a) -> List[str]:
             if ci * dj == cj * di:
                 problems.append(f"factors {i},{j} are proportional")
     return problems
+
+
+def integral_model_reference(a, b, factors, part_a):
+    """The integral model of a raw spec with S0-integer coefficients, in
+    Fraction arithmetic: p_i times L_i, the lcm of the denominators of c_i
+    and d_i, is C_i*t + D_i with C_i = L_i*c_i and D_i = L_i*d_i; and with
+    a / prod_{i in A} L_i = n/m in lowest terms, a' = n*m (b' likewise over
+    B).  Returns (a', b', {i: (C_i, D_i)}, (m_a, m_b)): (x, y, t) lies on the
+    raw surface exactly when (x/m_a, y/m_b, t) lies on the model, and the m
+    are S0-units."""
+    lcm = {i: math.lcm(Fraction(c).denominator, Fraction(d).denominator)
+           for i, (c, d) in factors.items()}
+    model = {i: (int(Fraction(c) * lcm[i]), int(Fraction(d) * lcm[i]))
+             for i, (c, d) in factors.items()}
+
+    def scaled(x, part):
+        q = Fraction(x) / math.prod(lcm[i] for i in part)
+        return q.numerator * q.denominator, q.denominator
+
+    a_model, m_a = scaled(a, part_a)
+    b_model, m_b = scaled(b, [i for i in factors if i not in part_a])
+    return a_model, b_model, model, (m_a, m_b)
 
 
 def serialize_spec_reference(spec) -> str:

@@ -585,18 +585,6 @@ def test_sieve_keeps_a_leftover_equal_to_a_sieving_prime():
     assert find_admissible(spec, p_t, DescentBounds()).point.t0 == t0
 
 
-def test_denominator_outside_t_is_an_anomaly():
-    # c_1 = 1/3 with 3 in S0; a point without the place 3 leaves the
-    # denominator of p_1(t0) outside the working primes
-    spec = make_spec([3], 1, 1, {1: (Fraction(1, 3), 1)}, [1])
-    p_t = PartialAdelicPoint(spec, {REAL: LocalPoint.make(1, 0, 6, 10)})
-    with pytest.raises(DescentAnomaly, match="escapes the working primes"):
-        find_admissible(spec, p_t, DescentBounds())
-    # with the place 3 the denominator is T-smooth and the test is built
-    with_3 = p_t.with_entry(Place.finite(3), LocalPoint.make(1, 0, 6, 10))
-    _candidate_test(spec, *_approximation_data(spec, with_3), [3])
-
-
 def _digits(spec, t_v, p):
     """The progression (tau0, M, D) of the point whose only place is p, at
     t_v, and k with M/D = p^k: its values agree with t_v to k digits."""
@@ -614,14 +602,16 @@ def _keeps_classes(spec, t_v, t0, p):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
 def test_approximation_keeps_every_valuation_and_square_class(data, p):
-    # c_i, d_i and t_v may have p in the denominator (p is in S0)
+    # c_i and d_i are integers that p may divide, and t_v may have p in
+    # the denominator (p is in S0)
+    p_integer = st.builds(lambda num, e: num * p**e, st.integers(-40, 40), st.integers(0, 2))
     p_rational = st.builds(lambda num, e: Fraction(num, p**e),
                            st.integers(-40, 40), st.integers(0, 2))
     factors = {}
     for i in range(1, data.draw(st.integers(1, 3)) + 1):
-        c, d = data.draw(p_rational.filter(bool)), data.draw(p_rational)
-        g = math.gcd(c.numerator, d.numerator)  # no common prime outside S0
-        factors[i] = (c / g, d / g)
+        c, d = data.draw(p_integer.filter(bool)), data.draw(p_integer)
+        g = math.gcd(c, d)  # no common prime outside S0
+        factors[i] = (c // g, d // g)
     try:
         spec = make_spec([p], 1, 1, factors, [1])
     except SpecValidationError:
@@ -639,14 +629,14 @@ def test_approximation_keeps_every_valuation_and_square_class(data, p):
     # with p dividing no c_i, one digit fewer changes a class, unless k is
     # only the floor -e that keeps D*t_v integral
     e = max(0, -valuation(t_v, p)) if t_v else 0
-    if all(valuation(c, p) <= 0 for _, (c, _) in spec.factors) and k > -e:
+    if all(c % p for _, (c, _) in spec.factors) and k > -e:
         assert any(not _keeps_classes(spec, t_v, t_v + Fraction(p) ** (k - 1) * s, p)
                    for s in range(1, p))
 
 
 @pytest.mark.parametrize("p, factor, t_v, k", [
-    # p_1 = t/3 + 1 at t_v = 0: val 0, one digit for the 3 in c_1's denominator
-    (3, (Fraction(1, 3), 1), Fraction(0), 2),
+    # p_1 = t + 3 at t_v = 0: p_1(t_v) = 3 has val 1, so 2 digits at 3
+    (3, (1, 3), Fraction(0), 2),
     # p_1 = t + 1 at t_v = 1/2: p_1(t_v) = 3/2 has val -1, so 2 digits at 2
     (2, (1, 1), Fraction(1, 2), 2),
 ])
@@ -654,7 +644,7 @@ def test_approximation_digits_are_the_least_that_keep_the_classes(p, factor, t_v
     spec = make_spec([p], 1, 1, {1: factor}, [1])
     assert _digits(spec, t_v, p)[3] == k
     assert _keeps_classes(spec, t_v, t_v + p**k, p)
-    # one digit fewer: t/3 + 1 is 2 at t0 = 3, a non-square at 3, and
+    # one digit fewer: t + 3 is 6 at t0 = 3, 3 times a non-square at 3, and
     # t + 1 is 7/2 at t0 = 5/2, and 7/3 = 5 mod 8 is a non-square at 2
     assert not _keeps_classes(spec, t_v, t_v + p ** (k - 1), p)
 

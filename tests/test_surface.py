@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -29,13 +30,20 @@ from torusdescent.surface import (
     validate_spec,
 )
 
-from fixtures import REDUCTION_MEMBERS, family_point
+from fixtures import (
+    ALL_FAMILY,
+    BOUNDED_CHAMBER_MEMBER,
+    LARGE_PRIME_FAMILY,
+    REDUCTION_MEMBERS,
+    family_point,
+)
 from oracles import (
     compute_s,
     cross_resultant_reference,
     factor_value_reference,
     factored_numerators_reference,
     fiber_coeffs_reference,
+    integral_model_reference,
     product_value_reference,
     residual_reference,
     s_bad_reference,
@@ -82,9 +90,25 @@ def test_validate_rejects_non_coprime():
     make_spec([3], 1, 1, {1: (3, 6)}, [1])
 
 
-def test_validate_rejects_non_s0_integers():
-    with pytest.raises(SpecValidationError, match="S0-integer"):
-        make_spec([], Fraction(1, 3), 1, {1: (1, 0)}, [1])
+def _coefficients(spec):
+    return [spec.a, spec.b, *(x for _, cd in spec.factors for x in cd)]
+
+
+def test_validate_rejects_non_integers():
+    # S0-integers that are not integers are rejected at validation, before
+    # any descent runs on them
+    with pytest.raises(SpecValidationError) as excinfo:
+        make_spec([2, 3], Fraction(1, 2), 1, {1: (Fraction(1, 3), 1), 2: (1, -5)}, [1])
+    assert excinfo.value.violations == ["a = 1/2 is not an integer",
+                                        "c_1 = 1/3 is not an integer"]
+    # an integral Fraction is accepted and stored as an int
+    spec = make_spec([], Fraction(4), 1, {1: (Fraction(2), 1)}, [1])
+    assert (spec.a, spec.factors) == (4, ((1, (2, 1)),))
+    assert all(type(x) is int for x in _coefficients(spec))
+    members = [*ALL_FAMILY, *LARGE_PRIME_FAMILY.values(), BOUNDED_CHAMBER_MEMBER]
+    for s0, a, b, factors, part_a, _ in members:
+        spec = make_spec(s0, a, b, factors, part_a)
+        assert all(type(x) is int for x in _coefficients(spec)), spec
 
 
 def test_validate_spec_reads_a_one_shot_part_a_once():
@@ -130,9 +154,8 @@ def test_s_bad_matches_its_definition():
     while checked < 150:
         n = rng.randint(1, 6)
         s0 = rng.choice([[], [2], [2, 3], [2, 5]])
-        scale = [1, Fraction(1, 2)] if 2 in s0 else [1]
-        factors = {i: (rng.choice([-3, -2, -1, 1, 2, 3]) * rng.choice(scale),
-                       rng.randint(-12, 12) * rng.choice(scale)) for i in range(1, n + 1)}
+        factors = {i: (rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(-12, 12))
+                   for i in range(1, n + 1)}
         raw = (s0, rng.choice([-3, -1, 1, 2, 5]), rng.choice([-2, 1, 3, 7]), factors, [1])
         if spec_violations([REAL] + [Place.finite(p) for p in s0], *raw[1:]):
             continue
@@ -143,14 +166,14 @@ def test_s_bad_matches_its_definition():
 
 @st.composite
 def _specs_over_a_large_prime(draw):
-    """Specs over S0 = {2, q} with coefficients over powers of q, so that the
-    integer forms carry an L_i of q's: for q = 1009, above the primes that
-    factorize divides out by trial, an L_i*L_j left in a cross-resultant
-    would reach its Pollard rho stage."""
+    """Specs over S0 = {2, q} with coefficients times powers of q, so that
+    the constants carry q's: for q = 1009, above the primes that factorize
+    divides out by trial, a q^2 in a cross-resultant reaches its Pollard rho
+    stage."""
     q = draw(st.sampled_from([3, 211, 1009]))
 
     def s0_integer(numerators):
-        return st.builds(lambda n, k: Fraction(n, q**k), numerators, st.integers(0, 2))
+        return st.builds(lambda n, k: n * q**k, numerators, st.integers(0, 2))
 
     n = draw(st.integers(1, 5))
     factors = {i: (draw(s0_integer(st.sampled_from([-6, -5, -2, -1, 1, 3, 7]))),
@@ -168,9 +191,8 @@ def test_integer_constants_match_the_fraction_formulas(spec):
     pairs = [(i, j) for k, i in enumerate(spec.indices) for j in spec.indices[k + 1:]]
     assert list(spec.cross_resultants) == pairs
     for (i, j), r in spec.cross_resultants.items():
-        lcm_i, lcm_j = spec.forms[i][2], spec.forms[j][2]
-        assert r == lcm_i * lcm_j * cross_resultant_reference(spec, i, j)
-    # factorize sees the numerator of each rational quantity, in order
+        assert r == cross_resultant_reference(spec, i, j)
+    # factorize sees each quantity, in order
     with mock.patch.object(surface, "factorize", wraps=surface.factorize) as factored:
         assert {v.p for v in compute_s_bad(spec)} == s_bad_reference(spec)
     expected = factored_numerators_reference(spec)
@@ -187,14 +209,14 @@ def test_s_bad_leading_coefficient_prime():
     assert 5 in {v.p for v in compute_s_bad(spec)}
 
 
-def test_s_bad_names_the_rational_cross_resultant_past_the_primality_range():
-    # c_1*d_2 - c_2*d_1 = (M + 10)/2 with M = _MR_LIMIT: the error names the
-    # rational value, whose numerator is the number that cannot be factored
-    spec = make_spec([2], 1, 1, {1: (Fraction(1, 2), 1), 2: (1, _MR_LIMIT + 12)}, [1])
+def test_s_bad_names_the_cross_resultant_past_the_primality_range():
+    # c_1*d_2 - c_2*d_1 = M + 10 with M = _MR_LIMIT: the error names the
+    # cross-resultant, the number that cannot be factored
+    spec = make_spec([2], 1, 1, {1: (1, 1), 2: (1, _MR_LIMIT + 11)}, [1])
     with pytest.raises(SpecValidationError) as excinfo:
         spec.s_bad
     assert excinfo.value.violations == [
-        "c_1*d_2 - c_2*d_1 = 3317044064679887385961991/2 cannot be factored within "
+        "c_1*d_2 - c_2*d_1 = 3317044064679887385961991 cannot be factored within "
         "the certified primality range (n < 3.317e+24)"]
 
 
@@ -322,9 +344,9 @@ def test_fiber_coeffs_random_specs():
         checked += 1
 
 
-def _s0_integers(numerators):
-    """S0-integers for S0 = {2, 3}: a numerator over 2^k or 3^k."""
-    return st.builds(lambda n, p, k: Fraction(n, p**k), numerators,
+def _s0_multiples(numerators):
+    """Integers for S0 = {2, 3}: a numerator times 2^k or 3^k."""
+    return st.builds(lambda n, p, k: n * p**k, numerators,
                      st.sampled_from([2, 3]), st.integers(0, 5))
 
 
@@ -337,13 +359,14 @@ _RATIONALS = st.one_of(
 
 @st.composite
 def _fibration_cases(draw):
-    """(spec, t, x, y): S0 = {2, 3}, S0-integer rational coefficients, and t
-    a rational of either sign, sometimes a root of p_J."""
+    """(spec, t, x, y): S0 = {2, 3}, integer coefficients with powers of 2
+    and 3, and t a rational of either sign, sometimes a root of p_J."""
     n = draw(st.integers(1, 4))
-    factors = {i: (draw(_s0_integers(st.sampled_from([-7, -5, -2, -1, 1, 3, 4, 11]))),
-                   draw(_s0_integers(st.integers(-60, 60)))) for i in range(1, n + 1)}
+    factors = {i: (draw(_s0_multiples(st.sampled_from([-7, -5, -2, -1, 1, 3, 4, 11]))),
+                   draw(_s0_multiples(st.integers(-60, 60)))) for i in range(1, n + 1)}
     part_a = draw(st.sets(st.sampled_from(sorted(factors))))
-    a, b = (draw(_s0_integers(st.integers(1, 30).map(lambda k: k * (-1) ** k))) for _ in range(2))
+    a, b = (draw(_s0_multiples(st.integers(1, 30).map(lambda k: k * (-1) ** k)))
+            for _ in range(2))
     assume(not spec_violations([REAL, Place.finite(2), Place.finite(3)], a, b, factors, part_a))
     spec = make_spec([2, 3], a, b, factors, part_a)
     roots = [spec.root(i) for i in spec.indices]
@@ -398,11 +421,11 @@ _PAST_RANGE = 2**89 - 1  # a prime past the certified primality range
 
 @st.composite
 def _raw_specs(draw):
-    """Raw specifications as the input layer meets them: ints and
-    S0-rational Fractions, and one time in five each of these defects:
-    repeated or missing places, denominators outside S0, a zero a or b,
-    zero and proportional factors, shared primes, a gcd past the primality
-    range, too many factors, unknown partA indices."""
+    """Raw specifications as the input layer meets them: ints and integral
+    Fractions, and one time in five each of these defects: repeated or
+    missing places, a zero a or b, zero and proportional factors, shared
+    primes, a gcd past the primality range, too many factors, unknown partA
+    indices."""
     def rarely():
         return draw(st.integers(0, 4)) == 0
 
@@ -410,11 +433,10 @@ def _raw_specs(draw):
     s0 = [REAL] + [Place.finite(p) for p in sorted(finite)]
     if rarely():
         s0 = draw(st.lists(st.sampled_from(s0 + [Place.finite(7)]), max_size=5))
-    over = sorted(finite) + [7, 11] if rarely() else sorted(finite)
 
     def coefficient(numerators):
-        n, k = draw(numerators), draw(st.integers(0, 2))
-        return Fraction(n, draw(st.sampled_from(over)) ** k) if over and rarely() else n
+        n = draw(numerators)
+        return Fraction(n) if rarely() else n
 
     a, b = (coefficient(st.integers(-30, 30).filter(lambda n: n or rarely())) for _ in "ab")
     n = MAX_FACTORS + 1 if rarely() and rarely() else draw(st.integers(1, 5))
@@ -443,9 +465,10 @@ def _raw_specs(draw):
 @given(_raw_specs())
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_input_layer_matches_the_fraction_forms(raw):
-    """spec_violations gives the messages of its Fraction form, in order;
-    validate_spec raises them or builds the spec of the Fraction values, and
-    spec files parse and serialize as the Fraction forms do."""
+    """On integer coefficients spec_violations gives the messages of its
+    Fraction form, in order; validate_spec raises them or builds the spec of
+    the int values, and spec files parse and serialize as the Fraction forms
+    do."""
     s0, a, b, factors, part_a = raw
     problems = spec_violations(*raw)
     assert problems == spec_violations_reference(*raw)
@@ -456,20 +479,12 @@ def test_input_layer_matches_the_fraction_forms(raw):
     else:
         assert not problems
         assert spec == SurfaceSpec(
-            s0=tuple(sorted(s0)), a=Fraction(a), b=Fraction(b),
-            factors=tuple((i, (Fraction(c), Fraction(d))) for i, (c, d) in sorted(factors.items())),
+            s0=tuple(sorted(s0)), a=int(a), b=int(b),
+            factors=tuple((i, (int(c), int(d))) for i, (c, d) in sorted(factors.items())),
             part_a=frozenset(part_a))
-        assert all(type(x) is Fraction for x in (spec.a, spec.b, *(x for _, cd in spec.factors
-                                                                   for x in cd)))
-        try:
-            text = serialize_spec_reference(spec)
-        except ValueError:
-            with pytest.raises(ValueError, match="integers only"):
-                serialize_spec(spec)
-        else:
-            assert serialize_spec(spec) == text
-    coeffs = [a, b, *(x for cd in factors.values() for x in cd)]
-    if not (s0 and factors and all(Fraction(x).denominator == 1 for x in coeffs)):
+        assert all(type(x) is int for x in _coefficients(spec))
+        assert serialize_spec(spec) == serialize_spec_reference(spec)
+    if not (s0 and factors):
         return
     part_a = list(dict.fromkeys(part_a))
     text = "".join([f"s0 {' '.join(map(str, s0))}\n", f"a {a}\nb {b}\n",
@@ -483,6 +498,53 @@ def test_input_layer_matches_the_fraction_forms(raw):
     else:
         assert not expected
         assert serialize_spec(spec) == serialize_spec_reference(spec)
+
+
+@st.composite
+def _s0_integer_specs(draw):
+    """Raw specs over S0 = {2} or {2, 3} with S0-integer coefficients: a
+    numerator over a power of a prime of S0."""
+    s0 = draw(st.sampled_from([[2], [2, 3]]))
+
+    def s0_integer(numerators):
+        return st.builds(lambda n, p, k: Fraction(n, p**k), numerators,
+                         st.sampled_from(s0), st.integers(0, 3))
+
+    n = draw(st.integers(1, 4))
+    factors = {i: (draw(s0_integer(st.sampled_from([-7, -5, -2, -1, 1, 3, 4, 11]))),
+                   draw(s0_integer(st.integers(-60, 60)))) for i in range(1, n + 1)}
+    part_a = draw(st.sets(st.sampled_from(sorted(factors))))
+    a, b = (draw(s0_integer(st.integers(1, 30).map(lambda k: k * (-1) ** k))) for _ in range(2))
+    return [REAL] + [Place.finite(p) for p in s0], a, b, factors, part_a
+
+
+@given(_s0_integer_specs(), _RATIONALS, _RATIONALS, _RATIONALS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_integral_model_keeps_the_surface(raw, x, y, t):
+    """A spec with S0-integer coefficients that passes the S0-integer rules
+    has an integral model that passes validate_spec, and (x, y, t) has the
+    residual on the raw surface, in Fraction arithmetic, that
+    (x/m_a, y/m_b, t) has on the model."""
+    s0, a, b, factors, part_a = raw
+    assume(not spec_violations_reference(*raw))
+    a_model, b_model, model_factors, (m_a, m_b) = integral_model_reference(a, b, factors, part_a)
+    model = validate_spec(s0, a_model, b_model, model_factors, part_a)
+    t = Fraction(t)
+
+    def raw_value(scale, part):
+        return Fraction(scale) * math.prod((factors[i][0] * t + factors[i][1] for i in part),
+                                           start=Fraction(1))
+
+    part_b = [i for i in factors if i not in part_a]
+    residual = raw_value(a, part_a) * Fraction(x) ** 2 + raw_value(b, part_b) * Fraction(y) ** 2 - 1
+    assert evaluate_point(model, Fraction(x, m_a), Fraction(y, m_b), t) == residual
+    # an integral spec is its own model; any other is rejected
+    coeffs = [a, b, *(c for cd in factors.values() for c in cd)]
+    if all(Fraction(c).denominator == 1 for c in coeffs):
+        assert validate_spec(*raw) == model
+    else:
+        with pytest.raises(SpecValidationError, match="is not an integer"):
+            validate_spec(*raw)
 
 
 def test_spec_file_parsing_errors():
