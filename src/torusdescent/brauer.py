@@ -1,5 +1,8 @@
 """Vertical Brauer classes of the fibration, their residues at the roots of
-the factors, and local invariant sums against adelic points.
+the factors, and their local invariants.  A partial adelic point keeps the
+invariant vector of each place in its row (PlaceRow.brauer); the invariant
+sums the descent checks are bits of the XOR of the rows
+(descent.suitability).
 
 The generator of factor i is the quaternion symbol (spec.brauer_constants[i],
 p_i(t)): a constant left entry and the linear right entry
@@ -16,7 +19,7 @@ from .arith import Place, Rational, class_from_mask, hilbert_row, local_mask
 from .gf2 import dot
 
 if TYPE_CHECKING:  # surface imports this module to fill PlaceRow.brauer
-    from .surface import PartialAdelicPoint, SurfaceSpec
+    from .surface import SurfaceSpec
 
 
 def residue_at(spec: SurfaceSpec, i: int, m: Rational) -> int:
@@ -46,13 +49,3 @@ def invariant_vector(spec: SurfaceSpec, v: Place,
     (surface.factor_row) at v.  PlaceRow.brauer holds it for a point's row."""
     return sum(invariant(spec, i, factors[i][1], v) << k for k, i in enumerate(spec.indices))
 
-
-def obstruction_sum(spec: SurfaceSpec, point: PartialAdelicPoint, i: int) -> int:
-    """Sum of invariants of the i-th generator over the point's places: bit k
-    of the XOR of the rows' invariant vectors (PlaceRow.brauer), i = spec.indices[k].
-
-    Places outside the point's support must be good (outside S0 and S_bad);
-    there the invariant vanishes on any v-integral point, so the finite sum
-    is the full adelic sum.
-    """
-    return sum(point.rows[v].brauer >> spec.indices.index(i) for v in point.places) & 1

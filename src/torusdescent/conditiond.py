@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from . import gf2
-from .arith import Place, Rational, class_from_mask, class_mask, local_mask
+from .arith import Place, class_from_mask, class_mask, local_mask
 from .surface import SurfaceSpec
 
 
@@ -92,11 +92,12 @@ class Lattice:
         """The decoded masks in GElement.sort_key order."""
         return tuple(sorted(map(self.decode, masks), key=GElement.sort_key))
 
-    def local_masks(self, factor_values: Sequence[Rational], v: Place) -> List[int]:
-        """The evaluation map at v: the local_mask of each generator, -1,
-        the primes, then the value each factor symbol stands for.  The
-        local class of a mask is the XOR of the entries at its bits."""
-        return [local_mask(g, v) for g in (-1, *self.primes, *factor_values)]
+    def local_masks(self, factor_masks: Sequence[int], v: Place) -> List[int]:
+        """The evaluation map at v: the local_mask of each generator, -1 and
+        the primes, then factor_masks, the local masks at v of the values the
+        factor symbols stand for, in factor_indices order.  The local class
+        of a mask is the XOR of the entries at its bits."""
+        return [local_mask(g, v) for g in (-1, *self.primes)] + list(factor_masks)
 
 
 def constant_mask(spec: SurfaceSpec, i: int, subset: AbstractSet[int], dual: bool = False) -> int:

@@ -43,7 +43,6 @@ from .arith import (
     strip_primes,
     valuation,
 )
-from .brauer import invariant_vector, obstruction_sum
 from .conditiond import (
     ConditionDReport,
     GElement,
@@ -102,10 +101,6 @@ class DescentBounds:
         return {f.name: int(getattr(self, f.name)) for f in fields(self)}
 
 
-def _q(x: Rational) -> str:
-    return str(Fraction(x))
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis verification
 # ---------------------------------------------------------------------------
@@ -152,7 +147,8 @@ def suitability(
     "split_place" (-d*p_J(t_v) is a nonzero square at no place of S0; the
     first place of S0 where it is one is the split place) and
     "brauer_sum_i" (the invariants of generator i sum to 1).  Each verdict
-    is read off the point's rows (`obstruction_sum` XORs their invariants).
+    is read off the point's rows: bit k of the XOR of their invariant
+    vectors (PlaceRow.brauer) is the sum for spec.indices[k].
     """
     violations = [("input", problem) for problem in point.validate()]
     missing = sorted(_working_places(spec, s_d) - set(point.entries))
@@ -178,8 +174,11 @@ def suitability(
         violations.append(
             ("split_place", "-d*p_J(t_v) is a nonzero square at no supplied place of S0")
         )
-    for i in spec.indices:
-        if obstruction_sum(spec, point, i):
+    brauer_sums = 0
+    for v in point.places:
+        brauer_sums ^= point.rows[v].brauer
+    for k, i in enumerate(spec.indices):
+        if brauer_sums >> k & 1:
             violations.append((f"brauer_sum_{i}", f"sum of invariants of generator {i} is 1"))
     return violations, split_place
 
@@ -437,18 +436,18 @@ def _try_admissible(
       integral solutions to integral ones), so p_t's entry at v gives one
       above t0.  At u_i the reciprocity certificate below makes a*D_i^A a
       square, and with it the unit coefficient of the fiber.
-    - The reciprocity symbol at u_i is the sum over T of
-      (a*D_i^A, p_i(t0))_v, by the row check p_t's Brauer sum i: 0.  It is
-      read off t0's own rows, not p_t's, so it stays an independent check.
+    - Reciprocity at u_i: a*D_i^A and p_i(t0) are units at every place
+      outside T and u_i, all of them odd, so (a*D_i^A, p_i(t0))_{u_i} is
+      the sum over T of their symbols.  By the row check each of those is
+      the invariant in p_t's row, so the sum is p_t's Brauer sum i: 0.
     """
     u_places = [u for _, u in witnesses]
     if len(set(u_places)) != len(u_places) or set(u_places) & set(p_t.places):
         raise DescentAnomaly("witness places " + ", ".join(map(str, u_places))
                              + " are not distinct places outside T")
     values = {i: spec.factor_value(i, t0) for i in spec.indices}
-    rows = {v: factor_row(v, values) for v in p_t.places}
-    for v, row in rows.items():
-        if row != p_t.rows[v].factors:
+    for v in p_t.places:
+        if factor_row(v, values) != p_t.rows[v].factors:
             raise DescentAnomaly(f"approximation lost the row of p_t at {v}")
     aA, bB = spec.fiber_coeffs_of(values)
     if aA <= 0 and bB <= 0:
@@ -461,13 +460,8 @@ def _try_admissible(
                 raise DescentAnomaly(f"fiber above t0 = {t0} insoluble over Q_{v}")
         elif unit_square_scan(aA, bB, v) is None:
             raise DescentAnomaly(f"fiber above t0 = {t0} has no integral point at {v}")
-    # reciprocity certificate at each witness place
-    vectors = [invariant_vector(spec, v, row) for v, row in rows.items()]
     for i, u in witnesses:
-        direct = hilbert_symbol(spec.brauer_constants[i], values[i], u)
-        if direct != sum(x >> spec.indices.index(i) for x in vectors) & 1:
-            raise DescentAnomaly(f"reciprocity certificate mismatch at u_{i} = {u}")
-        if direct != 0:
+        if hilbert_symbol(spec.brauer_constants[i], values[i], u) != 0:
             raise DescentAnomaly(f"reciprocity symbol 1 at u_{i} = {u}")
         if unit_square_scan(aA, bB, u) is None:
             raise DescentAnomaly(f"fiber above t0 = {t0} has no integral point at {u}")
@@ -544,7 +538,7 @@ def _make_state(
     trace.append(
         {
             "step": "admissible_point",
-            "t0": _q(adm.t0),
+            "t0": str(adm.t0),
             "witnesses": {str(i): str(u) for i, u in adm.witnesses},
             "candidates_checked": search.candidates_checked,
             "dim_selmer": sel.dim,
@@ -734,11 +728,11 @@ def _chebotarev_step(
     dual0_old = old_dual.intersect_hyperplane(bit_old)
     dual0_new = new_state.dual.intersect_hyperplane(bit_new)
 
-    # p_i(t0) and p_i(t1), kept by the two admissible points: the
-    # localization at w of both lattices and the comparison checks use them
-    old_values, new_values = old_adm.values, new_state.adm.values
-    old_columns = old_lattice.local_masks(list(new_values.values()), place)
-    new_columns = new_lattice.local_masks(list(new_values.values()), place)
+    # the localization at w of both lattices: the local masks of the p_i(t1)
+    # at w are those of the new point's row there, which t1 keeps
+    factor_masks = [mask for _, mask in new_state.p_t.rows[place].factors.values()]
+    old_columns = old_lattice.local_masks(factor_masks, place)
+    new_columns = new_lattice.local_masks(factor_masks, place)
 
     def loc_image(space: gf2.Subspace, columns: List[int]) -> gf2.Subspace:
         return gf2.Subspace(local_dim(place), [gf2.combine(columns, m) for m in space.basis])
@@ -755,7 +749,8 @@ def _chebotarev_step(
             if gf2.dot(m1, hilbert_row(m2, place)):
                 raise DescentAnomaly("orthogonality of localization images failed")
 
-    # comparison checks between the two admissible points
+    # comparison checks between the two admissible points, on p_i(t0) and p_i(t1)
+    old_values, new_values = old_adm.values, new_state.adm.values
     for i, u0 in old_adm.witnesses:
         if i == i_x:
             continue
@@ -915,12 +910,12 @@ def descend(
                     if not verify_integral_point(spec, x, y, state.adm.t0):
                         raise DescentAnomaly("found point failed re-verification")
                     trace.append(
-                        {"step": "point", "x": _q(x), "y": _q(y), "t": _q(state.adm.t0)}
+                        {"step": "point", "x": str(x), "y": str(y), "t": str(state.adm.t0)}
                     )
                     return _certificate(
                         spec, bounds, "point_found",
                         {
-                            "x": _q(x), "y": _q(y), "t": _q(state.adm.t0),
+                            "x": str(x), "y": str(y), "t": str(state.adm.t0),
                             "reverified": True,
                         },
                         trace,
@@ -929,10 +924,10 @@ def descend(
                 return _certificate(
                     spec, bounds, "dual_selmer_minimized",
                     {
-                        "t": _q(state.adm.t0),
-                        "aA": _q(fib.aA),
-                        "bB": _q(fib.bB),
-                        "torus_d": _q(fib.torus_d),
+                        "t": str(state.adm.t0),
+                        "aA": str(fib.aA),
+                        "bB": str(fib.bB),
+                        "torus_d": str(fib.torus_d),
                         # the one basis vector of a terminal R-hat is [-d][p_J]
                         "dual_generator": str(state.lattice.decode(state.dual.basis[0])),
                         "height_bound": bounds.height,

@@ -9,10 +9,12 @@ generated by -1, the finite primes of S (and the formal factor symbols in
 the relative case).  Both groups are cut out by local subspaces L_v of
 Q_v*/(Q_v*)^2, in the local_mask coordinates of `arith`: L_v =
 <[d]_v>^perp for the Selmer group and L_v = <[d]_v> for the dual Selmer
-group.  Each generator's local mask is computed once per place
-(Lattice.local_masks, the lattice's evaluation map at v), and
-each linear form on those masks whose kernel is L_v (H_v [d]_v, or a basis
-of the annihilator of [d]_v) becomes one row of the F2 system.  A pair of
+group.  Each generator's local mask is taken once per place
+(Lattice.local_masks, the lattice's evaluation map at v): those of -1 and
+the primes are computed, and at the places of T those of the factor symbols
+and [d]_v are read off the partial adelic point's rows.  Each linear form
+on those masks whose kernel is L_v (H_v [d]_v, or a basis of the
+annihilator of [d]_v) becomes one row of the F2 system.  A pair of
 groups is returned as (lattice, sel, dual): two gf2.Subspace objects in the
 coordinates of the one lattice, which decodes and encodes their elements.
 """
@@ -20,13 +22,12 @@ coordinates of the one lattice, which decodes and encodes their elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .arith import (
     REAL,
     Place,
-    Rational,
     class_from_mask,
     class_mask,
     hilbert_row,
@@ -78,33 +79,29 @@ def torus_data(d: int, places: Iterable[Place]) -> TorusData:
 
 
 def _cut_out(
-    lattice: Lattice,
-    factor_values: Sequence[Rational],
-    d: Rational,
-    places: Iterable[Place],
-    unit_places: Iterable[Place] = (),
+    lattice: Lattice, conditions: Iterable[Tuple[Place, Sequence[int], Optional[int]]]
 ) -> Tuple[gf2.Subspace, gf2.Subspace]:
     """The Selmer and dual Selmer groups of d, as subspaces of F2^ncols
     in the lattice's coordinates.
 
-    factor_values[k] is the rational that the k-th factor symbol stands for.
-    At each place of `places` a class must lie in <[d]_v>^perp (Selmer) or
-    in <[d]_v> (dual); at each place of `unit_places` it must be a local unit
-    class (both).
+    Each condition (v, factor masks, [d]_v) gives the local masks at v of
+    the values the factor symbols stand for (Lattice.local_masks) and the
+    local mask of d there.  At v a class must lie in <[d]_v>^perp (Selmer)
+    or in <[d]_v> (dual); where [d]_v is None it must be a local unit class
+    (both).
     """
     sel_rows: List[int] = []
     dual_rows: List[int] = []
-    for v in places:
-        masks = lattice.local_masks(factor_values, v)
-        d_v = local_mask(d, v)
-        sel_rows += _form_rows(masks, [hilbert_row(d_v, v)])
-        dual_rows += _form_rows(masks, gf2.kernel_basis([d_v], local_dim(v)))
-    for v in unit_places:
-        masks = lattice.local_masks(factor_values, v)
-        # the top coordinate is the valuation parity
-        unit_rows = _form_rows(masks, [1 << local_dim(v) - 1])
-        sel_rows += unit_rows
-        dual_rows += unit_rows
+    for v, factor_masks, d_v in conditions:
+        masks = lattice.local_masks(factor_masks, v)
+        if d_v is None:
+            # the top coordinate is the valuation parity
+            unit_rows = _form_rows(masks, [1 << local_dim(v) - 1])
+            sel_rows += unit_rows
+            dual_rows += unit_rows
+        else:
+            sel_rows += _form_rows(masks, [hilbert_row(d_v, v)])
+            dual_rows += _form_rows(masks, gf2.kernel_basis([d_v], local_dim(v)))
     return tuple(gf2.Subspace(lattice.ncols, gf2.kernel_basis(rows, lattice.ncols))
                  for rows in (sel_rows, dual_rows))
 
@@ -120,7 +117,8 @@ def selmer_groups(torus: TorusData) -> Tuple[Lattice, gf2.Subspace, gf2.Subspace
     dual Selmer group (classes of I_S locally in <[d]_v> at every place of
     S) of the torus, the two groups as subspaces of the lattice."""
     lattice = Lattice.of_places(torus.places)
-    return (lattice, *_cut_out(lattice, (), torus.d, torus.places))
+    conditions = [(v, (), local_mask(torus.d, v)) for v in torus.places]
+    return (lattice, *_cut_out(lattice, conditions))
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +131,22 @@ def relative_selmer(
 ) -> Tuple[Lattice, gf2.Subspace, gf2.Subspace]:
     """The lattice over T = p_t.places and spec.indices, and in it R and
     R-hat at the admissible point adm of p_t: the pullbacks under evaluation
-    at t0 of the fiber torus's Selmer and dual Selmer groups.  The local
-    conditions of -d*p_J(t0) hold at T0 (the places of S0 and those with
-    val_v(d*p_J(t_v)) = 1, read off p_t's rows) and at the witness places
-    u_i; the rest of T asks for unit classes."""
-    t0_places = [v for v in p_t.places if v in spec.s0 or p_t.rows[v].torus[0] == 1]
-    ramified = sorted({*t0_places, *(u for _, u in adm.witnesses)})
-    units = [v for v in p_t.places if v not in t0_places]
+    at t0 of the fiber torus's Selmer and dual Selmer groups.
+
+    At each place v of T the local classes of the p_i(t0) and of
+    -d*p_J(t0) are those of p_t.rows[v], which the admissible scan fixes
+    (descent._try_admissible checks the row), so they are read from there;
+    t0 is evaluated only at the witness places u_i.  The local conditions of
+    -d*p_J(t0) hold at T0 (the places of S0 and those with
+    val_v(d*p_J(t_v)) = 1) and at the u_i; the rest of T asks for unit
+    classes."""
     lattice = Lattice.of_places(p_t.places, spec.indices)
-    values = [adm.values[i] for i in lattice.factor_indices]
-    return (lattice, *_cut_out(lattice, values, adm.fiber.torus_d, ramified, units))
+    conditions = []
+    for v in p_t.places:
+        row = p_t.rows[v]
+        d_v = row.torus[1] if v in spec.s0 or row.torus[0] == 1 else None
+        conditions.append((v, [mask for _, mask in row.factors.values()], d_v))
+    for _, u in adm.witnesses:
+        factor_masks = [local_mask(adm.values[i], u) for i in lattice.factor_indices]
+        conditions.append((u, factor_masks, local_mask(adm.fiber.torus_d, u)))
+    return (lattice, *_cut_out(lattice, conditions))

@@ -92,10 +92,6 @@ class SurfaceSpec:
         return tuple(i for i, _ in self.factors)
 
     @property
-    def part_b(self) -> frozenset:
-        return frozenset(self.indices) - self.part_a
-
-    @property
     def s0_finite_primes(self) -> Tuple[int, ...]:
         return tuple(v.p for v in self.s0 if v.is_finite)
 

@@ -24,7 +24,10 @@ from torusdescent.arith import (
     class_from_mask,
     class_mask,
     factorize,
+    hilbert_row,
     legendre,
+    local_dim,
+    local_mask,
     mod_prime_power,
     strip_primes,
     valuation,
@@ -83,8 +86,9 @@ def product_value_reference(spec, subset, t) -> Fraction:
 
 def fiber_coeffs_reference(spec, t) -> Tuple[Fraction, Fraction]:
     """(a*p_A(t), b*p_B(t)) in Fraction arithmetic."""
+    part_b = [i for i in spec.indices if i not in spec.part_a]
     return (spec.a * product_value_reference(spec, sorted(spec.part_a), t),
-            spec.b * product_value_reference(spec, sorted(spec.part_b), t))
+            spec.b * product_value_reference(spec, part_b, t))
 
 
 def residual_reference(spec, x, y, t) -> Fraction:
@@ -381,6 +385,37 @@ def fiber_torus_reference(state) -> TorusData:
         if valuation(value, p) % 2:
             d_t *= p
     return torus_data(d_t, t0_places | u_places | {REAL, Place.finite(2)})
+
+
+def relative_selmer_reference(spec, p_t, adm):
+    """(lattice, R, R-hat) of selmer.relative_selmer, cut out from the
+    values p_i(t0) and -d*p_J(t0): their local masks are computed at every
+    place of T and at the witness places u_i.  At T0 (S0 and the places v
+    with val_v(d*p_J(t_v)) = 1, from the Fraction formulas) and at the u_i a
+    class must lie in <[-d*p_J(t0)]_v>^perp (R) or in <[-d*p_J(t0)]_v>
+    (R-hat); at the rest of T it must be a local unit class (both)."""
+    lattice = Lattice.of_places(p_t.places, spec.indices)
+    values = [adm.values[i] for i in lattice.factor_indices]
+    t0_places = [v for v in p_t.places if v in spec.s0 or valuation(
+        spec.d * product_value_reference(spec, spec.indices, p_t.entries[v].t), v.p) == 1]
+    ramified = sorted({*t0_places, *(u for _, u in adm.witnesses)})
+    units = [v for v in p_t.places if v not in t0_places]
+
+    def form_rows(v, forms):
+        masks = [local_mask(g, v) for g in (-1, *lattice.primes, *values)]
+        return [sum(gf2.dot(m, f) << k for k, m in enumerate(masks)) for f in forms]
+
+    sel_rows, dual_rows = [], []
+    for v in ramified:
+        d_v = local_mask(adm.fiber.torus_d, v)
+        sel_rows += form_rows(v, [hilbert_row(d_v, v)])
+        dual_rows += form_rows(v, gf2.kernel_basis([d_v], local_dim(v)))
+    for v in units:
+        unit_rows = form_rows(v, [1 << local_dim(v) - 1])  # the valuation parity
+        sel_rows += unit_rows
+        dual_rows += unit_rows
+    return (lattice, *(gf2.Subspace(lattice.ncols, gf2.kernel_basis(rows, lattice.ncols))
+                       for rows in (sel_rows, dual_rows)))
 
 
 def d_constant(spec, i: int, subset) -> Fraction:
@@ -807,6 +842,16 @@ def obstruction_sum_reference(spec, point, i: int) -> int:
         hilbert_symbol_closed_form(left, factor_value_reference(spec, i, point.entries[v].t), v)
         for v in point.places
     ) % 2
+
+
+def row_brauer_sums(point) -> List[int]:
+    """Bit k of the XOR of the point's invariant vectors (PlaceRow.brauer),
+    for each k: the Brauer sum of the generator of spec.indices[k] that
+    suitability reads off the rows."""
+    total = 0
+    for v in point.places:
+        total ^= point.rows[v].brauer
+    return [total >> k & 1 for k in range(len(point.spec.indices))]
 
 
 def good_place_solubility_reference(spec, v: Place, values) -> str:

@@ -233,7 +233,7 @@ def test_constant_masks_match_rational_constants(raw):
                 for dual, constant in ((False, d_constant), (True, d_constant_dual)):
                     expected = class_mask(constant(spec, i, subset), primes)
                     assert constant_mask(spec, i, subset, dual) == expected
-        left, part = (spec.a, spec.part_a) if i not in spec.part_a else (spec.b, spec.part_b)
+        left, part = (spec.a, spec.part_a) if i not in spec.part_a else (spec.b, spec.partition[1])
         mask = class_mask(left, primes)
         for j in part:
             mask ^= spec.root_masks[i, j]
@@ -268,7 +268,7 @@ def test_wide_j_known_failure(n):
 def test_product_of_generators_identity(s0, a, b, factors, part_a):
     spec = make_spec(s0, a, b, factors, part_a)
     g_a = g_element(spec.a, spec.part_a)
-    g_b = g_element(spec.b, spec.part_b)
+    g_b = g_element(spec.b, spec.partition[1])
     g_d = g_element(spec.d, spec.indices)
     assert g_mul(g_a, g_b) == g_d
     assert set(span_of([g_a, g_d])) == set(span_of([g_a, g_b]))

@@ -11,7 +11,6 @@ from sympy import primerange
 
 from torusdescent import arith, brauer, descent, gf2, points, selmer
 from torusdescent.arith import REAL, Place, hilbert_symbol, local_mask, valuation
-from torusdescent.brauer import obstruction_sum
 from torusdescent.descent import (
     Certificate,
     DescentAnomaly,
@@ -68,6 +67,8 @@ from oracles import (
     obstruction_sum_reference,
     pick_elements_reference,
     product_value_reference,
+    relative_selmer_reference,
+    row_brauer_sums,
     same_valuation_and_class_bruteforce,
     selmer_elements,
     split_places,
@@ -172,8 +173,7 @@ def test_point_table_matches_the_fraction_path(index, data):
             assert mask == local_mask(value, v)
     violations, split_place = suitability(spec, p_t)
     assert ([name for name, _ in violations], split_place) == suitability_reference(spec, p_t)
-    for i in spec.indices:
-        assert obstruction_sum(spec, p_t, i) == obstruction_sum_reference(spec, p_t, i)
+    assert row_brauer_sums(p_t) == [obstruction_sum_reference(spec, p_t, i) for i in spec.indices]
 
 
 def _assert_rows_are_fresh(spec, p_t):
@@ -200,9 +200,8 @@ def _assert_rows_are_fresh(spec, p_t):
     if p_t.validate() or any(name == "input" for name, _ in violations):
         return
     assert ([name for name, _ in violations], split_place) == suitability_reference(spec, p_t)
-    for i in spec.indices:
-        assert obstruction_sum(spec, p_t, i) == obstruction_sum(spec, fresh, i) == \
-            obstruction_sum_reference(spec, p_t, i)
+    assert row_brauer_sums(p_t) == row_brauer_sums(fresh) == [
+        obstruction_sum_reference(spec, p_t, i) for i in spec.indices]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -855,9 +854,14 @@ def _record_states(monkeypatch):
     return states
 
 
-@pytest.mark.parametrize(
-    "case", [f"family-{k:02d}/solve={solve}" for k in range(len(ALL_FAMILY)) for solve in (1, 0)]
+# every descend input of the curated family and the large-prime members,
+# with fiber solving on and off
+DESCEND_CASES = (
+    [f"family-{k:02d}/solve={solve}" for k in range(len(ALL_FAMILY)) for solve in (1, 0)]
     + [f"large-{p}/solve={solve}" for p in LARGE_PRIME_FAMILY for solve in (1, 0)])
+
+
+@pytest.mark.parametrize("case", DESCEND_CASES)
 def test_each_state_is_the_preimage_of_the_fiber_torus_selmer_pair(case, monkeypatch):
     """R and R-hat of every state that descend builds have the dimensions of
     the Selmer pair of the fiber torus above t0, over T0, the u_i, the real
@@ -873,6 +877,40 @@ def test_each_state_is_the_preimage_of_the_fiber_torus_selmer_pair(case, monkeyp
         assert len(split_places(torus, spec.s0)) == n_split
         # the torus's selmer_groups, with the identity checked on them
         assert dimension_identity(torus, spec.s0) == (state.sel.dim, state.dual.dim, n_split)
+
+
+@pytest.mark.parametrize("case", DESCEND_CASES)
+def test_each_state_matches_the_value_based_selmer_build(case, monkeypatch):
+    """The pair relative_selmer reads off p_t's rows at T is the one cut
+    out from the values p_i(t0) evaluated at every place, on every state
+    that descend builds."""
+    states = _record_states(monkeypatch)
+    spec, point, bounds = case_input(case)
+    descend(spec, point, bounds)
+    assert states
+    for state, _, _ in states:
+        lattice, sel, dual = relative_selmer_reference(spec, state.p_t, state.adm)
+        assert state.lattice.primes == lattice.primes
+        assert (state.sel, state.dual) == (sel, dual)
+
+
+def test_relative_selmer_evaluates_t0_only_at_the_witness_places(monkeypatch):
+    """At a place of T every local mask relative_selmer computes is that of
+    -1 or of a lattice prime: the classes of the p_i(t0) and of -d*p_J(t0)
+    there are read off p_t's rows.  Each witness place u_i gets the masks of
+    the p_i(t0) and of -d*p_J(t0)."""
+    masks = _count_calls(monkeypatch, "local_mask", arith)
+    built = _calls_during(monkeypatch, descent, "relative_selmer", masks)
+    for k in range(len(ALL_FAMILY)):
+        spec, point, _ = family_point(k)
+        descend(spec, point, DescentBounds(solve_each_fiber=False))
+    assert len(built) > len(ALL_FAMILY)
+    for (spec, p_t, adm), calls in built:
+        generators = {-1, *(v.p for v in p_t.places if v.is_finite)}
+        assert all(x in generators for x, v in calls if v in p_t.places)
+        for _, u in adm.witnesses:
+            evaluated = [x for x, v in calls if v == u and x not in generators]
+            assert evaluated == [adm.values[j] for j in spec.indices] + [adm.fiber.torus_d]
 
 
 def test_make_state_builds_one_selmer_pair(monkeypatch):
@@ -934,16 +972,19 @@ def test_suitability_of_a_built_point_computes_no_local_mask(monkeypatch):
 
 
 def test_an_inserted_place_costs_one_row_of_invariants(monkeypatch):
-    """with_entry computes the invariants of the new place alone, and no
-    suitability check the descent makes computes any."""
+    """with_entry computes the invariants of the new place alone, and
+    neither a suitability check the descent makes nor an admissible point's
+    checks compute any: the reciprocity check at u_i is one Hilbert symbol."""
     invariants = _count_calls(monkeypatch, "invariant", brauer)
     inserted = _calls_during(monkeypatch, PartialAdelicPoint, "with_entry", invariants)
     checks = _calls_during(monkeypatch, descent, "_require_suitable", invariants)
-    for k in REDUCTION_MEMBERS:
+    tried = _calls_during(monkeypatch, descent, "_try_admissible", invariants)
+    for k in range(len(ALL_FAMILY)):
         spec, point, _ = family_point(k)
         descend(spec, point, DescentBounds(solve_each_fiber=False))
     assert inserted and len(checks) >= len(inserted)
-    assert all(calls == [] for _, calls in checks)
+    assert len(tried) > len(ALL_FAMILY)
+    assert all(calls == [] for _, calls in checks + tried)
     for (p_t, w, _), calls in inserted:
         assert [(i, v) for _, i, _, v in calls] == [(i, w) for i in p_t.spec.indices]
 

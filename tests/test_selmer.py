@@ -225,7 +225,7 @@ def test_evaluation_map_is_the_local_mask_of_the_evaluated_element(index):
     rng = random.Random(index)
     masks = [0, (1 << lattice.ncols) - 1] + [rng.getrandbits(lattice.ncols) for _ in range(30)]
     for v in places:
-        columns = lattice.local_masks(values, v)
+        columns = lattice.local_masks([local_mask(x, v) for x in values], v)
         for mask in masks:
             x = lattice.decode(mask)
             value = Fraction(x.c) * spec.product_value(sorted(x.poly), adm.t0)

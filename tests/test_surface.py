@@ -59,7 +59,7 @@ def running_spec():
 
 def test_validate_running_example(running_spec):
     assert running_spec.d == 6
-    assert running_spec.part_b == frozenset({2})
+    assert running_spec.partition == ((1,), (2,))
     assert running_spec.indices == (1, 2)
 
 
@@ -577,7 +577,7 @@ def test_spec_file_comments_and_empty_part():
     text = "# comment\ns0 real 2\na 1\nb -1\nfactor 1 1 0  # p1 = t\npartA\n"
     spec = parse_spec_text(text)
     assert spec.part_a == frozenset()
-    assert spec.part_b == frozenset({1})
+    assert spec.partition == ((), (1,))
 
 
 def test_point_file_round_trip(running_spec):
