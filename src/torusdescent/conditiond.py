@@ -3,18 +3,19 @@ subgroup intersections that control which Selmer elements descent can kill.
 
 Elements of G are pairs (square class, subset of J), the square class
 being its signed square-free integer.  `Lattice` is the one encoding of G
-as F2 masks (the sign bit, bits over ascending primes, then one bit per
-factor symbol): Condition (D) works over the spec lattice, and `selmer`
-and the descent over the lattices of tori and fibers.  Each
+as F2 masks (one bit per factor symbol, then the sign bit and one bit per
+prime): Condition (D) works over the spec lattice, and `selmer` and the
+descent over the lattices of tori and fibers.  A descent only appends
+primes to the spec lattice, so every mask of the spec lattice, and every
+mask of an earlier state, is a mask of each later state's lattice.  Each
 constant has one function: constant_mask is [D_i^{J'}] (the XOR of
 SurfaceSpec.root_masks over its factors p_j(-d_i/c_i), plus [d] or [-d]
 when i lies in J'), target_mask is t_i = [a*D_i^A] and target_generators
-spans the target subgroups in any lattice whose primes hold those of a
-and d.  [D_i^{J'}] is linear in J', so each membership condition is
-linear over F2 and the intersection groups are kernels of one stacked F2
-map, polynomial in |J|.  Everything here takes and returns masks;
-GElement is the report type, made by Lattice.decode for reports, trace
-strings and containment across two lattices.
+spans the target subgroups.  [D_i^{J'}] is linear in J', so each
+membership condition is linear over F2 and the intersection groups are
+kernels of one stacked F2 map, polynomial in |J|.  Everything here takes
+and returns masks; GElement is the report type, made by Lattice.decode
+for reports and trace strings.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from . import gf2
-from .arith import Place, class_from_mask, class_mask, local_mask
+from .arith import Place, class_from_mask, local_mask
 from .surface import SurfaceSpec
 
 
@@ -46,27 +47,36 @@ class GElement:
 
 
 class Lattice:
-    """Elements [c][p_{J'}] of G as F2 masks: bit 0 is -1, bit k the k-th of
-    the ascending primes, then one formal symbol per factor index in the
-    given order (none for the lattice of a torus).  The spec lattice
-    (Lattice.of_spec) is G over a spec: every constant of Condition (D)
-    is a mask of it."""
+    """Elements [c][p_{J'}] of G as F2 masks: the low bits are one formal
+    symbol per factor index in the given order (none for the lattice of a
+    torus), then -1 at bit `shift`, then one bit per prime in the given
+    order.  Above `shift` a mask is the class_mask of c over the primes.
+    The spec lattice (Lattice.of_spec) is G over a spec: every constant of
+    Condition (D) is a mask of it.  A lattice whose primes extend another's
+    holds each of its masks unchanged, so every descent state's lattice
+    holds the spec lattice's masks and those of every earlier state."""
 
     def __init__(self, primes: Sequence[int], factor_indices: Sequence[int] = ()):
         self.primes = tuple(primes)
         self.factor_indices = tuple(factor_indices)
+        self.shift = len(self.factor_indices)
         self.width = 1 + len(self.primes)
-        self.ncols = self.width + len(self.factor_indices)
-        self._bits = {i: self.width + m for m, i in enumerate(self.factor_indices)}
+        self.ncols = self.shift + self.width
+        self._bits = {i: m for m, i in enumerate(self.factor_indices)}
 
     @classmethod
-    def of_places(cls, places: Iterable[Place], factor_indices: Sequence[int] = ()) -> "Lattice":
-        return cls([v.p for v in sorted(set(places)) if v.is_finite], factor_indices)
+    def of_places(cls, places: Iterable[Place]) -> "Lattice":
+        """The lattice of a torus over places: -1 and the ascending finite primes."""
+        return cls([v.p for v in sorted(set(places)) if v.is_finite])
 
     @classmethod
     def of_spec(cls, spec: SurfaceSpec) -> "Lattice":
-        """G over spec: -1, spec.basis_primes and the factor indices."""
+        """G over spec: the factor indices, -1 and spec.basis_primes."""
         return cls(spec.basis_primes, spec.indices)
+
+    def with_prime(self, p: int) -> "Lattice":
+        """This lattice with p appended to its primes."""
+        return Lattice((*self.primes, p), self.factor_indices)
 
     def poly_mask(self, subset: Iterable[int]) -> int:
         """The bits of p_{J'}; ValueError on an index outside the lattice."""
@@ -81,23 +91,19 @@ class Lattice:
         """The J' of the mask [c][p_{J'}]."""
         return frozenset(i for i, bit in self._bits.items() if mask >> bit & 1)
 
-    def encode(self, x: GElement) -> int:
-        """ValueError if x has a prime or a factor outside the lattice."""
-        return class_mask(x.c, self.primes) | self.poly_mask(x.poly)
-
     def decode(self, mask: int) -> GElement:
-        return GElement(class_from_mask(mask, self.primes), self.poly(mask))
+        return GElement(class_from_mask(mask >> self.shift, self.primes), self.poly(mask))
 
     def report(self, masks: Iterable[int]) -> Tuple[GElement, ...]:
         """The decoded masks in GElement.sort_key order."""
         return tuple(sorted(map(self.decode, masks), key=GElement.sort_key))
 
     def local_masks(self, factor_masks: Sequence[int], v: Place) -> List[int]:
-        """The evaluation map at v: the local_mask of each generator, -1 and
-        the primes, then factor_masks, the local masks at v of the values the
-        factor symbols stand for, in factor_indices order.  The local class
-        of a mask is the XOR of the entries at its bits."""
-        return [local_mask(g, v) for g in (-1, *self.primes)] + list(factor_masks)
+        """The evaluation map at v, one local mask per bit: factor_masks, the
+        local masks at v of the values the factor symbols stand for, in
+        factor_indices order, then the local_mask of -1 and of each prime.
+        The local class of a mask is the XOR of the entries at its bits."""
+        return [*factor_masks, *(local_mask(g, v) for g in (-1, *self.primes))]
 
 
 def constant_mask(spec: SurfaceSpec, i: int, subset: AbstractSet[int], dual: bool = False) -> int:
@@ -128,26 +134,25 @@ def _member(spec: SurfaceSpec, cls: int, poly: AbstractSet[int], i: int, dual: b
     return cls ^ constant_mask(spec, i, poly, dual) in (0, target)
 
 
-def in_g_i(spec: SurfaceSpec, lattice: Lattice, x: int, i: int, dual: bool = False) -> bool:
-    """Membership of x = [c][p_{J'}], a mask of lattice, in G_i (G^i when
-    dual): [c*D_i^{J'}] lies in <[a*D_i^A]>.  A class with a prime outside
-    spec.basis_primes lies in no G_i."""
-    try:
-        cls = class_mask(class_from_mask(x, lattice.primes), spec.basis_primes)
-    except ValueError:
+def in_g_i(spec: SurfaceSpec, x: int, i: int, dual: bool = False) -> bool:
+    """Membership of x = [c][p_{J'}], a mask of any lattice over spec, in
+    G_i (G^i when dual): [c*D_i^{J'}] lies in <[a*D_i^A]>.  A class with a
+    prime outside spec.basis_primes lies in no G_i."""
+    lattice = Lattice.of_spec(spec)
+    cls = x >> lattice.shift
+    if cls >> lattice.width:
         return False
     return _member(spec, cls, lattice.poly(x), i, dual, target_mask(spec, i))
 
 
-def target_generators(spec: SurfaceSpec, lattice: Lattice, dual: bool = False) -> List[int]:
-    """The generators of the target subgroup as masks of lattice: [a][p_A]
-    and [d][p_J] for G_D, [-d][p_J] for G^D when dual.  The lattice's
-    primes must hold those of a and d: the spec lattice's do, and so do
-    those of every relative lattice, whose T contains S0 + S_bad."""
-    d_gen = class_mask(spec.d, lattice.primes) | lattice.poly_mask(spec.indices)
+def target_generators(spec: SurfaceSpec, dual: bool = False) -> List[int]:
+    """The generators of the target subgroup as masks of every lattice over
+    spec: [a][p_A] and [d][p_J] for G_D, [-d][p_J] for G^D when dual."""
+    lattice = Lattice.of_spec(spec)
+    d_gen = spec.d_mask << lattice.shift | lattice.poly_mask(spec.indices)
     if dual:
-        return [d_gen ^ 1]
-    return [class_mask(spec.a, lattice.primes) | lattice.poly_mask(spec.part_a), d_gen]
+        return [d_gen ^ 1 << lattice.shift]
+    return [spec.a_mask << lattice.shift | lattice.poly_mask(spec.part_a), d_gen]
 
 
 def _stacked_map(spec: SurfaceSpec, lattice: Lattice,
@@ -200,14 +205,13 @@ def _intersection(spec: SurfaceSpec, lattice: Lattice, targets: Dict[int, int], 
     are re-checked one by one, each constant read off root_masks by its
     definition, not off the columns.
     """
-    indices, width = lattice.factor_indices, lattice.width
-    poly_bits = (1 << len(indices)) - 1
-    group = gf2.Subspace(lattice.ncols, [gf2.combine(first, x) | (x & poly_bits) << width
+    indices, shift = lattice.factor_indices, lattice.shift
+    poly_bits = (1 << shift) - 1
+    group = gf2.Subspace(lattice.ncols, [gf2.combine(first, x) << shift | x & poly_bits
                                          for x in gf2.column_kernel(columns)])
-    low = (1 << width) - 1
     for vec in group.basis:
         poly = lattice.poly(vec)
-        if not all(_member(spec, vec & low, poly, i, dual, targets[i]) for i in indices):
+        if not all(_member(spec, vec >> shift, poly, i, dual, targets[i]) for i in indices):
             raise AssertionError(
                 f"kernel generator {lattice.decode(vec)} is outside the intersection (bug)")
     return set(group.elements())
@@ -251,7 +255,7 @@ def check_condition_d(spec: SurfaceSpec) -> ConditionDReport:
                 columns[s + 1] ^= 1 << lattice.width * s
         group = _intersection(spec, lattice, targets, dual, first, columns)
         span = {0}
-        for gen in target_generators(spec, lattice, dual):
+        for gen in target_generators(spec, dual):
             span |= {gen ^ x for x in span}
         if not span <= group:
             missing = lattice.report(span - group)

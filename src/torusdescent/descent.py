@@ -10,9 +10,10 @@ conditions normally supplied by Chebotarev are found by scanning primes.
 The reduction step works on masks of the state's relative lattice
 (DescentState.lattice): the elements it picks, normalizes, tests for
 membership in G_i / G^i and localizes at the new place are ints from the
-moment they are picked.  They are decoded to GElement only for trace
-strings and for the containment checks that cross from the old lattice to
-the new one.
+moment they are picked, and are decoded only for trace strings.  The first
+state's lattice is the spec lattice, and each inserted place appends its
+prime, so a mask of one state is the same element in every later state,
+and the checks that compare two states test it directly.
 """
 
 from __future__ import annotations
@@ -30,29 +31,25 @@ from .arith import (
     Place,
     Rational,
     class_from_mask,
-    class_mask,
     crt,
     hilbert_row,
     hilbert_symbol,
-    is_local_square,
     legendre,
     local_dim,
     mod_prime_power,
     prime_stream,
-    sqrt_lift,
     strip_primes,
     valuation,
 )
 from .conditiond import (
     ConditionDReport,
-    GElement,
     Lattice,
     check_condition_d,
     constant_mask,
     in_g_i,
     target_generators,
 )
-from .points import solve_global, unit_square_scan, verify_integral_point
+from .points import local_solubility, solve_global, unit_square_scan, verify_integral_point
 from .selmer import relative_selmer
 from .surface import (
     AdmissiblePoint,
@@ -130,19 +127,20 @@ class HypothesisReport:
         }
 
 
-def _working_places(spec: SurfaceSpec, s_d: Sequence[Place]) -> Set[Place]:
-    """T = S0 + S_bad + S_D: the places a suitable point supplies."""
-    return set(spec.s0) | set(spec.s_bad) | set(s_d)
+def _working_places(spec: SurfaceSpec) -> Set[Place]:
+    """S0 + S_bad: the places a suitable point supplies."""
+    return set(spec.s0) | set(spec.s_bad)
 
 
 def suitability(
-    spec: SurfaceSpec, point: PartialAdelicPoint, s_d: Sequence[Place] = ()
+    spec: SurfaceSpec, point: PartialAdelicPoint
 ) -> Tuple[List[Tuple[str, str]], Optional[Place]]:
     """The hypotheses of the descent theorem that the point violates, as
     (name, detail) pairs in a fixed order, and the split place.
 
     Name "input" marks malformed point data or a missing place of
-    T = S0 + S_bad + S_D; nothing else is checked then.  The other names
+    S0 + S_bad (each place the descent adds is an entry of the point it
+    makes); nothing else is checked then.  The other names
     are "valuation_bound" and "valuation_at_2" (per place outside S0),
     "split_place" (-d*p_J(t_v) is a nonzero square at no place of S0; the
     first place of S0 where it is one is the split place) and
@@ -151,7 +149,7 @@ def suitability(
     vectors (PlaceRow.brauer) is the sum for spec.indices[k].
     """
     violations = [("input", problem) for problem in point.validate()]
-    missing = sorted(_working_places(spec, s_d) - set(point.entries))
+    missing = sorted(_working_places(spec) - set(point.entries))
     if missing:
         violations.append(
             ("input", "point lacks required places: " + ", ".join(str(v) for v in missing))
@@ -211,11 +209,9 @@ def check_hypotheses(spec: SurfaceSpec, point: PartialAdelicPoint) -> Hypothesis
 # ---------------------------------------------------------------------------
 
 
-def _require_suitable(
-    spec: SurfaceSpec, p_t: PartialAdelicPoint, s_d: Sequence[Place], context: str
-) -> None:
+def _require_suitable(spec: SurfaceSpec, p_t: PartialAdelicPoint, context: str) -> None:
     """Raise DescentAnomaly if a point built by the descent is not suitable."""
-    violations, _ = suitability(spec, p_t, s_d)
+    violations, _ = suitability(spec, p_t)
     if violations:
         raise DescentAnomaly(
             f"{context}: " + "; ".join(f"{name}: {detail}" for name, detail in violations)
@@ -231,12 +227,12 @@ def build_suitable(
     shares the rows of the places it keeps, but dropping a place changes
     the Brauer sums, so a restriction that drops one is verified again.
     """
-    t_places = _working_places(spec, ())
+    t_places = _working_places(spec)
     if set(point.entries) <= t_places:
         return point
     p_t = PartialAdelicPoint(spec, {v: pt for v, pt in point.entries.items() if v in t_places},
                              point.rows)
-    _require_suitable(spec, p_t, (), "suitability failed")
+    _require_suitable(spec, p_t, "suitability failed")
     return p_t
 
 
@@ -476,12 +472,12 @@ def _try_admissible(
 @dataclass
 class DescentState:
     """R and R-hat at one admissible point adm of p_t, as F2 subspaces of
-    the relative lattice over T = p_t.places (relative_selmer).  A mask
-    crosses to another state's lattice only decoded (`_lies_in`)."""
+    the relative lattice over T = p_t.places (relative_selmer): the spec
+    lattice with the primes of the inserted places appended in the order of
+    insertion, so each of its masks is a mask of every later state's."""
 
     spec: SurfaceSpec
     p_t: PartialAdelicPoint
-    s_d: Tuple[Place, ...]
     adm: AdmissiblePoint
     lattice: Lattice
     sel: gf2.Subspace  # relative Selmer group R
@@ -490,28 +486,20 @@ class DescentState:
 
     def terminal(self) -> bool:
         """R-hat is generated by [-d][p_J]."""
-        (neg_gen,) = target_generators(self.spec, self.lattice, dual=True)
+        (neg_gen,) = target_generators(self.spec, dual=True)
         return self.dual.dim == 1 and self.dual.contains(neg_gen)
-
-
-def _lies_in(x: GElement, lattice: Lattice, group: gf2.Subspace) -> bool:
-    """x, decoded from another state's lattice, lies in group, a subspace of
-    lattice; False when x has a prime outside lattice."""
-    try:
-        return group.contains(lattice.encode(x))
-    except ValueError:
-        return False
 
 
 def _make_state(
     spec: SurfaceSpec,
     p_t: PartialAdelicPoint,
-    s_d: Tuple[Place, ...],
+    lattice: Lattice,
     bounds: DescentBounds,
     trace: List[Dict],
 ) -> DescentState:
-    """The state at the next admissible point, with R and R-hat built once,
-    by one relative_selmer call on p_t and that point.  They are the
+    """The state at the next admissible point, with R and R-hat built once
+    in lattice, whose primes are the finite places of p_t, by one
+    relative_selmer call on p_t and that point.  They are the
     preimages under evaluation at t0 of the fiber torus's Selmer pair, so
     dim R - dim R-hat is its number of split places in S0:
     - ev sends symbol i to p_i(t0), a T-unit times u_i, so it maps the
@@ -519,16 +507,18 @@ def _make_state(
       T \\ T0 cut those down to the classes over T0 and the u_i, the torus's
       S (real is in S0, and 2 in T0: in S0, or val = 1 by valuation_at_2);
     - there the local conditions of -d*p_J(t0) are the same on both sides.
+    The split places are read off p_t's rows: by the row check -d*p_J(t0)
+    has the class of -d*p_J(t_v) at each place of S0.
     """
     search = find_admissible(spec, p_t, bounds)
     adm = search.point
-    lattice, sel, dual = relative_selmer(spec, p_t, adm)
+    sel, dual = relative_selmer(spec, lattice, p_t, adm)
     for group, side, name in ((dual, True, "relative dual Selmer group"),
                               (sel, False, "relative Selmer group")):
-        for gen in target_generators(spec, lattice, dual=side):
+        for gen in target_generators(spec, dual=side):
             if not group.contains(gen):
                 raise DescentAnomaly(f"{lattice.decode(gen)} escaped the {name}")
-    n_split = sum(is_local_square(adm.fiber.torus_d, v) for v in spec.s0)
+    n_split = sum(p_t.rows[v].torus[1] == 0 for v in spec.s0)
     if sel.dim - dual.dim != n_split:
         raise DescentAnomaly(
             f"relative dimension gap {sel.dim}-{dual.dim} != split count {n_split}"
@@ -546,7 +536,7 @@ def _make_state(
             "split_places": n_split,
         }
     )
-    return DescentState(spec, p_t, s_d, adm, lattice, sel, dual, trace)
+    return DescentState(spec, p_t, adm, lattice, sel, dual, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -584,26 +574,6 @@ def _uniformizer_t(spec: SurfaceSpec, i: int, w: int) -> int:
     raise DescentAnomaly(f"no uniformizer value for p_{i} at {w}")
 
 
-# the w-adic digits of the local point added at a new place w
-_LOCAL_POINT_PRECISION = 8
-
-
-def _local_point_above(spec: SurfaceSpec, w: Place, t_w: int, i: int) -> LocalPoint:
-    """Integral local point on the fiber above t_w, where p_i degenerates.
-
-    The non-degenerate coefficient is a unit square at w by construction, so
-    an axis point (x, 0) or (0, y) exists: the square root of its inverse.
-    """
-    axis = 1 if i in spec.part_a else 0  # the coefficient solved for is bB, else aA
-    coeff = spec.product_value(spec.partition[axis], t_w, spec.b if axis else spec.a)
-    root = sqrt_lift(1 / coeff, w.p, _LOCAL_POINT_PRECISION)
-    if root is None:
-        raise DescentAnomaly(f"fiber above t = {t_w} not certifiably soluble at {w}")
-    if axis == 0:
-        return LocalPoint.make(root, 0, t_w, _LOCAL_POINT_PRECISION)
-    return LocalPoint.make(0, root, t_w, _LOCAL_POINT_PRECISION)
-
-
 # ---------------------------------------------------------------------------
 # The reduction step
 # ---------------------------------------------------------------------------
@@ -614,8 +584,8 @@ def _pick_elements(state: DescentState) -> Tuple[int, int]:
     the least element of R outside <[a][p_A], [d][p_J]>, least in the
     GElement.sort_key order of the decoded masks (a total order)."""
     lattice = state.lattice
-    (neg_gen,) = target_generators(state.spec, lattice, dual=True)
-    span = gf2.Subspace(lattice.ncols, target_generators(state.spec, lattice))
+    (neg_gen,) = target_generators(state.spec, dual=True)
+    span = gf2.Subspace(lattice.ncols, target_generators(state.spec))
     key = lambda mask: lattice.decode(mask).sort_key()
     x0 = min((m for m in state.dual.elements() if m not in (0, neg_gen)),
              key=key, default=None)
@@ -630,8 +600,8 @@ def _normalize(state: DescentState, x0: int, x1: int, i: int) -> Tuple[int, int]
     """Add the always-present generators [-d][p_J] to x0 and [d][p_J] to
     x1 where needed, so that i avoids both subsets."""
     bit = state.lattice.poly_mask([i])
-    (neg_gen,) = target_generators(state.spec, state.lattice, dual=True)
-    _, d_gen = target_generators(state.spec, state.lattice)
+    (neg_gen,) = target_generators(state.spec, dual=True)
+    _, d_gen = target_generators(state.spec)
     return x0 ^ (neg_gen if x0 & bit else 0), x1 ^ (d_gen if x1 & bit else 0)
 
 
@@ -639,9 +609,10 @@ def _character_value(
     spec: SurfaceSpec, lattice: Lattice, x: int, i: int, dual: bool = False
 ) -> int:
     """Square-free [c*D_i^{J'}] (Dhat if dual) for x = [c][p_{J'}], a mask
-    of lattice: the constant's Legendre symbols outside T."""
-    constant = class_from_mask(constant_mask(spec, i, lattice.poly(x), dual), spec.basis_primes)
-    return class_from_mask(x ^ class_mask(constant, lattice.primes), lattice.primes)
+    of lattice: the constant's Legendre symbols outside T.  The constant's
+    class is a mask over spec.basis_primes, which begin lattice.primes."""
+    constant = constant_mask(spec, i, lattice.poly(x), dual)
+    return class_from_mask(x >> lattice.shift ^ constant, lattice.primes)
 
 
 def _insert_place(
@@ -654,14 +625,22 @@ def _insert_place(
     """Extend p_t by a new place w where a*D_i^A is a square and every
     character value a non-square: the least such prime outside T and the
     witness places, an integer t_w with val_w(p_i(t_w)) = 1, and the point
-    with a local point above t_w added at w."""
+    with an integral local point above t_w added at w.
+
+    The fiber above t_w is soluble over Z_w: p_i(t_w) has valuation 1, and
+    the other coefficient is a unit congruent mod w to brauer_constants[i],
+    a square mod w, so local_solubility lifts the axis point on it."""
     spec = state.spec
     avoid = {v.p for v in state.p_t.places if v.is_finite}
     avoid.update(u.p for _, u in state.adm.witnesses)
     conditions = [(spec.brauer_constants[i], 1)] + [(value, -1) for value in characters]
     place = Place.finite(_scan_prime(conditions, avoid, bounds.prime_scan, stage))
     t_w = _uniformizer_t(spec, i, place.p)
-    return place, t_w, state.p_t.with_entry(place, _local_point_above(spec, place, t_w, i))
+    local = local_solubility(*spec.fiber_coeffs(t_w), place)
+    if local.witness is None:
+        raise DescentAnomaly(f"fiber above t = {t_w} has no integral point at {place}")
+    point = LocalPoint.make(*local.witness, t_w, local.precision)
+    return place, t_w, state.p_t.with_entry(place, point)
 
 
 def _add_sd_witness(state: DescentState, x: int, bounds: DescentBounds) -> DescentState:
@@ -674,7 +653,7 @@ def _add_sd_witness(state: DescentState, x: int, bounds: DescentBounds) -> Desce
     excludes x.
     """
     spec, lattice = state.spec, state.lattice
-    i_prime = next((i for i in spec.indices if not in_g_i(spec, lattice, x, i, dual=True)), None)
+    i_prime = next((i for i in spec.indices if not in_g_i(spec, x, i, dual=True)), None)
     if i_prime is None:
         raise DescentAnomaly(
             "element lies in every membership subgroup: Condition (D) "
@@ -682,8 +661,7 @@ def _add_sd_witness(state: DescentState, x: int, bounds: DescentBounds) -> Desce
         )
     character = _character_value(spec, lattice, x, i_prime, dual=True)
     place, t_w, new_pt = _insert_place(state, i_prime, [character], "sd_witness_prime", bounds)
-    s_d = state.s_d + (place,)
-    _require_suitable(spec, new_pt, s_d, "witness insertion broke suitability")
+    _require_suitable(spec, new_pt, "witness insertion broke suitability")
     element = lattice.decode(x)
     state.trace.append(
         {
@@ -695,8 +673,8 @@ def _add_sd_witness(state: DescentState, x: int, bounds: DescentBounds) -> Desce
             "t_w": t_w,
         }
     )
-    new_state = _make_state(spec, new_pt, s_d, bounds, state.trace)
-    if _lies_in(element, new_state.lattice, new_state.dual):
+    new_state = _make_state(spec, new_pt, lattice.with_prime(place.p), bounds, state.trace)
+    if new_state.dual.contains(x):
         raise DescentAnomaly(f"witness place {place} failed to kill {element}")
     return new_state
 
@@ -709,37 +687,35 @@ def _chebotarev_step(
     bounds: DescentBounds,
 ) -> DescentState:
     """One reduction at index i_x with x0 in R-hat and x1 in R, masks of
-    the state's lattice normalized away from i_x."""
-    spec, old_lattice = state.spec, state.lattice
-    bit_old = old_lattice.poly_mask([i_x])
-    if (x0 | x1) & bit_old:
+    the state's lattice normalized away from i_x.  They, and every mask of
+    the old groups, are masks of the new state's lattice too."""
+    spec, lattice = state.spec, state.lattice
+    bit = lattice.poly_mask([i_x])
+    if (x0 | x1) & bit:
         raise DescentAnomaly("elements must be normalized away from the index")
-    characters = [_character_value(spec, old_lattice, x, i_x) for x in (x0, x1)]
+    characters = [_character_value(spec, lattice, x, i_x) for x in (x0, x1)]
     place, t_w, new_pt = _insert_place(state, i_x, characters, "chebotarev_prime", bounds)
-    _require_suitable(spec, new_pt, state.s_d, "extension broke suitability")
+    _require_suitable(spec, new_pt, "extension broke suitability")
 
     old_adm, old_sel, old_dual = state.adm, state.sel, state.dual
-    new_state = _make_state(spec, new_pt, state.s_d, bounds, state.trace)
-    new_lattice = new_state.lattice
+    new_state = _make_state(spec, new_pt, lattice.with_prime(place.p), bounds, state.trace)
 
     # the subgroups avoiding the distinguished factor index
-    bit_new = new_lattice.poly_mask([i_x])
-    sel0_old = old_sel.intersect_hyperplane(bit_old)
-    dual0_old = old_dual.intersect_hyperplane(bit_old)
-    dual0_new = new_state.dual.intersect_hyperplane(bit_new)
+    sel0_old = old_sel.intersect_hyperplane(bit)
+    dual0_old = old_dual.intersect_hyperplane(bit)
+    dual0_new = new_state.dual.intersect_hyperplane(bit)
 
-    # the localization at w of both lattices: the local masks of the p_i(t1)
-    # at w are those of the new point's row there, which t1 keeps
+    # the localization at w: the local masks of the p_i(t1) at w are those
+    # of the new point's row there, which t1 keeps
     factor_masks = [mask for _, mask in new_state.p_t.rows[place].factors.values()]
-    old_columns = old_lattice.local_masks(factor_masks, place)
-    new_columns = new_lattice.local_masks(factor_masks, place)
+    columns = new_state.lattice.local_masks(factor_masks, place)
 
-    def loc_image(space: gf2.Subspace, columns: List[int]) -> gf2.Subspace:
+    def loc_image(space: gf2.Subspace) -> gf2.Subspace:
         return gf2.Subspace(local_dim(place), [gf2.combine(columns, m) for m in space.basis])
 
-    p_lower_0 = loc_image(sel0_old, old_columns)
-    p_upper_0 = loc_image(dual0_old, old_columns)
-    p_upper_1 = loc_image(dual0_new, new_columns)
+    p_lower_0 = loc_image(sel0_old)
+    p_upper_0 = loc_image(dual0_old)
+    p_upper_1 = loc_image(dual0_new)
     if p_lower_0.dim == 0 or p_upper_0.dim == 0:
         raise DescentAnomaly("localization images at w vanished; wrong prime choice")
     if p_upper_1.dim != 0:
@@ -768,13 +744,12 @@ def _chebotarev_step(
     # persistence: reduced dual elements with trivial localization live in the
     # old group, and the distinguished element is gone
     for mask in dual0_new.basis:
-        g = new_lattice.decode(mask)
-        if not _lies_in(g, old_lattice, old_dual):
-            raise DescentAnomaly(f"persistence failed for {g}")
-    x0_element = old_lattice.decode(x0)
-    if _lies_in(x0_element, new_lattice, new_state.dual):
+        if not old_dual.contains(mask):
+            raise DescentAnomaly(f"persistence failed for {new_state.lattice.decode(mask)}")
+    x0_element = lattice.decode(x0)
+    if new_state.dual.contains(x0):
         raise DescentAnomaly(f"{x0_element} survived the reduction")
-    if not new_state.dual.contains(target_generators(spec, new_lattice, dual=True)[0]):
+    if not new_state.dual.contains(target_generators(spec, dual=True)[0]):
         raise DescentAnomaly("[-d][p_J] lost during reduction")
     if new_state.dual.dim >= old_dual.dim:
         raise DescentAnomaly(
@@ -785,7 +760,7 @@ def _chebotarev_step(
         {
             "step": "reduce_dual_selmer",
             "x0": str(x0_element),
-            "x1": str(old_lattice.decode(x1)),
+            "x1": str(lattice.decode(x1)),
             "i_x": i_x,
             "w": place.p,
             "t_w": t_w,
@@ -811,10 +786,10 @@ def reduce_dual_selmer(state: DescentState, bounds: DescentBounds) -> DescentSta
         x0, x1 = _pick_elements(state)
         usable = []
         for i in spec.indices:
-            if in_g_i(spec, lattice, x1, i):
+            if in_g_i(spec, x1, i):
                 continue
             x0n, x1n = _normalize(state, x0, x1, i)
-            if not in_g_i(spec, lattice, x0n, i, dual=True):
+            if not in_g_i(spec, x0n, i, dual=True):
                 usable.append((bool((x0 | x1) & lattice.poly_mask([i])), i, x0n, x1n))
         if usable:
             _, i_x, x0n, x1n = min(usable)
@@ -899,7 +874,7 @@ def descend(
         )
     try:
         p_t = build_suitable(spec, point)
-        state = _make_state(spec, p_t, (), bounds, trace)
+        state = _make_state(spec, p_t, Lattice.of_spec(spec), bounds, trace)
         steps = 0
         while True:
             fib = state.adm.fiber

@@ -316,12 +316,10 @@ def solve_global(
                 if j * j == square and j <= height_bound:
                     found.append((j, k) if swap else (k, j))
                     break
-        for m, n in sorted(found):
-            for sm, sn in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                x = Fraction(sm * m, u)
-                y = Fraction(sn * n, u)
-                if aA * x * x + bB * y * y == 1:
-                    return (x, y)
+        if found:  # each pair solves A*m^2 + B*n^2 = L*u^2
+            x, y = (Fraction(k, u) for k in min(found))
+            if aA * x * x + bB * y * y == 1:
+                return (x, y)
     return None
 
 

@@ -14,9 +14,12 @@ group.  Each generator's local mask is taken once per place
 the primes are computed, and at the places of T those of the factor symbols
 and [d]_v are read off the partial adelic point's rows.  Each linear form
 on those masks whose kernel is L_v (H_v [d]_v, or a basis of the
-annihilator of [d]_v) becomes one row of the F2 system.  A pair of
-groups is returned as (lattice, sel, dual): two gf2.Subspace objects in the
-coordinates of the one lattice, which decodes and encodes their elements.
+annihilator of [d]_v) becomes one row of the F2 system.  The groups are
+two gf2.Subspace objects in the coordinates of one lattice, which decodes
+their elements: selmer_groups builds the torus's lattice over S and
+returns it with them, and relative_selmer works in the lattice it is given,
+the descent state's, whose primes are those of T in the order the descent
+added them.
 """
 
 from __future__ import annotations
@@ -127,11 +130,12 @@ def selmer_groups(torus: TorusData) -> Tuple[Lattice, gf2.Subspace, gf2.Subspace
 
 
 def relative_selmer(
-    spec: SurfaceSpec, p_t: PartialAdelicPoint, adm: AdmissiblePoint
-) -> Tuple[Lattice, gf2.Subspace, gf2.Subspace]:
-    """The lattice over T = p_t.places and spec.indices, and in it R and
-    R-hat at the admissible point adm of p_t: the pullbacks under evaluation
-    at t0 of the fiber torus's Selmer and dual Selmer groups.
+    spec: SurfaceSpec, lattice: Lattice, p_t: PartialAdelicPoint, adm: AdmissiblePoint
+) -> Tuple[gf2.Subspace, gf2.Subspace]:
+    """R and R-hat at the admissible point adm of p_t, as subspaces of
+    lattice, whose primes are the finite places of T = p_t.places: the
+    pullbacks under evaluation at t0 of the fiber torus's Selmer and dual
+    Selmer groups.
 
     At each place v of T the local classes of the p_i(t0) and of
     -d*p_J(t0) are those of p_t.rows[v], which the admissible scan fixes
@@ -140,7 +144,6 @@ def relative_selmer(
     -d*p_J(t0) hold at T0 (the places of S0 and those with
     val_v(d*p_J(t_v)) = 1) and at the u_i; the rest of T asks for unit
     classes."""
-    lattice = Lattice.of_places(p_t.places, spec.indices)
     conditions = []
     for v in p_t.places:
         row = p_t.rows[v]
@@ -149,4 +152,4 @@ def relative_selmer(
     for _, u in adm.witnesses:
         factor_masks = [local_mask(adm.values[i], u) for i in lattice.factor_indices]
         conditions.append((u, factor_masks, local_mask(adm.fiber.torus_d, u)))
-    return (lattice, *_cut_out(lattice, conditions))
+    return _cut_out(lattice, conditions)

@@ -387,14 +387,38 @@ def fiber_torus_reference(state) -> TorusData:
     return torus_data(d_t, t0_places | u_places | {REAL, Place.finite(2)})
 
 
-def relative_selmer_reference(spec, p_t, adm):
-    """(lattice, R, R-hat) of selmer.relative_selmer, cut out from the
+def encode(lattice: Lattice, x: GElement) -> int:
+    """The mask of x in lattice: its factor bits, then class_mask of x.c over
+    -1 and the lattice's primes.  ValueError if x has a prime or a factor
+    outside the lattice."""
+    return lattice.poly_mask(x.poly) | class_mask(x.c, lattice.primes) << lattice.shift
+
+
+def inserted_places(trace) -> List[int]:
+    """The primes a descent inserted, in the order of its trace: the place
+    of each sd_witness step and the w of each reduce_dual_selmer step."""
+    return [entry["place"] if entry["step"] == "sd_witness" else entry["w"]
+            for entry in trace if entry["step"] in ("sd_witness", "reduce_dual_selmer")]
+
+
+def state_lattice_reference(spec, p_t, trace) -> Lattice:
+    """The lattice of the descent state over p_t: the factor indices, -1,
+    the finite primes of S0 + S_bad ascending, then the other places of p_t
+    in the order the descent of `trace` inserted them."""
+    basis = sorted({*spec.s0_finite_primes, *(v.p for v in compute_s_bad(spec))})
+    finite = [v.p for v in p_t.places if v.is_finite]
+    primes = basis + [p for p in inserted_places(trace) if p in finite]
+    assert sorted(primes) == finite
+    return Lattice(primes, spec.indices)
+
+
+def relative_selmer_reference(spec, lattice, p_t, adm):
+    """(R, R-hat) of selmer.relative_selmer in lattice, cut out from the
     values p_i(t0) and -d*p_J(t0): their local masks are computed at every
     place of T and at the witness places u_i.  At T0 (S0 and the places v
     with val_v(d*p_J(t_v)) = 1, from the Fraction formulas) and at the u_i a
     class must lie in <[-d*p_J(t0)]_v>^perp (R) or in <[-d*p_J(t0)]_v>
     (R-hat); at the rest of T it must be a local unit class (both)."""
-    lattice = Lattice.of_places(p_t.places, spec.indices)
     values = [adm.values[i] for i in lattice.factor_indices]
     t0_places = [v for v in p_t.places if v in spec.s0 or valuation(
         spec.d * product_value_reference(spec, spec.indices, p_t.entries[v].t), v.p) == 1]
@@ -402,7 +426,7 @@ def relative_selmer_reference(spec, p_t, adm):
     units = [v for v in p_t.places if v not in t0_places]
 
     def form_rows(v, forms):
-        masks = [local_mask(g, v) for g in (-1, *lattice.primes, *values)]
+        masks = [local_mask(g, v) for g in (*values, -1, *lattice.primes)]
         return [sum(gf2.dot(m, f) << k for k, m in enumerate(masks)) for f in forms]
 
     sel_rows, dual_rows = [], []
@@ -414,8 +438,8 @@ def relative_selmer_reference(spec, p_t, adm):
         unit_rows = form_rows(v, [1 << local_dim(v) - 1])  # the valuation parity
         sel_rows += unit_rows
         dual_rows += unit_rows
-    return (lattice, *(gf2.Subspace(lattice.ncols, gf2.kernel_basis(rows, lattice.ncols))
-                       for rows in (sel_rows, dual_rows)))
+    return tuple(gf2.Subspace(lattice.ncols, gf2.kernel_basis(rows, lattice.ncols))
+                 for rows in (sel_rows, dual_rows))
 
 
 def d_constant(spec, i: int, subset) -> Fraction:
@@ -550,7 +574,7 @@ def expected_g_d_generators(spec, dual: bool = False) -> List[GElement]:
     """The program's target_generators over the spec lattice, decoded:
     [a][p_A], [d][p_J] ([-d][p_J] when dual)."""
     lattice = Lattice.of_spec(spec)
-    return [lattice.decode(mask) for mask in target_generators(spec, lattice, dual)]
+    return [lattice.decode(mask) for mask in target_generators(spec, dual)]
 
 
 def pick_elements_reference(state) -> Tuple[GElement, GElement]:

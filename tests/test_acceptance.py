@@ -16,7 +16,7 @@ from torusdescent.arith import (
     is_local_square,
 )
 from torusdescent.brauer import residue_at
-from torusdescent.conditiond import check_condition_d
+from torusdescent.conditiond import Lattice, check_condition_d
 from torusdescent.descent import (
     DescentBounds,
     _make_state,
@@ -41,6 +41,7 @@ from oracles import (
     conic_soluble_bruteforce,
     dimension_identity,
     dual_selmer_by_enumeration,
+    encode,
     expected_g_d_generators,
     factor_values_reference,
     fiber_point_bruteforce,
@@ -315,8 +316,9 @@ def test_criterion_8_admissible_machinery():
                                                      reject=[search.point.t0])
         second = _try_admissible(spec, p_t, t0, list(witnesses))
         assert search.point.t0 != second.t0
-        _, _, dual_a = relative_selmer(spec, p_t, search.point)
-        _, _, dual_b = relative_selmer(spec, p_t, second)
+        lattice = Lattice.of_spec(spec)
+        _, dual_a = relative_selmer(spec, lattice, p_t, search.point)
+        _, dual_b = relative_selmer(spec, lattice, p_t, second)
         assert dual_a == dual_b, index
     report(
         "8 (admissible machinery)",
@@ -352,8 +354,8 @@ def test_criterion_9_strict_decrease():
         # preservation of [-d][p_J] is asserted inside every step; re-check
         # the terminal group on a fresh state
         p_t = build_suitable(spec, point)
-        state = _make_state(spec, p_t, (), DescentBounds(), [])
-        neg = state.lattice.encode(g_element(-spec.d, spec.indices))
+        state = _make_state(spec, p_t, Lattice.of_spec(spec), DescentBounds(), [])
+        neg = encode(state.lattice, g_element(-spec.d, spec.indices))
         assert state.dual.contains(neg)
     assert executed >= 4
     report("9 (strict decrease)", f"{executed} executed reductions", started)

@@ -34,6 +34,7 @@ from oracles import (
     check_condition_d_reference,
     d_constant,
     d_constant_dual,
+    encode,
     expected_g_d_generators,
     factored_numerators_reference,
     g_d_bruteforce,
@@ -55,9 +56,11 @@ def running_spec():
 
 
 def _in_g_i(spec, x: GElement, i, dual=False):
-    """in_g_i on x, encoded in the spec lattice widened by the primes of x."""
-    lattice = Lattice(sorted(set(spec.basis_primes) | set(factorize(x.c))), spec.indices)
-    return in_g_i(spec, lattice, lattice.encode(x), i, dual)
+    """in_g_i on x, encoded in the spec lattice with the other primes of x
+    appended."""
+    extra = sorted(set(factorize(x.c)) - set(spec.basis_primes))
+    lattice = Lattice((*spec.basis_primes, *extra), spec.indices)
+    return in_g_i(spec, encode(lattice, x), i, dual)
 
 
 def test_d_constant_examples(running_spec):
@@ -84,7 +87,7 @@ def test_group_law():
     x = g_element(6, {1})
     y = g_element(-10, {1, 2})
     lattice = Lattice((2, 3, 5), (1, 2))
-    z = lattice.decode(lattice.encode(x) ^ lattice.encode(y))
+    z = lattice.decode(encode(lattice, x) ^ encode(lattice, y))
     assert z == g_mul(x, y)
     assert z.c == sqfree(-60)
     assert z.poly == frozenset({2})
@@ -93,12 +96,11 @@ def test_group_law():
 
 def test_generators_always_members(running_spec):
     spec = running_spec
-    lattice = Lattice.of_spec(spec)
-    for gen in target_generators(spec, lattice):
-        assert all(in_g_i(spec, lattice, gen, i) for i in spec.indices)
-    for gen in target_generators(spec, lattice, dual=True):
-        assert all(in_g_i(spec, lattice, gen, i, dual=True) for i in spec.indices)
-    assert all(in_g_i(spec, lattice, 0, i) for i in spec.indices)
+    for gen in target_generators(spec):
+        assert all(in_g_i(spec, gen, i) for i in spec.indices)
+    for gen in target_generators(spec, dual=True):
+        assert all(in_g_i(spec, gen, i, dual=True) for i in spec.indices)
+    assert all(in_g_i(spec, 0, i) for i in spec.indices)
 
 
 def test_membership_square_invariance(running_spec):
@@ -346,8 +348,9 @@ def test_condition_d_reads_no_fiber_value_and_forms_each_cross_resultant_once(mo
     specs = [family_spec(23), _g_d_too_large_spec(8), _g_d_too_large_spec(16),
              make_spec([2], 1, 3, {1: (1, 0), 2: (1, 1), 3: (1, 2)}, [1])]
     monkeypatch.setattr(surface, "factorize", counted_factorize)
-    for module in (surface, conditiond):
-        monkeypatch.setattr(module, "class_mask", counted_class_mask)
+    # conditiond takes no class: every mask it reads is a spec table's
+    assert not hasattr(conditiond, "class_mask")
+    monkeypatch.setattr(surface, "class_mask", counted_class_mask)
     for spec in specs:
         factored.clear()
         classes.clear()
@@ -408,24 +411,24 @@ def test_self_checks_catch_a_wrong_kernel(monkeypatch, running_spec):
 
 @pytest.mark.parametrize("member", range(len(ALL_FAMILY)))
 def test_in_g_i_on_a_relative_lattice_matches_the_definition(member):
-    """in_g_i on masks of a lattice over the basis primes and three primes
-    outside them, as a relative lattice holds witness and reduction places,
-    agrees with the definition; a class with an outside prime is in no G_i."""
+    """in_g_i on masks of a lattice over the basis primes with three primes
+    outside them appended, as a relative lattice appends witness and
+    reduction places, agrees with the definition; a class with an outside
+    prime is in no G_i."""
     spec = family_spec(member)
-    extra = [p for p in (3, 5, 7, 11, 13, 17, 19, 23) if p not in spec.basis_primes][:3]
-    primes = sorted({*spec.basis_primes, *extra})
-    lattice = Lattice(primes, spec.indices)
-    outside = sum(1 << k for k, p in enumerate(primes, 1) if p in extra)
+    extra = [p for p in (23, 3, 17, 5, 11, 7, 19, 13) if p not in spec.basis_primes][:3]
+    lattice = Lattice((*spec.basis_primes, *extra), spec.indices)
+    outside = sum(1 << lattice.shift + k for k, p in enumerate(lattice.primes, 1) if p in extra)
     report = check_condition_d(spec)
     rng = random.Random(member)
-    masks = [lattice.encode(g) for g in report.g_d + report.g_d_dual]
+    masks = [encode(lattice, g) for g in report.g_d + report.g_d_dual]
     masks += [rng.getrandbits(lattice.ncols) & ~(outside if k % 2 else 0) for k in range(60)]
     for dual in (False, True):
         reference = membership_reference(spec, dual)
         for x in masks:
             for i in spec.indices:
-                found = in_g_i(spec, lattice, x, i, dual)
+                found = in_g_i(spec, x, i, dual)
                 assert found == reference(lattice.decode(x), i), (lattice.decode(x), i, dual)
                 assert not (found and x & outside)
-    assert all(in_g_i(spec, lattice, lattice.encode(g), i)
+    assert all(in_g_i(spec, encode(lattice, g), i)
                for g in report.g_d for i in spec.indices)

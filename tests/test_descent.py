@@ -11,6 +11,7 @@ from sympy import primerange
 
 from torusdescent import arith, brauer, descent, gf2, points, selmer
 from torusdescent.arith import REAL, Place, hilbert_symbol, local_mask, valuation
+from torusdescent.conditiond import Lattice
 from torusdescent.descent import (
     Certificate,
     DescentAnomaly,
@@ -54,6 +55,7 @@ from oracles import (
     brauer_constant_reference,
     compute_s,
     dimension_identity,
+    encode,
     factor_value_reference,
     factor_values_reference,
     fiber_coeffs_reference,
@@ -62,6 +64,7 @@ from oracles import (
     g_element,
     good_place_solubility_reference,
     hilbert_symbol_closed_form,
+    inserted_places,
     is_local_square_closed_form,
     local_square_class,
     obstruction_sum_reference,
@@ -72,6 +75,7 @@ from oracles import (
     same_valuation_and_class_bruteforce,
     selmer_elements,
     split_places,
+    state_lattice_reference,
     suitability_reference,
     uniformizer_t_reference,
 )
@@ -253,8 +257,9 @@ def test_with_entry_evaluates_only_the_new_place(monkeypatch):
 
 @pytest.mark.parametrize("case", ["family-23", "fuzz-2515"])
 def test_insert_place_evaluates_t_w_once(case, monkeypatch):
-    # each insertion (both stages) computes the one coefficient it solves
-    # for and the new row's |J| factor values, and no fiber above t_w
+    # each insertion (both stages) computes the fiber above t_w once, for
+    # its local point (fiber_coeffs, whose two products are the
+    # product_value calls), and the new row's |J| factor values
     kind, _, number = case.partition("-")
     if kind == "family":
         spec, point, _ = family_point(int(number))
@@ -277,7 +282,8 @@ def test_insert_place_evaluates_t_w_once(case, monkeypatch):
 
     monkeypatch.setattr(descent, "_insert_place", counted)
     descend(spec, point, bounds)
-    expected = ["factor_value"] * len(spec.indices) + ["product_value"]
+    expected = sorted(["factor_value"] * len(spec.indices) + ["fiber_coeffs"]
+                      + ["product_value"] * 2)
     assert {stage for stage, _ in per_insert} == {"sd_witness_prime", "chebotarev_prime"}
     assert all(made == expected for _, made in per_insert)
 
@@ -721,8 +727,9 @@ def test_relative_groups_independent_of_admissible_point():
     t0, witnesses, _ = find_admissible_reference(spec, p_t, bounds, reject=[first.t0])
     second = descent._try_admissible(spec, p_t, t0, list(witnesses))
     assert first.t0 != second.t0
-    _, sel_a, dual_a = relative_selmer(spec, p_t, first)
-    _, sel_b, dual_b = relative_selmer(spec, p_t, second)
+    lattice = Lattice.of_spec(spec)
+    sel_a, dual_a = relative_selmer(spec, lattice, p_t, first)
+    sel_b, dual_b = relative_selmer(spec, lattice, p_t, second)
     assert dual_a == dual_b
     assert sel_a == sel_b
 
@@ -738,9 +745,7 @@ def _dual_selmer_by_lemma_conditions(spec, p_t, adm):
     against the evaluated element, twisted by [-d][p_J] when i lies in the
     subset.
     """
-    from torusdescent.conditiond import Lattice
-
-    lattice = Lattice.of_places(p_t.places, spec.indices)
+    lattice = Lattice.of_spec(spec)  # T = S0 + S_bad
     t0 = adm.t0
     torus_value = -spec.d * spec.product_value(spec.indices, t0)
     t0_places = [v for v in p_t.places if v in spec.s0 or valuation(
@@ -784,7 +789,8 @@ def test_relative_dual_selmer_matches_lemma_conditions(index):
     p_t = build_suitable(spec, point)
     bounds = DescentBounds(admissible_candidates=100_000)
     adm = find_admissible(spec, p_t, bounds).point
-    lattice, _, dual = relative_selmer(spec, p_t, adm)
+    lattice = Lattice.of_spec(spec)
+    _, dual = relative_selmer(spec, lattice, p_t, adm)
     computed = set(selmer_elements(lattice, dual))
     assert computed == _dual_selmer_by_lemma_conditions(spec, p_t, adm)
 
@@ -792,11 +798,11 @@ def test_relative_dual_selmer_matches_lemma_conditions(index):
 def test_state_invariants():
     spec, point, _ = family_point(5)
     p_t = build_suitable(spec, point)
-    state = _make_state(spec, p_t, (), DescentBounds(), [])
-    encode = state.lattice.encode
-    assert state.dual.contains(encode(g_element(-spec.d, spec.indices)))
-    assert state.sel.contains(encode(g_element(spec.a, spec.part_a)))
-    assert state.sel.contains(encode(g_element(spec.d, spec.indices)))
+    state = _make_state(spec, p_t, Lattice.of_spec(spec), DescentBounds(), [])
+    lattice = state.lattice
+    assert state.dual.contains(encode(lattice, g_element(-spec.d, spec.indices)))
+    assert state.sel.contains(encode(lattice, g_element(spec.a, spec.part_a)))
+    assert state.sel.contains(encode(lattice, g_element(spec.d, spec.indices)))
     assert state.sel.dim > state.dual.dim
 
 
@@ -806,12 +812,11 @@ def test_evaluation_map_injective():
     import math
 
     from torusdescent.arith import valuation
-    from torusdescent.conditiond import Lattice
 
     spec, point, _ = family_point(6)
     p_t = build_suitable(spec, point)
     adm = find_admissible(spec, p_t, DescentBounds()).point
-    lattice = Lattice.of_places(p_t.places, spec.indices)
+    lattice = Lattice.of_spec(spec)  # T = S0 + S_bad
     primes = [v.p for v in p_t.places if v.is_finite]
     primes += [u.p for _, u in adm.witnesses]
     for mask in range(1, 1 << lattice.ncols):
@@ -889,9 +894,38 @@ def test_each_state_matches_the_value_based_selmer_build(case, monkeypatch):
     descend(spec, point, bounds)
     assert states
     for state, _, _ in states:
-        lattice, sel, dual = relative_selmer_reference(spec, state.p_t, state.adm)
-        assert state.lattice.primes == lattice.primes
-        assert (state.sel, state.dual) == (sel, dual)
+        lattice = state_lattice_reference(spec, state.p_t, state.trace)
+        assert (state.lattice.primes, state.lattice.factor_indices) == \
+            (lattice.primes, lattice.factor_indices)
+        assert (state.sel, state.dual) == relative_selmer_reference(
+            spec, lattice, state.p_t, state.adm)
+
+
+@pytest.mark.parametrize(
+    "case", [f"family-{k:02d}/solve=0" for k in REDUCTION_MEMBERS + MULTI_REDUCTION_MEMBERS]
+    + [f"fuzz-{seed}" for seed in SD_WITNESS_SEEDS])
+def test_each_state_appends_its_new_place_to_the_lattice(case, monkeypatch):
+    """The first state's lattice is the spec lattice, and each later one
+    appends the one place its insertion added, in the trace's order, so a
+    basis mask of an earlier state's R or R-hat decodes to the same element
+    in every later state's lattice."""
+    recorded = _record_states(monkeypatch)
+    spec, point, bounds = case_input(case)
+    descend(spec, point, bounds)
+    states = [state for state, _, _ in recorded]
+    assert len(states) > 1
+    inserted = inserted_places(states[-1].trace)
+    assert len(inserted) == len(states) - 1
+    for k, state in enumerate(states):
+        assert state.lattice.primes == (*spec.basis_primes, *inserted[:k])
+        assert state.lattice.factor_indices == spec.indices
+    for old, new in zip(states, states[1:]):
+        assert set(new.p_t.places) - set(old.p_t.places) == {Place.finite(new.lattice.primes[-1])}
+    for k, state in enumerate(states):
+        masks = state.sel.basis + state.dual.basis
+        decoded = [state.lattice.decode(m) for m in masks]
+        for later in states[k + 1:]:
+            assert [later.lattice.decode(m) for m in masks] == decoded
 
 
 def test_relative_selmer_evaluates_t0_only_at_the_witness_places(monkeypatch):
@@ -905,7 +939,7 @@ def test_relative_selmer_evaluates_t0_only_at_the_witness_places(monkeypatch):
         spec, point, _ = family_point(k)
         descend(spec, point, DescentBounds(solve_each_fiber=False))
     assert len(built) > len(ALL_FAMILY)
-    for (spec, p_t, adm), calls in built:
+    for (spec, _, p_t, adm), calls in built:
         generators = {-1, *(v.p for v in p_t.places if v.is_finite)}
         assert all(x in generators for x, v in calls if v in p_t.places)
         for _, u in adm.witnesses:
@@ -1049,18 +1083,20 @@ def test_make_state_anomalies(groups, text, monkeypatch):
     p_t = build_suitable(spec, point)
     real_selmer = descent.relative_selmer
 
-    def replaced(*args):
-        lattice, sel, dual = real_selmer(*args)
+    def replaced(spec, lattice, *args):
+        sel, dual = real_selmer(spec, lattice, *args)
         zero = gf2.Subspace(lattice.ncols)
         whole = gf2.Subspace(lattice.ncols, [1 << k for k in range(lattice.ncols)])
-        pair = {"zero dual": (sel, zero), "zero sel": (zero, dual)}.get(groups, (whole, whole))
-        return (lattice, *pair)
+        return {"zero dual": (sel, zero), "zero sel": (zero, dual)}.get(groups, (whole, whole))
 
     monkeypatch.setattr(descent, "relative_selmer", replaced)
     if groups.endswith("no split"):
-        monkeypatch.setattr(descent, "is_local_square", lambda x, v: False)
+        # -d*p_J(t_v) a non-square in every S0 row; the scan reads only factors
+        p_t = PartialAdelicPoint(spec, p_t.entries, {
+            v: row._replace(torus=(row.torus[0], 1)) if v in spec.s0 else row
+            for v, row in p_t.rows.items()})
     with pytest.raises(DescentAnomaly, match=text):
-        _make_state(spec, p_t, (), DescentBounds(), [])
+        _make_state(spec, p_t, Lattice.of_spec(spec), DescentBounds(), [])
 
 
 # ---------------------------------------------------------------------------
@@ -1072,13 +1108,13 @@ def test_make_state_anomalies(groups, text, monkeypatch):
 def test_reduce_strictly_decreases(index):
     spec, point, _ = family_point(index)
     p_t = build_suitable(spec, point)
-    state = _make_state(spec, p_t, (), DescentBounds(), [])
+    state = _make_state(spec, p_t, Lattice.of_spec(spec), DescentBounds(), [])
     assert state.dual.dim >= 2
     neg = g_element(-spec.d, spec.indices)
     before = state.dual.dim
     new_state = reduce_dual_selmer(state, DescentBounds())
     assert new_state.dual.dim < before
-    assert new_state.dual.contains(new_state.lattice.encode(neg))
+    assert new_state.dual.contains(encode(new_state.lattice, neg))
     # the trace recorded the reduction with the chosen prime
     steps = [s for s in new_state.trace if s["step"] == "reduce_dual_selmer"]
     assert steps and steps[-1]["dim_after"] < steps[-1]["dim_before"]
@@ -1166,18 +1202,20 @@ def test_sd_witness_insertion_kills_element():
 
     spec, point, _ = family_point(5)
     p_t = build_suitable(spec, point)
-    state = _make_state(spec, p_t, (), DescentBounds(), [])
+    state = _make_state(spec, p_t, Lattice.of_spec(spec), DescentBounds(), [])
     neg = g_element(-spec.d, spec.indices)
     lattice = state.lattice
     x = next(m for m in state.dual.elements() if m and lattice.decode(m) != neg)
     target = lattice.decode(x)
     new_state = _add_sd_witness(state, x, bounds=DescentBounds())
-    # T only grows, so the old lattice's elements encode into the new one
-    assert not new_state.dual.contains(new_state.lattice.encode(target))
-    assert new_state.dual.contains(new_state.lattice.encode(neg))
-    assert len(new_state.s_d) == 1
+    assert not new_state.dual.contains(encode(new_state.lattice, target))
+    assert new_state.dual.contains(encode(new_state.lattice, neg))
     inserted = [s for s in new_state.trace if s["step"] == "sd_witness"]
     assert inserted and inserted[-1]["side"] == "dual"
+    # the one new place is the trace's, appended to the old lattice's primes
+    w = Place.finite(inserted[-1]["place"])
+    assert set(new_state.p_t.places) - set(p_t.places) == {w}
+    assert new_state.lattice.primes == (*lattice.primes, w.p)
 
 
 # golden fuzz seeds (tests/test_golden_descend.py) whose descent reduces

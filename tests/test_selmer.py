@@ -26,6 +26,7 @@ from oracles import (
     class_mul,
     dimension_identity,
     dual_selmer_by_enumeration,
+    encode,
     ev,
     g_element,
     g_identity,
@@ -65,8 +66,8 @@ def test_torus_data_reads_d_over_s_without_factoring():
 def test_selmer_minus_one():
     torus = torus_data(-1, places_of(2))
     lattice, sel, dual = selmer_groups(torus)
-    assert sel.dim == 1 and sel.contains(lattice.encode(g_element(2)))
-    assert dual.dim == 1 and dual.contains(lattice.encode(g_element(-1)))
+    assert sel.dim == 1 and sel.contains(encode(lattice, g_element(2)))
+    assert dual.dim == 1 and dual.contains(encode(lattice, g_element(-1)))
 
 
 def test_selmer_square_discriminant():
@@ -165,25 +166,28 @@ FACTOR_INDICES = (1, 3, 7)
     outside=st.sampled_from((0, 2, 8)),
 )
 def test_lattice_encode_decode(sign, chosen, exponents, extra, extra_exponent, poly, outside):
-    lattice = Lattice.of_places(places_of(*chosen), FACTOR_INDICES)
+    lattice = Lattice(sorted(chosen), FACTOR_INDICES)
     x = Fraction(sign)
     for p, (up, down) in zip(sorted(chosen), exponents):
         x *= Fraction(p**up, p**down)
-    mask = class_mask(x, lattice.primes)
-    assert class_from_mask(mask, lattice.primes) == sqfree(x)
+    cls = class_mask(x, lattice.primes)
+    assert class_from_mask(cls, lattice.primes) == sqfree(x)
+    # the class bits sit above the factor symbols
+    mask = cls << len(FACTOR_INDICES)
     assert lattice.decode(mask) == g_element(x)
-    assert lattice.encode(lattice.decode(mask)) == mask
-    # the factor symbols sit above the class bits, in the order given
+    assert encode(lattice, lattice.decode(mask)) == mask
+    # the factor symbols are the low bits, in the order given
+    assert [lattice.poly_mask([i]) for i in FACTOR_INDICES] == [1, 2, 4]
     mask |= lattice.poly_mask(poly)
     assert lattice.decode(mask) == g_element(x, poly)
-    assert lattice.encode(lattice.decode(mask)) == mask
+    assert encode(lattice, lattice.decode(mask)) == mask
     with pytest.raises(ValueError, match="outside"):
-        lattice.encode(g_element(x, poly | {outside}))
+        encode(lattice, g_element(x, poly | {outside}))
     # a prime outside the list is an error even to an even power, and so is 0
     with pytest.raises(ValueError, match="outside"):
         class_mask(x * Fraction(extra) ** extra_exponent, lattice.primes)
     with pytest.raises(ValueError, match="outside"):
-        lattice.encode(g_element(x * extra))
+        encode(lattice, g_element(x * extra))
     with pytest.raises(ValueError, match="0 has no square class"):
         class_mask(Fraction(0), lattice.primes)
 
@@ -193,8 +197,9 @@ def test_lattice_report_sorts_by_sort_key():
     order = [g_element(1), g_element(-1), g_element(2, {1}), g_element(2, {7}),
              g_element(-2, {1}), g_element(3), g_element(-3, {3}), g_element(6, {1, 3, 7})]
     lattice = Lattice((2, 3, 5), FACTOR_INDICES)
-    assert lattice.decode(0b1010011) == g_element(-2, {1, 7})
-    masks = [lattice.encode(x) for x in order]
+    # symbols 1, 3, 7 at bits 0-2, then -1, 2, 3 and 5
+    assert lattice.decode(0b0011101) == g_element(-2, {1, 7})
+    masks = [encode(lattice, x) for x in order]
     assert list(lattice.report(reversed(masks))) == order
     assert list(lattice.report(random.Random(5).sample(masks, len(masks)))) == order
 
@@ -218,7 +223,7 @@ def test_evaluation_map_is_the_local_mask_of_the_evaluated_element(index):
     spec, point, _ = family_point(index)
     p_t = build_suitable(spec, point)
     adm = find_admissible(spec, p_t, DescentBounds()).point
-    lattice = Lattice.of_places(p_t.places, spec.indices)
+    lattice = Lattice.of_spec(spec)  # the first state's lattice, over T = S0 + S_bad
     values = [spec.factor_value(i, adm.t0) for i in lattice.factor_indices]
     places = list(p_t.places) + [u for _, u in adm.witnesses]
     places += [Place.finite(p) for p in (3, 7, 13, 101) if Place.finite(p) not in places]
