@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -188,15 +187,15 @@ def crt(congruences: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Place:
     """A place of Q: a finite prime or the real place (p is None)."""
 
-    p: Optional[int]
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: Optional[int]):
+        if p is not None and not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self.p = p
 
     @staticmethod
     def real() -> "Place":
@@ -210,7 +209,7 @@ class Place:
     def proved(p: int) -> "Place":
         """Place(p) for a p just proved prime, built without a second proof."""
         place = object.__new__(Place)
-        object.__setattr__(place, "p", p)
+        place.p = p
         return place
 
     @property
@@ -223,6 +222,12 @@ class Place:
 
     def sort_key(self) -> Tuple[int, int]:
         return (0, 0) if self.p is None else (1, self.p)
+
+    def __eq__(self, other: object) -> bool:
+        return self.p == other.p if other.__class__ is Place else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.p)
 
     def __lt__(self, other: "Place") -> bool:
         return self.sort_key() < other.sort_key()
@@ -244,7 +249,11 @@ def parse_place(token: str) -> Place:
 
 
 def parse_rational(token: str) -> Fraction:
-    """A rational written as an integer, p/q or a decimal; ValueError if malformed."""
+    """A rational written as an integer, p/q or a finite decimal, with no
+    exponent (1e999999999 would build a billion-digit integer); ValueError
+    if malformed."""
+    if "e" in token or "E" in token:
+        raise ValueError(f"{token}: exponents are not accepted")
     try:
         return Fraction(token)
     except ZeroDivisionError:

@@ -20,16 +20,14 @@ for reports and trace strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple, Sequence, Set, Tuple
 
 from . import gf2
 from .arith import Place, class_from_mask, local_mask
 from .surface import SurfaceSpec
 
 
-@dataclass(frozen=True)
-class GElement:
+class GElement(NamedTuple):
     """[c][p_{J'}]: a square class, given as its signed square-free integer
     c, times a formal product of factors."""
 
@@ -217,8 +215,7 @@ def _intersection(spec: SurfaceSpec, lattice: Lattice, targets: Dict[int, int], 
     return set(group.elements())
 
 
-@dataclass(frozen=True)
-class ConditionDReport:
+class ConditionDReport(NamedTuple):
     holds: bool
     g_d: Tuple[GElement, ...]
     g_d_dual: Tuple[GElement, ...]

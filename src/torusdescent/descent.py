@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from . import gf2
 from .arith import (
@@ -86,8 +85,7 @@ class DescentAnomaly(DescentError):
     """An invariant the method guarantees failed; indicates a bug or bad input."""
 
 
-@dataclass
-class DescentBounds:
+class DescentBounds(NamedTuple):
     admissible_candidates: int = 50_000
     prime_scan: int = 50_000
     height: int = 1_000
@@ -95,7 +93,7 @@ class DescentBounds:
     solve_each_fiber: bool = True
 
     def as_dict(self) -> Dict[str, int]:
-        return {f.name: int(getattr(self, f.name)) for f in fields(self)}
+        return {name: int(value) for name, value in self._asdict().items()}
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +101,7 @@ class DescentBounds:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     condition_d: ConditionDReport
     failures: List[str]  # names of failed hypotheses
     input_problems: List[str]  # malformed or insufficient point data
@@ -299,8 +296,7 @@ def _real_chamber(
     return lo, hi
 
 
-@dataclass
-class AdmissibleSearch:
+class AdmissibleSearch(NamedTuple):
     point: AdmissiblePoint
     candidates_checked: int
 
@@ -469,8 +465,7 @@ def _try_admissible(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DescentState:
+class DescentState(NamedTuple):
     """R and R-hat at one admissible point adm of p_t, as F2 subspaces of
     the relative lattice over T = p_t.places (relative_selmer): the spec
     lattice with the primes of the inserted places appended in the order of
@@ -482,7 +477,7 @@ class DescentState:
     lattice: Lattice
     sel: gf2.Subspace  # relative Selmer group R
     dual: gf2.Subspace  # relative dual Selmer group R-hat
-    trace: List[Dict] = field(default_factory=list)
+    trace: List[Dict]
 
     def terminal(self) -> bool:
         """R-hat is generated by [-d][p_J]."""
@@ -807,8 +802,7 @@ def reduce_dual_selmer(state: DescentState, bounds: DescentBounds) -> DescentSta
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     outcome: str  # point_found | dual_selmer_minimized | search_exhausted | hypothesis_failed
     data: Dict
     trace: List[Dict]

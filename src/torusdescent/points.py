@@ -5,9 +5,8 @@ and bounded global search for S0-integral points on fibers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .arith import (
     _MR_LIMIT,
@@ -27,8 +26,7 @@ from .arith import (
 from .surface import SurfaceSpec, evaluate_point
 
 
-@dataclass(frozen=True)
-class LocalSolubility:
+class LocalSolubility(NamedTuple):
     """Outcome of a local solubility decision.
 
     status 'soluble' may carry a witness (x, y): exact rationals satisfying

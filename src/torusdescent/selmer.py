@@ -24,8 +24,7 @@ added them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import gf2
 from .arith import (
@@ -46,8 +45,7 @@ from .surface import AdmissiblePoint, PartialAdelicPoint, SurfaceSpec
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TorusData:
+class TorusData(NamedTuple):
     """The torus x^2 - d*y^2 = 1 over the S-integers.
 
     d is stored square-free; S must contain the real place, 2, and every

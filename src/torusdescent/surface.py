@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -73,15 +72,28 @@ class DegenerateFiberError(ValueError):
     """Fiber over a root of p_J."""
 
 
-@dataclass(frozen=True)
 class SurfaceSpec:
-    """Validated surface data; construct through validate_spec."""
+    """Validated surface data; construct through validate_spec.  Equal and
+    hashed by its five fields; the derived tables below are cached in its
+    __dict__ at first use."""
 
-    s0: Tuple[Place, ...]
-    a: int
-    b: int
-    factors: Tuple[Tuple[int, Tuple[int, int]], ...]  # (i, (c_i, d_i))
-    part_a: frozenset
+    def __init__(self, s0: Tuple[Place, ...], a: int, b: int,
+                 factors: Tuple[Tuple[int, Tuple[int, int]], ...],  # (i, (c_i, d_i))
+                 part_a: frozenset):
+        self.s0, self.a, self.b, self.factors, self.part_a = s0, a, b, factors, part_a
+
+    def _key(self) -> tuple:
+        return self.s0, self.a, self.b, self.factors, self.part_a
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is SurfaceSpec else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return ("SurfaceSpec(s0={!r}, a={!r}, b={!r}, factors={!r}, part_a={!r})"
+                .format(*self._key()))
 
     @cached_property
     def d(self) -> int:
@@ -387,8 +399,7 @@ def compute_s_bad(spec: SurfaceSpec) -> Tuple[Place, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberSpec:
+class FiberSpec(NamedTuple):
     """The fiber above t: the conic aA*x^2 + bB*y^2 = 1."""
 
     t: Fraction
@@ -425,8 +436,7 @@ def evaluate_point(spec: SurfaceSpec, x: Rational, y: Rational, t: Rational) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalPoint:
+class LocalPoint(NamedTuple):
     """A local point stored as exact rationals with a v-adic precision claim."""
 
     x: Fraction
@@ -506,8 +516,7 @@ class PartialAdelicPoint:
         return [problem for v in self.places for problem in self.rows[v].problems]
 
 
-@dataclass(frozen=True)
-class AdmissiblePoint:
+class AdmissiblePoint(NamedTuple):
     """A base value t0 with prime uniformizer places for each factor, the
     fiber above t0 and i -> p_i(t0) in index order, as the admissible scan
     computed them; no later step evaluates anything at t0 again.  Its T is

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -202,10 +203,19 @@ def test_class_mask_rejects_entries_below_2(primes):
 
 @pytest.mark.parametrize("token,value", [
     ("-3/4", Fraction(-3, 4)), (" 5/15 ", Fraction(1, 3)), ("1_0", 10),
-    ("１/２", Fraction(1, 2)), ("1e3", 1000), ("0.25", Fraction(1, 4)),
+    ("１/２", Fraction(1, 2)), ("1000", 1000), ("0.25", Fraction(1, 4)),
 ])
 def test_parse_rational_reads_fraction_tokens(token, value):
     assert parse_rational(token) == value
+
+
+@pytest.mark.parametrize("token", ["1e3", "2.5E-1", "-1e-2", "1e999999999"])
+def test_parse_rational_rejects_exponents(token):
+    # Fraction("1e999999999") would build 10^999999999: the check must come first
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent"):
+        parse_rational(token)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("token", ["3/-4", "3 /4", "3/+4", "3/", "x", "3/0"])
@@ -219,6 +229,13 @@ def test_places_ordered():
     assert [str(v) for v in sorted(places)] == ["real", "2", "3", "5"]
     with pytest.raises(ValueError):
         Place.finite(6)
+
+
+def test_places_are_equal_and_hashed_by_p_alone():
+    assert Place.proved(7) == Place(7) != Place(5)
+    assert hash(Place.proved(7)) == hash(Place(7)) == hash(7)
+    assert Place(7) != 7 and REAL == Place(None) != None  # noqa: E711
+    assert not Place(7) < Place(7) and REAL < Place(2)
 
 
 # ---------------------------------------------------------------------------

@@ -109,6 +109,19 @@ def run_module(*argv, hash_seed=None):
     )
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every CLI call imports the package afresh: dataclasses, the inspect,
+    ast and dis it pulls in, and its class builds were about a quarter of
+    that import."""
+    probe = ("import sys; before = set(sys.modules); import torusdescent.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    loaded = set(done.stdout.split())
+    assert "torusdescent.cli" in loaded, done.stderr
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_python_dash_m_runs_the_cli(spec_file):
     done = run_module("validate", spec_file)
     assert done.returncode == 0, done.stderr
@@ -162,11 +175,13 @@ _SEVENTEEN_FACTORS = "s0 real 2\na 1\nb 1\n" + "".join(
     ("validate", SPEC_TEXT.replace("factor 1 1 0", "factor 1 0 5"), None,
      "factor 1: leading coefficient c must be nonzero"),
     ("descend", SPEC_TEXT, "real 1 1 1\n", "point line 1: expected 5 fields"),
+    ("descend", SPEC_TEXT, "real 1e999999999 1 1 10\n",
+     "point line 1: 1e999999999: exponents are not accepted"),
     ("descend", SPEC_TEXT, "real 1 1 1 0\n", "point line 1: precision must be >= 1"),
     ("descend", SPEC_TEXT, "real 1 1 1 10\nreal 1 1 1 10\n",
      "point line 2: duplicate place real"),
 ], ids=["repeated-s0-place", "seventeen-factors", "unknown-part-a-index", "zero-c",
-        "four-point-fields", "precision-0", "repeated-point-place"])
+        "four-point-fields", "exponent-in-point", "precision-0", "repeated-point-place"])
 def test_input_rejections_exit_1_with_their_message(tmp_path, capsys, command, spec_text,
                                                     points, message):
     spec_path = tmp_path / "input.spec"
@@ -214,6 +229,14 @@ def test_selmer_factors_the_torus_parameter_once(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["places"] == ["real", "2", "3", str(p), str(q)]
     assert payload["torus_d"] == str(-3 * p * q) == "-12000006000024000009000009"
+
+
+def test_selmer_rejects_an_exponent_in_t_at_once(spec_file, capsys):
+    # Fraction("1e999999999") is 10^999999999: reading it would not end
+    assert main(["selmer", spec_file, "--t", "1e999999999"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: 1e999999999: exponents are not accepted\n"
+    assert captured.out == ""
 
 
 def test_selmer_names_a_torus_parameter_past_the_primality_range(tmp_path, capsys):
@@ -477,7 +500,8 @@ def test_argparse_rejection_leaves_the_next_call_as_in_a_fresh_process(spec_file
     assert captured.out.startswith("fiber t = 1/2: ")
 
 
-_JUNK = ["", "x", "3/-4", "3 /4", "3/+4", "1_0", "１/２", "1e3", "0.5", "-", "1/0", "٣"]
+_JUNK = ["", "x", "3/-4", "3 /4", "3/+4", "1_0", "１/２", "1e3", "1e999999999", "0.5", "-", "1/0",
+         "٣"]
 _PLACES = ["real", "oo", "2", "3", "5", "7", "11", "4", "1", "0", "-3"]
 
 

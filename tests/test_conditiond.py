@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -370,7 +369,7 @@ def test_spec_keeps_the_derived_tables_and_no_factorization():
     none of them a factorization."""
     for spec in (family_spec(23), _g_d_too_large_spec(16)):
         check_condition_d(spec)
-        fields = {field.name for field in dataclasses.fields(spec)}
+        fields = {"s0", "a", "b", "factors", "part_a"}
         assert set(vars(spec)) - fields == {
             "d", "indices", "forms", "cross_resultants", "_tables", "s_bad",
             "basis_primes", "root_masks", "a_mask", "d_mask"}

@@ -660,12 +660,10 @@ def test_admissible_budget_counts_struck_candidates(index):
     bounds = DescentBounds(solve_each_fiber=False)
     search = find_admissible(spec, p_t, bounds)
     budget = search.candidates_checked
-    bounds.admissible_candidates = budget - 1
     with pytest.raises(SearchExhausted) as info:
-        find_admissible(spec, p_t, bounds)
+        find_admissible(spec, p_t, bounds._replace(admissible_candidates=budget - 1))
     assert info.value.stage == "admissible_point"
-    bounds.admissible_candidates = budget
-    again = find_admissible(spec, p_t, bounds)
+    again = find_admissible(spec, p_t, bounds._replace(admissible_candidates=budget))
     assert again.point.t0 == search.point.t0
     assert again.candidates_checked == budget
 

@@ -15,7 +15,6 @@ certificates are trusted:
 """
 
 import ast
-import dataclasses
 import importlib.util
 import json
 import os
@@ -183,7 +182,7 @@ def case_input(name):
         spec, point, bounds = _cli_mix_input()
     else:
         spec, point, bounds = _fuzz_input(int(head[len("fuzz-"):]), variant)
-    bounds = dataclasses.replace(bounds, **{key: int(value) for key, value in settings.items()})
+    bounds = bounds._replace(**{key: int(value) for key, value in settings.items()})
     return spec, point, bounds
 
 

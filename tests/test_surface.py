@@ -119,6 +119,16 @@ def test_validate_spec_reads_a_one_shot_part_a_once():
         make_spec([2], 1, 3, {1: (1, 0)}, iter([5]))
 
 
+def test_specs_are_equal_and_hashed_by_their_five_fields():
+    spec, same = (make_spec([2], 5, 1, {1: (1, 0), 2: (1, 3)}, [1]) for _ in range(2))
+    assert spec.s_bad and "s_bad" in vars(spec)  # a cached table, not a field
+    assert spec == same and hash(spec) == hash(same) and len({spec, same}) == 1
+    assert spec != make_spec([2], 5, 1, {1: (1, 0), 2: (1, 3)}, [2])
+    assert spec != (spec.s0, spec.a, spec.b, spec.factors, spec.part_a)
+    assert str(spec) == ("SurfaceSpec(s0=(Place(real), Place(2)), a=5, b=1, "
+                         "factors=((1, (1, 0)), (2, (1, 3))), part_a=frozenset({1}))")
+
+
 def test_s_bad_running_example(running_spec):
     assert [v.p for v in compute_s_bad(running_spec)] == [2, 3]
 
