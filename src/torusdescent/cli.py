@@ -1,17 +1,23 @@
 """Command-line front end: spec ingestion, subcommand dispatch, and
 certificate/report emission.
 
+Grammar: torusdescent [--json] COMMAND SPEC [--name value | --name=value]...
+--json comes before the command, and there is exactly one spec path. Option
+names are exact (no prefixes). The token after an option name is its value,
+even when it starts with "-" (--t -1/2). A repeated option's last value wins.
+-h or --help prints the help and exits 0. Any other problem is a usage error:
+a usage line and the error on stderr, then SystemExit(2).
+
 Exit codes: 0 success (including point_found), 1 input error,
 2 hypothesis failed, 3 search exhausted.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
 import sys
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 from .arith import Place, PrimalityRangeError, factorize, parse_place, parse_rational
@@ -263,59 +269,102 @@ def cmd_descend(args) -> int:
     return EXIT_EXHAUSTED
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built at the first call and shared by every later
-    one: parse_args returns a fresh Namespace each time and every default is
-    an immutable value, so no option value carries over between calls."""
-    parser = argparse.ArgumentParser(
-        prog="torusdescent",
-        description="Integral points on conic bundles via descent on norm-one torus fibrations",
-    )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _model(value: str) -> str:
+    if value in ("integral", "rational"):
+        return value
+    raise ValueError(f"invalid choice: {value!r} (choose from 'integral', 'rational')")
 
-    p = sub.add_parser("validate", help="validate a surface spec file")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("condition-d", help="compute the Condition (D) groups")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_condition_d)
+_BOUNDS = DescentBounds()
+_T = {"--t": (str, None)}
 
-    p = sub.add_parser("selmer", help="Selmer groups of the fiber torus at t")
-    p.add_argument("spec")
-    p.add_argument("--t", required=True)
-    p.set_defaults(func=cmd_selmer)
+# command -> (handler, help, options); an option maps its exact name to
+# (converter, default), and a default of None marks it required
+COMMANDS = {
+    "validate": (cmd_validate, "validate a surface spec file", {}),
+    "condition-d": (cmd_condition_d, "compute the Condition (D) groups", {}),
+    "selmer": (cmd_selmer, "Selmer groups of the fiber torus at t", _T),
+    "brauer": (cmd_brauer, "vertical Brauer generators and residues", {}),
+    "local": (cmd_local, "local solubility of a fiber (--model integral or rational)", {
+        **_T, "--place": (str, None), "--model": (_model, "integral")}),
+    "descend": (cmd_descend, "run the full descent pipeline", {
+        "--point-file": (str, None),
+        "--height": (int, _BOUNDS.height),
+        "--admissible-bound": (int, _BOUNDS.admissible_candidates),
+        "--prime-bound": (int, _BOUNDS.prime_scan),
+        "--max-steps": (int, _BOUNDS.max_steps)}),
+    "solve": (cmd_solve, "bounded point search on one fiber", {
+        **_T, "--height": (int, _BOUNDS.height)}),
+}
 
-    p = sub.add_parser("brauer", help="vertical Brauer generators and residues")
-    p.add_argument("spec")
-    p.set_defaults(func=cmd_brauer)
 
-    p = sub.add_parser("local", help="local solubility of a fiber")
-    p.add_argument("spec")
-    p.add_argument("--t", required=True)
-    p.add_argument("--place", required=True)
-    p.add_argument("--model", choices=["integral", "rational"], default="integral")
-    p.set_defaults(func=cmd_local)
+def _synopsis(command: str) -> str:
+    return f"{command} spec" + "".join(
+        f" {name} {name[2:].upper()}" if default is None else f" [{name} {default}]"
+        for name, (_, default) in COMMANDS[command][2].items())
 
-    defaults = DescentBounds()
-    p = sub.add_parser("descend", help="run the full descent pipeline")
-    p.add_argument("spec")
-    p.add_argument("--point-file", required=True)
-    p.add_argument("--height", type=int, default=defaults.height)
-    p.add_argument("--admissible-bound", type=int, default=defaults.admissible_candidates)
-    p.add_argument("--prime-bound", type=int, default=defaults.prime_scan)
-    p.add_argument("--max-steps", type=int, default=defaults.max_steps)
-    p.set_defaults(func=cmd_descend)
 
-    p = sub.add_parser("solve", help="bounded point search on one fiber")
-    p.add_argument("spec")
-    p.add_argument("--t", required=True)
-    p.add_argument("--height", type=int, default=defaults.height)
-    p.set_defaults(func=cmd_solve)
+def _usage_error(command: Optional[str], what: str):
+    usage = _synopsis(command) if command else "{" + ",".join(COMMANDS) + "} spec [options]"
+    print(f"usage: torusdescent [-h] [--json] {usage}\ntorusdescent: error: {what}",
+          file=sys.stderr)
+    raise SystemExit(2)
 
-    return parser
+
+def _help():
+    print("usage: torusdescent [-h] [--json] COMMAND spec [options]\n\n"
+          "--json (before the command): machine-readable output\n\n"
+          "commands (an optional value in brackets shows its default):")
+    for command, (_, text, _) in COMMANDS.items():
+        print(f"  {command:<12} {text}\n      torusdescent {_synopsis(command)}")
+    raise SystemExit(0)
+
+
+def parse_argv(argv: List[str]) -> SimpleNamespace:
+    """The namespace of one command line (grammar in the module docstring):
+    json, command, func, spec and one field per option of the command. -h
+    prints the help and raises SystemExit(0); a usage error prints the
+    usage and the error and raises SystemExit(2)."""
+    k = 0
+    while k < len(argv) and argv[k] == "--json":
+        k += 1
+    if k == len(argv):
+        _usage_error(None, "the following arguments are required: command")
+    command = argv[k]
+    if command in ("-h", "--help"):
+        _help()
+    if command not in COMMANDS:
+        _usage_error(None, f"argument command: invalid choice: {command!r} "
+                     f"(choose from {', '.join(COMMANDS)})")
+    func, _, options = COMMANDS[command]
+    positionals, values = [], {}
+    tokens = iter(argv[k + 1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help()
+        if token[:1] != "-" or token == "-":
+            positionals.append(token)
+            continue
+        name, equals, value = token.partition("=")
+        if name not in options:
+            _usage_error(command, f"unrecognized arguments: {token}")
+        if not equals:  # the next token is the value, even when it starts with "-"
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(command, f"argument {name}: expected one argument")
+        try:
+            values[name] = options[name][0](value)
+        except ValueError as exc:
+            _usage_error(command, f"argument {name}: {exc}")
+    missing = ["spec"] * (not positionals) + [
+        name for name, (_, default) in options.items() if default is None and name not in values]
+    if missing:
+        _usage_error(command, f"the following arguments are required: {', '.join(missing)}")
+    if len(positionals) > 1:
+        _usage_error(command, f"unrecognized arguments: {' '.join(positionals[1:])}")
+    return SimpleNamespace(json=k > 0, command=command, func=func, spec=positionals[0], **{
+        name[2:].replace("-", "_"): values.get(name, default)
+        for name, (_, default) in options.items()})
 
 
 # search bounds: a negative value would silently mean an empty search
@@ -323,7 +372,7 @@ BOUND_OPTIONS = ("height", "admissible_bound", "prime_bound", "max_steps")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         for name in BOUND_OPTIONS:
             if getattr(args, name, 0) < 0:

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdescent import arith
-from torusdescent.cli import build_parser, main
+from torusdescent.cli import COMMANDS, main, parse_argv
 from torusdescent.descent import DescentBounds
 from torusdescent.surface import make_spec, serialize_point, serialize_spec
 
@@ -109,17 +110,18 @@ def run_module(*argv, hash_seed=None):
     )
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def test_importing_the_cli_loads_no_dataclasses_inspect_argparse_or_gettext():
     """Every CLI call imports the package afresh: dataclasses, the inspect,
     ast and dis it pulls in, and its class builds were about a quarter of
-    that import."""
+    that import; parse_argv reads argv from the command table, so neither
+    argparse nor the gettext it loads is needed."""
     probe = ("import sys; before = set(sys.modules); import torusdescent.cli; "
              "print(*sorted(set(sys.modules) - before))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
     loaded = set(done.stdout.split())
     assert "torusdescent.cli" in loaded, done.stderr
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "argparse", "gettext"}
 
 
 def test_python_dash_m_runs_the_cli(spec_file):
@@ -325,11 +327,62 @@ def test_local_real_witness_for_a_large_leading_coefficient(tmp_path, capsys):
 
 def test_descent_flag_defaults_are_the_descent_bounds():
     defaults = DescentBounds()
-    args = build_parser().parse_args(["descend", "s.spec", "--point-file", "p.txt"])
+    args = parse_argv(["descend", "s.spec", "--point-file", "p.txt"])
     assert (args.height, args.admissible_bound, args.prime_bound, args.max_steps) == (
         defaults.height, defaults.admissible_candidates, defaults.prime_scan,
         defaults.max_steps)
-    assert build_parser().parse_args(["solve", "s.spec", "--t", "1"]).height == defaults.height
+    assert parse_argv(["solve", "s.spec", "--t", "1"]).height == defaults.height
+
+
+def _readme_cli_lines():
+    """The `torusdescent ...` lines of the README's CLI block, continuation
+    lines joined."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("torusdescent ")]
+
+
+def test_readme_cli_lines_parse_to_their_command_and_options(capsys):
+    """Each README command line (an optional part in brackets given) yields
+    its command, handler, spec path and option values; -h names every
+    command and option of the table."""
+    expected = {
+        "validate": {}, "condition-d": {}, "brauer": {}, "selmer": {"t": "1"},
+        "local": {"t": "1", "place": "7", "model": "rational"},
+        "solve": {"t": "1/2", "height": 1000},
+        "descend": {"point_file": "surface.points", "height": 1000,
+                    "admissible_bound": 50000, "prime_bound": 50000, "max_steps": 24},
+    }
+    seen = []
+    for line in _readme_cli_lines():
+        args = parse_argv(shlex.split(line.replace("[", "").replace("]", ""), comments=True)[1:])
+        seen.append(args.command)
+        assert (args.func, args.spec, args.json) == (COMMANDS[args.command][0], "surface.spec",
+                                                     False), line
+        assert {k: getattr(args, k) for k in expected[args.command]} == expected[args.command]
+    assert sorted(seen) == sorted(COMMANDS)
+    with pytest.raises(SystemExit) as helped:
+        parse_argv(["-h"])
+    assert helped.value.code == 0
+    text = capsys.readouterr().out
+    for command, (_, _, options) in COMMANDS.items():
+        assert command in text and all(name in text for name in options), command
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("selmer", []), ("local", ["--place", "3"]), ("solve", ["--height", "20"])],
+)
+def test_negative_fractional_t_reads_as_with_an_equals_sign(tmp_path, capsys, command, options):
+    """argparse took `-1/2` after `--t` for an option and exited 2."""
+    path = tmp_path / "roots-0-and-minus-1.spec"
+    path.write_text("s0 real 2\na 2\nb 3\nfactor 1 1 0\nfactor 2 1 1\npartA 1\n")
+    runs = []
+    for t in (["--t", "-1/2"], ["--t=-1/2"]):
+        runs.append((main([command, str(path), *t, *options]), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert "t = -1/2" in runs[0][1].out
 
 
 def test_solve_command(spec_file, capsys):
@@ -462,8 +515,7 @@ def test_negative_search_bound_is_input_error(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
-def test_parser_is_built_once_and_shared_by_every_call(tmp_path, spec_file, capsys):
-    assert build_parser() is build_parser()
+def test_no_option_value_carries_over_between_calls(tmp_path, spec_file, capsys):
     # --json on one call does not carry over to the next
     assert main(["--json", "validate", spec_file]) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
@@ -476,8 +528,9 @@ def test_parser_is_built_once_and_shared_by_every_call(tmp_path, spec_file, caps
     point_path = tmp_path / "family.points"
     point_path.write_text(serialize_point(point))
     argv = ["descend", str(spec_path), "--point-file", str(point_path)]
-    assert build_parser().parse_args([*argv, "--height", "5"]).height == 5
-    assert build_parser().parse_args(argv).height == DescentBounds().height
+    assert parse_argv([*argv, "--height", "5"]).height == 5
+    assert parse_argv([*argv, "--height", "5", "--height=7"]).height == 7  # the last one wins
+    assert parse_argv(argv).height == DescentBounds().height
     main(["--json", *argv, "--height", "5"])
     assert json.loads(capsys.readouterr().out)["bounds"]["height"] == 5
     main(["--json", *argv])
@@ -485,7 +538,7 @@ def test_parser_is_built_once_and_shared_by_every_call(tmp_path, spec_file, caps
     assert bounds["height"] == DescentBounds().height
 
 
-def test_argparse_rejection_leaves_the_next_call_as_in_a_fresh_process(spec_file, capsys):
+def test_usage_error_leaves_the_next_call_as_in_a_fresh_process(spec_file, capsys):
     argv = ["selmer", spec_file, "--t", "1/2"]
     assert main(["--json", *argv]) == 0
     capsys.readouterr()
@@ -498,6 +551,29 @@ def test_argparse_rejection_leaves_the_next_call_as_in_a_fresh_process(spec_file
     fresh = run_module(*argv)
     assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert captured.out.startswith("fiber t = 1/2: ")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [([], "required: command"), (["--json"], "required: command"),
+     (["solv", "s.spec"], "invalid choice: 'solv'"), (["validate"], "required: spec"),
+     (["validate", "a.spec", "b.spec"], "unrecognized arguments: b.spec"),
+     (["validate", "s.spec", "--json"], "unrecognized arguments: --json"),
+     (["local", "s.spec", "--t", "1", "--pl", "3"], "unrecognized arguments: --pl"),
+     (["local", "s.spec", "--t", "1", "--place=3", "--model=r"], "argument --model: invalid choice"),
+     (["selmer", "s.spec", "--t"], "argument --t: expected one argument"),
+     (["selmer", "s.spec"], "required: --t"),
+     (["descend", "s.spec", "--point-file", "p", "--max-steps", "1.5"], "argument --max-steps: ")],
+    ids=["no-command", "json-only", "unknown-command", "no-spec", "two-specs", "json-after",
+         "prefix", "model", "missing-value", "missing-option", "non-integer-bound"],
+)
+def test_usage_errors_exit_2_naming_the_problem(capsys, argv, named):
+    with pytest.raises(SystemExit) as rejected:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (rejected.value.code, captured.out) == (2, "")
+    assert captured.err.startswith("usage: torusdescent ") and named in captured.err
+    assert "\ntorusdescent: error: " in captured.err
 
 
 _JUNK = ["", "x", "3/-4", "3 /4", "3/+4", "1_0", "１/２", "1e3", "1e999999999", "0.5", "-", "1/0",
@@ -567,35 +643,77 @@ def _cli_inputs(draw):
                 f"{draw(_rational_tokens())} {draw(st.sampled_from(['1', '12', '0', 'x']))}"
                 for v in draw(st.lists(st.sampled_from(_PLACES), max_size=4))]
         point_text = "\n".join(rows) + "\n"
-    t = f"--t={draw(_rational_tokens())}"
-    command = draw(st.sampled_from([
+    t = ("--t", draw(_rational_tokens()))
+    command, *options = draw(st.sampled_from([
         ("validate",), ("condition-d",), ("brauer",), ("selmer", t),
-        ("local", t, f"--place={draw(st.sampled_from(_PLACES))}",
-         f"--model={draw(st.sampled_from(['integral', 'rational']))}"),
-        ("solve", t, "--height", "20"),
-        ("descend", "--height", "20", "--admissible-bound", "60", "--prime-bound", "2000",
-         "--max-steps", "6"),
+        ("local", t, ("--place", draw(st.sampled_from(_PLACES))),
+         ("--model", draw(st.sampled_from(["integral", "rational"])))),
+        ("solve", t, ("--height", "20")),
+        ("descend", ("--point-file", "POINTS"), ("--height", "20"), ("--admissible-bound", "60"),
+         ("--prime-bound", "2000"), ("--max-steps", "6")),
     ]))
-    return spec_text, point_text, command, draw(st.booleans())
+    return (spec_text, point_text) + draw(_argv(command, options, draw(st.booleans())))
+
+
+_ARGV_DEFECTS = ("unknown", "prefix", "missing-value", "repeat", "json-after", "no-command",
+                 "no-spec", "two-specs", "help")
+
+
+@st.composite
+def _argv(draw, command, options, as_json):
+    """(argv, defect or None) of one call, SPEC and POINTS standing for the
+    file paths: the spec path and the options in a shuffled order, each
+    option as `--name value` or `--name=value`, and half the time one
+    defect. Only a repeated option leaves the argv well formed; -h is a
+    value when it lands after an option name in the space form."""
+    defect = draw(st.sampled_from((None,) * len(_ARGV_DEFECTS) + _ARGV_DEFECTS))
+    names = [name for name, _ in options] or ["--t"]
+    if defect == "repeat" and options:
+        options.append(draw(st.sampled_from(options)))
+    elif defect in ("unknown", "prefix"):
+        prefixes = [name[:k] for name in names for k in range(3, len(name))] or ["--pl"]
+        options.append((draw(st.sampled_from(["--bogus", "-x", "--", "--point_file"]
+                                             if defect == "unknown" else prefixes)), "3"))
+    items = [["SPEC"]] + [[name, value] if draw(st.booleans()) else [f"{name}={value}"]
+                          for name, value in options]
+    argv = [token for item in draw(st.permutations(items)) for token in item]
+    if defect == "missing-value":
+        argv.append(draw(st.sampled_from(names)))
+    elif defect == "no-spec":
+        argv.remove("SPEC")
+    elif defect == "two-specs":
+        argv.append("SPEC")
+    elif defect in ("json-after", "help"):
+        argv.insert(draw(st.integers(0, len(argv))), "--json" if defect == "json-after" else "-h")
+    argv = ["--json"] * as_json + [command] * (defect != "no-command") + argv
+    return argv, defect
 
 
 @given(_cli_inputs())
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=250, deadline=None, derandomize=True)
 def test_cli_fuzz_exits_with_a_known_code(case):
-    """Fuzzed spec text, point file lines and --t values: every call returns
-    one of the four exit codes, and no exception leaves main."""
-    spec_text, point_text, (command, *options), as_json = case
+    """Fuzzed spec text, point file lines, --t values and argv shapes: a
+    well-formed call returns one of the four exit codes, -h exits 0 after
+    the help (or 2 when it is taken for a value) and every other defect
+    exits 2 after a usage error; no other exception leaves main."""
+    spec_text, point_text, argv, defect = case
+    exits = {None: (), "repeat": (), "help": (0, 2)}.get(defect, (2,))
     with tempfile.TemporaryDirectory() as tmp:
         spec_path, point_path = os.path.join(tmp, "fuzz.spec"), os.path.join(tmp, "fuzz.points")
         for path, text in ((spec_path, spec_text), (point_path, point_text)):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        if command == "descend":
-            options = ["--point-file", point_path, *options]
-        argv = ["--json"] * as_json + [command, spec_path, *options]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    assert code in (0, 1, 2, 3), argv
+        argv = [{"SPEC": spec_path, "POINTS": point_path}.get(arg, arg) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in exits, argv
+            assert (err if exc.code else out).getvalue().startswith("usage:"), argv
+            assert exc.code == 0 or "torusdescent: error: " in err.getvalue(), argv
+        else:
+            assert not exits and code in (0, 1, 2, 3), argv
 
 
 # three family members: a point found, one dual Selmer reduction and two
