@@ -1,15 +1,22 @@
 """Command-line front end: spec ingestion, subcommand dispatch, and
-certificate/report emission.
+report emission.
 
 Grammar: torusdescent [--json] COMMAND SPEC [--name value | --name=value]...
 --json comes before the command, and there is exactly one spec path. Option
 names are exact (no prefixes). The token after an option name is its value,
 even when it starts with "-" (--t -1/2). A repeated option's last value wins.
 -h or --help prints the help and exits 0. Any other problem is a usage error:
-a usage line and the error on stderr, then SystemExit(2).
+a usage line and the error on stderr, then SystemExit(1).
 
-Exit codes: 0 success (including point_found), 1 input error,
-2 hypothesis failed, 3 search exhausted.
+A subcommand is a handler and its row of COMMANDS. The handler takes the
+loaded spec and the parsed namespace and returns (exit code, report fields,
+text lines); it neither loads nor prints. main loads the spec, runs the
+handler and prints the report: with --json the canonical_json of the spec
+hash, the readings and the fields, otherwise the text lines. The fields of
+descend are its certificate, and its exit code is OUTCOME_EXIT[outcome].
+
+Exit codes: 0 success (including point_found and dual_selmer_minimized),
+1 input or usage error, 2 hypothesis failed, 3 search exhausted.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ import json
 import math
 import sys
 from types import SimpleNamespace
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
-from .arith import Place, PrimalityRangeError, factorize, parse_place, parse_rational
+from .arith import REAL, Place, PrimalityRangeError, factorize, parse_place, parse_rational
 from .brauer import residue_at
 from .conditiond import check_condition_d
 from .descent import (
@@ -45,59 +52,41 @@ EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_EXHAUSTED = 3
 
-
-def _emit(payload: Dict, as_json: bool, text_lines: List[str]) -> None:
-    if as_json:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _report_base(spec) -> Dict:
-    return {"spec_hash": spec_hash(spec), "readings": dict(READINGS)}
+# descend outcome -> exit code
+OUTCOME_EXIT = {
+    "point_found": EXIT_OK,
+    "dual_selmer_minimized": EXIT_OK,
+    "hypothesis_failed": EXIT_HYPOTHESIS,
+    "search_exhausted": EXIT_EXHAUSTED,
+}
 
 
-def cmd_validate(args) -> int:
-    spec = load_spec(args.spec)
-    payload = _report_base(spec)
-    payload.update(
-        {
-            "valid": True,
-            "d": str(spec.d),
-            "s_bad": [str(v) for v in spec.s_bad],
-        }
-    )
-    _emit(
-        payload,
-        args.json,
-        [
-            f"spec valid; d = {spec.d}",
-            "S_bad = {" + ", ".join(payload["s_bad"]) + "}",
-            f"spec hash {payload['spec_hash']}",
-        ],
-    )
-    return EXIT_OK
+def canonical_json(payload: Dict) -> str:
+    """The canonical JSON form of a report: sorted keys, no spaces."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def cmd_condition_d(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_validate(spec, args):
+    fields = {"valid": True, "d": str(spec.d), "s_bad": [str(v) for v in spec.s_bad]}
+    return EXIT_OK, fields, [
+        f"spec valid; d = {spec.d}",
+        "S_bad = {" + ", ".join(fields["s_bad"]) + "}",
+        f"spec hash {spec_hash(spec)}",
+    ]
+
+
+def cmd_condition_d(spec, args):
     report = check_condition_d(spec)
-    payload = _report_base(spec)
-    payload.update(
-        {
-            "holds": report.holds,
-            "g_d": [str(g) for g in report.g_d],
-            "g_d_dual": [str(g) for g in report.g_d_dual],
-            "witnesses": [str(g) for g in report.witnesses],
-        }
-    )
-    _emit(payload, args.json, [str(report)])
-    return EXIT_OK if report.holds else EXIT_HYPOTHESIS
+    fields = {
+        "holds": report.holds,
+        "g_d": [str(g) for g in report.g_d],
+        "g_d_dual": [str(g) for g in report.g_d_dual],
+        "witnesses": [str(g) for g in report.witnesses],
+    }
+    return EXIT_OK if report.holds else EXIT_HYPOTHESIS, fields, [str(report)]
 
 
-def cmd_selmer(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_selmer(spec, args):
     t = parse_rational(args.t)
     x = fiber(spec, t).torus_d
     # one factorization gives both the class and its primes: the square-free
@@ -109,144 +98,98 @@ def cmd_selmer(args) -> int:
         raise ValueError(past_primality_range(name, x)) from None
     ramified = [p for p, e in factors.items() if e % 2]
     support = {2} | set(spec.s0_finite_primes) | set(ramified)
-    places = [Place.real()] + [Place.finite(p) for p in sorted(support)]
+    places = [REAL] + [Place.finite(p) for p in sorted(support)]
     torus = torus_data(math.prod(ramified, start=-1 if x < 0 else 1), places)
     lattice, sel, dual = selmer_groups(torus)
-    payload = _report_base(spec)
-    payload.update(
-        {
-            "t": str(t),
-            "torus_d": str(torus.d),
-            "places": [str(v) for v in torus.places],
-            "selmer_basis": [str(lattice.decode(m).c) for m in sel.basis],
-            "dual_selmer_basis": [str(lattice.decode(m).c) for m in dual.basis],
-            "dim_selmer": sel.dim,
-            "dim_dual_selmer": dual.dim,
-        }
-    )
-    _emit(
-        payload,
-        args.json,
-        [
-            f"fiber t = {t}: torus parameter {torus.d} over S = "
-            + "{" + ", ".join(str(v) for v in torus.places) + "}",
-            f"Selmer group: dim {sel.dim}, basis "
-            + "{" + ", ".join(payload["selmer_basis"]) + "}",
-            f"dual Selmer group: dim {dual.dim}, basis "
-            + "{" + ", ".join(payload["dual_selmer_basis"]) + "}",
-        ],
-    )
-    return EXIT_OK
+    names = [str(v) for v in torus.places]
+    basis = [str(lattice.decode(m).c) for m in sel.basis]
+    dual_basis = [str(lattice.decode(m).c) for m in dual.basis]
+    fields = {
+        "t": str(t),
+        "torus_d": str(torus.d),
+        "places": names,
+        "selmer_basis": basis,
+        "dual_selmer_basis": dual_basis,
+        "dim_selmer": sel.dim,
+        "dim_dual_selmer": dual.dim,
+    }
+    return EXIT_OK, fields, [
+        f"fiber t = {t}: torus parameter {torus.d} over S = {{{', '.join(names)}}}",
+        f"Selmer group: dim {sel.dim}, basis {{{', '.join(basis)}}}",
+        f"dual Selmer group: dim {dual.dim}, basis {{{', '.join(dual_basis)}}}",
+    ]
 
 
-def cmd_brauer(args) -> int:
-    spec = load_spec(args.spec)
-    payload = _report_base(spec)
+def cmd_brauer(spec, args):
     gens = []
     lines = []
     for i in spec.indices:
         left, (c, d) = spec.brauer_constants[i], spec.coeffs(i)
-        entries = {
-            "index": i,
-            "left": str(left),
-            "right": [str(d), str(c)],
-            "residues": {},
-        }
-        for j in spec.indices:
-            root = spec.root(j)
-            res = residue_at(spec, i, root)
-            entries["residues"][f"t={root}"] = str(res)
-        gens.append(entries)
-        lines.append(
-            f"generator {i}: ({left}, p_{i}(t)); residues: "
-            + ", ".join(f"{k} -> {v}" for k, v in entries["residues"].items())
-        )
-    payload["generators"] = gens
-    _emit(payload, args.json, lines)
-    return EXIT_OK
+        residues = {f"t={root}": str(residue_at(spec, i, root))
+                    for root in map(spec.root, spec.indices)}
+        gens.append({"index": i, "left": str(left), "right": [str(d), str(c)],
+                     "residues": residues})
+        lines.append(f"generator {i}: ({left}, p_{i}(t)); residues: "
+                     + ", ".join(f"{k} -> {v}" for k, v in residues.items()))
+    return EXIT_OK, {"generators": gens}, lines
 
 
-def cmd_local(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_local(spec, args):
     t = parse_rational(args.t)
     try:
         v = parse_place(args.place)
     except ValueError as exc:  # not an integer, not prime, or past the primality range
         raise ValueError(f"--place {args.place}: {exc}") from None
     fib = fiber(spec, t)
-    model = args.model
-    result = local_solubility(fib.aA, fib.bB, v, model=model)
-    payload = _report_base(spec)
-    payload.update(
-        {
-            "t": str(t),
-            "place": str(v),
-            "model": model,
-            "status": result.status,
-            "witness": [str(c) for c in result.witness] if result.witness else None,
-            "certificate": result.certificate,
-        }
-    )
-    witness_text = (
-        f"; witness ({result.witness[0]}, {result.witness[1]})"
-        if result.witness
-        else ""
-    )
-    _emit(
-        payload,
-        args.json,
-        [
-            f"fiber t = {t} at {v} ({model} model): {result.status}"
-            + witness_text
-            + (f"; {result.certificate}" if result.certificate else "")
-        ],
-    )
-    return EXIT_OK
+    result = local_solubility(fib.aA, fib.bB, v, model=args.model)
+    witness = result.witness
+    fields = {
+        "t": str(t),
+        "place": str(v),
+        "model": args.model,
+        "status": result.status,
+        "witness": [str(c) for c in witness] if witness else None,
+        "certificate": result.certificate,
+    }
+    return EXIT_OK, fields, [
+        f"fiber t = {t} at {v} ({args.model} model): {result.status}"
+        + (f"; witness ({witness[0]}, {witness[1]})" if witness else "")
+        + (f"; {result.certificate}" if result.certificate else "")
+    ]
 
 
-def cmd_solve(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_solve(spec, args):
     t = parse_rational(args.t)
     fib = fiber(spec, t)
     sol = solve_global(fib.aA, fib.bB, spec.s0_finite_primes, args.height)
-    payload = _report_base(spec)
     if sol is None:
-        payload.update({"t": str(t), "found": False, "height": args.height})
-        _emit(payload, args.json, [f"no point on the fiber t = {t} within height {args.height}"])
-        return EXIT_EXHAUSTED
+        fields = {"t": str(t), "found": False, "height": args.height}
+        return EXIT_EXHAUSTED, fields, [
+            f"no point on the fiber t = {t} within height {args.height}"]
     x, y = sol
     verified = verify_integral_point(spec, x, y, t)
-    payload.update(
-        {"t": str(t), "found": True, "x": str(x), "y": str(y), "verified": verified}
-    )
-    _emit(payload, args.json, [f"point (x, y, t) = ({x}, {y}, {t}); verified: {verified}"])
-    return EXIT_OK
+    fields = {"t": str(t), "found": True, "x": str(x), "y": str(y), "verified": verified}
+    return EXIT_OK, fields, [f"point (x, y, t) = ({x}, {y}, {t}); verified: {verified}"]
 
 
-def render_certificate(cert: Certificate) -> str:
-    """Deterministic human-readable rendering of a certificate."""
-    lines = [f"outcome: {cert.outcome}"]
+def render_certificate(cert: Certificate) -> Iterator[str]:
+    """The lines of the deterministic human-readable rendering of a certificate."""
+    yield f"outcome: {cert.outcome}"
     for key in sorted(cert.data):
-        lines.append(f"  {key}: {cert.data[key]}")
-    lines.append(f"spec hash: {cert.spec_sha}")
+        yield f"  {key}: {cert.data[key]}"
+    yield f"spec hash: {cert.spec_sha}"
     for key in sorted(cert.readings):
-        lines.append(f"reading {key}: {cert.readings[key]}")
-    lines.append("trace:")
+        yield f"reading {key}: {cert.readings[key]}"
+    yield "trace:"
     for entry in cert.trace:
         step = entry.get("step", "?")
         rest = ", ".join(
             f"{k}={entry[k]}" for k in sorted(entry) if k not in ("step", "details")
         )
-        lines.append(f"  - {step}: {rest}")
-    return "\n".join(lines)
+        yield f"  - {step}: {rest}"
 
 
-def certificate_json(cert: Certificate) -> str:
-    return json.dumps(cert.as_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def cmd_descend(args) -> int:
-    spec = load_spec(args.spec)
+def cmd_descend(spec, args):
     with open(args.point_file, "rb") as fh:
         point = parse_point_file(fh.read().decode("utf-8"), spec)
     bounds = DescentBounds(
@@ -256,17 +199,16 @@ def cmd_descend(args) -> int:
         max_steps=args.max_steps,
     )
     cert = descend(spec, point, bounds)
-    if args.json:
-        print(certificate_json(cert))
-    else:
-        print(render_certificate(cert))
-    if cert.outcome == "point_found":
-        return EXIT_OK
-    if cert.outcome == "dual_selmer_minimized":
-        return EXIT_OK
-    if cert.outcome == "hypothesis_failed":
-        return EXIT_HYPOTHESIS
-    return EXIT_EXHAUSTED
+    # the certificate carries the spec hash and the readings itself
+    return OUTCOME_EXIT[cert.outcome], cert.as_dict(), render_certificate(cert)
+
+
+def _bound(value: str) -> int:
+    # a negative search bound would silently mean an empty search
+    bound = int(value)
+    if bound < 0:
+        raise ValueError("must be nonnegative")
+    return bound
 
 
 def _model(value: str) -> str:
@@ -289,12 +231,12 @@ COMMANDS = {
         **_T, "--place": (str, None), "--model": (_model, "integral")}),
     "descend": (cmd_descend, "run the full descent pipeline", {
         "--point-file": (str, None),
-        "--height": (int, _BOUNDS.height),
-        "--admissible-bound": (int, _BOUNDS.admissible_candidates),
-        "--prime-bound": (int, _BOUNDS.prime_scan),
-        "--max-steps": (int, _BOUNDS.max_steps)}),
+        "--height": (_bound, _BOUNDS.height),
+        "--admissible-bound": (_bound, _BOUNDS.admissible_candidates),
+        "--prime-bound": (_bound, _BOUNDS.prime_scan),
+        "--max-steps": (_bound, _BOUNDS.max_steps)}),
     "solve": (cmd_solve, "bounded point search on one fiber", {
-        **_T, "--height": (int, _BOUNDS.height)}),
+        **_T, "--height": (_bound, _BOUNDS.height)}),
 }
 
 
@@ -308,7 +250,7 @@ def _usage_error(command: Optional[str], what: str):
     usage = _synopsis(command) if command else "{" + ",".join(COMMANDS) + "} spec [options]"
     print(f"usage: torusdescent [-h] [--json] {usage}\ntorusdescent: error: {what}",
           file=sys.stderr)
-    raise SystemExit(2)
+    raise SystemExit(EXIT_INPUT)
 
 
 def _help():
@@ -324,7 +266,7 @@ def parse_argv(argv: List[str]) -> SimpleNamespace:
     """The namespace of one command line (grammar in the module docstring):
     json, command, func, spec and one field per option of the command. -h
     prints the help and raises SystemExit(0); a usage error prints the
-    usage and the error and raises SystemExit(2)."""
+    usage and the error and raises SystemExit(1)."""
     k = 0
     while k < len(argv) and argv[k] == "--json":
         k += 1
@@ -367,17 +309,17 @@ def parse_argv(argv: List[str]) -> SimpleNamespace:
         for name, (_, default) in options.items()})
 
 
-# search bounds: a negative value would silently mean an empty search
-BOUND_OPTIONS = ("height", "admissible_bound", "prime_bound", "max_steps")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse_argv(sys.argv[1:] if argv is None else argv)
     try:
-        for name in BOUND_OPTIONS:
-            if getattr(args, name, 0) < 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be nonnegative")
-        return args.func(args)
+        spec = load_spec(args.spec)
+        code, fields, lines = args.func(spec, args)
+        if args.json:
+            print(canonical_json({"spec_hash": spec_hash(spec), "readings": READINGS, **fields}))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (DescentError, OSError, ValueError) as exc:  # input errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import functools
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdescent import arith
+from torusdescent import arith, cli
 from torusdescent.cli import COMMANDS, main, parse_argv
 from torusdescent.descent import DescentBounds
 from torusdescent.surface import make_spec, serialize_point, serialize_spec
@@ -334,11 +336,15 @@ def test_descent_flag_defaults_are_the_descent_bounds():
     assert parse_argv(["solve", "s.spec", "--t", "1"]).height == defaults.height
 
 
+def _readme_section(title):
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        return fh.read().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_cli_lines():
     """The `torusdescent ...` lines of the README's CLI block, continuation
     lines joined."""
-    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
-        block = fh.read().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_section("CLI").split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("torusdescent ")]
 
@@ -368,6 +374,62 @@ def test_readme_cli_lines_parse_to_their_command_and_options(capsys):
     text = capsys.readouterr().out
     for command, (_, _, options) in COMMANDS.items():
         assert command in text and all(name in text for name in options), command
+
+
+def test_readme_cli_lines_run_in_process(tmp_path, monkeypatch, capsys):
+    """Each README command line (an optional part in brackets given), in text
+    and with --json, runs on a family member's spec and point file and exits
+    0 with its report on stdout."""
+    spec, point, _ = family_point(0)
+    (tmp_path / "surface.spec").write_text(serialize_spec(spec))
+    (tmp_path / "surface.points").write_text(serialize_point(point))
+    monkeypatch.chdir(tmp_path)
+    for line in _readme_cli_lines():
+        argv = shlex.split(line.replace("[", "").replace("]", ""), comments=True)[1:]
+        assert main(argv) == cli.EXIT_OK, line
+        captured = capsys.readouterr()
+        assert captured.out and not captured.err, line
+        assert main(["--json", *argv]) == cli.EXIT_OK, line
+        report = json.loads(capsys.readouterr().out)
+        assert report["readings"] == cli.READINGS, line
+
+
+def test_readme_exit_codes_and_outcomes_are_the_cli_tables():
+    """The README's exit-code list names the EXIT_* constants of the CLI, and
+    its descend outcomes, with their exit codes, are OUTCOME_EXIT: the
+    outcomes that descend builds its certificates with."""
+    names = {"success": "EXIT_OK", "input error": "EXIT_INPUT",
+             "hypothesis failed": "EXIT_HYPOTHESIS", "search exhausted": "EXIT_EXHAUSTED"}
+    assert sorted(name for name in vars(cli) if name.startswith("EXIT_")) == sorted(
+        names.values())
+    listed = re.findall(r"^\* `(\d)` ([^:]+):", _readme_section("CLI"), re.M)
+    assert {text: int(code) for code, text in listed} == {
+        text: getattr(cli, name) for text, name in names.items()}
+    outcomes = re.findall(r"^\* `(\w+)` \(exit (\d)\)", _readme_section("descend outcomes"),
+                          re.M)
+    assert {outcome: int(code) for outcome, code in outcomes} == cli.OUTCOME_EXIT
+    with open(os.path.join(SRC, "torusdescent", "descent.py"), encoding="utf-8") as fh:
+        built = {node.args[2].value for node in ast.walk(ast.parse(fh.read()))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_certificate"}
+    assert built == set(cli.OUTCOME_EXIT)
+
+
+def test_only_main_and_the_usage_writers_print():
+    """A handler returns its report and main prints it, so no other function
+    of the CLI reads print, sys.stdout or sys.stderr, and only main loads
+    the spec: a new subcommand cannot grow a writer of its own."""
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    users = {}
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in ("print", "load_spec"):
+                users.setdefault(node.id, set()).add(owner)
+            elif isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"):
+                users.setdefault("print", set()).add(owner)
+    assert users["print"] == {"main", "_help", "_usage_error"}
+    assert users["load_spec"] == {"main"}
 
 
 @pytest.mark.parametrize(
@@ -509,10 +571,12 @@ def test_negative_search_bound_is_input_error(tmp_path, capsys, argv):
     point_path = tmp_path / "family.points"
     point_path.write_text(serialize_point(point))
     argv = [arg.format(spec=spec_path, points=point_path) for arg in argv]
-    assert main(["--json", *argv]) == 1
+    with pytest.raises(SystemExit) as rejected:
+        main(["--json", *argv])
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: --") and "nonnegative" in captured.err
-    assert captured.out == ""
+    assert (rejected.value.code, captured.out) == (1, "")
+    assert captured.err.startswith("usage: torusdescent ")
+    assert f"\ntorusdescent: error: argument {argv[-2]}: must be nonnegative" in captured.err
 
 
 def test_no_option_value_carries_over_between_calls(tmp_path, spec_file, capsys):
@@ -544,7 +608,7 @@ def test_usage_error_leaves_the_next_call_as_in_a_fresh_process(spec_file, capsy
     capsys.readouterr()
     with pytest.raises(SystemExit) as rejected:
         main(["selmer", spec_file])  # --t is required
-    assert rejected.value.code == 2
+    assert rejected.value.code == 1
     assert "--t" in capsys.readouterr().err
     rc = main(argv)
     captured = capsys.readouterr()
@@ -567,11 +631,11 @@ def test_usage_error_leaves_the_next_call_as_in_a_fresh_process(spec_file, capsy
     ids=["no-command", "json-only", "unknown-command", "no-spec", "two-specs", "json-after",
          "prefix", "model", "missing-value", "missing-option", "non-integer-bound"],
 )
-def test_usage_errors_exit_2_naming_the_problem(capsys, argv, named):
+def test_usage_errors_exit_1_naming_the_problem(capsys, argv, named):
     with pytest.raises(SystemExit) as rejected:
         main(argv)
     captured = capsys.readouterr()
-    assert (rejected.value.code, captured.out) == (2, "")
+    assert (rejected.value.code, captured.out) == (1, "")
     assert captured.err.startswith("usage: torusdescent ") and named in captured.err
     assert "\ntorusdescent: error: " in captured.err
 
@@ -694,10 +758,10 @@ def _argv(draw, command, options, as_json):
 def test_cli_fuzz_exits_with_a_known_code(case):
     """Fuzzed spec text, point file lines, --t values and argv shapes: a
     well-formed call returns one of the four exit codes, -h exits 0 after
-    the help (or 2 when it is taken for a value) and every other defect
-    exits 2 after a usage error; no other exception leaves main."""
+    the help (or 1 when it is taken for a value) and every other defect
+    exits 1 after a usage error; no other exception leaves main."""
     spec_text, point_text, argv, defect = case
-    exits = {None: (), "repeat": (), "help": (0, 2)}.get(defect, (2,))
+    exits = {None: (), "repeat": (), "help": (0, 1)}.get(defect, (1,))
     with tempfile.TemporaryDirectory() as tmp:
         spec_path, point_path = os.path.join(tmp, "fuzz.spec"), os.path.join(tmp, "fuzz.points")
         for path, text in ((spec_path, spec_text), (point_path, point_text)):

@@ -24,7 +24,7 @@ import sys
 import pytest
 
 from torusdescent import descent
-from torusdescent.cli import certificate_json
+from torusdescent.cli import canonical_json
 from torusdescent.arith import REAL, Place
 from torusdescent.descent import DescentBounds, DescentError, check_hypotheses, descend
 from torusdescent.surface import LocalPoint, PartialAdelicPoint, make_spec
@@ -190,7 +190,7 @@ def run_case(name):
     """Canonical certificate JSON of the case, or the text of its DescentError."""
     spec, point, bounds = case_input(name)
     try:
-        return certificate_json(descend(spec, point, bounds))
+        return canonical_json(descend(spec, point, bounds).as_dict())
     except DescentError as exc:
         return f"error: {exc}"
 

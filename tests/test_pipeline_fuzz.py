@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from torusdescent.cli import certificate_json
+from torusdescent.cli import canonical_json
 from torusdescent.descent import (
     Certificate,
     DescentBounds,
@@ -103,7 +103,7 @@ def test_pipeline_never_breaks_its_invariants():
             "search_exhausted",
             "hypothesis_failed",
         )
-        payload = json.loads(certificate_json(cert))
+        payload = json.loads(canonical_json(cert.as_dict()))
         assert Certificate.from_dict(payload).as_dict() == cert.as_dict()
         if cert.outcome == "point_found":
             from torusdescent.points import verify_integral_point

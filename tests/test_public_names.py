@@ -30,7 +30,7 @@ ALLOWED = {
 # two or more public classes define.  The entries are checked by reading the
 # caller, not by resolving types; a new shared name fails until it is added.
 SHARED_METHODS = {
-    "as_dict": {"descent.Certificate": "cli.certificate_json",
+    "as_dict": {"descent.Certificate": "cli.cmd_descend",
                 "descent.DescentBounds": "descent._certificate",
                 "descent.HypothesisReport": "descent.descend"},
     "sort_key": {"arith.Place": "arith.Place.__lt__",
