@@ -323,11 +323,17 @@ def class_mask(x: Rational, primes: Sequence[int]) -> int:
 
 
 def class_from_mask(mask: int, primes: Sequence[int]) -> int:
-    """The square class with coordinates mask over -1 and ascending primes."""
+    """The square class with coordinates mask over -1 and ascending primes.
+
+    Reads bits 0..len(primes) only: bit 0 is -1 and bit k the k-th prime,
+    and the bits above are ignored.
+    """
     c = -1 if mask & 1 else 1
-    for k, p in enumerate(primes, 1):
-        if mask >> k & 1:
-            c *= p
+    mask = mask >> 1 & (1 << len(primes)) - 1
+    while mask:
+        low = mask & -mask
+        c *= primes[low.bit_length() - 1]
+        mask ^= low
     return c
 
 

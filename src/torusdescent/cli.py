@@ -10,7 +10,8 @@ a usage line and the error on stderr, then SystemExit(1).
 
 A subcommand is a handler and its row of COMMANDS. The handler takes the
 loaded spec and the parsed namespace and returns (exit code, report fields,
-text lines); it neither loads nor prints. main loads the spec, runs the
+text lines); it neither loads nor prints. Text lines that cost work are
+returned lazily, so --json never builds them. main loads the spec, runs the
 handler and prints the report: with --json the canonical_json of the spec
 hash, the readings and the fields, otherwise the text lines. The fields of
 descend are its certificate, and its exit code is OUTCOME_EXIT[outcome].
@@ -66,13 +67,15 @@ def canonical_json(payload: Dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _validate_lines(spec, s_bad: List[str]) -> Iterator[str]:
+    yield f"spec valid; d = {spec.d}"
+    yield "S_bad = {" + ", ".join(s_bad) + "}"
+    yield f"spec hash {spec_hash(spec)}"
+
+
 def cmd_validate(spec, args):
     fields = {"valid": True, "d": str(spec.d), "s_bad": [str(v) for v in spec.s_bad]}
-    return EXIT_OK, fields, [
-        f"spec valid; d = {spec.d}",
-        "S_bad = {" + ", ".join(fields["s_bad"]) + "}",
-        f"spec hash {spec_hash(spec)}",
-    ]
+    return EXIT_OK, fields, _validate_lines(spec, fields["s_bad"])
 
 
 def cmd_condition_d(spec, args):
@@ -83,7 +86,7 @@ def cmd_condition_d(spec, args):
         "g_d_dual": [str(g) for g in report.g_d_dual],
         "witnesses": [str(g) for g in report.witnesses],
     }
-    return EXIT_OK if report.holds else EXIT_HYPOTHESIS, fields, [str(report)]
+    return EXIT_OK if report.holds else EXIT_HYPOTHESIS, fields, map(str, [report])
 
 
 def cmd_selmer(spec, args):

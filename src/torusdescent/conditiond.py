@@ -86,8 +86,14 @@ class Lattice:
         return mask
 
     def poly(self, mask: int) -> FrozenSet[int]:
-        """The J' of the mask [c][p_{J'}]."""
-        return frozenset(i for i, bit in self._bits.items() if mask >> bit & 1)
+        """The J' of the mask [c][p_{J'}], read off its set factor bits."""
+        mask &= (1 << self.shift) - 1
+        poly = []
+        while mask:
+            low = mask & -mask
+            poly.append(self.factor_indices[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(poly)
 
     def decode(self, mask: int) -> GElement:
         return GElement(class_from_mask(mask >> self.shift, self.primes), self.poly(mask))
@@ -111,12 +117,16 @@ def constant_mask(spec: SurfaceSpec, i: int, subset: AbstractSet[int], dual: boo
     inside, and Dhat_i^{J'} puts -d for d.  The class of each factor
     p_j(-d_i/c_i) is the table entry spec.root_masks[i, j].
     """
-    others, mask = subset, 0
-    if i in subset:
-        others = [j for j in spec.indices if j not in subset]
-        mask = spec.d_mask ^ dual
-    for j in others:
-        mask ^= spec.root_masks[i, j]
+    table = spec.root_masks
+    if i not in subset:
+        mask = 0
+        for j in subset:
+            mask ^= table[i, j]
+        return mask
+    mask = spec.d_mask ^ dual
+    for j in spec.indices:
+        if j not in subset:
+            mask ^= table[i, j]
     return mask
 
 
@@ -135,22 +145,26 @@ def _member(spec: SurfaceSpec, cls: int, poly: AbstractSet[int], i: int, dual: b
 def in_g_i(spec: SurfaceSpec, x: int, i: int, dual: bool = False) -> bool:
     """Membership of x = [c][p_{J'}], a mask of any lattice over spec, in
     G_i (G^i when dual): [c*D_i^{J'}] lies in <[a*D_i^A]>.  A class with a
-    prime outside spec.basis_primes lies in no G_i."""
-    lattice = Lattice.of_spec(spec)
-    cls = x >> lattice.shift
-    if cls >> lattice.width:
+    prime outside spec.basis_primes lies in no G_i.  The factor bits and
+    the shift are read off spec.indices, as in Lattice.of_spec."""
+    cls = x >> len(spec.indices)
+    if cls >> 1 + len(spec.basis_primes):
         return False
-    return _member(spec, cls, lattice.poly(x), i, dual, target_mask(spec, i))
+    poly = {j for m, j in enumerate(spec.indices) if x >> m & 1}
+    return _member(spec, cls, poly, i, dual, target_mask(spec, i))
 
 
 def target_generators(spec: SurfaceSpec, dual: bool = False) -> List[int]:
     """The generators of the target subgroup as masks of every lattice over
-    spec: [a][p_A] and [d][p_J] for G_D, [-d][p_J] for G^D when dual."""
-    lattice = Lattice.of_spec(spec)
-    d_gen = spec.d_mask << lattice.shift | lattice.poly_mask(spec.indices)
+    spec: [a][p_A] and [d][p_J] for G_D, [-d][p_J] for G^D when dual.  The
+    factor bits and the shift are read off spec.indices, as in
+    Lattice.of_spec."""
+    shift = len(spec.indices)
+    d_gen = spec.d_mask << shift | (1 << shift) - 1
     if dual:
-        return [d_gen ^ 1 << lattice.shift]
-    return [spec.a_mask << lattice.shift | lattice.poly_mask(spec.part_a), d_gen]
+        return [d_gen ^ 1 << shift]
+    a_poly = sum(1 << m for m, j in enumerate(spec.indices) if j in spec.part_a)
+    return [spec.a_mask << shift | a_poly, d_gen]
 
 
 def _stacked_map(spec: SurfaceSpec, lattice: Lattice,

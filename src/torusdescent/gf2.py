@@ -1,9 +1,9 @@
 """GF(2) linear algebra on int bitsets.
 
-Bit k of an int is column k.  `echelon` is the one elimination: it returns
-the reduced echelon form with each row's lowest bit as its pivot, and
-`kernel_basis`, `column_kernel`, membership and `Subspace` all read their
-answers off it.
+Bit k of an int is column k.  `echelon` returns the reduced echelon form
+with each row's lowest bit as its pivot, and `kernel_basis`, membership and
+`Subspace` read their answers off it.  `column_kernel` needs no reduced
+form: it runs forward elimination alone.
 """
 
 from __future__ import annotations
@@ -64,14 +64,29 @@ def column_kernel(columns: Sequence[int]) -> List[int]:
     """Basis of {x : XOR of columns[m] over the set bits m of x is 0}, the
     kernel of the matrix with these columns.
 
-    Each column is tagged with its own bit above every column bit.  In the
-    reduced echelon form a row whose pivot is a tag has no column bits, and
-    those rows span the tagged dependencies: any combination of rows keeps
-    the lowest pivot among them.
+    Each column is tagged with its own bit above every column bit and
+    reduced, lowest pivot first, by the rows kept so far, each keyed by its
+    lowest bit.  A column left with no column bits is a kernel vector, and
+    the others are kept: the kernel vectors are independent, each holding
+    its own tag above those of the columns before it, and there are ncols
+    minus the rank of them.
     """
     shift = max(columns, default=0).bit_length()
-    tagged = echelon([col | 1 << shift + m for m, col in enumerate(columns)])
-    return [row >> shift for row in tagged if not row & (1 << shift) - 1]
+    low_bits = (1 << shift) - 1
+    row_at, pivots, kernel = {}, 0, []
+    for m, col in enumerate(columns):
+        row = col | 1 << shift + m
+        hit = row & pivots
+        while hit:
+            row ^= row_at[hit & -hit]
+            hit = row & pivots
+        if row & low_bits:
+            low = row & -row
+            row_at[low] = row
+            pivots |= low
+        else:
+            kernel.append(row >> shift)
+    return kernel
 
 
 def combine(vectors: Sequence[int], x: int) -> int:

@@ -14,7 +14,9 @@ group.  Each generator's local mask is taken once per place
 the primes are computed, and at the places of T those of the factor symbols
 and [d]_v are read off the partial adelic point's rows.  Each linear form
 on those masks whose kernel is L_v (H_v [d]_v, or a basis of the
-annihilator of [d]_v) becomes one row of the F2 system.  The groups are
+annihilator of [d]_v) becomes one row of the F2 system.  The masks are
+transposed once per place into local_dim(v) bit-planes, and the row of a
+form is the XOR of the planes at its set bits.  The groups are
 two gf2.Subspace objects in the coordinates of one lattice, which decodes
 their elements: selmer_groups builds the torus's lattice over S and
 returns it with them, and relative_selmer works in the lattice it is given,
@@ -89,27 +91,24 @@ def _cut_out(
     the values the factor symbols stand for (Lattice.local_masks) and the
     local mask of d there.  At v a class must lie in <[d]_v>^perp (Selmer)
     or in <[d]_v> (dual); where [d]_v is None it must be a local unit class
-    (both).
+    (both).  Bit k of plane b is bit b of the k-th local mask, so the row
+    of a linear form is the XOR of the planes at its set bits, and the unit
+    condition is the top plane, the valuation parity.
     """
     sel_rows: List[int] = []
     dual_rows: List[int] = []
     for v, factor_masks, d_v in conditions:
         masks = lattice.local_masks(factor_masks, v)
+        planes = [sum((m >> b & 1) << k for k, m in enumerate(masks))
+                  for b in range(local_dim(v))]
         if d_v is None:
-            # the top coordinate is the valuation parity
-            unit_rows = _form_rows(masks, [1 << local_dim(v) - 1])
-            sel_rows += unit_rows
-            dual_rows += unit_rows
+            sel_rows.append(planes[-1])
+            dual_rows.append(planes[-1])
         else:
-            sel_rows += _form_rows(masks, [hilbert_row(d_v, v)])
-            dual_rows += _form_rows(masks, gf2.kernel_basis([d_v], local_dim(v)))
+            sel_rows.append(gf2.combine(planes, hilbert_row(d_v, v)))
+            dual_rows += [gf2.combine(planes, f) for f in gf2.kernel_basis([d_v], len(planes))]
     return tuple(gf2.Subspace(lattice.ncols, gf2.kernel_basis(rows, lattice.ncols))
                  for rows in (sel_rows, dual_rows))
-
-
-def _form_rows(masks: Sequence[int], forms: Iterable[int]) -> List[int]:
-    """One row per linear form f: bit k is f evaluated on the k-th local mask."""
-    return [sum(gf2.dot(m, f) << k for k, m in enumerate(masks)) for f in forms]
 
 
 def selmer_groups(torus: TorusData) -> Tuple[Lattice, gf2.Subspace, gf2.Subspace]:

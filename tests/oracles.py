@@ -21,7 +21,6 @@ from torusdescent.arith import (
     REAL,
     Place,
     PrimalityRangeError,
-    class_from_mask,
     class_mask,
     factorize,
     hilbert_row,
@@ -533,6 +532,13 @@ def sqfree(x) -> int:
     return out
 
 
+def class_of_bits(mask: int, primes: Sequence[int]) -> int:
+    """The signed square-free integer of the low 1 + len(primes) bits of
+    mask, bit 0 being -1 and bit k the k-th prime, by a direct product."""
+    factors = [p for k, p in enumerate(primes, 1) if mask >> k & 1]
+    return math.prod(factors, start=-1 if mask & 1 else 1)
+
+
 def class_mul(x: int, y: int) -> int:
     """The group law of Q*/(Q*)^2 on signed square-free ints: signs
     multiply, shared primes square away."""
@@ -629,10 +635,10 @@ def _intersection_reference(spec, dual: bool) -> List[GElement]:
 
     def element(vec: int) -> GElement:
         poly = frozenset(j for k, j in enumerate(spec.indices) if vec >> (width + k) & 1)
-        return GElement(class_from_mask(vec, primes), poly)
+        return GElement(class_of_bits(vec % (1 << width), primes), poly)
 
     def member(x: GElement, i: int) -> bool:
-        cls = class_mul(x.c, class_from_mask(constant_mask(spec, i, x.poly, dual), primes))
+        cls = class_mul(x.c, class_of_bits(constant_mask(spec, i, x.poly, dual), primes))
         return class_is_identity(cls) or cls == targets[i]
 
     for x in map(element, group.basis):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from torusdescent.arith import (
 
 from oracles import (
     class_mul,
+    class_of_bits,
     conic_soluble_bruteforce,
     hensel_solve_reference,
     hilbert_relevant_places,
@@ -192,6 +194,18 @@ def test_square_class_matches_sympy_factoring(num, den, sign):
     x = Fraction(sign * num, den)
     primes = _primes_of(x)
     assert class_from_mask(class_mask(x, primes), primes) == sqfree(x)
+
+
+def test_class_from_mask_ignores_bits_above_the_primes():
+    # bits 0..len(primes) give the class by a direct product; higher bits,
+    # such as the factor bits of a lattice mask, are ignored
+    rng = random.Random(11)
+    pool = list(sympy.primerange(2, 200))
+    for _ in range(300):
+        primes = sorted(rng.sample(pool, rng.randint(0, 16)))
+        above = rng.getrandbits(rng.randint(0, 40)) | 1
+        mask = rng.getrandbits(1 + len(primes)) | above << 1 + len(primes)
+        assert class_from_mask(mask, primes) == class_of_bits(mask, primes)
 
 
 @pytest.mark.parametrize("primes", [(2, 1), (-1, 3), (0,), (2, -3)])

@@ -396,6 +396,28 @@ def test_check_condition_d_decodes_each_reported_element_once(monkeypatch):
         assert set(report.witnesses) <= reported
 
 
+def test_check_condition_d_builds_one_lattice(monkeypatch):
+    """check_condition_d builds the spec lattice once, for a failing and a
+    holding spec; target_generators and in_g_i build none."""
+    built = []
+    real_init = Lattice.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Lattice, "__init__", counted_init)
+    for spec in (_g_d_too_large_spec(8), family_spec(23)):
+        built.clear()
+        check_condition_d(spec)
+        assert len(built) == 1
+        built.clear()
+        for dual in (False, True):
+            for x in target_generators(spec, dual):
+                assert all(in_g_i(spec, x, i, dual) for i in spec.indices)
+        assert built == []
+
+
 def test_self_checks_catch_a_wrong_kernel(monkeypatch, running_spec):
     # a kernel over the unknowns (J', e) holding e_1 alone, which gives the
     # bare class c = t_1 = [3] ([3] is not in G_D), fails the generator

@@ -118,6 +118,30 @@ def test_column_kernel_matches_enumeration():
         assert len(basis) == expected.dim
 
 
+def test_column_kernel_at_stacked_map_sizes():
+    # up to 2*MAX_FACTORS = 32 columns of up to 300 bits, as in the stacked
+    # map of Condition (D): each column is zero, a repeat of an earlier one
+    # or a sum of a few base columns, so the kernel is rarely trivial
+    rng = random.Random(38)
+    for _ in range(150):
+        ncols, height = rng.randint(0, 32), rng.randint(1, 300)
+        base = [rng.getrandbits(height) for _ in range(rng.randint(1, 12))]
+        columns = []
+        for _ in range(ncols):
+            kind = rng.random()
+            if kind < 0.1:
+                columns.append(0)
+            elif kind < 0.25 and columns:
+                columns.append(rng.choice(columns))
+            else:
+                columns.append(gf2.combine(base, rng.getrandbits(len(base))))
+        rows = [sum((col >> b & 1) << m for m, col in enumerate(columns)) for b in range(height)]
+        basis = gf2.column_kernel(columns)
+        assert all(gf2.combine(columns, x) == 0 for x in basis)
+        assert len(basis) == ncols - gf2_rank(rows)
+        assert gf2.Subspace(ncols, basis) == gf2.Subspace(ncols, gf2.kernel_basis(rows, ncols))
+
+
 def test_intersect_hyperplane_matches_enumeration():
     rng = random.Random(4)
     for _ in range(200):
