@@ -50,11 +50,19 @@ _MR_TIERS = (
     (_MR_LIMIT, 13),
 )
 
+
+def _primes_below(n: int) -> List[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = bytes(2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return list(itertools.compress(range(n), sieve))
+
+
 _SMALL_PRIME_BOUND = 1000
-_SMALL_PRIMES: List[int] = []
-for _n in range(2, _SMALL_PRIME_BOUND):
-    if all(_n % _p for _p in _SMALL_PRIMES if _p * _p <= _n):
-        _SMALL_PRIMES.append(_n)
+_SMALL_PRIMES = _primes_below(_SMALL_PRIME_BOUND)
 
 
 def is_prime(n: int) -> bool:
@@ -249,12 +257,19 @@ def parse_place(token: str) -> Place:
 
 
 def parse_rational(token: str) -> Fraction:
-    """A rational written as an integer, p/q or a finite decimal, with no
-    exponent (1e999999999 would build a billion-digit integer); ValueError
-    if malformed."""
+    """A rational as Fraction(token) reads it, less exponents (1e999999999
+    would build a billion-digit integer): [sign] digits [/ digits] or a
+    finite decimal such as 5. or .5, digits grouped by single underscores,
+    whitespace around.  ValueError if malformed, with Fraction's message, or
+    "{token}: zero denominator".  ASCII -?digits and -?digits/digits are
+    read with int(), every other token by Fraction(token)."""
     if "e" in token or "E" in token:
         raise ValueError(f"{token}: exponents are not accepted")
+    num, slash, den = token.partition("/")
     try:
+        if (token.isascii() and num.removeprefix("-").isdecimal()
+                and (den.isdecimal() or not slash)):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"{token}: zero denominator") from None

@@ -12,7 +12,6 @@ function takes the spec and the index.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Tuple
 
 from .arith import Place, Rational, class_from_mask, hilbert_row, local_mask
@@ -31,7 +30,7 @@ def residue_at(spec: SurfaceSpec, i: int, m: Rational) -> int:
     other point.  That class is read off its mask over spec.basis_primes
     (conditiond.target_mask), so the constant is never factored.
     """
-    if Fraction(m) != spec.root(i):
+    if m != spec.root(i):
         return 1
     from .conditiond import target_mask  # conditiond imports surface, which imports brauer
     return class_from_mask(target_mask(spec, i), spec.basis_primes)

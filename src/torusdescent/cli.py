@@ -62,9 +62,13 @@ OUTCOME_EXIT = {
 }
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(payload: Dict) -> str:
-    """The canonical JSON form of a report: sorted keys, no spaces."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """The canonical JSON form of a report: sorted keys, no spaces, by the
+    one encoder built at import."""
+    return _CANONICAL.encode(payload)
 
 
 def _validate_lines(spec, s_bad: List[str]) -> Iterator[str]:
@@ -126,10 +130,10 @@ def cmd_selmer(spec, args):
 def cmd_brauer(spec, args):
     gens = []
     lines = []
+    roots = [(f"t={root}", root) for root in map(spec.root, spec.indices)]
     for i in spec.indices:
         left, (c, d) = spec.brauer_constants[i], spec.coeffs(i)
-        residues = {f"t={root}": str(residue_at(spec, i, root))
-                    for root in map(spec.root, spec.indices)}
+        residues = {name: str(residue_at(spec, i, root)) for name, root in roots}
         gens.append({"index": i, "left": str(left), "right": [str(d), str(c)],
                      "residues": residues})
         lines.append(f"generator {i}: ({left}, p_{i}(t)); residues: "
@@ -318,7 +322,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         spec = load_spec(args.spec)
         code, fields, lines = args.func(spec, args)
         if args.json:
-            print(canonical_json({"spec_hash": spec_hash(spec), "readings": READINGS, **fields}))
+            if "spec_hash" not in fields:  # a certificate carries its own
+                fields = {"spec_hash": spec_hash(spec), **fields}
+            print(canonical_json({"readings": READINGS, **fields}))
         else:
             for line in lines:
                 print(line)

@@ -33,7 +33,6 @@ from .arith import (
     crt,
     hilbert_row,
     hilbert_symbol,
-    legendre,
     local_dim,
     mod_prime_power,
     prime_stream,
@@ -546,13 +545,18 @@ def _scan_prime(
     stage: str,
 ) -> int:
     """Least odd prime outside `avoid` with the prescribed Legendre values for
-    each rational; `avoid` must hold every prime of the rationals."""
+    each rational; `avoid` must hold every prime of the rationals.
+
+    Each rational n/m is reduced once to the integer n*m, of the same
+    Legendre symbol, which Euler's criterion reads at each w; prime_stream
+    has proved w prime already."""
+    residues = [(value.numerator * value.denominator, sign) for value, sign in conditions]
     count = 0
     for w in prime_stream(2, avoid):
         count += 1
         if count > bound:
             raise SearchExhausted(stage, bound)
-        if all(legendre(value, w) == sign for value, sign in conditions):
+        if all(pow(n, (w - 1) // 2, w) == sign % w for n, sign in residues):
             return w
 
 
@@ -629,7 +633,7 @@ def _insert_place(
     avoid = {v.p for v in state.p_t.places if v.is_finite}
     avoid.update(u.p for _, u in state.adm.witnesses)
     conditions = [(spec.brauer_constants[i], 1)] + [(value, -1) for value in characters]
-    place = Place.finite(_scan_prime(conditions, avoid, bounds.prime_scan, stage))
+    place = Place.proved(_scan_prime(conditions, avoid, bounds.prime_scan, stage))
     t_w = _uniformizer_t(spec, i, place.p)
     local = local_solubility(*spec.fiber_coeffs(t_w), place)
     if local.witness is None:

@@ -10,16 +10,18 @@ them out on ints and build one Fraction per value returned.  The conic
 coefficients (a*p_A(t), b*p_B(t)) above t are fiber_coeffs(t), or
 fiber_coeffs_of(values) for p_i(t) at hand; fibers, point residuals,
 d*p_J(t) and the Brauer constants are read off them.  Each point is
-evaluated once: a partial adelic point keeps one row per place, made with
-its entry, Brauer invariants included, and an admissible point keeps the
-p_i(t0) and the fiber made from them, read by every later step.
+evaluated once: a partial adelic point evaluates each distinct local point
+once and keeps one row per place read off it, Brauer invariants included,
+and an admissible point keeps the p_i(t0) and the fiber made from them,
+read by every later step.  The derived tables of a spec are stored on it
+at first read by _lazy_table, which takes no lock: before Python 3.12
+functools.cached_property locks on each first read, about six per spec.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -72,10 +74,25 @@ class DegenerateFiberError(ValueError):
     """Fiber over a root of p_J."""
 
 
+class _lazy_table:
+    """A spec table computed at first read: func(spec) is stored in the
+    spec's __dict__ under func's name, where later reads find it without
+    the descriptor; functools.cached_property less its lock."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.func.__name__] = self.func(obj)
+        return value
+
+
 class SurfaceSpec:
     """Validated surface data; construct through validate_spec.  Equal and
-    hashed by its five fields; the derived tables below are cached in its
-    __dict__ at first use."""
+    hashed by its five fields; the derived tables below are stored in its
+    __dict__ at first use (_lazy_table)."""
 
     def __init__(self, s0: Tuple[Place, ...], a: int, b: int,
                  factors: Tuple[Tuple[int, Tuple[int, int]], ...],  # (i, (c_i, d_i))
@@ -95,11 +112,11 @@ class SurfaceSpec:
         return ("SurfaceSpec(s0={!r}, a={!r}, b={!r}, factors={!r}, part_a={!r})"
                 .format(*self._key()))
 
-    @cached_property
+    @_lazy_table
     def d(self) -> int:
         return self.a * self.b
 
-    @cached_property
+    @_lazy_table
     def indices(self) -> Tuple[int, ...]:
         return tuple(i for i, _ in self.factors)
 
@@ -107,7 +124,7 @@ class SurfaceSpec:
     def s0_finite_primes(self) -> Tuple[int, ...]:
         return tuple(v.p for v in self.s0 if v.is_finite)
 
-    @cached_property
+    @_lazy_table
     def forms(self) -> Dict[int, Tuple[int, int]]:
         """i -> (c_i, d_i): for t = n/m, p_i(t) = (c_i*n + d_i*m) / m."""
         return dict(self.factors)
@@ -135,7 +152,7 @@ class SurfaceSpec:
             den *= m
         return Fraction(num, den)
 
-    @cached_property
+    @_lazy_table
     def partition(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         """(A, B), each in index order."""
         return (tuple(i for i in self.indices if i in self.part_a),
@@ -165,17 +182,17 @@ class SurfaceSpec:
     def is_s0_integer(self, x: Rational) -> bool:
         return strip_primes(Fraction(x).denominator, self.s0_finite_primes) == 1
 
-    @cached_property
+    @_lazy_table
     def _tables(self) -> _FactorTables:
         """The tables of the one factorization pass, built at first use."""
         return _factor_tables(self)
 
-    @cached_property
+    @_lazy_table
     def s_bad(self) -> Tuple[Place, ...]:
         """compute_s_bad of this spec, computed at first use."""
         return compute_s_bad(self)
 
-    @cached_property
+    @_lazy_table
     def basis_primes(self) -> Tuple[int, ...]:
         """The finite primes of S0 + S_bad, ascending.
 
@@ -186,7 +203,7 @@ class SurfaceSpec:
         """
         return tuple(sorted({*self.s0_finite_primes, *(v.p for v in self.s_bad)}))
 
-    @cached_property
+    @_lazy_table
     def cross_resultants(self) -> Dict[Tuple[int, int], int]:
         """(i, j) -> c_i*d_j - c_j*d_i over forms, for i before j in
         indices, each formed once for the one factorization pass."""
@@ -194,24 +211,24 @@ class SurfaceSpec:
         return {(i, j): ci * dj - cj * di
                 for k, (i, (ci, di)) in enumerate(items) for j, (cj, dj) in items[k + 1:]}
 
-    @cached_property
+    @_lazy_table
     def a_mask(self) -> int:
         """class_mask of a over basis_primes."""
         return class_mask(self.a, self.basis_primes)
 
-    @cached_property
+    @_lazy_table
     def d_mask(self) -> int:
         """class_mask of d over basis_primes."""
         return class_mask(self.d, self.basis_primes)
 
-    @cached_property
+    @_lazy_table
     def root_masks(self) -> Dict[Tuple[int, int], int]:
         """(i, j) -> the class mask of p_j(-d_i/c_i) over basis_primes, for
         i != j: every descent constant is an XOR of these and [a] or [d].
         Read off the one factorization pass (see _factor_tables)."""
         return self._tables.root_masks
 
-    @cached_property
+    @_lazy_table
     def brauer_constants(self) -> Dict[int, Fraction]:
         """i -> the left entry of the vertical Brauer generator of factor i:
         the entry of fiber_coeffs(root(i)) that stays nonzero, b*p_B for i in
@@ -467,15 +484,27 @@ def factor_row(v: Place, values: Mapping[int, Fraction]) -> Dict[int, Tuple[int,
             for i, x in values.items()}
 
 
-def _place_row(spec: SurfaceSpec, v: Place, pt: LocalPoint) -> PlaceRow:
+def _evaluate(spec: SurfaceSpec, pt: LocalPoint) -> Optional[tuple]:
+    """(the p_i(t), aA, bB, residual) of the local point pt, or None where
+    d*p_J(t) = 0: what every place's row reads of pt."""
     values = {i: spec.factor_value(i, pt.t) for i in spec.indices}
     aA, bB = spec.fiber_coeffs_of(values)
     if not aA or not bB:
+        return None
+    return values, aA, bB, _residual(aA, bB, pt.x, pt.y)
+
+
+def _place_row(spec: SurfaceSpec, v: Place, pt: LocalPoint,
+               evaluation: Optional[tuple]) -> PlaceRow:
+    """The row of place v for its entry pt, read off _evaluate(spec, pt)."""
+    if evaluation is None:
         return PlaceRow(None, None, None, (f"{v}: d*p_J(t_v) = 0",))
+    values, aA, bB, residual = evaluation
     problems = []
-    if v.is_real and aA <= 0 and bB <= 0:
-        problems.append(f"real: fiber at t = {pt.t} has no real points")
-    residual = 0 if v.is_real else _residual(aA, bB, pt.x, pt.y)
+    if v.is_real:
+        residual = 0
+        if aA <= 0 and bB <= 0:
+            problems.append(f"real: fiber at t = {pt.t} has no real points")
     if residual != 0 and valuation(residual, v.p) < pt.precision:
         problems.append(f"{v}: residual {residual} below stated precision {pt.precision}")
     if v.is_finite and v not in spec.s0:
@@ -497,16 +526,27 @@ class PartialAdelicPoint:
     v-adic residual bound is required; at the real place the fiber above
     t_v must be soluble over R.
 
-    Each entry is evaluated once, when it is made, into rows[v]; `rows` hands
-    over another point's rows of the same entries, to share.  places is T.
+    Each distinct local point (x, y, t) among the entries is evaluated once,
+    when the point is made, and every place holding it reads its row rows[v]
+    off that evaluation; `rows` hands over another point's rows of the same
+    entries, to share.  places is T.
     """
 
     def __init__(self, spec: SurfaceSpec, entries: Mapping[Place, LocalPoint],
                  rows: Optional[Mapping[Place, PlaceRow]] = None):
         self.spec, self.entries, rows = spec, dict(entries), rows or {}
         self.places = tuple(sorted(self.entries))
-        self.rows = {v: rows[v] if v in rows else _place_row(spec, v, self.entries[v])
-                     for v in self.places}
+        self.rows, evaluations = {}, {}
+        for v in self.places:
+            row = rows.get(v)
+            if row is None:
+                pt = self.entries[v]
+                # keyed by ints: a Fraction hashes through a modular inverse
+                key = (pt.x.as_integer_ratio(), pt.y.as_integer_ratio(), pt.t.as_integer_ratio())
+                if key not in evaluations:
+                    evaluations[key] = _evaluate(spec, pt)
+                row = _place_row(spec, v, pt, evaluations[key])
+            self.rows[v] = row
 
     def with_entry(self, v: Place, point: LocalPoint) -> "PartialAdelicPoint":
         return PartialAdelicPoint(self.spec, {**self.entries, v: point},
@@ -626,8 +666,11 @@ def load_spec(path: str) -> SurfaceSpec:
 
 
 def parse_point_file(text: str, spec: SurfaceSpec) -> PartialAdelicPoint:
-    """Rows: <place> <x> <y> <t> <precision>, rationals as p/q."""
+    """Rows: <place> <x> <y> <t> <precision>, rationals as p/q.  Each
+    distinct x y t text is parsed once: a point file repeats one local
+    point at most of its places."""
     entries: Dict[Place, LocalPoint] = {}
+    coords: Dict[Tuple[str, ...], Tuple[Fraction, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -637,7 +680,10 @@ def parse_point_file(text: str, spec: SurfaceSpec) -> PartialAdelicPoint:
             raise SpecValidationError([f"point line {lineno}: expected 5 fields"])
         try:
             v = parse_place(tokens[0])
-            x, y, t = (parse_rational(tok) for tok in tokens[1:4])
+            key = tuple(tokens[1:4])
+            if key not in coords:
+                coords[key] = tuple(map(parse_rational, key))
+            x, y, t = coords[key]
             precision = int(tokens[4])
         except ValueError as exc:
             raise SpecValidationError([f"point line {lineno}: {exc}"]) from exc

@@ -7,13 +7,14 @@ from fractions import Fraction
 import pytest
 import sympy
 from sympy.ntheory.primetest import mr
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torusdescent.arith import (
     _MR_BASES,
     _MR_LIMIT,
     _MR_TIERS,
+    _SMALL_PRIMES,
     REAL,
     Place,
     PrimalityRangeError,
@@ -236,6 +237,51 @@ def test_parse_rational_rejects_exponents(token):
 def test_parse_rational_rejects_malformed_tokens(token):
     with pytest.raises(ValueError):
         parse_rational(token)
+
+
+def _read(parse, token):
+    """parse(token), or the message of the ValueError it raises; a zero
+    denominator reads as parse_rational's message for it."""
+    try:
+        return parse(token)
+    except ZeroDivisionError:
+        return f"{token}: zero denominator"
+    except ValueError as exc:
+        return str(exc)
+
+
+# signs, leading zeros, underscores, a point, Unicode decimal digits and
+# superscript two, which "²".isdigit() accepts and int() rejects
+_TOKEN_PIECES = ["", "-", "+", " ", "0", "007", "3", "12", "_", "/", ".", "٣", "３", "²"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_TOKEN_PIECES), max_size=6).map("".join))
+@example("5/0")
+@example("-5/0")
+@example("0/0")
+@example("-/3")
+@example("3/-4")
+@example("+3/4")
+@example("-007/010")
+@example("1_000/3")
+@example(".5")
+@example("5.")
+@example("-0.25/2")
+@example("٣/٤")
+@example("²")
+@example("1/²")
+@example("1" * 4301)
+@example("-" + "1" * 4301)
+def test_parse_rational_agrees_with_fraction(token):
+    """Without an exponent, parse_rational(token) is Fraction(token): the
+    same value, or a ValueError with the same message."""
+    expected, got = _read(Fraction, token), _read(parse_rational, token)
+    assert (type(got), got) == (type(expected), expected)
+
+
+def test_small_primes_are_the_primes_below_1000():
+    assert _SMALL_PRIMES == list(sympy.primerange(2, 1000))
 
 
 def test_places_ordered():

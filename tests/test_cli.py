@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torusdescent import arith, cli
+from torusdescent import arith, cli, descent, surface
 from torusdescent.cli import COMMANDS, main, parse_argv
 from torusdescent.descent import DescentBounds
 from torusdescent.surface import make_spec, serialize_point, serialize_spec
@@ -522,6 +522,30 @@ def test_descend_command(tmp_path, capsys):
     assert payload["outcome"] == "point_found"
     assert payload["data"]["reverified"] is True
     assert payload["trace"][0]["step"] == "hypotheses"
+
+
+def test_json_reports_hash_the_spec_once(tmp_path, capsys, monkeypatch):
+    """A descend certificate carries the spec hash, which main prints
+    without hashing again; a report without one gets it from main."""
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return surface.spec_hash(spec)
+
+    monkeypatch.setattr(cli, "spec_hash", counted)
+    monkeypatch.setattr(descent, "spec_hash", counted)
+    spec, point, _ = family_point(0)
+    spec_path = tmp_path / "family.spec"
+    spec_path.write_text(serialize_spec(spec))
+    point_path = tmp_path / "family.points"
+    point_path.write_text(serialize_point(point))
+    for argv in (["descend", str(spec_path), "--point-file", str(point_path), "--height", "400"],
+                 ["validate", str(spec_path)], ["condition-d", str(spec_path)]):
+        calls.clear()
+        main(["--json", *argv])
+        assert json.loads(capsys.readouterr().out)["spec_hash"] == surface.spec_hash(spec)
+        assert calls == [spec], argv
 
 
 def test_descend_json_round_trip_and_determinism(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import re
 import sys
 from fractions import Fraction
@@ -7,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import primerange
+from sympy import primefactors, primerange
+from sympy.functions.combinatorial.numbers import legendre_symbol
 
 from torusdescent import arith, brauer, descent, gf2, points, selmer
 from torusdescent.arith import REAL, Place, hilbert_symbol, local_mask, valuation
@@ -22,6 +24,7 @@ from torusdescent.descent import (
     _approximation_data,
     _candidate_test,
     _make_state,
+    _scan_prime,
     _uniformizer_t,
     build_suitable,
     check_hypotheses,
@@ -452,6 +455,39 @@ def test_uniformizer_t_matches_the_residue_scan(k, w):
     assume(Place.finite(w) not in compute_s(spec))
     for i in spec.indices:
         assert _uniformizer_t(spec, i, w) == uniformizer_t_reference(spec, i, w)
+
+
+def _scan_prime_reference(conditions, avoid, bound):
+    """The least odd prime outside avoid, among the first `bound` of them,
+    at which each n/m has the Legendre symbol (n|w)(m|w) = sign, by sympy's
+    legendre_symbol; None if there is none."""
+    primes = (w for w in primerange(3, 10**6) if w not in avoid)
+    for w, _ in zip(primes, range(bound)):
+        if all(legendre_symbol(value.numerator, w) * legendre_symbol(value.denominator, w) == sign
+               for value, sign in conditions):
+            return w
+    return None
+
+
+def test_scan_prime_matches_a_sympy_reference():
+    """Seeded conditions, integers and fractions of either sign, with their
+    primes and a few others avoided; the bound is reached in some."""
+    rng = random.Random(39)
+    exhausted = 0
+    for _ in range(400):
+        conditions = [(Fraction(rng.choice((-1, 1)) * rng.randint(1, 400), rng.choice((1, rng.randint(1, 60)))),
+                       rng.choice((1, -1))) for _ in range(rng.randint(1, 4))]
+        avoid = {p for value, _ in conditions for p in primefactors(value.numerator * value.denominator)}
+        avoid.update(rng.sample(PRIMES_BELOW_500[:20], 3))
+        bound = rng.randint(1, 40)
+        expected = _scan_prime_reference(conditions, avoid, bound)
+        if expected is None:
+            exhausted += 1
+            with pytest.raises(SearchExhausted):
+                _scan_prime(conditions, avoid, bound, "test")
+        else:
+            assert _scan_prime(conditions, avoid, bound, "test") == expected
+    assert 0 < exhausted < 400
 
 
 def test_find_admissible_properties():

@@ -1,4 +1,6 @@
+import ast
 import math
+import os
 import random
 from fractions import Fraction
 from unittest import mock
@@ -285,6 +287,51 @@ def test_brauer_constants_are_built_once_per_spec(monkeypatch):
     assert any(entry["step"] == "reduce_dual_selmer" for entry in cert.trace)
     roots = sorted(spec.root(i) for i in spec.indices)
     assert sorted(t for t in calls if t in roots) == roots
+
+
+# every table of a spec, each computed at first read (surface._lazy_table)
+SPEC_TABLES = ("d", "indices", "forms", "partition", "_tables", "s_bad", "basis_primes",
+               "cross_resultants", "a_mask", "d_mask", "root_masks", "brauer_constants")
+
+
+def test_spec_tables_are_computed_once_per_spec(monkeypatch):
+    """A descent and every later read compute each table once, stored under
+    its name; the class attribute of a table keeps its function as .func."""
+    lazy = type(SurfaceSpec.__dict__["d"])
+    assert {name for name, attr in vars(SurfaceSpec).items()
+            if type(attr) is lazy} == set(SPEC_TABLES)
+    calls = []
+    for name in SPEC_TABLES:
+        table = getattr(SurfaceSpec, name)
+        assert table.func.__name__ == name
+
+        def counted(spec, real=table.func):
+            calls.append(real.__name__)
+            return real(spec)
+
+        counted.__name__ = name
+        monkeypatch.setattr(table, "func", counted)
+    spec, point, _ = family_point(REDUCTION_MEMBERS[0])
+    descend(spec, point, DescentBounds(solve_each_fiber=False, height=50))
+    for name in SPEC_TABLES:
+        assert getattr(spec, name) is vars(spec)[name] is getattr(spec, name)
+    assert sorted(calls) == sorted(SPEC_TABLES)
+
+
+def test_no_module_uses_cached_property():
+    """functools.cached_property locks on each first read before Python
+    3.12; the spec tables go through surface._lazy_table instead."""
+    src = os.path.dirname(surface.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert "cached_property" not in {alias.name for alias in node.names}, name
+            elif isinstance(node, ast.Attribute):
+                assert node.attr != "cached_property", name
 
 
 def test_root_masks_running_example(running_spec):
@@ -633,6 +680,34 @@ def test_partial_adelic_point_precision(running_spec):
         running_spec, {Place.finite(3): LocalPoint.make(1, 0, 1, 2)}
     )
     assert any("below stated precision" in p for p in bad.validate())
+
+
+def test_a_local_point_is_evaluated_once_for_all_its_places(monkeypatch):
+    """One local point at k places evaluates the p_i(t) |J| times, not
+    |J|*k, whatever the Fraction objects and precisions of its entries; a
+    second local point adds |J|.  Each row is that of a point holding its
+    place alone."""
+    spec, point, _ = family_point(REDUCTION_MEMBERS[0])
+    pt = point.entries[REAL]
+    entries = {v: LocalPoint.make(pt.x, pt.y, pt.t, pt.precision + k)
+               for k, v in enumerate(point.places)}
+    w = next(Place.finite(p) for p in (3, 5, 7, 11, 13) if Place.finite(p) not in entries)
+    calls = []
+    real = SurfaceSpec.factor_value
+
+    def counted(self, i, t):
+        calls.append(t)
+        return real(self, i, t)
+
+    monkeypatch.setattr(SurfaceSpec, "factor_value", counted)
+    shared = PartialAdelicPoint(spec, entries)
+    assert len(entries) >= 3 and len(calls) == len(spec.indices)
+    calls.clear()
+    two = PartialAdelicPoint(spec, {**entries, w: LocalPoint.make(pt.x, pt.y, pt.t + 1, 1)})
+    assert len(calls) == 2 * len(spec.indices)
+    for v, entry in two.entries.items():
+        assert PartialAdelicPoint(spec, {v: entry}).rows[v] == two.rows[v]
+        assert v == w or shared.rows[v] == two.rows[v]
 
 
 def test_unique_degenerate_factor_at_good_places():
