@@ -3,10 +3,9 @@
 Valuations, square classes (an element of Q*/(Q*)^2 is its signed
 square-free integer, or its F2 mask over -1 and known primes), local
 square classes as F2 bitmasks, the Hilbert symbol at every place as a
-bilinear form on those masks, Legendre symbols, Hensel lifting of
-unit square roots and deterministic prime streams.  Everything is
-computed with exact integer/Fraction arithmetic; nothing here touches
-floating point.
+bilinear form on those masks, Hensel lifting of unit square roots and
+deterministic prime streams.  Everything is computed with exact
+integer/Fraction arithmetic; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -353,23 +352,8 @@ def class_from_mask(mask: int, primes: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic residue symbols
+# Square roots modulo primes
 # ---------------------------------------------------------------------------
-
-
-def legendre(a: int | Rational, p: int) -> int:
-    """Legendre symbol (a|p) in {+1, -1, 0} via Euler's criterion; p an odd prime."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    a = Fraction(a)
-    num = a.numerator % p
-    den = a.denominator % p
-    if den == 0:
-        raise ValueError(f"{a} has a pole at {p}")
-    if num == 0:
-        return 0
-    r = pow(num * pow(den, -1, p) % p, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 def sqrt_mod(c: int, q: int) -> Optional[int]:

@@ -1,9 +1,9 @@
 """GF(2) linear algebra on int bitsets.
 
 Bit k of an int is column k.  `echelon` returns the reduced echelon form
-with each row's lowest bit as its pivot, and `kernel_basis`, membership and
-`Subspace` read their answers off it.  `column_kernel` needs no reduced
-form: it runs forward elimination alone.
+with each row's lowest bit as its pivot, the canonical basis that
+`Subspace` keeps and reads membership off.  `column_kernel`, the one kernel
+routine, needs no reduced form: it runs forward elimination alone.
 """
 
 from __future__ import annotations
@@ -39,24 +39,6 @@ def echelon(rows: Sequence[int]) -> List[int]:
         low = pivots & -pivots
         basis.append(row_at[low])
         pivots ^= low
-    return basis
-
-
-def kernel_basis(rows: Sequence[int], ncols: int) -> List[int]:
-    """Basis of {x : popcount(row & x) even for all rows}, rows over ncols columns.
-
-    Read off the reduced echelon form: a row meeting the free column f ties
-    its pivot to f, so f plus the pivot of every such row is a kernel vector.
-    """
-    reduced = echelon(rows)
-    pivots = 0
-    for row in reduced:
-        pivots |= row & -row
-    basis = []
-    for free in range(ncols):
-        bit = 1 << free
-        if not pivots & bit:
-            basis.append(bit | sum(row & -row for row in reduced if row & bit))
     return basis
 
 
@@ -148,9 +130,6 @@ class Subspace:
         if not isinstance(other, Subspace):
             return NotImplemented
         return self.ncols == other.ncols and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ncols, tuple(self.basis)))
 
     def __repr__(self):
         return f"Subspace(ncols={self.ncols}, dim={self.dim})"

@@ -14,19 +14,18 @@ group.  Each generator's local mask is taken once per place
 the primes are computed, and at the places of T those of the factor symbols
 and [d]_v are read off the partial adelic point's rows.  Each linear form
 on those masks whose kernel is L_v (H_v [d]_v, or a basis of the
-annihilator of [d]_v) becomes one row of the F2 system.  The masks are
-transposed once per place into local_dim(v) bit-planes, and the row of a
-form is the XOR of the planes at its set bits.  The groups are
-two gf2.Subspace objects in the coordinates of one lattice, which decodes
-their elements: selmer_groups builds the torus's lattice over S and
-returns it with them, and relative_selmer works in the lattice it is given,
-the descent state's, whose primes are those of T in the order the descent
-added them.
+annihilator of [d]_v) adds one bit to each column of the F2 system, one
+column per lattice bit, and each group is the kernel of its columns
+(gf2.column_kernel).  The groups are two gf2.Subspace objects in the
+coordinates of one lattice, which decodes their elements: selmer_groups
+builds the torus's lattice over S and returns it with them, and
+relative_selmer works in the lattice it is given, the descent state's,
+whose primes are those of T in the order the descent added them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from . import gf2
 from .arith import (
@@ -91,24 +90,25 @@ def _cut_out(
     the values the factor symbols stand for (Lattice.local_masks) and the
     local mask of d there.  At v a class must lie in <[d]_v>^perp (Selmer)
     or in <[d]_v> (dual); where [d]_v is None it must be a local unit class
-    (both).  Bit k of plane b is bit b of the k-th local mask, so the row
-    of a linear form is the XOR of the planes at its set bits, and the unit
-    condition is the top plane, the valuation parity.
+    (both).  Each linear form f whose kernel is that local subspace appends
+    the bit dot(f, mask_k) to column k, the column of lattice bit k: H_v
+    [d]_v (Selmer), a basis of the annihilator of [d]_v (dual), or the top
+    local bit, the valuation parity (unit class).
     """
-    sel_rows: List[int] = []
-    dual_rows: List[int] = []
+    sel = [0] * lattice.ncols
+    dual = [0] * lattice.ncols
     for v, factor_masks, d_v in conditions:
         masks = lattice.local_masks(factor_masks, v)
-        planes = [sum((m >> b & 1) << k for k, m in enumerate(masks))
-                  for b in range(local_dim(v))]
         if d_v is None:
-            sel_rows.append(planes[-1])
-            dual_rows.append(planes[-1])
+            sel_forms = dual_forms = [1 << local_dim(v) - 1]
         else:
-            sel_rows.append(gf2.combine(planes, hilbert_row(d_v, v)))
-            dual_rows += [gf2.combine(planes, f) for f in gf2.kernel_basis([d_v], len(planes))]
-    return tuple(gf2.Subspace(lattice.ncols, gf2.kernel_basis(rows, lattice.ncols))
-                 for rows in (sel_rows, dual_rows))
+            sel_forms = [hilbert_row(d_v, v)]
+            dual_forms = gf2.column_kernel([d_v >> b & 1 for b in range(local_dim(v))])
+        for columns, forms in ((sel, sel_forms), (dual, dual_forms)):
+            for f in forms:
+                columns[:] = [col << 1 | gf2.dot(f, m) for col, m in zip(columns, masks)]
+    return tuple(gf2.Subspace(lattice.ncols, gf2.column_kernel(columns))
+                 for columns in (sel, dual))
 
 
 def selmer_groups(torus: TorusData) -> Tuple[Lattice, gf2.Subspace, gf2.Subspace]:

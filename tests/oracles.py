@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from sympy import factorint
+from sympy.functions.combinatorial.numbers import legendre_symbol
 
 from torusdescent import gf2
 from torusdescent.arith import (
@@ -24,7 +25,6 @@ from torusdescent.arith import (
     class_mask,
     factorize,
     hilbert_row,
-    legendre,
     local_dim,
     local_mask,
     mod_prime_power,
@@ -203,6 +203,12 @@ def jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def unit_legendre(u: Fraction, p: int) -> int:
+    """Legendre symbol (u|p) of a p-adic unit rational u = n/q: (1/q|p) =
+    (q|p), so it is sympy's symbol of n times that of q."""
+    return legendre_symbol(u.numerator, p) * legendre_symbol(u.denominator, p)
+
+
 def local_basis(v: Place):
     """Generators of Q_v*/(Q_v*)^2 in the order of the local_mask bits."""
     if v.is_real:
@@ -210,7 +216,7 @@ def local_basis(v: Place):
     p = v.p
     if p == 2:
         return (-1, 5, 2)
-    return (next(u for u in range(2, p) if legendre(u, p) == -1), p)
+    return (next(u for u in range(2, p) if legendre_symbol(u, p) == -1), p)
 
 
 def hilbert_symbol_closed_form(a, b, v: Place) -> int:
@@ -230,8 +236,8 @@ def hilbert_symbol_closed_form(a, b, v: Place) -> int:
         omega_w = (mod_prime_power(w, 2, 3) ** 2 - 1) // 8 & 1
         return (eps_u * eps_w + alpha * omega_w + beta * omega_u) & 1
     eps_p = ((p - 1) // 2) & 1
-    chi_u = 0 if legendre(u, p) == 1 else 1
-    chi_w = 0 if legendre(w, p) == 1 else 1
+    chi_u = 0 if unit_legendre(u, p) == 1 else 1
+    chi_w = 0 if unit_legendre(w, p) == 1 else 1
     return (alpha * beta * eps_p + beta * chi_u + alpha * chi_w) & 1
 
 
@@ -247,7 +253,7 @@ def is_local_square_closed_form(x, v: Place) -> bool:
     u = x / Fraction(p) ** val
     if p == 2:
         return mod_prime_power(u, 2, 3) == 1
-    return legendre(u, p) == 1
+    return unit_legendre(u, p) == 1
 
 
 def hilbert_relevant_places(a, b):
@@ -432,12 +438,12 @@ def relative_selmer_reference(spec, lattice, p_t, adm):
     for v in ramified:
         d_v = local_mask(adm.fiber.torus_d, v)
         sel_rows += form_rows(v, [hilbert_row(d_v, v)])
-        dual_rows += form_rows(v, gf2.kernel_basis([d_v], local_dim(v)))
+        dual_rows += form_rows(v, kernel_reference([d_v], local_dim(v)))
     for v in units:
         unit_rows = form_rows(v, [1 << local_dim(v) - 1])  # the valuation parity
         sel_rows += unit_rows
         dual_rows += unit_rows
-    return tuple(gf2.Subspace(lattice.ncols, gf2.kernel_basis(rows, lattice.ncols))
+    return tuple(gf2.Subspace(lattice.ncols, kernel_reference(rows, lattice.ncols))
                  for rows in (sel_rows, dual_rows))
 
 
@@ -630,7 +636,7 @@ def _intersection_reference(spec, dual: bool) -> List[GElement]:
             for m, r_kj in enumerate(r):
                 row |= (r_kj >> b & 1) << width + m
             rows.append(row)
-    kernel = gf2.kernel_basis(rows, width + 2 * n)
+    kernel = kernel_reference(rows, width + 2 * n)
     group = gf2.Subspace(width + n, [v % (1 << width + n) for v in kernel])
 
     def element(vec: int) -> GElement:
@@ -1012,6 +1018,16 @@ def echelon_reference(rows) -> List[int]:
                     basis[k] ^= row
     basis.sort(key=lambda r: r & -r)
     return basis
+
+
+def kernel_reference(rows, ncols: int) -> List[int]:
+    """Basis of {x : popcount(row & x) even for every row} over ncols
+    columns, read off echelon_reference: the free column f plus the pivot
+    of every reduced row that meets f is a kernel vector."""
+    reduced = echelon_reference(rows)
+    pivots = [row & -row for row in reduced]
+    return [1 << f | sum(pivot for row, pivot in zip(reduced, pivots) if row >> f & 1)
+            for f in range(ncols) if not 1 << f & sum(pivots)]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from torusdescent.arith import (
     hilbert_symbol,
     is_local_square,
     is_prime,
-    legendre,
     local_mask,
     parse_rational,
     prime_stream,
@@ -41,7 +40,6 @@ from oracles import (
     hilbert_relevant_places,
     hilbert_symbol_closed_form,
     is_square_mod_enumeration,
-    jacobi,
     local_basis,
     local_square_class,
     sqfree,
@@ -296,32 +294,6 @@ def test_places_are_equal_and_hashed_by_p_alone():
     assert hash(Place.proved(7)) == hash(Place(7)) == hash(7)
     assert Place(7) != 7 and REAL == Place(None) != None  # noqa: E711
     assert not Place(7) < Place(7) and REAL < Place(2)
-
-
-# ---------------------------------------------------------------------------
-# quadratic symbols
-# ---------------------------------------------------------------------------
-
-
-def test_legendre_examples():
-    assert legendre(2, 7) == 1  # 3^2 = 2 mod 7
-    assert legendre(14, 7) == 0
-    assert legendre(3, 7) == -1  # squares mod 7 are {1, 2, 4}
-
-
-def test_legendre_matches_enumeration():
-    for p in (3, 5, 7, 11, 13):
-        squares = {x * x % p for x in range(1, p)}
-        for a in range(1, p):
-            assert legendre(a, p) == (1 if a in squares else -1)
-
-
-def test_legendre_agrees_with_jacobi():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23):
-        for a in range(-30, 30):
-            if a % p == 0:
-                continue
-            assert legendre(a, p) == jacobi(a, p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from torusdescent import gf2
 
-from oracles import echelon_reference, gf2_rank
+from oracles import echelon_reference, gf2_rank, kernel_reference
 
 
 def test_echelon_and_rank():
@@ -41,9 +41,15 @@ def test_echelon_matches_the_reference(rows):
     assert len(reduced) == gf2_rank(rows)
 
 
-def test_kernel_basis_small():
-    # single row 110: kernel is {000, 110, 001, 111}
-    basis = gf2.kernel_basis([0b011], 3)
+def _transpose(vectors, width):
+    """The width vectors whose bit k is bit b of vectors[k], for b < width:
+    the rows of the matrix with these columns, or its columns from its rows."""
+    return [sum((vec >> b & 1) << k for k, vec in enumerate(vectors)) for b in range(width)]
+
+
+def test_column_kernel_small():
+    # the one row 110 has columns 1, 1, 0: the kernel is {000, 110, 001, 111}
+    basis = gf2.column_kernel(_transpose([0b011], 3))
     space = gf2.Subspace(3, basis)
     assert space.dim == 2
     assert space.contains(0b011)
@@ -56,7 +62,7 @@ def test_kernel_orthogonality_random():
     for _ in range(50):
         ncols = rng.randint(1, 12)
         rows = [rng.getrandbits(ncols) for _ in range(rng.randint(0, 8))]
-        for vec in gf2.kernel_basis(rows, ncols):
+        for vec in gf2.column_kernel(_transpose(rows, ncols)):
             assert all(gf2.dot(row, vec) == 0 for row in rows)
 
 
@@ -65,7 +71,7 @@ def test_kernel_dimension_formula():
     for _ in range(50):
         ncols = rng.randint(1, 12)
         rows = [rng.getrandbits(ncols) for _ in range(rng.randint(0, 8))]
-        assert len(gf2.kernel_basis(rows, ncols)) == ncols - gf2_rank(rows)
+        assert len(gf2.column_kernel(_transpose(rows, ncols))) == ncols - gf2_rank(rows)
 
 
 def test_subspace_membership_and_elements():
@@ -92,18 +98,6 @@ def _kernel_by_enumeration(rows, ncols):
     return [x for x in range(1 << ncols) if all(gf2.dot(row, x) == 0 for row in rows)]
 
 
-def test_kernel_basis_matches_enumeration():
-    rng = random.Random(3)
-    for _ in range(200):
-        ncols = rng.randint(0, 10)
-        rows = [rng.getrandbits(ncols) for _ in range(rng.randint(0, 8))]
-        basis = gf2.kernel_basis(rows, ncols)
-        assert len(basis) == len(set(basis))
-        expected = gf2.Subspace(ncols, _kernel_by_enumeration(rows, ncols))
-        assert gf2.Subspace(ncols, basis).basis == expected.basis
-        assert len(basis) == expected.dim
-
-
 def test_column_kernel_matches_enumeration():
     # the combinations of columns summing to 0 are the kernel of the rows
     # of the transposed matrix
@@ -111,11 +105,13 @@ def test_column_kernel_matches_enumeration():
     for _ in range(200):
         ncols, height = rng.randint(0, 10), rng.randint(0, 8)
         columns = [rng.getrandbits(height) for _ in range(ncols)]
-        rows = [sum((col >> b & 1) << m for m, col in enumerate(columns)) for b in range(height)]
+        rows = _transpose(columns, height)
         basis = gf2.column_kernel(columns)
         expected = gf2.Subspace(ncols, _kernel_by_enumeration(rows, ncols))
         assert gf2.Subspace(ncols, basis).basis == expected.basis
         assert len(basis) == expected.dim
+        # the reference that test_column_kernel_at_stacked_map_sizes reads
+        assert gf2.Subspace(ncols, kernel_reference(rows, ncols)) == expected
 
 
 def test_column_kernel_at_stacked_map_sizes():
@@ -135,11 +131,11 @@ def test_column_kernel_at_stacked_map_sizes():
                 columns.append(rng.choice(columns))
             else:
                 columns.append(gf2.combine(base, rng.getrandbits(len(base))))
-        rows = [sum((col >> b & 1) << m for m, col in enumerate(columns)) for b in range(height)]
+        rows = _transpose(columns, height)
         basis = gf2.column_kernel(columns)
         assert all(gf2.combine(columns, x) == 0 for x in basis)
         assert len(basis) == ncols - gf2_rank(rows)
-        assert gf2.Subspace(ncols, basis) == gf2.Subspace(ncols, gf2.kernel_basis(rows, ncols))
+        assert gf2.Subspace(ncols, basis) == gf2.Subspace(ncols, kernel_reference(rows, ncols))
 
 
 def test_intersect_hyperplane_matches_enumeration():

@@ -2,7 +2,8 @@
 public method of a public class, has a caller in the package or in the
 benchmark.  A helper that only tests use belongs in tests/oracles.py (or
 nowhere); ALLOWED lists the exceptions and why.  A re-export in
-__init__.py is no caller: it only names the definition.
+__init__.py is no caller: it only names the definition, and neither is a
+benchmark file's read of its own definition of the same name.
 
 A method counts as called when its name is read as an attribute anywhere
 outside its own body.  An operator names no class, so a call of an
@@ -92,9 +93,16 @@ def _public_definitions():
 
 
 def _references():
+    """Every name read in the package and the benchmark.  A benchmark file's
+    read of a name it defines at top level reads its own definition, so
+    those reads are left out."""
     seen = set()
     for path in _sources():
-        seen.update(_reads(ast.parse(path.read_text())))
+        tree = ast.parse(path.read_text())
+        own = frozenset()
+        if PACKAGE not in path.parents:
+            own = frozenset(node.name for node in tree.body if isinstance(node, _DEFINITIONS))
+        seen.update(_reads(tree, own))
     return seen
 
 

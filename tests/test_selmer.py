@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import multiplicity
 
 from torusdescent.arith import (
     _MR_LIMIT,
@@ -18,7 +20,7 @@ from torusdescent.arith import (
 from torusdescent import gf2
 from torusdescent.conditiond import Lattice
 from torusdescent.descent import DescentBounds, build_suitable, find_admissible
-from torusdescent.selmer import selmer_groups, torus_data
+from torusdescent.selmer import _cut_out, selmer_groups, torus_data
 from torusdescent.surface import make_spec
 
 from fixtures import REDUCTION_MEMBERS, family_point
@@ -31,6 +33,9 @@ from oracles import (
     g_element,
     g_identity,
     g_mul,
+    hilbert_symbol_closed_form,
+    local_basis,
+    local_square_class,
     selmer_by_enumeration,
     selmer_elements,
     split_places,
@@ -126,6 +131,61 @@ def test_selmer_matches_enumeration_random():
             torus.d, torus.places
         )
         checked += 1
+
+
+def _xor_at_bits(vectors, x):
+    """XOR of vectors[k] over the set bits k of x."""
+    out = 0
+    for k, vec in enumerate(vectors):
+        if x >> k & 1:
+            out ^= vec
+    return out
+
+
+def _allowed_local_classes(v, d_v):
+    """The local classes c at v that the condition [d]_v keeps, as sets of
+    masks (Selmer, dual), from representatives, the products of the
+    generators of local_basis(v) at the set bits: <c, d>_v = 0 by Serre's
+    closed form and c in {1, d} where d_v is a mask, an even valuation at v
+    (both) where it is None."""
+    def value(mask):
+        return math.prod(g for b, g in enumerate(local_basis(v)) if mask >> b & 1)
+
+    classes = range(1 << len(local_basis(v)))
+    if d_v is None:
+        units = {c for c in classes if multiplicity(v.p, abs(value(c))) % 2 == 0}
+        return units, units
+    sel = {c for c in classes if hilbert_symbol_closed_form(value(c), value(d_v), v) == 0}
+    return sel, {0, d_v}
+
+
+def test_cut_out_matches_enumeration_of_the_local_conditions():
+    # random lattices and conditions: each [d]_v None (at finite places only,
+    # as relative_selmer asks unit classes only at finite places of T), 0 or
+    # random, at the real place, odd primes and 2, some outside the lattice
+    rng = random.Random(11)
+    places = [REAL, *places_of(2, 3, 5, 7, 11)]
+    for _ in range(300):
+        primes = sorted(rng.sample([2, 3, 5, 7, 11, 13], rng.randint(0, 3)))
+        lattice = Lattice(primes, range(rng.randint(0, 2)))
+        conditions, columns, allowed = [], [], []
+        for v in (rng.choice(places) for _ in range(rng.randint(1, 4))):
+            size = 1 << len(local_basis(v))
+            factor_masks = [rng.randrange(size) for _ in lattice.factor_indices]
+            d_v = rng.choice([None, 0, rng.randrange(size)] if v.is_finite else
+                             [0, rng.randrange(size)])
+            conditions.append((v, factor_masks, d_v))
+            columns.append([*factor_masks, *(local_square_class(g, v).mask()
+                                             for g in (-1, *primes))])
+            allowed.append(_allowed_local_classes(v, d_v))
+
+        def members(side):
+            return [x for x in range(1 << lattice.ncols)
+                    if all(_xor_at_bits(col, x) in sides[side]
+                           for col, sides in zip(columns, allowed))]
+
+        expected = tuple(gf2.Subspace(lattice.ncols, members(side)) for side in (0, 1))
+        assert _cut_out(lattice, conditions) == expected
 
 
 def test_dimension_identity_random():

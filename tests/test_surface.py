@@ -643,6 +643,10 @@ def test_point_file_round_trip(running_spec):
     assert point.entries[REAL].t == Fraction(1, 2)
     assert serialize_point(point) == text
     assert parse_point_file(serialize_point(point), running_spec).entries == point.entries
+    # comments and blank lines are skipped
+    commented = ("# the running point\n\nreal 1 0 1/2 10  # x y t precision\n"
+                 "   \n# at 2\n2 1 0 1/2 10\n\n")
+    assert parse_point_file(commented, running_spec).entries == point.entries
 
 
 def test_partial_adelic_point_validation(running_spec):
