@@ -2,9 +2,11 @@
 
 Valuations, square classes (an element of Q*/(Q*)^2 is its signed
 square-free integer, or its F2 mask over -1 and known primes), local
-square classes as F2 bitmasks, the Hilbert symbol at every place as a
-bilinear form on those masks, Hensel lifting of unit square roots and
-deterministic prime streams.  Everything is computed with exact
+square classes as F2 bitmasks (local_class gives the valuation and the
+mask of a rational from one pass dividing p out of its numerator and
+denominator; local_mask is its mask), the Hilbert symbol at every place
+as a bilinear form on those masks, Hensel lifting of unit square roots
+and deterministic prime streams.  Everything is computed with exact
 integer/Fraction arithmetic; nothing here touches floating point.
 """
 
@@ -395,31 +397,40 @@ def local_dim(v: Place) -> int:
 _UNIT_MASK_MOD_8 = (0, 0, 0, 0b11, 0, 0b10, 0, 0b01)
 
 
-def local_mask(x: Rational, v: Place) -> int:
-    """Coordinates of a nonzero rational in Q_v*/(Q_v*)^2 as an F2 bitmask.
+def local_class(x: Rational, v: Place) -> Tuple[int, int]:
+    """(val_v x, local_mask(x, v)) of a nonzero rational, val 0 at real.
 
-    Bit i is the exponent of the i-th local generator: -1 at the real place;
-    a non-residue unit (bit 0) and p (bit 1) at odd p; -1, 5 and 2 (bits 0,
-    1, 2) at 2.  Computed on the numerator and denominator as integers; the
-    primality of v.p was proved when the Place was built.
+    p is divided out of the numerator and the denominator once, on ints,
+    for both: the valuation parity is the top local bit.  The primality of
+    v.p was proved when the Place was built.
     """
     num, den = x.numerator, x.denominator
     if num == 0:
         raise ValueError("0 has no square class")
     p = v.p
     if p is None:
-        return 1 if num < 0 else 0
-    odd = 0
+        return 0, int(num < 0)
+    val = 0
     while num % p == 0:
         num //= p
-        odd ^= 1
+        val += 1
     while den % p == 0:
         den //= p
-        odd ^= 1
+        val -= 1
     # num/den and num*den differ by the square den^2
     if p == 2:
-        return _UNIT_MASK_MOD_8[num * den % 8] | odd << 2
-    return (pow(num * den, (p - 1) // 2, p) != 1) | odd << 1
+        return val, _UNIT_MASK_MOD_8[num * den % 8] | (val & 1) << 2
+    return val, (pow(num * den, (p - 1) // 2, p) != 1) | (val & 1) << 1
+
+
+def local_mask(x: Rational, v: Place) -> int:
+    """Coordinates of a nonzero rational in Q_v*/(Q_v*)^2 as an F2 bitmask.
+
+    Bit i is the exponent of the i-th local generator: -1 at the real place;
+    a non-residue unit (bit 0) and p (bit 1) at odd p; -1, 5 and 2 (bits 0,
+    1, 2) at 2.  The mask half of local_class.
+    """
+    return local_class(x, v)[1]
 
 
 def is_local_square(x: Rational, v: Place) -> bool:

@@ -33,7 +33,6 @@ from .arith import (
     crt,
     hilbert_symbol,
     local_dim,
-    mod_prime_power,
     prime_stream,
     strip_primes,
     valuation,
@@ -262,18 +261,17 @@ def _approximation_data(
     for v in p_t.places:
         if v.is_real:
             continue
-        t_v = p_t.entries[v].t
-        p = v.p
+        t_v, p = p_t.entries[v].t, v.p
         m_v = max(val for val, _ in p_t.rows[v].factors.values())
-        e_v = max(0, -valuation(t_v, p)) if t_v != 0 else 0
+        e_v = valuation(t_v.denominator, p)
         if e_v and p not in s0_primes:
             raise DescentAnomaly(f"non-integral t_v at {v} outside S0")
         k_v = max(m_v + (3 if p == 2 else 1), -e_v)
         denominator *= p**e_v
-        congruences.append((v, k_v, e_v))
-    # t_v * D is p-integral at v: D holds the denominator of t_v at p
-    entries = [(mod_prime_power(p_t.entries[v].t * denominator, v.p, k_v + e_v),
-                v.p ** (k_v + e_v)) for v, k_v, e_v in congruences]
+        congruences.append((t_v, p**e_v, p ** (k_v + e_v)))
+    # t_v * D = num * (D / p^e_v) / (den / p^e_v), p-integral at v
+    entries = [(t_v.numerator * (denominator // p_e) * pow(t_v.denominator // p_e, -1, m) % m, m)
+               for t_v, p_e, m in congruences]
     tau0, M = crt(entries) if entries else (0, 1)
     return tau0, M, denominator
 
@@ -370,11 +368,9 @@ def find_admissible(
     lo, hi = _real_chamber(spec, p_t)
     t_primes = [v.p for v in p_t.places if v.is_finite]
     witnesses = _candidate_test(spec, tau0, modulus, denominator, t_primes)
-    step = Fraction(modulus, denominator)
-    base = Fraction(tau0, denominator)
-    # base + n*step lies in the open chamber exactly when n_min <= n <= n_max
-    n_min = None if lo is None else math.floor((lo - base) / step) + 1
-    n_max = None if hi is None else math.ceil((hi - base) / step) - 1
+    # (tau0 + modulus*n)/denominator lies in the open chamber exactly when n_min <= n <= n_max
+    n_min = None if lo is None else (lo * denominator - tau0) // modulus + 1
+    n_max = None if hi is None else -((tau0 - hi * denominator) // modulus) - 1
     nearest = max(0, 0 if n_min is None else n_min, 0 if n_max is None else -n_max)
     checked = 0
     for k in itertools.count(nearest):

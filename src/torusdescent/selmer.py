@@ -12,15 +12,19 @@ Q_v*/(Q_v*)^2, in the local_mask coordinates of `arith`: L_v =
 group.  Each generator's local mask is taken once per place
 (Lattice.local_masks, the lattice's evaluation map at v): those of -1 and
 the primes are computed, and at the places of T those of the factor symbols
-and [d]_v are read off the partial adelic point's rows.  Each linear form
-on those masks whose kernel is L_v (H_v [d]_v, or a basis of the
-annihilator of [d]_v) adds one bit to each column of the F2 system, one
-column per lattice bit, and each group is the kernel of its columns
-(gf2.column_kernel).  The groups are two gf2.Subspace objects in the
-coordinates of one lattice, which decodes their elements: selmer_groups
-builds the torus's lattice over S and returns it with them, and
-relative_selmer works in the lattice it is given, the descent state's,
-whose primes are those of T in the order the descent added them.
+and [d]_v are read off the partial adelic point's rows.  Q_v*/(Q_v*)^2 has
+F2-dimension 1, 2 or 3, so a local condition is one of 22: the constant
+table _CONDITIONS, built at import and keyed by the kind of v (real, 2, or
+p mod 4, all that H_v reads of p) and [d]_v, holds the bits that the
+linear forms whose kernel is L_v (H_v [d]_v, or a basis of the annihilator
+of [d]_v) take on each local mask.  Each condition appends those bits of
+mask_k to column k, one column per lattice bit, and each group is the
+kernel of its columns (gf2.column_kernel).  The groups are two
+gf2.Subspace objects in the coordinates of one lattice, which decodes
+their elements: selmer_groups builds the torus's lattice over S and
+returns it with them, and relative_selmer works in the lattice it is
+given, the descent state's, whose primes are those of T in the order the
+descent added them.
 """
 
 from __future__ import annotations
@@ -80,6 +84,33 @@ def torus_data(d: int, places: Iterable[Place]) -> TorusData:
 # ---------------------------------------------------------------------------
 
 
+def _condition_bits(v: Place, d_v: Optional[int]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """(width, bits) of the Selmer side, then of the dual side, at v.  The
+    linear forms f whose kernel is L_v are H_v [d]_v (Selmer) and a basis of
+    the annihilator of [d]_v (dual), or the top local bit, the valuation
+    parity, on both sides where [d]_v is None; width is their number and
+    bits[m] their bits dot(f, m) at the local mask m, the first one highest."""
+    dim = local_dim(v)
+    if d_v is None:
+        sides = [[1 << dim - 1]] * 2
+    else:
+        sides = [[hilbert_row(d_v, v)], gf2.column_kernel([d_v >> b & 1 for b in range(dim)])]
+    return tuple((len(forms), tuple(sum(gf2.dot(f, m) << k for k, f in enumerate(reversed(forms)))
+                                    for m in range(1 << dim)))
+                 for forms in sides)
+
+
+def _kind(v: Place) -> Optional[int]:
+    """What hilbert_row reads of v: the real place (None), 2, or p mod 4."""
+    return None if v.p is None else v.p & 3
+
+
+# (_kind(v), [d]_v or None) -> _condition_bits(v, [d]_v), on one place of each kind
+_CONDITIONS = {(_kind(v), d_v): _condition_bits(v, d_v)
+               for v in (REAL, Place(2), Place(5), Place(3))
+               for d_v in (None, *range(1 << local_dim(v)))}
+
+
 def _cut_out(
     lattice: Lattice, conditions: Iterable[Tuple[Place, Sequence[int], Optional[int]]]
 ) -> Tuple[gf2.Subspace, gf2.Subspace]:
@@ -90,23 +121,16 @@ def _cut_out(
     the values the factor symbols stand for (Lattice.local_masks) and the
     local mask of d there.  At v a class must lie in <[d]_v>^perp (Selmer)
     or in <[d]_v> (dual); where [d]_v is None it must be a local unit class
-    (both).  Each linear form f whose kernel is that local subspace appends
-    the bit dot(f, mask_k) to column k, the column of lattice bit k: H_v
-    [d]_v (Selmer), a basis of the annihilator of [d]_v (dual), or the top
-    local bit, the valuation parity (unit class).
+    (both).  The bits of column k, the column of lattice bit k, under those
+    conditions are _CONDITIONS[_kind(v), [d]_v] at mask_k.
     """
     sel = [0] * lattice.ncols
     dual = [0] * lattice.ncols
     for v, factor_masks, d_v in conditions:
         masks = lattice.local_masks(factor_masks, v)
-        if d_v is None:
-            sel_forms = dual_forms = [1 << local_dim(v) - 1]
-        else:
-            sel_forms = [hilbert_row(d_v, v)]
-            dual_forms = gf2.column_kernel([d_v >> b & 1 for b in range(local_dim(v))])
-        for columns, forms in ((sel, sel_forms), (dual, dual_forms)):
-            for f in forms:
-                columns[:] = [col << 1 | gf2.dot(f, m) for col, m in zip(columns, masks)]
+        (sel_width, sel_bits), (dual_width, dual_bits) = _CONDITIONS[_kind(v), d_v]
+        sel = [col << sel_width | sel_bits[m] for col, m in zip(sel, masks)]
+        dual = [col << dual_width | dual_bits[m] for col, m in zip(dual, masks)]
     return tuple(gf2.Subspace(lattice.ncols, gf2.column_kernel(columns))
                  for columns in (sel, dual))
 

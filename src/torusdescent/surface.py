@@ -34,7 +34,7 @@ from .arith import (
     class_mask,
     factorize,
     is_prime,
-    local_mask,
+    local_class,
     parse_place,
     parse_rational,
     strip_primes,
@@ -479,9 +479,8 @@ class PlaceRow(NamedTuple):
 
 
 def factor_row(v: Place, values: Mapping[int, Fraction]) -> Dict[int, Tuple[int, int]]:
-    """i -> (val_v, local mask) of the values p_i(t), val 0 at real."""
-    return {i: (0 if v.is_real else valuation(x, v.p), local_mask(x, v))
-            for i, x in values.items()}
+    """i -> local_class of the values p_i(t): (val_v, local mask), val 0 at real."""
+    return {i: local_class(x, v) for i, x in values.items()}
 
 
 def _evaluate(spec: SurfaceSpec, pt: LocalPoint) -> Optional[tuple]:
@@ -512,7 +511,7 @@ def _place_row(spec: SurfaceSpec, v: Place, pt: LocalPoint,
                      for name, x in (("x", pt.x), ("y", pt.y), ("t", pt.t))
                      if x != 0 and valuation(x, v.p) < 0]
     factors = factor_row(v, values)
-    val, mask = 0 if v.is_real else valuation(spec.d, v.p), local_mask(-spec.d, v)
+    val, mask = local_class(-spec.d, v)
     for val_i, mask_i in factors.values():
         val, mask = val + val_i, mask ^ mask_i
     return PlaceRow(factors, (val, mask), invariant_vector(spec, v, factors), tuple(problems))

@@ -14,8 +14,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from sympy import factorint
+from sympy import factorint, multiplicity
 from sympy.functions.combinatorial.numbers import legendre_symbol
+from sympy.ntheory.modular import crt as sympy_crt
 
 from torusdescent import gf2
 from torusdescent.arith import (
@@ -24,12 +25,8 @@ from torusdescent.arith import (
     PrimalityRangeError,
     class_mask,
     factorize,
-    hilbert_row,
-    local_dim,
-    local_mask,
     mod_prime_power,
     strip_primes,
-    valuation,
 )
 from torusdescent.conditiond import (
     ConditionDReport,
@@ -185,6 +182,15 @@ def serialize_spec_reference(spec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def valuation_reference(x, p: int) -> int:
+    """val_p of a nonzero rational, by sympy's multiplicity on its numerator
+    and denominator."""
+    x = Fraction(x)
+    if x == 0:
+        raise ValueError("valuation of 0 is undefined")
+    return multiplicity(p, x.numerator) - multiplicity(p, x.denominator)
+
+
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a|n) for odd positive n, by quadratic-reciprocity recursion."""
     if n <= 0 or n % 2 == 0:
@@ -227,7 +233,7 @@ def hilbert_symbol_closed_form(a, b, v: Place) -> int:
     if v.is_real:
         return 1 if (a < 0 and b < 0) else 0
     p = v.p
-    alpha, beta = valuation(a, p), valuation(b, p)
+    alpha, beta = valuation_reference(a, p), valuation_reference(b, p)
     u, w = a / Fraction(p) ** alpha, b / Fraction(p) ** beta
     if p == 2:
         eps_u = (mod_prime_power(u, 2, 2) - 1) // 2 & 1  # (u-1)/2 mod 2
@@ -247,7 +253,7 @@ def is_local_square_closed_form(x, v: Place) -> bool:
     if v.is_real:
         return x > 0
     p = v.p
-    val = valuation(x, p)
+    val = valuation_reference(x, p)
     if val % 2:
         return False
     u = x / Fraction(p) ** val
@@ -275,9 +281,9 @@ def conic_soluble_bruteforce(a, b, p: int) -> bool:
     unit the search reduces to two one-variable sweeps.
     """
     a, b = Fraction(a), Fraction(b)
-    va = valuation(a, p)
+    va = valuation_reference(a, p)
     a = a / Fraction(p) ** (va - (va % 2))
-    vb = valuation(b, p)
+    vb = valuation_reference(b, p)
     b = b / Fraction(p) ** (vb - (vb % 2))
     k = 6 if p == 2 else 3
     pk = p**k
@@ -297,7 +303,7 @@ def is_square_mod_enumeration(x, v: Place) -> bool:
     if v.is_real:
         return Fraction(x) > 0
     p = v.p
-    val = valuation(x, p)
+    val = valuation_reference(x, p)
     if val % 2:
         return False
     unit = Fraction(x) / Fraction(p) ** val
@@ -379,7 +385,7 @@ def fiber_torus_reference(state) -> TorusData:
     class is read off its valuations at those primes; nothing is factored.
     """
     spec, p_t, adm = state.spec, state.p_t, state.adm
-    t0_places = {v for v in p_t.places if v in spec.s0 or valuation(
+    t0_places = {v for v in p_t.places if v in spec.s0 or valuation_reference(
         -spec.d * product_value_reference(spec, spec.indices, p_t.entries[v].t), v.p) == 1}
     u_places = {u for _, u in adm.witnesses}
     primes = [v.p for v in set(p_t.places) | u_places if v.is_finite]
@@ -387,7 +393,7 @@ def fiber_torus_reference(state) -> TorusData:
     assert strip_primes(abs(value.numerator) * value.denominator, primes) == 1
     d_t = 1 if value > 0 else -1
     for p in primes:
-        if valuation(value, p) % 2:
+        if valuation_reference(value, p) % 2:
             d_t *= p
     return torus_data(d_t, t0_places | u_places | {REAL, Place.finite(2)})
 
@@ -419,30 +425,32 @@ def state_lattice_reference(spec, p_t, trace) -> Lattice:
 
 def relative_selmer_reference(spec, lattice, p_t, adm):
     """(R, R-hat) of selmer.relative_selmer in lattice, cut out from the
-    values p_i(t0) and -d*p_J(t0): their local masks are computed at every
-    place of T and at the witness places u_i.  At T0 (S0 and the places v
-    with val_v(d*p_J(t_v)) = 1, from the Fraction formulas) and at the u_i a
-    class must lie in <[-d*p_J(t0)]_v>^perp (R) or in <[-d*p_J(t0)]_v>
-    (R-hat); at the rest of T it must be a local unit class (both)."""
-    values = [adm.values[i] for i in lattice.factor_indices]
-    t0_places = [v for v in p_t.places if v in spec.s0 or valuation(
+    values p_i(t0), -1, the lattice primes and -d*p_J(t0) at every place of
+    T and at the witness places u_i.  At T0 (S0 and the places v with
+    val_v(d*p_J(t_v)) = 1, from the Fraction formulas) and at the u_i a
+    class must pair trivially with [-d*p_J(t0)]_v under the closed-form
+    Hilbert symbol (R) or have a local_square_class in <[-d*p_J(t0)]_v>
+    (R-hat); at the rest of T it must have even valuation (both)."""
+    gens = [*(adm.values[i] for i in lattice.factor_indices), -1, *lattice.primes]
+    torus_d = adm.fiber.torus_d
+    t0_places = [v for v in p_t.places if v in spec.s0 or valuation_reference(
         spec.d * product_value_reference(spec, spec.indices, p_t.entries[v].t), v.p) == 1]
     ramified = sorted({*t0_places, *(u for _, u in adm.witnesses)})
     units = [v for v in p_t.places if v not in t0_places]
 
-    def form_rows(v, forms):
-        masks = [local_mask(g, v) for g in (*values, -1, *lattice.primes)]
-        return [sum(gf2.dot(m, f) << k for k, m in enumerate(masks)) for f in forms]
+    def row(bits):
+        return sum(bit << k for k, bit in enumerate(bits))
 
     sel_rows, dual_rows = [], []
     for v in ramified:
-        d_v = local_mask(adm.fiber.torus_d, v)
-        sel_rows += form_rows(v, [hilbert_row(d_v, v)])
-        dual_rows += form_rows(v, kernel_reference([d_v], local_dim(v)))
+        sel_rows.append(row(hilbert_symbol_closed_form(g, torus_d, v) for g in gens))
+        masks = [local_square_class(g, v).mask() for g in gens]
+        annihilator = kernel_reference([local_square_class(torus_d, v).mask()], len(local_basis(v)))
+        dual_rows += [row(gf2.dot(m, f) for m in masks) for f in annihilator]
     for v in units:
-        unit_rows = form_rows(v, [1 << local_dim(v) - 1])  # the valuation parity
-        sel_rows += unit_rows
-        dual_rows += unit_rows
+        parity = row(valuation_reference(g, v.p) % 2 for g in gens)
+        sel_rows.append(parity)
+        dual_rows.append(parity)
     return tuple(gf2.Subspace(lattice.ncols, kernel_reference(rows, lattice.ncols))
                  for rows in (sel_rows, dual_rows))
 
@@ -781,10 +789,36 @@ def admissible_candidate_reference(spec, t_primes, t0: Fraction):
     return witnesses
 
 
+def progression_reference(spec, p_t) -> Tuple[int, int, int]:
+    """(tau0, M, D) of the approximation progression, from the t_v alone.
+
+    At each finite place v of p_t, e_v is the number of p's in the
+    denominator of t_v and m_v the largest val_v(p_i(t_v)) of the Fraction
+    formulas; t_v is kept to k_v = max(m_v + 1, -e_v) digits at an odd p and
+    max(m_v + 3, -e_v) at 2.  D is the product of the p^e_v, and tau0 is
+    sympy's crt of the residues of the Fractions D*t_v mod p^(k_v + e_v).
+    """
+    finite = [(v.p, p_t.entries[v].t) for v in p_t.places if v.is_finite]
+    digits = [(p, t_v, max(0, -valuation_reference(t_v, p)) if t_v else 0) for p, t_v in finite]
+    denominator = math.prod(p**e_v for p, _, e_v in digits)
+    moduli, residues = [], []
+    for p, t_v, e_v in digits:
+        m_v = max(valuation_reference(factor_value_reference(spec, i, t_v), p)
+                  for i in spec.indices)
+        modulus = p ** (max(m_v + (3 if p == 2 else 1), -e_v) + e_v)
+        scaled = t_v * denominator
+        assert scaled.denominator % p != 0
+        moduli.append(modulus)
+        residues.append(scaled.numerator * pow(scaled.denominator, -1, modulus) % modulus)
+    tau0, modulus = sympy_crt(moduli, residues) if moduli else (0, 1)
+    return int(tau0), int(modulus), denominator
+
+
 def find_admissible_reference(spec, p_t, bounds, reject=()):
     """find_admissible as the unsieved scan: (t0, witnesses, candidates_checked).
 
-    Every progression value t0 = (tau0 + M*n)/D with n = 0, 1, -1, 2, -2, ...
+    Every value t0 = (tau0 + M*n)/D of progression_reference, which shares
+    no code with the program's progression, with n = 0, 1, -1, 2, -2, ...
     inside the open real chamber is a candidate, and the first one that
     admissible_candidate_reference gives witnesses is the result: for a
     suitable p_t admissibility is that test alone.  The values in `reject`
@@ -794,10 +828,10 @@ def find_admissible_reference(spec, p_t, bounds, reject=()):
     have left the chamber; SearchExhausted is raised as find_admissible
     raises it.
     """
-    from torusdescent.descent import SearchExhausted, _approximation_data
+    from torusdescent.descent import SearchExhausted
 
     reject = {Fraction(t) for t in reject}
-    tau0, modulus, denominator = _approximation_data(spec, p_t)
+    tau0, modulus, denominator = progression_reference(spec, p_t)
     t_real = p_t.entries[REAL].t
     roots = [-d / c for _, (c, d) in spec.factors]
     lo = max((r for r in roots if r < t_real), default=None)
@@ -858,7 +892,7 @@ def uniformizer_t_reference(spec, i: int, w: int) -> int:
     for shift in range(w):
         t_w = root + w * shift
         value = factor_value_reference(spec, i, t_w)
-        if value != 0 and valuation(value, w) == 1:
+        if value != 0 and valuation_reference(value, w) == 1:
             return t_w
     raise DescentAnomaly(f"no uniformizer value for p_{i} at {w}")
 
@@ -903,15 +937,15 @@ def good_place_solubility_reference(spec, v: Place, values) -> str:
     if v.is_real or v.p == 2:
         raise ValueError("good-place criterion applies to odd finite places")
     p = v.p
-    if valuation(Fraction(spec.a * spec.b), p) != 0:
+    if valuation_reference(Fraction(spec.a * spec.b), p) != 0:
         raise ValueError(f"{v} divides d = ab; not a good place")
-    degenerate = [i for i, value in values.items() if valuation(Fraction(value), p) > 0]
+    degenerate = [i for i, value in values.items() if valuation_reference(Fraction(value), p) > 0]
     if len(degenerate) > 1:
         raise ValueError(f"{v} is not a good place: two factors vanish there")
     if not degenerate:
         return "soluble"
     constant = brauer_constant_reference(spec, degenerate[0])
-    if valuation(constant, p) != 0:
+    if valuation_reference(constant, p) != 0:
         raise ValueError(f"{v} divides the Brauer constant; not a good place")
     return "soluble" if is_local_square_closed_form(constant, v) else "insoluble"
 
@@ -930,7 +964,7 @@ def suitability_reference(spec, point):
     for v in point.places:
         if v.is_real or v in spec.s0:
             continue
-        val = valuation(d_p_j(v), v.p)
+        val = valuation_reference(d_p_j(v), v.p)
         if val > 1:
             names.append("valuation_bound")
         if v.p == 2 and val != 1:
@@ -963,7 +997,7 @@ def s_bad_reference(spec) -> set:
     for p in range(3, len(spec.factors) + 1):
         if all(p % q for q in range(2, p)) and all(
                 any(factor_value_reference(spec, i, t) == 0
-                    or valuation(factor_value_reference(spec, i, t), p) > 0
+                    or valuation_reference(factor_value_reference(spec, i, t), p) > 0
                     for i in spec.indices) for t in range(p)):
             bad.add(p)
     return bad - s0
@@ -1058,7 +1092,7 @@ def local_square_class(x, v: Place) -> LocalSquareClass:
     if v.is_real:
         return LocalSquareClass(v, (int(x < 0),))
     p = v.p
-    val = valuation(x, p)
+    val = valuation_reference(x, p)
     unit = x / Fraction(p) ** val
     u = unit.numerator * unit.denominator  # same class as the unit
     if p == 2:
@@ -1180,7 +1214,7 @@ def hensel_solve_reference(
     coeffs = [Fraction(c) for c in coeffs]
     constant = Fraction(constant)
     for coeff in (*coeffs, constant):
-        if coeff != 0 and valuation(coeff, p) < 0:
+        if coeff != 0 and valuation_reference(coeff, p) < 0:
             raise ValueError("coefficients must be p-integral")
     if p**nvars > node_limit:
         return HenselResult(
@@ -1198,12 +1232,12 @@ def hensel_solve_reference(
 
     def certificate_var(point: Sequence[int]) -> Optional[int]:
         fval = f(point)
-        vf = None if fval == 0 else valuation(fval, p)
+        vf = None if fval == 0 else valuation_reference(fval, p)
         for j in range(nvars):
             dval = 2 * coeffs[j] * point[j]
             if dval == 0:
                 continue
-            if vf is None or vf > 2 * valuation(dval, p):
+            if vf is None or vf > 2 * valuation_reference(dval, p):
                 return j
         return None
 
@@ -1212,7 +1246,7 @@ def hensel_solve_reference(
         pt = [x % modulus for x in point]
         while True:
             fval = f(pt)
-            if fval == 0 or valuation(fval, p) >= precision:
+            if fval == 0 or valuation_reference(fval, p) >= precision:
                 return tuple(pt)
             dval = 2 * coeffs[var] * pt[var]
             delta = -fval / dval

@@ -25,6 +25,7 @@ from torusdescent.arith import (
     hilbert_symbol,
     is_local_square,
     is_prime,
+    local_class,
     local_mask,
     parse_rational,
     prime_stream,
@@ -370,6 +371,29 @@ def test_mask_form_matches_closed_form(args):
             value /= gen
     if v.is_real or v.p < 100:
         assert is_square_mod_enumeration(value, v)
+
+
+@given(local_arguments())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_local_class_matches_sympy(args):
+    # the valuation from sympy's multiplicity, the unit's class from its
+    # Legendre symbol at odd p, its residue mod 8 at 2 and the sign at real
+    x, _, v = args
+    val, mask = local_class(x, v)
+    assert mask == local_mask(x, v)
+    if v.is_real:
+        assert (val, mask) == (0, int(x < 0))
+        return
+    p = v.p
+    assert val == sympy.multiplicity(p, x.numerator) - sympy.multiplicity(p, x.denominator)
+    unit = x / Fraction(p) ** val
+    if p == 2:
+        # -1 (bit 0) for 3 and 7 mod 8, 5 (bit 1) for 3 = -5 and 5
+        residue = unit.numerator * pow(unit.denominator, -1, 8) % 8
+        assert mask == (residue % 4 == 3) | (residue in (3, 5)) << 1 | val % 2 << 2
+    else:
+        symbol = sympy.legendre_symbol(unit.numerator * unit.denominator % p, p)
+        assert mask == (symbol == -1) | val % 2 << 1
 
 
 def test_local_basis_spans():

@@ -71,6 +71,7 @@ from oracles import (
     is_local_square_closed_form,
     local_square_class,
     obstruction_sum_reference,
+    progression_reference,
     pick_elements_reference,
     product_value_reference,
     relative_selmer_reference,
@@ -641,38 +642,61 @@ def _keeps_classes(spec, t_v, t0, p):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]))
-def test_approximation_keeps_every_valuation_and_square_class(data, p):
-    # c_i and d_i are integers that p may divide, and t_v may have p in
-    # the denominator (p is in S0)
-    p_integer = st.builds(lambda num, e: num * p**e, st.integers(-40, 40), st.integers(0, 2))
-    p_rational = st.builds(lambda num, e: Fraction(num, p**e),
-                           st.integers(-40, 40), st.integers(0, 2))
+@given(data=st.data(), primes=st.sampled_from([(2,), (3,), (5,), (7,), (2, 3)]))
+def test_approximation_keeps_every_valuation_and_square_class(data, primes):
+    # c_i and d_i are integers that the primes of S0 may divide, and each
+    # t_v may have its prime in the denominator; at S0 = {2, 3} the
+    # progression's D may hold two prime powers
+    exponents = st.lists(st.integers(0, 2), min_size=len(primes), max_size=len(primes))
+    s0_integer = st.builds(lambda num, es: num * math.prod(q**e for q, e in zip(primes, es)),
+                           st.integers(-40, 40), exponents)
     factors = {}
     for i in range(1, data.draw(st.integers(1, 3)) + 1):
-        c, d = data.draw(p_integer.filter(bool)), data.draw(p_integer)
+        c, d = data.draw(s0_integer.filter(bool)), data.draw(s0_integer)
         g = math.gcd(c, d)  # no common prime outside S0
         factors[i] = (c // g, d // g)
     try:
-        spec = make_spec([p], 1, 1, factors, [1])
+        spec = make_spec(list(primes), 1, 1, factors, [1])
     except SpecValidationError:
         assume(False)
-    t_v = data.draw(p_rational)
-    assume(all(factor_value_reference(spec, i, t_v) for i in spec.indices))
-    tau0, modulus, denominator, k = _digits(spec, t_v, p)
-    units = st.builds(Fraction, st.integers(-10**6, 10**6),
-                      st.integers(1, 60).filter(lambda q: q % p))
-    agreeing = [Fraction(tau0 + modulus * n, denominator) for n in range(-4, 5)]
-    agreeing += [t_v + Fraction(p) ** k * x for x in data.draw(st.lists(units, max_size=8))]
-    for t0 in agreeing:
-        assert t0 == t_v or valuation(t0 - t_v, p) >= k
-        assert _keeps_classes(spec, t_v, t0, p), t0
-    # with p dividing no c_i, one digit fewer changes a class, unless k is
-    # only the floor -e that keeps D*t_v integral
-    e = max(0, -valuation(t_v, p)) if t_v else 0
-    if all(c % p for _, (c, _) in spec.factors) and k > -e:
-        assert any(not _keeps_classes(spec, t_v, t_v + Fraction(p) ** (k - 1) * s, p)
-                   for s in range(1, p))
+    points = {p: Fraction(data.draw(st.integers(-40, 40)), p ** data.draw(st.integers(0, 2)))
+              for p in primes}
+    assume(all(factor_value_reference(spec, i, t_v)
+               for t_v in points.values() for i in spec.indices))
+    p_t = PartialAdelicPoint(spec, {Place.finite(p): LocalPoint.make(0, 0, t_v, 0)
+                                    for p, t_v in points.items()})
+    tau0, modulus, denominator = _approximation_data(spec, p_t)
+    assert (tau0, modulus, denominator) == progression_reference(spec, p_t)
+    progression = [Fraction(tau0 + modulus * n, denominator) for n in range(-4, 5)]
+    for p, t_v in points.items():
+        k = valuation(Fraction(modulus, denominator), p)
+        units = st.builds(Fraction, st.integers(-10**6, 10**6),
+                          st.integers(1, 60).filter(lambda q: q % p))
+        agreeing = progression + [t_v + Fraction(p) ** k * x
+                                  for x in data.draw(st.lists(units, max_size=8))]
+        for t0 in agreeing:
+            assert t0 == t_v or valuation(t0 - t_v, p) >= k
+            assert _keeps_classes(spec, t_v, t0, p), (p, t0)
+        # with p dividing no c_i, one digit fewer changes a class, unless k
+        # is only the floor -e that keeps D*t_v integral
+        e = max(0, -valuation(t_v, p)) if t_v else 0
+        if all(c % p for _, (c, _) in spec.factors) and k > -e:
+            assert any(not _keeps_classes(spec, t_v, t_v + Fraction(p) ** (k - 1) * s, p)
+                       for s in range(1, p))
+
+
+@pytest.mark.parametrize("t_2, t_3", [
+    (Fraction(1, 2), Fraction(1, 3)), (Fraction(-3, 4), Fraction(5, 9)), (0, Fraction(2, 3))])
+def test_progression_at_two_places_of_s0_matches_the_reference(t_2, t_3):
+    # both t_v may have their prime in the denominator: D = 2^e_2 * 3^e_3
+    spec = make_spec([2, 3], 1, 1, {1: (1, 1), 2: (3, -4)}, [1])
+    p_t = PartialAdelicPoint(spec, {Place.finite(2): LocalPoint.make(0, 0, t_2, 0),
+                                    Place.finite(3): LocalPoint.make(0, 0, t_3, 0)})
+    tau0, modulus, denominator = _approximation_data(spec, p_t)
+    assert (tau0, modulus, denominator) == progression_reference(spec, p_t)
+    assert denominator == Fraction(t_2).denominator * Fraction(t_3).denominator
+    t0 = Fraction(tau0, denominator)
+    assert _keeps_classes(spec, t_2, t0, 2) and _keeps_classes(spec, t_3, t0, 3)
 
 
 @pytest.mark.parametrize("p, factor, t_v, k", [
@@ -1031,7 +1055,7 @@ def _calls_during(monkeypatch, owner, name, calls):
 
 
 def test_suitability_of_a_built_point_computes_no_local_mask(monkeypatch):
-    masks = _count_calls(monkeypatch, "local_mask", arith)
+    masks = _count_calls(monkeypatch, "local_class", arith)  # local_mask calls it
     for k in range(len(ALL_FAMILY)):
         spec, point, _ = family_point(k)
         before = len(masks)
